@@ -36,8 +36,26 @@ pub fn sample_k_of_n<R: Rng + ?Sized>(rng: &mut R, k: u64, n: u64) -> crate::Res
             "cannot sample {k} items from a universe of {n}"
         )));
     }
-    // Floyd's algorithm: for j = n-k .. n-1, pick t uniform in [0, j]; insert
-    // t unless already present, else insert j. Produces a uniform k-subset.
+    // Both paths make the same draws and apply the same insertion rule, so
+    // which one serves a call is invisible in the output and the RNG stream.
+    Ok(if n <= MASK_LIMIT {
+        floyd_bitmask(rng, k, n)
+    } else {
+        floyd_ordered_set(rng, k, n)
+    })
+}
+
+/// Universes up to this size sample on a stack bitmask ([`floyd_bitmask`]);
+/// larger ones fall back to the ordered set.  1024 bits is 128 bytes of
+/// stack and covers every quorum system the workspace builds.
+const MASK_LIMIT: u64 = 64 * MASK_WORDS as u64;
+const MASK_WORDS: usize = 16;
+
+/// Floyd's algorithm over an ordered set: for `j = n-k .. n-1`, pick `t`
+/// uniform in `[0, j]`; insert `t` unless already present, else insert `j`.
+/// Produces a uniform `k`-subset, ascending.  Serves universes beyond
+/// [`MASK_LIMIT`] and is the oracle the bitmask path is tested against.
+fn floyd_ordered_set<R: Rng + ?Sized>(rng: &mut R, k: u64, n: u64) -> Vec<u64> {
     let mut chosen = std::collections::BTreeSet::new();
     for j in (n - k)..n {
         let t = rng.gen_range(0..=j);
@@ -45,7 +63,35 @@ pub fn sample_k_of_n<R: Rng + ?Sized>(rng: &mut R, k: u64, n: u64) -> crate::Res
             chosen.insert(j);
         }
     }
-    Ok(chosen.into_iter().collect())
+    chosen.into_iter().collect()
+}
+
+/// [`floyd_ordered_set`] with the set held as a word bitmask on the stack:
+/// membership and insertion are one shift and mask, and reading the set
+/// bits out low to high yields the ascending output without a sort.  The
+/// only allocation is the returned vector.
+fn floyd_bitmask<R: Rng + ?Sized>(rng: &mut R, k: u64, n: u64) -> Vec<u64> {
+    debug_assert!(k <= n && n <= MASK_LIMIT);
+    let mut mask = [0u64; MASK_WORDS];
+    for j in (n - k)..n {
+        let t = rng.gen_range(0..=j);
+        let (word, bit) = ((t / 64) as usize, 1u64 << (t % 64));
+        if mask[word] & bit == 0 {
+            mask[word] |= bit;
+        } else {
+            // `j` exceeds every earlier draw's bound, so it is never present.
+            mask[(j / 64) as usize] |= 1u64 << (j % 64);
+        }
+    }
+    let mut out = Vec::with_capacity(k as usize);
+    for (w, &bits) in mask.iter().enumerate() {
+        let mut bits = bits;
+        while bits != 0 {
+            out.push(w as u64 * 64 + u64::from(bits.trailing_zeros()));
+            bits &= bits - 1;
+        }
+    }
+    out
 }
 
 /// Samples a uniformly random `k`-subset *excluding* the indices in
@@ -173,6 +219,47 @@ mod tests {
             (0..10).collect::<Vec<_>>()
         );
         assert_eq!(sample_k_of_n(&mut rng, 0, 0).unwrap(), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn bitmask_floyd_equals_ordered_set_floyd_draw_for_draw() {
+        // Same output and the same RNG position afterwards, for every
+        // universe the mask can hold — including the word boundaries, the
+        // empty draw and the full universe.
+        let mut pick = ChaCha8Rng::seed_from_u64(11);
+        for case in 0..2_000u64 {
+            let n = match case % 8 {
+                0 => MASK_LIMIT,
+                1 => 64,
+                2 => 65,
+                _ => pick.gen_range(0..=MASK_LIMIT),
+            };
+            let k = match case % 5 {
+                0 => 0,
+                1 => n,
+                _ => pick.gen_range(0..=n),
+            };
+            let mut a = ChaCha8Rng::seed_from_u64(case);
+            let mut b = ChaCha8Rng::seed_from_u64(case);
+            assert_eq!(
+                floyd_bitmask(&mut a, k, n),
+                floyd_ordered_set(&mut b, k, n),
+                "k={k} n={n} seed={case}"
+            );
+            assert_eq!(a.gen_range(0..u64::MAX), b.gen_range(0..u64::MAX));
+        }
+    }
+
+    #[test]
+    fn universes_beyond_the_mask_limit_still_sample() {
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let n = MASK_LIMIT + 1;
+        let s = sample_k_of_n(&mut rng, n, n).unwrap();
+        assert_eq!(s, (0..n).collect::<Vec<_>>());
+        let s = sample_k_of_n(&mut rng, 40, 5 * MASK_LIMIT).unwrap();
+        assert_eq!(s.len(), 40);
+        assert!(s.windows(2).all(|w| w[0] < w[1]));
+        assert!(s.iter().all(|&x| x < 5 * MASK_LIMIT));
     }
 
     #[test]

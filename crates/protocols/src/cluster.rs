@@ -165,7 +165,7 @@ impl Cluster {
     /// acknowledged.
     pub fn probe_write_plain(&mut self, id: ServerId, var: VariableId, tv: &TaggedValue) -> bool {
         self.note_access(id);
-        self.servers[id.as_usize()].handle_write_plain(var, tv.clone())
+        self.servers[id.as_usize()].handle_write_plain(var, tv)
     }
 
     /// Sends a signed read to a single server (dissemination protocol).
@@ -178,7 +178,7 @@ impl Cluster {
     /// acknowledged.
     pub fn probe_write_signed(&mut self, id: ServerId, var: VariableId, sv: &SignedValue) -> bool {
         self.note_access(id);
-        self.servers[id.as_usize()].handle_write_signed(var, sv.clone())
+        self.servers[id.as_usize()].handle_write_signed(var, sv)
     }
 
     /// Sends a plain read to every server of `quorum`; returns the replies
@@ -254,7 +254,10 @@ impl Cluster {
         self.accesses = 0;
     }
 
-    fn note_access(&mut self, id: ServerId) {
+    /// Counts one access at `id` without consulting the server: a probe
+    /// whose reply nobody is waiting for any more still reached the server
+    /// and still counts toward its load.
+    pub fn note_access(&mut self, id: ServerId) {
         self.access_counts[id.as_usize()] += 1;
     }
 

@@ -16,6 +16,7 @@ use crate::value::{TaggedValue, Value};
 use crate::ClientId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A writer's secret signing key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,9 +68,14 @@ pub struct Signature(u64);
 /// assert!(registry.verify(3, &v, ts, sig));
 /// assert!(!registry.verify(3, &Value::from_u64(11), ts, sig));
 /// ```
+///
+/// Clones share one map (every dissemination read session carries a
+/// registry, so a clone must not copy the table);
+/// [`register`](Self::register) on a shared registry copies it first, so
+/// clones never observe each other's later registrations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KeyRegistry {
-    secrets: HashMap<ClientId, u64>,
+    secrets: Arc<HashMap<ClientId, u64>>,
 }
 
 impl KeyRegistry {
@@ -81,7 +87,7 @@ impl KeyRegistry {
     /// Registers a writer and returns its signing key.
     pub fn register(&mut self, owner: ClientId, seed: u64) -> SigningKey {
         let key = SigningKey::derive(owner, seed);
-        self.secrets.insert(owner, key.secret);
+        Arc::make_mut(&mut self.secrets).insert(owner, key.secret);
         key
     }
 
@@ -210,6 +216,20 @@ mod tests {
         assert!(!reg.verify(6, &v, ts, sig));
         // Unknown writer.
         assert!(!reg.verify(99, &v, ts, sig));
+    }
+
+    #[test]
+    fn registry_clones_share_until_one_registers() {
+        let (mut reg, _) = setup();
+        let snapshot = reg.clone();
+        assert!(Arc::ptr_eq(&reg.secrets, &snapshot.secrets));
+        reg.register(8, 1);
+        assert!(reg.knows(8));
+        assert!(
+            !snapshot.knows(8),
+            "a clone keeps the table it was taken from"
+        );
+        assert!(snapshot.knows(7));
     }
 
     #[test]

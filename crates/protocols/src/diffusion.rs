@@ -66,7 +66,7 @@
 
 use crate::cluster::Cluster;
 use crate::crypto::SignedValue;
-use crate::server::{Behavior, VariableId};
+use crate::server::{Behavior, Stamped, VariableId};
 use crate::timestamp::Timestamp;
 use crate::value::TaggedValue;
 use pqs_core::universe::ServerId;
@@ -332,13 +332,11 @@ pub fn deliver_record(
     if cluster.server(to).behavior() != Behavior::Correct {
         return false;
     }
+    // The merge compares timestamps before it copies anything: most
+    // full-push deliveries find the receiver already as fresh.
     match record {
-        GossipRecord::Plain(tv) => cluster
-            .server_mut(to)
-            .store_plain_if_fresher(variable, tv.clone()),
-        GossipRecord::Signed(sv) => cluster
-            .server_mut(to)
-            .store_signed_if_fresher(variable, sv.clone()),
+        GossipRecord::Plain(tv) => cluster.server_mut(to).merge_plain(variable, tv),
+        GossipRecord::Signed(sv) => cluster.server_mut(to).merge_signed(variable, sv),
     }
 }
 
@@ -531,6 +529,85 @@ pub fn diff_digest(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDif
     if receiver.behavior() != Behavior::Correct {
         return None;
     }
+    let (records, avoided) = if digest.signed {
+        diff_entries(
+            digest,
+            receiver.signed_variables(),
+            |variable| receiver.signed_record(variable),
+            GossipRecord::Signed,
+        )
+    } else {
+        diff_entries(
+            digest,
+            receiver.plain_variables(),
+            |variable| receiver.plain_record(variable),
+            GossipRecord::Plain,
+        )
+    };
+    Some(DigestDiff {
+        delta: GossipDelta {
+            from: digest.to,
+            to: digest.from,
+            records,
+        },
+        avoided,
+    })
+}
+
+/// The diff itself, over either record flavor: `held` walks the receiver's
+/// keys, `lookup` borrows a held record and `wrap` is the [`GossipRecord`]
+/// variant it travels as.
+///
+/// `digest.entries` and `held` are both ascending by key, so one merge walk
+/// visits advertised and (for a complete digest) volunteered keys in key
+/// order and the delta comes out sorted without a set or a sort.
+/// Timestamps decide the diff; a record is cloned only when it actually
+/// rides in the delta (proving redundancy — the common case — is free).
+fn diff_entries<'a, T: Stamped + Clone + 'a>(
+    digest: &GossipDigest,
+    held: impl Iterator<Item = VariableId>,
+    lookup: impl Fn(VariableId) -> Option<&'a T>,
+    wrap: fn(T) -> GossipRecord,
+) -> (Vec<(VariableId, GossipRecord)>, Vec<VariableId>) {
+    debug_assert!(
+        digest.entries.windows(2).all(|w| w[0].0 < w[1].0),
+        "digest entries must be sorted by key"
+    );
+    let mut records = Vec::new();
+    let mut avoided = Vec::new();
+    // Only a complete digest lets the receiver volunteer what it holds.
+    let mut held = held.filter(|_| digest.complete).peekable();
+    let volunteer = |variable: VariableId, records: &mut Vec<_>| {
+        if let Some(mine) = lookup(variable).filter(|r| r.stamp() != Timestamp::ZERO) {
+            records.push((variable, wrap(mine.clone())));
+        }
+    };
+    for &(variable, advertised) in &digest.entries {
+        // Held keys the digest never mentioned that sort before this entry.
+        while let Some(unadvertised) = held.next_if(|&h| h < variable) {
+            volunteer(unadvertised, &mut records);
+        }
+        held.next_if_eq(&variable);
+        match lookup(variable) {
+            Some(mine) if mine.stamp() > advertised => records.push((variable, wrap(mine.clone()))),
+            Some(mine) if mine.stamp() != Timestamp::ZERO => avoided.push(variable),
+            _ => {}
+        }
+    }
+    for unadvertised in held {
+        volunteer(unadvertised, &mut records);
+    }
+    (records, avoided)
+}
+
+/// The set-and-sort implementation [`diff_digest`] replaced, kept as the
+/// oracle its merge walk is tested against.
+#[cfg(test)]
+fn diff_digest_oracle(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDiff> {
+    let receiver = cluster.server(digest.to);
+    if receiver.behavior() != Behavior::Correct {
+        return None;
+    }
     let timestamp_of = |variable: VariableId| {
         if digest.signed {
             receiver.stored_signed_timestamp(variable)
@@ -547,8 +624,6 @@ pub fn diff_digest(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDif
     };
     let mut records = Vec::new();
     let mut avoided = Vec::new();
-    // Timestamps decide the diff; a record is cloned only when it actually
-    // rides in the delta (proving redundancy — the common case — is free).
     for &(variable, advertised) in &digest.entries {
         let mine = timestamp_of(variable);
         if mine > advertised {
@@ -559,7 +634,6 @@ pub fn diff_digest(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDif
     }
     if digest.complete {
         let advertised: BTreeSet<VariableId> = digest.entries.iter().map(|&(v, _)| v).collect();
-        // The dense store walks held keys in ascending order already.
         let extra: Vec<VariableId> = if digest.signed {
             receiver.signed_variables().collect()
         } else {
@@ -1063,6 +1137,55 @@ mod tests {
             cluster.server(ServerId::new(0)).stored_plain(3).timestamp,
             Timestamp::new(7, 1)
         );
+    }
+
+    #[test]
+    fn merge_walk_diff_equals_the_set_and_sort_oracle() {
+        // Random stores and digests in both flavors: entries mix keys the
+        // receiver holds fresher, staler, equal and not at all; the
+        // receiver holds keys below, between and above the advertised
+        // ones, on both record-store tiers.
+        let mut rng = ChaCha8Rng::seed_from_u64(77);
+        let key = crate::crypto::SigningKey::derive(1, 3);
+        let sparse = u64::MAX / 5;
+        for case in 0..600u64 {
+            let signed = case % 2 == 1;
+            let mut cluster = Cluster::new(Universe::new(3));
+            let receiver = ServerId::new(1);
+            let mut universe: Vec<VariableId> = (0..24).collect();
+            universe.extend([sparse, sparse + 4]);
+            for &var in &universe {
+                if rng.gen_bool(0.5) {
+                    let ts = Timestamp::new(rng.gen_range(1..4u64), 1);
+                    let server = cluster.server_mut(receiver);
+                    if signed {
+                        let sv = SignedValue::create(&key, Value::from_u64(var), ts);
+                        server.store_signed_if_fresher(var, sv);
+                    } else {
+                        server.store_plain_if_fresher(
+                            var,
+                            TaggedValue::new(Value::from_u64(var), ts),
+                        );
+                    }
+                }
+            }
+            let mut entries: Vec<(VariableId, Timestamp)> = Vec::new();
+            for &var in &universe {
+                if rng.gen_bool(0.4) {
+                    entries.push((var, Timestamp::new(rng.gen_range(0..4u64), 1)));
+                }
+            }
+            let digest = GossipDigest {
+                from: ServerId::new(0),
+                to: receiver,
+                signed,
+                complete: case % 3 != 0,
+                entries,
+            };
+            let diff = diff_digest(&cluster, &digest);
+            assert!(diff.is_some());
+            assert_eq!(diff, diff_digest_oracle(&cluster, &digest), "case {case}");
+        }
     }
 
     #[test]

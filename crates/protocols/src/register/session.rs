@@ -37,7 +37,6 @@ use pqs_core::system::QuorumSystem;
 use pqs_core::universe::ServerId;
 use pqs_math::sampling::sample_k_of_n_excluding;
 use rand::RngCore;
-use std::collections::HashMap;
 
 /// The servers contacted by one operation attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,13 +114,19 @@ pub struct ReadSession {
 
 impl ReadSession {
     /// Creates a session that completes after `needed` replies, condensing
-    /// them according to `mode`.
+    /// them according to `mode`.  The reply buffer the mode uses is sized
+    /// for `needed` replies up front, so feeding them never reallocates.
     pub fn new(mode: ReadMode, needed: usize) -> Self {
+        let needed = needed.max(1);
+        let (plain, signed) = match mode {
+            ReadMode::Dissemination(_) => (Vec::new(), Vec::with_capacity(needed)),
+            ReadMode::Safe | ReadMode::Masking { .. } => (Vec::with_capacity(needed), Vec::new()),
+        };
         ReadSession {
             mode,
-            needed: needed.max(1),
-            plain: Vec::new(),
-            signed: Vec::new(),
+            needed,
+            plain,
+            signed,
         }
     }
 
@@ -195,18 +200,20 @@ impl ReadSession {
                 .max_by(|a, b| a.tagged.timestamp.cmp(&b.tagged.timestamp))
                 .map(|sv| sv.tagged.clone()),
             ReadMode::Masking { threshold } => {
-                let mut counts: HashMap<&TaggedValue, usize> = HashMap::new();
-                for tv in &self.plain {
-                    *counts.entry(tv).or_insert(0) += 1;
-                }
-                counts
-                    .into_iter()
-                    .filter(|(tv, count)| {
-                        *count >= (*threshold).max(1) && tv.timestamp != Timestamp::ZERO
+                // Equal pairs sort next to each other, so a run's length is
+                // its vote count.  The order — timestamp, then value bytes —
+                // also settles which of two distinct pairs sharing a
+                // timestamp wins when both reach the threshold.
+                let mut replies: Vec<&TaggedValue> = self.plain.iter().collect();
+                replies.sort_unstable_by(|a, b| {
+                    (a.timestamp, a.value.as_bytes()).cmp(&(b.timestamp, b.value.as_bytes()))
+                });
+                replies
+                    .chunk_by(|a, b| a == b)
+                    .rfind(|votes| {
+                        votes.len() >= (*threshold).max(1) && votes[0].timestamp != Timestamp::ZERO
                     })
-                    .map(|(tv, _)| tv)
-                    .max_by(|a, b| a.timestamp.cmp(&b.timestamp))
-                    .cloned()
+                    .map(|votes| votes[0].clone())
             }
         })
     }
@@ -374,6 +381,25 @@ mod tests {
         s.on_plain_reply(ServerId::new(3), tv(4, 4));
         assert!(s.is_complete());
         assert_eq!(s.finish().unwrap(), Some(tv(5, 5)));
+    }
+
+    #[test]
+    fn masking_tie_on_timestamp_is_settled_by_value_bytes() {
+        // Two distinct pairs share a timestamp and both reach the
+        // threshold: the answer must not depend on the process's hash seed
+        // or on arrival order.
+        let low = TaggedValue::new(Value::from_u64(1), Timestamp::new(7, 1));
+        let high = TaggedValue::new(Value::from_u64(2), Timestamp::new(7, 1));
+        for round in 0..100 {
+            let mut s = ReadSession::new(ReadMode::Masking { threshold: 2 }, 5);
+            let mut replies = vec![low.clone(), high.clone(), low.clone(), high.clone()];
+            replies.rotate_left(round % 4);
+            s.on_plain_reply(ServerId::new(9), tv(3, 3));
+            for (i, reply) in replies.into_iter().enumerate() {
+                s.on_plain_reply(ServerId::new(i as u32), reply);
+            }
+            assert_eq!(s.finish().unwrap(), Some(high.clone()), "round {round}");
+        }
     }
 
     #[test]

@@ -79,6 +79,24 @@ const DENSE_LIMIT: VariableId = 1 << 16;
 /// by construction — dense slots scan in index order, the sparse tier is
 /// a `BTreeMap` whose keys all exceed the dense tier's — which is what
 /// lets the gossip planners drop their per-sender sorts.
+/// A stored record that knows the timestamp it was written under — what
+/// the freshest-wins merge rule compares.
+pub(crate) trait Stamped {
+    fn stamp(&self) -> Timestamp;
+}
+
+impl Stamped for TaggedValue {
+    fn stamp(&self) -> Timestamp {
+        self.timestamp
+    }
+}
+
+impl Stamped for SignedValue {
+    fn stamp(&self) -> Timestamp {
+        self.tagged.timestamp
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct RecordStore<T> {
     dense: Vec<Option<T>>,
@@ -118,6 +136,45 @@ impl<T> RecordStore<T> {
     fn reserve(&mut self, keys: u64) {
         let cap = keys.min(DENSE_LIMIT) as usize;
         self.dense.reserve(cap.saturating_sub(self.dense.len()));
+    }
+
+    /// Timestamp of the record held for `var`, [`Timestamp::ZERO`] when
+    /// unheld.
+    #[inline]
+    fn timestamp(&self, var: VariableId) -> Timestamp
+    where
+        T: Stamped,
+    {
+        self.get(var).map_or(Timestamp::ZERO, Stamped::stamp)
+    }
+
+    /// The freshest-wins merge rule: `incoming` replaces the held record
+    /// iff it is strictly fresher.
+    #[inline]
+    fn store_if_fresher(&mut self, var: VariableId, incoming: T) -> bool
+    where
+        T: Stamped,
+    {
+        let fresher = incoming.stamp() > self.timestamp(var);
+        if fresher {
+            self.set(var, incoming);
+        }
+        fresher
+    }
+
+    /// [`store_if_fresher`](Self::store_if_fresher) for a borrowed record:
+    /// the comparison comes first, so the record is cloned only when it is
+    /// actually stored.
+    #[inline]
+    fn merge(&mut self, var: VariableId, incoming: &T) -> bool
+    where
+        T: Stamped + Clone,
+    {
+        let fresher = incoming.stamp() > self.timestamp(var);
+        if fresher {
+            self.set(var, incoming.clone());
+        }
+        fresher
     }
 
     /// Held variable ids, ascending.
@@ -189,29 +246,30 @@ impl ReplicaServer {
         self.behavior = behavior;
     }
 
-    /// The stored plain record's slot, `None` when unheld.
+    /// The plain record held for `var` by reference, `None` when unheld —
+    /// the copy-free form of [`stored_plain`](Self::stored_plain).
     #[inline]
-    fn plain_slot(&self, var: VariableId) -> Option<&TaggedValue> {
+    pub fn plain_record(&self, var: VariableId) -> Option<&TaggedValue> {
         self.plain.get(var)
     }
 
-    /// The stored signed record's slot, `None` when unheld.
+    /// The signed record held for `var` by reference, `None` when unheld.
     #[inline]
-    fn signed_slot(&self, var: VariableId) -> Option<&SignedValue> {
+    pub fn signed_record(&self, var: VariableId) -> Option<&SignedValue> {
         self.signed.get(var)
     }
 
     /// The plain (unsigned) record the server *actually* stores for `var`,
     /// regardless of behaviour — useful for assertions and diffusion.
     pub fn stored_plain(&self, var: VariableId) -> TaggedValue {
-        self.plain_slot(var)
+        self.plain_record(var)
             .cloned()
             .unwrap_or_else(TaggedValue::initial)
     }
 
     /// The signed record the server actually stores for `var`.
     pub fn stored_signed(&self, var: VariableId) -> SignedValue {
-        self.signed_slot(var)
+        self.signed_record(var)
             .cloned()
             .unwrap_or_else(SignedValue::unsigned_initial)
     }
@@ -220,15 +278,13 @@ impl ReplicaServer {
     /// ([`Timestamp::ZERO`] when unheld) — a clone-free accessor for the
     /// digest planner's per-key version summaries.
     pub fn stored_plain_timestamp(&self, var: VariableId) -> Timestamp {
-        self.plain_slot(var)
-            .map_or(Timestamp::ZERO, |tv| tv.timestamp)
+        self.plain.timestamp(var)
     }
 
     /// Timestamp of the stored signed record for `var`
     /// ([`Timestamp::ZERO`] when unheld), without cloning the signature.
     pub fn stored_signed_timestamp(&self, var: VariableId) -> Timestamp {
-        self.signed_slot(var)
-            .map_or(Timestamp::ZERO, |sv| sv.tagged.timestamp)
+        self.signed.timestamp(var)
     }
 
     /// Handles a plain read request. Returns `None` if the server does not
@@ -244,12 +300,12 @@ impl ReplicaServer {
 
     /// Handles a plain write request. Returns `true` if the write was
     /// acknowledged (Byzantine servers acknowledge without necessarily
-    /// storing anything).
-    pub fn handle_write_plain(&mut self, var: VariableId, incoming: TaggedValue) -> bool {
+    /// storing anything).  The record is copied only if it is stored.
+    pub fn handle_write_plain(&mut self, var: VariableId, incoming: &TaggedValue) -> bool {
         match self.behavior {
             Behavior::Crashed => false,
             Behavior::Correct => {
-                self.store_plain_if_fresher(var, incoming);
+                self.merge_plain(var, incoming);
                 true
             }
             // Byzantine servers acknowledge but drop the update.
@@ -271,11 +327,11 @@ impl ReplicaServer {
     }
 
     /// Handles a signed write request (dissemination protocol).
-    pub fn handle_write_signed(&mut self, var: VariableId, incoming: SignedValue) -> bool {
+    pub fn handle_write_signed(&mut self, var: VariableId, incoming: &SignedValue) -> bool {
         match self.behavior {
             Behavior::Crashed => false,
             Behavior::Correct => {
-                self.store_signed_if_fresher(var, incoming);
+                self.merge_signed(var, incoming);
                 true
             }
             Behavior::ByzantineForge | Behavior::ByzantineStale => true,
@@ -287,29 +343,27 @@ impl ReplicaServer {
     /// the incoming record replaced the stored one (it was strictly
     /// fresher), which the gossip layer uses to count effective pushes.
     pub fn store_plain_if_fresher(&mut self, var: VariableId, incoming: TaggedValue) -> bool {
-        let current = self
-            .plain_slot(var)
-            .map_or(Timestamp::ZERO, |tv| tv.timestamp);
-        if incoming.timestamp > current {
-            self.plain.set(var, incoming);
-            true
-        } else {
-            false
-        }
+        self.plain.store_if_fresher(var, incoming)
     }
 
     /// Stores a signed record if it is fresher than the current one.
     /// Returns `true` if the incoming record replaced the stored one.
     pub fn store_signed_if_fresher(&mut self, var: VariableId, incoming: SignedValue) -> bool {
-        let current = self
-            .signed_slot(var)
-            .map_or(Timestamp::ZERO, |sv| sv.tagged.timestamp);
-        if incoming.tagged.timestamp > current {
-            self.signed.set(var, incoming);
-            true
-        } else {
-            false
-        }
+        self.signed.store_if_fresher(var, incoming)
+    }
+
+    /// [`store_plain_if_fresher`](Self::store_plain_if_fresher) for a
+    /// caller that only borrows the record (a write probe fanned out to a
+    /// quorum, a gossip push, the spine sync): timestamps are compared
+    /// first and the record is cloned only when it is stored, so a delivery
+    /// that stores nothing copies nothing.
+    pub fn merge_plain(&mut self, var: VariableId, incoming: &TaggedValue) -> bool {
+        self.plain.merge(var, incoming)
+    }
+
+    /// [`merge_plain`](Self::merge_plain) for signed records.
+    pub fn merge_signed(&mut self, var: VariableId, incoming: &SignedValue) -> bool {
+        self.signed.merge(var, incoming)
     }
 
     /// All variables for which this server holds a plain record, in
@@ -341,15 +395,15 @@ mod tests {
         assert_eq!(s.id(), ServerId::new(3));
         assert_eq!(s.behavior(), Behavior::Correct);
         assert_eq!(s.handle_read_plain(0).unwrap().timestamp, Timestamp::ZERO);
-        assert!(s.handle_write_plain(0, tv(5, 1)));
+        assert!(s.handle_write_plain(0, &tv(5, 1)));
         assert_eq!(s.handle_read_plain(0).unwrap(), tv(5, 1));
         // Stale writes are ignored (keep the freshest record).
-        assert!(s.handle_write_plain(0, tv(9, 1)));
+        assert!(s.handle_write_plain(0, &tv(9, 1)));
         assert_eq!(s.handle_read_plain(0).unwrap(), tv(5, 1));
-        assert!(s.handle_write_plain(0, tv(9, 2)));
+        assert!(s.handle_write_plain(0, &tv(9, 2)));
         assert_eq!(s.handle_read_plain(0).unwrap(), tv(9, 2));
         // Independent variables do not interfere.
-        assert!(s.handle_write_plain(7, tv(1, 1)));
+        assert!(s.handle_write_plain(7, &tv(1, 1)));
         assert_eq!(s.handle_read_plain(0).unwrap(), tv(9, 2));
         assert_eq!(s.plain_variables().count(), 2);
     }
@@ -359,7 +413,7 @@ mod tests {
         let mut s = ReplicaServer::new(ServerId::new(0));
         s.set_behavior(Behavior::Crashed);
         assert!(s.handle_read_plain(0).is_none());
-        assert!(!s.handle_write_plain(0, tv(1, 1)));
+        assert!(!s.handle_write_plain(0, &tv(1, 1)));
         assert!(s.handle_read_signed(0).is_none());
         assert!(!s.behavior().is_byzantine());
     }
@@ -378,16 +432,16 @@ mod tests {
         assert_eq!(ra.value, forged_value());
         assert!(ra.timestamp > Timestamp::new(1_000_000, 0));
         // It acknowledges writes but does not store them.
-        assert!(a.handle_write_plain(0, tv(3, 1)));
+        assert!(a.handle_write_plain(0, &tv(3, 1)));
         assert_eq!(a.stored_plain(0).timestamp, Timestamp::ZERO);
     }
 
     #[test]
     fn stale_server_suppresses_updates() {
         let mut s = ReplicaServer::new(ServerId::new(1));
-        assert!(s.handle_write_plain(0, tv(1, 1)));
+        assert!(s.handle_write_plain(0, &tv(1, 1)));
         s.set_behavior(Behavior::ByzantineStale);
-        assert!(s.handle_write_plain(0, tv(2, 2)));
+        assert!(s.handle_write_plain(0, &tv(2, 2)));
         // Still serves the old record.
         assert_eq!(s.handle_read_plain(0).unwrap(), tv(1, 1));
     }
@@ -399,13 +453,13 @@ mod tests {
         let mut s = ReplicaServer::new(ServerId::new(4));
         let v1 = SignedValue::create(&key, Value::from_u64(10), Timestamp::new(1, 1));
         let v2 = SignedValue::create(&key, Value::from_u64(20), Timestamp::new(2, 1));
-        assert!(s.handle_write_signed(0, v1.clone()));
-        assert!(s.handle_write_signed(0, v2.clone()));
+        assert!(s.handle_write_signed(0, &v1));
+        assert!(s.handle_write_signed(0, &v2));
         assert_eq!(s.handle_read_signed(0).unwrap(), v2);
         // Regression to Byzantine: the server can only keep serving what it
         // has (or suppress); it cannot fabricate a verifying record.
         s.set_behavior(Behavior::ByzantineForge);
-        assert!(s.handle_write_signed(0, v1.clone()));
+        assert!(s.handle_write_signed(0, &v1));
         let served = s.handle_read_signed(0).unwrap();
         assert!(registry.verify_signed(&served));
         assert_eq!(served, v2);
@@ -454,7 +508,14 @@ mod tests {
         let v2 = SignedValue::create(&key, Value::from_u64(2), Timestamp::new(2, 1));
         assert!(s.store_signed_if_fresher(3, v1.clone()));
         assert!(!s.store_signed_if_fresher(3, v1));
-        assert!(s.store_signed_if_fresher(3, v2));
+        assert!(s.store_signed_if_fresher(3, v2.clone()));
         assert!(s.signed_variables().eq(std::iter::once(3)));
+        // The by-reference forms apply the same rule.
+        assert!(!s.merge_plain(0, &tv(9, 2)));
+        assert!(s.merge_plain(0, &tv(3, 3)));
+        assert_eq!(s.plain_record(0), Some(&tv(3, 3)));
+        assert_eq!(s.plain_record(1), None);
+        assert!(!s.merge_signed(3, &v2));
+        assert_eq!(s.signed_record(3), Some(&v2));
     }
 }

@@ -9,6 +9,15 @@ use std::fmt;
 /// Values are byte strings; helpers are provided for the common case of
 /// numeric payloads used in tests and experiments.
 ///
+/// Payloads of up to [`Value::INLINE_CAPACITY`] bytes live inside the
+/// value itself, so cloning one — and with it every
+/// [`TaggedValue`], [`SignedValue`](crate::crypto::SignedValue) and gossip
+/// record the protocols exchange — is a fixed-size copy that never touches
+/// the allocator.  Longer payloads spill to the heap.  Which representation
+/// holds a payload is decided by its length alone and is invisible through
+/// the API: equality, hashing and [`as_bytes`](Self::as_bytes) see only the
+/// bytes.
+///
 /// # Examples
 ///
 /// ```
@@ -17,43 +26,103 @@ use std::fmt;
 /// assert_eq!(v.as_u64(), Some(7));
 /// assert_eq!(Value::new(vec![1, 2, 3]).as_bytes(), &[1, 2, 3]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Value(Vec<u8>);
+#[derive(Clone, Serialize, Deserialize)]
+pub struct Value(Repr);
+
+/// 22 payload bytes plus the length byte and the discriminant make the
+/// inline variant exactly as large as the boxed slice's, so a `Value` is
+/// three words — what the `Vec<u8>` it replaces occupied.
+const INLINE_CAPACITY: usize = 22;
+
+#[derive(Clone, Serialize, Deserialize)]
+enum Repr {
+    /// `bytes[..len]` is the payload; the tail stays zeroed.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_CAPACITY],
+    },
+    /// A payload longer than [`INLINE_CAPACITY`].
+    Heap(Box<[u8]>),
+}
 
 impl Value {
+    /// The longest payload stored without a heap allocation.
+    pub const INLINE_CAPACITY: usize = INLINE_CAPACITY;
+
     /// Wraps raw bytes.
     pub fn new(bytes: Vec<u8>) -> Self {
-        Value(bytes)
+        if bytes.len() <= INLINE_CAPACITY {
+            Self::inline(&bytes)
+        } else {
+            Value(Repr::Heap(bytes.into_boxed_slice()))
+        }
+    }
+
+    /// Copies a payload of at most [`INLINE_CAPACITY`] bytes inline.
+    fn inline(payload: &[u8]) -> Self {
+        let mut bytes = [0u8; INLINE_CAPACITY];
+        bytes[..payload.len()].copy_from_slice(payload);
+        Value(Repr::Inline {
+            len: payload.len() as u8,
+            bytes,
+        })
     }
 
     /// Encodes a `u64` as a little-endian value.
     pub fn from_u64(v: u64) -> Self {
-        Value(v.to_le_bytes().to_vec())
+        Self::inline(&v.to_le_bytes())
     }
 
     /// Encodes a string.
     pub fn from_str_value(s: &str) -> Self {
-        Value(s.as_bytes().to_vec())
+        if s.len() <= INLINE_CAPACITY {
+            Self::inline(s.as_bytes())
+        } else {
+            Value(Repr::Heap(s.as_bytes().into()))
+        }
     }
 
     /// The raw bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..*len as usize],
+            Repr::Heap(bytes) => bytes,
+        }
     }
 
     /// Decodes the value as a little-endian `u64`, if it is exactly 8 bytes.
     pub fn as_u64(&self) -> Option<u64> {
-        self.0.as_slice().try_into().ok().map(u64::from_le_bytes)
+        self.as_bytes().try_into().ok().map(u64::from_le_bytes)
     }
 
     /// Length of the value in bytes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_bytes().len()
     }
 
     /// Returns `true` for a zero-length value.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.as_bytes().is_empty()
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Value {}
+
+impl std::hash::Hash for Value {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+impl fmt::Debug for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Value").field(&self.as_bytes()).finish()
     }
 }
 
@@ -61,14 +130,14 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.as_u64() {
             Some(v) => write!(f, "u64:{v}"),
-            None => write!(f, "bytes[{}]", self.0.len()),
+            None => write!(f, "bytes[{}]", self.len()),
         }
     }
 }
 
 impl From<Vec<u8>> for Value {
     fn from(bytes: Vec<u8>) -> Self {
-        Value(bytes)
+        Value::new(bytes)
     }
 }
 
@@ -80,7 +149,7 @@ impl From<u64> for Value {
 
 impl AsRef<[u8]> for Value {
     fn as_ref(&self) -> &[u8] {
-        &self.0
+        self.as_bytes()
     }
 }
 
@@ -138,6 +207,27 @@ mod tests {
         assert_eq!(Value::from(vec![3u8]).len(), 1);
         assert!(Value::new(vec![]).is_empty());
         assert_eq!(Value::from_u64(5).as_ref().len(), 8);
+    }
+
+    #[test]
+    fn representation_follows_length_and_stays_three_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        assert_eq!(std::mem::size_of::<TaggedValue>(), 40);
+        for len in [0, 8, INLINE_CAPACITY, INLINE_CAPACITY + 1, 64] {
+            let bytes: Vec<u8> = (0..len as u8).collect();
+            let v = Value::new(bytes.clone());
+            assert_eq!(v.as_bytes(), &bytes[..]);
+            assert_eq!(v.len(), len);
+            assert_eq!(
+                matches!(v.0, Repr::Inline { .. }),
+                len <= INLINE_CAPACITY,
+                "length {len}"
+            );
+            assert_eq!(v.clone(), v);
+            assert_eq!(format!("{v:?}"), format!("Value({bytes:?})"));
+        }
+        let long = "x".repeat(INLINE_CAPACITY + 1);
+        assert_eq!(Value::from_str_value(&long).as_bytes(), long.as_bytes());
     }
 
     #[test]

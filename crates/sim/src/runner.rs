@@ -1052,6 +1052,9 @@ pub(crate) struct OpState {
     pub(crate) attempt: u32,
     pub(crate) outstanding: usize,
     pub(crate) done: bool,
+    /// The current attempt's session.  `finalize` releases a read's (its
+    /// reply buffer is dead weight once condensed); a write's stays, since
+    /// its record is what late probes and retries still deliver.
     pub(crate) session: Option<OpSession>,
     /// The value a write pushes: its variable's write sequence number,
     /// assigned at arrival (reads leave it 0).
@@ -1762,6 +1765,10 @@ impl<'a, S: QuorumSystem + ?Sized> Simulation<'a, S> {
                 let result = session
                     .finish()
                     .expect("finalize is only called with at least one responder");
+                // The replies are condensed: release the buffer now rather
+                // than at the end of the run.  A probe of this read still
+                // in flight finds no session and only counts its access.
+                state.session = None;
                 report.completed_reads += 1;
                 report.latency.record(latency);
                 report.read_latency.record(latency);
@@ -1855,7 +1862,12 @@ pub(crate) fn deliver_probe<S: QuorumSystem + ?Sized>(
             }
             live
         }
-        None => false,
+        // A read `finalize` already released: the reply would have been
+        // dropped, so all that is left of the probe is the server's load.
+        None => {
+            cluster.note_access(server);
+            false
+        }
     }
 }
 
@@ -2224,6 +2236,116 @@ mod tests {
         use pqs_core::system::QuorumSystem;
         assert!((one.empirical_load() - sys.load()).abs() < 0.05);
         assert!((many.empirical_load() - sys.load()).abs() < 0.05);
+    }
+
+    #[test]
+    fn finalize_releases_a_read_session_and_keeps_a_write_record() {
+        let sys = EpsilonIntersecting::new(20, 5).unwrap();
+        let sim = Simulation::new(&sys, ProtocolKind::Safe, quick_config(3));
+        let mut cluster = Cluster::new(sys.universe());
+        let mut registers = RegisterMap::new(&sys, RegisterFlavor::Safe, 1);
+        let mut engine = EventEngine::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut writes = vec![WriteLog::default()];
+        let mut report = SimReport {
+            per_variable: vec![VariableReport::default()],
+            ..SimReport::default()
+        };
+        let state = |kind, sequence| OpState {
+            kind,
+            variable: 0,
+            start: 0.0,
+            attempt: 0,
+            outstanding: 0,
+            done: false,
+            session: None,
+            sequence,
+            window: None,
+        };
+        let (near, far) = (ServerId::new(3), ServerId::new(17));
+
+        // A retried write is the same logical write: same record, same
+        // timestamp, a fresh acknowledgement count.
+        let mut write = state(OpKind::Write, 1);
+        sim.start_attempt(
+            0,
+            0.0,
+            &mut write,
+            &mut registers,
+            &mut cluster,
+            &mut engine,
+            &mut rng,
+        );
+        let Some(OpSession::Write(first, _)) = &write.session else {
+            panic!("a started write holds a write session");
+        };
+        let first = first.clone();
+        write.attempt += 1;
+        sim.start_attempt(
+            0,
+            0.1,
+            &mut write,
+            &mut registers,
+            &mut cluster,
+            &mut engine,
+            &mut rng,
+        );
+        let Some(OpSession::Write(resent, session)) = &write.session else {
+            panic!("a retried write holds a write session");
+        };
+        assert_eq!(*resent, first, "the retry re-sends the original record");
+        assert_eq!(session.timestamp(), first.timestamp());
+        assert_eq!(session.acks(), 0);
+        // Finalizing the write keeps its session: a probe still in flight
+        // delivers the record to its server.
+        assert!(deliver_probe::<EpsilonIntersecting>(
+            &mut write,
+            near,
+            &mut cluster,
+            1
+        ));
+        sim.finalize(0.2, &mut write, &mut writes, &mut report);
+        assert!(write.done && write.session.is_some());
+        assert!(!deliver_probe::<EpsilonIntersecting>(
+            &mut write,
+            far,
+            &mut cluster,
+            1
+        ));
+        assert_eq!(
+            cluster.server(far).stored_plain_timestamp(0),
+            first.timestamp()
+        );
+
+        // Finalizing a read releases its session; a probe still in flight
+        // counts its server access and nothing else.
+        let mut read = state(OpKind::Read, 0);
+        sim.start_attempt(
+            1,
+            0.3,
+            &mut read,
+            &mut registers,
+            &mut cluster,
+            &mut engine,
+            &mut rng,
+        );
+        assert!(deliver_probe::<EpsilonIntersecting>(
+            &mut read,
+            near,
+            &mut cluster,
+            0
+        ));
+        sim.finalize(0.4, &mut read, &mut writes, &mut report);
+        assert!(read.done && read.session.is_none());
+        assert_eq!((report.completed_writes, report.completed_reads), (1, 1));
+        let before = cluster.access_counts()[far.as_usize()];
+        assert!(!deliver_probe::<EpsilonIntersecting>(
+            &mut read,
+            far,
+            &mut cluster,
+            0
+        ));
+        assert_eq!(cluster.access_counts()[far.as_usize()], before + 1);
     }
 
     #[test]

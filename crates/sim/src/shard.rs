@@ -347,15 +347,15 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
         self.dirty.dedup();
         for &(server, var) in &self.dirty {
             let id = ServerId::new(server);
+            // Marking is conservative, so most pairs hold nothing newer
+            // than the spine does: the merge compares before it copies.
             let src = self.cluster.server(id);
             if signed {
-                spine
-                    .server_mut(id)
-                    .store_signed_if_fresher(var, src.stored_signed(var));
-            } else {
-                spine
-                    .server_mut(id)
-                    .store_plain_if_fresher(var, src.stored_plain(var));
+                if let Some(record) = src.signed_record(var) {
+                    spine.server_mut(id).merge_signed(var, record);
+                }
+            } else if let Some(record) = src.plain_record(var) {
+                spine.server_mut(id).merge_plain(var, record);
             }
         }
         self.dirty.clear();
@@ -725,6 +725,8 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
                 let result = session
                     .finish()
                     .expect("finalize is only called with at least one responder");
+                // Released on completion, as in the sequential engine.
+                state.session = None;
                 self.acc.report.completed_reads += 1;
                 self.acc.completions.push(CompletionRecord {
                     time: now,

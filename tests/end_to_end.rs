@@ -12,8 +12,10 @@ use probabilistic_quorums::protocols::register::{
 };
 use probabilistic_quorums::protocols::server::Behavior;
 use probabilistic_quorums::protocols::value::Value;
+use probabilistic_quorums::sim::failure::FailurePlan;
 use probabilistic_quorums::sim::latency::LatencyModel;
 use probabilistic_quorums::sim::runner::{ProtocolKind, SimConfig, Simulation};
+use probabilistic_quorums::sim::workload::KeySpace;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -178,4 +180,49 @@ fn applications_end_to_end() {
     let stats = mobility_experiment(&mut directory, &mut cluster, &mut rng, 50, 30, 10, 2);
     assert!(stats.reachability() > 0.99);
     assert!(stats.staleness() < 0.02);
+}
+
+/// Every probe an attempt sends counts at its server, in both engines —
+/// also the margin's probes, which reach a read after it completed and
+/// released its session, and the probes of attempts a retry superseded.
+#[test]
+fn every_probe_sent_counts_as_a_server_access_in_both_engines() {
+    let (n, q, margin) = (30u32, 8u64, 3u32);
+    let sys = EpsilonIntersecting::new(n, q as u32).unwrap();
+    // Everything is down until t = 0.15, so the first arrivals (writes among
+    // them) find only silent servers and retry until the servers are back.
+    let mut outage = FailurePlan::none();
+    for i in 0..n {
+        outage = outage
+            .with_transition(0.0, ServerId::new(i), true)
+            .with_transition(0.15, ServerId::new(i), false);
+    }
+    for num_shards in [1u32, 4] {
+        let config = SimConfig::builder()
+            .with_duration(20.0)
+            .with_arrival_rate(100.0)
+            .with_read_fraction(0.7)
+            .with_keyspace(KeySpace::zipf(8, 1.0))
+            .with_latency(LatencyModel::Exponential { mean: 0.002 })
+            .with_probe_margin(margin)
+            .with_op_timeout(0.05)
+            .with_max_retries(40)
+            .with_seed(5)
+            .with_num_shards(num_shards)
+            .build();
+        let report = Simulation::new(&sys, ProtocolKind::Safe, config)
+            .with_failure_plan(outage.clone())
+            .run();
+        assert!(report.retries > 0, "the outage must force retries");
+        assert_eq!(report.unavailable_ops, 0, "every op outlives the outage");
+        assert!(report.completed_reads > 1000 && report.completed_writes > 300);
+        // `total_operations` counts attempts; each sends q + margin probes.
+        let sent = report.total_operations * (q + margin as u64);
+        let counted: u64 = report.per_server_accesses.iter().sum();
+        assert_eq!(counted, sent, "{num_shards} shard(s)");
+        assert_eq!(
+            report.total_operations,
+            report.completed_reads + report.completed_writes + report.retries
+        );
+    }
 }
