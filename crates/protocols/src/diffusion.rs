@@ -20,7 +20,9 @@
 //! * [`plan_round`] / [`plan_cluster_round`] — snapshot the senders and
 //!   draw the peers of one round, producing a batch of [`GossipPush`]
 //!   messages (no state is mutated while planning, so a round is a
-//!   synchronous exchange).
+//!   synchronous exchange).  [`outline_cluster_round`] is the same round
+//!   without the payloads, for a driver that can tell from timestamps
+//!   which pushes are worth sending.
 //! * [`deliver`] — apply one push to its receiver, evaluated at delivery
 //!   time (the engine delays each push by its own latency draw, so a
 //!   receiver that crashed mid-flight simply drops the message).
@@ -66,7 +68,7 @@
 
 use crate::cluster::Cluster;
 use crate::crypto::SignedValue;
-use crate::server::{Behavior, Stamped, VariableId};
+use crate::server::{Behavior, ReplicaServer, Stamped, VariableId};
 use crate::timestamp::Timestamp;
 use crate::value::TaggedValue;
 use pqs_core::universe::ServerId;
@@ -236,6 +238,56 @@ impl CoverageScratch {
     }
 }
 
+/// One push of an engine round without its payload — what
+/// [`outline_cluster_round`] plans.  Timestamps alone decide whether a
+/// delivery can store anything, so a driver that holds the receivers'
+/// records can settle most pushes before a record is ever copied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlannedPush {
+    /// The (correct) sender.
+    pub from: ServerId,
+    /// The receiver.
+    pub to: ServerId,
+    /// The variable the record belongs to.
+    pub variable: VariableId,
+    /// Timestamp of the sender's record at planning (send) time.
+    pub timestamp: Timestamp,
+    /// Whether the receiver's own record was already at least as fresh at
+    /// planning time.  Store-if-fresher never lowers a stored timestamp, so
+    /// a covered push stores nothing whenever it is delivered — unless the
+    /// receiver's stores are wiped in between
+    /// ([`Cluster::join_server`]), the one case a driver must exclude.
+    pub covered: bool,
+}
+
+impl PlannedPush {
+    /// The full message: the sender's record as `cluster` holds it, which
+    /// is the planned one as long as `cluster` has not changed since
+    /// planning.
+    pub fn materialise(&self, cluster: &Cluster, signed: bool) -> GossipPush {
+        GossipPush {
+            from: self.from,
+            to: self.to,
+            variable: self.variable,
+            record: stored_record(cluster.server(self.from), self.variable, signed),
+        }
+    }
+}
+
+/// One planned engine round, payload-free: [`RoundPlan`] with
+/// [`PlannedPush`]es in place of the record-carrying messages.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RoundOutline {
+    /// The round's pushes, in deterministic (sender id, variable) order.
+    pub pushes: Vec<PlannedPush>,
+    /// Per-variable coverage among correct servers at planning time,
+    /// sorted by variable id.
+    pub coverage: Vec<VariableCoverage>,
+    /// Number of correct servers at planning time (the coverage
+    /// denominator).
+    pub correct_servers: u32,
+}
+
 /// One planned engine round: the pushes of every correct server for every
 /// variable it holds, plus the coverage snapshot the planner computed on
 /// the way.
@@ -251,20 +303,22 @@ pub struct RoundPlan {
     pub correct_servers: u32,
 }
 
-/// Plans one engine round of push gossip over **every** variable held
-/// anywhere in the cluster: each correct server pushes its freshest record
-/// for each variable it stores to `fanout` uniform peers.
+/// The planning loop behind both cluster-round planners: each correct
+/// server pushes its freshest record for each variable it stores to
+/// `fanout` uniform peers, and `message` decides what is kept of each push
+/// `(sender, receiver, variable, sender's timestamp)`.
 ///
 /// Variables are visited in sorted order per sender so the RNG consumption
 /// (and hence the whole simulation) is deterministic.  The same pass also
 /// produces the per-variable [`VariableCoverage`] snapshot used by the
-/// convergence metrics.
-pub fn plan_cluster_round(
+/// convergence metrics, returned with the number of correct servers.
+fn plan_pushes<R: RngCore + ?Sized, M>(
     cluster: &Cluster,
     fanout: usize,
     signed: bool,
-    rng: &mut dyn RngCore,
-) -> RoundPlan {
+    rng: &mut R,
+    mut message: impl FnMut(&ReplicaServer, ServerId, VariableId, Timestamp) -> M,
+) -> (Vec<M>, Vec<VariableCoverage>, u32) {
     let n = cluster.len();
     let mut pushes = Vec::new();
     let mut coverage = CoverageScratch::new();
@@ -287,32 +341,95 @@ pub fn plan_cluster_round(
             variables.extend(sender.plain_variables());
         }
         for &variable in &variables {
-            let record = if signed {
-                GossipRecord::Signed(sender.stored_signed(variable))
-            } else {
-                GossipRecord::Plain(sender.stored_plain(variable))
-            };
-            if record.is_initial() {
+            let timestamp = stored_timestamp(sender, variable, signed);
+            if timestamp == Timestamp::ZERO {
                 continue;
             }
-            coverage.note(variable, record.timestamp());
+            coverage.note(variable, timestamp);
             for _ in 0..fanout {
                 let peer = rng.gen_range(0..n);
                 if peer == i as usize {
                     continue;
                 }
-                pushes.push(GossipPush {
-                    from: ServerId::new(i),
-                    to: ServerId::new(peer as u32),
+                pushes.push(message(
+                    sender,
+                    ServerId::new(peer as u32),
                     variable,
-                    record: record.clone(),
-                });
+                    timestamp,
+                ));
             }
         }
     }
+    (pushes, coverage.into_coverage(), correct_servers)
+}
+
+fn stored_timestamp(server: &ReplicaServer, variable: VariableId, signed: bool) -> Timestamp {
+    if signed {
+        server.stored_signed_timestamp(variable)
+    } else {
+        server.stored_plain_timestamp(variable)
+    }
+}
+
+fn stored_record(server: &ReplicaServer, variable: VariableId, signed: bool) -> GossipRecord {
+    if signed {
+        GossipRecord::Signed(server.stored_signed(variable))
+    } else {
+        GossipRecord::Plain(server.stored_plain(variable))
+    }
+}
+
+/// Plans one engine round of push gossip over **every** variable held
+/// anywhere in the cluster: each correct server pushes its freshest record
+/// for each variable it stores to `fanout` uniform peers, in deterministic
+/// (sender id, variable) order.
+pub fn plan_cluster_round(
+    cluster: &Cluster,
+    fanout: usize,
+    signed: bool,
+    rng: &mut dyn RngCore,
+) -> RoundPlan {
+    let (pushes, coverage, correct_servers) =
+        plan_pushes(cluster, fanout, signed, rng, |sender, to, variable, _| {
+            GossipPush {
+                from: sender.id(),
+                to,
+                variable,
+                record: stored_record(sender, variable, signed),
+            }
+        });
     RoundPlan {
         pushes,
-        coverage: coverage.into_coverage(),
+        coverage,
+        correct_servers,
+    }
+}
+
+/// [`plan_cluster_round`] without copying a record — same visit order, same
+/// draws, same coverage snapshot — with each push noting whether its
+/// receiver is already [`covered`](PlannedPush::covered).
+pub fn outline_cluster_round<R: RngCore + ?Sized>(
+    cluster: &Cluster,
+    fanout: usize,
+    signed: bool,
+    rng: &mut R,
+) -> RoundOutline {
+    let (pushes, coverage, correct_servers) = plan_pushes(
+        cluster,
+        fanout,
+        signed,
+        rng,
+        |sender, to, variable, timestamp| PlannedPush {
+            from: sender.id(),
+            to,
+            variable,
+            timestamp,
+            covered: stored_timestamp(cluster.server(to), variable, signed) >= timestamp,
+        },
+    );
+    RoundOutline {
+        pushes,
+        coverage,
         correct_servers,
     }
 }
@@ -1037,6 +1154,57 @@ mod tests {
             deliver(&mut cluster, push);
         }
         assert!(count_fresh_correct(&cluster, 3) >= before);
+    }
+
+    #[test]
+    fn round_outline_is_the_round_plan_minus_payloads_and_knows_what_stores() {
+        // Random stores of mixed age in both flavors, some receivers
+        // faulty: the outline draws the plan's peers, names the plan's
+        // records, and `covered` is exactly "delivery stores nothing" at a
+        // correct receiver.
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let key = crate::crypto::SigningKey::derive(1, 3);
+        for case in 0..40u64 {
+            let signed = case % 2 == 1;
+            let mut cluster = Cluster::new(Universe::new(12));
+            for i in 0..12u32 {
+                for var in 0..6u64 {
+                    if rng.gen_bool(0.3) {
+                        continue;
+                    }
+                    let ts = Timestamp::new(rng.gen_range(1..4u64), 1);
+                    let server = cluster.server_mut(ServerId::new(i));
+                    if signed {
+                        let sv = SignedValue::create(&key, Value::from_u64(var), ts);
+                        server.store_signed_if_fresher(var, sv);
+                    } else {
+                        server.store_plain_if_fresher(
+                            var,
+                            TaggedValue::new(Value::from_u64(var), ts),
+                        );
+                    }
+                }
+            }
+            cluster.set_behavior(ServerId::new(3), Behavior::Crashed);
+            cluster.set_behavior(ServerId::new(7), Behavior::ByzantineStale);
+            let mut rng_a = ChaCha8Rng::seed_from_u64(case);
+            let mut rng_b = ChaCha8Rng::seed_from_u64(case);
+            let outline = outline_cluster_round(&cluster, 2, signed, &mut rng_a);
+            let plan = plan_cluster_round(&cluster, 2, signed, &mut rng_b);
+            assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "same draws");
+            assert_eq!(outline.coverage, plan.coverage);
+            assert_eq!(outline.correct_servers, plan.correct_servers);
+            assert_eq!(outline.pushes.len(), plan.pushes.len());
+            assert!(outline.pushes.iter().any(|p| p.covered));
+            assert!(outline.pushes.iter().any(|p| !p.covered));
+            for (planned, push) in outline.pushes.iter().zip(&plan.pushes) {
+                assert_eq!(planned.materialise(&cluster, signed), *push);
+                assert_eq!(planned.timestamp, push.record.timestamp());
+                let correct = cluster.server(push.to).behavior() == Behavior::Correct;
+                let stored = deliver(&mut cluster.clone(), push);
+                assert_eq!(stored, correct && !planned.covered, "case {case}: {push:?}");
+            }
+        }
     }
 
     #[test]

@@ -271,6 +271,21 @@ impl FailurePlan {
         absent
     }
 
+    /// Whether `server` has a join scheduled anywhere in the closed
+    /// interval `[from, to]` — the only event that can lower a stored
+    /// timestamp ([`Cluster::join_server`] wipes the joiner's stores), so
+    /// the only one that can make a message planned at `from` against the
+    /// receiver's records store something it would not have at `from`.
+    ///
+    /// [`Cluster::join_server`]: pqs_protocols::cluster::Cluster::join_server
+    pub fn joins_within(&self, server: ServerId, from: SimTime, to: SimTime) -> bool {
+        let first = self.memberships.partition_point(|m| m.at < from);
+        self.memberships[first..]
+            .iter()
+            .take_while(|m| m.at <= to)
+            .any(|m| m.join && m.server == server)
+    }
+
     /// The partition window active at time `t`, if any.
     pub fn active_partition(&self, t: SimTime) -> Option<&PartitionWindow> {
         if self.partitions.is_empty() {
@@ -411,6 +426,25 @@ mod tests {
         assert!(absent.contains(&ServerId::new(9)));
         assert!(!absent.contains(&ServerId::new(2)));
         assert_eq!(absent.len(), 2);
+    }
+
+    #[test]
+    fn joins_within_is_closed_on_both_ends_and_sees_only_that_servers_joins() {
+        let s = ServerId::new;
+        let p = FailurePlan::none()
+            .with_leave(1.0, s(3))
+            .with_join(2.0, s(3))
+            .with_join(2.0, s(4))
+            .with_join(5.0, s(3));
+        assert!(p.joins_within(s(3), 2.0, 2.0));
+        assert!(p.joins_within(s(3), 1.5, 2.0), "closed on the right");
+        assert!(p.joins_within(s(3), 2.0, 3.0), "closed on the left");
+        assert!(p.joins_within(s(3), 0.0, 9.0));
+        assert!(!p.joins_within(s(3), 2.5, 4.5), "between its two joins");
+        assert!(!p.joins_within(s(3), 0.0, 1.5), "a leave is not a join");
+        assert!(!p.joins_within(s(5), 0.0, 9.0), "another server's joins");
+        assert!(p.joins_within(s(4), 1.0, 2.0));
+        assert!(!FailurePlan::none().joins_within(s(3), 0.0, 9.0));
     }
 
     #[test]

@@ -441,6 +441,15 @@ pub struct EngineStageTimings {
     /// Wall-clock time of the whole run, including setup and the final
     /// merge.
     pub total_seconds: f64,
+    /// Full-push messages the spine planned.  Every one is a logical event
+    /// of the report, delivered or partition-blocked; zero on the
+    /// sequential engine and in digest mode.
+    pub planned_pushes: u64,
+    /// The planned pushes that went through a shard queue.  The rest were
+    /// *covered* — receiver already as fresh at planning time — and were
+    /// counted on the spine without being sent (see
+    /// `docs/ARCHITECTURE.md`, "Plan-time resolution of covered pushes").
+    pub queued_pushes: u64,
 }
 
 impl EngineStageTimings {

@@ -22,6 +22,10 @@
 //!    eagerly, so the stream never depends on shard outcomes — and
 //!    accumulates each message into its destination shard's
 //!    [`RoundBatch`], bulk-scheduled in one pre-sorted pass per shard.
+//!    A full push whose receiver the spine already holds as fresh is
+//!    *covered*: it can store nothing whenever it lands, so the spine
+//!    counts its delivery on the spot and sends nothing (see
+//!    `docs/ARCHITECTURE.md`, "Plan-time resolution of covered pushes").
 //!
 //! Everything the spine computes is a function of per-variable outcomes
 //! and the seed, never of shard layout or thread interleaving — which is
@@ -39,7 +43,7 @@ use crate::runner::{
     digest_selector, ConvergenceTracker, GossipMode, HealTracking, ProtocolKind, Simulation,
     COVERAGE_TARGET,
 };
-use crate::shard::{RoundBatch, ShardWorld};
+use crate::shard::{QueuedPush, RoundBatch, ShardWorld};
 use crate::time::SimTime;
 use crate::workload::WorkloadConfig;
 use pqs_core::system::QuorumSystem;
@@ -114,6 +118,11 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
     let mut rounds: u64 = 0;
     let mut digests_planned: u64 = 0;
     let mut digests_blocked: u64 = 0;
+    // Covered full pushes settled at planning time: what the owning
+    // shard's `Event::GossipPush` arm would have counted for each —
+    // delivered (per variable) or dropped at a partition.
+    let mut resolved_pushes = vec![0u64; nvars];
+    let mut resolved_blocked: u64 = 0;
     // Post-heal re-convergence accounting, spine-level like the coverage
     // trackers (no-op without partition windows).
     let mut heals = HealTracking::default();
@@ -201,18 +210,47 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
             rounds += 1;
             let (coverage, correct_servers) = match policy.mode {
                 GossipMode::PushAll => {
-                    let round_plan = diffusion::plan_cluster_round(
+                    let outline = diffusion::outline_cluster_round(
                         &spine,
                         policy.fanout as usize,
                         gossip_signed,
                         &mut gossip_rng,
                     );
-                    for push in round_plan.pushes {
-                        let rtt = policy.push_latency.sample(&mut gossip_rng);
+                    stages.planned_pushes += outline.pushes.len() as u64;
+                    for push in &outline.pushes {
+                        let at = t + policy.push_latency.sample(&mut gossip_rng);
+                        // The spine holds the receiver's record as of this
+                        // barrier and a stored timestamp only ever falls at
+                        // a join, so a covered push stores nothing at `at`
+                        // unless its receiver joins in between.  Both ends
+                        // of the window count: a join *at* `t` is past the
+                        // strict membership cursor above, so the spine
+                        // still sees the pre-join record, and a join *at*
+                        // `at` pops before the push (membership events are
+                        // seeded first).  `Some(blocked)`: resolved here.
+                        let resolved = (push.covered && !plan.joins_within(push.to, t, at))
+                            .then(|| plan.blocks_link(at, push.from, push.to));
+                        match resolved {
+                            Some(true) => resolved_blocked += 1,
+                            Some(false) => resolved_pushes[push.variable as usize] += 1,
+                            None => stages.queued_pushes += 1,
+                        }
+                        // Debug builds send the resolved pushes too, as
+                        // uncounted shadows (see `QueuedPush`).
+                        if resolved.is_some() && !cfg!(debug_assertions) {
+                            continue;
+                        }
                         let dest = (push.variable % num_shards) as usize;
-                        batches[dest].pushes.push((t + rtt, push));
+                        batches[dest].pushes.push((
+                            at,
+                            QueuedPush {
+                                push: push.materialise(&spine, gossip_signed),
+                                #[cfg(debug_assertions)]
+                                resolved,
+                            },
+                        ));
                     }
-                    (round_plan.coverage, round_plan.correct_servers)
+                    (outline.coverage, outline.correct_servers)
                 }
                 GossipMode::DigestDelta => {
                     gather_write_state(&worlds, &mut write_counts, &mut last_writes);
@@ -335,20 +373,26 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
     // Like the sequential engine, a digest a partition blocked was planned
     // but never delivered.
     report.gossip_digests = digests_planned - digests_blocked;
-    report.partition_blocked_gossip += digests_blocked + blocked_delta_ids.len() as u64;
+    let resolved_delivered: u64 = resolved_pushes.iter().sum();
+    report.gossip_pushes += resolved_delivered;
+    report.partition_blocked_gossip +=
+        resolved_blocked + digests_blocked + blocked_delta_ids.len() as u64;
     report.membership_events = plan.memberships.len() as u64;
     heals.finish_into(&mut report);
     // Spine-level events: crash and membership transitions (replayed per
-    // shard but one event each), rounds, digest deliveries and delta
-    // deliveries.
+    // shard but one event each), rounds, digest deliveries, delta
+    // deliveries and the push deliveries resolved at planning time.
     report.events_processed += plan.crashes.len() as u64
         + plan.memberships.len() as u64
         + rounds
         + digests_planned
-        + delta_ids.len() as u64;
+        + delta_ids.len() as u64
+        + resolved_delivered
+        + resolved_blocked;
     for v in 0..nvars {
         report.per_variable[v].coverage_rounds_sum = coverage_rounds_sum[v];
         report.per_variable[v].coverage_events = coverage_events[v];
+        report.per_variable[v].gossip_pushes += resolved_pushes[v];
     }
     stages.total_seconds = run_start.elapsed().as_secs_f64();
     (report, stages)

@@ -62,6 +62,22 @@ struct PendingDigest {
     delta_rtt: SimTime,
 }
 
+/// A full-push message travelling through a shard queue.
+///
+/// In release builds that is only ever a push the spine could not settle
+/// at planning time.  Debug builds also queue every push the spine *did*
+/// settle, as a shadow that re-checks the spine's reasoning at the exact
+/// queue position the real delivery would have had — the slow oracle of
+/// the plan-time fast path.
+#[derive(Debug)]
+pub(crate) struct QueuedPush {
+    pub(crate) push: diffusion::GossipPush,
+    /// `Some(blocked)` marks a shadow: the spine already counted this push,
+    /// as partition-blocked or as delivered without a store.
+    #[cfg(debug_assertions)]
+    pub(crate) resolved: Option<bool>,
+}
+
 /// One gossip round's cross-shard traffic bound for a single shard,
 /// accumulated by the spine during planning and bulk-scheduled by
 /// [`ShardWorld::schedule_round_batch`].  The buffers are drained each
@@ -70,7 +86,7 @@ struct PendingDigest {
 #[derive(Debug, Default)]
 pub(crate) struct RoundBatch {
     /// `(delivery time, push)` in plan order.
-    pub(crate) pushes: Vec<(SimTime, diffusion::GossipPush)>,
+    pub(crate) pushes: Vec<(SimTime, QueuedPush)>,
     /// `(delivery time, global digest id, sub-digest, delta latency)` in
     /// plan order.
     pub(crate) digests: Vec<(SimTime, u64, diffusion::GossipDigest, SimTime)>,
@@ -102,7 +118,7 @@ pub(crate) struct ShardWorld<'a, S: QuorumSystem + ?Sized> {
     /// One private RNG stream per variable.
     key_rngs: Vec<ChaCha8Rng>,
     acc: ShardAccumulator,
-    pending_pushes: PendingSlab<diffusion::GossipPush>,
+    pending_pushes: PendingSlab<QueuedPush>,
     pending_digests: PendingSlab<PendingDigest>,
     /// Answering deltas in flight, each carrying its global digest id so
     /// blocked deliveries can be attributed once per message.
@@ -535,8 +551,30 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
                 unreachable!("the sharded engine plans gossip rounds on the spine")
             }
             Event::GossipPush { push } => {
+                let queued = self.pending_pushes.take(push);
+                #[cfg(debug_assertions)]
+                if let Some(QueuedPush {
+                    push: p,
+                    resolved: Some(blocked),
+                }) = &queued
+                {
+                    // Uncounted: the spine tallied this delivery when it
+                    // planned it.  Neither check touches a counter, the
+                    // dirty list or an RNG, so debug and release reports
+                    // stay equal.
+                    assert_eq!(
+                        self.plan.blocks_link(t, p.from, p.to),
+                        *blocked,
+                        "partition verdict of plan-resolved {p:?} changed by its delivery at {t}"
+                    );
+                    assert!(
+                        !diffusion::deliver(&mut self.cluster, p),
+                        "plan-resolved {p:?} stored at its delivery at {t}"
+                    );
+                    return;
+                }
                 self.acc.logical_events += 1;
-                if let Some(p) = self.pending_pushes.take(push) {
+                if let Some(QueuedPush { push: p, .. }) = queued {
                     // Partitions gate gossip at delivery time only, so
                     // spine planning (and the gossip RNG stream) is
                     // untouched.  A push is one message on one shard, so

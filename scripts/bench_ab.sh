@@ -4,7 +4,7 @@
 #   scripts/bench_ab.sh <base-ref> [workload...]
 #
 # Builds crates/bench/src/bin/benchmark twice — at <base-ref>, from a
-# temporary git worktree, and from this checkout as it stands — into two
+# `git archive` export, and from this checkout as it stands — into two
 # separate target directories, then runs the two binaries as alternating
 # pairs (base first on even pairs, change first on odd ones) over a fixed
 # seed list, one workload at a time.  For every end-to-end metric of
@@ -20,7 +20,7 @@
 #
 # Environment: PAIRS (default 10, the minimum for a claim), RUN_SECONDS
 # (default: BENCHMARK.json's run_seconds), BENCH_AB_DIR (default
-# target/bench_ab: builds, worktree, raw results).  Exit 1 if any run
+# target/bench_ab: builds, base export, raw results).  Exit 1 if any run
 # reported a failed correctness check, 2 on usage errors.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,13 +56,11 @@ base_commit=$(git rev-parse --verify "$base_ref^{commit}") || {
 }
 mkdir -p "$out"
 base_src=$out/base-src
-cleanup() {
-    git worktree remove --force "$base_src" >/dev/null 2>&1 || true
-    git worktree prune
-}
-trap cleanup EXIT
-cleanup
-git worktree add --detach --quiet "$base_src" "$base_commit"
+# An export, not a worktree: nothing is registered in .git, so an
+# interrupted run leaves only files under $out behind.
+rm -rf "$base_src"
+mkdir -p "$base_src"
+git archive "$base_commit" | tar -x -C "$base_src"
 # Same benchmark code on both sides.
 rm -rf "${base_src:?}/$bench_rel"
 cp -R "$root/$bench_rel" "$base_src/$bench_rel"

@@ -14,7 +14,7 @@ use probabilistic_quorums::protocols::server::Behavior;
 use probabilistic_quorums::protocols::value::Value;
 use probabilistic_quorums::sim::failure::FailurePlan;
 use probabilistic_quorums::sim::latency::LatencyModel;
-use probabilistic_quorums::sim::runner::{ProtocolKind, SimConfig, Simulation};
+use probabilistic_quorums::sim::runner::{DiffusionPolicy, ProtocolKind, SimConfig, Simulation};
 use probabilistic_quorums::sim::workload::KeySpace;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -225,4 +225,106 @@ fn every_probe_sent_counts_as_a_server_access_in_both_engines() {
             report.completed_reads + report.completed_writes + report.retries
         );
     }
+}
+
+/// Plan-time resolution of covered pushes, ratcheted on counts (not
+/// timings): on the sharded determinism suite's full-push configuration the
+/// spine plans every push the report counts, queues every push that can
+/// store, and queues little else.
+#[test]
+fn the_spine_queues_only_the_pushes_that_can_store() {
+    let sys = EpsilonIntersecting::with_target_epsilon(100, 1e-3).unwrap();
+    let push_latency = LatencyModel::Exponential { mean: 2e-3 };
+    let full_push = SimConfig::builder()
+        .with_duration(20.0)
+        .with_arrival_rate(80.0)
+        .with_read_fraction(0.8)
+        .with_keyspace(KeySpace::zipf(32, 1.0))
+        .with_latency(LatencyModel::Exponential { mean: 2e-3 })
+        .with_probe_margin(2)
+        .with_op_timeout(0.05)
+        .with_max_retries(2)
+        .with_seed(99)
+        .with_num_shards(8)
+        .with_threads(2)
+        .with_diffusion(DiffusionPolicy::full_push(0.2, 2).with_push_latency(push_latency))
+        .build();
+    let (report, stages) = Simulation::new(&sys, ProtocolKind::Safe, full_push).run_with_stats();
+    assert!(report.gossip_stores > 10_000, "gossip must do real work");
+    assert_eq!(
+        stages.planned_pushes,
+        report.gossip_pushes + report.partition_blocked_gossip
+    );
+    assert!(stages.queued_pushes >= report.gossip_stores);
+    assert!(
+        stages.queued_pushes as f64 <= 0.15 * stages.planned_pushes as f64,
+        "{} of {} planned pushes were queued",
+        stages.queued_pushes,
+        stages.planned_pushes
+    );
+
+    // Nothing is resolved (or counted) off the sharded full-push path.
+    let mut digest = full_push;
+    digest.diffusion = Some(DiffusionPolicy::digest_delta(0.2, 2).with_push_latency(push_latency));
+    let mut sequential = full_push;
+    sequential.num_shards = 1;
+    for config in [digest, sequential] {
+        let (report, stages) = Simulation::new(&sys, ProtocolKind::Safe, config).run_with_stats();
+        assert!(report.gossip_pushes > 0);
+        assert_eq!((stages.planned_pushes, stages.queued_pushes), (0, 0));
+    }
+}
+
+/// The one case a covered push *can* store: its receiver rejoins — stores
+/// wiped — while the push is in flight.  Server 40 holds most of a cold key
+/// space when it leaves at 5.25 s; it rejoins at 6.0 s, the time of the
+/// last gossip round, so everything it ever gets back comes from pushes
+/// planned against its pre-departure records: the rounds at 5.5 s (landing
+/// exactly at the join, which pops first), 5.75 s, and 6.0 s (planned
+/// exactly at the join, which the spine has not applied yet).  A spine that
+/// resolves those pushes as covered starves the joiner; debug builds catch
+/// it earlier, in the shard's shadow delivery.
+#[test]
+fn a_rejoining_server_bootstraps_from_pushes_planned_before_it_left() {
+    let sys = EpsilonIntersecting::new(49, 7).unwrap();
+    let config = SimConfig::builder()
+        .with_duration(6.0)
+        .with_arrival_rate(100.0)
+        .with_read_fraction(0.5)
+        .with_keyspace(KeySpace::uniform(256))
+        .with_latency(LatencyModel::Exponential { mean: 2e-3 })
+        .with_diffusion(
+            // Push latency is two round periods.
+            DiffusionPolicy::full_push(0.25, 1).with_push_latency(LatencyModel::Fixed(0.5)),
+        )
+        .with_seed(7)
+        .with_num_shards(4)
+        .build();
+    let leaver = ServerId::new(40);
+    let leaves = FailurePlan::none().with_leave(5.25, leaver);
+    let rejoins = leaves.clone().with_join(6.0, leaver);
+    let run = |plan: FailurePlan| {
+        Simulation::new(&sys, ProtocolKind::Safe, config)
+            .with_failure_plan(plan)
+            .run()
+    };
+    let gone = run(leaves);
+    let back = run(rejoins);
+    let written = gone
+        .per_variable
+        .iter()
+        .filter(|v| v.completed_writes > 0)
+        .count() as u64;
+    assert!(written > 150, "the key space must be large: {written}");
+    // The two runs share every gossip round, so the rejoin run's extra
+    // stores are the joiner's.
+    assert_eq!(back.gossip_rounds, gone.gossip_rounds);
+    let regained = back.gossip_stores - gone.gossip_stores;
+    assert!(
+        2 * regained > written,
+        "the joiner regained {regained} of {written} written keys"
+    );
+    // Measured at the parent commit, where every push went through a queue.
+    assert_eq!(back.gossip_stores, 9831);
+    assert_eq!(back.events_processed, 90117);
 }

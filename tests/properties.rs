@@ -790,6 +790,82 @@ proptest! {
         prop_assert_eq!(reference.membership_events, 4);
     }
 
+    /// Plan-time resolution of covered pushes under the cases that could
+    /// break it: random shard counts, fanouts, round periods and push
+    /// latencies of up to several periods, over crash waves with recovery,
+    /// leave/rejoin churn and a healing partition.  All times are whole
+    /// eighths of a second — exact in binary, so joins, round barriers and
+    /// fixed-latency deliveries coincide to the bit again and again.  In
+    /// debug builds (which tests are) every resolved push is also
+    /// shadow-delivered on its shard, asserting that it stores nothing and
+    /// that its partition verdict stands.
+    #[test]
+    fn covered_pushes_resolve_at_planning_time_under_churn_and_partitions(
+        seed in 0u64..10_000,
+        num_shards in 2u32..7,
+        fanout in 1u32..4,
+        period_eighths in 1u32..4,
+        latency_eighths in 0u32..12,
+        fixed_latency in 0u32..2,
+        leave_eighths in 2u32..16,
+        away_eighths in 0u32..8,
+        heal_eighths in 10u32..28,
+        wave_eighths in 4u32..28,
+    ) {
+        use probabilistic_quorums::sim::failure::FailurePlan;
+        let eighths = |k: u32| k as f64 * 0.125;
+        let sys = EpsilonIntersecting::new(49, 7).unwrap();
+        let plan = || {
+            FailurePlan::none()
+                .with_join(eighths(3), ServerId::new(45)) // initially absent
+                .with_leave(eighths(leave_eighths), ServerId::new(40))
+                .with_join(eighths(leave_eighths + away_eighths), ServerId::new(40))
+                .with_leave(eighths(leave_eighths + 2), ServerId::new(41))
+                .with_join(eighths(leave_eighths + 2 + 2 * away_eighths), ServerId::new(41))
+                .with_partition(eighths(heal_eighths) * 0.4, eighths(heal_eighths), 2 + (seed % 2) as u32)
+                .with_crash_wave(eighths(wave_eighths), (10..16).map(ServerId::new))
+                .with_transition(eighths(wave_eighths + 3), ServerId::new(12), false)
+        };
+        let push_latency = if fixed_latency == 1 {
+            LatencyModel::Fixed(eighths(latency_eighths))
+        } else {
+            LatencyModel::Exponential { mean: eighths(latency_eighths) }
+        };
+        let config = |num_shards: u32, threads: u32| {
+            SimConfig::builder()
+                .with_duration(4.0)
+                .with_arrival_rate(100.0)
+                .with_read_fraction(0.7)
+                .with_keyspace(KeySpace::zipf(24, 0.8))
+                .with_latency(LatencyModel::Exponential { mean: 2e-3 })
+                .with_probe_margin(1)
+                .with_op_timeout(0.05)
+                .with_max_retries(2)
+                .with_diffusion(
+                    DiffusionPolicy::full_push(eighths(period_eighths), fanout)
+                        .with_push_latency(push_latency),
+                )
+                .with_seed(seed)
+                .with_num_shards(num_shards)
+                .with_threads(threads)
+                .build()
+        };
+        let reference = Simulation::new(&sys, ProtocolKind::Safe, config(2, 1))
+            .with_failure_plan(plan())
+            .run();
+        let (wide, stages) = Simulation::new(&sys, ProtocolKind::Safe, config(num_shards, 2))
+            .with_failure_plan(plan())
+            .run_with_stats();
+        prop_assert_eq!(&reference, &wide);
+        prop_assert!(wide.gossip_stores > 0, "degenerate case: gossip stored nothing");
+        prop_assert_eq!(
+            stages.planned_pushes,
+            wide.gossip_pushes + wide.partition_blocked_gossip
+        );
+        prop_assert!(stages.queued_pushes >= wide.gossip_stores);
+        prop_assert!(stages.queued_pushes < stages.planned_pushes);
+    }
+
     /// An adaptive adversary is a pure read-side overlay: because sleepers
     /// flip to stale-serving only around a single probe delivery (and a
     /// stale server acknowledges writes like a correct one), the
