@@ -7,13 +7,13 @@
 //! gossip round and per push), so `events/sec` is the unit for "how fast
 //! can this simulator chew through a workload" — it is invariant under
 //! quorum-size changes, unlike ops/sec.  Two rates are reported.  *Logical*
-//! events are the report's `events_processed`; the sharded engine counts a
-//! full push whose receiver is already as fresh when the spine plans it
-//! without ever queueing it, so the *queued* rate — logical events minus
-//! those plan-resolved pushes — is the one that measures the event loop,
-//! and the one the serial floor is enforced against.  The two differ only
-//! on the sharded gossip cell, which also reports the spine's cost per
-//! planned push.
+//! events are the report's `events_processed`; the spine counts a full push
+//! whose receiver is already as fresh when it plans it without ever
+//! queueing it, so the *queued* rate — logical events minus those
+//! plan-resolved pushes — is the one that measures the event loop, and the
+//! one the `PQS_BENCH_FLOOR` floor is enforced against.  The two differ
+//! only on the full-push gossip cells (one shard and eight), which also
+//! report the spine's cost per planned push.
 //!
 //! Six environment knobs wire this bench into CI:
 //!
@@ -22,12 +22,11 @@
 //!   the `bench-floor` CI job uses.
 //! * `PQS_BENCH_FLOOR=<events/sec>` — after measuring, exit nonzero if the
 //!   best observed queued-event throughput falls below the floor.
-//! * `PQS_BENCH_THREADS=<n>` — additionally time the 8-shard parallel
-//!   engine with `n` worker threads (the sharded engine always runs with
-//!   1 thread as a reference).
+//! * `PQS_BENCH_THREADS=<n>` — additionally time the 8-shard layout with
+//!   `n` worker threads (it always runs with 1 thread as a reference).
 //! * `PQS_BENCH_THREADS_FLOOR=<events/sec>` — exit nonzero if the
 //!   `PQS_BENCH_THREADS` run falls below this floor; CI uses it to pin the
-//!   multi-core speedup, not just the serial hot loop.
+//!   multi-core speedup, not just the one-shard hot loop.
 //! * `PQS_BENCH_SPINE_MAX_FRACTION=<0..1>` — exit nonzero if the sharded
 //!   gossip cell spends more than this fraction of its wall clock on the
 //!   spine's barrier work (sync + plan + route, from
@@ -74,7 +73,7 @@ fn diffusion_config(arrival_rate: f64) -> SimConfig {
     config
 }
 
-/// The parallel-engine reference cell: 8 shards over a 64-key Zipf space,
+/// The multi-core reference cell: 8 shards over a 64-key Zipf space,
 /// drained by `threads` worker threads.  The report is bit-identical for
 /// every thread count, so thread sweeps measure pure engine speed.
 fn sharded_config(arrival_rate: f64, threads: u32) -> SimConfig {
@@ -90,8 +89,8 @@ fn sharded_config(arrival_rate: f64, threads: u32) -> SimConfig {
         .build()
 }
 
-/// The spine-cost reference cell: the diffusion workload on the sharded
-/// engine, whose drain/sync/plan/route breakdown feeds the
+/// The spine-cost reference cell: the diffusion workload on 8 shards,
+/// whose drain/sync/plan/route breakdown feeds the
 /// `PQS_BENCH_SPINE_MAX_FRACTION` guard.
 fn sharded_gossip_config(arrival_rate: f64, threads: u32) -> SimConfig {
     let mut config = diffusion_config(arrival_rate);
@@ -412,7 +411,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
         .iter()
         .find(|m| m.name.starts_with("sharded_gossip_run"))
         .map(|m| m.stages.spine_fraction());
-    let serial_pass = floor.is_none_or(|f| best >= f);
+    let one_shard_pass = floor.is_none_or(|f| best >= f);
     let threads_pass = match threads_floor {
         Some(f) => threaded.is_some_and(|r| r >= f),
         None => true,
@@ -432,7 +431,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
         Some(f) => deep_calendar.is_some_and(|r| r >= f),
         None => true,
     };
-    let pass = serial_pass && threads_pass && spine_pass && queue_pass;
+    let pass = one_shard_pass && threads_pass && spine_pass && queue_pass;
     write_json(
         &measured,
         &queue_measured,
@@ -443,7 +442,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
         pass,
     );
     if let Some(f) = floor {
-        if serial_pass {
+        if one_shard_pass {
             println!("bench floor: best {best:.0} queued events/sec >= floor {f:.0} — ok");
         } else {
             eprintln!(

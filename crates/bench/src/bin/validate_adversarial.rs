@@ -3,8 +3,7 @@
 //! measured ε, never break it.
 //!
 //! For every scenario (steady / membership churn / healing partitions /
-//! both) × protocol (safe, dissemination) × engine (sequential, sharded)
-//! this validator runs a **same-seed twin pair** — the static-adversary
+//! both) × protocol (safe, dissemination) this validator runs a **same-seed twin pair** — the static-adversary
 //! baseline and the adaptive run — and enforces:
 //!
 //! * **replay invariance** — the adaptive adversary is evaluated at
@@ -120,7 +119,9 @@ fn scenario_plan(scenario: &Scenario, d: f64, strategy: ByzantineStrategy) -> Fa
     plan.with_strategy(strategy)
 }
 
-fn config(seed: u64, duration: f64, shards: u32, threads: u32) -> SimConfig {
+/// One shard: the report does not depend on the layout, and proving that
+/// is `validate_parallel`'s job.
+fn config(seed: u64, duration: f64) -> SimConfig {
     SimConfig::builder()
         .with_duration(duration)
         .with_arrival_rate(80.0)
@@ -130,8 +131,6 @@ fn config(seed: u64, duration: f64, shards: u32, threads: u32) -> SimConfig {
         .with_probe_margin(2)
         .with_op_timeout(0.05)
         .with_max_retries(2)
-        .with_num_shards(shards)
-        .with_threads(threads)
         .with_seed(seed)
         .build()
 }
@@ -165,7 +164,7 @@ fn main() {
         &[
             "scenario",
             "protocol",
-            "engine",
+            "gossip",
             "adversary",
             "static eps",
             "adaptive eps",
@@ -221,126 +220,118 @@ fn main() {
             },
         ),
     ];
-    let engines: [(&str, u32, u32); 2] = [("sequential", 1, 1), ("sharded", 4, 2)];
 
     for scenario in &SCENARIOS {
         for (proto_name, kind) in protocols {
             for &seed in &seeds {
-                for (engine_name, shards, threads) in engines {
-                    let cfg = config(seed, duration, shards, threads);
-                    let static_plan = scenario_plan(scenario, duration, ByzantineStrategy::Static);
-                    let baseline = run(&system, kind, cfg, static_plan.clone());
-                    let tag = |adv: &str| {
-                        format!(
-                            "{}/{proto_name}/{engine_name}/{adv} seed {seed}",
-                            scenario.name
-                        )
-                    };
+                let cfg = config(seed, duration);
+                let static_plan = scenario_plan(scenario, duration, ByzantineStrategy::Static);
+                let baseline = run(&system, kind, cfg, static_plan.clone());
+                let tag = |adv: &str| format!("{}/{proto_name}/{adv} seed {seed}", scenario.name);
 
-                    if scenario.churn
-                        && baseline.membership_events != static_plan.memberships.len() as u64
+                if scenario.churn
+                    && baseline.membership_events != static_plan.memberships.len() as u64
+                {
+                    violations.push(format!(
+                        "{}: {} membership events applied, schedule has {}",
+                        tag("static"),
+                        baseline.membership_events,
+                        static_plan.memberships.len()
+                    ));
+                }
+                if scenario.partition && baseline.dropped_probes == 0 {
+                    violations.push(format!(
+                        "{}: partition windows dropped no probes",
+                        tag("static")
+                    ));
+                }
+
+                for (adv_name, strategy) in &adversaries {
+                    let plan = scenario_plan(scenario, duration, strategy.clone());
+                    let adaptive = run(&system, kind, cfg, plan);
+                    let s_rate = baseline.eligible_stale_read_rate();
+                    let a_rate = adaptive.eligible_stale_read_rate();
+                    let ceiling = degradation_ceiling(s_rate);
+
+                    // Replay invariance: foreground-only adversary
+                    // evaluation leaves every foreground count of the
+                    // diffusion-off twin untouched.
+                    if adaptive.completed_reads != baseline.completed_reads
+                        || adaptive.completed_writes != baseline.completed_writes
+                        || adaptive.events_processed != baseline.events_processed
+                        || adaptive.per_server_accesses != baseline.per_server_accesses
                     {
                         violations.push(format!(
-                            "{}: {} membership events applied, schedule has {}",
-                            tag("static"),
-                            baseline.membership_events,
-                            static_plan.memberships.len()
+                            "{}: adaptive run diverged from the static twin's \
+                             foreground trajectory",
+                            tag(adv_name)
                         ));
                     }
-                    if scenario.partition && baseline.dropped_probes == 0 {
+                    if adaptive.adaptive_activations == 0 {
                         violations.push(format!(
-                            "{}: partition windows dropped no probes",
-                            tag("static")
+                            "{}: adaptive adversary never activated",
+                            tag(adv_name)
                         ));
                     }
-
-                    for (adv_name, strategy) in &adversaries {
-                        let plan = scenario_plan(scenario, duration, strategy.clone());
-                        let adaptive = run(&system, kind, cfg, plan);
-                        let s_rate = baseline.eligible_stale_read_rate();
-                        let a_rate = adaptive.eligible_stale_read_rate();
-                        let ceiling = degradation_ceiling(s_rate);
-
-                        // Replay invariance: foreground-only adversary
-                        // evaluation leaves every foreground count of the
-                        // diffusion-off twin untouched.
-                        if adaptive.completed_reads != baseline.completed_reads
-                            || adaptive.completed_writes != baseline.completed_writes
-                            || adaptive.events_processed != baseline.events_processed
-                            || adaptive.per_server_accesses != baseline.per_server_accesses
-                        {
-                            violations.push(format!(
-                                "{}: adaptive run diverged from the static twin's \
-                                 foreground trajectory",
-                                tag(adv_name)
-                            ));
-                        }
-                        if adaptive.adaptive_activations == 0 {
-                            violations.push(format!(
-                                "{}: adaptive adversary never activated",
-                                tag(adv_name)
-                            ));
-                        }
-                        if a_rate + 1e-12 < s_rate {
-                            violations.push(format!(
-                                "{}: adaptive rate {} below static baseline {} — \
-                                 monotonicity broken",
-                                tag(adv_name),
-                                fmt_prob(a_rate),
-                                fmt_prob(s_rate)
-                            ));
-                        }
-                        if a_rate > ceiling {
-                            violations.push(format!(
-                                "{}: adaptive rate {} above degradation ceiling {} \
-                                 (static {})",
-                                tag(adv_name),
-                                fmt_prob(a_rate),
-                                fmt_prob(ceiling),
-                                fmt_prob(s_rate)
-                            ));
-                        }
-                        if kind == ProtocolKind::Dissemination && !scenario.partition {
-                            for (label, rate) in [("static", s_rate), ("adaptive", a_rate)] {
-                                if rate > masking_bound {
-                                    violations.push(format!(
-                                        "{}: signed {label} rate {} above the masking \
-                                         bound {}",
-                                        tag(adv_name),
-                                        fmt_prob(rate),
-                                        fmt_prob(masking_bound)
-                                    ));
-                                }
+                    if a_rate + 1e-12 < s_rate {
+                        violations.push(format!(
+                            "{}: adaptive rate {} below static baseline {} — \
+                             monotonicity broken",
+                            tag(adv_name),
+                            fmt_prob(a_rate),
+                            fmt_prob(s_rate)
+                        ));
+                    }
+                    if a_rate > ceiling {
+                        violations.push(format!(
+                            "{}: adaptive rate {} above degradation ceiling {} \
+                             (static {})",
+                            tag(adv_name),
+                            fmt_prob(a_rate),
+                            fmt_prob(ceiling),
+                            fmt_prob(s_rate)
+                        ));
+                    }
+                    if kind == ProtocolKind::Dissemination && !scenario.partition {
+                        for (label, rate) in [("static", s_rate), ("adaptive", a_rate)] {
+                            if rate > masking_bound {
+                                violations.push(format!(
+                                    "{}: signed {label} rate {} above the masking \
+                                     bound {}",
+                                    tag(adv_name),
+                                    fmt_prob(rate),
+                                    fmt_prob(masking_bound)
+                                ));
                             }
                         }
-                        let component_sum: u64 = adaptive.per_component_stale_reads.iter().sum();
-                        if component_sum > adaptive.stale_reads + adaptive.empty_reads {
-                            violations.push(format!(
-                                "{}: per-component staleness {} exceeds total stale+empty {}",
-                                tag(adv_name),
-                                component_sum,
-                                adaptive.stale_reads + adaptive.empty_reads
-                            ));
-                        }
+                    }
+                    let component_sum: u64 = adaptive.per_component_stale_reads.iter().sum();
+                    if component_sum > adaptive.stale_reads + adaptive.empty_reads {
+                        violations.push(format!(
+                            "{}: per-component staleness {} exceeds total stale+empty {}",
+                            tag(adv_name),
+                            component_sum,
+                            adaptive.stale_reads + adaptive.empty_reads
+                        ));
+                    }
 
-                        if seed == seeds[0] {
-                            table.push_row(vec![
-                                scenario.name.to_string(),
-                                proto_name.to_string(),
-                                engine_name.to_string(),
-                                adv_name.to_string(),
-                                fmt_prob(s_rate),
-                                fmt_prob(a_rate),
-                                fmt_prob(ceiling),
-                                adaptive.adaptive_activations.to_string(),
-                                adaptive.dropped_probes.to_string(),
-                                adaptive.membership_events.to_string(),
-                            ]);
-                        }
+                    if seed == seeds[0] {
+                        table.push_row(vec![
+                            scenario.name.to_string(),
+                            proto_name.to_string(),
+                            "off".to_string(),
+                            adv_name.to_string(),
+                            fmt_prob(s_rate),
+                            fmt_prob(a_rate),
+                            fmt_prob(ceiling),
+                            adaptive.adaptive_activations.to_string(),
+                            adaptive.dropped_probes.to_string(),
+                            adaptive.membership_events.to_string(),
+                        ]);
                     }
                 }
 
-                // Diffusion-on lane (sequential): gossip crosses components
+                // Diffusion-on lane: gossip crosses components
                 // only after heal time, heals must be observed and the
                 // post-heal coverage curve must be monotone.  Gossip RNG
                 // streams diverge between the twins once stored records
@@ -348,7 +339,7 @@ fn main() {
                 // equality or exact monotonicity) is asserted here.
                 let cfg = SimConfig {
                     diffusion: Some(DiffusionPolicy::full_push(0.1, 3)),
-                    ..config(seed, duration, 1, 1)
+                    ..config(seed, duration)
                 };
                 let baseline = run(
                     &system,
@@ -390,7 +381,7 @@ fn main() {
                     table.push_row(vec![
                         scenario.name.to_string(),
                         proto_name.to_string(),
-                        "gossip".to_string(),
+                        "full-push".to_string(),
                         "hot-key".to_string(),
                         fmt_prob(s_rate),
                         fmt_prob(a_rate),

@@ -383,6 +383,11 @@ fn stored_record(server: &ReplicaServer, variable: VariableId, signed: bool) -> 
 /// anywhere in the cluster: each correct server pushes its freshest record
 /// for each variable it stores to `fanout` uniform peers, in deterministic
 /// (sender id, variable) order.
+///
+/// The simulator's spine plans through [`outline_cluster_round`] and
+/// materialises only the pushes it queues, so nothing inside the workspace
+/// libraries calls this any more; it stays as the record-carrying reference
+/// the outline is tested against, and the repo benchmark times it.
 pub fn plan_cluster_round(
     cluster: &Cluster,
     fanout: usize,

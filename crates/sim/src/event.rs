@@ -9,10 +9,11 @@
 //! [`FailurePlan`](crate::failure::FailurePlan) take effect *between* the
 //! probes of an ongoing operation.
 //!
-//! [`EventEngine`] wraps the deterministic [`EventQueue`] with the
-//! accounting the reports need: processed-event counts (the unit of the
-//! engine-throughput benchmark) and a time-weighted in-flight operation
-//! gauge.
+//! Events travel through the deterministic
+//! [`EventQueue`](crate::time::EventQueue) of the world that owns their
+//! variable; the accounting the reports need (processed-event counts, the
+//! time-weighted in-flight gauge) is rebuilt canonically when the worlds
+//! merge (see [`crate::metrics`]).
 //!
 //! # Event vocabulary
 //!
@@ -27,19 +28,17 @@
 //!   due and starts its attempt on a fresh probe set.
 //! * [`Event::FailureTransition`] — a scheduled crash or recovery flips a
 //!   server's behaviour.
-//! * [`Event::GossipRound`] — a periodic anti-entropy round fires: every
-//!   correct server plans pushes of its freshest records to random peers
-//!   (see [`DiffusionPolicy`](crate::runner::DiffusionPolicy)).
 //! * [`Event::GossipPush`] — one server-to-server gossip message arrives
 //!   at its receiver after its own latency draw, competing for simulated
-//!   time with the foreground client probes.
+//!   time with the foreground client probes.  (The periodic round that
+//!   plans the messages is not an event: rounds are the spine's barriers,
+//!   see [`DiffusionPolicy`](crate::runner::DiffusionPolicy).)
 //! * [`Event::GossipDigest`] / [`Event::GossipDelta`] — the two legs of a
 //!   digest/delta anti-entropy exchange
 //!   ([`GossipMode::DigestDelta`](crate::runner::GossipMode)): a per-key
 //!   version summary travels out, and only the records its sender provably
 //!   lacks travel back.
 
-use crate::time::{EventQueue, SimTime};
 use pqs_core::universe::ServerId;
 
 /// Identifier of one simulated client operation (its index in the generated
@@ -94,23 +93,13 @@ pub enum Event {
     /// A scheduled membership transition: a joining server comes up
     /// correct with freshly reset record stores (it bootstraps through
     /// gossip); a leaving server goes dark like a crash.  When the
-    /// schedule is non-empty the engines also recompute the probe margin
+    /// schedule is non-empty the engine also recomputes the probe margin
     /// online against the ε budget for the new cluster size.
     MembershipTransition {
         /// The server.
         server: ServerId,
         /// `true` for a join, `false` for a leave.
         join: bool,
-    },
-    /// A periodic write-diffusion round fires: the scheduler snapshots
-    /// every correct server's stored records and turns them into
-    /// individually scheduled [`Event::GossipPush`] messages.  Only
-    /// scheduled when [`SimConfig::diffusion`](crate::runner::SimConfig::diffusion)
-    /// carries a policy — with `None` no gossip event ever exists and the
-    /// run is bit-identical to the diffusion-free engine.
-    GossipRound {
-        /// 1-based index of the round (round `r` fires at `r · period`).
-        round: u64,
     },
     /// One server-to-server gossip push arrives at its receiver.  The
     /// payload (sender, receiver, variable, record) lives in the engine's
@@ -145,13 +134,11 @@ pub enum Event {
 /// A reusable slot-indexed store for in-flight gossip payloads.
 ///
 /// Gossip events carry a `u64` handle instead of their (heap-allocated)
-/// payload so [`Event`] stays small and `Copy`.  The engines used to keep
-/// these payloads in per-round `HashMap`s keyed by an ever-growing global
-/// id — every message paid a hash, and the map's buckets churned every
-/// round.  The slab replaces that with a plain `Vec<Option<T>>` plus a
-/// free list: `insert` is a push or a free-slot reuse, `take` is an
-/// indexed load, and the backing storage reaches the high-water mark of
-/// in-flight messages once and is reused for the rest of the run.
+/// payload so [`Event`] stays small and `Copy`.  The slab is a plain
+/// `Vec<Option<T>>` plus a free list: `insert` is a push or a free-slot
+/// reuse, `take` is an indexed load, and the backing storage reaches the
+/// high-water mark of in-flight messages once and is reused for the rest
+/// of the run.
 ///
 /// Slot reuse is safe because every scheduled gossip event is delivered
 /// exactly once: a slot is freed only by the `take` of its own delivery,
@@ -214,179 +201,9 @@ impl<T> PendingSlab<T> {
     }
 }
 
-/// The event loop driver: a deterministic queue plus engine-level metrics.
-#[derive(Debug, Default)]
-pub struct EventEngine {
-    queue: EventQueue<Event>,
-    events_processed: u64,
-    in_flight: u64,
-    max_in_flight: u64,
-    in_flight_area: f64,
-    last_event_time: SimTime,
-    /// Time of the most recent in-flight transition: the denominator of
-    /// [`mean_in_flight`](Self::mean_in_flight).  Trailing no-op events
-    /// (stale timeouts, far-future failure transitions popped after the
-    /// workload drained) must not dilute the gauge.
-    busy_until: SimTime,
-}
-
-impl EventEngine {
-    /// Creates an empty engine at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `event` at absolute simulation time `time`.
-    pub fn schedule(&mut self, time: SimTime, event: Event) {
-        self.queue.schedule(time, event);
-    }
-
-    /// Bulk-schedules a gossip round's messages via
-    /// [`EventQueue::schedule_batch`]: the batch is stably sorted by time
-    /// (so the pop order is bit-identical to one-by-one scheduling) and
-    /// drained, leaving the buffer's capacity for the next round.
-    pub fn schedule_batch(&mut self, batch: &mut Vec<(SimTime, Event)>) {
-        self.queue.schedule_batch(batch);
-    }
-
-    /// Pops the next event in time order (FIFO among ties), advancing the
-    /// clock and the time-weighted in-flight integral.
-    pub fn next_event(&mut self) -> Option<(SimTime, Event)> {
-        let (time, event) = self.queue.pop()?;
-        let now = self.queue.now();
-        if now > self.last_event_time {
-            self.in_flight_area += self.in_flight as f64 * (now - self.last_event_time);
-            self.last_event_time = now;
-        }
-        self.events_processed += 1;
-        Some((time, event))
-    }
-
-    /// The current simulation time (time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Number of events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Marks one client operation as having entered the system.
-    pub fn op_started(&mut self) {
-        self.in_flight += 1;
-        self.max_in_flight = self.max_in_flight.max(self.in_flight);
-        self.busy_until = self.busy_until.max(self.queue.now());
-    }
-
-    /// Marks one client operation as having left the system (completed or
-    /// given up).
-    pub fn op_finished(&mut self) {
-        debug_assert!(self.in_flight > 0, "op_finished without matching start");
-        self.in_flight = self.in_flight.saturating_sub(1);
-        self.busy_until = self.busy_until.max(self.queue.now());
-    }
-
-    /// Number of operations currently in flight.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight
-    }
-
-    /// Largest number of simultaneously in-flight operations observed.
-    pub fn max_in_flight(&self) -> u64 {
-        self.max_in_flight
-    }
-
-    /// Time-weighted mean number of in-flight operations over the span in
-    /// which operations existed (0 before any time has passed).  Events
-    /// popped after the last operation drained — stale timeouts, failure
-    /// transitions scheduled beyond the workload — do not dilute the mean.
-    pub fn mean_in_flight(&self) -> f64 {
-        if self.busy_until <= 0.0 {
-            0.0
-        } else {
-            self.in_flight_area / self.busy_until
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pops_in_time_order_and_counts_events() {
-        let mut e = EventEngine::new();
-        e.schedule(2.0, Event::OpArrival { op: 1 });
-        e.schedule(1.0, Event::OpArrival { op: 0 });
-        e.schedule(
-            3.0,
-            Event::FailureTransition {
-                server: ServerId::new(4),
-                crash: true,
-            },
-        );
-        assert_eq!(e.pending(), 3);
-        assert_eq!(e.next_event(), Some((1.0, Event::OpArrival { op: 0 })));
-        assert_eq!(e.next_event(), Some((2.0, Event::OpArrival { op: 1 })));
-        assert!(matches!(
-            e.next_event(),
-            Some((3.0, Event::FailureTransition { crash: true, .. }))
-        ));
-        assert_eq!(e.next_event(), None);
-        assert_eq!(e.events_processed(), 3);
-        assert_eq!(e.now(), 3.0);
-    }
-
-    #[test]
-    fn in_flight_gauge_is_time_weighted() {
-        let mut e = EventEngine::new();
-        e.schedule(1.0, Event::OpArrival { op: 0 });
-        e.schedule(2.0, Event::OpArrival { op: 1 });
-        e.schedule(4.0, Event::OpTimeout { op: 0, attempt: 0 });
-        // t=1: one op enters. t=2: a second enters. t=4: both leave.
-        e.next_event();
-        e.op_started();
-        assert_eq!(e.in_flight(), 1);
-        e.next_event();
-        e.op_started();
-        assert_eq!(e.max_in_flight(), 2);
-        e.next_event();
-        e.op_finished();
-        e.op_finished();
-        assert_eq!(e.in_flight(), 0);
-        // Area: [0,1): 0, [1,2): 1, [2,4): 2 => 5 over 4 seconds.
-        assert!((e.mean_in_flight() - 5.0 / 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trailing_events_do_not_dilute_the_in_flight_mean() {
-        let mut e = EventEngine::new();
-        e.schedule(1.0, Event::OpArrival { op: 0 });
-        e.schedule(3.0, Event::OpTimeout { op: 0, attempt: 0 });
-        // A failure transition scheduled long after the workload drains
-        // (e.g. a "never" crash wave) and a stale timeout must not stretch
-        // the denominator.
-        e.schedule(
-            1e6,
-            Event::FailureTransition {
-                server: ServerId::new(0),
-                crash: true,
-            },
-        );
-        e.next_event();
-        e.op_started();
-        e.next_event();
-        e.op_finished();
-        e.next_event();
-        // One op in flight over [1, 3), busy until t=3: mean = 2/3.
-        assert!((e.mean_in_flight() - 2.0 / 3.0).abs() < 1e-12);
-    }
 
     #[test]
     fn pending_slab_reuses_slots_without_aliasing() {
@@ -407,15 +224,5 @@ mod tests {
         assert_eq!(slab.take(b), Some("b"));
         assert_eq!(slab.take(c), Some("c"));
         assert!(slab.is_empty());
-    }
-
-    #[test]
-    fn empty_engine_reports_zeroes() {
-        let mut e = EventEngine::new();
-        assert_eq!(e.next_event(), None);
-        assert_eq!(e.mean_in_flight(), 0.0);
-        assert_eq!(e.max_in_flight(), 0);
-        assert_eq!(e.in_flight(), 0);
-        assert_eq!(e.pending(), 0);
     }
 }

@@ -18,9 +18,8 @@
 //!
 //! * [`time`] — simulation time and the deterministic event queue.
 //! * [`event`] — the event vocabulary (`OpArrival`, `ProbeReply`,
-//!   `OpTimeout`, `RetryAttempt`, `FailureTransition`) and the
-//!   [`event::EventEngine`] driver with its throughput/concurrency
-//!   accounting.
+//!   `OpTimeout`, `RetryAttempt`, `FailureTransition`, the gossip
+//!   deliveries) and the slab that holds in-flight gossip payloads.
 //! * [`latency`] — per-message latency models (fixed, uniform, exponential,
 //!   Pareto long-tail).
 //! * [`workload`] — open-loop workload generation (Poisson arrivals,
@@ -29,16 +28,21 @@
 //!   schedules, crash waves and independent crash probabilities.
 //! * [`metrics`] — what the simulator measures, including p50/p95/p99 and
 //!   the per-key breakdown ([`metrics::VariableReport`]).
-//! * [`runner`] — the simulation driver: many concurrent client sessions
-//!   over a per-variable register table, first-`q`-of-probed quorum access,
-//!   timeout-and-resample retry with optional exponential backoff, and
-//!   engine-scheduled write diffusion ([`runner::DiffusionPolicy`]) in
-//!   either full-push or digest/delta gossip mode with per-key
-//!   advertisement policies ([`runner::KeyGossipPolicy`]).  With
-//!   [`runner::SimConfig::num_shards`] ≥ 2 the run executes on the
-//!   multi-core sharded engine (per-variable event queues drained on
-//!   worker threads between deterministic spine barriers) with a
-//!   bit-identical report for any shard count ≥ 2 and any thread count.
+//! * [`runner`] — the public configuration surface
+//!   ([`runner::SimConfig`] and its builder, [`runner::DiffusionPolicy`]
+//!   in full-push or digest/delta gossip mode with per-key advertisement
+//!   policies, [`runner::ProtocolKind`]) and [`runner::Simulation`].
+//!
+//! Behind [`runner::Simulation::run`] there is one engine (crate-private
+//! modules): `world` owns the event handlers — many concurrent client
+//! sessions over a per-variable register table, first-`q`-of-probed quorum
+//! access, timeout-and-resample retry with optional exponential backoff,
+//! partition gating and gossip delivery — for the keys it is given;
+//! `parallel` cuts the key space into [`runner::SimConfig::num_shards`]
+//! worlds, drains them (on worker threads, if asked) between deterministic
+//! spine barriers where gossip is planned, and merges their accumulators;
+//! `staleness` keeps the write logs reads are classified against.  The
+//! report is bit-identical for any shard count ≥ 1 and any thread count.
 //!
 //! ## Example
 //!
@@ -74,6 +78,7 @@ pub mod latency;
 pub mod metrics;
 pub(crate) mod parallel;
 pub mod runner;
-pub(crate) mod shard;
+pub(crate) mod staleness;
 pub mod time;
 pub mod workload;
+pub(crate) mod world;

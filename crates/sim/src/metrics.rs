@@ -1,4 +1,8 @@
-//! What a simulation run measures.
+//! What a simulation run measures: the [`SimReport`] and its per-key
+//! breakdown, the engine's wall-clock [`EngineStageTimings`], and the merge
+//! that rebuilds one report from the worlds' accumulators and per-op logs
+//! in canonical `(time, op)` order — bit-identically for every shard and
+//! thread count.
 
 use crate::time::SimTime;
 use pqs_math::mc::RunningStats;
@@ -416,15 +420,15 @@ impl SimReport {
 /// Wall-clock breakdown of one engine run by pipeline stage, returned by
 /// [`Simulation::run_with_stats`](crate::runner::Simulation::run_with_stats).
 ///
-/// The sharded engine alternates between parallel shard drains and serial
-/// spine work at each gossip barrier; the split below is exactly the
-/// Amdahl decomposition of a run — `drain` scales with worker threads,
-/// everything else is the serial fraction.  Timings live **outside**
-/// [`SimReport`] on purpose: reports are compared bit-for-bit across
-/// shard/thread counts and wall-clock measurements would break that.
+/// The engine alternates between parallel shard drains and serial spine
+/// work at each gossip barrier; the split below is exactly the Amdahl
+/// decomposition of a run — `drain` scales with worker threads, everything
+/// else is the serial fraction.  Timings live **outside** [`SimReport`] on
+/// purpose: reports are compared bit-for-bit across shard/thread counts
+/// and wall-clock measurements would break that.
 ///
-/// For the sequential engine (`num_shards ≤ 1`) the whole run is one
-/// drain: `drain_seconds == total_seconds` and the spine stages are zero.
+/// Without diffusion there is no barrier: the run is one drain between
+/// setup and merge, and the spine stages are zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStageTimings {
     /// Time spent draining shard event queues (parallel across threads).
@@ -442,8 +446,8 @@ pub struct EngineStageTimings {
     /// merge.
     pub total_seconds: f64,
     /// Full-push messages the spine planned.  Every one is a logical event
-    /// of the report, delivered or partition-blocked; zero on the
-    /// sequential engine and in digest mode.
+    /// of the report, delivered or partition-blocked; zero in digest mode
+    /// and without diffusion.
     pub planned_pushes: u64,
     /// The planned pushes that went through a shard queue.  The rest were
     /// *covered* — receiver already as fresh at planning time — and were
@@ -459,7 +463,7 @@ impl EngineStageTimings {
     }
 
     /// Serial fraction of the run: spine time over total wall time (0 for
-    /// an instantaneous or sequential run).
+    /// an instantaneous or diffusion-free run).
     pub fn spine_fraction(&self) -> f64 {
         if self.total_seconds > 0.0 {
             self.spine_seconds() / self.total_seconds
@@ -469,72 +473,81 @@ impl EngineStageTimings {
     }
 }
 
-/// One completed operation, as logged by a shard of the parallel engine.
+/// How an owned operation left the system.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OpOutcome {
+    /// Still in flight (every operation ends before its world is merged:
+    /// each attempt arms a timeout).
+    Pending,
+    /// Completed as a read.
+    Read,
+    /// Completed as a write.
+    Write,
+    /// Gave up: no probed server answered within any attempt.
+    Unavailable,
+}
+
+/// The one per-operation log entry a world keeps, preallocated for every
+/// op it owns: when the op entered the system, when it left and how.
 ///
 /// Latency aggregates ([`SimReport::latency`], the read/write percentile
-/// collections) are order-sensitive — floating-point accumulation and the
-/// `PartialEq` on raw sample vectors both depend on insertion order — so
-/// shards log completions individually and the merge replays them in the
-/// canonical `(time, op)` order, which no shard or thread count can
-/// perturb.
+/// collections) and the in-flight gauge are order-sensitive —
+/// floating-point accumulation and the `PartialEq` on raw sample vectors
+/// both depend on insertion order — so worlds only log, and the merge
+/// replays the union in canonical `(time, op)` orders no shard or thread
+/// count can perturb.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct CompletionRecord {
-    /// Completion time of the operation.
-    pub(crate) time: SimTime,
+pub(crate) struct OpRecord {
     /// The operation's global workload index (the canonical tie-breaker).
     pub(crate) op: u64,
-    /// Whether the operation was a read (routes the percentile sample).
-    pub(crate) read: bool,
-    /// The operation's latency in simulated seconds.
-    pub(crate) latency: f64,
+    /// Arrival time.
+    pub(crate) start: SimTime,
+    /// Completion or give-up time (meaningless while `Pending`).
+    pub(crate) end: SimTime,
+    /// How the operation ended.
+    pub(crate) outcome: OpOutcome,
 }
 
-/// One in-flight gauge transition (an operation entering or leaving the
-/// system), logged per shard and replayed canonically by the merge.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct FlightTransition {
-    /// When the transition happened.
-    pub(crate) time: SimTime,
-    /// The operation's global workload index.
-    pub(crate) op: u64,
-    /// `true` when the operation entered the system, `false` when it left.
-    pub(crate) start: bool,
+impl OpRecord {
+    /// Closes the record at `end`.
+    pub(crate) fn finish(&mut self, end: SimTime, outcome: OpOutcome) {
+        self.end = end;
+        self.outcome = outcome;
+    }
 }
 
-/// Everything one shard of the parallel engine accumulates: its partial
-/// report (order-free counters plus the per-variable rows it owns), the
-/// raw completion/flight logs for canonical replay, and the count of
-/// logical events it processed.
+/// Everything one world accumulates: its partial report (order-free
+/// counters plus the per-variable rows it owns), the per-op log for
+/// canonical replay, and the count of logical events it processed.
 #[derive(Debug, Default)]
 pub(crate) struct ShardAccumulator {
     /// Counters and the owned per-variable rows.  Order-sensitive
     /// aggregates (latency stats, the in-flight gauge) are left at their
     /// defaults here and reconstructed by [`merge_shard_reports`].
     pub(crate) report: SimReport,
-    /// Completion log for canonical latency replay.
-    pub(crate) completions: Vec<CompletionRecord>,
-    /// In-flight transition log for the canonical gauge walk.
-    pub(crate) transitions: Vec<FlightTransition>,
-    /// Logical events this shard processed (arrivals, probe replies,
+    /// One record per owned op, in arrival order.
+    pub(crate) ops: Vec<OpRecord>,
+    /// Logical events this world processed (arrivals, probe replies,
     /// timeouts, retries, gossip pushes — the event classes whose count is
     /// shard-count-independent; spine-level events are counted by the
     /// spine).
     pub(crate) logical_events: u64,
 }
 
-/// Merges per-shard accumulators into one [`SimReport`], bit-identically
-/// for any shard count ≥ 2 and any thread count:
+/// Merges per-world accumulators into one [`SimReport`], bit-identically
+/// for any shard count ≥ 1 and any thread count:
 ///
 /// * `u64` counters, per-server access counts and logical event counts sum
 ///   (addition is order-free);
-/// * per-variable rows are taken verbatim from their owning shard
+/// * per-variable rows are taken verbatim from their owning world
 ///   (`variable % num_shards` — ownership is total and disjoint);
-/// * latency aggregates are replayed from the union of completion logs in
-///   `(time, op)` order, so the floating-point accumulation order is
-///   canonical;
-/// * the in-flight gauge is rebuilt by an area walk over the union of
-///   flight transitions in `(time, op, start-before-end)` order, matching
-///   the sequential engine's time-weighted semantics.
+/// * latency aggregates are replayed from the union of op logs in
+///   `(end, op)` order with `latency = end − start`, so the floating-point
+///   accumulation order is canonical;
+/// * the in-flight gauge is rebuilt by an area walk over every op's
+///   entering and leaving transition in `(time, op, start-before-end)`
+///   order — a time-weighted mean over the span in which operations
+///   existed.
 ///
 /// Spine-level quantities (gossip rounds/digests, coverage accounting,
 /// spine event counts) are not known here; the caller adds them onto the
@@ -592,45 +605,53 @@ pub(crate) fn merge_shard_reports(shards: Vec<ShardAccumulator>) -> SimReport {
         .map(|v| shards[v % num_shards].report.per_variable[v].clone())
         .collect();
 
-    let mut completions: Vec<CompletionRecord> = Vec::new();
-    let mut transitions: Vec<FlightTransition> = Vec::new();
+    let mut by_end: Vec<OpRecord> = Vec::new();
     for mut acc in shards {
-        completions.append(&mut acc.completions);
-        transitions.append(&mut acc.transitions);
+        by_end.append(&mut acc.ops);
     }
-    completions.sort_unstable_by(|a, b| a.time.total_cmp(&b.time).then(a.op.cmp(&b.op)));
-    for c in &completions {
-        merged.latency.record(c.latency);
-        if c.read {
-            merged.read_latency.record(c.latency);
-        } else {
-            merged.write_latency.record(c.latency);
-        }
+    let mut starts: Vec<(SimTime, u64)> = by_end.iter().map(|r| (r.start, r.op)).collect();
+    starts.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    by_end.retain(|r| r.outcome != OpOutcome::Pending);
+    by_end.sort_unstable_by(|a, b| a.end.total_cmp(&b.end).then(a.op.cmp(&b.op)));
+    for r in &by_end {
+        let samples = match r.outcome {
+            OpOutcome::Read => &mut merged.read_latency,
+            OpOutcome::Write => &mut merged.write_latency,
+            OpOutcome::Unavailable | OpOutcome::Pending => continue,
+        };
+        let latency = r.end - r.start;
+        merged.latency.record(latency);
+        samples.record(latency);
     }
-    // Entering transitions sort before leaving ones at equal (time, op):
-    // an operation that completes with zero latency still registers.
-    transitions.sort_unstable_by(|a, b| {
-        a.time
-            .total_cmp(&b.time)
-            .then(a.op.cmp(&b.op))
-            .then(b.start.cmp(&a.start))
-    });
+    // The gauge walk merges the two sorted transition streams.  At equal
+    // (time, op) the entering transition goes first: an operation that
+    // completes with zero latency still registers.
+    let mut ends = by_end.iter().map(|r| (r.end, r.op)).peekable();
+    let mut starts = starts.into_iter().peekable();
     let mut in_flight: u64 = 0;
     let mut area = 0.0;
     let mut prev = 0.0;
     let mut busy_until = 0.0;
-    for tr in &transitions {
-        if tr.time > prev {
-            area += in_flight as f64 * (tr.time - prev);
-            prev = tr.time;
+    loop {
+        let entering = match (starts.peek(), ends.peek()) {
+            (Some(s), Some(e)) => s.0.total_cmp(&e.0).then(s.1.cmp(&e.1)).is_le(),
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => break,
+        };
+        let (time, _) = if entering { starts.next() } else { ends.next() }
+            .expect("the peeked transition exists");
+        if time > prev {
+            area += in_flight as f64 * (time - prev);
+            prev = time;
         }
-        if tr.start {
+        if entering {
             in_flight += 1;
             merged.max_in_flight = merged.max_in_flight.max(in_flight);
         } else {
             in_flight = in_flight.saturating_sub(1);
         }
-        busy_until = tr.time;
+        busy_until = time;
     }
     merged.mean_in_flight = if busy_until <= 0.0 {
         0.0
@@ -769,7 +790,7 @@ mod tests {
     fn merge_replays_completions_canonically_and_sums_counters() {
         // Two shards log the same global history split two ways; the merge
         // must be identical either way and independent of per-shard order.
-        let make = |rows: &[(f64, u64, bool, f64)], reads: u64, accesses: Vec<u64>| {
+        let make = |rows: &[(f64, u64, OpOutcome, f64)], reads: u64, accesses: Vec<u64>| {
             let mut acc = ShardAccumulator {
                 logical_events: 10,
                 ..ShardAccumulator::default()
@@ -777,55 +798,63 @@ mod tests {
             acc.report.completed_reads = reads;
             acc.report.per_server_accesses = accesses;
             acc.report.per_variable = vec![VariableReport::default(); 2];
-            for &(time, op, read, latency) in rows {
-                acc.completions.push(CompletionRecord {
-                    time,
+            for &(end, op, outcome, latency) in rows {
+                acc.ops.push(OpRecord {
                     op,
-                    read,
-                    latency,
+                    start: end - latency,
+                    end,
+                    outcome,
                 });
             }
             acc
         };
+        // Op 3 gave up: it moves the gauge but records no latency.
+        let first = [
+            (1.0, 0, OpOutcome::Read, 0.5),
+            (3.0, 2, OpOutcome::Read, 0.125),
+        ];
+        let second = [
+            (2.0, 1, OpOutcome::Write, 0.25),
+            (2.5, 3, OpOutcome::Unavailable, 1.0),
+        ];
         let a = merge_shard_reports(vec![
-            make(&[(1.0, 0, true, 0.5), (3.0, 2, true, 0.1)], 2, vec![1, 0]),
-            make(&[(2.0, 1, false, 0.2)], 0, vec![0, 2]),
+            make(&first, 2, vec![1, 0]),
+            make(&second, 0, vec![0, 2]),
         ]);
         let b = merge_shard_reports(vec![
-            make(&[(2.0, 1, false, 0.2)], 0, vec![0, 2]),
-            make(&[(1.0, 0, true, 0.5), (3.0, 2, true, 0.1)], 2, vec![1, 0]),
+            make(&second, 0, vec![0, 2]),
+            make(&first, 2, vec![1, 0]),
         ]);
         assert_eq!(a.completed_reads, 2);
         assert_eq!(a.events_processed, 20);
         assert_eq!(a.per_server_accesses, vec![1, 2]);
         assert_eq!(a.read_latency.count(), 2);
         assert_eq!(a.write_latency.count(), 1);
-        assert!((a.mean_latency() - (0.5 + 0.2 + 0.1) / 3.0).abs() < 1e-15);
+        assert!((a.mean_latency() - (0.5 + 0.25 + 0.125) / 3.0).abs() < 1e-15);
+        // Replayed in completion order, not in log order.
+        assert_eq!(
+            a.read_latency.samples_iter().collect::<Vec<_>>(),
+            vec![0.5, 0.125]
+        );
         // Canonical replay: identical regardless of which shard held what.
-        assert_eq!(a.latency, b.latency);
-        assert_eq!(a.read_latency, b.read_latency);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn merge_walks_the_in_flight_gauge_like_the_sequential_engine() {
-        // Ops: #0 in flight over [1, 4), #1 over [2, 4): area 5 over busy
-        // time 4, exactly the sequential EventEngine's gauge on the same
-        // history.
-        let mut a = ShardAccumulator::default();
-        let mut b = ShardAccumulator::default();
-        for (acc, op, start, end) in [(&mut a, 0u64, 1.0, 4.0), (&mut b, 1, 2.0, 4.0)] {
-            acc.transitions.push(FlightTransition {
-                time: start,
+        // Ops: #1 in flight over [1, 4), #2 over [2, 4): area 5 over busy
+        // time 4.  #0 enters and leaves at t = 0.5; were its leave walked
+        // before its enter, the gauge would stay one too high for good.
+        let mut shards = vec![ShardAccumulator::default(), ShardAccumulator::default()];
+        for (shard, op, start, end) in [(0, 0u64, 0.5, 0.5), (1, 1, 1.0, 4.0), (0, 2, 2.0, 4.0)] {
+            shards[shard].ops.push(OpRecord {
                 op,
-                start: true,
-            });
-            acc.transitions.push(FlightTransition {
-                time: end,
-                op,
-                start: false,
+                start,
+                end,
+                outcome: OpOutcome::Read,
             });
         }
-        let merged = merge_shard_reports(vec![a, b]);
+        let merged = merge_shard_reports(shards);
         assert_eq!(merged.max_in_flight, 2);
         assert!((merged.mean_in_flight - 5.0 / 4.0).abs() < 1e-12);
     }

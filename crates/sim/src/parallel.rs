@@ -1,27 +1,27 @@
-//! The sharded engine's spine: deterministic barriers, gossip planning and
-//! crash waves over per-shard worlds.
+//! The engine's spine: deterministic barriers, gossip planning and crash
+//! waves over per-shard worlds.
 //!
-//! [`run_sharded`] executes a [`Simulation`] with
-//! [`SimConfig::num_shards`](crate::runner::SimConfig::num_shards) ≥ 2:
+//! [`run`] executes every [`Simulation`], whatever its
+//! [`SimConfig::num_shards`](crate::runner::SimConfig::num_shards) — one
+//! shard is the smallest layout, not a different path:
 //!
 //! 1. The workload trace and failure plan are derived on the main RNG
-//!    stream exactly as in the sequential engine, then each
-//!    [`ShardWorld`] seeds the arrivals of the variables it owns
-//!    (`variable % num_shards`) plus the full crash schedule.
+//!    stream, then each [`World`] seeds the arrivals of the variables it
+//!    owns (`variable % num_shards`) plus the full crash schedule.
 //! 2. With no diffusion configured there is no cross-shard traffic at all:
-//!    every shard drains to completion independently (on up to
+//!    every world drains to completion independently (on up to
 //!    [`SimConfig::threads`](crate::runner::SimConfig::threads) worker
 //!    threads) and the accumulators merge.
 //! 3. With diffusion, the gossip round times are the spine's **barriers**:
-//!    all shards drain strictly past each barrier, the spine applies the
-//!    **incremental sync** — each shard replays only the `(server, key)`
+//!    all worlds drain strictly past each barrier, the spine applies the
+//!    **incremental sync** — each world replays only the `(server, key)`
 //!    records dirtied since the last barrier (store-if-fresher is
 //!    monotone, so this is bit-identical to a full resync; debug builds
 //!    assert it) — applies due crash transitions, plans the round on the
 //!    dedicated gossip RNG stream — drawing *all* message latencies
 //!    eagerly, so the stream never depends on shard outcomes — and
-//!    accumulates each message into its destination shard's
-//!    [`RoundBatch`], bulk-scheduled in one pre-sorted pass per shard.
+//!    accumulates each message into its destination world's
+//!    [`RoundBatch`], bulk-scheduled in one pre-sorted pass per world.
 //!    A full push whose receiver the spine already holds as fresh is
 //!    *covered*: it can store nothing whenever it lands, so the spine
 //!    counts its delivery on the spot and sends nothing (see
@@ -29,23 +29,21 @@
 //!
 //! Everything the spine computes is a function of per-variable outcomes
 //! and the seed, never of shard layout or thread interleaving — which is
-//! what makes the merged report bit-identical across all shard counts ≥ 2
-//! and all thread counts.
+//! what makes the merged report bit-identical across all shard counts and
+//! all thread counts.
 //!
 //! Steady-state barrier cost is proportional to *work since the last
 //! barrier* (dirty records + planned messages), not to total simulation
-//! state; [`run_sharded`] reports wall-clock per stage through
+//! state; [`run`] reports wall-clock per stage through
 //! [`EngineStageTimings`].
 
 use crate::failure::FailurePlan;
 use crate::metrics::{merge_shard_reports, EngineStageTimings, SimReport};
-use crate::runner::{
-    digest_selector, ConvergenceTracker, GossipMode, HealTracking, ProtocolKind, Simulation,
-    COVERAGE_TARGET,
-};
-use crate::shard::{QueuedPush, RoundBatch, ShardWorld};
+use crate::runner::{GossipMode, KeyGossipPolicy, ProtocolKind, Simulation};
+use crate::staleness::HealTracking;
 use crate::time::SimTime;
 use crate::workload::WorkloadConfig;
+use crate::world::{QueuedPush, RoundBatch, World};
 use pqs_core::system::QuorumSystem;
 #[cfg(debug_assertions)]
 use pqs_core::universe::ServerId;
@@ -58,21 +56,93 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-/// Runs the simulation on the sharded engine.  Called from
-/// [`Simulation::run_with_stats`] when `num_shards ≥ 2`.
-pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
+/// Fraction of correct servers a fresh record must reach for the
+/// rounds-to-coverage accounting (per key, and after a heal) to call it
+/// converged.
+const COVERAGE_TARGET: f64 = 0.9;
+
+/// Resolves the digest advertisement policy for one round into the concrete
+/// key set the digests carry, from foreground-observable state only (write
+/// counts and last-write times) — the selection itself never draws
+/// randomness, so every policy replays the identical foreground trajectory.
+pub(crate) fn digest_selector(
+    policy: KeyGossipPolicy,
+    round: u64,
+    now: SimTime,
+    write_counts: &[u64],
+    last_write_at: &[SimTime],
+) -> diffusion::KeySelector {
+    match policy {
+        KeyGossipPolicy::Uniform => diffusion::KeySelector::All,
+        KeyGossipPolicy::HotFirst {
+            hot_keys,
+            cold_every,
+        } => {
+            if cold_every <= 1 || round.is_multiple_of(cold_every) {
+                return diffusion::KeySelector::All;
+            }
+            let mut ranked: Vec<(u64, usize)> = write_counts
+                .iter()
+                .enumerate()
+                .filter(|&(_, &w)| w > 0)
+                .map(|(i, &w)| (w, i))
+                .collect();
+            ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            let set: BTreeSet<VariableId> = ranked
+                .iter()
+                .take(hot_keys as usize)
+                .map(|&(_, i)| i as VariableId)
+                .collect();
+            diffusion::KeySelector::Only(set)
+        }
+        KeyGossipPolicy::RecentWrites { window, cold_every } => {
+            if cold_every <= 1 || round.is_multiple_of(cold_every) {
+                return diffusion::KeySelector::All;
+            }
+            let since = now - window;
+            let set: BTreeSet<VariableId> = last_write_at
+                .iter()
+                .enumerate()
+                .filter(|&(_, &at)| at >= since)
+                .map(|(i, _)| i as VariableId)
+                .collect();
+            diffusion::KeySelector::Only(set)
+        }
+    }
+}
+
+/// Per-variable state of the rounds-to-coverage accounting: which record
+/// generation is being tracked and when (at which round) it was first seen.
+#[derive(Debug, Clone, Copy)]
+struct ConvergenceTracker {
+    freshest: Timestamp,
+    birth_round: u64,
+    covered: bool,
+}
+
+impl Default for ConvergenceTracker {
+    fn default() -> Self {
+        ConvergenceTracker {
+            freshest: Timestamp::ZERO,
+            birth_round: 0,
+            covered: true,
+        }
+    }
+}
+
+/// Runs the simulation: [`Simulation::run_with_stats`], in full.
+pub(crate) fn run<S: QuorumSystem + ?Sized>(
     sim: &Simulation<'_, S>,
 ) -> (SimReport, EngineStageTimings) {
     let run_start = Instant::now();
     let mut stages = EngineStageTimings::default();
     let config = sim.config;
-    let num_shards = config.num_shards as u64;
-    debug_assert!(num_shards >= 2);
+    // The fields are public, so a 0 can get past the builder's check.
+    let num_shards = u64::from(config.num_shards.max(1));
 
-    // Trace derivation — the exact main-RNG draw order of the sequential
-    // engine, so the workload and failure plan are engine-independent.  A
-    // caller-supplied plan is borrowed, never cloned: crash waves can
-    // carry thousands of transitions and the engine only reads them.
+    // Trace derivation on the main RNG stream.  A caller-supplied plan is
+    // borrowed, never cloned: crash waves can carry thousands of
+    // transitions and the engine only reads them.
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let derived_plan;
     let plan: &FailurePlan = match &sim.plan {
@@ -96,6 +166,9 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
         }
     };
     let byz_behavior = match sim.kind {
+        // Against self-verifying data the strongest undetectable attack is
+        // suppression / stale replay; against plain data it is a colluding
+        // forgery.
         ProtocolKind::Dissemination => Behavior::ByzantineStale,
         _ => Behavior::ByzantineForge,
     };
@@ -107,8 +180,8 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
     }
     .generate(&mut rng);
 
-    let mut worlds: Vec<ShardWorld<'_, S>> = (0..num_shards)
-        .map(|shard| ShardWorld::new(sim, &ops, plan, byz_behavior, shard))
+    let mut worlds: Vec<World<'_, S>> = (0..num_shards)
+        .map(|shard| World::new(sim, &ops, plan, byz_behavior, shard, num_shards))
         .collect();
     let threads = (config.threads as usize).min(worlds.len()).max(1);
 
@@ -158,9 +231,8 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
         let mut write_counts = vec![0u64; nvars];
         let mut last_writes = vec![f64::NEG_INFINITY; nvars];
 
-        // Round `r` fires at `r · period`, accumulated with the sequential
-        // engine's own floating-point arithmetic; rounds stop with the
-        // foreground arrivals.
+        // Round `r` fires at `r · period`, accumulated by repeated addition;
+        // rounds stop with the foreground arrivals.
         let mut round: u64 = 1;
         let mut t = policy.period;
         loop {
@@ -169,9 +241,8 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
             stages.drain_seconds += drain_start.elapsed().as_secs_f64();
 
             let sync_start = Instant::now();
-            // Crash transitions due by now flip the spine's behaviours —
-            // in the sequential engine the upfront-seeded transitions pop
-            // before the round event at equal times.
+            // Crash transitions due by now flip the spine's behaviours — a
+            // transition at the barrier time itself precedes the round.
             while crash_cursor < plan.crashes.len() && plan.crashes[crash_cursor].at <= t {
                 let c = &plan.crashes[crash_cursor];
                 let behavior = if c.crash {
@@ -276,10 +347,9 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
                         // Partition gating for digests happens here on the
                         // spine (one digest fans out to sub-digests on
                         // several shards but is one message), evaluated at
-                        // the digest's *delivery* time — the same predicate
-                        // the sequential engine applies at delivery.  Both
-                        // latencies are already drawn, so the gossip RNG
-                        // stream is unaffected.
+                        // the digest's *delivery* time.  Both latencies are
+                        // already drawn, so the gossip RNG stream is
+                        // unaffected.
                         if plan.blocks_link(t + digest_rtt, digest.from, digest.to) {
                             digests_blocked += 1;
                             continue;
@@ -314,8 +384,9 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
                 }
             };
 
-            // Rounds-to-coverage accounting, identical to the sequential
-            // engine's (the snapshot comes from the same planner).
+            // Convergence accounting against the planner's coverage
+            // snapshot: a fresher record restarts its variable's clock;
+            // reaching the target closes it.
             let target = ((correct_servers as f64 * COVERAGE_TARGET).ceil() as u32).max(1);
             for cov in &coverage {
                 let tracker = &mut trackers[cov.variable as usize];
@@ -324,6 +395,11 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
                     tracker.birth_round = round;
                     tracker.covered = false;
                 }
+                // The holder count only speaks for the tracked generation
+                // if it is still the freshest one: when every correct holder
+                // of a newer record crashes, the snapshot regresses to an
+                // older timestamp whose coverage must not close the newer
+                // clock.
                 if !tracker.covered && cov.freshest == tracker.freshest && cov.holders >= target {
                     tracker.covered = true;
                     coverage_rounds_sum[cov.variable as usize] += round - tracker.birth_round;
@@ -346,6 +422,9 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
                 break;
             }
         }
+        for world in worlds.iter_mut() {
+            world.end_sync();
+        }
     }
 
     // No more cross-shard traffic will ever be injected: drain everything.
@@ -353,9 +432,10 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
     drain_all(&mut worlds, None, threads);
     stages.drain_seconds += drain_start.elapsed().as_secs_f64();
 
-    // One delta *event* per digest id that produced any records, matching
-    // the sequential engine's one-delta-per-digest message count; blocked
-    // deltas likewise deduplicate to one dropped message per id.
+    // One delta *event* per digest id that produced any records (a
+    // digest's delta is one message, however many shards contributed to
+    // it); blocked deltas likewise deduplicate to one dropped message per
+    // id.
     let mut delta_ids: BTreeSet<u64> = BTreeSet::new();
     let mut blocked_delta_ids: BTreeSet<u64> = BTreeSet::new();
     for world in &worlds {
@@ -363,15 +443,9 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
         blocked_delta_ids.extend(world.deltas_blocked.iter().copied());
     }
 
-    let mut report = merge_shard_reports(
-        worlds
-            .into_iter()
-            .map(ShardWorld::into_accumulator)
-            .collect(),
-    );
+    let mut report = merge_shard_reports(worlds.into_iter().map(World::into_accumulator).collect());
     report.gossip_rounds = rounds;
-    // Like the sequential engine, a digest a partition blocked was planned
-    // but never delivered.
+    // A digest a partition blocked was planned but never delivered.
     report.gossip_digests = digests_planned - digests_blocked;
     let resolved_delivered: u64 = resolved_pushes.iter().sum();
     report.gossip_pushes += resolved_delivered;
@@ -402,7 +476,7 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
 /// `threads` scoped worker threads.  Purely an execution choice: shards
 /// share nothing while draining, so the interleaving cannot matter.
 fn drain_all<S: QuorumSystem + ?Sized>(
-    worlds: &mut [ShardWorld<'_, S>],
+    worlds: &mut [World<'_, S>],
     barrier: Option<SimTime>,
     threads: usize,
 ) {
@@ -433,7 +507,7 @@ fn drain_all<S: QuorumSystem + ?Sized>(
 #[cfg(debug_assertions)]
 fn assert_sync_matches_full_resync<S: QuorumSystem + ?Sized>(
     sim: &Simulation<'_, S>,
-    worlds: &[ShardWorld<'_, S>],
+    worlds: &[World<'_, S>],
     spine: &Cluster,
     signed: bool,
 ) {
@@ -501,7 +575,7 @@ fn assert_sync_matches_full_resync<S: QuorumSystem + ?Sized>(
 /// times from each variable's owning shard into the caller's reused
 /// buffers, for the digest key policies.
 fn gather_write_state<S: QuorumSystem + ?Sized>(
-    worlds: &[ShardWorld<'_, S>],
+    worlds: &[World<'_, S>],
     counts: &mut [u64],
     last: &mut [SimTime],
 ) {
@@ -510,5 +584,31 @@ fn gather_write_state<S: QuorumSystem + ?Sized>(
         let world = &worlds[v % n];
         *count = world.sequences[v];
         *at = world.last_write_at[v];
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::runner::{DiffusionPolicy, ProtocolKind, SimConfig, Simulation};
+    use crate::workload::KeySpace;
+    use pqs_core::probabilistic::EpsilonIntersecting;
+
+    /// `SimConfig`'s fields are public, so a zero shard count can bypass
+    /// the builder's check; it must mean the smallest layout, not a
+    /// division by zero.
+    #[test]
+    fn zero_shards_run_as_one_shard() {
+        let sys = EpsilonIntersecting::new(36, 9).unwrap();
+        let mut config = SimConfig::builder()
+            .with_duration(5.0)
+            .with_arrival_rate(80.0)
+            .with_keyspace(KeySpace::zipf(8, 1.0))
+            .with_diffusion(DiffusionPolicy::digest_delta(0.25, 2))
+            .with_seed(11)
+            .build();
+        let one = Simulation::new(&sys, ProtocolKind::Safe, config).run();
+        assert!(one.completed_reads > 0 && one.gossip_digests > 0);
+        config.num_shards = 0;
+        assert_eq!(Simulation::new(&sys, ProtocolKind::Safe, config).run(), one);
     }
 }

@@ -1,23 +1,31 @@
-//! The simulation driver: a discrete-event engine over per-message probes.
+//! The simulator's public configuration surface and its entry point.
 //!
 //! A [`Simulation`] ties together a quorum system, one of the three register
-//! protocols, a replica cluster, a latency model, a sharded workload and a
-//! failure plan, and produces a [`SimReport`].
+//! protocols, a latency model, a keyed workload and a failure plan, and
+//! produces a [`SimReport`].  This module holds what a caller sets — the
+//! [`SimConfig`] and its builder, the [`DiffusionPolicy`] family, the
+//! [`ProtocolKind`] — and [`Simulation::run`]; the engine behind it is one
+//! path for every configuration: `crate::world` owns the event handlers of
+//! the keys it is given, `crate::parallel` cuts the key space into
+//! [`SimConfig::num_shards`] such worlds and drives them between
+//! gossip-round barriers.  See `docs/ARCHITECTURE.md`.
 //!
 //! ## The access model
 //!
 //! Unlike the seed simulator — which applied each quorum exchange atomically
-//! at its arrival instant and merely *derived* a latency — this engine
-//! schedules one [`Event`] per client–server message:
+//! at its arrival instant and merely *derived* a latency — the engine
+//! schedules one [`Event`](crate::event::Event) per client–server message:
 //!
-//! 1. At [`Event::OpArrival`] the client samples a probe set (a quorum drawn
-//!    by the access strategy plus [`SimConfig::probe_margin`] spare servers)
-//!    and sends one probe per member, each with its own latency draw.
-//! 2. Each [`Event::ProbeReply`] evaluates the server *at the message's
-//!    round-trip completion time*: a server crashed by an intervening
-//!    [`Event::FailureTransition`] simply fails to answer, and a write probe
-//!    mutates the replica at that instant — so concurrent operations
-//!    genuinely interleave.
+//! 1. At [`Event::OpArrival`](crate::event::Event::OpArrival) the client
+//!    samples a probe set (a quorum drawn by the access strategy plus
+//!    [`SimConfig::probe_margin`] spare servers) and sends one probe per
+//!    member, each with its own latency draw.
+//! 2. Each [`Event::ProbeReply`](crate::event::Event::ProbeReply) evaluates
+//!    the server *at the message's round-trip completion time*: a server
+//!    crashed by an intervening
+//!    [`Event::FailureTransition`](crate::event::Event::FailureTransition)
+//!    simply fails to answer, and a write probe mutates the replica at that
+//!    instant — so concurrent operations genuinely interleave.
 //! 3. The operation completes on the **first `q` responders** (the
 //!    incremental sessions of [`pqs_protocols::register::session`]), or —
 //!    when the probe set is exhausted or [`SimConfig::op_timeout`] fires —
@@ -27,19 +35,20 @@
 //!    (timeout-and-resample), up to [`SimConfig::max_retries`] times, before
 //!    the operation counts as unavailable.  With a positive
 //!    [`SimConfig::retry_backoff`] each resample waits an exponentially
-//!    growing delay first ([`Event::RetryAttempt`]).
+//!    growing delay first
+//!    ([`Event::RetryAttempt`](crate::event::Event::RetryAttempt)).
 //!
 //! ## The key space
 //!
 //! One run drives **many replicated variables concurrently**: the workload
 //! spreads operations over a [`KeySpace`] (uniform or Zipf popularity), and
 //! the engine keeps one register client — with its own writer timestamp
-//! chain, write log and staleness accounting — per key through a
-//! [`RegisterMap`].  Sessions for different keys interleave freely in the
-//! event queue; the report carries a per-variable breakdown
-//! ([`SimReport::per_variable`]) next to the aggregates.  The default
-//! single-key space reproduces the classic one-register runs exactly
-//! (bit-identical reports per seed).
+//! chain, write log, staleness accounting and **RNG stream** — per key.
+//! Sessions for different keys interleave freely; the report carries a
+//! per-variable breakdown ([`SimReport::per_variable`]) next to the
+//! aggregates.  Because a key's trajectory is a function of the seed and its
+//! own event history alone, the report is bit-identical for every
+//! [`SimConfig::num_shards`] ≥ 1 and every [`SimConfig::threads`].
 //!
 //! Many operations are in flight at once; the report's
 //! `mean_in_flight`/`max_in_flight` gauges and per-kind latency percentiles
@@ -49,90 +58,52 @@
 //!
 //! With a [`DiffusionPolicy`] configured, the engine additionally runs the
 //! Section 1.1 anti-entropy mechanism *inside* simulated time: every
-//! `period` seconds an [`Event::GossipRound`] snapshots the correct
-//! servers' stored records ([`pqs_protocols::diffusion::plan_cluster_round`])
-//! and turns them into [`Event::GossipPush`] messages — each with its own
-//! latency draw, bulk-scheduled per round through a reused batch buffer —
-//! so gossip traffic genuinely interleaves with in-flight client probes.  Crashed servers skip rounds
-//! and drop in-flight pushes; Byzantine servers receive but never push —
-//! the same semantics as the synchronous
+//! `period` seconds the spine snapshots the correct servers' stored records
+//! and turns them into gossip messages — each with its own latency draw —
+//! that interleave with in-flight client probes.  Crashed servers skip
+//! rounds and drop in-flight pushes; Byzantine servers receive but never
+//! push — the same semantics as the synchronous
 //! [`diffuse_plain`](pqs_protocols::diffusion::diffuse_plain) harness.  All
 //! three register flavors diffuse (signed records for the dissemination
 //! protocol).  Gossip draws come from a **separate** RNG stream, so a
 //! diffusion run replays the exact foreground trajectory (same workload,
 //! probe sets, latencies and per-server accesses) of the diffusion-off run
 //! with the same seed — only the staleness outcomes differ, which is what
-//! makes the with/without comparison of [`VariableReport`] stale-read
-//! rates meaningful.  `diffusion: None` (the default) schedules no gossip event
-//! at all and is bit-identical to the pre-diffusion engine.
+//! makes the with/without comparison of
+//! [`VariableReport`](crate::metrics::VariableReport) stale-read rates
+//! meaningful.  `diffusion: None` (the default) schedules no gossip
+//! at all.
 //!
 //! ## The scenario engine
 //!
 //! Beyond fail-stop crashes, a [`FailurePlan`] can schedule **membership
-//! churn** ([`Event::MembershipTransition`]: joiners come up with wiped
-//! record stores and bootstrap through gossip, and the probe margin is
-//! re-solved against the ε budget for the new present count), **healing
-//! partitions** (component windows that gate probe and gossip *delivery*
-//! — never planning, so every RNG draw of the unpartitioned same-seed run
-//! still happens and its trajectory is undisturbed; post-heal
-//! re-convergence is tracked per gossip round into
+//! churn** (joiners come up with wiped record stores and bootstrap through
+//! gossip, and the probe margin is re-solved against the ε budget for the
+//! new present count), **healing partitions** (component windows that gate
+//! probe and gossip *delivery* — never planning, so every RNG draw of the
+//! unpartitioned same-seed run still happens and its trajectory is
+//! undisturbed; post-heal re-convergence is tracked per gossip round into
 //! [`SimReport::post_heal_coverage`]), and an adaptive
-//! [`ByzantineStrategy`] (sleeper servers
+//! [`ByzantineStrategy`](crate::failure::ByzantineStrategy) (sleeper servers
 //! that serve stale data for exactly one probe delivery when a
 //! foreground-statistics predicate fires — a pure read-side overlay, so
 //! the diffusion-off adaptive run replays its static twin's foreground
 //! exactly and staleness is provably monotone).  All scenario machinery
 //! defaults off and adds no events or draws to existing configurations.
-//!
-//! ## The parallel engine
-//!
-//! With [`SimConfig::num_shards`] ≥ 2 the run executes on the sharded
-//! engine instead of this module's sequential loop: per-variable events
-//! (arrivals, probe replies, timeouts, retries — all single-key since the
-//! key-space refactor) are partitioned into per-shard event queues keyed by
-//! `variable % num_shards`, each shard drains independently (optionally on
-//! [`SimConfig::threads`] worker threads), and cross-shard traffic — gossip
-//! planning and crash waves — runs on a sequenced spine at deterministic
-//! time-window barriers.  Every variable carries its own RNG stream derived
-//! from the seed, so a sharded run is bit-identical across *all* shard
-//! counts ≥ 2 and *all* thread counts.  `num_shards = 1` (the default) runs
-//! the sequential engine below unchanged and stays bit-identical to the
-//! pre-sharding engine.  See `docs/ARCHITECTURE.md` for the shard map and
-//! barrier protocol.
 
-use crate::event::{Event, EventEngine, OpId, PendingSlab};
-use crate::failure::{ByzantineStrategy, FailurePlan};
+use crate::failure::FailurePlan;
 use crate::latency::LatencyModel;
-use crate::metrics::{EngineStageTimings, SimReport, VariableReport};
+use crate::metrics::{EngineStageTimings, SimReport};
 use crate::time::SimTime;
-use crate::workload::{KeySpace, OpKind, WorkloadConfig};
+use crate::workload::KeySpace;
 use pqs_core::system::QuorumSystem;
-use pqs_core::universe::ServerId;
-use pqs_math::plan::{smallest_u64_where, timeout_probability, tolerance};
-use pqs_protocols::cluster::Cluster;
-use pqs_protocols::crypto::KeyRegistry;
-use pqs_protocols::diffusion;
-use pqs_protocols::register::session::{ReadSession, WriteSession};
-use pqs_protocols::register::{RegisterFlavor, RegisterMap, WriteRecord};
-use pqs_protocols::server::{Behavior, VariableId};
-use pqs_protocols::timestamp::Timestamp;
-use pqs_protocols::value::Value;
-use rand::RngCore;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeSet;
-use std::time::Instant;
-
-/// Fraction of correct servers a fresh record must reach for the per-key
-/// rounds-to-coverage accounting to call it converged.
-pub(crate) const COVERAGE_TARGET: f64 = 0.9;
 
 /// What each gossip round puts on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GossipMode {
     /// Blind push gossip (the classic mechanism): every correct server
     /// pushes every record it holds to `fanout` peers each round.  The
-    /// default, bit-identical to the pre-digest engine.
+    /// default.
     #[default]
     PushAll,
     /// Digest/delta gossip: every correct server sends a per-key version
@@ -174,8 +145,7 @@ pub enum KeyGossipPolicy {
 /// How the engine schedules epidemic write-diffusion (anti-entropy) rounds
 /// between the servers, competing for simulated time with foreground
 /// client traffic.  `None` in [`SimConfig::diffusion`] disables the
-/// mechanism entirely (and preserves the classic RNG stream and report bit
-/// for bit).
+/// mechanism entirely; the foreground trajectory is the same either way.
 ///
 /// Build one with the builder methods instead of hand-rolling the struct:
 ///
@@ -276,238 +246,6 @@ impl DiffusionPolicy {
     }
 }
 
-/// Resolves the digest advertisement policy for one round into the concrete
-/// key set the digests carry, from foreground-observable state only (write
-/// counts and last-write times) — the selection itself never draws
-/// randomness, so every policy replays the identical foreground trajectory.
-pub(crate) fn digest_selector(
-    policy: KeyGossipPolicy,
-    round: u64,
-    now: SimTime,
-    write_counts: &[u64],
-    last_write_at: &[SimTime],
-) -> diffusion::KeySelector {
-    match policy {
-        KeyGossipPolicy::Uniform => diffusion::KeySelector::All,
-        KeyGossipPolicy::HotFirst {
-            hot_keys,
-            cold_every,
-        } => {
-            if cold_every <= 1 || round.is_multiple_of(cold_every) {
-                return diffusion::KeySelector::All;
-            }
-            let mut ranked: Vec<(u64, usize)> = write_counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &w)| w > 0)
-                .map(|(i, &w)| (w, i))
-                .collect();
-            ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            let set: BTreeSet<VariableId> = ranked
-                .iter()
-                .take(hot_keys as usize)
-                .map(|&(_, i)| i as VariableId)
-                .collect();
-            diffusion::KeySelector::Only(set)
-        }
-        KeyGossipPolicy::RecentWrites { window, cold_every } => {
-            if cold_every <= 1 || round.is_multiple_of(cold_every) {
-                return diffusion::KeySelector::All;
-            }
-            let since = now - window;
-            let set: BTreeSet<VariableId> = last_write_at
-                .iter()
-                .enumerate()
-                .filter(|&(_, &at)| at >= since)
-                .map(|(i, _)| i as VariableId)
-                .collect();
-            diffusion::KeySelector::Only(set)
-        }
-    }
-}
-
-/// Per-variable state of the rounds-to-coverage accounting: which record
-/// generation is being tracked and when (at which round) it was first seen.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ConvergenceTracker {
-    pub(crate) freshest: Timestamp,
-    pub(crate) birth_round: u64,
-    pub(crate) covered: bool,
-}
-
-impl Default for ConvergenceTracker {
-    fn default() -> Self {
-        ConvergenceTracker {
-            freshest: Timestamp::ZERO,
-            birth_round: 0,
-            covered: true,
-        }
-    }
-}
-
-/// Online quorum-parameter recompute for membership churn: the smallest
-/// probe margin at (or above) the configured one that keeps the
-/// hypergeometric timeout probability within the planner's ε budget
-/// ([`tolerance::TIMEOUT_BUDGET`]) for the current count of present
-/// servers.  Falls back to probing everything beyond the quorum when no
-/// margin satisfies the budget.  Pure arithmetic — both engines (and every
-/// shard) call it with identical inputs at identical simulated times, so
-/// churn runs stay deterministic.
-pub(crate) fn churn_probe_margin(base_margin: u64, n: u64, quorum: u64, present: u64) -> usize {
-    let hi = n.saturating_sub(quorum);
-    let lo = base_margin.min(hi);
-    smallest_u64_where(lo, hi, |m| {
-        timeout_probability(n, present, quorum, m) <= tolerance::TIMEOUT_BUDGET
-    })
-    .unwrap_or(hi) as usize
-}
-
-/// Whether an adaptive-adversary sleeper fires for this probe: evaluated at
-/// probe-reply time from **foreground-only** statistics (per-variable write
-/// sequence counters and last-write arrival times — the same state the
-/// digest policies read), so the decision never touches any RNG stream and
-/// diffusion-off replay invariants survive.  A firing sleeper answers this
-/// one probe as [`Behavior::ByzantineStale`] (ack-without-storing, stale
-/// replies) — the strongest *undetectable* deviation, and one that leaves
-/// the event flow of the same-seed static run untouched.
-pub(crate) fn strategy_fires(
-    strategy: &ByzantineStrategy,
-    server: ServerId,
-    variable: VariableId,
-    now: SimTime,
-    sequences: &[u64],
-    last_write_at: &[SimTime],
-) -> bool {
-    match strategy {
-        ByzantineStrategy::Static => false,
-        ByzantineStrategy::HotKeyTargeting {
-            sleepers,
-            min_writes,
-        } => sequences[variable as usize] >= *min_writes && sleepers.contains(&server),
-        ByzantineStrategy::StaleSigned { sleepers, window } => {
-            sequences[variable as usize] > 0
-                && now - last_write_at[variable as usize] <= *window
-                && sleepers.contains(&server)
-        }
-    }
-}
-
-/// One healed partition window being watched back to convergence: the
-/// per-variable freshest timestamps snapshotted at the first gossip round
-/// at (or after) the heal, and which of them the whole cluster has since
-/// re-covered.
-#[derive(Debug)]
-struct HealWatch {
-    /// Whether this is the first heal of the run (only the first heal
-    /// records the round-by-round [`SimReport::post_heal_coverage`] curve).
-    is_first: bool,
-    /// The gossip round at which the heal was observed.
-    start_round: u64,
-    /// Per-variable snapshot timestamp, `None` once re-covered (or never
-    /// written).  Covered bits latch, so the curve is monotone.
-    pending: Vec<Option<Timestamp>>,
-    /// Variables still awaiting re-coverage.
-    remaining: usize,
-    /// Variables the snapshot started tracking.
-    total: usize,
-}
-
-/// Spine-level post-heal re-convergence accounting, shared verbatim by the
-/// sequential engine's `GossipRound` arm and the sharded engine's spine
-/// loop: after each partition window heals, watch the gossip coverage
-/// snapshots until every variable written before the heal is again held at
-/// its heal-time freshness by [`COVERAGE_TARGET`] of the correct servers.
-/// Pure function of the (deterministic) round coverage snapshots, so it
-/// never perturbs any RNG stream.
-#[derive(Debug, Default)]
-pub(crate) struct HealTracking {
-    /// Next partition window whose heal is awaiting observation.
-    cursor: usize,
-    /// The window currently being watched (one at a time; a window healing
-    /// while another is watched is observed at a later round).
-    active: Option<HealWatch>,
-    /// Whether the first-heal coverage curve has been claimed.
-    first_used: bool,
-    /// Heals observed by a gossip round so far.
-    pub(crate) heals_observed: u64,
-    /// Sum over completed watches of rounds-to-full-recoverage.
-    pub(crate) rounds_sum: u64,
-    /// Number of watches that reached full re-coverage.
-    pub(crate) completions: u64,
-    /// Cumulative re-covered-variable count per round for the first heal.
-    pub(crate) curve: Vec<u64>,
-}
-
-impl HealTracking {
-    /// Feeds one gossip round's coverage snapshot into the tracker.
-    pub(crate) fn on_round(
-        &mut self,
-        plan: &FailurePlan,
-        t: SimTime,
-        round: u64,
-        coverage: &[diffusion::VariableCoverage],
-        target: u32,
-        nvars: usize,
-    ) {
-        if plan.partitions.is_empty() {
-            return;
-        }
-        if self.active.is_none()
-            && self.cursor < plan.partitions.len()
-            && plan.partitions[self.cursor].heals_at <= t
-        {
-            self.cursor += 1;
-            self.heals_observed += 1;
-            let mut pending = vec![None; nvars];
-            let mut remaining = 0;
-            for cov in coverage {
-                if cov.freshest > Timestamp::ZERO {
-                    pending[cov.variable as usize] = Some(cov.freshest);
-                    remaining += 1;
-                }
-            }
-            let is_first = !self.first_used;
-            self.first_used = true;
-            self.active = Some(HealWatch {
-                is_first,
-                start_round: round,
-                pending,
-                remaining,
-                total: remaining,
-            });
-        }
-        let Some(watch) = self.active.as_mut() else {
-            return;
-        };
-        for cov in coverage {
-            if let Some(slot) = watch.pending.get_mut(cov.variable as usize) {
-                if let Some(snap) = *slot {
-                    if cov.freshest >= snap && cov.holders >= target {
-                        *slot = None;
-                        watch.remaining -= 1;
-                    }
-                }
-            }
-        }
-        if watch.is_first {
-            self.curve.push((watch.total - watch.remaining) as u64);
-        }
-        if watch.remaining == 0 {
-            self.rounds_sum += round - watch.start_round;
-            self.completions += 1;
-            self.active = None;
-        }
-    }
-
-    /// Copies the accumulated post-heal statistics into the report.
-    pub(crate) fn finish_into(self, report: &mut SimReport) {
-        report.heals_observed = self.heals_observed;
-        report.post_heal_rounds_to_coverage = self.rounds_sum;
-        report.post_heal_coverage_completions = self.completions;
-        report.post_heal_coverage = self.curve;
-    }
-}
-
 /// Which register protocol the simulated clients run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolKind {
@@ -565,23 +303,21 @@ pub struct SimConfig {
     pub retry_backoff: f64,
     /// Epidemic write-diffusion between the servers, scheduled as engine
     /// events (see the [module docs](self)).  `None` — the default —
-    /// schedules no gossip at all and reproduces the diffusion-free engine
-    /// bit for bit.
+    /// schedules no gossip at all.
     pub diffusion: Option<DiffusionPolicy>,
     /// RNG seed; the run is fully deterministic given the seed.
     pub seed: u64,
-    /// Number of engine shards (≥ 1).  `1` — the default — runs the
-    /// sequential engine, bit-identical to the pre-sharding releases.
-    /// With ≥ 2, per-variable events are partitioned by
-    /// `variable % num_shards` and cross-shard traffic rides the sequenced
-    /// spine (see the [module docs](self)); the report is then
-    /// bit-identical for a given seed across all shard counts ≥ 2 and all
-    /// thread counts, but belongs to a *different* deterministic family
-    /// than the sequential engine (per-variable RNG streams).
+    /// Number of worlds the key space is cut into (≥ 1; 0 is read as 1):
+    /// per-variable events go to world `variable % num_shards`, and gossip,
+    /// crash waves and membership ride the sequenced spine.  Purely a
+    /// layout knob: every variable draws from its own RNG stream, so the
+    /// report is bit-identical for a given seed across all shard counts
+    /// and all thread counts.  `1` — the default — is the smallest layout,
+    /// not a different engine.
     pub num_shards: u32,
-    /// Worker threads draining shard queues between spine barriers (≥ 1).
-    /// Purely an execution knob: the report never depends on it.  Ignored
-    /// by the sequential engine (`num_shards = 1`).
+    /// Worker threads draining the worlds' queues between spine barriers
+    /// (≥ 1; at most one per world is used).  Purely an execution knob:
+    /// the report never depends on it.
     pub threads: u32,
 }
 
@@ -942,127 +678,6 @@ pub struct Simulation<'a, S: QuorumSystem + ?Sized> {
     pub(crate) plan: Option<FailurePlan>,
 }
 
-/// Record of a write operation used for staleness accounting.  `end` stays
-/// `+∞` while the write is in flight, so overlapping reads classify as
-/// concurrent.
-#[derive(Debug, Clone, Copy)]
-struct WriteWindow {
-    start: SimTime,
-    end: SimTime,
-    sequence: u64,
-    failed: bool,
-}
-
-/// The write windows of one variable, pruned as simulated time advances so
-/// the per-read staleness checks scan only windows that can still matter —
-/// without pruning the event loop would be O(reads × writes), quadratic in
-/// run duration.  The sharded engine keeps one log per key: staleness is a
-/// per-variable property (a write of key 3 cannot make a read of key 5
-/// stale).
-#[derive(Debug, Default)]
-pub(crate) struct WriteLog {
-    windows: Vec<WriteWindow>,
-    /// Windows before this index are archived: they ended at or before
-    /// every start time a still-unfinished operation can have, so they can
-    /// never again classify as concurrent; their freshest sequence is kept
-    /// in `archived_max_seq`.
-    frontier: usize,
-    archived_max_seq: Option<u64>,
-}
-
-impl WriteLog {
-    /// Opens an in-flight window (end `+∞`); returns its handle.
-    pub(crate) fn open(&mut self, start: SimTime, sequence: u64) -> usize {
-        self.windows.push(WriteWindow {
-            start,
-            end: f64::INFINITY,
-            sequence,
-            failed: false,
-        });
-        self.windows.len() - 1
-    }
-
-    /// Marks a write completed at `end`.
-    pub(crate) fn close(&mut self, handle: usize, end: SimTime) {
-        self.windows[handle].end = end;
-    }
-
-    /// Marks a write failed (stored nowhere): excluded from accounting.
-    pub(crate) fn fail(&mut self, handle: usize, end: SimTime) {
-        self.windows[handle].end = end;
-        self.windows[handle].failed = true;
-    }
-
-    /// Archives every leading window that ended at or before `horizon`
-    /// (the earliest start time any in-flight or future operation can
-    /// have).  Amortised O(1) per write over the run.
-    pub(crate) fn advance(&mut self, horizon: SimTime) {
-        while let Some(w) = self.windows.get(self.frontier) {
-            if w.end > horizon {
-                break;
-            }
-            if !w.failed {
-                self.archived_max_seq = Some(match self.archived_max_seq {
-                    Some(m) => m.max(w.sequence),
-                    None => w.sequence,
-                });
-            }
-            self.frontier += 1;
-        }
-    }
-
-    /// Whether any (non-failed) write window overlaps the read interval
-    /// `(start, end)` — archived windows cannot, by construction.
-    pub(crate) fn concurrent_with(&self, start: SimTime, end: SimTime) -> bool {
-        self.windows[self.frontier..]
-            .iter()
-            .any(|w| !w.failed && w.start < end && w.end > start)
-    }
-
-    /// Sequence number of the freshest write completed before `start`.
-    pub(crate) fn latest_completed_before(&self, start: SimTime) -> Option<u64> {
-        let recent = self.windows[self.frontier..]
-            .iter()
-            .filter(|w| !w.failed && w.end <= start)
-            .map(|w| w.sequence)
-            .max();
-        match (self.archived_max_seq, recent) {
-            (Some(a), Some(r)) => Some(a.max(r)),
-            (a, r) => a.or(r),
-        }
-    }
-}
-
-/// What one in-flight operation sends to servers and how it tracks replies.
-/// The write record is plain or signed according to the protocol flavor
-/// ([`WriteRecord`]), so one variant covers all three protocols.
-#[derive(Debug)]
-pub(crate) enum OpSession {
-    Read(ReadSession),
-    Write(WriteRecord, WriteSession),
-}
-
-/// Book-keeping for one client operation across its attempts.
-#[derive(Debug)]
-pub(crate) struct OpState {
-    pub(crate) kind: OpKind,
-    /// The key the operation targets.
-    pub(crate) variable: VariableId,
-    pub(crate) start: SimTime,
-    pub(crate) attempt: u32,
-    pub(crate) outstanding: usize,
-    pub(crate) done: bool,
-    /// The current attempt's session.  `finalize` releases a read's (its
-    /// reply buffer is dead weight once condensed); a write's stays, since
-    /// its record is what late probes and retries still deliver.
-    pub(crate) session: Option<OpSession>,
-    /// The value a write pushes: its variable's write sequence number,
-    /// assigned at arrival (reads leave it 0).
-    pub(crate) sequence: u64,
-    /// Handle into the variable's write log (writes only).
-    pub(crate) window: Option<usize>,
-}
-
 impl<'a, S: QuorumSystem + ?Sized> Simulation<'a, S> {
     /// Creates a simulation over the given system and protocol.
     pub fn new(system: &'a S, kind: ProtocolKind, config: SimConfig) -> Self {
@@ -1089,797 +704,14 @@ impl<'a, S: QuorumSystem + ?Sized> Simulation<'a, S> {
     /// Runs the simulation and additionally returns the engine's
     /// wall-clock stage timings.
     ///
-    /// On the sequential engine the whole run is one event-loop drain
-    /// (`drain_seconds == total_seconds`, spine stages zero); the sharded
-    /// engine splits each barrier into drain / sync / plan / route.  The
-    /// report half is bit-identical to [`Simulation::run`]; the timings
-    /// half is wall-clock measurement and never feeds back into the
-    /// simulation.
+    /// Each gossip barrier splits into drain / sync / plan / route; a
+    /// diffusion-free run has no barrier and its spine stages stay zero.
+    /// The report half is bit-identical to [`Simulation::run`]; the
+    /// timings half is wall-clock measurement and never feeds back into
+    /// the simulation.
     pub fn run_with_stats(&self) -> (SimReport, EngineStageTimings) {
-        if self.config.num_shards > 1 {
-            return crate::parallel::run_sharded(self);
-        }
-        let run_start = Instant::now();
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let mut cluster = Cluster::new(self.system.universe());
-        cluster.reserve_variables(self.config.keyspace.keys);
-
-        // Failure plan: either explicit (borrowed — crash waves can carry
-        // thousands of transitions) or derived from the config.
-        let derived_plan;
-        let plan: &FailurePlan = match &self.plan {
-            Some(plan) => plan,
-            None => {
-                let mut plan = FailurePlan::none();
-                if self.config.byzantine > 0 {
-                    plan = plan.with_random_byzantine(
-                        self.system.universe(),
-                        self.config.byzantine,
-                        &mut rng,
-                    );
-                }
-                if self.config.crash_probability > 0.0 {
-                    plan = plan.with_independent_crashes(
-                        self.system.universe(),
-                        self.config.crash_probability,
-                        0.0,
-                        &mut rng,
-                    );
-                }
-                derived_plan = plan;
-                &derived_plan
-            }
-        };
-        let byz_behavior = match self.kind {
-            // Against self-verifying data the strongest undetectable attack
-            // is suppression / stale replay; against plain data it is a
-            // colluding forgery.
-            ProtocolKind::Dissemination => Behavior::ByzantineStale,
-            _ => Behavior::ByzantineForge,
-        };
-        cluster.corrupt_all(plan.byzantine.iter().copied(), byz_behavior);
-        // Servers whose first membership event is a join have not joined
-        // yet: they start dark and bootstrap through gossip when they do.
-        for absent in plan.initially_absent() {
-            cluster.set_behavior(absent, Behavior::Crashed);
-        }
-
-        // Workload, sharded over the key space.
-        let ops = WorkloadConfig {
-            duration: self.config.duration,
-            arrival_rate: self.config.arrival_rate,
-            read_fraction: self.config.read_fraction,
-            keyspace: self.config.keyspace,
-        }
-        .generate(&mut rng);
-
-        // The per-variable session table: one register client per key,
-        // instantiated lazily on the key's first operation.
-        let mut registry = KeyRegistry::new();
-        let signing_key = registry.register(1, self.config.seed ^ 0xabcdef);
-        let flavor = match self.kind {
-            ProtocolKind::Safe => RegisterFlavor::Safe,
-            ProtocolKind::Dissemination => RegisterFlavor::Dissemination {
-                key: signing_key,
-                registry: registry.clone(),
-            },
-            ProtocolKind::Masking { threshold } => RegisterFlavor::Masking { threshold },
-        };
-        let mut registers = RegisterMap::new(self.system, flavor, 1)
-            .with_probe_margin(self.config.probe_margin as usize);
-
-        // Seed the event queue: every arrival and every failure transition.
-        let mut engine = EventEngine::new();
-        for (i, op) in ops.iter().enumerate() {
-            engine.schedule(op.at, Event::OpArrival { op: i as OpId });
-        }
-        for transition in &plan.crashes {
-            engine.schedule(
-                transition.at,
-                Event::FailureTransition {
-                    server: transition.server,
-                    crash: transition.crash,
-                },
-            );
-        }
-        for membership in &plan.memberships {
-            engine.schedule(
-                membership.at,
-                Event::MembershipTransition {
-                    server: membership.server,
-                    join: membership.join,
-                },
-            );
-        }
-        // Membership churn recomputes the probe margin online against the
-        // ε budget; the present-server mask tracks the inputs.  Empty when
-        // the schedule is empty, so churn-free runs never touch the margin.
-        let universe_n = self.system.universe().size() as u64;
-        let min_quorum = self.system.min_quorum_size() as u64;
-        let mut present: Vec<bool> = Vec::new();
-        let mut present_count = 0u64;
-        if !plan.memberships.is_empty() {
-            present = vec![true; universe_n as usize];
-            for absent in plan.initially_absent() {
-                present[absent.index() as usize] = false;
-            }
-            present_count = present.iter().filter(|&&p| p).count() as u64;
-        }
-
-        // Write diffusion: gossip draws come from their own RNG stream so a
-        // diffusion run replays the diffusion-off foreground trajectory
-        // exactly; with `None` no gossip event is ever scheduled and the
-        // main stream is untouched.
-        let mut gossip_rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0x9e37_79b9_7f4a_7c15);
-        let gossip_signed = matches!(self.kind, ProtocolKind::Dissemination);
-        let mut pending_pushes: PendingSlab<diffusion::GossipPush> = PendingSlab::new();
-        let mut pending_digests: PendingSlab<diffusion::GossipDigest> = PendingSlab::new();
-        let mut pending_deltas: PendingSlab<diffusion::GossipDelta> = PendingSlab::new();
-        // One reused buffer per run bulk-schedules each gossip round's
-        // messages in ascending-time order (O(1) heap sifts; the stable
-        // sort keeps equal-time plan order, so pops are bit-identical to
-        // one-by-one scheduling).
-        let mut round_batch: Vec<(SimTime, Event)> = Vec::new();
-        if let Some(policy) = self.config.diffusion {
-            assert!(
-                policy.period > 0.0 && policy.period.is_finite(),
-                "diffusion period must be positive and finite"
-            );
-            assert!(policy.fanout >= 1, "diffusion fanout must be at least 1");
-            engine.schedule(policy.period, Event::GossipRound { round: 1 });
-        }
-
-        let mut states: Vec<OpState> = ops
-            .iter()
-            .map(|op| OpState {
-                kind: op.kind,
-                variable: op.variable,
-                start: op.at,
-                attempt: 0,
-                outstanding: 0,
-                done: false,
-                session: None,
-                sequence: 0,
-                window: None,
-            })
-            .collect();
-
-        let nvars = self.config.keyspace.keys as usize;
-        let mut report = SimReport {
-            per_variable: (0..nvars)
-                .map(|i| VariableReport {
-                    variable: i as VariableId,
-                    ..VariableReport::default()
-                })
-                .collect(),
-            // Sized to the widest partition window upfront so the
-            // per-component attribution in `finalize` can index directly.
-            per_component_stale_reads: vec![
-                0;
-                plan.partitions
-                    .iter()
-                    .map(|w| w.components as usize)
-                    .max()
-                    .unwrap_or(0)
-            ],
-            ..SimReport::default()
-        };
-        // Post-heal re-convergence accounting (no-op without partitions).
-        let mut heals = HealTracking::default();
-        // One write log and sequence counter per variable: staleness and
-        // write ordering are per-key properties.
-        let mut writes: Vec<WriteLog> = (0..nvars).map(|_| WriteLog::default()).collect();
-        let mut sequences: Vec<u64> = vec![0; nvars];
-        // Arrival time of the latest write per variable — foreground state
-        // only, so the recent-writes digest policy never touches any RNG
-        // stream.
-        let mut last_write_at: Vec<SimTime> = vec![f64::NEG_INFINITY; nvars];
-        // Rounds-to-coverage accounting, one tracker per variable.
-        let mut trackers: Vec<ConvergenceTracker> = vec![ConvergenceTracker::default(); nvars];
-        // Ops arrive in time order, so the first not-done entry bounds the
-        // earliest start any unfinished operation can have — the pruning
-        // horizon for the write logs.
-        let mut oldest_active: usize = 0;
-
-        while let Some((t, event)) = engine.next_event() {
-            match event {
-                Event::OpArrival { op } => {
-                    engine.op_started();
-                    let idx = op as usize;
-                    while oldest_active < states.len() && states[oldest_active].done {
-                        oldest_active += 1;
-                    }
-                    let horizon = states[oldest_active.min(idx)].start;
-                    let var = states[idx].variable as usize;
-                    writes[var].advance(horizon);
-                    if states[idx].kind == OpKind::Write {
-                        sequences[var] += 1;
-                        states[idx].sequence = sequences[var];
-                        last_write_at[var] = t;
-                        let handle = writes[var].open(t, sequences[var]);
-                        states[idx].window = Some(handle);
-                    }
-                    self.start_attempt(
-                        op,
-                        t,
-                        &mut states[idx],
-                        &mut registers,
-                        &mut cluster,
-                        &mut engine,
-                        &mut rng,
-                    );
-                }
-                Event::ProbeReply {
-                    op,
-                    attempt,
-                    server,
-                } => {
-                    let idx = op as usize;
-                    let fed = if plan.blocks_probe(t, states[idx].variable, server) {
-                        // The message never crossed the partition: no
-                        // server-side effect, and the client sees one more
-                        // silent server (exactly like a crashed replier).
-                        report.dropped_probes += 1;
-                        !states[idx].done && states[idx].attempt == attempt
-                    } else {
-                        // An adaptive sleeper answers exactly this probe as
-                        // a stale replier when its foreground predicate
-                        // fires; the behavior swap is scoped to the one
-                        // delivery, so the event flow (and every RNG
-                        // stream) matches the same-seed static run.
-                        let flip = !matches!(plan.strategy, ByzantineStrategy::Static)
-                            && cluster.server(server).behavior() == Behavior::Correct
-                            && strategy_fires(
-                                &plan.strategy,
-                                server,
-                                states[idx].variable,
-                                t,
-                                &sequences,
-                                &last_write_at,
-                            );
-                        if flip {
-                            cluster.set_behavior(server, Behavior::ByzantineStale);
-                            report.adaptive_activations += 1;
-                        }
-                        // The probe's server-side effect happens regardless
-                        // of whether the client still cares: the message
-                        // was sent.
-                        let fed =
-                            deliver_probe::<S>(&mut states[idx], server, &mut cluster, attempt);
-                        if flip {
-                            cluster.set_behavior(server, Behavior::Correct);
-                        }
-                        fed
-                    };
-                    if fed {
-                        let state = &mut states[idx];
-                        state.outstanding -= 1;
-                        let complete = match state.session.as_ref() {
-                            Some(OpSession::Read(s)) => s.is_complete(),
-                            Some(OpSession::Write(_, s)) => s.is_complete(),
-                            None => false,
-                        };
-                        if complete {
-                            self.finalize(t, &mut states[idx], &mut writes, &mut report);
-                            engine.op_finished();
-                        } else if states[idx].outstanding == 0 {
-                            self.end_attempt(
-                                op,
-                                t,
-                                &mut states[idx],
-                                &mut registers,
-                                &mut cluster,
-                                &mut engine,
-                                &mut rng,
-                                &mut writes,
-                                &mut report,
-                            );
-                        }
-                    }
-                }
-                Event::OpTimeout { op, attempt } => {
-                    let idx = op as usize;
-                    if !states[idx].done && states[idx].attempt == attempt {
-                        report.timed_out_attempts += 1;
-                        report.per_variable[states[idx].variable as usize].timed_out_attempts += 1;
-                        self.end_attempt(
-                            op,
-                            t,
-                            &mut states[idx],
-                            &mut registers,
-                            &mut cluster,
-                            &mut engine,
-                            &mut rng,
-                            &mut writes,
-                            &mut report,
-                        );
-                    }
-                }
-                Event::RetryAttempt { op, attempt } => {
-                    let idx = op as usize;
-                    // Stale retry events (the op finished meanwhile, or a
-                    // newer attempt superseded this one) are ignored.
-                    if !states[idx].done && states[idx].attempt == attempt {
-                        self.start_attempt(
-                            op,
-                            t,
-                            &mut states[idx],
-                            &mut registers,
-                            &mut cluster,
-                            &mut engine,
-                            &mut rng,
-                        );
-                    }
-                }
-                Event::FailureTransition { server, crash } => {
-                    let behavior = if crash {
-                        Behavior::Crashed
-                    } else {
-                        Behavior::Correct
-                    };
-                    cluster.set_behavior(server, behavior);
-                }
-                Event::MembershipTransition { server, join } => {
-                    report.membership_events += 1;
-                    let si = server.index() as usize;
-                    if join {
-                        cluster.join_server(server, self.config.keyspace.keys);
-                        if !present[si] {
-                            present[si] = true;
-                            present_count += 1;
-                        }
-                    } else {
-                        cluster.set_behavior(server, Behavior::Crashed);
-                        if present[si] {
-                            present[si] = false;
-                            present_count -= 1;
-                        }
-                    }
-                    // Recompute the quorum access parameters online against
-                    // the ε budget for the new cluster size.
-                    registers.set_probe_margin(churn_probe_margin(
-                        self.config.probe_margin as u64,
-                        universe_n,
-                        min_quorum,
-                        present_count,
-                    ));
-                }
-                Event::GossipRound { round } => {
-                    let policy = self
-                        .config
-                        .diffusion
-                        .expect("gossip rounds are only scheduled with a policy");
-                    // Plan the round and schedule its messages, each with
-                    // its own latency draw.  The full-push arm is the
-                    // pre-digest code path, RNG draw for draw.
-                    let (coverage, correct_servers) = match policy.mode {
-                        GossipMode::PushAll => {
-                            let round_plan = diffusion::plan_cluster_round(
-                                &cluster,
-                                policy.fanout as usize,
-                                gossip_signed,
-                                &mut gossip_rng,
-                            );
-                            for push in round_plan.pushes {
-                                let rtt = policy.push_latency.sample(&mut gossip_rng);
-                                let slot = pending_pushes.insert(push);
-                                round_batch.push((t + rtt, Event::GossipPush { push: slot }));
-                            }
-                            (round_plan.coverage, round_plan.correct_servers)
-                        }
-                        GossipMode::DigestDelta => {
-                            let selector = digest_selector(
-                                policy.key_policy,
-                                round,
-                                t,
-                                &sequences,
-                                &last_write_at,
-                            );
-                            let round_plan = diffusion::plan_digest(
-                                &cluster,
-                                policy.fanout as usize,
-                                gossip_signed,
-                                &selector,
-                                &mut gossip_rng,
-                            );
-                            for digest in round_plan.digests {
-                                let rtt = policy.push_latency.sample(&mut gossip_rng);
-                                let slot = pending_digests.insert(digest);
-                                round_batch.push((t + rtt, Event::GossipDigest { digest: slot }));
-                            }
-                            (round_plan.coverage, round_plan.correct_servers)
-                        }
-                    };
-                    engine.schedule_batch(&mut round_batch);
-                    report.gossip_rounds += 1;
-                    // Convergence accounting against the planner's coverage
-                    // snapshot: a fresher record restarts its variable's
-                    // clock; reaching the target closes it.
-                    let target = ((correct_servers as f64 * COVERAGE_TARGET).ceil() as u32).max(1);
-                    for cov in &coverage {
-                        let tracker = &mut trackers[cov.variable as usize];
-                        if cov.freshest > tracker.freshest {
-                            tracker.freshest = cov.freshest;
-                            tracker.birth_round = round;
-                            tracker.covered = false;
-                        }
-                        // The holder count only speaks for the tracked
-                        // generation if it is still the freshest one: when
-                        // every correct holder of a newer record crashes,
-                        // the snapshot regresses to an older timestamp
-                        // whose coverage must not close the newer clock.
-                        if !tracker.covered
-                            && cov.freshest == tracker.freshest
-                            && cov.holders >= target
-                        {
-                            tracker.covered = true;
-                            let pv = &mut report.per_variable[cov.variable as usize];
-                            pv.coverage_rounds_sum += round - tracker.birth_round;
-                            pv.coverage_events += 1;
-                        }
-                    }
-                    // Post-heal re-convergence accounting against the same
-                    // coverage snapshot (no-op without partition windows).
-                    heals.on_round(plan, t, round, &coverage, target, nvars);
-                    // Rounds stop with the foreground arrivals; in-flight
-                    // pushes still drain.
-                    if t + policy.period <= self.config.duration {
-                        engine.schedule(t + policy.period, Event::GossipRound { round: round + 1 });
-                    }
-                }
-                Event::GossipPush { push } => {
-                    if let Some(p) = pending_pushes.take(push) {
-                        // Partitions gate gossip at delivery time only, so
-                        // planning (and the gossip RNG stream) is untouched.
-                        if plan.blocks_link(t, p.from, p.to) {
-                            report.partition_blocked_gossip += 1;
-                            continue;
-                        }
-                        let var = p.variable as usize;
-                        report.gossip_pushes += 1;
-                        report.per_variable[var].gossip_pushes += 1;
-                        if diffusion::deliver(&mut cluster, &p) {
-                            report.gossip_stores += 1;
-                            report.per_variable[var].gossip_stores += 1;
-                        }
-                    }
-                }
-                Event::GossipDigest { digest } => {
-                    if let Some(d) = pending_digests.take(digest) {
-                        if plan.blocks_link(t, d.from, d.to) {
-                            report.partition_blocked_gossip += 1;
-                            continue;
-                        }
-                        let policy = self
-                            .config
-                            .diffusion
-                            .expect("gossip digests are only scheduled with a policy");
-                        report.gossip_digests += 1;
-                        // The receiver is evaluated now: crashed or
-                        // Byzantine receivers never answer.
-                        if let Some(diff) = diffusion::diff_digest(&cluster, &d) {
-                            for &var in &diff.avoided {
-                                report.gossip_redundant_pushes_avoided += 1;
-                                report.per_variable[var as usize]
-                                    .gossip_redundant_pushes_avoided += 1;
-                            }
-                            if !diff.delta.records.is_empty() {
-                                // The delta's latency draw stays *lazy*
-                                // (here, at digest delivery) — that is this
-                                // engine's pinned RNG draw order.
-                                let rtt = policy.push_latency.sample(&mut gossip_rng);
-                                let slot = pending_deltas.insert(diff.delta);
-                                engine.schedule(t + rtt, Event::GossipDelta { delta: slot });
-                            }
-                        }
-                    }
-                }
-                Event::GossipDelta { delta } => {
-                    if let Some(d) = pending_deltas.take(delta) {
-                        // Re-checked at delivery: the delta may cross a
-                        // window boundary its digest did not.
-                        if plan.blocks_link(t, d.from, d.to) {
-                            report.partition_blocked_gossip += 1;
-                            continue;
-                        }
-                        // Each delta record counts into the push volume, so
-                        // gossip_pushes compares across modes; the original
-                        // digest sender is evaluated at delivery time.
-                        for (var, record) in &d.records {
-                            let vi = *var as usize;
-                            report.gossip_pushes += 1;
-                            report.per_variable[vi].gossip_pushes += 1;
-                            report.per_variable[vi].gossip_delta_records += 1;
-                            if diffusion::deliver_record(&mut cluster, d.to, *var, record) {
-                                report.gossip_stores += 1;
-                                report.per_variable[vi].gossip_stores += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        heals.finish_into(&mut report);
-        report.events_processed = engine.events_processed();
-        report.max_in_flight = engine.max_in_flight();
-        report.mean_in_flight = engine.mean_in_flight();
-        report.per_server_accesses = cluster.access_counts().to_vec();
-        report.total_operations = cluster.total_accesses();
-        let total = run_start.elapsed().as_secs_f64();
-        (
-            report,
-            EngineStageTimings {
-                drain_seconds: total,
-                total_seconds: total,
-                ..EngineStageTimings::default()
-            },
-        )
+        crate::parallel::run(self)
     }
-
-    /// Samples a probe set, creates the attempt's session through the
-    /// per-variable register table, and schedules one probe-reply event per
-    /// probed server plus the attempt timeout.
-    #[allow(clippy::too_many_arguments)]
-    fn start_attempt(
-        &self,
-        op: OpId,
-        now: SimTime,
-        state: &mut OpState,
-        registers: &mut RegisterMap<'a, S>,
-        cluster: &mut Cluster,
-        engine: &mut EventEngine,
-        rng: &mut dyn RngCore,
-    ) {
-        cluster.note_operation();
-        let probe = registers.sample_probe_set(rng);
-        match state.kind {
-            OpKind::Write => {
-                // A retried write re-sends its original record under its
-                // original timestamp (it is the *same* logical write, aimed
-                // at a fresh probe set); only the first attempt issues a
-                // fresh record through the variable's timestamp chain.
-                let (record, session) = match state.session.take() {
-                    Some(OpSession::Write(record, old)) => {
-                        let session =
-                            WriteSession::new(old.timestamp(), probe.needed, probe.probed());
-                        (record, session)
-                    }
-                    _ => registers.begin_write(
-                        state.variable,
-                        Value::from_u64(state.sequence),
-                        probe.needed,
-                        probe.probed(),
-                    ),
-                };
-                state.session = Some(OpSession::Write(record, session));
-            }
-            OpKind::Read => {
-                state.session = Some(OpSession::Read(registers.begin_read(probe.needed)));
-            }
-        }
-        state.outstanding = probe.probed();
-        for &server in &probe.servers {
-            let rtt = self.config.latency.sample(rng);
-            engine.schedule(
-                now + rtt,
-                Event::ProbeReply {
-                    op,
-                    attempt: state.attempt,
-                    server,
-                },
-            );
-        }
-        engine.schedule(
-            now + self.config.op_timeout.max(0.0),
-            Event::OpTimeout {
-                op,
-                attempt: state.attempt,
-            },
-        );
-    }
-
-    /// The simulated-seconds delay before retry number `attempt` (1-based)
-    /// starts — see [`retry_delay`].
-    fn retry_delay(&self, attempt: u32) -> SimTime {
-        retry_delay(&self.config, attempt)
-    }
-
-    /// An attempt ran out of probes or timed out: condense partial replies,
-    /// retry on a fresh probe set (immediately or after the backoff delay),
-    /// or give up.
-    #[allow(clippy::too_many_arguments)]
-    fn end_attempt(
-        &self,
-        op: OpId,
-        now: SimTime,
-        state: &mut OpState,
-        registers: &mut RegisterMap<'a, S>,
-        cluster: &mut Cluster,
-        engine: &mut EventEngine,
-        rng: &mut dyn RngCore,
-        writes: &mut [WriteLog],
-        report: &mut SimReport,
-    ) {
-        let responders = match state.session.as_ref() {
-            Some(OpSession::Read(s)) => s.responders(),
-            Some(OpSession::Write(_, s)) => s.acks(),
-            None => 0,
-        };
-        if responders > 0 {
-            self.finalize(now, state, writes, report);
-            engine.op_finished();
-        } else if state.attempt < self.config.max_retries {
-            state.attempt += 1;
-            report.retries += 1;
-            report.per_variable[state.variable as usize].retries += 1;
-            let delay = self.retry_delay(state.attempt);
-            if delay > 0.0 {
-                engine.schedule(
-                    now + delay,
-                    Event::RetryAttempt {
-                        op,
-                        attempt: state.attempt,
-                    },
-                );
-            } else {
-                self.start_attempt(op, now, state, registers, cluster, engine, rng);
-            }
-        } else {
-            state.done = true;
-            engine.op_finished();
-            report.unavailable_ops += 1;
-            report.per_variable[state.variable as usize].unavailable_ops += 1;
-            if let Some(handle) = state.window {
-                writes[state.variable as usize].fail(handle, now);
-            }
-        }
-    }
-
-    /// A session gathered its replies (all `q`, or a non-empty partial set):
-    /// close the operation and account for it, in the aggregates and in the
-    /// variable's own breakdown.
-    fn finalize(
-        &self,
-        now: SimTime,
-        state: &mut OpState,
-        writes: &mut [WriteLog],
-        report: &mut SimReport,
-    ) {
-        state.done = true;
-        let latency = now - state.start;
-        let var = state.variable as usize;
-        match state.session.as_ref() {
-            Some(OpSession::Write(_, _)) => {
-                report.completed_writes += 1;
-                report.latency.record(latency);
-                report.write_latency.record(latency);
-                let pv = &mut report.per_variable[var];
-                pv.completed_writes += 1;
-                pv.latency.record(latency);
-                if let Some(handle) = state.window {
-                    writes[var].close(handle, now);
-                }
-            }
-            Some(OpSession::Read(session)) => {
-                let result = session
-                    .finish()
-                    .expect("finalize is only called with at least one responder");
-                // The replies are condensed: release the buffer now rather
-                // than at the end of the run.  A probe of this read still
-                // in flight finds no session and only counts its access.
-                state.session = None;
-                report.completed_reads += 1;
-                report.latency.record(latency);
-                report.read_latency.record(latency);
-                let pv = &mut report.per_variable[var];
-                pv.completed_reads += 1;
-                pv.latency.record(latency);
-                let read_start = state.start;
-                let read_end = now;
-                if writes[var].concurrent_with(read_start, read_end) {
-                    report.concurrent_reads += 1;
-                    report.per_variable[var].concurrent_reads += 1;
-                } else {
-                    // The freshest write of this variable completed before
-                    // this read started is the expected result.
-                    let expected = writes[var].latest_completed_before(read_start);
-                    match (expected, result) {
-                        (None, _) => {
-                            report.unwritten_reads += 1;
-                            report.per_variable[var].unwritten_reads += 1;
-                        }
-                        (Some(seq), Some(tv)) => {
-                            let got = tv.value.as_u64().unwrap_or(0);
-                            if got < seq {
-                                report.stale_reads += 1;
-                                report.per_variable[var].stale_reads += 1;
-                                self.note_component_staleness(now, var, report);
-                            }
-                        }
-                        (Some(_), None) => {
-                            report.empty_reads += 1;
-                            report.per_variable[var].empty_reads += 1;
-                            self.note_component_staleness(now, var, report);
-                        }
-                    }
-                }
-            }
-            None => unreachable!("finalized operation must have a session"),
-        }
-    }
-
-    /// Attributes one stale/empty read finalized inside an active partition
-    /// window to its client's component (`variable % components`), so
-    /// reports break consistency loss down by partition side.  A no-op
-    /// outside partition windows (and for derived plans, which never carry
-    /// partitions).
-    fn note_component_staleness(&self, now: SimTime, var: usize, report: &mut SimReport) {
-        let Some(plan) = self.plan.as_ref() else {
-            return;
-        };
-        let Some(window) = plan.active_partition(now) else {
-            return;
-        };
-        report.per_component_stale_reads[(var as u64 % window.components as u64) as usize] += 1;
-    }
-}
-
-/// Applies one probe's server-side effect and, if the client still cares
-/// about this attempt, feeds the reply into the session.  Returns whether
-/// the session consumed the probe.  Shared verbatim between the sequential
-/// engine above and the sharded engine (`crate::shard`), so the two can
-/// never drift in per-probe semantics.
-pub(crate) fn deliver_probe<S: QuorumSystem + ?Sized>(
-    state: &mut OpState,
-    server: ServerId,
-    cluster: &mut Cluster,
-    attempt: u32,
-) -> bool {
-    let live = !state.done && state.attempt == attempt;
-    let variable = state.variable;
-    match state.session.as_mut() {
-        Some(OpSession::Write(record, session)) => {
-            let acked = RegisterMap::<S>::apply_write(cluster, server, variable, record);
-            if live {
-                session.on_ack(acked);
-            }
-            live
-        }
-        Some(OpSession::Read(session)) => {
-            // A `None` probe result is a resolved-but-silent server
-            // (crashed): the attempt's outstanding count still drops.
-            if session.wants_signed() {
-                if let Some(sv) = cluster.probe_read_signed(server, variable) {
-                    if live {
-                        session.on_signed_reply(server, sv);
-                    }
-                }
-            } else if let Some(tv) = cluster.probe_read_plain(server, variable) {
-                if live {
-                    session.on_plain_reply(server, tv);
-                }
-            }
-            live
-        }
-        // A read `finalize` already released: the reply would have been
-        // dropped, so all that is left of the probe is the server's load.
-        None => {
-            cluster.note_access(server);
-            false
-        }
-    }
-}
-
-/// The simulated-seconds delay before retry number `attempt` (1-based)
-/// starts: `retry_backoff · op_timeout · 2^(attempt−1)`, 0 with the
-/// default immediate-retry policy.  Shared between both engines.
-pub(crate) fn retry_delay(config: &SimConfig, attempt: u32) -> SimTime {
-    if config.retry_backoff <= 0.0 {
-        return 0.0;
-    }
-    let doublings = attempt.saturating_sub(1).min(62);
-    config.retry_backoff * config.op_timeout.max(0.0) * (1u64 << doublings) as f64
 }
 
 /// Convenience helper: run the same configuration against several systems
@@ -2239,116 +1071,6 @@ mod tests {
     }
 
     #[test]
-    fn finalize_releases_a_read_session_and_keeps_a_write_record() {
-        let sys = EpsilonIntersecting::new(20, 5).unwrap();
-        let sim = Simulation::new(&sys, ProtocolKind::Safe, quick_config(3));
-        let mut cluster = Cluster::new(sys.universe());
-        let mut registers = RegisterMap::new(&sys, RegisterFlavor::Safe, 1);
-        let mut engine = EventEngine::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut writes = vec![WriteLog::default()];
-        let mut report = SimReport {
-            per_variable: vec![VariableReport::default()],
-            ..SimReport::default()
-        };
-        let state = |kind, sequence| OpState {
-            kind,
-            variable: 0,
-            start: 0.0,
-            attempt: 0,
-            outstanding: 0,
-            done: false,
-            session: None,
-            sequence,
-            window: None,
-        };
-        let (near, far) = (ServerId::new(3), ServerId::new(17));
-
-        // A retried write is the same logical write: same record, same
-        // timestamp, a fresh acknowledgement count.
-        let mut write = state(OpKind::Write, 1);
-        sim.start_attempt(
-            0,
-            0.0,
-            &mut write,
-            &mut registers,
-            &mut cluster,
-            &mut engine,
-            &mut rng,
-        );
-        let Some(OpSession::Write(first, _)) = &write.session else {
-            panic!("a started write holds a write session");
-        };
-        let first = first.clone();
-        write.attempt += 1;
-        sim.start_attempt(
-            0,
-            0.1,
-            &mut write,
-            &mut registers,
-            &mut cluster,
-            &mut engine,
-            &mut rng,
-        );
-        let Some(OpSession::Write(resent, session)) = &write.session else {
-            panic!("a retried write holds a write session");
-        };
-        assert_eq!(*resent, first, "the retry re-sends the original record");
-        assert_eq!(session.timestamp(), first.timestamp());
-        assert_eq!(session.acks(), 0);
-        // Finalizing the write keeps its session: a probe still in flight
-        // delivers the record to its server.
-        assert!(deliver_probe::<EpsilonIntersecting>(
-            &mut write,
-            near,
-            &mut cluster,
-            1
-        ));
-        sim.finalize(0.2, &mut write, &mut writes, &mut report);
-        assert!(write.done && write.session.is_some());
-        assert!(!deliver_probe::<EpsilonIntersecting>(
-            &mut write,
-            far,
-            &mut cluster,
-            1
-        ));
-        assert_eq!(
-            cluster.server(far).stored_plain_timestamp(0),
-            first.timestamp()
-        );
-
-        // Finalizing a read releases its session; a probe still in flight
-        // counts its server access and nothing else.
-        let mut read = state(OpKind::Read, 0);
-        sim.start_attempt(
-            1,
-            0.3,
-            &mut read,
-            &mut registers,
-            &mut cluster,
-            &mut engine,
-            &mut rng,
-        );
-        assert!(deliver_probe::<EpsilonIntersecting>(
-            &mut read,
-            near,
-            &mut cluster,
-            0
-        ));
-        sim.finalize(0.4, &mut read, &mut writes, &mut report);
-        assert!(read.done && read.session.is_none());
-        assert_eq!((report.completed_writes, report.completed_reads), (1, 1));
-        let before = cluster.access_counts()[far.as_usize()];
-        assert!(!deliver_probe::<EpsilonIntersecting>(
-            &mut read,
-            far,
-            &mut cluster,
-            0
-        ));
-        assert_eq!(cluster.access_counts()[far.as_usize()], before + 1);
-    }
-
-    #[test]
     fn retry_backoff_delays_resamples_through_an_outage() {
         // All servers down from t=10 to t=30. Immediate retries burn every
         // attempt inside the outage and the op dies; backed-off retries
@@ -2569,7 +1291,9 @@ mod tests {
 
     #[test]
     fn digest_selector_resolves_policies_from_foreground_state() {
+        use crate::parallel::digest_selector;
         use pqs_protocols::diffusion::KeySelector;
+        use std::collections::BTreeSet;
         let writes = [5u64, 0, 9, 2];
         let last = [10.0, f64::NEG_INFINITY, 11.8, 4.0];
         assert_eq!(

@@ -451,7 +451,7 @@ impl<E> EventQueue<E> {
 
     /// Time of the earliest pending event without popping it.
     ///
-    /// The sharded engine drains each shard queue up to a window barrier;
+    /// The engine drains each shard queue up to a window barrier;
     /// peeking lets the drain loop stop without disturbing the queue.
     /// (Takes `&mut self`: the calendar backend may rotate the earliest
     /// day into its serve buffer — observable state is untouched.)
@@ -464,7 +464,10 @@ impl<E> EventQueue<E> {
 
     /// Drains `batch` into the queue after **stably** sorting it by time.
     ///
-    /// This is how a gossip round's messages are bulk-scheduled: inserting
+    /// This is how to bulk-schedule one round's worth of same-typed
+    /// messages (no caller inside this library any more: a world routes
+    /// its round batch by payload type through `schedule`; the repo
+    /// benchmark and the queue tests drive this entry point).  Inserting
     /// in ascending time order appends to the tail of each calendar day
     /// (and turns a heap backend's pushes into O(1) sifts).  Determinism
     /// is preserved exactly — pops are ordered by `(time, insertion

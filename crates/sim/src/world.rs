@@ -1,38 +1,39 @@
-//! One shard of the parallel engine: a self-contained event world for the
-//! variables it owns.
+//! One world of the engine: a self-contained event loop for the variables
+//! it owns, and the **only** copy of the arrival / probe-reply / timeout /
+//! retry / membership / partition-gating / gossip-delivery / finalize
+//! logic.
 //!
-//! The sharded engine (see [`crate::parallel`]) partitions the key space by
-//! `variable % num_shards`.  Each [`ShardWorld`] owns a full event queue, a
+//! The engine (see [`crate::parallel`]) partitions the key space by
+//! `variable % num_shards`; one shard is simply the layout in which a
+//! single world owns every key.  Each [`World`] owns a full event queue, a
 //! full replica-cluster copy and the per-key client state for its
 //! variables, and drains independently between spine barriers — no locks,
 //! no channels, no shared mutable state.  Per-variable events (arrivals,
-//! probe replies, timeouts, retries) never leave their shard; cross-shard
+//! probe replies, timeouts, retries) never leave their world; cross-world
 //! traffic (gossip messages, crash waves) is injected by the spine.
 //!
 //! Every variable draws all of its randomness (probe sets, probe
 //! latencies) from its **own** ChaCha8 stream seeded by
 //! [`key_stream_seed`], so a variable's trajectory is a function of the
 //! seed and its own event history alone — the property that makes the
-//! merged report bit-identical across all shard counts ≥ 2 and all thread
+//! merged report bit-identical across all shard counts and all thread
 //! counts.
 
 use crate::event::{Event, OpId, PendingSlab};
 use crate::failure::{ByzantineStrategy, FailurePlan};
-use crate::metrics::VariableReport;
-use crate::metrics::{CompletionRecord, FlightTransition, ShardAccumulator, SimReport};
-use crate::runner::{
-    churn_probe_margin, deliver_probe, retry_delay, strategy_fires, OpSession, OpState,
-    ProtocolKind, SimConfig, Simulation, WriteLog,
-};
+use crate::metrics::{OpOutcome, OpRecord, ShardAccumulator, SimReport, VariableReport};
+use crate::runner::{ProtocolKind, SimConfig, Simulation};
+use crate::staleness::WriteLog;
 use crate::time::{EventQueue, SimTime};
 use crate::workload::{OpKind, Operation};
 use pqs_core::system::QuorumSystem;
 use pqs_core::universe::ServerId;
+use pqs_math::plan::{smallest_u64_where, timeout_probability, tolerance};
 use pqs_protocols::cluster::Cluster;
 use pqs_protocols::crypto::KeyRegistry;
 use pqs_protocols::diffusion;
-use pqs_protocols::register::session::WriteSession;
-use pqs_protocols::register::{RegisterFlavor, RegisterMap};
+use pqs_protocols::register::session::{ReadSession, WriteSession};
+use pqs_protocols::register::{RegisterFlavor, RegisterMap, WriteRecord};
 use pqs_protocols::server::{Behavior, VariableId};
 use pqs_protocols::value::Value;
 use rand::SeedableRng;
@@ -43,11 +44,88 @@ use std::collections::BTreeSet;
 /// the run seed and the variable id, so neighbouring variables get
 /// statistically independent streams and the mapping is stable across
 /// shard counts (it depends on the *variable*, never on the shard).
-pub(crate) fn key_stream_seed(seed: u64, var: VariableId) -> u64 {
+fn key_stream_seed(seed: u64, var: VariableId) -> u64 {
     let mut z = seed ^ var.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// What one in-flight operation sends to servers and how it tracks replies.
+/// The write record is plain or signed according to the protocol flavor
+/// ([`WriteRecord`]), so one variant covers all three protocols.
+#[derive(Debug)]
+enum OpSession {
+    Read(ReadSession),
+    Write(WriteRecord, WriteSession),
+}
+
+/// Book-keeping for one client operation across its attempts (its arrival
+/// time is in its [`OpRecord`]).
+#[derive(Debug)]
+struct OpState {
+    kind: OpKind,
+    /// The key the operation targets.
+    variable: VariableId,
+    attempt: u32,
+    outstanding: usize,
+    done: bool,
+    /// The current attempt's session.  `finalize` releases a read's (its
+    /// reply buffer is dead weight once condensed); a write's stays, since
+    /// its record is what late probes and retries still deliver.
+    session: Option<OpSession>,
+    /// The value a write pushes: its variable's write sequence number,
+    /// assigned at arrival (reads leave it 0).
+    sequence: u64,
+    /// Handle into the variable's write log (writes only).
+    window: Option<usize>,
+}
+
+/// Online quorum-parameter recompute for membership churn: the smallest
+/// probe margin at (or above) the configured one that keeps the
+/// hypergeometric timeout probability within the planner's ε budget
+/// ([`tolerance::TIMEOUT_BUDGET`]) for the current count of present
+/// servers.  Falls back to probing everything beyond the quorum when no
+/// margin satisfies the budget.  Pure arithmetic — every world calls it
+/// with identical inputs at identical simulated times, so churn runs stay
+/// deterministic.
+fn churn_probe_margin(base_margin: u64, n: u64, quorum: u64, present: u64) -> usize {
+    let hi = n.saturating_sub(quorum);
+    let lo = base_margin.min(hi);
+    smallest_u64_where(lo, hi, |m| {
+        timeout_probability(n, present, quorum, m) <= tolerance::TIMEOUT_BUDGET
+    })
+    .unwrap_or(hi) as usize
+}
+
+/// Whether an adaptive-adversary sleeper fires for this probe: evaluated at
+/// probe-reply time from **foreground-only** statistics (per-variable write
+/// sequence counters and last-write arrival times — the same state the
+/// digest policies read), so the decision never touches any RNG stream and
+/// diffusion-off replay invariants survive.  A firing sleeper answers this
+/// one probe as [`Behavior::ByzantineStale`] (ack-without-storing, stale
+/// replies) — the strongest *undetectable* deviation, and one that leaves
+/// the event flow of the same-seed static run untouched.
+fn strategy_fires(
+    strategy: &ByzantineStrategy,
+    server: ServerId,
+    variable: VariableId,
+    now: SimTime,
+    sequences: &[u64],
+    last_write_at: &[SimTime],
+) -> bool {
+    match strategy {
+        ByzantineStrategy::Static => false,
+        ByzantineStrategy::HotKeyTargeting {
+            sleepers,
+            min_writes,
+        } => sequences[variable as usize] >= *min_writes && sleepers.contains(&server),
+        ByzantineStrategy::StaleSigned { sleepers, window } => {
+            sequences[variable as usize] > 0
+                && now - last_write_at[variable as usize] <= *window
+                && sleepers.contains(&server)
+        }
+    }
 }
 
 /// A digest injected by the spine, waiting for its delivery event: the
@@ -80,7 +158,7 @@ pub(crate) struct QueuedPush {
 
 /// One gossip round's cross-shard traffic bound for a single shard,
 /// accumulated by the spine during planning and bulk-scheduled by
-/// [`ShardWorld::schedule_round_batch`].  The buffers are drained each
+/// [`World::schedule_round_batch`].  The buffers are drained each
 /// round and keep their capacity, so steady-state routing allocates
 /// nothing.
 #[derive(Debug, Default)]
@@ -92,9 +170,9 @@ pub(crate) struct RoundBatch {
     pub(crate) digests: Vec<(SimTime, u64, diffusion::GossipDigest, SimTime)>,
 }
 
-/// One shard's complete simulation state.
+/// One world's complete simulation state.
 #[derive(Debug)]
-pub(crate) struct ShardWorld<'a, S: QuorumSystem + ?Sized> {
+pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
     config: SimConfig,
     queue: EventQueue<Event>,
     /// The shard's replica-cluster copy.  Per-key server records live only
@@ -103,8 +181,9 @@ pub(crate) struct ShardWorld<'a, S: QuorumSystem + ?Sized> {
     pub(crate) cluster: Cluster,
     registers: RegisterMap<'a, S>,
     /// Compact op table: one entry per *owned* op, in arrival order.  A
-    /// shard never inspects other shards' op states, so a full-size table
+    /// world never inspects other worlds' op states, so a full-size table
     /// would cost `num_shards×` the memory and cold-page time for nothing.
+    /// `acc.ops` runs parallel to it (same index).
     states: Vec<OpState>,
     /// Global op id → index into `states` (meaningful for owned ops only).
     local: Vec<OpId>,
@@ -125,8 +204,7 @@ pub(crate) struct ShardWorld<'a, S: QuorumSystem + ?Sized> {
     pending_deltas: PendingSlab<(u64, diffusion::GossipDelta)>,
     /// Global ids of digests this shard answered with a non-empty delta;
     /// the spine counts the union as delta *events* (a digest's delta is
-    /// one message in the sequential engine, however many shards
-    /// contribute records to it).
+    /// one message, however many shards contribute records to it).
     pub(crate) deltas_sent: BTreeSet<u64>,
     /// Global ids of deltas whose delivery a partition window blocked;
     /// the spine counts the union once per id (a blocked delta is one
@@ -152,29 +230,32 @@ pub(crate) struct ShardWorld<'a, S: QuorumSystem + ?Sized> {
     /// probe to a crashed server changes nothing) but store-if-fresher is
     /// monotone, so re-syncing an unchanged record is a no-op and the
     /// incremental spine sync stays bit-identical to a full resync.
-    dirty: Vec<(u32, VariableId)>,
+    ///
+    /// `Some` only while a spine exists to read and clear it: `None`
+    /// without diffusion, and again after the last barrier
+    /// ([`World::end_sync`]) — nothing would ever drain the list then.
+    dirty: Option<Vec<(u32, VariableId)>>,
     oldest_active: usize,
 }
 
-impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
-    /// Builds shard `shard` of `sim`: seeds owned arrivals (in op order)
-    /// and the full crash schedule, and derives the per-variable RNG
-    /// streams from the run seed.
+impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
+    /// Builds shard `shard` of `num_shards` of `sim`: seeds owned arrivals
+    /// (in op order) and the full crash schedule, and derives the
+    /// per-variable RNG streams from the run seed.
     pub(crate) fn new(
         sim: &Simulation<'a, S>,
         ops: &[Operation],
         plan: &FailurePlan,
         byz_behavior: Behavior,
         shard: u64,
+        num_shards: u64,
     ) -> Self {
         let config = sim.config;
-        let num_shards = config.num_shards as u64;
         let mut cluster = Cluster::new(sim.system.universe());
         cluster.reserve_variables(config.keyspace.keys);
         cluster.corrupt_all(plan.byzantine.iter().copied(), byz_behavior);
-        // Servers whose first membership event is a join start dark and
-        // bootstrap through gossip when they do (same as the sequential
-        // engine's setup).
+        // Servers whose first membership event is a join have not joined
+        // yet: they start dark and bootstrap through gossip when they do.
         for absent in plan.initially_absent() {
             cluster.set_behavior(absent, Behavior::Crashed);
         }
@@ -194,15 +275,25 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
 
         let mut queue = EventQueue::new();
         let mut local = vec![0 as OpId; ops.len()];
-        let mut states = Vec::new();
+        let owned = ops
+            .iter()
+            .filter(|op| op.variable % num_shards == shard)
+            .count();
+        let mut states = Vec::with_capacity(owned);
+        let mut records = Vec::with_capacity(owned);
         for (i, op) in ops.iter().enumerate() {
             if op.variable % num_shards == shard {
                 local[i] = states.len() as OpId;
                 queue.schedule(op.at, Event::OpArrival { op: i as OpId });
+                records.push(OpRecord {
+                    op: i as OpId,
+                    start: op.at,
+                    end: op.at,
+                    outcome: OpOutcome::Pending,
+                });
                 states.push(OpState {
                     kind: op.kind,
                     variable: op.variable,
-                    start: op.at,
                     attempt: 0,
                     outstanding: 0,
                     done: false,
@@ -263,7 +354,7 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
             ],
             ..SimReport::default()
         };
-        ShardWorld {
+        World {
             config,
             queue,
             cluster,
@@ -278,7 +369,8 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
                 .collect(),
             acc: ShardAccumulator {
                 report,
-                ..ShardAccumulator::default()
+                ops: records,
+                logical_events: 0,
             },
             pending_pushes: PendingSlab::new(),
             pending_digests: PendingSlab::new(),
@@ -294,7 +386,7 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
             present_count,
             universe_n,
             min_quorum,
-            dirty: Vec::new(),
+            dirty: config.diffusion.map(|_| Vec::new()),
             oldest_active: 0,
         }
     }
@@ -302,9 +394,9 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
     /// Drains this shard's queue up to (strictly before) `barrier`, or
     /// completely with `None`.  Events *at* the barrier belong to the next
     /// window: the spine's own work at a barrier time (crash application,
-    /// round planning) happens before them, matching the sequential
-    /// engine's FIFO order in which upfront-seeded transitions and round
-    /// events precede same-time foreground events scheduled later.
+    /// round planning) happens before them — a round precedes the
+    /// same-time foreground events, like the upfront-seeded transitions
+    /// that the queue's FIFO tie-break pops first.
     pub(crate) fn drain_until(&mut self, barrier: Option<SimTime>) {
         while let Some(next) = self.queue.peek_time() {
             if let Some(b) = barrier {
@@ -320,7 +412,7 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
     /// Bulk-schedules one spine-planned round of cross-shard gossip:
     /// payloads go into the pending slabs and delivery events are inserted
     /// in ascending-time order (an O(1) append each, whichever queue
-    /// backend serves), replacing the old one-call-per-message injection.
+    /// backend serves).
     ///
     /// Determinism: the queue pops by `(time, insertion sequence)` and the
     /// sort is **stable**, so equal-time messages keep their plan order —
@@ -359,9 +451,13 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
     /// at every barrier and the property suite exercises under random
     /// interleavings.
     pub(crate) fn sync_dirty_into(&mut self, spine: &mut Cluster, signed: bool) {
-        self.dirty.sort_unstable();
-        self.dirty.dedup();
-        for &(server, var) in &self.dirty {
+        let dirty = self
+            .dirty
+            .as_mut()
+            .expect("the spine syncs only between the first and the last barrier");
+        dirty.sort_unstable();
+        dirty.dedup();
+        for &(server, var) in dirty.iter() {
             let id = ServerId::new(server);
             // Marking is conservative, so most pairs hold nothing newer
             // than the spine does: the merge compares before it copies.
@@ -374,32 +470,43 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
                 spine.server_mut(id).merge_plain(var, record);
             }
         }
-        self.dirty.clear();
+        dirty.clear();
+    }
+
+    /// The spine has passed its last barrier and will not sync again: stop
+    /// marking and release the list, which nothing would drain any more.
+    pub(crate) fn end_sync(&mut self) {
+        self.dirty = None;
+    }
+
+    /// Marks `(server, var)` as possibly changed since the last barrier,
+    /// while a spine exists to read the mark.
+    fn mark_dirty(&mut self, server: ServerId, var: VariableId) {
+        if let Some(dirty) = &mut self.dirty {
+            dirty.push((server.index(), var));
+        }
     }
 
     /// Finishes the shard: stamps the cluster-side tallies into the report
     /// and releases the accumulator for merging.
     pub(crate) fn into_accumulator(mut self) -> ShardAccumulator {
+        debug_assert!(
+            self.dirty.is_none(),
+            "a finished world still marks dirty pairs nobody will read"
+        );
         self.acc.report.per_server_accesses = self.cluster.access_counts().to_vec();
         self.acc.report.total_operations = self.cluster.total_accesses();
         self.acc
     }
 
-    /// Processes one event — the sequential engine's match arms, verbatim
-    /// in per-probe/per-session semantics (the probe and retry helpers are
-    /// literally shared), with two sharding differences: randomness comes
-    /// from the event's variable's own stream, and round planning lives on
-    /// the spine (a [`Event::GossipRound`] can never appear here).
+    /// Processes one event.  Randomness comes from the event's variable's
+    /// own stream; round planning lives on the spine, which injects the
+    /// gossip deliveries handled here.
     fn handle(&mut self, t: SimTime, event: Event) {
         match event {
             Event::OpArrival { op } => {
                 self.acc.logical_events += 1;
                 let idx = self.local[op as usize] as usize;
-                self.acc.transitions.push(FlightTransition {
-                    time: t,
-                    op,
-                    start: true,
-                });
                 // The compact table holds owned ops in arrival order, so
                 // the first not-done entry bounds the earliest start of
                 // any unfinished op this shard's write logs care about
@@ -409,7 +516,7 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
                 {
                     self.oldest_active += 1;
                 }
-                let horizon = self.states[self.oldest_active.min(idx)].start;
+                let horizon = self.acc.ops[self.oldest_active.min(idx)].start;
                 let var = self.states[idx].variable as usize;
                 self.writes[var].advance(horizon);
                 if self.states[idx].kind == OpKind::Write {
@@ -441,7 +548,7 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
                         // freshen this record; non-correct receivers store
                         // nothing, but the over-mark is harmless — see
                         // `dirty`.
-                        self.dirty.push((server.index(), self.states[idx].variable));
+                        self.mark_dirty(server, self.states[idx].variable);
                     }
                     // An adaptive sleeper answers exactly this probe as a
                     // stale replier when its foreground predicate fires —
@@ -482,11 +589,6 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
                     };
                     if complete {
                         self.finalize(op, t);
-                        self.acc.transitions.push(FlightTransition {
-                            time: t,
-                            op,
-                            start: false,
-                        });
                     } else if self.states[idx].outstanding == 0 {
                         self.end_attempt(op, t);
                     }
@@ -547,9 +649,6 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
                     self.present_count,
                 ));
             }
-            Event::GossipRound { .. } => {
-                unreachable!("the sharded engine plans gossip rounds on the spine")
-            }
             Event::GossipPush { push } => {
                 let queued = self.pending_pushes.take(push);
                 #[cfg(debug_assertions)]
@@ -589,7 +688,7 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
                     if diffusion::deliver(&mut self.cluster, &p) {
                         self.acc.report.gossip_stores += 1;
                         self.acc.report.per_variable[var].gossip_stores += 1;
-                        self.dirty.push((p.to.index(), p.variable));
+                        self.mark_dirty(p.to, p.variable);
                     }
                 }
             }
@@ -632,7 +731,7 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
                         if diffusion::deliver_record(&mut self.cluster, d.to, *var, record) {
                             self.acc.report.gossip_stores += 1;
                             self.acc.report.per_variable[vi].gossip_stores += 1;
-                            self.dirty.push((d.to.index(), *var));
+                            self.mark_dirty(d.to, *var);
                         }
                     }
                 }
@@ -640,8 +739,10 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
         }
     }
 
-    /// [`Simulation::start_attempt`]'s sharded twin: identical session and
-    /// scheduling logic, drawing from the operation's variable's stream.
+    /// Samples a probe set from the operation's variable's stream, creates
+    /// the attempt's session through the per-variable register table, and
+    /// schedules one probe-reply event per probed server plus the attempt
+    /// timeout.
     fn start_attempt(&mut self, op: OpId, now: SimTime) {
         self.cluster.note_operation();
         let state = &mut self.states[self.local[op as usize] as usize];
@@ -649,6 +750,10 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
         let probe = self.registers.sample_probe_set(rng);
         match state.kind {
             OpKind::Write => {
+                // A retried write re-sends its original record under its
+                // original timestamp (it is the *same* logical write, aimed
+                // at a fresh probe set); only the first attempt issues a
+                // fresh record through the variable's timestamp chain.
                 let (record, session) = match state.session.take() {
                     Some(OpSession::Write(record, old)) => {
                         let session =
@@ -689,7 +794,9 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
         );
     }
 
-    /// [`Simulation::end_attempt`]'s sharded twin.
+    /// An attempt ran out of probes or timed out: condense partial replies,
+    /// retry on a fresh probe set (immediately or after the backoff delay),
+    /// or give up.
     fn end_attempt(&mut self, op: OpId, now: SimTime) {
         let idx = self.local[op as usize] as usize;
         let responders = match self.states[idx].session.as_ref() {
@@ -699,11 +806,6 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
         };
         if responders > 0 {
             self.finalize(op, now);
-            self.acc.transitions.push(FlightTransition {
-                time: now,
-                op,
-                start: false,
-            });
         } else if self.states[idx].attempt < self.config.max_retries {
             self.states[idx].attempt += 1;
             let attempt = self.states[idx].attempt;
@@ -720,11 +822,7 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
         } else {
             let var = self.states[idx].variable as usize;
             self.states[idx].done = true;
-            self.acc.transitions.push(FlightTransition {
-                time: now,
-                op,
-                start: false,
-            });
+            self.acc.ops[idx].finish(now, OpOutcome::Unavailable);
             self.acc.report.unavailable_ops += 1;
             self.acc.report.per_variable[var].unavailable_ops += 1;
             if let Some(handle) = self.states[idx].window {
@@ -733,25 +831,22 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
         }
     }
 
-    /// [`Simulation::finalize`]'s sharded twin: the order-sensitive
-    /// aggregate latencies go into the completion log (replayed canonically
-    /// by the merge); per-variable stats record directly, their order being
+    /// A session gathered its replies (all `q`, or a non-empty partial set):
+    /// close the operation and account for it.  The order-sensitive
+    /// aggregate latencies are left to the merge, which replays the op log
+    /// canonically; per-variable stats record directly, their order being
     /// the variable's own completion order regardless of sharding.
     fn finalize(&mut self, op: OpId, now: SimTime) {
         let idx = self.local[op as usize] as usize;
         let state = &mut self.states[idx];
         state.done = true;
-        let latency = now - state.start;
+        let read_start = self.acc.ops[idx].start;
+        let latency = now - read_start;
         let var = state.variable as usize;
         match state.session.as_ref() {
             Some(OpSession::Write(_, _)) => {
                 self.acc.report.completed_writes += 1;
-                self.acc.completions.push(CompletionRecord {
-                    time: now,
-                    op,
-                    read: false,
-                    latency,
-                });
+                self.acc.ops[idx].finish(now, OpOutcome::Write);
                 let pv = &mut self.acc.report.per_variable[var];
                 pv.completed_writes += 1;
                 pv.latency.record(latency);
@@ -763,24 +858,22 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
                 let result = session
                     .finish()
                     .expect("finalize is only called with at least one responder");
-                // Released on completion, as in the sequential engine.
+                // The replies are condensed: release the buffer now rather
+                // than at the end of the run.  A probe of this read still
+                // in flight finds no session and only counts its access.
                 state.session = None;
                 self.acc.report.completed_reads += 1;
-                self.acc.completions.push(CompletionRecord {
-                    time: now,
-                    op,
-                    read: true,
-                    latency,
-                });
+                self.acc.ops[idx].finish(now, OpOutcome::Read);
                 let pv = &mut self.acc.report.per_variable[var];
                 pv.completed_reads += 1;
                 pv.latency.record(latency);
-                let read_start = state.start;
                 let read_end = now;
                 if self.writes[var].concurrent_with(read_start, read_end) {
                     self.acc.report.concurrent_reads += 1;
                     self.acc.report.per_variable[var].concurrent_reads += 1;
                 } else {
+                    // The freshest write of this variable completed before
+                    // this read started is the expected result.
                     let expected = self.writes[var].latest_completed_before(read_start);
                     match (expected, result) {
                         (None, _) => {
@@ -813,10 +906,11 @@ impl<'a, S: QuorumSystem + ?Sized> ShardWorld<'a, S> {
     }
 }
 
-/// The sequential engine's per-component staleness attribution, as a free
-/// function so the shard's `finalize` can call it while its op state is
-/// borrowed: a stale/empty read finalized inside an active partition window
-/// counts against its client's component (`variable % components`).
+/// Attributes one stale/empty read finalized inside an active partition
+/// window to its client's component (`variable % components`), so reports
+/// break consistency loss down by partition side; a no-op outside partition
+/// windows.  A free function so `finalize` can call it while its op state
+/// is borrowed.
 fn note_component_staleness(plan: &FailurePlan, now: SimTime, var: usize, report: &mut SimReport) {
     let Some(window) = plan.active_partition(now) else {
         return;
@@ -824,9 +918,92 @@ fn note_component_staleness(plan: &FailurePlan, now: SimTime, var: usize, report
     report.per_component_stale_reads[(var as u64 % window.components as u64) as usize] += 1;
 }
 
+/// Applies one probe's server-side effect and, if the client still cares
+/// about this attempt, feeds the reply into the session.  Returns whether
+/// the session consumed the probe.
+fn deliver_probe<S: QuorumSystem + ?Sized>(
+    state: &mut OpState,
+    server: ServerId,
+    cluster: &mut Cluster,
+    attempt: u32,
+) -> bool {
+    let live = !state.done && state.attempt == attempt;
+    let variable = state.variable;
+    match state.session.as_mut() {
+        Some(OpSession::Write(record, session)) => {
+            let acked = RegisterMap::<S>::apply_write(cluster, server, variable, record);
+            if live {
+                session.on_ack(acked);
+            }
+            live
+        }
+        Some(OpSession::Read(session)) => {
+            // A `None` probe result is a resolved-but-silent server
+            // (crashed): the attempt's outstanding count still drops.
+            if session.wants_signed() {
+                if let Some(sv) = cluster.probe_read_signed(server, variable) {
+                    if live {
+                        session.on_signed_reply(server, sv);
+                    }
+                }
+            } else if let Some(tv) = cluster.probe_read_plain(server, variable) {
+                if live {
+                    session.on_plain_reply(server, tv);
+                }
+            }
+            live
+        }
+        // A read `finalize` already released: the reply would have been
+        // dropped, so all that is left of the probe is the server's load.
+        None => {
+            cluster.note_access(server);
+            false
+        }
+    }
+}
+
+/// The simulated-seconds delay before retry number `attempt` (1-based)
+/// starts: `retry_backoff · op_timeout · 2^(attempt−1)`, 0 with the
+/// default immediate-retry policy.
+fn retry_delay(config: &SimConfig, attempt: u32) -> SimTime {
+    if config.retry_backoff <= 0.0 {
+        return 0.0;
+    }
+    let doublings = attempt.saturating_sub(1).min(62);
+    config.retry_backoff * config.op_timeout.max(0.0) * (1u64 << doublings) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::latency::LatencyModel;
+    use crate::runner::DiffusionPolicy;
+    use pqs_core::probabilistic::EpsilonIntersecting;
+
+    fn op(at: SimTime, kind: OpKind) -> Operation {
+        Operation {
+            at,
+            kind,
+            variable: 0,
+        }
+    }
+
+    /// The one world of a one-shard layout of `config` over `ops`.
+    fn sole_world<'a>(
+        sys: &'a EpsilonIntersecting,
+        config: SimConfig,
+        ops: &[Operation],
+    ) -> World<'a, EpsilonIntersecting> {
+        let sim = Simulation::new(sys, ProtocolKind::Safe, config);
+        World::new(
+            &sim,
+            ops,
+            &FailurePlan::none(),
+            Behavior::ByzantineForge,
+            0,
+            1,
+        )
+    }
 
     #[test]
     fn key_streams_differ_per_variable_and_per_seed() {
@@ -837,5 +1014,109 @@ mod tests {
         assert_ne!(a, c);
         // And the mapping is a pure function of (seed, variable).
         assert_eq!(a, key_stream_seed(42, 0));
+    }
+
+    #[test]
+    fn finalize_releases_a_read_session_and_keeps_a_write_record() {
+        let sys = EpsilonIntersecting::new(20, 5).unwrap();
+        let ops = [op(0.0, OpKind::Write), op(0.3, OpKind::Read)];
+        let mut world = sole_world(&sys, SimConfig::default(), &ops);
+        let (near, far) = (ServerId::new(3), ServerId::new(17));
+
+        // A retried write is the same logical write: same record, same
+        // timestamp, a fresh acknowledgement count.
+        world.states[0].sequence = 1;
+        world.start_attempt(0, 0.0);
+        let Some(OpSession::Write(first, _)) = &world.states[0].session else {
+            panic!("a started write holds a write session");
+        };
+        let first = first.clone();
+        world.states[0].attempt += 1;
+        world.start_attempt(0, 0.1);
+        let Some(OpSession::Write(resent, session)) = &world.states[0].session else {
+            panic!("a retried write holds a write session");
+        };
+        assert_eq!(*resent, first, "the retry re-sends the original record");
+        assert_eq!(session.timestamp(), first.timestamp());
+        assert_eq!(session.acks(), 0);
+        // Finalizing the write keeps its session: a probe still in flight
+        // delivers the record to its server.
+        let deliver = |world: &mut World<'_, EpsilonIntersecting>, idx: usize, server, attempt| {
+            deliver_probe::<EpsilonIntersecting>(
+                &mut world.states[idx],
+                server,
+                &mut world.cluster,
+                attempt,
+            )
+        };
+        assert!(deliver(&mut world, 0, near, 1));
+        world.finalize(0, 0.2);
+        assert!(world.states[0].done && world.states[0].session.is_some());
+        assert!(!deliver(&mut world, 0, far, 1));
+        assert_eq!(
+            world.cluster.server(far).stored_plain_timestamp(0),
+            first.timestamp()
+        );
+
+        // Finalizing a read releases its session; a probe still in flight
+        // counts its server access and nothing else.
+        world.start_attempt(1, 0.3);
+        assert!(deliver(&mut world, 1, near, 0));
+        world.finalize(1, 0.4);
+        assert!(world.states[1].done && world.states[1].session.is_none());
+        let report = &world.acc.report;
+        assert_eq!((report.completed_writes, report.completed_reads), (1, 1));
+        let before = world.cluster.access_counts()[far.as_usize()];
+        assert!(!deliver(&mut world, 1, far, 0));
+        assert_eq!(world.cluster.access_counts()[far.as_usize()], before + 1);
+
+        // Each op left exactly one log entry: when it ended, and how.
+        let logged = |op, start, end, outcome| OpRecord {
+            op,
+            start,
+            end,
+            outcome,
+        };
+        assert_eq!(
+            world.acc.ops,
+            [
+                logged(0, 0.0, 0.2, OpOutcome::Write),
+                logged(1, 0.3, 0.4, OpOutcome::Read)
+            ]
+        );
+    }
+
+    #[test]
+    fn dirty_pairs_are_marked_only_while_a_spine_reads_them() {
+        let sys = EpsilonIntersecting::new(20, 5).unwrap();
+        let ops: Vec<Operation> = (0..40)
+            .map(|i| op(0.01 * i as f64, OpKind::Write))
+            .collect();
+        let config = SimConfig::builder()
+            .with_latency(LatencyModel::Fixed(1e-3))
+            .build();
+
+        // Without diffusion no spine exists: 200 write probes, no list.
+        let mut off = sole_world(&sys, config, &ops);
+        off.drain_until(None);
+        assert_eq!(off.acc.report.completed_writes, 40);
+        assert!(off.dirty.is_none());
+
+        // With diffusion the list fills between barriers, a sync empties
+        // it, and after the last barrier nothing is marked any more.
+        let mut gossiping = config;
+        gossiping.diffusion = Some(DiffusionPolicy::default());
+        let mut on = sole_world(&sys, gossiping, &ops);
+        on.drain_until(Some(0.2));
+        assert!(on.dirty.as_ref().is_some_and(|d| !d.is_empty()));
+        let mut spine = Cluster::new(sys.universe());
+        spine.reserve_variables(1);
+        on.sync_dirty_into(&mut spine, false);
+        assert!(on.dirty.as_ref().is_some_and(Vec::is_empty));
+        on.end_sync();
+        on.drain_until(None);
+        assert_eq!(on.acc.report.completed_writes, 40);
+        assert!(on.dirty.is_none());
+        assert_eq!(on.into_accumulator().ops.len(), 40);
     }
 }

@@ -164,12 +164,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Part 6: the multi-core sharded engine. With `num_shards >= 2` the key
-    // space is partitioned by `variable % num_shards` and each shard drains
-    // its own event queue on a worker thread; gossip crosses shards on a
-    // sequenced spine at deterministic barriers.  The merged report is
-    // bit-identical for every shard count >= 2 and every thread count —
-    // threads are purely a speed knob.
+    // Part 6: multi-core layouts. The key space is partitioned by
+    // `variable % num_shards` and each shard drains its own event queue on
+    // a worker thread; gossip crosses shards on a sequenced spine at
+    // deterministic barriers.  The merged report is bit-identical for
+    // every shard count and every thread count — both are purely speed
+    // knobs.
     let sharded = |threads: u32| {
         SimConfig::builder()
             .with_duration(20.0)
@@ -185,7 +185,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(4) as u32);
     let one = Simulation::new(&system, ProtocolKind::Safe, sharded(1)).run();
     let many = Simulation::new(&system, ProtocolKind::Safe, sharded(workers)).run();
-    println!("\nsharded engine: 4 shards, 64 keys, {workers} worker thread(s):");
+    println!("\nsharded layout: 4 shards, 64 keys, {workers} worker thread(s):");
     println!("  events processed  : {}", many.events_processed);
     println!(
         "  reports identical : {} (1 thread vs {workers} threads)",

@@ -1,13 +1,15 @@
 //! Determinism of the discrete-event engine: the same `SimConfig` + seed
 //! must produce **bit-identical** `SimReport`s for every protocol and every
-//! key space, however hostile the configuration.  Everything random flows
-//! from the single seeded ChaCha stream, and the event queue breaks time
-//! ties FIFO, so two runs replay the exact same event interleaving.
+//! key space, however hostile the configuration — and for every layout:
+//! `num_shards` and `threads` only say how the run is executed.  Everything
+//! random flows from seeded ChaCha streams (one for the workload and failure
+//! plan, one per variable, one for gossip), the event queues break time ties
+//! FIFO, and the merge replays per-op logs in canonical `(time, op)` order.
 //!
-//! The sharding refactor adds a second obligation, checked by the pinned
-//! fingerprint below: a **1-key** run must be byte-identical to the
-//! pre-refactor single-register engine — same RNG stream, same event
-//! trajectory, same aggregates.
+//! There is one fingerprint family.  The literals below were captured from
+//! the engine itself; the one-shard pins were re-pinned when the sequential
+//! event loop was retired (PR 14, old → new values and the statistical
+//! equivalence table in CHANGES.md), every other literal predates that.
 
 use probabilistic_quorums::core::prelude::*;
 use probabilistic_quorums::sim::failure::{ByzantineStrategy, FailurePlan};
@@ -37,6 +39,26 @@ fn hostile_config(seed: u64) -> SimConfig {
         .build()
 }
 
+/// Runs `config` on one shard and on the wider layouts, asserts they all
+/// agree, and returns the one report.
+fn on_every_layout(config: SimConfig, run: impl Fn(SimConfig) -> SimReport) -> SimReport {
+    let layout = |num_shards: u32, threads: u32| {
+        let mut config = config;
+        config.num_shards = num_shards;
+        config.threads = threads;
+        run(config)
+    };
+    let reference = layout(1, 1);
+    for (num_shards, threads) in [(2, 1), (4, 3), (8, 8)] {
+        assert_eq!(
+            reference,
+            layout(num_shards, threads),
+            "{num_shards} shards on {threads} threads diverged from one shard"
+        );
+    }
+    reference
+}
+
 /// Order-sensitive hash of the per-server access vector, the idiom shared
 /// by every pinned fingerprint below.
 fn server_access_hash(r: &SimReport) -> u64 {
@@ -51,7 +73,9 @@ fn server_access_hash(r: &SimReport) -> u64 {
 #[test]
 fn safe_runs_are_bit_identical_per_seed() {
     let sys = EpsilonIntersecting::with_target_epsilon(100, 1e-3).unwrap();
-    let a = Simulation::new(&sys, ProtocolKind::Safe, hostile_config(42)).run();
+    let a = on_every_layout(hostile_config(42), |config| {
+        Simulation::new(&sys, ProtocolKind::Safe, config).run()
+    });
     let b = Simulation::new(&sys, ProtocolKind::Safe, hostile_config(42)).run();
     assert_eq!(a, b);
     // The run exercised the interesting paths.
@@ -67,7 +91,9 @@ fn dissemination_runs_are_bit_identical_per_seed() {
     let sys = ProbabilisticDissemination::with_target_epsilon(100, 15, 1e-3).unwrap();
     let mut config = hostile_config(7);
     config.byzantine = 15;
-    let a = Simulation::new(&sys, ProtocolKind::Dissemination, config).run();
+    let a = on_every_layout(config, |config| {
+        Simulation::new(&sys, ProtocolKind::Dissemination, config).run()
+    });
     let b = Simulation::new(&sys, ProtocolKind::Dissemination, config).run();
     assert_eq!(a, b);
     assert!(a.completed_reads > 0);
@@ -81,7 +107,7 @@ fn masking_runs_are_bit_identical_per_seed() {
     let kind = ProtocolKind::Masking {
         threshold: sys.read_threshold(),
     };
-    let a = Simulation::new(&sys, kind, config).run();
+    let a = on_every_layout(config, |config| Simulation::new(&sys, kind, config).run());
     let b = Simulation::new(&sys, kind, config).run();
     assert_eq!(a, b);
     assert!(a.completed_reads > 0);
@@ -94,7 +120,9 @@ fn multi_key_runs_are_bit_identical_per_seed() {
     let sys = EpsilonIntersecting::with_target_epsilon(100, 1e-3).unwrap();
     let mut config = hostile_config(77);
     config.keyspace = KeySpace::zipf(1024, 1.0);
-    let a = Simulation::new(&sys, ProtocolKind::Safe, config).run();
+    let a = on_every_layout(config, |config| {
+        Simulation::new(&sys, ProtocolKind::Safe, config).run()
+    });
     let b = Simulation::new(&sys, ProtocolKind::Safe, config).run();
     assert_eq!(a, b, "same seed must give identical per-variable reports");
     assert_eq!(a.per_variable.len(), 1024);
@@ -119,9 +147,9 @@ fn multi_key_runs_are_bit_identical_per_seed() {
 
 #[test]
 fn gossip_runs_are_bit_identical_per_seed() {
-    // Diffusion adds two event kinds, a pending-push table and a second RNG
-    // stream; none of it may perturb determinism, even with crashes and a
-    // probe margin in the mix.
+    // Diffusion adds a spine, a pending-push table and a second RNG stream;
+    // none of it may perturb determinism, even with crashes and a probe
+    // margin in the mix.
     let sys = EpsilonIntersecting::with_target_epsilon(100, 1e-3).unwrap();
     let mut config = hostile_config(55);
     config.keyspace = KeySpace::zipf(64, 1.0);
@@ -129,7 +157,9 @@ fn gossip_runs_are_bit_identical_per_seed() {
         DiffusionPolicy::full_push(0.2, 2)
             .with_push_latency(LatencyModel::Exponential { mean: 2e-3 }),
     );
-    let a = Simulation::new(&sys, ProtocolKind::Safe, config).run();
+    let a = on_every_layout(config, |config| {
+        Simulation::new(&sys, ProtocolKind::Safe, config).run()
+    });
     let b = Simulation::new(&sys, ProtocolKind::Safe, config).run();
     assert_eq!(a, b, "gossip runs must replay bit for bit");
     assert!(a.gossip_rounds > 0 && a.gossip_pushes > 0 && a.gossip_stores > 0);
@@ -172,7 +202,9 @@ fn digest_runs_are_bit_identical_per_seed() {
                 .with_push_latency(LatencyModel::Exponential { mean: 2e-3 })
                 .with_key_policy(key_policy),
         );
-        let a = Simulation::new(&sys, ProtocolKind::Safe, config).run();
+        let a = on_every_layout(config, |config| {
+            Simulation::new(&sys, ProtocolKind::Safe, config).run()
+        });
         let b = Simulation::new(&sys, ProtocolKind::Safe, config).run();
         assert_eq!(a, b, "digest runs must replay bit for bit");
         assert!(a.gossip_rounds > 0 && a.gossip_digests > 0 && a.gossip_stores > 0);
@@ -200,15 +232,11 @@ fn digest_runs_are_bit_identical_per_seed() {
     }
 }
 
-/// The PR 4 full-push gossip engine was run once with this exact
-/// configuration and its report captured field by field.  The digest/delta
-/// refactor routes `GossipMode::PushAll` (the default) through the same
-/// planner, the same RNG draws and the same event sequence, so the run must
-/// reproduce the captured trajectory bit for bit — the full-push mode is
-/// frozen, not merely similar.
+/// A one-shard full-push gossip run over derived crashes, captured field by
+/// field from the engine (re-pinned in PR 14): the full-push mode is frozen,
+/// not merely similar.
 #[test]
-#[allow(clippy::excessive_precision)]
-fn full_push_gossip_run_is_byte_identical_to_the_pr4_engine() {
+fn full_push_gossip_fingerprint_is_pinned() {
     let sys = EpsilonIntersecting::new(64, 8).unwrap();
     let config = SimConfig::builder()
         .with_duration(30.0)
@@ -226,57 +254,48 @@ fn full_push_gossip_run_is_byte_identical_to_the_pr4_engine() {
                 .with_push_latency(LatencyModel::Exponential { mean: 2e-3 }),
         )
         .build();
-    let r = Simulation::new(&sys, ProtocolKind::Safe, config).run();
+    let r = on_every_layout(config, |config| {
+        Simulation::new(&sys, ProtocolKind::Safe, config).run()
+    });
     assert_eq!(r.completed_reads, 1503);
     assert_eq!(r.completed_writes, 283);
     assert_eq!(r.stale_reads, 28);
-    assert_eq!(r.empty_reads, 0);
+    assert_eq!(r.empty_reads, 1);
     assert_eq!(r.unavailable_ops, 0);
-    assert_eq!(r.concurrent_reads, 14);
+    assert_eq!(r.concurrent_reads, 16);
     assert_eq!(r.retries, 0);
     assert_eq!(r.timed_out_attempts, 0);
     assert_eq!(r.gossip_rounds, 299);
-    assert_eq!(r.gossip_pushes, 729790);
-    assert_eq!(r.gossip_stores, 12346);
-    assert_eq!(r.events_processed, 751527);
-    assert_eq!(r.max_in_flight, 5);
+    assert_eq!(r.gossip_pushes, 729677);
+    assert_eq!(r.gossip_stores, 12281);
+    assert_eq!(r.events_processed, 751414);
+    assert_eq!(r.max_in_flight, 4);
     assert_eq!(r.total_operations, 1786);
     // Digest-mode machinery must stay completely cold in full-push mode.
     assert_eq!(r.gossip_digests, 0);
     assert_eq!(r.gossip_redundant_pushes_avoided, 0);
     assert!(r.per_variable.iter().all(|v| v.gossip_delta_records == 0));
     // Floating-point trajectories, pinned to the bit.
-    assert_eq!(r.mean_in_flight, 2.2917473778344402e-1);
-    assert_eq!(r.mean_latency(), 3.8497243927718985e-3);
-    assert_eq!(r.p99_latency(), 1.0768868095912154e-2);
-    let hash = r
-        .per_server_accesses
-        .iter()
-        .enumerate()
-        .fold(0u64, |acc, (i, &c)| {
-            acc.wrapping_mul(1000003).wrapping_add(c ^ i as u64)
-        });
-    assert_eq!(hash, 12279874005660648684);
+    assert_eq!(r.mean_in_flight, 0.22145516349452313);
+    assert_eq!(r.mean_latency(), 0.0037199791665598605);
+    assert_eq!(r.p99_latency(), 0.010587806977600422);
+    assert_eq!(server_access_hash(&r), 13266753428964552100);
     // The hot key's gossip and convergence accounting, also frozen.
     let hot = &r.per_variable[0];
-    assert_eq!(hot.gossip_pushes, 50032);
-    assert_eq!(hot.gossip_stores, 3614);
-    assert_eq!(hot.coverage_rounds_sum, 103);
-    assert_eq!(hot.coverage_events, 35);
-    assert_eq!(hot.stale_reads, 17);
+    assert_eq!(hot.gossip_pushes, 50012);
+    assert_eq!(hot.gossip_stores, 3581);
+    assert_eq!(hot.coverage_rounds_sum, 108);
+    assert_eq!(hot.coverage_events, 37);
+    assert_eq!(hot.stale_reads, 18);
     assert_eq!(hot.completed_reads, 531);
 }
 
-/// The pre-refactor engine (PR 2, single hard-wired variable) was run once
-/// with this exact configuration and its report captured field by field.
-/// The sharded engine with the default 1-key `KeySpace` must reproduce the
-/// trajectory bit for bit: same workload draws, same probe sets, same event
-/// count, same latencies to the last ulp.
+/// The default 1-key `KeySpace`, diffusion-free, under two protocols,
+/// captured field by field from the engine (re-pinned in PR 14): same
+/// workload draws, same probe sets, same event count, same latencies to the
+/// last ulp.
 #[test]
-// The pinned constants carry every digit the pre-refactor engine printed;
-// trimming them would weaken the bit-identity claim.
-#[allow(clippy::excessive_precision)]
-fn one_key_run_is_byte_identical_to_the_pre_sharding_engine() {
+fn one_key_fingerprint_is_pinned() {
     let sys = EpsilonIntersecting::with_target_epsilon(100, 1e-3).unwrap();
     let config = SimConfig::builder()
         .with_duration(30.0)
@@ -295,35 +314,29 @@ fn one_key_run_is_byte_identical_to_the_pre_sharding_engine() {
         .build();
     assert_eq!(config.keyspace, KeySpace::single());
     assert_eq!(config.diffusion, None, "the pinned run is diffusion-free");
-    let r = Simulation::new(&sys, ProtocolKind::Safe, config).run();
+    let r = on_every_layout(config, |config| {
+        Simulation::new(&sys, ProtocolKind::Safe, config).run()
+    });
     // A `DiffusionPolicy::None` run schedules no gossip event at all.
     assert_eq!(r.gossip_rounds, 0);
     assert_eq!(r.gossip_pushes, 0);
-    // Aggregates captured from the pre-refactor engine.
     assert_eq!(r.completed_reads, 955);
     assert_eq!(r.completed_writes, 240);
-    assert_eq!(r.stale_reads, 1);
+    assert_eq!(r.stale_reads, 0);
     assert_eq!(r.empty_reads, 0);
     assert_eq!(r.unavailable_ops, 0);
-    assert_eq!(r.concurrent_reads, 86);
+    assert_eq!(r.concurrent_reads, 75);
     assert_eq!(r.retries, 0);
-    assert_eq!(r.timed_out_attempts, 8);
+    assert_eq!(r.timed_out_attempts, 2);
     assert_eq!(r.events_processed, 33467);
-    assert_eq!(r.max_in_flight, 5);
+    assert_eq!(r.max_in_flight, 4);
     assert_eq!(r.total_operations, 1195);
     // Floating-point trajectories, pinned to the bit.
-    assert_eq!(r.mean_in_flight, 2.25968262519286561e-1);
-    assert_eq!(r.mean_latency(), 5.67331531849552938e-3);
-    assert_eq!(r.p99_latency(), 3.95265509594331377e-2);
+    assert_eq!(r.mean_in_flight, 0.2009251629910557);
+    assert_eq!(r.mean_latency(), 0.0050423547788399576);
+    assert_eq!(r.p99_latency(), 0.02448848278187299);
     // Per-server access vector, pinned through an order-sensitive hash.
-    let hash = r
-        .per_server_accesses
-        .iter()
-        .enumerate()
-        .fold(0u64, |acc, (i, &c)| {
-            acc.wrapping_mul(1000003).wrapping_add(c ^ i as u64)
-        });
-    assert_eq!(hash, 5534836463059940724);
+    assert_eq!(server_access_hash(&r), 6031251255751975920);
     // The per-key breakdown degenerates to one row equal to the aggregates.
     assert_eq!(r.per_variable.len(), 1);
     assert_eq!(r.per_variable[0].completed_reads, r.completed_reads);
@@ -337,16 +350,18 @@ fn one_key_run_is_byte_identical_to_the_pre_sharding_engine() {
     c2.byzantine = 10;
     c2.probe_margin = 0;
     c2.seed = 777;
-    let r2 = Simulation::new(&sys2, ProtocolKind::Dissemination, c2).run();
+    let r2 = on_every_layout(c2, |config| {
+        Simulation::new(&sys2, ProtocolKind::Dissemination, config).run()
+    });
     assert_eq!(r2.completed_reads, 970);
     assert_eq!(r2.completed_writes, 203);
-    assert_eq!(r2.stale_reads, 0);
+    assert_eq!(r2.stale_reads, 1);
     assert_eq!(r2.events_processed, 31671);
-    assert_eq!(r2.mean_latency(), 9.18659539915855916e-3);
+    assert_eq!(r2.mean_latency(), 0.009035634071514772);
 }
 
-/// Base configuration of the sharded-engine determinism obligations: a
-/// hostile multi-key run exercising probe margins, timeouts and retries.
+/// Base configuration of the layout-invariance obligations: a hostile
+/// multi-key run exercising probe margins, timeouts and retries.
 fn sharded_base() -> SimConfig {
     SimConfig::builder()
         .with_duration(20.0)
@@ -362,16 +377,16 @@ fn sharded_base() -> SimConfig {
 }
 
 /// A mid-run correlated crash wave: ten servers die at t = 10 s, halfway
-/// through the arrivals, so the sharded engine must replay failure
-/// transitions identically inside every shard *and* on the gossip spine.
+/// through the arrivals, so the engine must replay failure transitions
+/// identically inside every shard *and* on the gossip spine.
 fn mid_run_wave() -> FailurePlan {
     FailurePlan::none().with_crash_wave(10.0, (0..10).map(ServerId::new))
 }
 
-/// The tentpole's core obligation: with `num_shards ≥ 2` the report is a
-/// pure function of the seed — identical for every shard count and every
-/// thread count — for plain, signed and digest/delta configurations,
-/// including a crash wave landing mid-run.
+/// The engine's core obligation: the report is a pure function of the seed
+/// — identical for every shard count ≥ 1 and every thread count — for
+/// plain, signed and digest/delta configurations, including a crash wave
+/// landing mid-run.
 #[test]
 fn sharded_reports_are_identical_across_shard_and_thread_counts() {
     let sys = EpsilonIntersecting::with_target_epsilon(100, 1e-3).unwrap();
@@ -417,32 +432,26 @@ fn sharded_reports_are_identical_across_shard_and_thread_counts() {
         ("digest-delta", digest, ProtocolKind::Safe),
         ("full-push", push, ProtocolKind::Safe),
     ] {
-        let reference = run(config, 2, 1, kind);
+        let reference = run(config, 1, 1, kind);
         assert!(
             reference.completed_reads > 0 && reference.completed_writes > 0,
             "{label}: the run must exercise the engine"
         );
-        for (num_shards, threads) in [(2, 2), (4, 1), (4, 3), (8, 2), (8, 8)] {
+        for (num_shards, threads) in [(1, 4), (2, 1), (2, 2), (4, 1), (4, 3), (8, 2), (8, 8)] {
             let report = run(config, num_shards, threads, kind);
             assert_eq!(
                 reference, report,
-                "{label}: {num_shards} shards on {threads} threads diverged from 2 shards on 1 thread"
+                "{label}: {num_shards} shards on {threads} threads diverged from 1 shard on 1 thread"
             );
         }
     }
 }
 
-/// The sharded family's own pinned fingerprint, captured once from the
-/// 2-shard/1-thread run of `sharded_base` with diffusion and a mid-run
-/// crash wave.  `num_shards = 1` stays bit-identical to the sequential
-/// engine (the pins above); `num_shards ≥ 2` is a second deterministic
-/// family — per-variable RNG streams instead of one global stream — whose
-/// trajectory this test freezes so it can never drift silently.
-/// A second pinned fingerprint for the sharded family, captured from the
-/// PR 6 engine on an 8-shard/2-thread **full-push** run of `sharded_base`
-/// with the same mid-run crash wave.  Together with the digest/delta pin
-/// below this freezes both gossip modes of the sharded trajectory, so the
-/// hot-path work (incremental spine sync, batched routing, slab pending
+/// A pinned fingerprint captured from the PR 6 engine on an
+/// 8-shard/2-thread **full-push** run of `sharded_base` with a mid-run
+/// crash wave.  Together with the digest/delta pin at the end of this file
+/// (`sharded_family_fingerprint_is_pinned`) it freezes both gossip modes,
+/// so hot-path work (incremental spine sync, batched routing, slab pending
 /// stores) can be proven bit-preserving, not merely plausible.
 #[test]
 #[allow(clippy::excessive_precision)]
@@ -497,8 +506,7 @@ fn sharded_full_push_fingerprint_is_pinned() {
 }
 
 /// The scenario engine's membership-churn schedule: one initially-absent
-/// joiner, two mid-run leaves, two rejoins.  Shared by the sequential and
-/// sharded churn fingerprints below.
+/// joiner, two mid-run leaves, two rejoins.
 fn churn_schedule() -> FailurePlan {
     FailurePlan::none()
         .with_join(3.0, ServerId::new(92)) // first event is a join: initially absent
@@ -520,8 +528,8 @@ fn adaptive_schedule() -> FailurePlan {
 }
 
 /// Membership churn, frozen: the `sharded_base` workload under
-/// `churn_schedule`, captured once from the scenario engine in both
-/// families.  Joins bootstrap through `Cluster::join_server` (stores wiped,
+/// `churn_schedule`, pinned on one shard (re-pinned in PR 14) and, with the
+/// PR 10 literals, on four.  Joins bootstrap through `Cluster::join_server` (stores wiped,
 /// variables re-reserved) and the probe margin is re-solved against the
 /// ε budget at every membership event, so any drift in that machinery
 /// breaks these pins.
@@ -539,7 +547,7 @@ fn churn_fingerprint_is_pinned() {
     assert_eq!(r.stale_reads, 0);
     assert_eq!(r.empty_reads, 0);
     assert_eq!(r.unavailable_ops, 0);
-    assert_eq!(r.concurrent_reads, 23);
+    assert_eq!(r.concurrent_reads, 24);
     assert_eq!(r.retries, 0);
     assert_eq!(r.timed_out_attempts, 0);
     assert_eq!(r.events_processed, 42989);
@@ -547,13 +555,12 @@ fn churn_fingerprint_is_pinned() {
     assert_eq!(r.membership_events, 5);
     assert_eq!(r.dropped_probes, 0);
     assert_eq!(r.adaptive_activations, 0);
-    assert_eq!(r.mean_in_flight, 0.39578804683831786);
-    assert_eq!(r.mean_latency(), 0.004970877864242638);
-    assert_eq!(r.p99_latency(), 0.009815626145138978);
-    assert_eq!(server_access_hash(&r), 7198128187310013422);
+    assert_eq!(r.mean_in_flight, 0.38882578667847545);
+    assert_eq!(r.mean_latency(), 0.004883960487292785);
+    assert_eq!(r.p99_latency(), 0.009467893529183868);
+    assert_eq!(server_access_hash(&r), 17532421316546503462);
 
-    // The sharded family's own churn pin, invariant across shard/thread
-    // counts.
+    // The same run on wider layouts, invariant across shard/thread counts.
     let mut cs = config;
     cs.num_shards = 4;
     cs.threads = 2;
@@ -567,6 +574,7 @@ fn churn_fingerprint_is_pinned() {
         .with_failure_plan(churn_schedule())
         .run();
     assert_eq!(rs, rs2, "churn must be shard- and thread-invariant");
+    assert_eq!(r, rs, "churn must be shard- and thread-invariant");
     assert_eq!(rs.completed_reads, 1217);
     assert_eq!(rs.completed_writes, 375);
     assert_eq!(rs.events_processed, 42989);
@@ -576,8 +584,8 @@ fn churn_fingerprint_is_pinned() {
     assert_eq!(server_access_hash(&rs), 17532421316546503462);
 }
 
-/// A healing partition under full-push diffusion, frozen in both families:
-/// probes and gossip cross components only after the heal, the heal is
+/// A healing partition under full-push diffusion, frozen on one shard
+/// (re-pinned in PR 14) and on four: probes and gossip cross components only after the heal, the heal is
 /// observed by the coverage tracker, and the post-heal coverage curve
 /// re-converges in a pinned number of rounds.
 #[test]
@@ -596,26 +604,26 @@ fn partition_heal_fingerprint_is_pinned() {
         .run();
     assert_eq!(r.completed_reads, 1290);
     assert_eq!(r.completed_writes, 332);
-    assert_eq!(r.stale_reads, 1);
+    assert_eq!(r.stale_reads, 0);
     assert_eq!(r.empty_reads, 0);
     assert_eq!(r.gossip_rounds, 100);
-    assert_eq!(r.gossip_pushes, 398891);
-    assert_eq!(r.gossip_stores, 17739);
-    assert_eq!(r.events_processed, 529246);
+    assert_eq!(r.gossip_pushes, 399201);
+    assert_eq!(r.gossip_stores, 17691);
+    assert_eq!(r.events_processed, 529455);
     assert_eq!(r.total_operations, 1622);
-    assert_eq!(r.dropped_probes, 7208);
-    assert_eq!(r.partition_blocked_gossip, 86461);
+    assert_eq!(r.dropped_probes, 7144);
+    assert_eq!(r.partition_blocked_gossip, 86360);
     assert_eq!(r.heals_observed, 1);
     assert_eq!(r.post_heal_rounds_to_coverage, 4);
     assert_eq!(r.post_heal_coverage_completions, 1);
-    assert_eq!(r.post_heal_coverage, vec![2, 19, 25, 28, 30]);
-    assert_eq!(r.per_component_stale_reads, vec![1, 0]);
-    assert_eq!(r.mean_in_flight, 0.4543579319033427);
-    assert_eq!(r.mean_latency(), 0.005603017952703035);
-    assert_eq!(r.p99_latency(), 0.013027126992800397);
-    assert_eq!(server_access_hash(&r), 5754154602802211032);
+    assert_eq!(r.post_heal_coverage, vec![2, 20, 26, 28, 30]);
+    assert_eq!(r.per_component_stale_reads, vec![0, 0]);
+    assert_eq!(r.mean_in_flight, 0.45921389786412087);
+    assert_eq!(r.mean_latency(), 0.005662250694559051);
+    assert_eq!(r.p99_latency(), 0.012944505085215496);
+    assert_eq!(server_access_hash(&r), 16193927228281797792);
 
-    // The sharded family's partition pin: spine-planned digest gating and
+    // The same run on wider layouts: spine-planned digest gating and
     // global-id delta dedup keep the counts shard-layout-invariant.
     let mut cs = config;
     cs.num_shards = 4;
@@ -633,6 +641,7 @@ fn partition_heal_fingerprint_is_pinned() {
         rs, rs2,
         "partition heal must be shard- and thread-invariant"
     );
+    assert_eq!(r, rs, "partition heal must be shard- and thread-invariant");
     assert_eq!(rs.completed_reads, 1290);
     assert_eq!(rs.gossip_pushes, 399201);
     assert_eq!(rs.gossip_stores, 17691);
@@ -646,8 +655,8 @@ fn partition_heal_fingerprint_is_pinned() {
     assert_eq!(server_access_hash(&rs), 16193927228281797792);
 }
 
-/// The adaptive hot-key adversary, frozen in both families — and checked
-/// against its same-seed static twin: foreground trajectory identical,
+/// The adaptive hot-key adversary, frozen on one shard (re-pinned in
+/// PR 14) and on four — and checked against its same-seed static twin: foreground trajectory identical,
 /// staleness never lower (the sleeper flip is a pure read-side overlay).
 #[test]
 #[allow(clippy::excessive_precision)]
@@ -660,15 +669,15 @@ fn adaptive_adversary_fingerprint_is_pinned() {
         .run();
     assert_eq!(r.completed_reads, 1327);
     assert_eq!(r.completed_writes, 303);
-    assert_eq!(r.stale_reads, 1044);
+    assert_eq!(r.stale_reads, 1030);
     assert_eq!(r.empty_reads, 0);
     assert_eq!(r.events_processed, 44010);
     assert_eq!(r.total_operations, 1630);
-    assert_eq!(r.adaptive_activations, 2029);
-    assert_eq!(r.mean_in_flight, 0.3770511800161219);
-    assert_eq!(r.mean_latency(), 0.0046173290417031105);
-    assert_eq!(r.p99_latency(), 0.008083236852614362);
-    assert_eq!(server_access_hash(&r), 1996866369899425760);
+    assert_eq!(r.adaptive_activations, 1930);
+    assert_eq!(r.mean_in_flight, 0.3774505017038662);
+    assert_eq!(r.mean_latency(), 0.004622407899601067);
+    assert_eq!(r.p99_latency(), 0.008199413647309584);
+    assert_eq!(server_access_hash(&r), 5134640556423834096);
 
     // Same-seed static twin: identical foreground, never fresher reads.
     let stat = Simulation::new(&sys, ProtocolKind::Safe, config)
@@ -681,8 +690,7 @@ fn adaptive_adversary_fingerprint_is_pinned() {
     assert_eq!(stat.adaptive_activations, 0);
     assert!(stat.stale_reads + stat.empty_reads <= r.stale_reads + r.empty_reads);
 
-    // The sharded family's adaptive pin, invariant across shard/thread
-    // counts (per-variable streams make its trajectory a distinct family).
+    // The same run on wider layouts, invariant across shard/thread counts.
     let mut cs = config;
     cs.num_shards = 4;
     cs.threads = 2;
@@ -696,6 +704,7 @@ fn adaptive_adversary_fingerprint_is_pinned() {
         .with_failure_plan(adaptive_schedule())
         .run();
     assert_eq!(rs, rs2, "adaptive runs must be shard- and thread-invariant");
+    assert_eq!(r, rs, "adaptive runs must be shard- and thread-invariant");
     assert_eq!(rs.completed_reads, 1327);
     assert_eq!(rs.completed_writes, 303);
     assert_eq!(rs.stale_reads, 1030);

@@ -677,15 +677,16 @@ proptest! {
     }
 }
 
-// The sharded-engine case below runs two full simulations (with the
-// debug-mode spine asserts engaged) per input, so it gets a smaller case
-// budget than the block above.
+// The layout cases below run two full simulations (with the debug-mode
+// spine asserts engaged) per input, so they get a smaller case budget than
+// the block above.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The sharded engine's determinism claim, fuzzed: for random seeds,
-    /// arrival rates, gossip modes and crash waves, a 4-shard/2-thread run
-    /// produces a report bit-identical to the 2-shard/1-thread run.  In
+    /// The engine's determinism claim, fuzzed: for random seeds, arrival
+    /// rates, gossip modes, crash waves and shard counts from 1 up, a
+    /// 4-shard/2-thread run produces a report bit-identical to the
+    /// narrower single-thread run.  In
     /// debug builds (which tests are) every spine barrier also
     /// `debug_assert!`s that the incremental dirty-key sync left the spine
     /// in exactly the state a full per-server resync would have — so this
@@ -697,6 +698,7 @@ proptest! {
         rate in 40.0f64..160.0,
         digest_mode in 0u32..2,
         crash_wave in 0u32..2,
+        num_shards in 1u32..4,
     ) {
         let sys = EpsilonIntersecting::new(49, 7).unwrap();
         let config = |num_shards: u32, threads: u32| {
@@ -721,7 +723,7 @@ proptest! {
                 .with_threads(threads)
                 .build()
         };
-        let reference = Simulation::new(&sys, ProtocolKind::Safe, config(2, 1)).run();
+        let reference = Simulation::new(&sys, ProtocolKind::Safe, config(num_shards, 1)).run();
         let wide = Simulation::new(&sys, ProtocolKind::Safe, config(4, 2)).run();
         prop_assert!(
             reference.completed_reads + reference.completed_writes > 0,
@@ -730,7 +732,7 @@ proptest! {
         prop_assert_eq!(reference, wide);
     }
 
-    /// The scenario engine keeps the sharded determinism claim: random
+    /// The scenario engine keeps the layout-invariance claim: random
     /// membership-churn and partition schedules (joins, leaves, an
     /// initially-absent server, healing windows with random component
     /// counts) replay bit-identically across shard and thread counts, for
@@ -744,6 +746,7 @@ proptest! {
         digest_mode in 0u32..2,
         leave_at in 0.5f64..2.0,
         heal_at in 1.5f64..3.5,
+        num_shards in 1u32..4,
     ) {
         use probabilistic_quorums::sim::failure::FailurePlan;
         let sys = EpsilonIntersecting::new(49, 7).unwrap();
@@ -776,7 +779,7 @@ proptest! {
                 .with_threads(threads)
                 .build()
         };
-        let reference = Simulation::new(&sys, ProtocolKind::Safe, config(2, 1))
+        let reference = Simulation::new(&sys, ProtocolKind::Safe, config(num_shards, 1))
             .with_failure_plan(plan())
             .run();
         let wide = Simulation::new(&sys, ProtocolKind::Safe, config(4, 2))
@@ -802,7 +805,7 @@ proptest! {
     #[test]
     fn covered_pushes_resolve_at_planning_time_under_churn_and_partitions(
         seed in 0u64..10_000,
-        num_shards in 2u32..7,
+        num_shards in 1u32..7,
         fanout in 1u32..4,
         period_eighths in 1u32..4,
         latency_eighths in 0u32..12,
@@ -926,7 +929,7 @@ proptest! {
     /// After a partition heals, diffusion re-converges: the heal is
     /// observed by the coverage tracker and the recorded post-heal coverage
     /// curve (covered keys per round) is monotone non-decreasing and never
-    /// exceeds the key count — on both engine families.
+    /// exceeds the key count — on one shard and on four.
     #[test]
     fn post_heal_coverage_curve_is_monotone(
         seed in 0u64..10_000,
