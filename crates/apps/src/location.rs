@@ -66,7 +66,7 @@ impl<'a, S: QuorumSystem + ?Sized> LocationDirectory<'a, S> {
     /// Probes `margin` extra location stores per access and completes on
     /// the first `q` responders — the availability knob for a directory
     /// whose primary requirement is that callers *always* get an answer.
-    /// Registers already cached for a device follow the new margin too.
+    /// Devices that have already moved follow the new margin too.
     pub fn with_probe_margin(mut self, margin: usize) -> Self {
         self.registers.set_probe_margin(margin);
         self
@@ -291,8 +291,9 @@ mod tests {
 
     #[test]
     fn margin_set_after_first_move_covers_cached_registers() {
-        // The device's register is cached by its first move; a margin
-        // configured afterwards must still apply to its later accesses.
+        // The device's timestamp chain exists since its first move; a
+        // margin configured afterwards must still apply to its later
+        // accesses.
         // Majority of 5 (quorums of 3) with 2 crashed servers and margin 2:
         // every probe set covers all five servers, so lookups always reach
         // the three live replicas — deterministically, no misses at all.

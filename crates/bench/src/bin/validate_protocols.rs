@@ -16,9 +16,9 @@ use pqs_bench::{fmt_prob, ExperimentTable};
 use pqs_core::prelude::*;
 use pqs_core::system::{ProbabilisticQuorumSystem, QuorumSystem};
 use pqs_protocols::cluster::Cluster;
-use pqs_protocols::diffusion::{diffuse_plain, DiffusionConfig};
+use pqs_protocols::diffusion::{diffuse, DiffusionConfig};
 use pqs_protocols::register::SafeRegister;
-use pqs_protocols::value::Value;
+use pqs_protocols::value::{TaggedValue, Value};
 use pqs_sim::latency::LatencyModel;
 use pqs_sim::runner::{ProtocolKind, SimConfig, Simulation};
 use rand::SeedableRng;
@@ -162,7 +162,7 @@ fn main() {
                 Some(tv) if tv.value == Value::from_u64(i) => {}
                 _ => stale_without += 1,
             }
-            diffuse_plain(
+            diffuse::<TaggedValue>(
                 &mut cluster,
                 0,
                 DiffusionConfig { fanout: 2, rounds },

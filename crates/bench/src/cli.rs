@@ -1,8 +1,8 @@
 //! The unified command line shared by every `validate_*` binary.
 //!
 //! Before this module each validator hand-rolled its own `--seed` loop;
-//! flags, help text and exit codes drifted apart.  Now all nine accept the
-//! same four flags with the same semantics:
+//! flags, help text and exit codes drifted apart.  Now all eleven accept
+//! the same six flags with the same semantics:
 //!
 //! * `--seed N` — base RNG seed mixed into every simulation/sampling seed
 //!   (default 0).  The paper's bounds must hold for *every* seed, so the CI

@@ -1,14 +1,12 @@
 //! A universe of replica servers addressed by quorum.
 //!
 //! [`Cluster`] owns one [`ReplicaServer`] per element of a
-//! [`Universe`], provides quorum-granularity read/write fan-out for the
-//! register protocols, failure injection (crashes and Byzantine
-//! corruption), and per-server access accounting used to *measure* load
-//! (Definition 2.4) empirically.
+//! [`Universe`], provides the per-server read/write probes the register
+//! protocols fan out over a quorum, failure injection (crashes and
+//! Byzantine corruption), and per-server access accounting used to
+//! *measure* load (Definition 2.4) empirically.
 
-use crate::crypto::SignedValue;
-use crate::server::{Behavior, ReplicaServer, VariableId};
-use crate::value::TaggedValue;
+use crate::server::{Behavior, Record, ReplicaServer, VariableId};
 use pqs_core::quorum::Quorum;
 use pqs_core::universe::{ServerId, Universe};
 use rand::Rng;
@@ -147,83 +145,25 @@ impl Cluster {
         .expect("server ids are in range")
     }
 
-    /// Sends a plain read to a single server; returns its reply, or `None`
-    /// if the server does not answer (crashed).  The access is counted
-    /// whether or not the server replies, like a quorum-granularity read.
+    /// Sends a read for records of kind `R` to a single server; returns its
+    /// reply, or `None` if the server does not answer (crashed).  The access
+    /// is counted whether or not the server replies.
     ///
     /// This is the per-message building block of the session-based access
     /// model ([`crate::register::session`]): the discrete-event simulator
     /// schedules one such probe per `(operation, server)` pair, so a
     /// server's behaviour is evaluated at the *message's* delivery time
     /// rather than at the operation's start.
-    pub fn probe_read_plain(&mut self, id: ServerId, var: VariableId) -> Option<TaggedValue> {
+    pub fn probe_read<R: Record>(&mut self, id: ServerId, var: VariableId) -> Option<R> {
         self.note_access(id);
-        self.servers[id.as_usize()].handle_read_plain(var)
+        self.servers[id.as_usize()].handle_read(var)
     }
 
-    /// Sends a plain write to a single server; returns `true` if it
+    /// Sends a write of `record` to a single server; returns `true` if it
     /// acknowledged.
-    pub fn probe_write_plain(&mut self, id: ServerId, var: VariableId, tv: &TaggedValue) -> bool {
+    pub fn probe_write<R: Record>(&mut self, id: ServerId, var: VariableId, record: &R) -> bool {
         self.note_access(id);
-        self.servers[id.as_usize()].handle_write_plain(var, tv)
-    }
-
-    /// Sends a signed read to a single server (dissemination protocol).
-    pub fn probe_read_signed(&mut self, id: ServerId, var: VariableId) -> Option<SignedValue> {
-        self.note_access(id);
-        self.servers[id.as_usize()].handle_read_signed(var)
-    }
-
-    /// Sends a signed write to a single server; returns `true` if it
-    /// acknowledged.
-    pub fn probe_write_signed(&mut self, id: ServerId, var: VariableId, sv: &SignedValue) -> bool {
-        self.note_access(id);
-        self.servers[id.as_usize()].handle_write_signed(var, sv)
-    }
-
-    /// Sends a plain read to every server of `quorum`; returns the replies
-    /// that arrived.
-    pub fn read_plain(&mut self, quorum: &Quorum, var: VariableId) -> Vec<(ServerId, TaggedValue)> {
-        let mut replies = Vec::with_capacity(quorum.len());
-        for id in quorum.iter() {
-            if let Some(tv) = self.probe_read_plain(id, var) {
-                replies.push((id, tv));
-            }
-        }
-        replies
-    }
-
-    /// Sends a plain write to every server of `quorum`; returns the number
-    /// of acknowledgements.
-    pub fn write_plain(&mut self, quorum: &Quorum, var: VariableId, tv: &TaggedValue) -> usize {
-        quorum
-            .iter()
-            .filter(|&id| self.probe_write_plain(id, var, tv))
-            .count()
-    }
-
-    /// Sends a signed read to every server of `quorum`.
-    pub fn read_signed(
-        &mut self,
-        quorum: &Quorum,
-        var: VariableId,
-    ) -> Vec<(ServerId, SignedValue)> {
-        let mut replies = Vec::with_capacity(quorum.len());
-        for id in quorum.iter() {
-            if let Some(sv) = self.probe_read_signed(id, var) {
-                replies.push((id, sv));
-            }
-        }
-        replies
-    }
-
-    /// Sends a signed write to every server of `quorum`; returns the number
-    /// of acknowledgements.
-    pub fn write_signed(&mut self, quorum: &Quorum, var: VariableId, sv: &SignedValue) -> usize {
-        quorum
-            .iter()
-            .filter(|&id| self.probe_write_signed(id, var, sv))
-            .count()
+        self.servers[id.as_usize()].handle_write(var, record)
     }
 
     /// Total number of quorum accesses performed so far (each read or write
@@ -271,13 +211,27 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crypto::{KeyRegistry, SignedValue};
     use crate::timestamp::Timestamp;
-    use crate::value::Value;
+    use crate::value::{TaggedValue, Value};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn tv(v: u64, c: u64) -> TaggedValue {
         TaggedValue::new(Value::from_u64(v), Timestamp::new(c, 1))
+    }
+
+    /// Write-probes every member of `quorum`; returns the acknowledgements.
+    fn write_all<R: Record>(c: &mut Cluster, quorum: &Quorum, record: &R) -> usize {
+        quorum
+            .iter()
+            .filter(|&id| c.probe_write(id, 0, record))
+            .count()
+    }
+
+    /// Read-probes every member of `quorum`; returns the replies that came.
+    fn read_all<R: Record>(c: &mut Cluster, quorum: &Quorum) -> Vec<R> {
+        quorum.iter().filter_map(|id| c.probe_read(id, 0)).collect()
     }
 
     #[test]
@@ -299,16 +253,12 @@ mod tests {
         let write_q = Quorum::from_indices(u, [0u32, 1, 2, 3]).unwrap();
         let read_q = Quorum::from_indices(u, [3u32, 4, 5]).unwrap();
         c.note_operation();
-        assert_eq!(c.write_plain(&write_q, 0, &tv(7, 1)), 4);
+        assert_eq!(write_all(&mut c, &write_q, &tv(7, 1)), 4);
         c.note_operation();
-        let replies = c.read_plain(&read_q, 0);
+        let replies: Vec<TaggedValue> = read_all(&mut c, &read_q);
         assert_eq!(replies.len(), 3);
         // Server 3 observed the write; 4 and 5 still have the initial value.
-        let best = replies
-            .into_iter()
-            .map(|(_, v)| v)
-            .max_by_key(|v| v.timestamp)
-            .unwrap();
+        let best = replies.into_iter().max_by_key(|v| v.timestamp).unwrap();
         assert_eq!(best, tv(7, 1));
         assert_eq!(c.total_accesses(), 2);
         // Access counts: server 3 touched twice, server 0 once, server 9 never.
@@ -328,21 +278,20 @@ mod tests {
         c.set_behavior(ServerId::new(1), Behavior::Crashed);
         // Write probes: correct server acks and stores, crashed server is
         // silent but still counted as an access.
-        assert!(c.probe_write_plain(ServerId::new(0), 0, &tv(5, 1)));
-        assert!(!c.probe_write_plain(ServerId::new(1), 0, &tv(5, 1)));
-        assert_eq!(c.probe_read_plain(ServerId::new(0), 0), Some(tv(5, 1)));
-        assert_eq!(c.probe_read_plain(ServerId::new(1), 0), None);
+        assert!(c.probe_write(ServerId::new(0), 0, &tv(5, 1)));
+        assert!(!c.probe_write(ServerId::new(1), 0, &tv(5, 1)));
+        assert_eq!(c.probe_read(ServerId::new(0), 0), Some(tv(5, 1)));
+        assert_eq!(c.probe_read::<TaggedValue>(ServerId::new(1), 0), None);
         assert_eq!(c.access_counts()[0], 2);
         assert_eq!(c.access_counts()[1], 2);
         // Signed probes follow the same pattern.
-        use crate::crypto::{KeyRegistry, SignedValue};
         let mut registry = KeyRegistry::new();
         let key = registry.register(1, 42);
         let record = SignedValue::create(&key, Value::from_u64(9), Timestamp::new(1, 1));
-        assert!(c.probe_write_signed(ServerId::new(2), 0, &record));
-        assert!(!c.probe_write_signed(ServerId::new(1), 0, &record));
-        assert_eq!(c.probe_read_signed(ServerId::new(2), 0), Some(record));
-        assert_eq!(c.probe_read_signed(ServerId::new(1), 0), None);
+        assert!(c.probe_write(ServerId::new(2), 0, &record));
+        assert!(!c.probe_write(ServerId::new(1), 0, &record));
+        assert_eq!(c.probe_read(ServerId::new(2), 0), Some(record));
+        assert_eq!(c.probe_read::<SignedValue>(ServerId::new(1), 0), None);
     }
 
     #[test]
@@ -352,10 +301,12 @@ mod tests {
         c.crash_all([ServerId::new(0), ServerId::new(1)]);
         assert_eq!(c.crashed_set().len(), 2);
         let q = Quorum::from_indices(u, [0u32, 1, 2]).unwrap();
-        assert_eq!(c.write_plain(&q, 0, &tv(1, 1)), 1);
-        assert_eq!(c.read_plain(&q, 0).len(), 1);
+        assert_eq!(write_all(&mut c, &q, &tv(1, 1)), 1);
+        assert_eq!(read_all::<TaggedValue>(&mut c, &q).len(), 1);
+        // Silent servers were still accessed, once per probe.
+        assert_eq!(c.access_counts()[..3], [2, 2, 2]);
         c.heal_all();
-        assert_eq!(c.read_plain(&q, 0).len(), 3);
+        assert_eq!(read_all::<TaggedValue>(&mut c, &q).len(), 3);
     }
 
     #[test]
@@ -387,7 +338,6 @@ mod tests {
 
     #[test]
     fn signed_paths_roundtrip() {
-        use crate::crypto::{KeyRegistry, SignedValue};
         let u = Universe::new(4);
         let mut c = Cluster::new(u);
         let mut registry = KeyRegistry::new();
@@ -395,10 +345,15 @@ mod tests {
         let record = SignedValue::create(&key, Value::from_u64(5), Timestamp::new(1, 1));
         let q = Quorum::full(u);
         c.note_operation();
-        assert_eq!(c.write_signed(&q, 0, &record), 4);
+        assert_eq!(write_all(&mut c, &q, &record), 4);
         c.note_operation();
-        let replies = c.read_signed(&q, 0);
+        let replies: Vec<SignedValue> = read_all(&mut c, &q);
         assert_eq!(replies.len(), 4);
-        assert!(replies.iter().all(|(_, sv)| *sv == record));
+        assert!(replies.iter().all(|sv| *sv == record));
+        // The plain stores never saw the signed write.
+        assert!(read_all::<TaggedValue>(&mut c, &q)
+            .iter()
+            .all(|tv| *tv == TaggedValue::initial()));
+        assert_eq!((c.total_accesses(), c.access_counts()[0]), (2, 3));
     }
 }

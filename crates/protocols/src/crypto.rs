@@ -111,7 +111,7 @@ impl KeyRegistry {
     }
 
     /// Verifies a [`SignedValue`] end to end.
-    pub fn verify_signed(&self, signed: &SignedValue) -> bool {
+    pub fn verifies(&self, signed: &SignedValue) -> bool {
         self.verify(
             signed.writer,
             &signed.tagged.value,
@@ -246,14 +246,14 @@ mod tests {
     fn signed_value_roundtrip_and_initial() {
         let (reg, key) = setup();
         let signed = SignedValue::create(&key, Value::from_u64(5), Timestamp::new(2, 7));
-        assert!(reg.verify_signed(&signed));
+        assert!(reg.verifies(&signed));
         assert_eq!(signed.writer, 7);
         // Tampering with the stored record is detected.
         let mut forged = signed.clone();
         forged.tagged.value = Value::from_u64(6);
-        assert!(!reg.verify_signed(&forged));
+        assert!(!reg.verifies(&forged));
         // The initial placeholder never verifies.
-        assert!(!reg.verify_signed(&SignedValue::unsigned_initial()));
+        assert!(!reg.verifies(&SignedValue::unsigned_initial()));
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!   time (the engine delays each push by its own latency draw, so a
 //!   receiver that crashed mid-flight simply drops the message).
 //!
-//! The run-to-completion helpers [`diffuse_plain`] / [`diffuse_signed`]
-//! compose the two steps back into the classic synchronous-rounds loop.
+//! The run-to-completion helper [`diffuse`] composes the two steps back
+//! into the classic synchronous-rounds loop.
 //!
 //! # Digest/delta gossip
 //!
@@ -53,22 +53,31 @@
 //!
 //! Information therefore flows *toward* the digest sender (pull-style
 //! anti-entropy); a fresh write spreads because every correct server keeps
-//! digesting random peers each round.  The run-to-completion helpers
-//! [`diffuse_digest_plain`] / [`diffuse_digest_signed`] compose the three
-//! steps into synchronous rounds, exactly like [`diffuse_plain`] does for
-//! the push protocol.
+//! digesting random peers each round.  The run-to-completion helper
+//! [`diffuse_digest`] composes the three steps into synchronous rounds,
+//! exactly like [`diffuse`] does for the push protocol.
 //!
 //! Failure semantics are identical in both drivers and both protocols:
 //! **crashed** servers neither initiate nor answer, and **Byzantine**
 //! servers receive digests and pushes (harmlessly — they drop or suppress
 //! them) but never push and never answer with a delta, modelling the fact
-//! that correct servers cannot rely on them to help dissemination.  Both
-//! the plain records of the safe/masking protocols and the signed,
-//! self-verifying records of the dissemination protocol diffuse.
+//! that correct servers cannot rely on them to help dissemination.
+//!
+//! # One path for both record kinds
+//!
+//! Both the plain records of the safe/masking protocols and the signed,
+//! self-verifying records of the dissemination protocol diffuse, through
+//! the same code: every step is generic over the [`Record`] kind.  The
+//! functions whose signatures the repo benchmark compiles against
+//! ([`plan_cluster_round`], [`plan_digest`], [`diff_digest`]) take the kind
+//! at run time — a `signed: bool`, or the [`GossipDigest::signed`] it was
+//! planned with — and turn it into a type on their first line; a message's
+//! payload is an [`AnyRecord`], typed again where it is delivered
+//! ([`deliver_record`]).
 
 use crate::cluster::Cluster;
 use crate::crypto::SignedValue;
-use crate::server::{Behavior, ReplicaServer, Stamped, VariableId};
+use crate::server::{AnyRecord, Behavior, Record, ReplicaServer, VariableId};
 use crate::timestamp::Timestamp;
 use crate::value::TaggedValue;
 use pqs_core::universe::ServerId;
@@ -96,33 +105,6 @@ impl Default for DiffusionConfig {
     }
 }
 
-/// The record one gossip push carries: plain for the safe and masking
-/// protocols, signed for dissemination (mirroring
-/// [`WriteRecord`](crate::register::WriteRecord) on the client side).
-#[derive(Debug, Clone, PartialEq)]
-pub enum GossipRecord {
-    /// An unsigned value–timestamp pair.
-    Plain(TaggedValue),
-    /// A signed, self-verifying value–timestamp pair.
-    Signed(SignedValue),
-}
-
-impl GossipRecord {
-    /// The timestamp the record was written under.
-    pub fn timestamp(&self) -> Timestamp {
-        match self {
-            GossipRecord::Plain(tv) => tv.timestamp,
-            GossipRecord::Signed(sv) => sv.tagged.timestamp,
-        }
-    }
-
-    /// Whether the record is the never-written initial value (timestamp
-    /// zero) — such records are not worth a message.
-    pub fn is_initial(&self) -> bool {
-        self.timestamp() == Timestamp::ZERO
-    }
-}
-
 /// One server-to-server gossip message: `from` pushes its freshest record
 /// for `variable` to `to`.  Planned by [`plan_round`] /
 /// [`plan_cluster_round`], applied by [`deliver`].
@@ -135,21 +117,21 @@ pub struct GossipPush {
     /// The variable the record belongs to.
     pub variable: VariableId,
     /// The sender's record at planning (send) time.
-    pub record: GossipRecord,
+    pub record: AnyRecord,
 }
 
-/// Plans one synchronous round of push gossip for a single `variable`.
+/// Plans one synchronous round of push gossip of `R` records for a single
+/// `variable`.
 ///
 /// Every *correct* server draws `fanout` uniform peers (self-draws are
 /// consumed but skipped, preserving the classic RNG stream); a push is
 /// emitted for each draw whose sender actually holds a non-initial record.
 /// Nothing is mutated: the returned batch is a snapshot-consistent
 /// exchange, to be applied with [`deliver`].
-pub fn plan_round(
+pub fn plan_round<R: Record>(
     cluster: &Cluster,
     variable: VariableId,
     fanout: usize,
-    signed: bool,
     rng: &mut dyn RngCore,
 ) -> Vec<GossipPush> {
     let n = cluster.len();
@@ -159,22 +141,21 @@ pub fn plan_round(
         if sender.behavior() != Behavior::Correct {
             continue;
         }
-        let record = if signed {
-            GossipRecord::Signed(sender.stored_signed(variable))
-        } else {
-            GossipRecord::Plain(sender.stored_plain(variable))
-        };
+        // A held record is never the initial one (see `RecordStore`).
+        let held = sender.record::<R>(variable);
         for _ in 0..fanout {
             let peer = rng.gen_range(0..n);
-            if peer == i as usize || record.is_initial() {
+            if peer == i as usize {
                 continue;
             }
-            pushes.push(GossipPush {
-                from: ServerId::new(i),
-                to: ServerId::new(peer as u32),
-                variable,
-                record: record.clone(),
-            });
+            if let Some(record) = held {
+                pushes.push(GossipPush {
+                    from: ServerId::new(i),
+                    to: ServerId::new(peer as u32),
+                    variable,
+                    record: record.clone().into(),
+                });
+            }
         }
     }
     pushes
@@ -261,15 +242,15 @@ pub struct PlannedPush {
 }
 
 impl PlannedPush {
-    /// The full message: the sender's record as `cluster` holds it, which
-    /// is the planned one as long as `cluster` has not changed since
+    /// The full message: the sender's `R` record as `cluster` holds it,
+    /// which is the planned one as long as `cluster` has not changed since
     /// planning.
-    pub fn materialise(&self, cluster: &Cluster, signed: bool) -> GossipPush {
+    pub fn materialise<R: Record>(&self, cluster: &Cluster) -> GossipPush {
         GossipPush {
             from: self.from,
             to: self.to,
             variable: self.variable,
-            record: stored_record(cluster.server(self.from), self.variable, signed),
+            record: cluster.server(self.from).stored::<R>(self.variable).into(),
         }
     }
 }
@@ -304,7 +285,7 @@ pub struct RoundPlan {
 }
 
 /// The planning loop behind both cluster-round planners: each correct
-/// server pushes its freshest record for each variable it stores to
+/// server pushes its freshest `R` record for each variable it stores to
 /// `fanout` uniform peers, and `message` decides what is kept of each push
 /// `(sender, receiver, variable, sender's timestamp)`.
 ///
@@ -312,11 +293,10 @@ pub struct RoundPlan {
 /// (and hence the whole simulation) is deterministic.  The same pass also
 /// produces the per-variable [`VariableCoverage`] snapshot used by the
 /// convergence metrics, returned with the number of correct servers.
-fn plan_pushes<R: RngCore + ?Sized, M>(
+fn plan_pushes<R: Record, G: RngCore + ?Sized, M>(
     cluster: &Cluster,
     fanout: usize,
-    signed: bool,
-    rng: &mut R,
+    rng: &mut G,
     mut message: impl FnMut(&ReplicaServer, ServerId, VariableId, Timestamp) -> M,
 ) -> (Vec<M>, Vec<VariableCoverage>, u32) {
     let n = cluster.len();
@@ -335,13 +315,9 @@ fn plan_pushes<R: RngCore + ?Sized, M>(
         }
         correct_servers += 1;
         variables.clear();
-        if signed {
-            variables.extend(sender.signed_variables());
-        } else {
-            variables.extend(sender.plain_variables());
-        }
+        variables.extend(sender.variables::<R>());
         for &variable in &variables {
-            let timestamp = stored_timestamp(sender, variable, signed);
+            let timestamp = sender.stored_timestamp::<R>(variable);
             if timestamp == Timestamp::ZERO {
                 continue;
             }
@@ -363,22 +339,6 @@ fn plan_pushes<R: RngCore + ?Sized, M>(
     (pushes, coverage.into_coverage(), correct_servers)
 }
 
-fn stored_timestamp(server: &ReplicaServer, variable: VariableId, signed: bool) -> Timestamp {
-    if signed {
-        server.stored_signed_timestamp(variable)
-    } else {
-        server.stored_plain_timestamp(variable)
-    }
-}
-
-fn stored_record(server: &ReplicaServer, variable: VariableId, signed: bool) -> GossipRecord {
-    if signed {
-        GossipRecord::Signed(server.stored_signed(variable))
-    } else {
-        GossipRecord::Plain(server.stored_plain(variable))
-    }
-}
-
 /// Plans one engine round of push gossip over **every** variable held
 /// anywhere in the cluster: each correct server pushes its freshest record
 /// for each variable it stores to `fanout` uniform peers, in deterministic
@@ -394,44 +354,45 @@ pub fn plan_cluster_round(
     signed: bool,
     rng: &mut dyn RngCore,
 ) -> RoundPlan {
-    let (pushes, coverage, correct_servers) =
-        plan_pushes(cluster, fanout, signed, rng, |sender, to, variable, _| {
-            GossipPush {
+    fn plan<R: Record>(cluster: &Cluster, fanout: usize, rng: &mut dyn RngCore) -> RoundPlan {
+        let (pushes, coverage, correct_servers) =
+            plan_pushes::<R, _, _>(cluster, fanout, rng, |sender, to, variable, _| GossipPush {
                 from: sender.id(),
                 to,
                 variable,
-                record: stored_record(sender, variable, signed),
-            }
-        });
-    RoundPlan {
-        pushes,
-        coverage,
-        correct_servers,
+                record: sender.stored::<R>(variable).into(),
+            });
+        RoundPlan {
+            pushes,
+            coverage,
+            correct_servers,
+        }
+    }
+    if signed {
+        plan::<SignedValue>(cluster, fanout, rng)
+    } else {
+        plan::<TaggedValue>(cluster, fanout, rng)
     }
 }
 
 /// [`plan_cluster_round`] without copying a record — same visit order, same
 /// draws, same coverage snapshot — with each push noting whether its
 /// receiver is already [`covered`](PlannedPush::covered).
-pub fn outline_cluster_round<R: RngCore + ?Sized>(
+pub fn outline_cluster_round<R: Record, G: RngCore + ?Sized>(
     cluster: &Cluster,
     fanout: usize,
-    signed: bool,
-    rng: &mut R,
+    rng: &mut G,
 ) -> RoundOutline {
-    let (pushes, coverage, correct_servers) = plan_pushes(
-        cluster,
-        fanout,
-        signed,
-        rng,
-        |sender, to, variable, timestamp| PlannedPush {
-            from: sender.id(),
-            to,
-            variable,
-            timestamp,
-            covered: stored_timestamp(cluster.server(to), variable, signed) >= timestamp,
-        },
-    );
+    let (pushes, coverage, correct_servers) =
+        plan_pushes::<R, _, _>(cluster, fanout, rng, |sender, to, variable, timestamp| {
+            PlannedPush {
+                from: sender.id(),
+                to,
+                variable,
+                timestamp,
+                covered: cluster.server(to).stored_timestamp::<R>(variable) >= timestamp,
+            }
+        });
     RoundOutline {
         pushes,
         coverage,
@@ -449,7 +410,7 @@ pub fn deliver_record(
     cluster: &mut Cluster,
     to: ServerId,
     variable: VariableId,
-    record: &GossipRecord,
+    record: &AnyRecord,
 ) -> bool {
     if cluster.server(to).behavior() != Behavior::Correct {
         return false;
@@ -457,8 +418,8 @@ pub fn deliver_record(
     // The merge compares timestamps before it copies anything: most
     // full-push deliveries find the receiver already as fresh.
     match record {
-        GossipRecord::Plain(tv) => cluster.server_mut(to).merge_plain(variable, tv),
-        GossipRecord::Signed(sv) => cluster.server_mut(to).merge_signed(variable, sv),
+        AnyRecord::Plain(tv) => cluster.server_mut(to).merge(variable, tv),
+        AnyRecord::Signed(sv) => cluster.server_mut(to).merge(variable, sv),
     }
 }
 
@@ -521,7 +482,7 @@ pub struct GossipDelta {
     pub to: ServerId,
     /// `(key, record)` pairs the digest sender provably lacks, sorted by
     /// key.
-    pub records: Vec<(VariableId, GossipRecord)>,
+    pub records: Vec<(VariableId, AnyRecord)>,
 }
 
 /// One planned round of digest gossip: every correct server's digests to
@@ -555,15 +516,28 @@ pub fn plan_digest(
     selector: &KeySelector,
     rng: &mut dyn RngCore,
 ) -> DigestRoundPlan {
+    if signed {
+        plan_digests::<SignedValue>(cluster, fanout, selector, rng)
+    } else {
+        plan_digests::<TaggedValue>(cluster, fanout, selector, rng)
+    }
+}
+
+/// [`plan_digest`] over the stores of `R` records.
+fn plan_digests<R: Record>(
+    cluster: &Cluster,
+    fanout: usize,
+    selector: &KeySelector,
+    rng: &mut dyn RngCore,
+) -> DigestRoundPlan {
     let n = cluster.len();
     let mut digests = Vec::new();
     let mut coverage = CoverageScratch::new();
     let mut correct_servers = 0u32;
-    // Per-sender scratch buffers, reused across the whole round (the
-    // per-digest `entries.clone()` below is inherent — each message owns
-    // its entry list — but the scratch itself allocates only once).  The
-    // dense store yields held keys already ascending — no per-sender sort.
-    let mut held: Vec<VariableId> = Vec::new();
+    // One entry buffer reused across the whole round (the per-digest
+    // `entries.clone()` below is inherent — each message owns its entry
+    // list — but the scratch itself allocates only once).  The dense store
+    // yields held keys already ascending — no per-sender sort.
     let mut entries: Vec<(VariableId, Timestamp)> = Vec::new();
     for i in 0..n as u32 {
         let sender = cluster.server(ServerId::new(i));
@@ -571,25 +545,12 @@ pub fn plan_digest(
             continue;
         }
         correct_servers += 1;
-        held.clear();
-        if signed {
-            held.extend(sender.signed_variables());
-        } else {
-            held.extend(sender.plain_variables());
-        }
-        let timestamp_of = |v: VariableId| {
-            if signed {
-                sender.stored_signed_timestamp(v)
-            } else {
-                sender.stored_plain_timestamp(v)
-            }
-        };
         // One pass builds the coverage snapshot (over everything held,
         // selector or not) and, for complete digests, the entry list —
         // timestamps only, no record is ever cloned while planning.
         entries.clear();
-        for &variable in &held {
-            let ts = timestamp_of(variable);
+        for variable in sender.variables::<R>() {
+            let ts = sender.stored_timestamp::<R>(variable);
             if ts == Timestamp::ZERO {
                 continue;
             }
@@ -599,8 +560,7 @@ pub fn plan_digest(
             }
         }
         if let KeySelector::Only(keys) = selector {
-            entries.clear();
-            entries.extend(keys.iter().map(|&v| (v, timestamp_of(v))));
+            entries.extend(keys.iter().map(|&v| (v, sender.stored_timestamp::<R>(v))));
         }
         for _ in 0..fanout {
             let peer = rng.gen_range(0..n);
@@ -610,7 +570,7 @@ pub fn plan_digest(
             digests.push(GossipDigest {
                 from: ServerId::new(i),
                 to: ServerId::new(peer as u32),
-                signed,
+                signed: R::SIGNED,
                 complete: selector.is_complete(),
                 entries: entries.clone(),
             });
@@ -652,19 +612,9 @@ pub fn diff_digest(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDif
         return None;
     }
     let (records, avoided) = if digest.signed {
-        diff_entries(
-            digest,
-            receiver.signed_variables(),
-            |variable| receiver.signed_record(variable),
-            GossipRecord::Signed,
-        )
+        diff_entries::<SignedValue>(receiver, digest)
     } else {
-        diff_entries(
-            digest,
-            receiver.plain_variables(),
-            |variable| receiver.plain_record(variable),
-            GossipRecord::Plain,
-        )
+        diff_entries::<TaggedValue>(receiver, digest)
     };
     Some(DigestDiff {
         delta: GossipDelta {
@@ -676,21 +626,17 @@ pub fn diff_digest(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDif
     })
 }
 
-/// The diff itself, over either record flavor: `held` walks the receiver's
-/// keys, `lookup` borrows a held record and `wrap` is the [`GossipRecord`]
-/// variant it travels as.
+/// The diff itself, against the receiver's store of `R` records.
 ///
-/// `digest.entries` and `held` are both ascending by key, so one merge walk
+/// `digest.entries` and the held keys are both ascending, so one merge walk
 /// visits advertised and (for a complete digest) volunteered keys in key
 /// order and the delta comes out sorted without a set or a sort.
 /// Timestamps decide the diff; a record is cloned only when it actually
 /// rides in the delta (proving redundancy — the common case — is free).
-fn diff_entries<'a, T: Stamped + Clone + 'a>(
+fn diff_entries<R: Record>(
+    receiver: &ReplicaServer,
     digest: &GossipDigest,
-    held: impl Iterator<Item = VariableId>,
-    lookup: impl Fn(VariableId) -> Option<&'a T>,
-    wrap: fn(T) -> GossipRecord,
-) -> (Vec<(VariableId, GossipRecord)>, Vec<VariableId>) {
+) -> (Vec<(VariableId, AnyRecord)>, Vec<VariableId>) {
     debug_assert!(
         digest.entries.windows(2).all(|w| w[0].0 < w[1].0),
         "digest entries must be sorted by key"
@@ -698,10 +644,14 @@ fn diff_entries<'a, T: Stamped + Clone + 'a>(
     let mut records = Vec::new();
     let mut avoided = Vec::new();
     // Only a complete digest lets the receiver volunteer what it holds.
-    let mut held = held.filter(|_| digest.complete).peekable();
+    let mut held = receiver
+        .variables::<R>()
+        .filter(|_| digest.complete)
+        .peekable();
+    let lookup = |variable| receiver.record::<R>(variable);
     let volunteer = |variable: VariableId, records: &mut Vec<_>| {
-        if let Some(mine) = lookup(variable).filter(|r| r.stamp() != Timestamp::ZERO) {
-            records.push((variable, wrap(mine.clone())));
+        if let Some(mine) = lookup(variable).filter(|r| r.timestamp() != Timestamp::ZERO) {
+            records.push((variable, mine.clone().into()));
         }
     };
     for &(variable, advertised) in &digest.entries {
@@ -711,8 +661,10 @@ fn diff_entries<'a, T: Stamped + Clone + 'a>(
         }
         held.next_if_eq(&variable);
         match lookup(variable) {
-            Some(mine) if mine.stamp() > advertised => records.push((variable, wrap(mine.clone()))),
-            Some(mine) if mine.stamp() != Timestamp::ZERO => avoided.push(variable),
+            Some(mine) if mine.timestamp() > advertised => {
+                records.push((variable, mine.clone().into()))
+            }
+            Some(mine) if mine.timestamp() != Timestamp::ZERO => avoided.push(variable),
             _ => {}
         }
     }
@@ -726,49 +678,42 @@ fn diff_entries<'a, T: Stamped + Clone + 'a>(
 /// oracle its merge walk is tested against.
 #[cfg(test)]
 fn diff_digest_oracle(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDiff> {
+    fn diff<R: Record>(
+        receiver: &ReplicaServer,
+        digest: &GossipDigest,
+    ) -> (Vec<(VariableId, AnyRecord)>, Vec<VariableId>) {
+        let mut records = Vec::new();
+        let mut avoided = Vec::new();
+        for &(variable, advertised) in &digest.entries {
+            let mine = receiver.stored_timestamp::<R>(variable);
+            if mine > advertised {
+                records.push((variable, receiver.stored::<R>(variable).into()));
+            } else if mine != Timestamp::ZERO {
+                avoided.push(variable);
+            }
+        }
+        if digest.complete {
+            let advertised: BTreeSet<VariableId> = digest.entries.iter().map(|&(v, _)| v).collect();
+            for variable in receiver.variables::<R>() {
+                let unheld = receiver.stored_timestamp::<R>(variable) == Timestamp::ZERO;
+                if advertised.contains(&variable) || unheld {
+                    continue;
+                }
+                records.push((variable, receiver.stored::<R>(variable).into()));
+            }
+            records.sort_unstable_by_key(|&(v, _)| v);
+        }
+        (records, avoided)
+    }
     let receiver = cluster.server(digest.to);
     if receiver.behavior() != Behavior::Correct {
         return None;
     }
-    let timestamp_of = |variable: VariableId| {
-        if digest.signed {
-            receiver.stored_signed_timestamp(variable)
-        } else {
-            receiver.stored_plain_timestamp(variable)
-        }
+    let (records, avoided) = if digest.signed {
+        diff::<SignedValue>(receiver, digest)
+    } else {
+        diff::<TaggedValue>(receiver, digest)
     };
-    let stored = |variable: VariableId| -> GossipRecord {
-        if digest.signed {
-            GossipRecord::Signed(receiver.stored_signed(variable))
-        } else {
-            GossipRecord::Plain(receiver.stored_plain(variable))
-        }
-    };
-    let mut records = Vec::new();
-    let mut avoided = Vec::new();
-    for &(variable, advertised) in &digest.entries {
-        let mine = timestamp_of(variable);
-        if mine > advertised {
-            records.push((variable, stored(variable)));
-        } else if mine != Timestamp::ZERO {
-            avoided.push(variable);
-        }
-    }
-    if digest.complete {
-        let advertised: BTreeSet<VariableId> = digest.entries.iter().map(|&(v, _)| v).collect();
-        let extra: Vec<VariableId> = if digest.signed {
-            receiver.signed_variables().collect()
-        } else {
-            receiver.plain_variables().collect()
-        };
-        for variable in extra {
-            if advertised.contains(&variable) || timestamp_of(variable) == Timestamp::ZERO {
-                continue;
-            }
-            records.push((variable, stored(variable)));
-        }
-        records.sort_unstable_by_key(|&(v, _)| v);
-    }
     Some(DigestDiff {
         delta: GossipDelta {
             from: digest.to,
@@ -792,8 +737,8 @@ pub fn deliver_delta(cluster: &mut Cluster, delta: &GossipDelta) -> u64 {
         .count() as u64
 }
 
-/// Traffic accounting of one digest-gossip run: what
-/// [`diffuse_digest_plain`] / [`diffuse_digest_signed`] did on the wire.
+/// Traffic accounting of one digest-gossip run: what [`diffuse_digest`]
+/// did on the wire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DigestDiffusionStats {
     /// Digest messages delivered.
@@ -807,38 +752,19 @@ pub struct DigestDiffusionStats {
     pub redundant_avoided: u64,
 }
 
-/// Runs synchronous digest/delta gossip of plain records over the whole
+/// Runs synchronous digest/delta gossip of `R` records over the whole
 /// store (a [`KeySelector::All`] digest per pair) for `config.rounds`
 /// rounds, returning the traffic stats.  The same failure semantics as
-/// [`diffuse_plain`]: crashed servers neither initiate nor answer,
-/// Byzantine servers never answer.
-pub fn diffuse_digest_plain(
+/// [`diffuse`]: crashed servers neither initiate nor answer, Byzantine
+/// servers never answer.
+pub fn diffuse_digest<R: Record>(
     cluster: &mut Cluster,
     config: DiffusionConfig,
-    rng: &mut dyn RngCore,
-) -> DigestDiffusionStats {
-    diffuse_digest(cluster, config, false, rng)
-}
-
-/// [`diffuse_digest_plain`] over the signed records of the dissemination
-/// protocol.
-pub fn diffuse_digest_signed(
-    cluster: &mut Cluster,
-    config: DiffusionConfig,
-    rng: &mut dyn RngCore,
-) -> DigestDiffusionStats {
-    diffuse_digest(cluster, config, true, rng)
-}
-
-fn diffuse_digest(
-    cluster: &mut Cluster,
-    config: DiffusionConfig,
-    signed: bool,
     rng: &mut dyn RngCore,
 ) -> DigestDiffusionStats {
     let mut stats = DigestDiffusionStats::default();
     for _ in 0..config.rounds {
-        let plan = plan_digest(cluster, config.fanout, signed, &KeySelector::All, rng);
+        let plan = plan_digests::<R>(cluster, config.fanout, &KeySelector::All, rng);
         for digest in &plan.digests {
             stats.digests += 1;
             if let Some(diff) = diff_digest(cluster, digest) {
@@ -851,91 +777,44 @@ fn diffuse_digest(
     stats
 }
 
-/// Runs synchronous push-gossip of plain records for one variable and
+/// Runs synchronous push-gossip of `R` records for one variable and
 /// returns the number of *correct* servers holding the globally freshest
 /// record after the final round.
 ///
 /// Crashed servers neither push nor receive; Byzantine servers receive
 /// pushes (harmlessly) but never push, modelling the fact that correct
-/// servers cannot rely on them to help dissemination.
-pub fn diffuse_plain(
+/// servers cannot rely on them to help dissemination — for signed records
+/// too: a Byzantine server cannot forge a verifying record, so the worst it
+/// does there is exactly what it does on the plain path.
+pub fn diffuse<R: Record>(
     cluster: &mut Cluster,
     variable: VariableId,
     config: DiffusionConfig,
     rng: &mut dyn RngCore,
 ) -> usize {
     for _ in 0..config.rounds {
-        let pushes = plan_round(cluster, variable, config.fanout, false, rng);
+        let pushes = plan_round::<R>(cluster, variable, config.fanout, rng);
         for push in &pushes {
             deliver(cluster, push);
         }
     }
-    count_fresh_correct(cluster, variable)
+    count_fresh_correct::<R>(cluster, variable)
 }
 
-/// [`diffuse_plain`] for the signed records of the dissemination protocol:
-/// the same push-gossip process, merging by the timestamp of the signed
-/// record.  Byzantine servers cannot forge a verifying record, so the worst
-/// they do here is exactly what they do on the plain path — refuse to help.
-pub fn diffuse_signed(
-    cluster: &mut Cluster,
-    variable: VariableId,
-    config: DiffusionConfig,
-    rng: &mut dyn RngCore,
-) -> usize {
-    for _ in 0..config.rounds {
-        let pushes = plan_round(cluster, variable, config.fanout, true, rng);
-        for push in &pushes {
-            deliver(cluster, push);
-        }
-    }
-    count_fresh_correct_signed(cluster, variable)
-}
-
-/// Number of correct servers holding the freshest record currently present
-/// anywhere in the cluster for `variable`.
-pub fn count_fresh_correct(cluster: &Cluster, variable: VariableId) -> usize {
-    let freshest: Timestamp = (0..cluster.len() as u32)
-        .map(|i| {
-            cluster
-                .server(ServerId::new(i))
-                .stored_plain(variable)
-                .timestamp
-        })
+/// Number of correct servers holding the freshest `R` record currently
+/// present anywhere in the cluster for `variable`.
+pub fn count_fresh_correct<R: Record>(cluster: &Cluster, variable: VariableId) -> usize {
+    let servers = || (0..cluster.len() as u32).map(|i| cluster.server(ServerId::new(i)));
+    let freshest = servers()
+        .map(|s| s.stored_timestamp::<R>(variable))
         .max()
         .unwrap_or(Timestamp::ZERO);
     if freshest == Timestamp::ZERO {
         return 0;
     }
-    (0..cluster.len() as u32)
-        .filter(|&i| {
-            let s = cluster.server(ServerId::new(i));
-            s.behavior() == Behavior::Correct && s.stored_plain(variable).timestamp == freshest
-        })
-        .count()
-}
-
-/// [`count_fresh_correct`] over the signed storage of the dissemination
-/// protocol.
-pub fn count_fresh_correct_signed(cluster: &Cluster, variable: VariableId) -> usize {
-    let freshest: Timestamp = (0..cluster.len() as u32)
-        .map(|i| {
-            cluster
-                .server(ServerId::new(i))
-                .stored_signed(variable)
-                .tagged
-                .timestamp
-        })
-        .max()
-        .unwrap_or(Timestamp::ZERO);
-    if freshest == Timestamp::ZERO {
-        return 0;
-    }
-    (0..cluster.len() as u32)
-        .filter(|&i| {
-            let s = cluster.server(ServerId::new(i));
-            s.behavior() == Behavior::Correct
-                && s.stored_signed(variable).tagged.timestamp == freshest
+    servers()
+        .filter(|s| {
+            s.behavior() == Behavior::Correct && s.stored_timestamp::<R>(variable) == freshest
         })
         .count()
 }
@@ -945,6 +824,7 @@ mod tests {
     use super::*;
     use crate::crypto::KeyRegistry;
     use crate::register::SafeRegister;
+    use crate::server::tests::Make;
     use crate::value::Value;
     use pqs_core::probabilistic::EpsilonIntersecting;
     use pqs_core::system::{ProbabilisticQuorumSystem, QuorumSystem};
@@ -960,9 +840,9 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         reg.write(&mut cluster, &mut rng, Value::from_u64(9))
             .unwrap();
-        let before = count_fresh_correct(&cluster, 0);
+        let before = count_fresh_correct::<TaggedValue>(&cluster, 0);
         assert!(before <= 22);
-        let after = diffuse_plain(&mut cluster, 0, DiffusionConfig::default(), &mut rng);
+        let after = diffuse::<TaggedValue>(&mut cluster, 0, DiffusionConfig::default(), &mut rng);
         assert!(after > 90, "only {after} servers fresh after diffusion");
         assert!(after >= before);
     }
@@ -983,7 +863,7 @@ mod tests {
         for i in 1..=trials {
             reg.write(&mut cluster, &mut rng, Value::from_u64(i))
                 .unwrap();
-            diffuse_plain(
+            diffuse::<TaggedValue>(
                 &mut cluster,
                 0,
                 DiffusionConfig {
@@ -1020,7 +900,7 @@ mod tests {
         cluster.set_behavior(ServerId::new(0), Behavior::ByzantineStale);
         cluster.set_behavior(ServerId::new(1), Behavior::Crashed);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let fresh = diffuse_plain(
+        let fresh = diffuse::<TaggedValue>(
             &mut cluster,
             0,
             DiffusionConfig {
@@ -1038,16 +918,16 @@ mod tests {
     #[test]
     fn empty_cluster_state_counts_zero_fresh() {
         let cluster = Cluster::new(Universe::new(5));
-        assert_eq!(count_fresh_correct(&cluster, 0), 0);
-        assert_eq!(count_fresh_correct_signed(&cluster, 0), 0);
+        assert_eq!(count_fresh_correct::<TaggedValue>(&cluster, 0), 0);
+        assert_eq!(count_fresh_correct::<SignedValue>(&cluster, 0), 0);
         let mut cluster = cluster;
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         assert_eq!(
-            diffuse_plain(&mut cluster, 0, DiffusionConfig::default(), &mut rng),
+            diffuse::<TaggedValue>(&mut cluster, 0, DiffusionConfig::default(), &mut rng),
             0
         );
         assert_eq!(
-            diffuse_signed(&mut cluster, 0, DiffusionConfig::default(), &mut rng),
+            diffuse::<SignedValue>(&mut cluster, 0, DiffusionConfig::default(), &mut rng),
             0
         );
     }
@@ -1079,15 +959,17 @@ mod tests {
         };
         let mut rng_a = ChaCha8Rng::seed_from_u64(8);
         let mut rng_b = ChaCha8Rng::seed_from_u64(8);
-        let plain = diffuse_plain(&mut plain_cluster, 2, config, &mut rng_a);
-        let signed = diffuse_signed(&mut signed_cluster, 2, config, &mut rng_b);
+        let plain = diffuse::<TaggedValue>(&mut plain_cluster, 2, config, &mut rng_a);
+        let signed = diffuse::<SignedValue>(&mut signed_cluster, 2, config, &mut rng_b);
         assert_eq!(plain, signed);
         assert!(plain > 3, "diffusion must actually spread, got {plain}");
         // The signed records survive verification after gossip hops.
         for i in 0..40u32 {
-            let stored = signed_cluster.server(ServerId::new(i)).stored_signed(2);
+            let stored = signed_cluster
+                .server(ServerId::new(i))
+                .stored::<SignedValue>(2);
             if stored.tagged.timestamp != Timestamp::ZERO {
-                assert!(registry.verify_signed(&stored));
+                assert!(registry.verifies(&stored));
             }
         }
     }
@@ -1103,14 +985,16 @@ mod tests {
             from: ServerId::new(0),
             to: ServerId::new(to),
             variable: 0,
-            record: GossipRecord::Plain(tv.clone()),
+            record: AnyRecord::Plain(tv.clone()),
         };
         assert!(!deliver(&mut cluster, &push(1)), "byzantine receiver");
         assert!(!deliver(&mut cluster, &push(2)), "crashed receiver");
         assert!(deliver(&mut cluster, &push(3)), "correct receiver stores");
         assert!(!deliver(&mut cluster, &push(3)), "duplicate is a no-op");
         assert_eq!(
-            cluster.server(ServerId::new(1)).stored_plain(0).timestamp,
+            cluster
+                .server(ServerId::new(1))
+                .stored_timestamp::<TaggedValue>(0),
             Timestamp::ZERO
         );
     }
@@ -1151,14 +1035,14 @@ mod tests {
         for push in &plan.pushes {
             assert_ne!(push.from, ServerId::new(2), "byzantine servers never push");
             assert_ne!(push.from, push.to);
-            assert!(!push.record.is_initial());
+            assert_ne!(push.record.timestamp(), Timestamp::ZERO);
         }
         // Applying the whole plan only ever freshens receivers.
-        let before = count_fresh_correct(&cluster, 3);
+        let before = count_fresh_correct::<TaggedValue>(&cluster, 3);
         for push in &plan.pushes {
             deliver(&mut cluster, push);
         }
-        assert!(count_fresh_correct(&cluster, 3) >= before);
+        assert!(count_fresh_correct::<TaggedValue>(&cluster, 3) >= before);
     }
 
     #[test]
@@ -1167,35 +1051,25 @@ mod tests {
         // faulty: the outline draws the plan's peers, names the plan's
         // records, and `covered` is exactly "delivery stores nothing" at a
         // correct receiver.
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
-        let key = crate::crypto::SigningKey::derive(1, 3);
-        for case in 0..40u64 {
-            let signed = case % 2 == 1;
+        fn check<R: Make>(rng: &mut ChaCha8Rng, case: u64) {
             let mut cluster = Cluster::new(Universe::new(12));
             for i in 0..12u32 {
                 for var in 0..6u64 {
                     if rng.gen_bool(0.3) {
                         continue;
                     }
-                    let ts = Timestamp::new(rng.gen_range(1..4u64), 1);
-                    let server = cluster.server_mut(ServerId::new(i));
-                    if signed {
-                        let sv = SignedValue::create(&key, Value::from_u64(var), ts);
-                        server.store_signed_if_fresher(var, sv);
-                    } else {
-                        server.store_plain_if_fresher(
-                            var,
-                            TaggedValue::new(Value::from_u64(var), ts),
-                        );
-                    }
+                    let age = rng.gen_range(1..4u64);
+                    cluster
+                        .server_mut(ServerId::new(i))
+                        .merge(var, &R::make(var, age));
                 }
             }
             cluster.set_behavior(ServerId::new(3), Behavior::Crashed);
             cluster.set_behavior(ServerId::new(7), Behavior::ByzantineStale);
             let mut rng_a = ChaCha8Rng::seed_from_u64(case);
             let mut rng_b = ChaCha8Rng::seed_from_u64(case);
-            let outline = outline_cluster_round(&cluster, 2, signed, &mut rng_a);
-            let plan = plan_cluster_round(&cluster, 2, signed, &mut rng_b);
+            let outline = outline_cluster_round::<R, _>(&cluster, 2, &mut rng_a);
+            let plan = plan_cluster_round(&cluster, 2, R::SIGNED, &mut rng_b);
             assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "same draws");
             assert_eq!(outline.coverage, plan.coverage);
             assert_eq!(outline.correct_servers, plan.correct_servers);
@@ -1203,12 +1077,17 @@ mod tests {
             assert!(outline.pushes.iter().any(|p| p.covered));
             assert!(outline.pushes.iter().any(|p| !p.covered));
             for (planned, push) in outline.pushes.iter().zip(&plan.pushes) {
-                assert_eq!(planned.materialise(&cluster, signed), *push);
+                assert_eq!(planned.materialise::<R>(&cluster), *push);
                 assert_eq!(planned.timestamp, push.record.timestamp());
                 let correct = cluster.server(push.to).behavior() == Behavior::Correct;
                 let stored = deliver(&mut cluster.clone(), push);
                 assert_eq!(stored, correct && !planned.covered, "case {case}: {push:?}");
             }
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        for case in 0..20u64 {
+            check::<TaggedValue>(&mut rng, 2 * case);
+            check::<SignedValue>(&mut rng, 2 * case + 1);
         }
     }
 
@@ -1228,7 +1107,7 @@ mod tests {
                 );
         }
         let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let stats = diffuse_digest_plain(
+        let stats = diffuse_digest::<TaggedValue>(
             &mut cluster,
             DiffusionConfig {
                 fanout: 3,
@@ -1237,7 +1116,11 @@ mod tests {
             &mut rng,
         );
         for var in [0u64, 5, 9] {
-            assert_eq!(count_fresh_correct(&cluster, var), 40, "key {var}");
+            assert_eq!(
+                count_fresh_correct::<TaggedValue>(&cluster, var),
+                40,
+                "key {var}"
+            );
         }
         assert!(stats.digests > 0);
         // Deltas carried each record at most once per (receiver, key) that
@@ -1307,7 +1190,9 @@ mod tests {
         assert_eq!(deliver_delta(&mut cluster, &full.delta), 2);
         assert_eq!(deliver_delta(&mut cluster, &full.delta), 0, "idempotent");
         assert_eq!(
-            cluster.server(ServerId::new(0)).stored_plain(3).timestamp,
+            cluster
+                .server(ServerId::new(0))
+                .stored_timestamp::<TaggedValue>(3),
             Timestamp::new(7, 1)
         );
     }
@@ -1318,28 +1203,16 @@ mod tests {
         // receiver holds fresher, staler, equal and not at all; the
         // receiver holds keys below, between and above the advertised
         // ones, on both record-store tiers.
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let key = crate::crypto::SigningKey::derive(1, 3);
-        let sparse = u64::MAX / 5;
-        for case in 0..600u64 {
-            let signed = case % 2 == 1;
+        fn check<R: Make>(rng: &mut ChaCha8Rng, case: u64) {
+            let sparse = u64::MAX / 5;
             let mut cluster = Cluster::new(Universe::new(3));
             let receiver = ServerId::new(1);
             let mut universe: Vec<VariableId> = (0..24).collect();
             universe.extend([sparse, sparse + 4]);
             for &var in &universe {
                 if rng.gen_bool(0.5) {
-                    let ts = Timestamp::new(rng.gen_range(1..4u64), 1);
-                    let server = cluster.server_mut(receiver);
-                    if signed {
-                        let sv = SignedValue::create(&key, Value::from_u64(var), ts);
-                        server.store_signed_if_fresher(var, sv);
-                    } else {
-                        server.store_plain_if_fresher(
-                            var,
-                            TaggedValue::new(Value::from_u64(var), ts),
-                        );
-                    }
+                    let age = rng.gen_range(1..4u64);
+                    cluster.server_mut(receiver).merge(var, &R::make(var, age));
                 }
             }
             let mut entries: Vec<(VariableId, Timestamp)> = Vec::new();
@@ -1351,13 +1224,18 @@ mod tests {
             let digest = GossipDigest {
                 from: ServerId::new(0),
                 to: receiver,
-                signed,
-                complete: case % 3 != 0,
+                signed: R::SIGNED,
+                complete: !case.is_multiple_of(3),
                 entries,
             };
             let diff = diff_digest(&cluster, &digest);
             assert!(diff.is_some());
             assert_eq!(diff, diff_digest_oracle(&cluster, &digest), "case {case}");
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(77);
+        for case in 0..300u64 {
+            check::<TaggedValue>(&mut rng, 2 * case);
+            check::<SignedValue>(&mut rng, 2 * case + 1);
         }
     }
 
@@ -1389,7 +1267,7 @@ mod tests {
         let fresh = GossipDelta {
             from: ServerId::new(3),
             to: ServerId::new(1),
-            records: vec![(0, GossipRecord::Plain(record))],
+            records: vec![(0, AnyRecord::Plain(record))],
         };
         assert_eq!(deliver_delta(&mut cluster, &fresh), 0);
     }
@@ -1468,25 +1346,27 @@ mod tests {
         };
         let mut rng_a = ChaCha8Rng::seed_from_u64(14);
         let mut rng_b = ChaCha8Rng::seed_from_u64(14);
-        let plain = diffuse_digest_plain(&mut plain_cluster, config, &mut rng_a);
-        let signed = diffuse_digest_signed(&mut signed_cluster, config, &mut rng_b);
+        let plain = diffuse_digest::<TaggedValue>(&mut plain_cluster, config, &mut rng_a);
+        let signed = diffuse_digest::<SignedValue>(&mut signed_cluster, config, &mut rng_b);
         assert_eq!(plain, signed);
         assert_eq!(
-            count_fresh_correct(&plain_cluster, 3),
-            count_fresh_correct_signed(&signed_cluster, 3)
+            count_fresh_correct::<TaggedValue>(&plain_cluster, 3),
+            count_fresh_correct::<SignedValue>(&signed_cluster, 3)
         );
         // Gossip hops preserve signature validity.
         for i in 0..30u32 {
-            let stored = signed_cluster.server(ServerId::new(i)).stored_signed(3);
+            let stored = signed_cluster
+                .server(ServerId::new(i))
+                .stored::<SignedValue>(3);
             if stored.tagged.timestamp != Timestamp::ZERO {
-                assert!(registry.verify_signed(&stored));
+                assert!(registry.verifies(&stored));
             }
         }
     }
 
     #[test]
     fn incremental_rounds_match_the_run_to_completion_loop() {
-        // Stepping plan_round + deliver by hand is exactly diffuse_plain.
+        // Stepping plan_round + deliver by hand is exactly diffuse.
         let universe = Universe::new(30);
         let seed_cluster = || {
             let mut c = Cluster::new(universe);
@@ -1503,15 +1383,15 @@ mod tests {
         let mut rng_a = ChaCha8Rng::seed_from_u64(12);
         let mut rng_b = ChaCha8Rng::seed_from_u64(12);
         let mut whole = seed_cluster();
-        let fresh = diffuse_plain(&mut whole, 1, config, &mut rng_a);
+        let fresh = diffuse::<TaggedValue>(&mut whole, 1, config, &mut rng_a);
         let mut stepped = seed_cluster();
         let mut last = 0;
         for _ in 0..config.rounds {
-            let pushes = plan_round(&stepped, 1, config.fanout, false, &mut rng_b);
+            let pushes = plan_round::<TaggedValue>(&stepped, 1, config.fanout, &mut rng_b);
             for push in &pushes {
                 deliver(&mut stepped, push);
             }
-            let now = count_fresh_correct(&stepped, 1);
+            let now = count_fresh_correct::<TaggedValue>(&stepped, 1);
             assert!(now >= last, "coverage is monotone in rounds");
             last = now;
         }

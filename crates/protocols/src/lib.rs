@@ -21,17 +21,26 @@
 //! * [`crypto`] — simulated digital signatures for self-verifying data
 //!   (a keyed hash over an in-memory key registry; see DESIGN.md for the
 //!   substitution rationale).
-//! * [`server`] — a single replica server: storage plus a failure behaviour.
-//! * [`cluster`] — a universe of servers addressed by quorum, with failure
-//!   injection and per-server access accounting.
-//! * [`register`] — the three client protocols: safe ([`register::SafeRegister`]),
-//!   dissemination ([`register::DisseminationRegister`]) and masking
-//!   ([`register::MaskingRegister`]), plus the sharded key–value facade
-//!   ([`register::RegisterMap`]) that instantiates any of them per key.
+//! * [`server`] — a single replica server: storage plus a failure
+//!   behaviour, and the [`server::Record`] trait — plain or signed
+//!   ⟨v, t⟩ pairs — that every record operation below is generic over.
+//! * [`cluster`] — a universe of servers with per-server read/write
+//!   probes, failure injection and per-server access accounting.
+//! * [`register`] — the client protocol: one [`register::Register`] whose
+//!   [`register::RegisterFlavor`] makes it the safe
+//!   ([`register::SafeRegister`]), dissemination
+//!   ([`register::DisseminationRegister`]) or masking
+//!   ([`register::MaskingRegister`]) protocol, plus the sharded key–value
+//!   facade ([`register::RegisterMap`]) that runs a flavor over any key.
 //! * [`diffusion`] — epidemic propagation of the freshest value between
 //!   correct servers: blind push gossip and the digest/delta exchange
 //!   (per-key version summaries answered by only the records the summary's
 //!   sender provably lacks).
+//!
+//! The three protocols are one algorithm (Sections 4 and 5 keep the
+//! Section 3.1 write "as before"), so nothing here is written per record
+//! kind: the plain/signed choice is a type parameter, taken once where a
+//! protocol, a read mode or a message payload names it.
 //!
 //! ## Example
 //!

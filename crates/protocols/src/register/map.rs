@@ -1,113 +1,60 @@
-//! A sharded, multi-variable key–value facade over the register protocols.
+//! A sharded, multi-variable key–value facade over the register protocol.
 //!
 //! The paper's motivating application (the Section 1.1 location directory)
 //! is inherently multi-key: one replicated variable per device, all sharing
 //! the same universe of replicas.  [`RegisterMap`] is that lift from "a
 //! register" to "a key–value store": it exposes [`get`](RegisterMap::get) /
-//! [`put`](RegisterMap::put) over an arbitrary [`VariableId`] space, lazily
-//! instantiating one register client per key the first time the key is
-//! touched.  Every key gets its **own writer timestamp chain** (a fresh
-//! [`TimestampIssuer`](crate::timestamp::TimestampIssuer) per variable), so
+//! [`put`](RegisterMap::put) over an arbitrary [`VariableId`] space.  The
+//! only per-key client state is the key's **own writer timestamp chain** (a
+//! [`TimestampIssuer`] created the first time the key is written), so
 //! writes to different keys never contend on a shared counter, while all
-//! keys share the quorum system, the access strategy, and the replica
-//! cluster — exactly the sharding model under which the paper's per-server
-//! load bounds are stated.
+//! keys share the quorum system, the access strategy, the probe margin and
+//! the replica cluster — exactly the sharding model under which the paper's
+//! per-server load bounds are stated.
 //!
-//! The flavor of register instantiated per key is fixed at construction by
-//! [`RegisterFlavor`]: plain safe registers (Section 3.1), signed
-//! dissemination registers (Section 4), or threshold-masking registers
-//! (Section 5).  Besides the atomic `get`/`put`, the facade exposes the
+//! The protocol every key speaks is fixed at construction by
+//! [`RegisterFlavor`], and every operation is the [`Register`](super::Register)
+//! one: a map and a register of the same flavor driven alike cannot be told
+//! apart.  Besides the atomic `get`/`put`, the facade exposes the
 //! incremental session API ([`begin_read`](RegisterMap::begin_read) /
-//! [`begin_write`](RegisterMap::begin_write) /
-//! [`apply_write`](RegisterMap::apply_write)) that the discrete-event
+//! [`begin_write`](RegisterMap::begin_write)) that the discrete-event
 //! simulator drives one message at a time, with sessions for different keys
 //! interleaving freely.
 
-use super::session::{self, ProbeSet, ReadMode, ReadSession, SessionStatus, WriteSession};
-use super::{DisseminationRegister, MaskingRegister, SafeRegister, WriteReceipt};
+use super::client::{read_quorum, write_quorum};
+use super::session::{self, ProbeSet, ReadSession, WriteSession};
+use super::{RegisterFlavor, WriteReceipt};
 use crate::cluster::Cluster;
-use crate::crypto::{KeyRegistry, SignedValue, SigningKey};
-use crate::server::VariableId;
+use crate::server::{AnyRecord, VariableId};
+use crate::timestamp::TimestampIssuer;
 use crate::value::{TaggedValue, Value};
 use crate::ClientId;
 use pqs_core::system::QuorumSystem;
-use pqs_core::universe::ServerId;
 use rand::RngCore;
 use std::collections::HashMap;
 
-/// Which register protocol a [`RegisterMap`] instantiates for each key.
-#[derive(Debug, Clone)]
-pub enum RegisterFlavor {
-    /// Section 3.1 safe registers (plain data, crash failures).
-    Safe,
-    /// Section 4 dissemination registers (self-verifying data): values are
-    /// signed under `key` and readers verify against `registry`.
-    Dissemination {
-        /// The writer's signing key (shared across all variables; each
-        /// variable still gets its own timestamp chain).
-        key: SigningKey,
-        /// Verification material for readers.
-        registry: KeyRegistry,
-    },
-    /// Section 5 masking registers (arbitrary data): readers only accept
-    /// value–timestamp pairs reported by at least `threshold` servers.
-    Masking {
-        /// The read-acceptance threshold `k`.
-        threshold: usize,
-    },
-}
-
-/// The record one write pushes to each probed server: plain for the safe
-/// and masking protocols, signed for dissemination.  Produced by
-/// [`RegisterMap::begin_write`] and applied per server by
-/// [`RegisterMap::apply_write`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum WriteRecord {
-    /// An unsigned value–timestamp pair.
-    Plain(TaggedValue),
-    /// A signed value–timestamp pair.
-    Signed(SignedValue),
-}
-
-impl WriteRecord {
-    /// The timestamp the record was issued under.
-    pub fn timestamp(&self) -> crate::timestamp::Timestamp {
-        match self {
-            WriteRecord::Plain(tv) => tv.timestamp,
-            WriteRecord::Signed(sv) => sv.tagged.timestamp,
-        }
-    }
-}
-
-/// One lazily created per-key register client.
-#[derive(Debug)]
-enum AnyRegister<'a, S: QuorumSystem + ?Sized> {
-    Safe(SafeRegister<'a, S>),
-    Dissemination(DisseminationRegister<'a, S>),
-    Masking(MaskingRegister<'a, S>),
-}
-
-/// A key–value store over one quorum system: one register client per key,
-/// created on first touch (see the [module docs](self)).
+/// A key–value store over one quorum system: one writer timestamp chain per
+/// key, created on first write (see the [module docs](self)).
 #[derive(Debug)]
 pub struct RegisterMap<'a, S: QuorumSystem + ?Sized> {
     system: &'a S,
     flavor: RegisterFlavor,
     writer: ClientId,
     probe_margin: usize,
-    registers: HashMap<VariableId, AnyRegister<'a, S>>,
+    chains: HashMap<VariableId, TimestampIssuer>,
 }
 
 impl<'a, S: QuorumSystem + ?Sized> RegisterMap<'a, S> {
-    /// Creates an empty map over `system`; every key touched later gets a
-    /// register of the given `flavor` writing as `writer`.
+    /// Creates an empty map over `system`; every key speaks `flavor` and is
+    /// written as `writer` (as the signing key's owner for the
+    /// dissemination flavor).
     pub fn new(system: &'a S, flavor: RegisterFlavor, writer: ClientId) -> Self {
         RegisterMap {
             system,
+            writer: flavor.writer(writer),
             flavor,
-            writer,
             probe_margin: 0,
-            registers: HashMap::new(),
+            chains: HashMap::new(),
         }
     }
 
@@ -118,17 +65,9 @@ impl<'a, S: QuorumSystem + ?Sized> RegisterMap<'a, S> {
         self
     }
 
-    /// Changes the probe margin; registers already instantiated follow the
-    /// new margin too.
+    /// Changes the probe margin of every key, written before or not.
     pub fn set_probe_margin(&mut self, margin: usize) {
         self.probe_margin = margin;
-        for reg in self.registers.values_mut() {
-            match reg {
-                AnyRegister::Safe(r) => r.set_probe_margin(margin),
-                AnyRegister::Dissemination(r) => r.set_probe_margin(margin),
-                AnyRegister::Masking(r) => r.set_probe_margin(margin),
-            }
-        }
     }
 
     /// The configured probe margin.
@@ -141,54 +80,30 @@ impl<'a, S: QuorumSystem + ?Sized> RegisterMap<'a, S> {
         self.system
     }
 
-    /// The register flavor instantiated per key.
+    /// The protocol every key speaks.
     pub fn flavor(&self) -> &RegisterFlavor {
         &self.flavor
     }
 
-    /// Number of keys that have been touched (and therefore hold register
-    /// state).
+    /// Number of keys that have been written (and therefore hold a
+    /// timestamp chain).
     pub fn len(&self) -> usize {
-        self.registers.len()
+        self.chains.len()
     }
 
-    /// Returns `true` if no key has been touched yet.
+    /// Returns `true` if no key has been written yet.
     pub fn is_empty(&self) -> bool {
-        self.registers.is_empty()
+        self.chains.is_empty()
     }
 
-    /// Whether the given key already holds register state.
+    /// Whether the given key already holds a timestamp chain.
     pub fn contains(&self, var: VariableId) -> bool {
-        self.registers.contains_key(&var)
+        self.chains.contains_key(&var)
     }
 
-    /// The keys that have been touched, in unspecified order.
+    /// The keys that have been written, in unspecified order.
     pub fn variables(&self) -> impl Iterator<Item = VariableId> + '_ {
-        self.registers.keys().copied()
-    }
-
-    /// The per-key register, created on first touch.
-    fn entry(&mut self, var: VariableId) -> &mut AnyRegister<'a, S> {
-        let RegisterMap {
-            system,
-            flavor,
-            writer,
-            probe_margin,
-            registers,
-        } = self;
-        registers.entry(var).or_insert_with(|| match flavor {
-            RegisterFlavor::Safe => AnyRegister::Safe(
-                SafeRegister::for_variable(*system, *writer, var).with_probe_margin(*probe_margin),
-            ),
-            RegisterFlavor::Dissemination { key, registry } => AnyRegister::Dissemination(
-                DisseminationRegister::for_variable(*system, *key, registry.clone(), var)
-                    .with_probe_margin(*probe_margin),
-            ),
-            RegisterFlavor::Masking { threshold } => AnyRegister::Masking(
-                MaskingRegister::for_variable(*system, *threshold, *writer, var)
-                    .with_probe_margin(*probe_margin),
-            ),
-        })
+        self.chains.keys().copied()
     }
 
     /// Draws the servers the next operation attempt should contact: a
@@ -200,60 +115,29 @@ impl<'a, S: QuorumSystem + ?Sized> RegisterMap<'a, S> {
 
     /// Starts an incremental write of `value` to `var`: issues the next
     /// timestamp of the key's own chain and returns the record to push to
-    /// each probed server plus the acknowledgement-tracking session.
+    /// each probed server ([`session::apply_write`]) plus the
+    /// acknowledgement-tracking session.
     pub fn begin_write(
         &mut self,
         var: VariableId,
         value: Value,
         needed: usize,
         probed: usize,
-    ) -> (WriteRecord, WriteSession) {
-        match self.entry(var) {
-            AnyRegister::Safe(r) => {
-                let (record, session) = r.begin_write(value, needed, probed);
-                (WriteRecord::Plain(record), session)
-            }
-            AnyRegister::Dissemination(r) => {
-                let (record, session) = r.begin_write(value, needed, probed);
-                (WriteRecord::Signed(record), session)
-            }
-            AnyRegister::Masking(r) => {
-                let (record, session) = r.begin_write(value, needed, probed);
-                (WriteRecord::Plain(record), session)
-            }
-        }
+    ) -> (AnyRecord, WriteSession) {
+        let chain = self
+            .chains
+            .entry(var)
+            .or_insert_with(|| TimestampIssuer::new(self.writer));
+        self.flavor.begin_write(chain, value, needed, probed)
     }
 
     /// Starts an incremental read that completes after `needed` replies and
     /// condenses them by the flavor's rule.  Reads need no per-key state —
     /// only writes hold a timestamp chain — so looking up a never-written
-    /// key does **not** instantiate a register for it (a read-mostly client
-    /// probing millions of unknown keys allocates nothing).
+    /// key allocates nothing (a read-mostly client probing millions of
+    /// unknown keys stays empty).
     pub fn begin_read(&self, needed: usize) -> ReadSession {
-        let mode = match &self.flavor {
-            RegisterFlavor::Safe => ReadMode::Safe,
-            RegisterFlavor::Dissemination { registry, .. } => {
-                ReadMode::Dissemination(registry.clone())
-            }
-            RegisterFlavor::Masking { threshold } => ReadMode::Masking {
-                threshold: (*threshold).max(1),
-            },
-        };
-        ReadSession::new(mode, needed)
-    }
-
-    /// Applies one write probe to `server`: pushes the record to the
-    /// server's replica of `var` and returns whether it acknowledged.
-    pub fn apply_write(
-        cluster: &mut Cluster,
-        server: ServerId,
-        var: VariableId,
-        record: &WriteRecord,
-    ) -> bool {
-        match record {
-            WriteRecord::Plain(tv) => cluster.probe_write_plain(server, var, tv),
-            WriteRecord::Signed(sv) => cluster.probe_write_signed(server, var, sv),
-        }
+        ReadSession::new(self.flavor.read_mode(), needed)
     }
 
     /// Writes `value` to key `var` through one quorum access (the atomic
@@ -271,15 +155,8 @@ impl<'a, S: QuorumSystem + ?Sized> RegisterMap<'a, S> {
         value: Value,
     ) -> crate::Result<WriteReceipt> {
         let probe = self.sample_probe_set(rng);
-        let (record, mut session) = self.begin_write(var, value, probe.needed, probe.probed());
-        cluster.note_operation();
-        for &id in &probe.servers {
-            let acked = Self::apply_write(cluster, id, var, &record);
-            if session.on_ack(acked) == SessionStatus::Complete {
-                break;
-            }
-        }
-        session.finish()
+        let (record, session) = self.begin_write(var, value, probe.needed, probe.probed());
+        write_quorum(cluster, &probe, var, &record, session)
     }
 
     /// Reads key `var` through one quorum access; `Ok(None)` means no
@@ -297,31 +174,15 @@ impl<'a, S: QuorumSystem + ?Sized> RegisterMap<'a, S> {
         var: VariableId,
     ) -> crate::Result<Option<TaggedValue>> {
         let probe = self.sample_probe_set(rng);
-        let mut session = self.begin_read(probe.needed);
-        cluster.note_operation();
-        for &id in &probe.servers {
-            let status = if session.wants_signed() {
-                match cluster.probe_read_signed(id, var) {
-                    Some(sv) => session.on_signed_reply(id, sv),
-                    None => SessionStatus::InFlight,
-                }
-            } else {
-                match cluster.probe_read_plain(id, var) {
-                    Some(tv) => session.on_plain_reply(id, tv),
-                    None => SessionStatus::InFlight,
-                }
-            };
-            if status == SessionStatus::Complete {
-                break;
-            }
-        }
-        session.finish()
+        read_quorum(cluster, &probe, var, self.begin_read(probe.needed))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crypto::KeyRegistry;
+    use crate::register::SafeRegister;
     use crate::server::Behavior;
     use crate::ProtocolError;
     use pqs_core::probabilistic::{
@@ -353,7 +214,7 @@ mod tests {
             assert_eq!(got.value, Value::from_u64(1000 + key), "key {key}");
         }
         // Untouched keys read as never-written — and reading them leaves no
-        // register state behind (reads are stateless on the client).
+        // client state behind (reads are stateless on the client).
         assert_eq!(map.get(&mut cluster, &mut rng, 999).unwrap(), None);
         assert_eq!(map.len(), 32, "a read of an unknown key allocates nothing");
         assert!(!map.contains(999));
@@ -459,7 +320,7 @@ mod tests {
         let receipt = map
             .put(&mut cluster, &mut rng, 0, Value::from_u64(2))
             .unwrap();
-        assert_eq!(receipt.acks, 3, "the cached key-0 register must probe 5");
+        assert_eq!(receipt.acks, 3, "the already-written key 0 must probe 5");
         let got = map.get(&mut cluster, &mut rng, 0).unwrap().unwrap();
         assert_eq!(got.value, Value::from_u64(2));
     }

@@ -15,8 +15,8 @@
 //!   the `q`-th order statistic of `q + margin`) and availability (crashed
 //!   quorum members are masked by live spares).
 //! * [`ReadSession`] / [`WriteSession`] — per-operation state machines: the
-//!   caller feeds one reply at a time ([`ReadSession::on_plain_reply`],
-//!   [`WriteSession::on_ack`], …) until the session reports
+//!   caller sends one probe at a time ([`ReadSession::probe`],
+//!   [`apply_write`] + [`WriteSession::on_ack`]) until the session reports
 //!   [`SessionStatus::Complete`], then condenses the collected replies with
 //!   [`ReadSession::finish`] / [`WriteSession::finish`].  A session that
 //!   never gathers `q` replies (crashes, timeouts) can still be finished
@@ -29,7 +29,9 @@
 //! marginally under small margins; the simulator's validation experiments
 //! measure the effect directly.
 
+use crate::cluster::Cluster;
 use crate::crypto::{KeyRegistry, SignedValue};
+use crate::server::{AnyRecord, VariableId};
 use crate::timestamp::Timestamp;
 use crate::value::TaggedValue;
 use crate::ProtocolError;
@@ -145,9 +147,29 @@ impl ReadSession {
         self.responders() >= self.needed
     }
 
-    /// `true` if this session expects signed replies (dissemination mode).
-    pub fn wants_signed(&self) -> bool {
-        matches!(self.mode, ReadMode::Dissemination(_))
+    /// Sends this read's probe for `var` to `server` and feeds the reply,
+    /// asking for the record kind the session's mode condenses — the one
+    /// point where a read's record kind becomes a type.  A server that does
+    /// not answer (crashed) leaves the session as it was.
+    pub fn probe(
+        &mut self,
+        cluster: &mut Cluster,
+        server: ServerId,
+        var: VariableId,
+    ) -> SessionStatus {
+        match self.mode {
+            ReadMode::Dissemination(_) => {
+                if let Some(reply) = cluster.probe_read(server, var) {
+                    self.on_signed_reply(server, reply);
+                }
+            }
+            ReadMode::Safe | ReadMode::Masking { .. } => {
+                if let Some(reply) = cluster.probe_read(server, var) {
+                    self.on_plain_reply(server, reply);
+                }
+            }
+        }
+        self.status()
     }
 
     /// Feeds one plain reply (safe and masking modes).
@@ -196,7 +218,7 @@ impl ReadSession {
             ReadMode::Dissemination(registry) => self
                 .signed
                 .iter()
-                .filter(|sv| registry.verify_signed(sv))
+                .filter(|sv| registry.verifies(sv))
                 .max_by(|a, b| a.tagged.timestamp.cmp(&b.tagged.timestamp))
                 .map(|sv| sv.tagged.clone()),
             ReadMode::Masking { threshold } => {
@@ -216,6 +238,20 @@ impl ReadSession {
                     .map(|votes| votes[0].clone())
             }
         })
+    }
+}
+
+/// Applies one write probe to `server`: pushes the record to the server's
+/// replica of `var` and returns whether it acknowledged.
+pub fn apply_write(
+    cluster: &mut Cluster,
+    server: ServerId,
+    var: VariableId,
+    record: &AnyRecord,
+) -> bool {
+    match record {
+        AnyRecord::Plain(tv) => cluster.probe_write(server, var, tv),
+        AnyRecord::Signed(sv) => cluster.probe_write(server, var, sv),
     }
 }
 
@@ -410,7 +446,6 @@ mod tests {
         let bogus_key = SigningKey::derive(9, 999);
         let forged = SignedValue::create(&bogus_key, Value::from_u64(666), Timestamp::new(99, 9));
         let mut s = ReadSession::new(ReadMode::Dissemination(registry), 2);
-        assert!(s.wants_signed());
         s.on_signed_reply(ServerId::new(0), forged);
         s.on_signed_reply(ServerId::new(1), good.clone());
         assert_eq!(s.finish().unwrap(), Some(good.tagged));

@@ -19,7 +19,7 @@ use crate::crypto::SignedValue;
 use crate::timestamp::Timestamp;
 use crate::value::{TaggedValue, Value};
 use pqs_core::universe::ServerId;
-use std::collections::BTreeMap;
+use std::fmt::Debug;
 
 /// Identifier of a replicated variable (register) held by the servers.
 pub type VariableId = u64;
@@ -61,145 +61,246 @@ pub fn forged_timestamp() -> Timestamp {
     Timestamp::new(u64::MAX / 2, u32::MAX)
 }
 
-/// Variable ids below this bound live in the dense slot tier of a
-/// [`RecordStore`]; ids at or above it (the apps hash entity names into
-/// the full `u64` space) spill into the ordered sparse tier.  2^16 slots
-/// comfortably covers every simulator key space while capping the dense
-/// tier's worst-case footprint per server.
-const DENSE_LIMIT: VariableId = 1 << 16;
+/// A stored record: the plain ⟨v, t⟩ pair of the safe and masking protocols
+/// ([`TaggedValue`]) or the self-verifying pair of the dissemination
+/// protocol ([`SignedValue`]).  Servers, the cluster, gossip and the
+/// register clients are written once against this trait; what a forging
+/// server can answer with is the only place the two kinds behave
+/// differently.  Sealed: the store selector is private to this module.
+pub trait Record: Clone + PartialEq + Debug + Into<AnyRecord> + store::Stored + 'static {
+    /// The `signed: bool` flag that names this kind where a signature the
+    /// repo benchmark compiles against ([`plan_digest`](crate::diffusion::plan_digest),
+    /// [`GossipDigest::signed`](crate::diffusion::GossipDigest::signed), …)
+    /// takes the kind at run time.
+    const SIGNED: bool;
 
-/// Per-variable record storage: a dense slot vector for the workload
-/// layer's ids (`0..keys`, so a direct index replaces the hash-and-probe
-/// a map would pay on every probe and gossip delivery) plus an ordered
-/// sparse overflow for hashed ids beyond [`DENSE_LIMIT`].
-///
-/// A slot is occupied exactly when it holds a record fresher than
-/// [`Timestamp::ZERO`] (the only insertion paths are the server's
-/// `store_*_if_fresher` merge rules).  Iteration is **ascending by id**
-/// by construction — dense slots scan in index order, the sparse tier is
-/// a `BTreeMap` whose keys all exceed the dense tier's — which is what
-/// lets the gossip planners drop their per-sender sorts.
-/// A stored record that knows the timestamp it was written under — what
-/// the freshest-wins merge rule compares.
-pub(crate) trait Stamped {
-    fn stamp(&self) -> Timestamp;
+    /// The timestamp the record was written under — what the
+    /// freshest-wins merge rule compares.
+    fn timestamp(&self) -> Timestamp;
+
+    /// The never-written record every replica starts with (timestamp zero).
+    fn initial() -> Self;
+
+    /// What colluding [`Behavior::ByzantineForge`] servers fabricate, or
+    /// `None` when a fabrication could not pass for a record of this kind
+    /// and the worst a forger can do is replay what it stores.
+    fn forged() -> Option<Self>;
 }
 
-impl Stamped for TaggedValue {
-    fn stamp(&self) -> Timestamp {
+impl Record for TaggedValue {
+    const SIGNED: bool = false;
+
+    #[inline]
+    fn timestamp(&self) -> Timestamp {
         self.timestamp
     }
+
+    fn initial() -> Self {
+        TaggedValue::initial()
+    }
+
+    fn forged() -> Option<Self> {
+        Some(TaggedValue::new(forged_value(), forged_timestamp()))
+    }
 }
 
-impl Stamped for SignedValue {
-    fn stamp(&self) -> Timestamp {
+impl Record for SignedValue {
+    const SIGNED: bool = true;
+
+    #[inline]
+    fn timestamp(&self) -> Timestamp {
         self.tagged.timestamp
     }
-}
 
-#[derive(Debug, Clone, Default)]
-struct RecordStore<T> {
-    dense: Vec<Option<T>>,
-    sparse: BTreeMap<VariableId, T>,
-}
-
-impl<T> RecordStore<T> {
-    fn new() -> Self {
-        RecordStore {
-            dense: Vec::new(),
-            sparse: BTreeMap::new(),
-        }
+    fn initial() -> Self {
+        SignedValue::unsigned_initial()
     }
 
+    /// A forging server cannot produce a verifying signature; the most
+    /// damaging thing it can return is stale-but-valid data (or garbage,
+    /// which readers would discard anyway).
+    fn forged() -> Option<Self> {
+        None
+    }
+}
+
+/// A record whose kind is known only at run time: what a write pushes to
+/// each probed server and what a gossip message carries — plain for the
+/// safe and masking protocols, signed for dissemination.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AnyRecord {
+    /// An unsigned value–timestamp pair.
+    Plain(TaggedValue),
+    /// A signed, self-verifying value–timestamp pair.
+    Signed(SignedValue),
+}
+
+impl AnyRecord {
+    /// The timestamp the record was written under.
     #[inline]
-    fn get(&self, var: VariableId) -> Option<&T> {
-        if var < DENSE_LIMIT {
-            self.dense.get(var as usize).and_then(Option::as_ref)
-        } else {
-            self.sparse.get(&var)
+    pub fn timestamp(&self) -> Timestamp {
+        match self {
+            AnyRecord::Plain(tv) => tv.timestamp,
+            AnyRecord::Signed(sv) => sv.tagged.timestamp,
         }
     }
+}
 
-    fn set(&mut self, var: VariableId, value: T) {
-        if var < DENSE_LIMIT {
-            let idx = var as usize;
-            if idx >= self.dense.len() {
-                self.dense.resize_with(idx + 1, || None);
+impl From<TaggedValue> for AnyRecord {
+    #[inline]
+    fn from(record: TaggedValue) -> Self {
+        AnyRecord::Plain(record)
+    }
+}
+
+impl From<SignedValue> for AnyRecord {
+    #[inline]
+    fn from(record: SignedValue) -> Self {
+        AnyRecord::Signed(record)
+    }
+}
+
+/// The per-kind record stores and the selector that seals [`Record`].
+mod store {
+    use super::{Record, ReplicaServer, VariableId};
+    use crate::crypto::SignedValue;
+    use crate::timestamp::Timestamp;
+    use crate::value::TaggedValue;
+    use std::collections::BTreeMap;
+
+    /// Variable ids below this bound live in the dense slot tier of a
+    /// [`RecordStore`]; ids at or above it (the apps hash entity names into
+    /// the full `u64` space) spill into the ordered sparse tier.  2^16 slots
+    /// comfortably covers every simulator key space while capping the dense
+    /// tier's worst-case footprint per server.
+    const DENSE_LIMIT: VariableId = 1 << 16;
+
+    /// Per-variable record storage: a dense slot vector for the workload
+    /// layer's ids (`0..keys`, so a direct index replaces the hash-and-probe
+    /// a map would pay on every probe and gossip delivery) plus an ordered
+    /// sparse overflow for hashed ids beyond [`DENSE_LIMIT`].
+    ///
+    /// A slot is occupied exactly when it holds a record fresher than
+    /// [`Timestamp::ZERO`] (the only insertion path is [`merge`](Self::merge)).
+    /// Iteration is **ascending by id** by construction — dense slots scan
+    /// in index order, the sparse tier is a `BTreeMap` whose keys all exceed
+    /// the dense tier's — which is what lets the gossip planners drop their
+    /// per-sender sorts.
+    #[derive(Debug, Clone)]
+    pub struct RecordStore<T> {
+        dense: Vec<Option<T>>,
+        sparse: BTreeMap<VariableId, T>,
+    }
+
+    impl<T> Default for RecordStore<T> {
+        fn default() -> Self {
+            RecordStore {
+                dense: Vec::new(),
+                sparse: BTreeMap::new(),
             }
-            self.dense[idx] = Some(value);
-        } else {
-            self.sparse.insert(var, value);
         }
     }
 
-    /// Capacity hint for a key space of `keys` dense ids.
-    fn reserve(&mut self, keys: u64) {
-        let cap = keys.min(DENSE_LIMIT) as usize;
-        self.dense.reserve(cap.saturating_sub(self.dense.len()));
-    }
-
-    /// Timestamp of the record held for `var`, [`Timestamp::ZERO`] when
-    /// unheld.
-    #[inline]
-    fn timestamp(&self, var: VariableId) -> Timestamp
-    where
-        T: Stamped,
-    {
-        self.get(var).map_or(Timestamp::ZERO, Stamped::stamp)
-    }
-
-    /// The freshest-wins merge rule: `incoming` replaces the held record
-    /// iff it is strictly fresher.
-    #[inline]
-    fn store_if_fresher(&mut self, var: VariableId, incoming: T) -> bool
-    where
-        T: Stamped,
-    {
-        let fresher = incoming.stamp() > self.timestamp(var);
-        if fresher {
-            self.set(var, incoming);
+    impl<T: Record> RecordStore<T> {
+        #[inline]
+        pub fn get(&self, var: VariableId) -> Option<&T> {
+            if var < DENSE_LIMIT {
+                self.dense.get(var as usize).and_then(Option::as_ref)
+            } else {
+                self.sparse.get(&var)
+            }
         }
-        fresher
-    }
 
-    /// [`store_if_fresher`](Self::store_if_fresher) for a borrowed record:
-    /// the comparison comes first, so the record is cloned only when it is
-    /// actually stored.
-    #[inline]
-    fn merge(&mut self, var: VariableId, incoming: &T) -> bool
-    where
-        T: Stamped + Clone,
-    {
-        let fresher = incoming.stamp() > self.timestamp(var);
-        if fresher {
-            self.set(var, incoming.clone());
+        fn set(&mut self, var: VariableId, value: T) {
+            if var < DENSE_LIMIT {
+                let idx = var as usize;
+                if idx >= self.dense.len() {
+                    self.dense.resize_with(idx + 1, || None);
+                }
+                self.dense[idx] = Some(value);
+            } else {
+                self.sparse.insert(var, value);
+            }
         }
-        fresher
+
+        /// Capacity hint for a key space of `keys` dense ids.
+        pub fn reserve(&mut self, keys: u64) {
+            let cap = keys.min(DENSE_LIMIT) as usize;
+            self.dense.reserve(cap.saturating_sub(self.dense.len()));
+        }
+
+        /// Timestamp of the record held for `var`, [`Timestamp::ZERO`] when
+        /// unheld.
+        #[inline]
+        pub fn timestamp(&self, var: VariableId) -> Timestamp {
+            self.get(var).map_or(Timestamp::ZERO, Record::timestamp)
+        }
+
+        /// The freshest-wins merge rule: `incoming` replaces the held record
+        /// iff it is strictly fresher.  The comparison comes first, so the
+        /// record is cloned only when it is actually stored.
+        #[inline]
+        pub fn merge(&mut self, var: VariableId, incoming: &T) -> bool {
+            let fresher = incoming.timestamp() > self.timestamp(var);
+            if fresher {
+                self.set(var, incoming.clone());
+            }
+            fresher
+        }
+
+        /// Held variable ids, ascending.
+        pub fn variables(&self) -> impl Iterator<Item = VariableId> + '_ {
+            self.dense
+                .iter()
+                .enumerate()
+                .filter(|(_, slot)| slot.is_some())
+                .map(|(idx, _)| idx as VariableId)
+                .chain(self.sparse.keys().copied())
+        }
     }
 
-    /// Held variable ids, ascending.
-    fn variables(&self) -> impl Iterator<Item = VariableId> + '_ {
-        self.dense
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.is_some())
-            .map(|(idx, _)| idx as VariableId)
-            .chain(self.sparse.keys().copied())
+    /// Which of a server's two stores holds records of this kind.
+    pub trait Stored: Sized {
+        fn store(server: &ReplicaServer) -> &RecordStore<Self>;
+        fn store_mut(server: &mut ReplicaServer) -> &mut RecordStore<Self>;
+    }
+
+    impl Stored for TaggedValue {
+        #[inline]
+        fn store(server: &ReplicaServer) -> &RecordStore<Self> {
+            &server.plain
+        }
+        #[inline]
+        fn store_mut(server: &mut ReplicaServer) -> &mut RecordStore<Self> {
+            &mut server.plain
+        }
+    }
+
+    impl Stored for SignedValue {
+        #[inline]
+        fn store(server: &ReplicaServer) -> &RecordStore<Self> {
+            &server.signed
+        }
+        #[inline]
+        fn store_mut(server: &mut ReplicaServer) -> &mut RecordStore<Self> {
+            &mut server.signed
+        }
     }
 }
 
 /// A replica server.
 ///
-/// Per-variable records live in a two-tier record store: dense `Vec`
-/// slots indexed directly by [`VariableId`] (with a sparse overflow tier
-/// for hashed ids), lazily grown to the highest id actually stored — see
-/// [`reserve_variables`](Self::reserve_variables) for pre-sizing.
+/// Per-variable records live in a two-tier record store per record kind:
+/// dense `Vec` slots indexed directly by [`VariableId`] (with a sparse
+/// overflow tier for hashed ids), lazily grown to the highest id actually
+/// stored — see [`reserve_variables`](Self::reserve_variables) for
+/// pre-sizing.  Every record operation is generic over the [`Record`] kind.
 #[derive(Debug, Clone)]
 pub struct ReplicaServer {
     id: ServerId,
     behavior: Behavior,
-    plain: RecordStore<TaggedValue>,
-    signed: RecordStore<SignedValue>,
+    plain: store::RecordStore<TaggedValue>,
+    signed: store::RecordStore<SignedValue>,
 }
 
 impl ReplicaServer {
@@ -208,8 +309,8 @@ impl ReplicaServer {
         ReplicaServer {
             id,
             behavior: Behavior::Correct,
-            plain: RecordStore::new(),
-            signed: RecordStore::new(),
+            plain: Default::default(),
+            signed: Default::default(),
         }
     }
 
@@ -226,8 +327,8 @@ impl ReplicaServer {
     /// must bootstrap everything it once held back through gossip rather
     /// than resurrect pre-departure records.
     pub fn reset_stores(&mut self, keys: u64) {
-        self.plain = RecordStore::new();
-        self.signed = RecordStore::new();
+        self.plain = Default::default();
+        self.signed = Default::default();
         self.reserve_variables(keys);
     }
 
@@ -246,66 +347,46 @@ impl ReplicaServer {
         self.behavior = behavior;
     }
 
-    /// The plain record held for `var` by reference, `None` when unheld —
-    /// the copy-free form of [`stored_plain`](Self::stored_plain).
+    /// The record of kind `R` held for `var` by reference, `None` when
+    /// unheld — the copy-free form of [`stored`](Self::stored).
     #[inline]
-    pub fn plain_record(&self, var: VariableId) -> Option<&TaggedValue> {
-        self.plain.get(var)
+    pub fn record<R: Record>(&self, var: VariableId) -> Option<&R> {
+        R::store(self).get(var)
     }
 
-    /// The signed record held for `var` by reference, `None` when unheld.
+    /// The record the server *actually* stores for `var`, regardless of
+    /// behaviour — useful for assertions and diffusion.
     #[inline]
-    pub fn signed_record(&self, var: VariableId) -> Option<&SignedValue> {
-        self.signed.get(var)
+    pub fn stored<R: Record>(&self, var: VariableId) -> R {
+        self.record(var).cloned().unwrap_or_else(R::initial)
     }
 
-    /// The plain (unsigned) record the server *actually* stores for `var`,
-    /// regardless of behaviour — useful for assertions and diffusion.
-    pub fn stored_plain(&self, var: VariableId) -> TaggedValue {
-        self.plain_record(var)
-            .cloned()
-            .unwrap_or_else(TaggedValue::initial)
-    }
-
-    /// The signed record the server actually stores for `var`.
-    pub fn stored_signed(&self, var: VariableId) -> SignedValue {
-        self.signed_record(var)
-            .cloned()
-            .unwrap_or_else(SignedValue::unsigned_initial)
-    }
-
-    /// Timestamp of the stored plain record for `var`
+    /// Timestamp of the stored record of kind `R` for `var`
     /// ([`Timestamp::ZERO`] when unheld) — a clone-free accessor for the
-    /// digest planner's per-key version summaries.
-    pub fn stored_plain_timestamp(&self, var: VariableId) -> Timestamp {
-        self.plain.timestamp(var)
+    /// gossip planners' per-key version summaries.
+    #[inline]
+    pub fn stored_timestamp<R: Record>(&self, var: VariableId) -> Timestamp {
+        R::store(self).timestamp(var)
     }
 
-    /// Timestamp of the stored signed record for `var`
-    /// ([`Timestamp::ZERO`] when unheld), without cloning the signature.
-    pub fn stored_signed_timestamp(&self, var: VariableId) -> Timestamp {
-        self.signed.timestamp(var)
-    }
-
-    /// Handles a plain read request. Returns `None` if the server does not
-    /// answer (crashed).
-    pub fn handle_read_plain(&self, var: VariableId) -> Option<TaggedValue> {
+    /// Handles a read request. Returns `None` if the server does not answer
+    /// (crashed).
+    pub fn handle_read<R: Record>(&self, var: VariableId) -> Option<R> {
         match self.behavior {
             Behavior::Crashed => None,
-            Behavior::Correct => Some(self.stored_plain(var)),
-            Behavior::ByzantineForge => Some(TaggedValue::new(forged_value(), forged_timestamp())),
-            Behavior::ByzantineStale => Some(self.stored_plain(var)),
+            Behavior::Correct | Behavior::ByzantineStale => Some(self.stored(var)),
+            Behavior::ByzantineForge => Some(R::forged().unwrap_or_else(|| self.stored(var))),
         }
     }
 
-    /// Handles a plain write request. Returns `true` if the write was
+    /// Handles a write request. Returns `true` if the write was
     /// acknowledged (Byzantine servers acknowledge without necessarily
     /// storing anything).  The record is copied only if it is stored.
-    pub fn handle_write_plain(&mut self, var: VariableId, incoming: &TaggedValue) -> bool {
+    pub fn handle_write<R: Record>(&mut self, var: VariableId, incoming: &R) -> bool {
         match self.behavior {
             Behavior::Crashed => false,
             Behavior::Correct => {
-                self.merge_plain(var, incoming);
+                self.merge(var, incoming);
                 true
             }
             // Byzantine servers acknowledge but drop the update.
@@ -313,156 +394,171 @@ impl ReplicaServer {
         }
     }
 
-    /// Handles a signed read request (dissemination protocol).
-    pub fn handle_read_signed(&self, var: VariableId) -> Option<SignedValue> {
-        match self.behavior {
-            Behavior::Crashed => None,
-            Behavior::Correct => Some(self.stored_signed(var)),
-            // A forging server cannot produce a verifying signature; the
-            // most damaging thing it can return is stale-but-valid data (or
-            // garbage, which readers would discard anyway). Both Byzantine
-            // behaviours therefore reply with their (stale) stored record.
-            Behavior::ByzantineForge | Behavior::ByzantineStale => Some(self.stored_signed(var)),
-        }
-    }
-
-    /// Handles a signed write request (dissemination protocol).
-    pub fn handle_write_signed(&mut self, var: VariableId, incoming: &SignedValue) -> bool {
-        match self.behavior {
-            Behavior::Crashed => false,
-            Behavior::Correct => {
-                self.merge_signed(var, incoming);
-                true
-            }
-            Behavior::ByzantineForge | Behavior::ByzantineStale => true,
-        }
-    }
-
-    /// Stores a plain record if it is fresher than the current one — also
-    /// the merge rule used by the diffusion mechanism.  Returns `true` if
-    /// the incoming record replaced the stored one (it was strictly
+    /// Stores `incoming` if it is fresher than the current record — the
+    /// write rule and the merge rule of the diffusion mechanism alike.
+    /// Returns `true` if it replaced the stored one (it was strictly
     /// fresher), which the gossip layer uses to count effective pushes.
+    /// Timestamps are compared first and the record is cloned only when it
+    /// is stored, so a delivery that stores nothing copies nothing.
+    #[inline]
+    pub fn merge<R: Record>(&mut self, var: VariableId, incoming: &R) -> bool {
+        R::store_mut(self).merge(var, incoming)
+    }
+
+    /// [`merge`](Self::merge) of a plain record by value — the name and
+    /// signature the repo benchmark compiles against.
     pub fn store_plain_if_fresher(&mut self, var: VariableId, incoming: TaggedValue) -> bool {
-        self.plain.store_if_fresher(var, incoming)
+        self.merge(var, &incoming)
     }
 
-    /// Stores a signed record if it is fresher than the current one.
-    /// Returns `true` if the incoming record replaced the stored one.
+    /// [`merge`](Self::merge) of a signed record by value — the name and
+    /// signature the repo benchmark compiles against.
     pub fn store_signed_if_fresher(&mut self, var: VariableId, incoming: SignedValue) -> bool {
-        self.signed.store_if_fresher(var, incoming)
+        self.merge(var, &incoming)
     }
 
-    /// [`store_plain_if_fresher`](Self::store_plain_if_fresher) for a
-    /// caller that only borrows the record (a write probe fanned out to a
-    /// quorum, a gossip push, the spine sync): timestamps are compared
-    /// first and the record is cloned only when it is stored, so a delivery
-    /// that stores nothing copies nothing.
-    pub fn merge_plain(&mut self, var: VariableId, incoming: &TaggedValue) -> bool {
-        self.plain.merge(var, incoming)
-    }
-
-    /// [`merge_plain`](Self::merge_plain) for signed records.
-    pub fn merge_signed(&mut self, var: VariableId, incoming: &SignedValue) -> bool {
-        self.signed.merge(var, incoming)
-    }
-
-    /// All variables for which this server holds a plain record, in
+    /// All variables for which this server holds a record of kind `R`, in
     /// **ascending id order** — a linear scan over the dense slots, which
     /// the gossip planners rely on to skip re-sorting per sender.
-    pub fn plain_variables(&self) -> impl Iterator<Item = VariableId> + '_ {
-        self.plain.variables()
-    }
-
-    /// All variables for which this server holds a signed record, in
-    /// **ascending id order** (see [`plain_variables`](Self::plain_variables)).
-    pub fn signed_variables(&self) -> impl Iterator<Item = VariableId> + '_ {
-        self.signed.variables()
+    pub fn variables<R: Record>(&self) -> impl Iterator<Item = VariableId> + '_ {
+        R::store(self).variables()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::crypto::KeyRegistry;
+    use crate::crypto::{KeyRegistry, SigningKey};
+
+    /// A record of either kind carrying value `v` under counter `c` of
+    /// writer 1 — signed, where the kind is, by one fixed key.
+    pub(crate) trait Make: Record {
+        fn make(v: u64, c: u64) -> Self;
+    }
+
+    impl Make for TaggedValue {
+        fn make(v: u64, c: u64) -> Self {
+            TaggedValue::new(Value::from_u64(v), Timestamp::new(c, 1))
+        }
+    }
+
+    impl Make for SignedValue {
+        fn make(v: u64, c: u64) -> Self {
+            let key = SigningKey::derive(1, 7);
+            SignedValue::create(&key, Value::from_u64(v), Timestamp::new(c, 1))
+        }
+    }
 
     fn tv(v: u64, c: u64) -> TaggedValue {
-        TaggedValue::new(Value::from_u64(v), Timestamp::new(c, 1))
+        TaggedValue::make(v, c)
+    }
+
+    /// What a server that held `old` when it turned to a behaviour, and was
+    /// then sent `new`, answers a read with.
+    #[derive(Debug, Clone, Copy)]
+    enum Reply {
+        Silent,
+        New,
+        Old,
+        /// The kind's fabrication — or `old` replayed, for a kind that has
+        /// none.
+        Forged,
+    }
+
+    /// Behaviour × (acknowledges a write, stores it, answers a read with):
+    /// the whole of `handle_write` / `handle_read`, for every record kind.
+    const TABLE: [(Behavior, bool, bool, Reply); 4] = [
+        (Behavior::Correct, true, true, Reply::New),
+        (Behavior::Crashed, false, false, Reply::Silent),
+        (Behavior::ByzantineForge, true, false, Reply::Forged),
+        (Behavior::ByzantineStale, true, false, Reply::Old),
+    ];
+
+    /// Drives one row of [`TABLE`] on records of kind `R`.
+    fn check_row<R: Make>(behavior: Behavior) {
+        let &(_, acks, stores, reply) = TABLE
+            .iter()
+            .find(|row| row.0 == behavior)
+            .expect("every behaviour has a row");
+        let (old, new, newest) = (R::make(1, 1), R::make(2, 2), R::make(3, 3));
+        let mut s = ReplicaServer::new(ServerId::new(4));
+        assert_eq!(s.handle_read::<R>(0), Some(R::initial()));
+        assert!(s.handle_write(0, &old));
+        s.set_behavior(behavior);
+        assert_eq!(s.handle_write(0, &new), acks, "{behavior:?} ack");
+        let held = if stores { &new } else { &old };
+        assert_eq!(s.record::<R>(0), Some(held), "{behavior:?} store");
+        assert_eq!(s.stored_timestamp::<R>(0), held.timestamp());
+        let expected = match reply {
+            Reply::Silent => None,
+            Reply::New => Some(new.clone()),
+            Reply::Old => Some(old.clone()),
+            Reply::Forged => Some(R::forged().unwrap_or_else(|| old.clone())),
+        };
+        assert_eq!(s.handle_read::<R>(0), expected, "{behavior:?} reply");
+        // Stale writes are ignored whatever the behaviour, and `merge` is
+        // the bare store rule: it asks no behaviour.
+        s.handle_write(0, &old);
+        assert_eq!(s.record::<R>(0), Some(held));
+        assert!(!s.merge(0, held));
+        assert!(s.merge(0, &newest));
+        assert_eq!(s.stored::<R>(0), newest);
+        // The other kind's store and other variables are untouched.
+        assert_eq!(s.variables::<R>().count(), 1);
+        assert_eq!(s.stored::<R>(7), R::initial());
+    }
+
+    fn check_both_kinds(behavior: Behavior) {
+        check_row::<TaggedValue>(behavior);
+        check_row::<SignedValue>(behavior);
     }
 
     #[test]
     fn correct_server_stores_and_serves() {
+        check_both_kinds(Behavior::Correct);
         let mut s = ReplicaServer::new(ServerId::new(3));
         assert_eq!(s.id(), ServerId::new(3));
         assert_eq!(s.behavior(), Behavior::Correct);
-        assert_eq!(s.handle_read_plain(0).unwrap().timestamp, Timestamp::ZERO);
-        assert!(s.handle_write_plain(0, &tv(5, 1)));
-        assert_eq!(s.handle_read_plain(0).unwrap(), tv(5, 1));
-        // Stale writes are ignored (keep the freshest record).
-        assert!(s.handle_write_plain(0, &tv(9, 1)));
-        assert_eq!(s.handle_read_plain(0).unwrap(), tv(5, 1));
-        assert!(s.handle_write_plain(0, &tv(9, 2)));
-        assert_eq!(s.handle_read_plain(0).unwrap(), tv(9, 2));
-        // Independent variables do not interfere.
-        assert!(s.handle_write_plain(7, &tv(1, 1)));
-        assert_eq!(s.handle_read_plain(0).unwrap(), tv(9, 2));
-        assert_eq!(s.plain_variables().count(), 2);
+        // Independent variables and kinds do not interfere.
+        assert!(s.handle_write(0, &tv(9, 2)));
+        assert!(s.handle_write(7, &tv(1, 1)));
+        assert!(s.handle_write(7, &SignedValue::make(4, 4)));
+        assert_eq!(s.handle_read(0), Some(tv(9, 2)));
+        assert_eq!(s.handle_read(7), Some(tv(1, 1)));
+        assert_eq!(s.variables::<TaggedValue>().count(), 2);
+        assert!(s.variables::<SignedValue>().eq([7]));
     }
 
     #[test]
     fn crashed_server_is_silent() {
-        let mut s = ReplicaServer::new(ServerId::new(0));
-        s.set_behavior(Behavior::Crashed);
-        assert!(s.handle_read_plain(0).is_none());
-        assert!(!s.handle_write_plain(0, &tv(1, 1)));
-        assert!(s.handle_read_signed(0).is_none());
-        assert!(!s.behavior().is_byzantine());
+        check_both_kinds(Behavior::Crashed);
+        assert!(!Behavior::Crashed.is_byzantine());
     }
 
     #[test]
     fn forging_server_returns_colluding_fabrication() {
-        let mut a = ReplicaServer::new(ServerId::new(1));
-        let mut b = ReplicaServer::new(ServerId::new(2));
-        a.set_behavior(Behavior::ByzantineForge);
-        b.set_behavior(Behavior::ByzantineForge);
-        assert!(a.behavior().is_byzantine());
-        let ra = a.handle_read_plain(0).unwrap();
-        let rb = b.handle_read_plain(0).unwrap();
-        // Collusion: identical fabricated value and timestamp.
-        assert_eq!(ra, rb);
-        assert_eq!(ra.value, forged_value());
-        assert!(ra.timestamp > Timestamp::new(1_000_000, 0));
-        // It acknowledges writes but does not store them.
-        assert!(a.handle_write_plain(0, &tv(3, 1)));
-        assert_eq!(a.stored_plain(0).timestamp, Timestamp::ZERO);
+        check_both_kinds(Behavior::ByzantineForge);
+        assert!(Behavior::ByzantineForge.is_byzantine());
+        // Collusion: every forger answers with the identical fabricated
+        // value and timestamp, whatever it stores.
+        let forged = TaggedValue::forged().expect("plain data can be fabricated");
+        assert_eq!(forged.value, forged_value());
+        assert!(forged.timestamp > Timestamp::new(1_000_000, 0));
+        // Against self-verifying data the forger can only keep serving what
+        // it has: it cannot fabricate a verifying record.
+        let mut registry = KeyRegistry::new();
+        registry.register(1, 7);
+        let mut s = ReplicaServer::new(ServerId::new(1));
+        s.merge(0, &SignedValue::make(10, 1));
+        s.set_behavior(Behavior::ByzantineForge);
+        let served: SignedValue = s.handle_read(0).unwrap();
+        assert!(registry.verifies(&served));
+        assert_eq!(served, SignedValue::make(10, 1));
     }
 
     #[test]
     fn stale_server_suppresses_updates() {
-        let mut s = ReplicaServer::new(ServerId::new(1));
-        assert!(s.handle_write_plain(0, &tv(1, 1)));
-        s.set_behavior(Behavior::ByzantineStale);
-        assert!(s.handle_write_plain(0, &tv(2, 2)));
-        // Still serves the old record.
-        assert_eq!(s.handle_read_plain(0).unwrap(), tv(1, 1));
-    }
-
-    #[test]
-    fn signed_records_and_byzantine_suppression() {
-        let mut registry = KeyRegistry::new();
-        let key = registry.register(1, 7);
-        let mut s = ReplicaServer::new(ServerId::new(4));
-        let v1 = SignedValue::create(&key, Value::from_u64(10), Timestamp::new(1, 1));
-        let v2 = SignedValue::create(&key, Value::from_u64(20), Timestamp::new(2, 1));
-        assert!(s.handle_write_signed(0, &v1));
-        assert!(s.handle_write_signed(0, &v2));
-        assert_eq!(s.handle_read_signed(0).unwrap(), v2);
-        // Regression to Byzantine: the server can only keep serving what it
-        // has (or suppress); it cannot fabricate a verifying record.
-        s.set_behavior(Behavior::ByzantineForge);
-        assert!(s.handle_write_signed(0, &v1));
-        let served = s.handle_read_signed(0).unwrap();
-        assert!(registry.verify_signed(&served));
-        assert_eq!(served, v2);
+        check_both_kinds(Behavior::ByzantineStale);
     }
 
     #[test]
@@ -480,18 +576,18 @@ mod tests {
         for var in [9u64, 2, 11, 0, 5] {
             assert!(s.store_plain_if_fresher(var, tv(var, 1)));
         }
-        assert!(s.plain_variables().eq([0u64, 2, 5, 9, 11]));
+        assert!(s.variables::<TaggedValue>().eq([0u64, 2, 5, 9, 11]));
         // A stale store (timestamp ZERO never beats an empty slot) does
         // not occupy a slot.
         assert!(!s.store_plain_if_fresher(13, TaggedValue::initial()));
-        assert!(s.plain_variables().eq([0u64, 2, 5, 9, 11]));
-        assert_eq!(s.stored_plain_timestamp(13), Timestamp::ZERO);
+        assert!(s.variables::<TaggedValue>().eq([0u64, 2, 5, 9, 11]));
+        assert_eq!(s.stored_timestamp::<TaggedValue>(13), Timestamp::ZERO);
         // Hashed ids (the apps namespace entities into the full u64
         // space) land in the sparse tier, still iterated in order.
         let huge = u64::MAX / 3;
         assert!(s.store_plain_if_fresher(huge, tv(1, 4)));
-        assert_eq!(s.stored_plain(huge), tv(1, 4));
-        assert!(s.plain_variables().eq([0u64, 2, 5, 9, 11, huge]));
+        assert_eq!(s.stored::<TaggedValue>(huge), tv(1, 4));
+        assert!(s.variables::<TaggedValue>().eq([0u64, 2, 5, 9, 11, huge]));
     }
 
     #[test]
@@ -502,20 +598,17 @@ mod tests {
         assert!(!s.store_plain_if_fresher(0, tv(9, 1)));
         assert!(!s.store_plain_if_fresher(0, tv(9, 0)));
         assert!(s.store_plain_if_fresher(0, tv(2, 2)));
-        let mut registry = KeyRegistry::new();
-        let key = registry.register(1, 5);
-        let v1 = SignedValue::create(&key, Value::from_u64(1), Timestamp::new(1, 1));
-        let v2 = SignedValue::create(&key, Value::from_u64(2), Timestamp::new(2, 1));
+        let (v1, v2) = (SignedValue::make(1, 1), SignedValue::make(2, 2));
         assert!(s.store_signed_if_fresher(3, v1.clone()));
         assert!(!s.store_signed_if_fresher(3, v1));
         assert!(s.store_signed_if_fresher(3, v2.clone()));
-        assert!(s.signed_variables().eq(std::iter::once(3)));
-        // The by-reference forms apply the same rule.
-        assert!(!s.merge_plain(0, &tv(9, 2)));
-        assert!(s.merge_plain(0, &tv(3, 3)));
-        assert_eq!(s.plain_record(0), Some(&tv(3, 3)));
-        assert_eq!(s.plain_record(1), None);
-        assert!(!s.merge_signed(3, &v2));
-        assert_eq!(s.signed_record(3), Some(&v2));
+        assert!(s.variables::<SignedValue>().eq(std::iter::once(3)));
+        // The by-value forwarders and `merge` are one rule.
+        assert!(!s.merge(0, &tv(9, 2)));
+        assert!(s.merge(0, &tv(3, 3)));
+        assert_eq!(s.record(0), Some(&tv(3, 3)));
+        assert_eq!(s.record::<TaggedValue>(1), None);
+        assert!(!s.merge(3, &v2));
+        assert_eq!(s.record(3), Some(&v2));
     }
 }

@@ -48,9 +48,11 @@ use pqs_core::system::QuorumSystem;
 #[cfg(debug_assertions)]
 use pqs_core::universe::ServerId;
 use pqs_protocols::cluster::Cluster;
+use pqs_protocols::crypto::SignedValue;
 use pqs_protocols::diffusion;
-use pqs_protocols::server::{Behavior, VariableId};
+use pqs_protocols::server::{Behavior, Record, VariableId};
 use pqs_protocols::timestamp::Timestamp;
+use pqs_protocols::value::TaggedValue;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
@@ -130,8 +132,20 @@ impl Default for ConvergenceTracker {
     }
 }
 
-/// Runs the simulation: [`Simulation::run_with_stats`], in full.
+/// Runs the simulation: [`Simulation::run_with_stats`], in full.  The one
+/// point where a run's record kind — a consequence of its protocol — becomes
+/// a type: the spine below is monomorphic in the records it syncs and plans.
 pub(crate) fn run<S: QuorumSystem + ?Sized>(
+    sim: &Simulation<'_, S>,
+) -> (SimReport, EngineStageTimings) {
+    match sim.kind {
+        ProtocolKind::Dissemination => run_on::<SignedValue, S>(sim),
+        ProtocolKind::Safe | ProtocolKind::Masking { .. } => run_on::<TaggedValue, S>(sim),
+    }
+}
+
+/// [`run`] for a protocol whose servers store `R` records.
+fn run_on<R: Record, S: QuorumSystem + ?Sized>(
     sim: &Simulation<'_, S>,
 ) -> (SimReport, EngineStageTimings) {
     let run_start = Instant::now();
@@ -216,7 +230,6 @@ pub(crate) fn run<S: QuorumSystem + ?Sized>(
             spine.set_behavior(absent, Behavior::Crashed);
         }
         let mut gossip_rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x9e37_79b9_7f4a_7c15);
-        let gossip_signed = matches!(sim.kind, ProtocolKind::Dissemination);
         let mut trackers: Vec<ConvergenceTracker> = vec![ConvergenceTracker::default(); nvars];
         let mut crash_cursor = 0usize;
         let mut membership_cursor = 0usize;
@@ -271,20 +284,19 @@ pub(crate) fn run<S: QuorumSystem + ?Sized>(
                 membership_cursor += 1;
             }
             for world in worlds.iter_mut() {
-                world.sync_dirty_into(&mut spine, gossip_signed);
+                world.sync_dirty_into::<R>(&mut spine);
             }
             #[cfg(debug_assertions)]
-            assert_sync_matches_full_resync(sim, &worlds, &spine, gossip_signed);
+            assert_sync_matches_full_resync::<R, S>(sim, &worlds, &spine);
             stages.sync_seconds += sync_start.elapsed().as_secs_f64();
 
             let plan_start = Instant::now();
             rounds += 1;
             let (coverage, correct_servers) = match policy.mode {
                 GossipMode::PushAll => {
-                    let outline = diffusion::outline_cluster_round(
+                    let outline = diffusion::outline_cluster_round::<R, _>(
                         &spine,
                         policy.fanout as usize,
-                        gossip_signed,
                         &mut gossip_rng,
                     );
                     stages.planned_pushes += outline.pushes.len() as u64;
@@ -315,7 +327,7 @@ pub(crate) fn run<S: QuorumSystem + ?Sized>(
                         batches[dest].pushes.push((
                             at,
                             QueuedPush {
-                                push: push.materialise(&spine, gossip_signed),
+                                push: push.materialise::<R>(&spine),
                                 #[cfg(debug_assertions)]
                                 resolved,
                             },
@@ -330,7 +342,7 @@ pub(crate) fn run<S: QuorumSystem + ?Sized>(
                     let round_plan = diffusion::plan_digest(
                         &spine,
                         policy.fanout as usize,
-                        gossip_signed,
+                        R::SIGNED,
                         &selector,
                         &mut gossip_rng,
                     );
@@ -505,69 +517,36 @@ fn drain_all<S: QuorumSystem + ?Sized>(
 /// the key's owning shard, so the dirty pairs — however conservatively
 /// over-marked — are sufficient.
 #[cfg(debug_assertions)]
-fn assert_sync_matches_full_resync<S: QuorumSystem + ?Sized>(
+fn assert_sync_matches_full_resync<R: Record, S: QuorumSystem + ?Sized>(
     sim: &Simulation<'_, S>,
     worlds: &[World<'_, S>],
     spine: &Cluster,
-    signed: bool,
 ) {
     let mut full = Cluster::new(sim.system.universe());
     full.reserve_variables(sim.config.keyspace.keys);
     for world in worlds {
-        let n = world.cluster.len() as u32;
-        for i in 0..n {
+        for i in 0..world.cluster.len() as u32 {
             let id = ServerId::new(i);
             let src = world.cluster.server(id);
-            if signed {
-                let vars: Vec<VariableId> = src.signed_variables().collect();
-                for var in vars {
-                    full.server_mut(id)
-                        .store_signed_if_fresher(var, src.stored_signed(var));
-                }
-            } else {
-                let vars: Vec<VariableId> = src.plain_variables().collect();
-                for var in vars {
-                    full.server_mut(id)
-                        .store_plain_if_fresher(var, src.stored_plain(var));
-                }
+            for var in src.variables::<R>() {
+                full.server_mut(id).merge(var, &src.stored::<R>(var));
             }
         }
     }
     for i in 0..spine.len() as u32 {
         let id = ServerId::new(i);
-        let inc = spine.server(id);
-        let ful = full.server(id);
-        if signed {
-            let mut a: Vec<_> = inc
-                .signed_variables()
-                .map(|v| (v, inc.stored_signed(v)))
-                .collect();
-            let mut b: Vec<_> = ful
-                .signed_variables()
-                .map(|v| (v, ful.stored_signed(v)))
-                .collect();
-            a.sort_by_key(|e| e.0);
-            b.sort_by_key(|e| e.0);
-            assert_eq!(
-                a, b,
-                "incremental spine sync diverged from full resync at server {i}"
-            );
-        } else {
-            let mut a: Vec<_> = inc
-                .plain_variables()
-                .map(|v| (v, inc.stored_plain(v)))
-                .collect();
-            let mut b: Vec<_> = ful
-                .plain_variables()
-                .map(|v| (v, ful.stored_plain(v)))
-                .collect();
-            a.sort_by_key(|e| e.0);
-            b.sort_by_key(|e| e.0);
-            assert_eq!(
-                a, b,
-                "incremental spine sync diverged from full resync at server {i}"
-            );
-        }
+        let held = |cluster: &Cluster| -> Vec<(VariableId, R)> {
+            let server = cluster.server(id);
+            server
+                .variables::<R>()
+                .map(|v| (v, server.stored(v)))
+                .collect()
+        };
+        assert_eq!(
+            held(spine),
+            held(&full),
+            "incremental spine sync diverged from full resync at server {i}"
+        );
     }
 }
 

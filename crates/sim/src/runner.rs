@@ -63,7 +63,7 @@
 //! that interleave with in-flight client probes.  Crashed servers skip
 //! rounds and drop in-flight pushes; Byzantine servers receive but never
 //! push — the same semantics as the synchronous
-//! [`diffuse_plain`](pqs_protocols::diffusion::diffuse_plain) harness.  All
+//! [`diffuse`](pqs_protocols::diffusion::diffuse) harness.  All
 //! three register flavors diffuse (signed records for the dissemination
 //! protocol).  Gossip draws come from a **separate** RNG stream, so a
 //! diffusion run replays the exact foreground trajectory (same workload,
@@ -714,22 +714,6 @@ impl<'a, S: QuorumSystem + ?Sized> Simulation<'a, S> {
     }
 }
 
-/// Convenience helper: run the same configuration against several systems
-/// and collect `(name, report)` pairs — used by the comparison experiments.
-pub fn compare_systems(
-    systems: &[&dyn QuorumSystem],
-    kind: ProtocolKind,
-    config: SimConfig,
-) -> Vec<(String, SimReport)> {
-    systems
-        .iter()
-        .map(|sys| {
-            let report = Simulation::new(*sys, kind, config).run();
-            (sys.name(), report)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -879,19 +863,6 @@ mod tests {
             report.empirical_load(),
             sys.load()
         );
-    }
-
-    #[test]
-    fn compare_systems_helper_names_outputs() {
-        let a = EpsilonIntersecting::new(49, 14).unwrap();
-        let b = Majority::new(49).unwrap();
-        let systems: Vec<&dyn QuorumSystem> = vec![&a, &b];
-        let mut config = quick_config(10);
-        config.duration = 10.0;
-        let results = compare_systems(&systems, ProtocolKind::Safe, config);
-        assert_eq!(results.len(), 2);
-        assert!(results[0].0.contains("R(n=49"));
-        assert!(results[1].0.contains("threshold"));
     }
 
     #[test]

@@ -32,9 +32,9 @@ use pqs_math::plan::{smallest_u64_where, timeout_probability, tolerance};
 use pqs_protocols::cluster::Cluster;
 use pqs_protocols::crypto::KeyRegistry;
 use pqs_protocols::diffusion;
-use pqs_protocols::register::session::{ReadSession, WriteSession};
-use pqs_protocols::register::{RegisterFlavor, RegisterMap, WriteRecord};
-use pqs_protocols::server::{Behavior, VariableId};
+use pqs_protocols::register::session::{self, ReadSession, WriteSession};
+use pqs_protocols::register::{RegisterFlavor, RegisterMap};
+use pqs_protocols::server::{AnyRecord, Behavior, Record, VariableId};
 use pqs_protocols::value::Value;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -53,11 +53,11 @@ fn key_stream_seed(seed: u64, var: VariableId) -> u64 {
 
 /// What one in-flight operation sends to servers and how it tracks replies.
 /// The write record is plain or signed according to the protocol flavor
-/// ([`WriteRecord`]), so one variant covers all three protocols.
+/// ([`AnyRecord`]), so one variant covers all three protocols.
 #[derive(Debug)]
 enum OpSession {
     Read(ReadSession),
-    Write(WriteRecord, WriteSession),
+    Write(AnyRecord, WriteSession),
 }
 
 /// Book-keeping for one client operation across its attempts (its arrival
@@ -450,7 +450,7 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
     /// to a from-scratch full resync — an invariant the debug builds check
     /// at every barrier and the property suite exercises under random
     /// interleavings.
-    pub(crate) fn sync_dirty_into(&mut self, spine: &mut Cluster, signed: bool) {
+    pub(crate) fn sync_dirty_into<R: Record>(&mut self, spine: &mut Cluster) {
         let dirty = self
             .dirty
             .as_mut()
@@ -461,13 +461,8 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
             let id = ServerId::new(server);
             // Marking is conservative, so most pairs hold nothing newer
             // than the spine does: the merge compares before it copies.
-            let src = self.cluster.server(id);
-            if signed {
-                if let Some(record) = src.signed_record(var) {
-                    spine.server_mut(id).merge_signed(var, record);
-                }
-            } else if let Some(record) = src.plain_record(var) {
-                spine.server_mut(id).merge_plain(var, record);
+            if let Some(record) = self.cluster.server(id).record::<R>(var) {
+                spine.server_mut(id).merge(var, record);
             }
         }
         dirty.clear();
@@ -568,12 +563,8 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                         self.cluster.set_behavior(server, Behavior::ByzantineStale);
                         self.acc.report.adaptive_activations += 1;
                     }
-                    let fed = deliver_probe::<S>(
-                        &mut self.states[idx],
-                        server,
-                        &mut self.cluster,
-                        attempt,
-                    );
+                    let fed =
+                        deliver_probe(&mut self.states[idx], server, &mut self.cluster, attempt);
                     if flip {
                         self.cluster.set_behavior(server, Behavior::Correct);
                     }
@@ -921,7 +912,7 @@ fn note_component_staleness(plan: &FailurePlan, now: SimTime, var: usize, report
 /// Applies one probe's server-side effect and, if the client still cares
 /// about this attempt, feeds the reply into the session.  Returns whether
 /// the session consumed the probe.
-fn deliver_probe<S: QuorumSystem + ?Sized>(
+fn deliver_probe(
     state: &mut OpState,
     server: ServerId,
     cluster: &mut Cluster,
@@ -931,31 +922,22 @@ fn deliver_probe<S: QuorumSystem + ?Sized>(
     let variable = state.variable;
     match state.session.as_mut() {
         Some(OpSession::Write(record, session)) => {
-            let acked = RegisterMap::<S>::apply_write(cluster, server, variable, record);
+            let acked = session::apply_write(cluster, server, variable, record);
             if live {
                 session.on_ack(acked);
             }
             live
         }
-        Some(OpSession::Read(session)) => {
-            // A `None` probe result is a resolved-but-silent server
-            // (crashed): the attempt's outstanding count still drops.
-            if session.wants_signed() {
-                if let Some(sv) = cluster.probe_read_signed(server, variable) {
-                    if live {
-                        session.on_signed_reply(server, sv);
-                    }
-                }
-            } else if let Some(tv) = cluster.probe_read_plain(server, variable) {
-                if live {
-                    session.on_plain_reply(server, tv);
-                }
-            }
-            live
+        // A silent (crashed) server feeds nothing, but the probe resolved:
+        // the attempt's outstanding count still drops.
+        Some(OpSession::Read(session)) if live => {
+            session.probe(cluster, server, variable);
+            true
         }
-        // A read `finalize` already released: the reply would have been
+        // A read nobody waits for — its attempt superseded or given up, or
+        // its session already released by `finalize`: the reply would be
         // dropped, so all that is left of the probe is the server's load.
-        None => {
+        Some(OpSession::Read(_)) | None => {
             cluster.note_access(server);
             false
         }
@@ -979,6 +961,7 @@ mod tests {
     use crate::latency::LatencyModel;
     use crate::runner::DiffusionPolicy;
     use pqs_core::probabilistic::EpsilonIntersecting;
+    use pqs_protocols::value::TaggedValue;
 
     fn op(at: SimTime, kind: OpKind) -> Operation {
         Operation {
@@ -1042,19 +1025,14 @@ mod tests {
         // Finalizing the write keeps its session: a probe still in flight
         // delivers the record to its server.
         let deliver = |world: &mut World<'_, EpsilonIntersecting>, idx: usize, server, attempt| {
-            deliver_probe::<EpsilonIntersecting>(
-                &mut world.states[idx],
-                server,
-                &mut world.cluster,
-                attempt,
-            )
+            deliver_probe(&mut world.states[idx], server, &mut world.cluster, attempt)
         };
         assert!(deliver(&mut world, 0, near, 1));
         world.finalize(0, 0.2);
         assert!(world.states[0].done && world.states[0].session.is_some());
         assert!(!deliver(&mut world, 0, far, 1));
         assert_eq!(
-            world.cluster.server(far).stored_plain_timestamp(0),
+            world.cluster.server(far).stored_timestamp::<TaggedValue>(0),
             first.timestamp()
         );
 
@@ -1111,7 +1089,7 @@ mod tests {
         assert!(on.dirty.as_ref().is_some_and(|d| !d.is_empty()));
         let mut spine = Cluster::new(sys.universe());
         spine.reserve_variables(1);
-        on.sync_dirty_into(&mut spine, false);
+        on.sync_dirty_into::<TaggedValue>(&mut spine);
         assert!(on.dirty.as_ref().is_some_and(Vec::is_empty));
         on.end_sync();
         on.drain_until(None);

@@ -14,8 +14,9 @@ use probabilistic_quorums::core::universe::{ServerId, Universe};
 use probabilistic_quorums::math::sampling::sample_k_of_n;
 use probabilistic_quorums::protocols::cluster::Cluster;
 use probabilistic_quorums::protocols::crypto::{KeyRegistry, SignedValue, SigningKey};
-use probabilistic_quorums::protocols::diffusion::{self, GossipPush, GossipRecord};
+use probabilistic_quorums::protocols::diffusion::{self, GossipPush};
 use probabilistic_quorums::protocols::register::session::{ReadMode, ReadSession};
+use probabilistic_quorums::protocols::server::AnyRecord;
 use probabilistic_quorums::protocols::timestamp::Timestamp;
 use probabilistic_quorums::protocols::value::{TaggedValue, Value};
 use proptest::prelude::*;
@@ -96,9 +97,9 @@ fn tagged(value: u64, counter: u64) -> TaggedValue {
 fn warm_cluster(key: &SigningKey) -> Cluster {
     let mut cluster = Cluster::new(Universe::new(8));
     cluster.reserve_variables(16);
-    assert!(cluster.probe_write_plain(server(), VARIABLE, &tagged(0, 1)));
+    assert!(cluster.probe_write(server(), VARIABLE, &tagged(0, 1)));
     let signed = SignedValue::create(key, Value::from_u64(0), Timestamp::new(1, 1));
-    assert!(cluster.probe_write_signed(server(), VARIABLE, &signed));
+    assert!(cluster.probe_write(server(), VARIABLE, &signed));
     cluster
 }
 
@@ -120,7 +121,7 @@ fn read_probes_into_a_sized_session_allocate_nothing() {
     let requests = requests_during(|| {
         for _ in 0..STEPS {
             let reply = cluster
-                .probe_read_plain(server(), VARIABLE)
+                .probe_read::<TaggedValue>(server(), VARIABLE)
                 .expect("correct");
             session.on_plain_reply(server(), reply);
         }
@@ -140,7 +141,7 @@ fn read_probes_into_a_sized_session_allocate_nothing() {
     let requests = requests_during(|| {
         for _ in 0..STEPS {
             let reply = cluster
-                .probe_read_signed(server(), VARIABLE)
+                .probe_read::<SignedValue>(server(), VARIABLE)
                 .expect("correct");
             session.on_signed_reply(server(), reply);
         }
@@ -163,16 +164,19 @@ fn write_probes_allocate_nothing_whether_or_not_they_store() {
     let requests = requests_during(|| {
         for i in 0..STEPS {
             // Ever fresher: every probe replaces the stored record.
-            assert!(cluster.probe_write_plain(server(), VARIABLE, &tagged(i, 2 + i)));
+            assert!(cluster.probe_write(server(), VARIABLE, &tagged(i, 2 + i)));
             let signed = SignedValue::create(&key, Value::from_u64(i), Timestamp::new(2 + i, 1));
-            assert!(cluster.probe_write_signed(server(), VARIABLE, &signed));
+            assert!(cluster.probe_write(server(), VARIABLE, &signed));
         }
     });
     assert_eq!(requests, 0, "write probes that store");
     let stored = cluster.server(server());
-    assert_eq!(stored.stored_plain_timestamp(VARIABLE).counter(), 1 + STEPS);
     assert_eq!(
-        stored.stored_signed_timestamp(VARIABLE).counter(),
+        stored.stored_timestamp::<TaggedValue>(VARIABLE).counter(),
+        1 + STEPS
+    );
+    assert_eq!(
+        stored.stored_timestamp::<SignedValue>(VARIABLE).counter(),
         1 + STEPS
     );
 
@@ -181,15 +185,15 @@ fn write_probes_allocate_nothing_whether_or_not_they_store() {
     let requests = requests_during(|| {
         for _ in 0..STEPS {
             // Acknowledged, never stored.
-            assert!(cluster.probe_write_plain(server(), VARIABLE, &stale));
-            assert!(cluster.probe_write_signed(server(), VARIABLE, &stale_signed));
+            assert!(cluster.probe_write(server(), VARIABLE, &stale));
+            assert!(cluster.probe_write(server(), VARIABLE, &stale_signed));
         }
     });
     assert_eq!(requests, 0, "write probes that do not store");
     assert_eq!(
         cluster
             .server(server())
-            .stored_plain_timestamp(VARIABLE)
+            .stored_timestamp::<TaggedValue>(VARIABLE)
             .counter(),
         1 + STEPS
     );
@@ -206,15 +210,15 @@ fn a_gossip_delivery_that_stores_nothing_allocates_nothing() {
         record,
     };
     // As fresh as what the receiver holds, so not strictly fresher.
-    let plain = push(GossipRecord::Plain(tagged(0, 1)));
-    let signed = push(GossipRecord::Signed(SignedValue::create(
+    let plain = push(AnyRecord::Plain(tagged(0, 1)));
+    let signed = push(AnyRecord::Signed(SignedValue::create(
         &key,
         Value::from_u64(0),
         Timestamp::new(1, 1),
     )));
     // A payload beyond the inline capacity lives on the heap: the merge
     // must turn it down on its timestamp before copying it.
-    let long = push(GossipRecord::Plain(TaggedValue::new(
+    let long = push(AnyRecord::Plain(TaggedValue::new(
         Value::new(vec![7; 4 * Value::INLINE_CAPACITY]),
         Timestamp::new(1, 1),
     )));

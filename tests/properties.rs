@@ -11,7 +11,7 @@ use probabilistic_quorums::math::bounds;
 use probabilistic_quorums::math::hypergeometric::Hypergeometric;
 use probabilistic_quorums::protocols::cluster::Cluster;
 use probabilistic_quorums::protocols::diffusion::{
-    self, count_fresh_correct, diffuse_plain, DiffusionConfig,
+    self, count_fresh_correct, diffuse, DiffusionConfig,
 };
 use probabilistic_quorums::protocols::register::{RegisterFlavor, RegisterMap};
 use probabilistic_quorums::protocols::server::VariableId;
@@ -286,6 +286,66 @@ proptest! {
         prop_assert_eq!(got, None);
     }
 
+    /// The facade adds nothing: a `Register` bound to variable `v` and a
+    /// `RegisterMap` of the same flavor, driven by the same seed, return
+    /// equal receipts and read results, consume the same RNG draws and
+    /// leave clusters that agree on every server — for each flavor, over a
+    /// strict and a probabilistic system, with faulty servers and a probe
+    /// margin in play.
+    #[test]
+    fn a_register_and_a_map_of_its_flavor_cannot_be_told_apart(
+        flavor in 0u32..3,
+        strict in 0u32..2,
+        v in 0u64..1_000_000,
+        margin in 0usize..4,
+        ops in 1u64..40,
+        seed in 0u64..10_000,
+    ) {
+        use probabilistic_quorums::protocols::crypto::{KeyRegistry, SignedValue};
+        use probabilistic_quorums::protocols::register::Register;
+        use probabilistic_quorums::protocols::server::Behavior;
+        use rand::{Rng, RngCore};
+        let (majority, loose) = (Majority::new(31).unwrap(), EpsilonIntersecting::new(31, 8).unwrap());
+        let sys: &dyn QuorumSystem = if strict == 1 { &majority } else { &loose };
+        let mut registry = KeyRegistry::new();
+        let key = registry.register(5, seed);
+        let flavor = match flavor {
+            0 => RegisterFlavor::Safe,
+            1 => RegisterFlavor::Dissemination { key, registry },
+            _ => RegisterFlavor::Masking { threshold: 2 },
+        };
+        let mut reg = Register::new(sys, flavor.clone(), 3, v).with_probe_margin(margin);
+        let mut map = RegisterMap::new(sys, flavor, 3).with_probe_margin(margin);
+        let mut by_reg = Cluster::new(sys.universe());
+        by_reg.set_behavior(ServerId::new(0), Behavior::Crashed);
+        by_reg.set_behavior(ServerId::new(1), Behavior::ByzantineForge);
+        let mut by_map = by_reg.clone();
+        let mut rng_reg = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng_map = ChaCha8Rng::seed_from_u64(seed);
+        let mut script = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+        for i in 1..=ops {
+            if script.gen_bool(0.5) {
+                prop_assert_eq!(
+                    reg.write(&mut by_reg, &mut rng_reg, Value::from_u64(i)),
+                    map.put(&mut by_map, &mut rng_map, v, Value::from_u64(i))
+                );
+            } else {
+                prop_assert_eq!(
+                    reg.read(&mut by_reg, &mut rng_reg),
+                    map.get(&mut by_map, &mut rng_map, v)
+                );
+            }
+        }
+        prop_assert_eq!(rng_reg.next_u64(), rng_map.next_u64(), "same draws");
+        prop_assert_eq!(by_reg.access_counts(), by_map.access_counts());
+        prop_assert_eq!(by_reg.total_accesses(), by_map.total_accesses());
+        for i in 0..31 {
+            let (a, b) = (by_reg.server(ServerId::new(i)), by_map.server(ServerId::new(i)));
+            prop_assert_eq!(a.stored::<TaggedValue>(v), b.stored::<TaggedValue>(v));
+            prop_assert_eq!(a.stored::<SignedValue>(v), b.stored::<SignedValue>(v));
+        }
+    }
+
     /// Post-gossip coverage is monotone in rounds: stepping the incremental
     /// plan/deliver rounds on one cluster can only ever add holders of the
     /// freshest record (the merge rule never discards fresh state).
@@ -305,13 +365,13 @@ proptest! {
                 .store_plain_if_fresher(0, record.clone());
         }
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut last = count_fresh_correct(&cluster, 0);
+        let mut last = count_fresh_correct::<TaggedValue>(&cluster, 0);
         for _ in 0..6 {
-            let pushes = diffusion::plan_round(&cluster, 0, fanout, false, &mut rng);
+            let pushes = diffusion::plan_round::<TaggedValue>(&cluster, 0, fanout, &mut rng);
             for push in &pushes {
                 diffusion::deliver(&mut cluster, push);
             }
-            let now = count_fresh_correct(&cluster, 0);
+            let now = count_fresh_correct::<TaggedValue>(&cluster, 0);
             prop_assert!(now >= last, "coverage shrank: {} -> {}", last, now);
             last = now;
         }
@@ -331,7 +391,7 @@ proptest! {
                 .server_mut(ServerId::new(0))
                 .store_plain_if_fresher(0, record.clone());
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ sub);
-            diffuse_plain(
+            diffuse::<TaggedValue>(
                 &mut cluster,
                 0,
                 DiffusionConfig { fanout, rounds: 3 },
@@ -378,8 +438,8 @@ proptest! {
         let config = DiffusionConfig { fanout, rounds };
         let mut rng_a = ChaCha8Rng::seed_from_u64(seed);
         let mut rng_b = ChaCha8Rng::seed_from_u64(seed);
-        let plain = diffuse_plain(&mut plain_cluster, variable, config, &mut rng_a);
-        let signed = diffusion::diffuse_signed(&mut signed_cluster, variable, config, &mut rng_b);
+        let plain = diffuse::<TaggedValue>(&mut plain_cluster, variable, config, &mut rng_a);
+        let signed = diffuse::<SignedValue>(&mut signed_cluster, variable, config, &mut rng_b);
         prop_assert_eq!(plain, signed);
     }
 
@@ -425,19 +485,19 @@ proptest! {
         let mut push_cluster = seed_cluster(false);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for k in 0..keys {
-            diffuse_plain(&mut push_cluster, k, config, &mut rng);
+            diffuse::<TaggedValue>(&mut push_cluster, k, config, &mut rng);
         }
         let mut digest_cluster = seed_cluster(false);
         let mut rng_d = ChaCha8Rng::seed_from_u64(seed ^ 0xd1);
-        let stats = diffusion::diffuse_digest_plain(&mut digest_cluster, config, &mut rng_d);
+        let stats = diffusion::diffuse_digest::<TaggedValue>(&mut digest_cluster, config, &mut rng_d);
         for k in 0..keys {
-            prop_assert_eq!(count_fresh_correct(&push_cluster, k), n as usize);
-            prop_assert_eq!(count_fresh_correct(&digest_cluster, k), n as usize);
+            prop_assert_eq!(count_fresh_correct::<TaggedValue>(&push_cluster, k), n as usize);
+            prop_assert_eq!(count_fresh_correct::<TaggedValue>(&digest_cluster, k), n as usize);
             // Same fixed point: every server stores the identical record.
             for i in 0..n {
                 prop_assert_eq!(
-                    push_cluster.server(ServerId::new(i)).stored_plain(k),
-                    digest_cluster.server(ServerId::new(i)).stored_plain(k)
+                    push_cluster.server(ServerId::new(i)).stored::<TaggedValue>(k),
+                    digest_cluster.server(ServerId::new(i)).stored::<TaggedValue>(k)
                 );
             }
         }
@@ -447,11 +507,11 @@ proptest! {
         let mut signed_cluster = seed_cluster(true);
         let mut rng_s = ChaCha8Rng::seed_from_u64(seed ^ 0xd1);
         let signed_stats =
-            diffusion::diffuse_digest_signed(&mut signed_cluster, config, &mut rng_s);
+            diffusion::diffuse_digest::<SignedValue>(&mut signed_cluster, config, &mut rng_s);
         prop_assert_eq!(stats, signed_stats);
         for k in 0..keys {
             prop_assert_eq!(
-                diffusion::count_fresh_correct_signed(&signed_cluster, k),
+                count_fresh_correct::<SignedValue>(&signed_cluster, k),
                 n as usize
             );
         }
@@ -491,7 +551,7 @@ proptest! {
             }
         }
         let full_entries: Vec<(VariableId, Timestamp)> = (0..keys)
-            .map(|k| (k, cluster.server(sender).stored_plain(k).timestamp))
+            .map(|k| (k, cluster.server(sender).stored::<TaggedValue>(k).timestamp))
             .filter(|&(_, ts)| ts != Timestamp::ZERO)
             .collect();
         let digest = |entries: Vec<(VariableId, Timestamp)>| diffusion::GossipDigest {
@@ -540,7 +600,7 @@ proptest! {
         for &(v, _) in &complete_diff.delta.records {
             if !advertised.contains(&v) {
                 prop_assert!(
-                    cluster.server(receiver).stored_plain(v).timestamp != Timestamp::ZERO
+                    cluster.server(receiver).stored_timestamp::<TaggedValue>(v) != Timestamp::ZERO
                 );
             }
         }
