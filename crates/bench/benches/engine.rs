@@ -1,5 +1,7 @@
-//! Criterion benchmark for the discrete-event engine's hot loop, plus the
-//! CI throughput floor.
+//! The engine bench: timed reference runs of the discrete-event engine's hot
+//! loop and of the event queue, and the CI floors enforced on them.  (Speed
+//! claims between two commits come from the repo benchmark instead —
+//! `BENCHMARK.json` and `scripts/bench_ab.sh`.)
 //!
 //! Reports engine throughput in **events per second**: each simulated
 //! operation costs one arrival event, one probe-reply event per probed
@@ -15,11 +17,8 @@
 //! only on the full-push gossip cells (one shard and eight), which also
 //! report the spine's cost per planned push.
 //!
-//! Six environment knobs wire this bench into CI:
+//! Five environment variables wire this bench into CI:
 //!
-//! * `PQS_BENCH_QUICK=1` — run only the timed reference runs (a few
-//!   hundred milliseconds), skipping the criterion statistics; the mode
-//!   the `bench-floor` CI job uses.
 //! * `PQS_BENCH_FLOOR=<events/sec>` — after measuring, exit nonzero if the
 //!   best observed queued-event throughput falls below the floor.
 //! * `PQS_BENCH_THREADS=<n>` — additionally time the 8-shard layout with
@@ -43,7 +42,6 @@
 //! `target/experiments/BENCH_engine.json` so the perf trajectory can be
 //! tracked per push as a CI artifact.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pqs_core::prelude::*;
 use pqs_sim::latency::LatencyModel;
 use pqs_sim::metrics::EngineStageTimings;
@@ -372,12 +370,10 @@ fn write_json(
     }
 }
 
-/// Measures and prints events/sec directly (the number the floor enforces),
-/// then — unless `PQS_BENCH_QUICK=1` — hands the same closures to criterion
-/// for its statistics.
-fn bench_engine_throughput(c: &mut Criterion) {
+/// Measures and prints every cell, writes the JSON, then prints one verdict
+/// per configured floor and exits nonzero if any of them failed.
+fn main() {
     let sys = EpsilonIntersecting::with_target_epsilon(100, 1e-3).unwrap();
-    let quick = std::env::var("PQS_BENCH_QUICK").is_ok_and(|v| v == "1");
     let floor: Option<f64> = std::env::var("PQS_BENCH_FLOOR")
         .ok()
         .map(|v| v.parse().expect("PQS_BENCH_FLOOR must be a number"));
@@ -500,112 +496,4 @@ fn bench_engine_throughput(c: &mut Criterion) {
     if !pass {
         std::process::exit(1);
     }
-    if quick {
-        println!("PQS_BENCH_QUICK=1: skipping criterion statistics");
-        return;
-    }
-
-    let mut group = c.benchmark_group("event_engine");
-    for &rate in &[100.0f64, 500.0] {
-        group.bench_with_input(
-            BenchmarkId::new("safe_run", rate as u64),
-            &rate,
-            |bench, &rate| {
-                let config = engine_config(rate);
-                bench.iter(|| Simulation::new(&sys, ProtocolKind::Safe, config).run())
-            },
-        );
-    }
-    // The probe margin multiplies the event count per op: measure the cost.
-    group.bench_function("safe_run_margin_8", |bench| {
-        let mut config = engine_config(100.0);
-        config.probe_margin = 8;
-        bench.iter(|| Simulation::new(&sys, ProtocolKind::Safe, config).run())
-    });
-    // Anti-entropy competes for the same event loop: measure what a default
-    // gossip policy costs next to the plain run at the same arrival rate.
-    group.bench_function("diffusion_run_500", |bench| {
-        let config = diffusion_config(500.0);
-        bench.iter(|| Simulation::new(&sys, ProtocolKind::Safe, config).run())
-    });
-    // The parallel engine: 8 shards drained by 1 worker thread (the
-    // sharded-family baseline) and, when PQS_BENCH_THREADS is set, by that
-    // many threads — same bit-identical report, different wall clock.
-    let mut thread_counts = vec![1u32];
-    thread_counts.extend(threads.filter(|&t| t > 1));
-    for &t in &thread_counts {
-        group.bench_with_input(
-            BenchmarkId::new("sharded_run", format!("{t}t")),
-            &t,
-            |bench, &t| {
-                let config = sharded_config(500.0, t);
-                bench.iter(|| Simulation::new(&sys, ProtocolKind::Safe, config).run())
-            },
-        );
-    }
-    group.finish();
-
-    // The event-queue hold cost in isolation, at three pending depths: the
-    // heap column grows with log(depth), the calendar column must not.
-    let mut group = c.benchmark_group("queue_depth");
-    for &depth in &[100usize, 10_000, 1_000_000] {
-        for (kind_name, kind) in [("heap", QueueKind::Heap), ("calendar", QueueKind::Calendar)] {
-            group.bench_with_input(
-                BenchmarkId::new(kind_name, depth),
-                &depth,
-                |bench, &depth| {
-                    let mut state = 0x5eed_0000 + depth as u64;
-                    let mut queue = prefilled_queue(kind, depth, &mut state);
-                    let span = depth as f64;
-                    bench.iter(|| {
-                        let (t, ev) = queue.pop().expect("hold keeps the queue non-empty");
-                        queue.schedule(t + unit_f64(&mut state) * span, ev);
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-
-    // The sharded key space: the per-variable session table (register map,
-    // per-key write logs, per-key metrics) must not cost events/sec as the
-    // key count grows. A regression here is the session-table overhead.
-    let mut group = c.benchmark_group("event_engine_multi_key");
-    for &keys in &[1u64, 64, 4096] {
-        group.bench_with_input(BenchmarkId::new("zipf_run", keys), &keys, |bench, &keys| {
-            let mut config = engine_config(500.0);
-            config.keyspace = if keys == 1 {
-                KeySpace::single()
-            } else {
-                KeySpace::zipf(keys, 1.0)
-            };
-            bench.iter(|| Simulation::new(&sys, ProtocolKind::Safe, config).run())
-        });
-    }
-    group.finish();
-
-    let mask = ProbabilisticMasking::with_target_epsilon(100, 5, 1e-3).unwrap();
-    c.bench_function("event_engine/masking_run", |bench| {
-        let config = engine_config(100.0);
-        bench.iter(|| {
-            Simulation::new(
-                &mask,
-                ProtocolKind::Masking {
-                    threshold: mask.read_threshold(),
-                },
-                config,
-            )
-            .run()
-        })
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_engine_throughput
-}
-criterion_main!(benches);

@@ -2,8 +2,11 @@
 //!
 //! The reproduction harness for the evaluation section of *Probabilistic
 //! Quorum Systems*.  Each binary in `src/bin/` regenerates one table or
-//! figure of the paper (or validates one analytical bound); the Criterion
-//! benches in `benches/` measure the library's own performance.
+//! figure of the paper (or validates one analytical bound).  The library's
+//! own performance is measured in two places: the `benchmark` binary runs
+//! the workloads and per-layer probes of `BENCHMARK.json` (what a speed
+//! claim between two commits rests on), and `benches/engine.rs` times the
+//! reference cells CI's floors are enforced on.
 //!
 //! | Binary | Reproduces |
 //! |---|---|

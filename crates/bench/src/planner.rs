@@ -379,6 +379,44 @@ mod tests {
         assert_eq!(keyspace_for(&w), KeySpace::single());
     }
 
+    /// The name check above cannot see a CDF and a sampler drifting apart;
+    /// this one draws from the sampler and holds the draws to the CDF.
+    #[test]
+    fn sampled_latencies_follow_the_planners_cdf() {
+        use rand::SeedableRng;
+        const N: usize = 20_000;
+        let laws = [
+            ProbeLatency::Fixed(2e-3),
+            ProbeLatency::Uniform {
+                min: 1e-3,
+                max: 3e-3,
+            },
+            ProbeLatency::Exponential { mean: 2e-3 },
+            ProbeLatency::Pareto {
+                scale: 1e-3,
+                shape: 2.5,
+            },
+        ];
+        for (seed, law) in laws.iter().enumerate() {
+            let model = latency_model(law);
+            assert_eq!(model.mean(), law.mean(), "{law:?}");
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed as u64);
+            let mut draws: Vec<f64> = (0..N).map(|_| model.sample(&mut rng)).collect();
+            draws.sort_by(f64::total_cmp);
+            for percent in [10, 50, 90, 99] {
+                let t = draws[N * percent / 100];
+                let empirical = draws.partition_point(|&x| x <= t) as f64 / N as f64;
+                let f = law.cdf(t);
+                let tolerance = 4.0 * (f * (1.0 - f) / N as f64).sqrt() + 1.0 / N as f64;
+                assert!(
+                    (empirical - f).abs() <= tolerance,
+                    "{law:?} at the {percent} % order statistic {t}: \
+                     empirical {empirical} vs cdf {f} (tolerance {tolerance})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn check_prediction_flags_band_misses() {
         let s = scenario_by_name("directory").unwrap();

@@ -239,7 +239,7 @@ impl FailurePlan {
             heals_at,
             components,
         });
-        self.partitions.sort_by(|a, b| a.from.total_cmp(&b.from));
+        self.sort_partitions();
         self
     }
 
@@ -335,6 +335,23 @@ impl FailurePlan {
 
     fn sort_memberships(&mut self) {
         self.memberships.sort_by(|a, b| a.at.total_cmp(&b.at));
+    }
+
+    fn sort_partitions(&mut self) {
+        self.partitions.sort_by(|a, b| a.from.total_cmp(&b.from));
+    }
+
+    /// Puts the three schedules in time order, as the `with_*` builders
+    /// leave them.  The fields are public, so a struct literal can list
+    /// events in any order, and the spine's monotone cursors,
+    /// [`joins_within`](Self::joins_within) and
+    /// [`initially_absent`](Self::initially_absent) all read the lists as
+    /// timelines.  The sorts are stable: a schedule already in order — any
+    /// builder-made one — comes out unchanged.
+    pub(crate) fn sort_schedules(&mut self) {
+        self.sort_crashes();
+        self.sort_memberships();
+        self.sort_partitions();
     }
 }
 

@@ -690,8 +690,11 @@ impl<'a, S: QuorumSystem + ?Sized> Simulation<'a, S> {
     }
 
     /// Overrides the failure plan derived from the configuration with an
-    /// explicit one (Byzantine placement and crash schedule).
-    pub fn with_failure_plan(mut self, plan: FailurePlan) -> Self {
+    /// explicit one (Byzantine placement and crash schedule).  A schedule
+    /// is a set of timed events: the order a struct literal lists them in
+    /// does not matter.
+    pub fn with_failure_plan(mut self, mut plan: FailurePlan) -> Self {
+        plan.sort_schedules();
         self.plan = Some(plan);
         self
     }

@@ -18,6 +18,11 @@
 # that claims a gain may not edit them), so a base that predates a
 # benchmark-only commit still measures with today's benchmark.
 #
+# After the tables, the same numbers are appended as one line — one JSON
+# object, described in docs/METRICS.md — to BENCH_e2e.json at the repo
+# root: the ledger of before/after pairs.  Commit the line with the change
+# it measured.
+#
 # Environment: PAIRS (default 10, the minimum for a claim), RUN_SECONDS
 # (default: BENCHMARK.json's run_seconds), BENCH_AB_DIR (default
 # target/bench_ab: builds, base export, raw results).  Exit 1 if any run
@@ -94,7 +99,10 @@ for workload in "${workloads[@]}"; do
     done
 done
 
-python3 - "$results" <<'EOF'
+# The change side is this checkout, so its name is HEAD plus "-dirty" when
+# the working tree differs from it.
+change_commit=$(git describe --always --dirty --abbrev=40)
+python3 - "$results" "$base_commit" "$change_commit" "$(nproc)" "$pairs" "$seconds" <<'EOF'
 import json, statistics, sys
 from collections import defaultdict
 
@@ -116,6 +124,9 @@ def quartiles(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
 
+record = {"base": sys.argv[2], "change": sys.argv[3], "host_cores": int(sys.argv[4]),
+          "pairs": int(sys.argv[5]), "run_seconds": float(sys.argv[6]),
+          "failed_runs": failed, "workloads": defaultdict(dict)}
 workloads = list(dict.fromkeys(w for w, _ in runs))
 for workload in workloads:
     pairs = [runs[key] for key in sorted(k for k in runs if k[0] == workload)]
@@ -156,6 +167,13 @@ for workload in workloads:
         fmt = lambda m, lo, hi: f"{m:.6g} [{lo:.6g}, {hi:.6g}]"
         print(f"{name:<22}{fmt(bm, b1, b3):<40}{fmt(cm, c1, c3):<40}"
               f"{relative:>+8.1%}  {base_wins}/{change_wins}/{ties}".ljust(126) + f"  {verdict}")
+        record["workloads"][workload][name] = {
+            "base": [b1, bm, b3], "change": [c1, cm, c3],
+            "wins": {"base": base_wins, "change": change_wins, "tie": ties},
+            "verdict": verdict}
+with open("BENCH_e2e.json", "a") as ledger:
+    ledger.write(json.dumps(record) + "\n")
+print("\nbench_ab: record appended to BENCH_e2e.json", file=sys.stderr)
 if failed:
     print(f"\nbench_ab: {failed} run(s) failed a correctness check", file=sys.stderr)
     sys.exit(1)

@@ -333,3 +333,57 @@ fn a_rejoining_server_bootstraps_from_pushes_planned_before_it_left() {
     assert_eq!(back.gossip_stores, 9831);
     assert_eq!(back.events_processed, 90117);
 }
+
+/// A failure schedule is a set of timed events: a plan written as a struct
+/// literal in any order runs exactly like the builder-made, time-sorted
+/// one.  The worlds' queues order the events either way; the spine's
+/// behaviour timeline walks the lists with monotone cursors, so with
+/// gossip on an unsorted plan once kept it planning pushes from servers
+/// every world held as crashed.
+#[test]
+fn a_failure_plan_means_the_same_in_any_listed_order() {
+    let sys = EpsilonIntersecting::new(36, 9).unwrap();
+    let built = FailurePlan::none()
+        .with_crash_wave(4.0, (0..12).map(ServerId::new))
+        .with_transition(12.0, ServerId::new(3), false)
+        .with_leave(6.0, ServerId::new(20))
+        .with_join(14.0, ServerId::new(20))
+        .with_partition(8.0, 10.0, 2)
+        .with_partition(16.0, 17.0, 3);
+    let reversed = FailurePlan {
+        crashes: built.crashes.iter().rev().copied().collect(),
+        memberships: built.memberships.iter().rev().copied().collect(),
+        partitions: built.partitions.iter().rev().copied().collect(),
+        ..FailurePlan::none()
+    };
+    assert_ne!(reversed, built);
+    let mut config = SimConfig::builder()
+        .with_duration(20.0)
+        .with_arrival_rate(200.0)
+        .with_read_fraction(0.7)
+        .with_keyspace(KeySpace::zipf(8, 1.0))
+        .with_seed(11)
+        .build();
+    for (num_shards, threads) in [(1u32, 1u32), (4, 3)] {
+        for diffusion in [None, Some(DiffusionPolicy::full_push(0.25, 2))] {
+            (config.num_shards, config.threads) = (num_shards, threads);
+            config.diffusion = diffusion;
+            let run = |plan: &FailurePlan| {
+                Simulation::new(&sys, ProtocolKind::Safe, config)
+                    .with_failure_plan(plan.clone())
+                    .run()
+            };
+            let expected = run(&built);
+            assert_eq!(expected.membership_events, 2);
+            if diffusion.is_some() {
+                assert!(expected.gossip_stores > 1000, "gossip must do real work");
+            }
+            assert_eq!(
+                run(&reversed),
+                expected,
+                "{num_shards} shard(s) x {threads} thread(s), diffusion {}",
+                diffusion.is_some()
+            );
+        }
+    }
+}
