@@ -1,8 +1,9 @@
-//! The unified command line shared by every `validate_*` binary.
+//! The command line every experiment of `pqs <name> [flags]` shares.
 //!
-//! Before this module each validator hand-rolled its own `--seed` loop;
-//! flags, help text and exit codes drifted apart.  Now all eleven accept
-//! the same six flags with the same semantics:
+//! One parser, one help renderer, one [`ValidatorCli::from_env`]: every
+//! registered experiment ([`crate::experiments::EXPERIMENTS`]) accepts the
+//! same six flags with the same semantics, and an experiment with knobs of
+//! its own (`plan`) declares them as [`ExtraFlag`]s on the same parser.
 //!
 //! * `--seed N` — base RNG seed mixed into every simulation/sampling seed
 //!   (default 0).  The paper's bounds must hold for *every* seed, so the CI
@@ -18,9 +19,12 @@
 //!   lane (currently `validate_parallel`); `--soak` is shorthand for
 //!   `--ops 100000000`.  Validators without a soak lane ignore it.
 //!
-//! Exit codes are uniform across the fleet: [`EXIT_OK`] (0) for a clean run
-//! or `--help`, [`EXIT_VALIDATION_FAILED`] (1) when a checked bound is
-//! violated, [`EXIT_USAGE`] (2) for a malformed command line.
+//! Exit codes are uniform across the registry: [`EXIT_OK`] (0) for a clean
+//! run or `--help`, [`EXIT_VALIDATION_FAILED`] (1) when a checked bound is
+//! violated, [`EXIT_USAGE`] (2) for a malformed command line.  A run whose
+//! stdout is closed under it (`pqs table3 | head -3`) has no verdict; it
+//! ends at once with [`EXIT_BROKEN_PIPE`], the status a `SIGPIPE` death
+//! shows in a shell.
 
 use std::path::PathBuf;
 
@@ -30,8 +34,11 @@ pub const EXIT_OK: i32 = 0;
 pub const EXIT_VALIDATION_FAILED: i32 = 1;
 /// Process exit code for a malformed command line.
 pub const EXIT_USAGE: i32 = 2;
+/// Process exit code when stdout was closed before the run finished
+/// (128 + `SIGPIPE`).
+pub const EXIT_BROKEN_PIPE: i32 = 141;
 
-/// Parsed command line shared by every `validate_*` binary.
+/// Parsed command line shared by every experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidatorCli {
     /// Base RNG seed mixed into every simulation/sampling seed.
@@ -62,19 +69,10 @@ impl Default for ValidatorCli {
     }
 }
 
-/// What a parse produced: a run configuration, or a help request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Parsed {
-    /// Run the validator with these options.
-    Run(ValidatorCli),
-    /// `--help`/`-h` was given; print usage and exit 0.
-    Help,
-}
-
-/// Declaration of one extra `--flag VALUE` option a binary accepts beyond
-/// the shared validator set (the `plan` bin's workload/SLO knobs, say).
+/// Declaration of one extra `--flag VALUE` option an experiment accepts
+/// beyond the shared set (the `plan` experiment's workload/SLO knobs).
 /// Extras always take a value; collected values come back as
-/// `(flag, value)` pairs from [`parse_with_extras`].
+/// `(flag, value)` pairs from [`parse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExtraFlag {
     /// The flag spelling including the leading dashes, e.g. `"--epsilon"`.
@@ -85,10 +83,10 @@ pub struct ExtraFlag {
     pub help: &'static str,
 }
 
-/// What [`parse_with_extras`] produced: a run configuration plus the
-/// collected extra-flag values, or a help request.
+/// What [`parse`] produced: a run configuration plus the collected
+/// extra-flag values, or a help request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParsedWithExtras {
+pub enum Parsed {
     /// Run with these options and these `(flag, value)` extras, in the
     /// order given on the command line (later spellings override earlier
     /// ones by convention — the consumer folds the list).
@@ -97,23 +95,14 @@ pub enum ParsedWithExtras {
     Help,
 }
 
-/// Parses a validator command line (testable core of
-/// [`ValidatorCli::from_env`]).  Accepts both `--flag value` and
-/// `--flag=value` spellings; unknown arguments are errors.
-pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Parsed, String> {
-    match parse_with_extras(args, &[])? {
-        ParsedWithExtras::Run(cli, _) => Ok(Parsed::Run(cli)),
-        ParsedWithExtras::Help => Ok(Parsed::Help),
-    }
-}
-
-/// Parses a command line that accepts the shared validator flags *plus* the
-/// given [`ExtraFlag`]s, keeping the fleet-wide flag semantics and exit
-/// codes uniform for binaries with bespoke knobs.
-pub fn parse_with_extras<I: IntoIterator<Item = String>>(
+/// Parses the flags of one experiment: the shared set plus the given
+/// [`ExtraFlag`]s (testable core of [`ValidatorCli::from_env`]).  Accepts
+/// both `--flag value` and `--flag=value` spellings; unknown arguments are
+/// errors.
+pub fn parse<I: IntoIterator<Item = String>>(
     args: I,
     extras: &[ExtraFlag],
-) -> Result<ParsedWithExtras, String> {
+) -> Result<Parsed, String> {
     let mut cli = ValidatorCli::default();
     let mut collected: Vec<(String, String)> = Vec::new();
     let mut args = args.into_iter();
@@ -131,7 +120,7 @@ pub fn parse_with_extras<I: IntoIterator<Item = String>>(
             }
         };
         match flag.as_str() {
-            "--help" | "-h" => return Ok(ParsedWithExtras::Help),
+            "--help" | "-h" => return Ok(Parsed::Help),
             "--quick" => {
                 if inline.is_some() {
                     return Err("--quick takes no value".to_string());
@@ -182,17 +171,12 @@ pub fn parse_with_extras<I: IntoIterator<Item = String>>(
             }
         }
     }
-    Ok(ParsedWithExtras::Run(cli, collected))
+    Ok(Parsed::Run(cli, collected))
 }
 
-/// Renders the uniform help text for a validator binary.
-pub fn help_text(bin: &str, about: &str) -> String {
-    help_text_with(bin, about, &[])
-}
-
-/// Renders the uniform help text plus a section for the binary's
-/// [`ExtraFlag`]s (omitted when there are none).
-pub fn help_text_with(bin: &str, about: &str, extras: &[ExtraFlag]) -> String {
+/// Renders the uniform help text of `pqs <name>`, with a section for the
+/// experiment's [`ExtraFlag`]s when it has any.
+pub fn help_text(name: &str, about: &str, extras: &[ExtraFlag]) -> String {
     let mut extra_usage = String::new();
     let mut extra_lines = String::new();
     for e in extras {
@@ -200,14 +184,10 @@ pub fn help_text_with(bin: &str, about: &str, extras: &[ExtraFlag]) -> String {
         let spelled = format!("{} {}", e.flag, e.value_name);
         extra_lines.push_str(&format!("\x20 {spelled:<15} {}\n", e.help));
     }
-    base_help_text(bin, about, &extra_usage, &extra_lines)
-}
-
-fn base_help_text(bin: &str, about: &str, extra_usage: &str, extra_lines: &str) -> String {
     format!(
-        "{bin}: {about}\n\
+        "pqs {name}: {about}\n\
          \n\
-         usage: {bin} [--seed N] [--quick] [--threads N] [--out-dir PATH] \
+         usage: pqs {name} [--seed N] [--quick] [--threads N] [--out-dir PATH] \
          [--ops N | --soak]{extra_usage}\n\
          \n\
          options:\n\
@@ -215,7 +195,7 @@ fn base_help_text(bin: &str, about: &str, extra_usage: &str, extra_lines: &str) 
          \x20 --quick         shrink sweeps / shorten runs for smoke testing\n\
          \x20 --threads N     worker threads for sharded simulation runs (default 1)\n\
          \x20 --out-dir PATH  directory for CSV artifacts (default: target/experiments)\n\
-         \x20 --ops N         soak-lane engine-event target (validators without a\n\
+         \x20 --ops N         soak-lane engine-event target (experiments without a\n\
          \x20                 soak lane ignore it)\n\
          \x20 --soak          shorthand for --ops 100000000 (a 10^8-event soak)\n\
          {extra_lines}\
@@ -227,83 +207,52 @@ fn base_help_text(bin: &str, about: &str, extra_usage: &str, extra_lines: &str) 
 }
 
 impl ValidatorCli {
-    /// Parses the process command line, handling `--help` (exit 0) and
-    /// usage errors (exit 2).  A `--out-dir` override is installed into
-    /// [`crate::output_dir`] before returning.
-    pub fn from_env(bin: &str, about: &str) -> ValidatorCli {
-        match parse(std::env::args().skip(1)) {
-            Ok(Parsed::Run(cli)) => {
-                if let Some(dir) = &cli.out_dir {
-                    crate::set_output_dir(dir.clone());
-                }
-                cli
-            }
-            Ok(Parsed::Help) => {
-                println!("{}", help_text(bin, about));
-                std::process::exit(EXIT_OK);
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{}", help_text(bin, about));
-                std::process::exit(EXIT_USAGE);
-            }
-        }
-    }
-
-    /// Like [`ValidatorCli::from_env`], for binaries that accept
-    /// [`ExtraFlag`]s on top of the shared set; returns the collected
-    /// `(flag, value)` pairs alongside the parsed options.
-    pub fn from_env_with(
-        bin: &str,
+    /// Parses what follows `pqs <name>` on the process command line,
+    /// handling `--help` (exit 0) and usage errors (exit 2); returns the
+    /// collected [`ExtraFlag`] values alongside the shared options.
+    pub fn from_env(
+        name: &str,
         about: &str,
         extras: &[ExtraFlag],
     ) -> (ValidatorCli, Vec<(String, String)>) {
-        match parse_with_extras(std::env::args().skip(1), extras) {
-            Ok(ParsedWithExtras::Run(cli, collected)) => {
-                if let Some(dir) = &cli.out_dir {
-                    crate::set_output_dir(dir.clone());
-                }
-                (cli, collected)
-            }
-            Ok(ParsedWithExtras::Help) => {
-                println!("{}", help_text_with(bin, about, extras));
+        match parse(std::env::args().skip(2), extras) {
+            Ok(Parsed::Run(cli, collected)) => (cli, collected),
+            Ok(Parsed::Help) => {
+                let help = help_text(name, about, extras);
+                crate::harness::print(&mut std::io::stdout(), &format!("{help}\n"));
                 std::process::exit(EXIT_OK);
             }
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{}", help_text_with(bin, about, extras));
-                std::process::exit(EXIT_USAGE);
-            }
+            Err(msg) => usage_error(&msg, &help_text(name, about, extras)),
         }
     }
 }
 
-/// Standard epilogue for a validator: prints the verdict and exits with
-/// [`EXIT_OK`] or [`EXIT_VALIDATION_FAILED`].
-pub fn finish(bin: &str, seed: u64, violations: &[String]) -> ! {
-    if violations.is_empty() {
-        println!("{bin}: all checks passed (seed {seed})");
-        std::process::exit(EXIT_OK);
-    }
-    eprintln!(
-        "{bin}: {} violated check(s) (seed {seed}):",
-        violations.len()
-    );
-    for v in violations {
-        eprintln!("  - {v}");
-    }
-    std::process::exit(EXIT_VALIDATION_FAILED);
+/// Reports a malformed command line on stderr, followed by the help text,
+/// and exits with [`EXIT_USAGE`].
+pub fn usage_error(msg: &str, help: &str) -> ! {
+    eprintln!("error: {msg}\n\n{help}");
+    std::process::exit(EXIT_USAGE);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn run_with(args: &[&str], extras: &[ExtraFlag]) -> Result<Parsed, String> {
+        parse(args.iter().map(|s| s.to_string()), extras)
+    }
+
     fn run(args: &[&str]) -> Result<Parsed, String> {
-        parse(args.iter().map(|s| s.to_string()))
+        run_with(args, &[])
+    }
+
+    fn shared(cli: ValidatorCli) -> Result<Parsed, String> {
+        Ok(Parsed::Run(cli, Vec::new()))
     }
 
     #[test]
     fn defaults_when_no_args() {
-        assert_eq!(run(&[]), Ok(Parsed::Run(ValidatorCli::default())));
+        assert_eq!(run(&[]), shared(ValidatorCli::default()));
     }
 
     #[test]
@@ -327,7 +276,7 @@ mod tests {
                 "--ops",
                 "5000"
             ]),
-            Ok(Parsed::Run(expect.clone()))
+            shared(expect.clone())
         );
         assert_eq!(
             run(&[
@@ -337,7 +286,7 @@ mod tests {
                 "--out-dir=/tmp/exp",
                 "--ops=5000"
             ]),
-            Ok(Parsed::Run(expect))
+            shared(expect)
         );
     }
 
@@ -346,10 +295,10 @@ mod tests {
         let soak = run(&["--soak"]);
         assert_eq!(
             soak,
-            Ok(Parsed::Run(ValidatorCli {
+            shared(ValidatorCli {
                 ops: Some(SOAK_OPS),
                 ..ValidatorCli::default()
-            }))
+            })
         );
         // An explicit --ops spelling of the same target parses identically.
         assert_eq!(soak, run(&["--ops", &SOAK_OPS.to_string()]));
@@ -389,15 +338,13 @@ mod tests {
 
     #[test]
     fn extras_collect_in_order_and_compose_with_shared_flags() {
-        let parsed = parse_with_extras(
-            ["--epsilon", "0.01", "--seed=9", "--p99-slo=0.03", "--quick"]
-                .iter()
-                .map(|s| s.to_string()),
+        let parsed = run_with(
+            &["--epsilon", "0.01", "--seed=9", "--p99-slo=0.03", "--quick"],
             DEMO_EXTRAS,
         )
         .unwrap();
         match parsed {
-            ParsedWithExtras::Run(cli, extras) => {
+            Parsed::Run(cli, extras) => {
                 assert_eq!(cli.seed, 9);
                 assert!(cli.quick);
                 assert_eq!(
@@ -414,31 +361,31 @@ mod tests {
 
     #[test]
     fn extras_still_require_values_and_unknown_flags_still_fail() {
-        assert!(
-            parse_with_extras(["--epsilon"].iter().map(|s| s.to_string()), DEMO_EXTRAS).is_err()
-        );
-        assert!(parse_with_extras(
-            ["--frobnicate", "1"].iter().map(|s| s.to_string()),
-            DEMO_EXTRAS
-        )
-        .is_err());
-        // Extras are per-binary: without the declaration the flag is unknown.
+        assert!(run_with(&["--epsilon"], DEMO_EXTRAS).is_err());
+        assert!(run_with(&["--frobnicate", "1"], DEMO_EXTRAS).is_err());
+        // Extras are per-experiment: without the declaration the flag is unknown.
         assert!(run(&["--epsilon", "0.01"]).is_err());
     }
 
     #[test]
     fn help_text_with_extras_names_them() {
-        let text = help_text_with("plan", "solves for a capacity plan", DEMO_EXTRAS);
+        let text = help_text("plan", "solves for a capacity plan", DEMO_EXTRAS);
         assert!(text.contains("--epsilon EPS"));
         assert!(text.contains("target staleness bound"));
         assert!(text.contains("[--p99-slo SECS]"));
-        // No extras: byte-identical to the classic help.
-        assert_eq!(help_text_with("v", "a", &[]), help_text("v", "a"));
+        // No extras: the same text minus exactly those lines.
+        let plain = help_text("plan", "solves for a capacity plan", &[]);
+        assert!(!plain.contains("--epsilon"));
+        assert_eq!(
+            plain.lines().count() + DEMO_EXTRAS.len(),
+            text.lines().count()
+        );
     }
 
     #[test]
     fn help_text_names_every_flag() {
-        let text = help_text("validate_demo", "checks a demo bound");
+        let text = help_text("validate_demo", "checks a demo bound", &[]);
+        assert!(text.starts_with("pqs validate_demo: checks a demo bound"));
         for needle in [
             "--seed",
             "--quick",

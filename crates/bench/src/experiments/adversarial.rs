@@ -24,21 +24,22 @@
 //! * **heal re-convergence** — the diffusion-on partition lanes must
 //!   observe their heals and report a monotone post-heal coverage curve.
 //!
-//! Exits nonzero on any miss.  Accepts the shared validator flags;
-//! `--quick` sweeps 10 seeds at a short duration (the CI smoke
-//! configuration), the full run sweeps fewer seeds at full length.
+//! Any miss fails the run.  `--quick` sweeps 10 seeds at a short duration
+//! (the CI smoke configuration), the full run sweeps fewer seeds at full
+//! length.
 
-use pqs_bench::cli::{self, ValidatorCli};
-use pqs_bench::{fmt_prob, ExperimentTable};
 use pqs_core::analysis::intersection::estimate_contained_in_faulty;
 use pqs_core::prelude::*;
 use pqs_sim::failure::{ByzantineStrategy, FailurePlan};
-use pqs_sim::latency::LatencyModel;
 use pqs_sim::metrics::SimReport;
 use pqs_sim::runner::{DiffusionPolicy, ProtocolKind, SimConfig, Simulation};
 use pqs_sim::workload::KeySpace;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+use super::retrying_sim_config;
+use crate::harness::Harness;
+use crate::{fmt_prob, ExperimentTable};
 
 /// Universe size of the validation system.
 const N: u32 = 60;
@@ -122,17 +123,7 @@ fn scenario_plan(scenario: &Scenario, d: f64, strategy: ByzantineStrategy) -> Fa
 /// One shard: the report does not depend on the layout, and proving that
 /// is `validate_parallel`'s job.
 fn config(seed: u64, duration: f64) -> SimConfig {
-    SimConfig::builder()
-        .with_duration(duration)
-        .with_arrival_rate(80.0)
-        .with_read_fraction(0.8)
-        .with_keyspace(KeySpace::zipf(16, 1.0))
-        .with_latency(LatencyModel::Exponential { mean: 2e-3 })
-        .with_probe_margin(2)
-        .with_op_timeout(0.05)
-        .with_max_retries(2)
-        .with_seed(seed)
-        .build()
+    retrying_sim_config(seed, duration, 80.0, KeySpace::zipf(16, 1.0)).build()
 }
 
 fn run(
@@ -146,19 +137,45 @@ fn run(
         .run()
 }
 
-/// The quantified degradation ceiling for a given static baseline.
-fn degradation_ceiling(baseline: f64) -> f64 {
-    (baseline * DEGRADATION_FACTOR).max(baseline + DEGRADATION_SLACK)
+/// Checks the adaptive twin's rate against the quantified degradation
+/// ceiling of its static baseline; with a `row` — the (scenario, protocol,
+/// gossip, adversary) cells of the sweep's first seed — tabulates the pair.
+fn check_degradation(
+    h: &mut Harness<'_>,
+    table: &mut ExperimentTable,
+    row: Option<[&str; 4]>,
+    tag: &str,
+    baseline: &SimReport,
+    adaptive: &SimReport,
+) {
+    let s_rate = baseline.eligible_stale_read_rate();
+    let a_rate = adaptive.eligible_stale_read_rate();
+    let ceiling = (s_rate * DEGRADATION_FACTOR).max(s_rate + DEGRADATION_SLACK);
+    h.check(
+        a_rate <= ceiling,
+        format_args!(
+            "{tag}: adaptive rate {} above degradation ceiling {} (static {})",
+            fmt_prob(a_rate),
+            fmt_prob(ceiling),
+            fmt_prob(s_rate)
+        ),
+    );
+    if let Some(lane) = row {
+        let mut cells = lane.map(String::from).to_vec();
+        cells.extend([
+            fmt_prob(s_rate),
+            fmt_prob(a_rate),
+            fmt_prob(ceiling),
+            adaptive.adaptive_activations.to_string(),
+            adaptive.dropped_probes.to_string(),
+            adaptive.membership_events.to_string(),
+        ]);
+        table.push_row(cells);
+    }
 }
 
-fn main() {
-    let cli = ValidatorCli::from_env(
-        "validate_adversarial",
-        "sweeps churn/partition scenarios against adaptive Byzantine adversaries and \
-         enforces replay invariance, stale-rate monotonicity, the quantified \
-         graceful-degradation band and the signed-register masking bound",
-    );
-    let mut violations: Vec<String> = Vec::new();
+pub(super) fn validate_adversarial(h: &mut Harness<'_>) {
+    let cli = h.cli().clone();
     let mut table = ExperimentTable::new(
         "validate_adversarial_graceful_degradation",
         &[
@@ -229,21 +246,22 @@ fn main() {
                 let baseline = run(&system, kind, cfg, static_plan.clone());
                 let tag = |adv: &str| format!("{}/{proto_name}/{adv} seed {seed}", scenario.name);
 
-                if scenario.churn
-                    && baseline.membership_events != static_plan.memberships.len() as u64
-                {
-                    violations.push(format!(
-                        "{}: {} membership events applied, schedule has {}",
-                        tag("static"),
-                        baseline.membership_events,
-                        static_plan.memberships.len()
-                    ));
+                if scenario.churn {
+                    h.check(
+                        baseline.membership_events == static_plan.memberships.len() as u64,
+                        format_args!(
+                            "{}: {} membership events applied, schedule has {}",
+                            tag("static"),
+                            baseline.membership_events,
+                            static_plan.memberships.len()
+                        ),
+                    );
                 }
-                if scenario.partition && baseline.dropped_probes == 0 {
-                    violations.push(format!(
-                        "{}: partition windows dropped no probes",
-                        tag("static")
-                    ));
+                if scenario.partition {
+                    h.check(
+                        baseline.dropped_probes != 0,
+                        format_args!("{}: partition windows dropped no probes", tag("static")),
+                    );
                 }
 
                 for (adv_name, strategy) in &adversaries {
@@ -251,84 +269,62 @@ fn main() {
                     let adaptive = run(&system, kind, cfg, plan);
                     let s_rate = baseline.eligible_stale_read_rate();
                     let a_rate = adaptive.eligible_stale_read_rate();
-                    let ceiling = degradation_ceiling(s_rate);
 
                     // Replay invariance: foreground-only adversary
                     // evaluation leaves every foreground count of the
                     // diffusion-off twin untouched.
-                    if adaptive.completed_reads != baseline.completed_reads
-                        || adaptive.completed_writes != baseline.completed_writes
-                        || adaptive.events_processed != baseline.events_processed
-                        || adaptive.per_server_accesses != baseline.per_server_accesses
-                    {
-                        violations.push(format!(
+                    h.check(
+                        adaptive.completed_reads == baseline.completed_reads
+                            && adaptive.completed_writes == baseline.completed_writes
+                            && adaptive.events_processed == baseline.events_processed
+                            && adaptive.per_server_accesses == baseline.per_server_accesses,
+                        format_args!(
                             "{}: adaptive run diverged from the static twin's \
-                             foreground trajectory",
+                                 foreground trajectory",
                             tag(adv_name)
-                        ));
-                    }
-                    if adaptive.adaptive_activations == 0 {
-                        violations.push(format!(
-                            "{}: adaptive adversary never activated",
-                            tag(adv_name)
-                        ));
-                    }
-                    if a_rate + 1e-12 < s_rate {
-                        violations.push(format!(
+                        ),
+                    );
+                    h.check(
+                        adaptive.adaptive_activations != 0,
+                        format_args!("{}: adaptive adversary never activated", tag(adv_name)),
+                    );
+                    h.check(
+                        a_rate + 1e-12 >= s_rate,
+                        format_args!(
                             "{}: adaptive rate {} below static baseline {} — \
                              monotonicity broken",
                             tag(adv_name),
                             fmt_prob(a_rate),
                             fmt_prob(s_rate)
-                        ));
-                    }
-                    if a_rate > ceiling {
-                        violations.push(format!(
-                            "{}: adaptive rate {} above degradation ceiling {} \
-                             (static {})",
-                            tag(adv_name),
-                            fmt_prob(a_rate),
-                            fmt_prob(ceiling),
-                            fmt_prob(s_rate)
-                        ));
-                    }
+                        ),
+                    );
+                    let row = [scenario.name, proto_name, "off", *adv_name];
+                    let row = (seed == seeds[0]).then_some(row);
+                    check_degradation(h, &mut table, row, &tag(adv_name), &baseline, &adaptive);
                     if kind == ProtocolKind::Dissemination && !scenario.partition {
                         for (label, rate) in [("static", s_rate), ("adaptive", a_rate)] {
-                            if rate > masking_bound {
-                                violations.push(format!(
+                            h.check(
+                                rate <= masking_bound,
+                                format_args!(
                                     "{}: signed {label} rate {} above the masking \
                                      bound {}",
                                     tag(adv_name),
                                     fmt_prob(rate),
                                     fmt_prob(masking_bound)
-                                ));
-                            }
+                                ),
+                            );
                         }
                     }
                     let component_sum: u64 = adaptive.per_component_stale_reads.iter().sum();
-                    if component_sum > adaptive.stale_reads + adaptive.empty_reads {
-                        violations.push(format!(
+                    h.check(
+                        component_sum <= adaptive.stale_reads + adaptive.empty_reads,
+                        format_args!(
                             "{}: per-component staleness {} exceeds total stale+empty {}",
                             tag(adv_name),
                             component_sum,
                             adaptive.stale_reads + adaptive.empty_reads
-                        ));
-                    }
-
-                    if seed == seeds[0] {
-                        table.push_row(vec![
-                            scenario.name.to_string(),
-                            proto_name.to_string(),
-                            "off".to_string(),
-                            adv_name.to_string(),
-                            fmt_prob(s_rate),
-                            fmt_prob(a_rate),
-                            fmt_prob(ceiling),
-                            adaptive.adaptive_activations.to_string(),
-                            adaptive.dropped_probes.to_string(),
-                            adaptive.membership_events.to_string(),
-                        ]);
-                    }
+                        ),
+                    );
                 }
 
                 // Diffusion-on lane: gossip crosses components
@@ -353,53 +349,30 @@ fn main() {
                     cfg,
                     scenario_plan(scenario, duration, adversaries[0].1.clone()),
                 );
-                let s_rate = baseline.eligible_stale_read_rate();
-                let a_rate = adaptive.eligible_stale_read_rate();
                 let tag = format!("{}/{proto_name}/gossip/hot-key seed {seed}", scenario.name);
-                if a_rate > degradation_ceiling(s_rate) {
-                    violations.push(format!(
-                        "{tag}: adaptive rate {} above degradation ceiling {} (static {})",
-                        fmt_prob(a_rate),
-                        fmt_prob(degradation_ceiling(s_rate)),
-                        fmt_prob(s_rate)
-                    ));
-                }
+                let row = [scenario.name, proto_name, "full-push", "hot-key"];
+                let row = (seed == seeds[0]).then_some(row);
+                check_degradation(h, &mut table, row, &tag, &baseline, &adaptive);
                 if scenario.partition {
                     for (label, report) in [("static", &baseline), ("adaptive", &adaptive)] {
-                        if report.heals_observed == 0 {
-                            violations
-                                .push(format!("{tag}: {label} run observed no partition heals"));
-                        }
-                        if report.post_heal_coverage.windows(2).any(|w| w[1] < w[0]) {
-                            violations.push(format!(
-                                "{tag}: {label} post-heal coverage curve is not monotone"
-                            ));
-                        }
+                        h.check(
+                            report.heals_observed != 0,
+                            format_args!("{tag}: {label} run observed no partition heals"),
+                        );
+                        h.check(
+                            report.post_heal_coverage.windows(2).all(|w| w[1] >= w[0]),
+                            format_args!("{tag}: {label} post-heal coverage curve is not monotone"),
+                        );
                     }
-                }
-                if seed == seeds[0] {
-                    table.push_row(vec![
-                        scenario.name.to_string(),
-                        proto_name.to_string(),
-                        "full-push".to_string(),
-                        "hot-key".to_string(),
-                        fmt_prob(s_rate),
-                        fmt_prob(a_rate),
-                        fmt_prob(degradation_ceiling(s_rate)),
-                        adaptive.adaptive_activations.to_string(),
-                        adaptive.dropped_probes.to_string(),
-                        adaptive.membership_events.to_string(),
-                    ]);
                 }
             }
         }
     }
 
-    table.emit();
-    println!(
+    h.emit(&table);
+    h.line(
         "Graceful degradation: an adaptive adversary may bend the measured epsilon — \
          never beyond a quantified multiple of the static baseline, never below it, and \
-         never past the masking bound on signed registers."
+         never past the masking bound on signed registers.",
     );
-    cli::finish("validate_adversarial", cli.seed, &violations);
 }

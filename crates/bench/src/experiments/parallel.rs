@@ -12,7 +12,7 @@
 //! gossip workload with a mid-run crash wave, then measures wall-clock
 //! throughput as the thread count grows.  The equality checks always run;
 //! the speedup check only engages when the host actually has ≥ 4 cores
-//! (`std::thread::available_parallelism`), so the binary stays green on
+//! (`std::thread::available_parallelism`), so the experiment stays green on
 //! single-core containers while CI's multi-core runners enforce it.
 //!
 //! With `--ops N` (or `--soak`, = 10⁸ events) an additional **soak lane**
@@ -23,33 +23,26 @@
 //! the target is scaled down 100× so the CI smoke job exercises the lane
 //! in seconds.
 //!
-//! Accepts the shared validator flags ([`pqs_bench::cli`]); `--threads N`
-//! caps the thread sweep.
+//! `--threads N` caps the thread sweep.
 
-use pqs_bench::cli::{self, ValidatorCli};
-use pqs_bench::ExperimentTable;
+use std::time::Instant;
+
 use pqs_core::prelude::*;
 use pqs_sim::latency::LatencyModel;
 use pqs_sim::runner::{DiffusionPolicy, ProtocolKind, SimConfig, Simulation};
 use pqs_sim::workload::KeySpace;
-use std::time::Instant;
+
+use super::retrying_sim_config;
+use crate::harness::Harness;
+use crate::ExperimentTable;
 
 fn sharded_config(seed: u64, duration: f64, num_shards: u32, threads: u32) -> SimConfig {
-    SimConfig::builder()
-        .with_duration(duration)
-        .with_arrival_rate(400.0)
-        .with_read_fraction(0.8)
-        .with_keyspace(KeySpace::zipf(64, 1.0))
-        .with_latency(LatencyModel::Exponential { mean: 2e-3 })
-        .with_probe_margin(2)
-        .with_op_timeout(0.05)
-        .with_max_retries(2)
+    retrying_sim_config(seed, duration, 400.0, KeySpace::zipf(64, 1.0))
         .with_crash_probability(0.1)
         .with_diffusion(
             DiffusionPolicy::digest_delta(0.2, 2)
                 .with_push_latency(LatencyModel::Exponential { mean: 2e-3 }),
         )
-        .with_seed(seed)
         .with_num_shards(num_shards)
         .with_threads(threads)
         .build()
@@ -61,34 +54,21 @@ fn sharded_config(seed: u64, duration: f64, num_shards: u32, threads: u32) -> Si
 /// hundred simulated seconds — and a few tens of thousands of foreground
 /// ops — keeping memory flat while the event count scales.
 fn soak_config(seed: u64, duration: f64, threads: u32) -> SimConfig {
-    SimConfig::builder()
-        .with_duration(duration)
-        .with_arrival_rate(100.0)
-        .with_read_fraction(0.8)
-        .with_keyspace(KeySpace::zipf(64, 1.0))
-        .with_latency(LatencyModel::Exponential { mean: 2e-3 })
-        .with_probe_margin(2)
-        .with_op_timeout(0.05)
-        .with_max_retries(2)
+    retrying_sim_config(seed, duration, 100.0, KeySpace::zipf(64, 1.0))
         .with_diffusion(
             DiffusionPolicy::full_push(0.05, 3)
                 .with_push_latency(LatencyModel::Exponential { mean: 2e-3 }),
         )
-        .with_seed(seed)
         .with_num_shards(8)
         .with_threads(threads)
         .build()
 }
 
-fn main() {
-    let cli = ValidatorCli::from_env(
-        "validate_parallel",
-        "engine layouts: bit-identical reports across shard/thread counts, plus speedup",
-    );
+pub(super) fn validate_parallel(h: &mut Harness<'_>) {
+    let cli = h.cli().clone();
     let base_seed = cli.seed;
     let duration = if cli.quick { 8.0 } else { 20.0 };
     let sys = EpsilonIntersecting::with_target_epsilon(100, 1e-3).expect("valid system");
-    let mut violations: Vec<String> = Vec::new();
 
     // The determinism claim: every (shards, threads) pair produces the
     // same report as the smallest layout.
@@ -98,9 +78,10 @@ fn main() {
         sharded_config(base_seed, duration, 1, 1),
     )
     .run();
-    if reference.completed_reads + reference.completed_writes == 0 {
-        violations.push("reference run completed no operations".to_string());
-    }
+    h.check(
+        reference.completed_reads + reference.completed_writes != 0,
+        "reference run completed no operations",
+    );
 
     let mut table = ExperimentTable::new(
         "validate_parallel_shard_x_thread_equality",
@@ -118,13 +99,13 @@ fn main() {
             sharded_config(base_seed, duration, shards, threads),
         )
         .run();
-        let identical = report == reference;
-        if !identical {
-            violations.push(format!(
+        let identical = h.check(
+            report == reference,
+            format_args!(
                 "shards={shards} threads={threads}: report differs from the \
                  1-shard single-thread reference"
-            ));
-        }
+            ),
+        );
         table.push_row(vec![
             shards.to_string(),
             threads.to_string(),
@@ -132,7 +113,7 @@ fn main() {
             identical.to_string(),
         ]);
     }
-    table.emit();
+    h.emit(&table);
 
     // Throughput: the same 8-shard run drained by 1..=N worker threads.
     // Reports must stay identical while wall-clock time falls.
@@ -148,11 +129,10 @@ fn main() {
         let start = Instant::now();
         let report = Simulation::new(&sys, ProtocolKind::Safe, config).run();
         let wall = start.elapsed().as_secs_f64();
-        if report != reference {
-            violations.push(format!(
-                "throughput run with {threads} thread(s) changed the report"
-            ));
-        }
+        h.check(
+            report == reference,
+            format_args!("throughput run with {threads} thread(s) changed the report"),
+        );
         let rate = report.events_processed as f64 / wall.max(1e-9);
         speed_table.push_row(vec![
             threads.to_string(),
@@ -162,7 +142,7 @@ fn main() {
         ]);
         rates.push((threads, rate));
     }
-    speed_table.emit();
+    h.emit(&speed_table);
 
     // The speedup claim only binds where the hardware can express it.
     if cores >= 4 && max_threads >= 4 {
@@ -172,18 +152,19 @@ fn main() {
             .filter(|(t, _)| *t >= 4)
             .map(|(_, r)| *r)
             .fold(0.0f64, f64::max);
-        if best < 1.5 * single {
-            violations.push(format!(
+        h.check(
+            best >= 1.5 * single,
+            format_args!(
                 "4+ worker threads reached only {:.2}x the single-thread rate",
                 best / single.max(1e-9)
-            ));
-        }
+            ),
+        );
     } else {
-        println!(
+        h.line(format_args!(
             "speedup check skipped: {cores} core(s) available, \
              thread sweep capped at {max_threads} (pass --threads 4 on a \
              multi-core host to engage it)"
-        );
+        ));
     }
 
     // Soak lane: an endurance run sized to the requested event count, with
@@ -221,10 +202,10 @@ fn main() {
             .max(1.0);
         let ramp_offset = short.events_processed as f64 - events_per_sim_sec * calib_short;
         let duration = ((1.05 * target as f64 - ramp_offset) / events_per_sim_sec).max(calib_short);
-        println!(
+        h.line(format_args!(
             "soak: calibrated {events_per_sim_sec:.0} events/sim-sec, \
              running {duration:.1} simulated seconds for a {target}-event target"
-        );
+        ));
         let start = Instant::now();
         let (report, stages) = Simulation::new(
             &sys,
@@ -258,17 +239,17 @@ fn main() {
             format!("{:.3}", stages.route_seconds),
             format!("{:.4}", stages.spine_fraction()),
         ]);
-        soak_table.emit();
-        if (report.events_processed as f64) < 0.8 * target as f64 {
-            violations.push(format!(
+        h.emit(&soak_table);
+        h.check(
+            (report.events_processed as f64) >= 0.8 * target as f64,
+            format_args!(
                 "soak run processed {} events, under 80% of the {target}-event target",
                 report.events_processed
-            ));
-        }
-        if report.completed_reads + report.completed_writes == 0 {
-            violations.push("soak run completed no operations".to_string());
-        }
+            ),
+        );
+        h.check(
+            report.completed_reads + report.completed_writes != 0,
+            "soak run completed no operations",
+        );
     }
-
-    cli::finish("validate_parallel", base_seed, &violations);
 }

@@ -1,28 +1,45 @@
-//! The capacity planner CLI: solve for `(n, q, margin, gossip)` from SLOs.
+//! The capacity planner and its prediction contract.
 //!
-//! Inverts the validator bins' parameter sweeps: given a staleness target
-//! (`--epsilon`), a latency SLO (`--p99-slo`) and a workload shape, emit
-//! the minimal configuration the paper's tail bounds predict will meet
-//! them — as a ready-to-run `SimConfig::builder()` chain — together with
-//! the predicted report (ε band, p99, per-server load, gossip volume).
-//!
+//! `plan` inverts the validators' parameter sweeps: given a staleness
+//! target (`--epsilon`), a latency SLO (`--p99-slo`) and a workload shape,
+//! it emits the minimal configuration the paper's tail bounds predict will
+//! meet them — as a ready-to-run `SimConfig::builder()` chain — together
+//! with the predicted report (ε band, p99, per-server load, gossip volume).
 //! Start from a named scenario preset (`--scenario directory|hotkey|lock`,
-//! see `docs/PLANNER.md`) and override any knob; the `validate_plan` bin
-//! holds every emitted plan to the tolerance bands of `docs/ANALYSIS.md`.
+//! see `docs/PLANNER.md`) and override any knob.  It exits 0 for a solved
+//! plan, 1 when the objectives are infeasible within `--max-universe`, 2
+//! for bad usage.
 //!
-//! Exit codes follow the fleet convention: 0 for a solved plan, 1 when the
-//! objectives are infeasible within `--max-universe`, 2 for bad usage.
+//! `validate_plan` makes every plan the planner emits survive contact with
+//! the simulator.  For each scenario preset of [`crate::planner`] it solves
+//! the plan, renders it as a `SimConfig` (checking the builder round-trip),
+//! runs the discrete-event simulator on it, and holds the measured numbers
+//! to the tolerance bands documented in `docs/ANALYSIS.md`:
+//!
+//! * the Wilson interval of the measured stale-read rate must not exceed
+//!   the predicted `epsilon_upper` (one-sided — gossip only freshens);
+//! * a diffusion-off twin run must land *inside* the two-sided
+//!   `[epsilon_lower, epsilon_upper]` band;
+//! * the measured p99 must fall within ±25% (plus absolute slack) of the
+//!   predicted p99;
+//! * unavailability must stay inside the planner's timeout budget.
+//!
+//! Any miss fails the run, which is what turns the analysis document into
+//! a CI-enforced contract rather than prose.  `--quick` runs the first
+//! scenario only, at a quarter of the sized duration (the Wilson bands
+//! widen automatically).
 
-use pqs_bench::cli::{self, ExtraFlag, ValidatorCli};
-use pqs_bench::planner;
-use pqs_bench::{fmt_prob, ExperimentTable};
+use pqs_core::prelude::*;
 use pqs_math::plan::{self, PlanInput, ProbeLatency};
+use pqs_sim::runner::{ProtocolKind, Simulation};
 
-const BIN: &str = "plan";
-const ABOUT: &str =
-    "solves for the minimal (n, q, probe margin, gossip) meeting an epsilon target and a p99 SLO";
+use crate::cli::{self, ExtraFlag};
+use crate::harness::Harness;
+use crate::{fmt_prob, planner, ExperimentTable};
 
-const EXTRAS: &[ExtraFlag] = &[
+pub(super) const ABOUT: &str = "capacity planner: minimal (n, q, margin, gossip) for the SLOs";
+
+pub(super) const FLAGS: &[ExtraFlag] = &[
     ExtraFlag {
         flag: "--scenario",
         value_name: "NAME",
@@ -80,12 +97,9 @@ const EXTRAS: &[ExtraFlag] = &[
     },
 ];
 
+/// A flag value `plan` cannot accept: a usage error, like a malformed flag.
 fn usage_error(msg: String) -> ! {
-    eprintln!(
-        "error: {msg}\n\n{}",
-        cli::help_text_with(BIN, ABOUT, EXTRAS)
-    );
-    std::process::exit(cli::EXIT_USAGE);
+    cli::usage_error(&msg, &cli::help_text("plan", ABOUT, FLAGS))
 }
 
 fn parse_f64(flag: &str, value: &str) -> f64 {
@@ -137,20 +151,23 @@ fn build_input(extras: &[(String, String)]) -> (String, PlanInput) {
     (scenario_name, input)
 }
 
-fn main() {
-    let (cli_opts, extras) = ValidatorCli::from_env_with(BIN, ABOUT, EXTRAS);
-    let (scenario_name, input) = build_input(&extras);
+pub(super) fn plan(h: &mut Harness<'_>) {
+    let (scenario_name, input) = build_input(h.extras());
+    let (seed, quick) = (h.cli().seed, h.cli().quick);
 
     let solved = match plan::solve(&input) {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("{BIN}: no feasible plan for scenario {scenario_name:?}: {e}");
-            std::process::exit(cli::EXIT_VALIDATION_FAILED);
+            h.check(
+                false,
+                format_args!("no feasible plan for scenario {scenario_name:?}: {e}"),
+            );
+            return;
         }
     };
 
-    let duration = planner::duration_for(&input, &solved, cli_opts.quick);
-    let config = planner::plan_config(&input, &solved, cli_opts.seed, duration, true);
+    let duration = planner::duration_for(&input, &solved, quick);
+    let config = planner::plan_config(&input, &solved, seed, duration, true);
     let p = &solved.predicted;
 
     let mut table = ExperimentTable::new(
@@ -263,18 +280,109 @@ fn main() {
             "predicted time to full live coverage",
         );
     }
-    table.emit();
+    h.emit(&table);
 
-    println!(
-        "emitted SimConfig ({duration:.0}s run, seed {}):",
-        cli_opts.seed
+    h.line(format_args!(
+        "emitted SimConfig ({duration:.0}s run, seed {seed}):"
+    ));
+    h.line(format_args!("  {}", config.to_builder_chain()));
+    h.line("");
+    h.line(format_args!(
+        "verify with: validate_plan --seed {seed} {}",
+        if quick { "--quick" } else { "" }
+    ));
+}
+
+pub(super) fn validate_plan(h: &mut Harness<'_>) {
+    let (base_seed, quick) = (h.cli().seed, h.cli().quick);
+    let mut table = ExperimentTable::new(
+        "validate_plan_prediction_contract",
+        &[
+            "scenario",
+            "gossip",
+            "n",
+            "q",
+            "margin",
+            "eps predicted band",
+            "eps measured",
+            "p99 predicted",
+            "p99 measured",
+            "unavailability",
+        ],
     );
-    println!("  {}", config.to_builder_chain());
-    println!();
-    println!(
-        "verify with: validate_plan --seed {} {}",
-        cli_opts.seed,
-        if cli_opts.quick { "--quick" } else { "" }
-    );
-    std::process::exit(cli::EXIT_OK);
+
+    let scenarios = planner::scenarios();
+    let active: &[planner::Scenario] = if quick { &scenarios[..1] } else { &scenarios };
+
+    for scenario in active {
+        let solved = match pqs_math::plan::solve(&scenario.input) {
+            Ok(p) => p,
+            Err(e) => {
+                h.check(
+                    false,
+                    format_args!("{}: planner found no feasible plan: {e}", scenario.name),
+                );
+                continue;
+            }
+        };
+        let system = match EpsilonIntersecting::new(solved.n as u32, solved.q as u32) {
+            Ok(s) => s,
+            Err(e) => {
+                h.check(
+                    false,
+                    format_args!(
+                        "{}: emitted (n={}, q={}) rejected by EpsilonIntersecting: {e}",
+                        scenario.name, solved.n, solved.q
+                    ),
+                );
+                continue;
+            }
+        };
+        let duration = planner::duration_for(&scenario.input, &solved, quick);
+        let seed = base_seed
+            .wrapping_mul(0x9e37_79b9)
+            .wrapping_add(scenario.name.len() as u64);
+
+        for diffusion_on in [true, false] {
+            let config =
+                planner::plan_config(&scenario.input, &solved, seed, duration, diffusion_on);
+            h.check(
+                planner::builder_round_trips(&config),
+                format_args!(
+                    "{}: emitted config does not round-trip through SimConfig::builder()",
+                    scenario.name
+                ),
+            );
+            let label = format!(
+                "{} ({})",
+                scenario.name,
+                if diffusion_on {
+                    "gossip on"
+                } else {
+                    "gossip off"
+                }
+            );
+            let report = Simulation::new(&system, ProtocolKind::Safe, config).run();
+            planner::check_prediction(h, &label, &solved, &report, diffusion_on);
+            let p = &solved.predicted;
+            table.push_row(vec![
+                scenario.name.to_string(),
+                if diffusion_on { "on" } else { "off" }.to_string(),
+                solved.n.to_string(),
+                solved.q.to_string(),
+                solved.probe_margin.to_string(),
+                format!(
+                    "[{}, {}]",
+                    fmt_prob(p.epsilon_lower),
+                    fmt_prob(p.epsilon_upper)
+                ),
+                fmt_prob(report.eligible_stale_read_rate()),
+                format!("{:.4}s", p.p99_latency),
+                format!("{:.4}s", report.p99_latency()),
+                fmt_prob(report.unavailability()),
+            ]);
+        }
+    }
+
+    h.emit(&table);
 }

@@ -8,41 +8,20 @@
 //! workload's popularity law.  Also prints the hot-key p99 table for the
 //! most skewed configuration: per-key latency percentiles out of one shared
 //! event queue.
-//!
-//! Accepts the shared validator flags ([`pqs_bench::cli`]); `--seed N` is
-//! mixed into every simulation seed so the CI smoke job can vary the
-//! randomness run to run.  Like the other validators, the binary *checks*
-//! its claims: any violated bound makes it exit nonzero.
 
-use pqs_bench::cli::{self, ValidatorCli};
-use pqs_bench::ExperimentTable;
 use pqs_core::prelude::*;
-use pqs_core::system::QuorumSystem;
-use pqs_sim::latency::LatencyModel;
-use pqs_sim::runner::{ProtocolKind, SimConfig, Simulation};
+use pqs_sim::runner::{ProtocolKind, Simulation};
 use pqs_sim::workload::KeySpace;
 
-fn sim_config(cli: &ValidatorCli, seed: u64, keyspace: KeySpace) -> SimConfig {
-    SimConfig::builder()
-        .with_duration(if cli.quick { 40.0 } else { 150.0 })
-        .with_arrival_rate(80.0)
-        .with_read_fraction(0.8)
-        .with_keyspace(keyspace)
-        .with_latency(LatencyModel::Exponential { mean: 2e-3 })
-        .with_op_timeout(5.0)
-        .with_seed(seed)
-        .build()
-}
+use super::kv_sim_config;
+use crate::harness::Harness;
+use crate::ExperimentTable;
 
-fn main() {
-    let cli = ValidatorCli::from_env(
-        "validate_sharding",
-        "per-server load invariance and per-key popularity of the sharded KV store",
-    );
-    let base_seed = cli.seed;
+pub(super) fn validate_sharding(h: &mut Harness<'_>) {
+    let base_seed = h.cli().seed;
+    let duration = if h.cli().quick { 40.0 } else { 150.0 };
     let sys = EpsilonIntersecting::with_target_epsilon(100, 1e-3).expect("valid system");
     let analytic_load = sys.load();
-    let mut violations: Vec<String> = Vec::new();
 
     let mut table = ExperimentTable::new(
         "validate_sharding_key_count_x_skew",
@@ -72,31 +51,31 @@ fn main() {
 
     let mut hot_key_report = None;
     for (i, &keyspace) in sweep.iter().enumerate() {
-        let config = sim_config(&cli, base_seed ^ (i as u64 + 1), keyspace);
+        let config = kv_sim_config(base_seed ^ (i as u64 + 1), duration, 0.8, keyspace);
         let report = Simulation::new(&sys, ProtocolKind::Safe, config).run();
         let total_ops = report.completed_reads + report.completed_writes + report.unavailable_ops;
+        let key = format!("keys={} {}", keyspace.keys, keyspace.skew);
 
         // Invariant 1: the per-key breakdown loses no operations.
-        if report.summed_per_variable_ops() != total_ops {
-            violations.push(format!(
-                "keys={} {}: per-key op sum {} != aggregate {}",
-                keyspace.keys,
-                keyspace.skew,
-                report.summed_per_variable_ops(),
-                total_ops
-            ));
-        }
+        h.check(
+            report.summed_per_variable_ops() == total_ops,
+            format_args!(
+                "{key}: per-key op sum {} != aggregate {total_ops}",
+                report.summed_per_variable_ops()
+            ),
+        );
 
         // Invariant 2 — the paper's load bound: per-server load only
         // depends on the access strategy, so it must track the analytic
         // load of Theorem 3.9 for every key count and skew.
         let empirical = report.empirical_load();
-        if (empirical - analytic_load).abs() > 0.05 {
-            violations.push(format!(
-                "keys={} {}: empirical server load {:.4} strays from analytic {:.4}",
-                keyspace.keys, keyspace.skew, empirical, analytic_load
-            ));
-        }
+        h.check(
+            (empirical - analytic_load).abs() <= 0.05,
+            format_args!(
+                "{key}: empirical server load {empirical:.4} strays from analytic \
+                 {analytic_load:.4}"
+            ),
+        );
 
         // Invariant 3: the hottest key's measured share tracks the
         // popularity law's predicted mass (4-sigma sampling slack).
@@ -107,12 +86,10 @@ fn main() {
             .expect("per-variable breakdown is populated");
         let share = hot.operations() as f64 / total_ops.max(1) as f64;
         let sigma = (predicted * (1.0 - predicted) / total_ops.max(1) as f64).sqrt();
-        if (share - predicted).abs() > 4.0 * sigma + 0.01 {
-            violations.push(format!(
-                "keys={} {}: hot-key share {:.4} strays from predicted {:.4}",
-                keyspace.keys, keyspace.skew, share, predicted
-            ));
-        }
+        h.check(
+            (share - predicted).abs() <= 4.0 * sigma + 0.01,
+            format_args!("{key}: hot-key share {share:.4} strays from predicted {predicted:.4}"),
+        );
 
         table.push_row(vec![
             keyspace.keys.to_string(),
@@ -131,7 +108,7 @@ fn main() {
             hot_key_report = Some(report);
         }
     }
-    table.emit();
+    h.emit(&table);
 
     // The hot-key p99 table: per-key percentiles of the most skewed run.
     let report = hot_key_report.expect("the sweep contains the zipf(1024, 1.2) cell");
@@ -163,14 +140,15 @@ fn main() {
         ]);
         // The Zipf ranking must be visible in the measured ordering for the
         // heaviest keys (rank i is key i for the top of a 1.2-skew law).
-        if rank < 3 && v.variable != rank as u64 {
-            violations.push(format!(
-                "hot-key table rank {rank} is key {} (expected {rank})",
-                v.variable
-            ));
+        if rank < 3 {
+            h.check(
+                v.variable == rank as u64,
+                format_args!(
+                    "hot-key table rank {rank} is key {} (expected {rank})",
+                    v.variable
+                ),
+            );
         }
     }
-    hot_table.emit();
-
-    cli::finish("validate_sharding", base_seed, &violations);
+    h.emit(&hot_table);
 }

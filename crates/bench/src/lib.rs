@@ -1,20 +1,24 @@
 //! # pqs-bench
 //!
 //! The reproduction harness for the evaluation section of *Probabilistic
-//! Quorum Systems*.  Each binary in `src/bin/` regenerates one table or
-//! figure of the paper (or validates one analytical bound).  The library's
-//! own performance is measured in two places: the `benchmark` binary runs
-//! the workloads and per-layer probes of `BENCHMARK.json` (what a speed
-//! claim between two commits rests on), and `benches/engine.rs` times the
-//! reference cells CI's floors are enforced on.
+//! Quorum Systems*.  Every table, figure and validated bound is one
+//! **experiment**: a function over a [`harness::Harness`], listed once in
+//! [`experiments::EXPERIMENTS`] and run as `pqs <name> [flags]` (`pqs list`
+//! names them, `pqs all` runs every one and exits 1 if any check failed).
+//! The library's own performance is measured in two places: the `benchmark`
+//! binary runs the workloads and per-layer probes of `BENCHMARK.json` (what
+//! a speed claim between two commits rests on), and `benches/engine.rs`
+//! times the reference cells CI's floors are enforced on.
 //!
-//! | Binary | Reproduces |
+//! | Experiment | Reproduces |
 //! |---|---|
 //! | `table1` | Table I — load lower bounds and resilience caps |
-//! | `table2` | Table 2 — ε-intersecting vs threshold vs grid |
-//! | `table3` | Table 3 — dissemination systems |
-//! | `table4` | Table 4 — masking systems |
-//! | `figure1`–`figure3` | Figures 1–3 — failure-probability curves |
+//! | `table2` | Table 2 — ε-intersecting vs threshold vs grid, held to the published rows |
+//! | `table3` | Table 3 — dissemination systems, held to the published rows |
+//! | `table4` | Table 4 — masking systems, held to the published rows |
+//! | `figure1` | Figure 1 — failure probability of ε-intersecting systems |
+//! | `figure2` | Figure 2 — failure probability of dissemination systems |
+//! | `figure3` | Figure 3 — failure probability of masking systems |
 //! | `validate_epsilon` | Lemma 3.15 / Theorem 3.16 |
 //! | `validate_dissemination` | Lemma 4.3 / Theorems 4.4, 4.6 |
 //! | `validate_masking` | Lemmas 5.7, 5.9 / Theorem 5.10 |
@@ -27,25 +31,27 @@
 //! | `plan` | the capacity planner: solves for minimal (n, q, margin, gossip) from an ε target, a p99 SLO and a workload shape |
 //! | `validate_plan` | the prediction contract: simulates each emitted plan and fails unless measured ε and p99 land in the documented tolerance bands |
 //! | `validate_adversarial` | graceful degradation: membership churn, healing partitions and adaptive Byzantine attackers bend the measured ε by no more than a quantified multiple of the static baseline |
-//! | `benchmark` | the repo benchmark of `BENCHMARK.json`: five end-to-end workloads, per-layer probes and a traced run (a frozen package of its own under `src/bin/benchmark/`) |
 //!
-//! All binaries print an aligned text table to stdout and write the same
-//! rows as CSV under `target/experiments/`.  Every `validate_*` binary
-//! speaks the shared command line of the [`cli`] module (`--seed`,
-//! `--quick`, `--threads`, `--out-dir`) with uniform help text and exit
-//! codes; `plan` adds its workload/SLO knobs through the same parser
+//! Beside `pqs` sits one more binary, `benchmark`: the repo benchmark of
+//! `BENCHMARK.json` — five end-to-end workloads, per-layer probes and a
+//! traced run (a frozen package of its own under `src/bin/benchmark/`).
+//!
+//! Every experiment prints aligned text tables to stdout and writes the
+//! same rows as CSV under `target/experiments/`, and speaks the shared
+//! command line of the [`cli`] module (`--seed`, `--quick`, `--threads`,
+//! `--out-dir`, `--ops`/`--soak`) with uniform help text and exit codes;
+//! `plan` adds its workload/SLO knobs through the same parser
 //! ([`cli::ExtraFlag`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::fs;
-use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 pub mod cli;
+pub mod experiments;
+pub mod harness;
 pub mod planner;
 
 /// The universe sizes used throughout Section 6 (perfect squares so the grid
@@ -150,44 +156,20 @@ impl ExperimentTable {
         out
     }
 
-    /// Prints the table to stdout and writes it as CSV under
-    /// `target/experiments/<name>.csv`.  IO errors are reported on stderr
-    /// but do not abort the experiment.
-    pub fn emit(&self) {
-        println!("{}", self.render());
-        let dir = output_dir();
-        if let Err(e) = fs::create_dir_all(&dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-            return;
-        }
-        let path = dir.join(format!("{}.csv", self.name.replace([' ', '/'], "_")));
-        match fs::File::create(&path).and_then(|mut f| f.write_all(self.to_csv().as_bytes())) {
-            Ok(()) => println!("(csv written to {})\n", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        }
+    /// File name of the table's CSV mirror: `<name>.csv`, with spaces and
+    /// slashes in the name replaced.
+    pub fn csv_file_name(&self) -> String {
+        format!("{}.csv", self.name.replace([' ', '/'], "_"))
     }
 }
 
-static OUTPUT_DIR_OVERRIDE: OnceLock<PathBuf> = OnceLock::new();
-
-/// Installs a process-wide override for [`output_dir`].  Used by the
-/// shared validator CLI's `--out-dir` flag; the first call wins and later
-/// calls are ignored (the flag is parsed once, before any table is
-/// emitted).
-pub fn set_output_dir(dir: PathBuf) {
-    let _ = OUTPUT_DIR_OVERRIDE.set(dir);
-}
-
-/// Directory experiment CSVs (and the bench JSON) are written to: the
-/// [`set_output_dir`] override if installed (the validators' `--out-dir`
-/// flag), else `$PQS_EXPERIMENTS_DIR` if set (CI uses this to pin the
-/// artifact path regardless of the process working directory — cargo runs
-/// benches from the package directory, not the workspace root), otherwise
-/// `$CARGO_TARGET_DIR/experiments`, otherwise `target/experiments`.
+/// Default directory for experiment CSVs (and the bench JSON), when no
+/// `--out-dir` is given: `$PQS_EXPERIMENTS_DIR` if set (CI uses this to pin
+/// the artifact path regardless of the process working directory — cargo
+/// runs benches from the package directory, not the workspace root),
+/// otherwise `$CARGO_TARGET_DIR/experiments`, otherwise
+/// `target/experiments`.
 pub fn output_dir() -> PathBuf {
-    if let Some(dir) = OUTPUT_DIR_OVERRIDE.get() {
-        return dir.clone();
-    }
     if let Ok(dir) = std::env::var("PQS_EXPERIMENTS_DIR") {
         return PathBuf::from(dir);
     }

@@ -1,5 +1,5 @@
 //! Bridge from [`pqs_math::plan`] capacity plans to runnable simulator
-//! configurations, shared by the `plan` and `validate_plan` binaries.
+//! configurations, shared by the `plan` and `validate_plan` experiments.
 //!
 //! The math crate solves for `(n, q, probe_margin, gossip)` without knowing
 //! the simulator exists; this module does the mechanical mapping — latency
@@ -17,6 +17,8 @@ use pqs_sim::latency::LatencyModel;
 use pqs_sim::metrics::SimReport;
 use pqs_sim::runner::{DiffusionPolicy, SimConfig};
 use pqs_sim::workload::KeySpace;
+
+use crate::harness::Harness;
 
 /// Expected stale-read events the run duration is sized for (at the
 /// mid-band ε): enough that the Wilson interval is a few times narrower
@@ -220,17 +222,18 @@ pub fn builder_round_trips(config: &SimConfig) -> bool {
     rebuilt == *config && rebuilt.to_builder_chain() == config.to_builder_chain()
 }
 
-/// Checks a measured report against a plan's tolerance bands and returns
-/// the violations (empty = contract honored).  `diffusion_on` must say
-/// which twin produced the report: with gossip the ε check is one-sided
-/// (gossip only freshens state), without it the band is two-sided.
+/// Checks a measured report against a plan's tolerance bands, one
+/// [`Harness::check`] per band (no violation = contract honored).
+/// `diffusion_on` must say which twin produced the report: with gossip the
+/// ε check is one-sided (gossip only freshens state), without it the band
+/// is two-sided.
 pub fn check_prediction(
+    h: &mut Harness<'_>,
     label: &str,
     plan: &CapacityPlan,
     report: &SimReport,
     diffusion_on: bool,
-) -> Vec<String> {
-    let mut violations = Vec::new();
+) {
     let p = &plan.predicted;
 
     // ε: Wilson interval of the measured stale rate vs the predicted band.
@@ -243,28 +246,31 @@ pub fn check_prediction(
     let stale = (report.stale_reads + report.empty_reads).min(trials);
     let est = BernoulliEstimator::from_counts(stale, trials);
     let (wilson_lo, wilson_hi) = est.wilson_interval(tolerance::EPS_CONFIDENCE_Z);
-    if trials < 100 {
-        violations.push(format!(
-            "{label}: only {trials} eligible reads — run too short to check the ε band"
-        ));
-    }
-    if wilson_lo > p.epsilon_upper {
-        violations.push(format!(
+    h.check(
+        trials >= 100,
+        format_args!("{label}: only {trials} eligible reads — run too short to check the ε band"),
+    );
+    h.check(
+        wilson_lo <= p.epsilon_upper,
+        format_args!(
             "{label}: measured stale rate {:.5} (Wilson ≥ {:.5}) exceeds the predicted \
              upper band {:.5}",
             est.estimate(),
             wilson_lo,
             p.epsilon_upper
-        ));
-    }
-    if !diffusion_on && wilson_hi < p.epsilon_lower {
-        violations.push(format!(
-            "{label}: measured stale rate {:.5} (Wilson ≤ {:.5}) falls below the predicted \
-             lower band {:.5} — the analysis is too pessimistic somewhere",
-            est.estimate(),
-            wilson_hi,
-            p.epsilon_lower
-        ));
+        ),
+    );
+    if !diffusion_on {
+        h.check(
+            wilson_hi >= p.epsilon_lower,
+            format_args!(
+                "{label}: measured stale rate {:.5} (Wilson ≤ {:.5}) falls below the predicted \
+                 lower band {:.5} — the analysis is too pessimistic somewhere",
+                est.estimate(),
+                wilson_hi,
+                p.epsilon_lower
+            ),
+        );
     }
 
     // p99: relative band anchored on the [p99_lower, p99_upper] bracket
@@ -274,8 +280,9 @@ pub fn check_prediction(
     let measured_p99 = report.p99_latency();
     let band_lo = p.p99_lower * (1.0 - tolerance::P99_REL_TOL) - tolerance::P99_ABS_TOL;
     let band_hi = p.p99_upper * (1.0 + tolerance::P99_REL_TOL) + tolerance::P99_ABS_TOL;
-    if !(band_lo..=band_hi).contains(&measured_p99) {
-        violations.push(format!(
+    h.check(
+        (band_lo..=band_hi).contains(&measured_p99),
+        format_args!(
             "{label}: measured p99 {:.4}s outside the predicted band \
              [{band_lo:.4}s, {band_hi:.4}s] (prediction {:.4}s, bracket \
              [{:.4}s, {:.4}s] ± {:.0}%)",
@@ -284,23 +291,22 @@ pub fn check_prediction(
             p.p99_lower,
             p.p99_upper,
             tolerance::P99_REL_TOL * 100.0
-        ));
-    }
+        ),
+    );
 
     // Unavailability: operations that never got a reply must stay inside
     // the timeout budget (Wilson lower bound, so short runs don't flap).
     let total_ops = report.completed_reads + report.completed_writes + report.unavailable_ops;
     let unavail = BernoulliEstimator::from_counts(report.unavailable_ops, total_ops.max(1));
     let (unavail_lo, _) = unavail.wilson_interval(tolerance::EPS_CONFIDENCE_Z);
-    if unavail_lo > tolerance::TIMEOUT_BUDGET {
-        violations.push(format!(
+    h.check(
+        unavail_lo <= tolerance::TIMEOUT_BUDGET,
+        format_args!(
             "{label}: unavailability {:.5} exceeds the timeout budget {:.5}",
             unavail.estimate(),
             tolerance::TIMEOUT_BUDGET
-        ));
-    }
-
-    violations
+        ),
+    );
 }
 
 #[cfg(test)]
@@ -433,16 +439,20 @@ mod tests {
         report
             .read_latency
             .record(solved.predicted.p99_latency * 0.99);
-        assert_eq!(
-            check_prediction("demo", &solved, &report, false),
-            Vec::<String>::new()
-        );
+        let caught = |report: &SimReport, diffusion_on: bool| {
+            let mut out = Vec::new();
+            let cli = crate::cli::ValidatorCli::default();
+            let mut h = Harness::new("demo", cli, Vec::new(), &mut out);
+            check_prediction(&mut h, "demo", &solved, report, diffusion_on);
+            h.finish().violations
+        };
+        assert_eq!(caught(&report, false), Vec::<String>::new());
         // Stale rate far above the band trips the one-sided check.
         report.stale_reads = 4_000;
-        let caught = check_prediction("demo", &solved, &report, true);
+        let caught_stale = caught(&report, true);
         assert!(
-            caught.iter().any(|v| v.contains("upper band")),
-            "{caught:?}"
+            caught_stale.iter().any(|v| v.contains("upper band")),
+            "{caught_stale:?}"
         );
         // A measured p99 far above the prediction trips the latency band.
         let mut slow = SimReport {
@@ -450,7 +460,10 @@ mod tests {
             ..SimReport::default()
         };
         slow.read_latency.record(solved.predicted.p99_latency * 3.0);
-        let caught = check_prediction("demo", &solved, &slow, true);
-        assert!(caught.iter().any(|v| v.contains("p99")), "{caught:?}");
+        let caught_slow = caught(&slow, true);
+        assert!(
+            caught_slow.iter().any(|v| v.contains("p99")),
+            "{caught_slow:?}"
+        );
     }
 }
