@@ -13,7 +13,8 @@
 //! has `2·3·20 − 9 = 111` servers and the masking grid `2·4·20 − 16 = 144`).
 
 use crate::quorum::Quorum;
-use crate::system::{ByzantineQuorumSystem, QuorumSystem};
+use crate::rnq::quorum_system_via_core;
+use crate::system::ByzantineQuorumSystem;
 use crate::universe::Universe;
 use crate::CoreError;
 use pqs_math::binomial::Binomial;
@@ -66,8 +67,13 @@ impl ByzantineGridCore {
         })
     }
 
-    fn quorum_size(&self) -> u32 {
-        2 * self.rows_and_cols * self.side - self.rows_and_cols * self.rows_and_cols
+    fn universe(&self) -> Universe {
+        self.universe
+    }
+
+    /// `2rd − r²`.
+    fn quorum_size(&self) -> usize {
+        (2 * self.rows_and_cols * self.side - self.rows_and_cols * self.rows_and_cols) as usize
     }
 
     fn quorum_for(&self, rows: &[u32], cols: &[u32]) -> crate::Result<Quorum> {
@@ -129,11 +135,8 @@ impl ByzantineGridCore {
     /// which have no convenient closed form for `r > 1`.
     fn failure_probability(&self, p: f64) -> f64 {
         let p = p.clamp(0.0, 1.0);
-        if p == 0.0 {
-            return 0.0;
-        }
-        if p == 1.0 {
-            return 1.0;
+        if p == 0.0 || p == 1.0 || p.is_nan() {
+            return p;
         }
         let d = self.side as usize;
         let r = self.rows_and_cols as usize;
@@ -205,11 +208,6 @@ macro_rules! byzantine_grid_system {
                 self.core.rows_and_cols
             }
 
-            /// The fixed quorum size `2rd − r²`.
-            pub fn quorum_size(&self) -> u32 {
-                self.core.quorum_size()
-            }
-
             /// The quorum formed by the given rows and columns.
             ///
             /// # Errors
@@ -228,38 +226,11 @@ macro_rules! byzantine_grid_system {
             }
         }
 
-        impl QuorumSystem for $name {
-            fn universe(&self) -> Universe {
-                self.core.universe
-            }
-            fn sample_quorum(&self, rng: &mut dyn RngCore) -> Quorum {
-                self.core.sample(rng)
-            }
-            fn name(&self) -> String {
-                format!(
-                    concat!($label, "-grid(n={}, b={})"),
-                    self.core.universe.size(),
-                    self.core.byzantine
-                )
-            }
-            fn min_quorum_size(&self) -> usize {
-                self.core.quorum_size() as usize
-            }
-            /// Exactly `(2rd − r²)/n` under the uniform strategy.
-            fn load(&self) -> f64 {
-                self.core.load()
-            }
-            /// `d − r + 1`.
-            fn fault_tolerance(&self) -> u32 {
-                self.core.fault_tolerance()
-            }
-            /// Deterministic Monte-Carlo estimate (see
-            /// [`failure_probability_upper_bound`](Self::failure_probability_upper_bound)
-            /// for an analytical bound).
-            fn failure_probability(&self, p: f64) -> f64 {
-                self.core.failure_probability(p)
-            }
-        }
+        quorum_system_via_core!($name, |s| format!(
+            concat!($label, "-grid(n={}, b={})"),
+            s.core.universe.size(),
+            s.core.byzantine
+        ));
 
         impl ByzantineQuorumSystem for $name {
             fn byzantine_threshold(&self) -> u32 {
@@ -286,6 +257,7 @@ byzantine_grid_system!(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::QuorumSystem;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -294,7 +266,7 @@ mod tests {
         // (n, b, quorum size); n=900 entry corrected for the scanned table's
         // obvious typo (771 -> 171 = 2*3*30 - 9).
         let expected = [
-            (25u32, 2u32, 16u32),
+            (25u32, 2u32, 16usize),
             (100, 4, 36),
             (225, 7, 56),
             (400, 9, 111),
@@ -310,7 +282,7 @@ mod tests {
     #[test]
     fn masking_grid_sizes_match_table_four() {
         let expected = [
-            (25u32, 2u32, 16u32),
+            (25u32, 2u32, 16usize),
             (100, 4, 51),
             (225, 7, 81),
             (400, 9, 144),

@@ -7,47 +7,25 @@
 //! * masking: `q = ⌈(n + 2b + 1)/2⌉` gives `|Q ∩ Q′| ≥ 2b + 1`.
 //!
 //! These are the "Threshold" comparators of Tables 3 and 4 and the strict
-//! curves on the right of Figures 2 and 3.
+//! curves on the right of Figures 2 and 3.  Both are the paper's `R(n, q)`
+//! set system: what each adds to the shared core is `b` and the overlap that
+//! fixes `q`.
 
-use crate::quorum::Quorum;
-use crate::system::{ByzantineQuorumSystem, QuorumSystem};
-use crate::universe::Universe;
+use crate::rnq::{quorum_system_via_core, Rnq};
+use crate::system::ByzantineQuorumSystem;
 use crate::CoreError;
-use pqs_math::binomial::Binomial;
-use pqs_math::sampling::sample_k_of_n;
-use rand::RngCore;
 
-/// Common implementation shared by the dissemination and masking threshold
-/// systems: a uniform-strategy system over all `q`-subsets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ThresholdCore {
-    universe: Universe,
-    quorum_size: u32,
-    byzantine: u32,
-}
-
-impl ThresholdCore {
-    fn sample(&self, rng: &mut dyn RngCore) -> Quorum {
-        let indices = sample_k_of_n(rng, self.quorum_size as u64, self.universe.size() as u64)
-            .expect("quorum size validated");
-        Quorum::from_indices(self.universe, indices.into_iter().map(|i| i as u32))
-            .expect("indices in range")
+/// `R(n, q)` with the smallest `q` for which any two quorums share at least
+/// `overlap` servers — they share `2q − n`, so `q = ⌈(n + overlap)/2⌉` — or
+/// an error if `b` exceeds the resilience bound `max_b` (which is also what
+/// keeps `q ≤ n`).
+fn strict_threshold(kind: &str, n: u32, b: u32, max_b: u32, overlap: u64) -> crate::Result<Rnq> {
+    if b > max_b {
+        return Err(CoreError::invalid(format!(
+            "b={b} exceeds the {kind} resilience bound {max_b} for n={n}"
+        )));
     }
-
-    fn load(&self) -> f64 {
-        self.quorum_size as f64 / self.universe.size() as f64
-    }
-
-    fn fault_tolerance(&self) -> u32 {
-        self.universe.size() - self.quorum_size + 1
-    }
-
-    fn failure_probability(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        Binomial::new(self.universe.size() as u64, p)
-            .expect("p clamped")
-            .sf((self.universe.size() - self.quorum_size) as u64)
-    }
+    Rnq::new(n, (n as u64 + overlap).div_ceil(2) as u32)
 }
 
 /// Strict b-dissemination threshold system: all subsets of size
@@ -65,7 +43,8 @@ impl ThresholdCore {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DisseminationThreshold {
-    core: ThresholdCore,
+    core: Rnq,
+    byzantine: u32,
 }
 
 impl DisseminationThreshold {
@@ -78,65 +57,23 @@ impl DisseminationThreshold {
     /// required quorums would have to overlap in more servers than they
     /// contain).
     pub fn new(n: u32, b: u32) -> crate::Result<Self> {
-        if n == 0 {
-            return Err(CoreError::invalid("universe must be non-empty"));
-        }
-        if b > super::max_dissemination_threshold(n) {
-            return Err(CoreError::invalid(format!(
-                "b={b} exceeds the dissemination resilience bound (n-1)/3 = {} for n={n}",
-                super::max_dissemination_threshold(n)
-            )));
-        }
-        let q = (n + b + 1).div_ceil(2).min(n);
+        let max_b = super::max_dissemination_threshold(n);
         Ok(DisseminationThreshold {
-            core: ThresholdCore {
-                universe: Universe::new(n),
-                quorum_size: q,
-                byzantine: b,
-            },
+            core: strict_threshold("dissemination", n, b, max_b, b as u64 + 1)?,
+            byzantine: b,
         })
     }
-
-    /// The fixed quorum size `⌈(n + b + 1)/2⌉`.
-    pub fn quorum_size(&self) -> u32 {
-        self.core.quorum_size
-    }
 }
 
-impl QuorumSystem for DisseminationThreshold {
-    fn universe(&self) -> Universe {
-        self.core.universe
-    }
-    fn sample_quorum(&self, rng: &mut dyn RngCore) -> Quorum {
-        self.core.sample(rng)
-    }
-    fn name(&self) -> String {
-        format!(
-            "dissemination-threshold(n={}, b={})",
-            self.core.universe.size(),
-            self.core.byzantine
-        )
-    }
-    fn min_quorum_size(&self) -> usize {
-        self.core.quorum_size as usize
-    }
-    /// Exactly `q/n` under the uniform strategy.
-    fn load(&self) -> f64 {
-        self.core.load()
-    }
-    /// `n − q + 1`, as for any threshold system.
-    fn fault_tolerance(&self) -> u32 {
-        self.core.fault_tolerance()
-    }
-    /// Exact binomial tail, as for any threshold system.
-    fn failure_probability(&self, p: f64) -> f64 {
-        self.core.failure_probability(p)
-    }
-}
+quorum_system_via_core!(DisseminationThreshold, |s| format!(
+    "dissemination-threshold(n={}, b={})",
+    s.core.n(),
+    s.byzantine
+));
 
 impl ByzantineQuorumSystem for DisseminationThreshold {
     fn byzantine_threshold(&self) -> u32 {
-        self.core.byzantine
+        self.byzantine
     }
 }
 
@@ -154,7 +91,8 @@ impl ByzantineQuorumSystem for DisseminationThreshold {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaskingThreshold {
-    core: ThresholdCore,
+    core: Rnq,
+    byzantine: u32,
 }
 
 impl MaskingThreshold {
@@ -165,71 +103,30 @@ impl MaskingThreshold {
     /// Returns [`CoreError::InvalidConstruction`] if `n` is zero or
     /// `b > ⌊(n − 1)/4⌋`.
     pub fn new(n: u32, b: u32) -> crate::Result<Self> {
-        if n == 0 {
-            return Err(CoreError::invalid("universe must be non-empty"));
-        }
-        if b > super::max_masking_threshold(n) {
-            return Err(CoreError::invalid(format!(
-                "b={b} exceeds the masking resilience bound (n-1)/4 = {} for n={n}",
-                super::max_masking_threshold(n)
-            )));
-        }
-        let q = (n + 2 * b + 1).div_ceil(2).min(n);
+        let max_b = super::max_masking_threshold(n);
         Ok(MaskingThreshold {
-            core: ThresholdCore {
-                universe: Universe::new(n),
-                quorum_size: q,
-                byzantine: b,
-            },
+            core: strict_threshold("masking", n, b, max_b, 2 * b as u64 + 1)?,
+            byzantine: b,
         })
     }
-
-    /// The fixed quorum size `⌈(n + 2b + 1)/2⌉`.
-    pub fn quorum_size(&self) -> u32 {
-        self.core.quorum_size
-    }
 }
 
-impl QuorumSystem for MaskingThreshold {
-    fn universe(&self) -> Universe {
-        self.core.universe
-    }
-    fn sample_quorum(&self, rng: &mut dyn RngCore) -> Quorum {
-        self.core.sample(rng)
-    }
-    fn name(&self) -> String {
-        format!(
-            "masking-threshold(n={}, b={})",
-            self.core.universe.size(),
-            self.core.byzantine
-        )
-    }
-    fn min_quorum_size(&self) -> usize {
-        self.core.quorum_size as usize
-    }
-    /// Exactly `q/n` under the uniform strategy.
-    fn load(&self) -> f64 {
-        self.core.load()
-    }
-    /// `n − q + 1`, as for any threshold system.
-    fn fault_tolerance(&self) -> u32 {
-        self.core.fault_tolerance()
-    }
-    /// Exact binomial tail, as for any threshold system.
-    fn failure_probability(&self, p: f64) -> f64 {
-        self.core.failure_probability(p)
-    }
-}
+quorum_system_via_core!(MaskingThreshold, |s| format!(
+    "masking-threshold(n={}, b={})",
+    s.core.n(),
+    s.byzantine
+));
 
 impl ByzantineQuorumSystem for MaskingThreshold {
     fn byzantine_threshold(&self) -> u32 {
-        self.core.byzantine
+        self.byzantine
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::QuorumSystem;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -238,7 +135,7 @@ mod tests {
         // Table 3 threshold quorum sizes and fault tolerances
         // (n=225 row corrected for the obvious typo in the scanned table).
         let expected = [
-            (25u32, 2u32, 14u32, 12u32),
+            (25u32, 2u32, 14usize, 12u32),
             (100, 4, 53, 48),
             (225, 7, 117, 109),
             (400, 9, 205, 196),
@@ -255,7 +152,7 @@ mod tests {
     #[test]
     fn masking_sizes_match_table_four() {
         let expected = [
-            (25u32, 2u32, 15u32, 11u32),
+            (25u32, 2u32, 15usize, 11u32),
             (100, 4, 55, 46),
             (225, 7, 120, 106),
             (400, 9, 210, 191),

@@ -22,14 +22,17 @@
 //!   strategies over enumerated quorums and implicit uniform samplers.
 //! * [`system`] — the [`system::QuorumSystem`] trait family tying a set
 //!   system to its strategy and quality measures.
-//! * [`strict`] — classical strict constructions used as baselines:
-//!   singleton, majority/threshold, Maekawa grid and weighted voting.
+//! * [`strict`] — classical strict constructions used as baselines: the
+//!   majority/threshold system and the Maekawa grid.
 //! * [`byzantine`] — strict `b`-dissemination and `b`-masking systems of
 //!   Malkhi–Reiter, in threshold and grid variants (the comparators of
 //!   Tables 3 and 4).
 //! * [`probabilistic`] — the paper's constructions: ε-intersecting
 //!   `R(n, ℓ√n)`, (b, ε)-dissemination, and (b, ε)-masking `R_k(n, q)`
-//!   systems, plus parameter selection.
+//!   systems, plus parameter selection.  The set system `R(n, q)` itself —
+//!   every `q`-subset, drawn uniformly — is one crate-private core
+//!   (`rnq.rs`) that these three and the three threshold systems of
+//!   [`strict`] and [`byzantine`] hold.
 //! * [`measures`] — load, fault tolerance and failure probability, both the
 //!   strict definitions (2.4–2.6) and the probabilistic ones (3.3, 3.7, 3.8).
 //! * [`analysis`] — Monte-Carlo estimators of intersection events and the
@@ -68,6 +71,7 @@ pub mod system;
 pub mod universe;
 
 mod error;
+mod rnq;
 
 pub use error::CoreError;
 
@@ -83,7 +87,7 @@ pub mod prelude {
         EpsilonIntersecting, ProbabilisticDissemination, ProbabilisticMasking,
     };
     pub use crate::quorum::Quorum;
-    pub use crate::strict::{Grid, Majority, Singleton, WeightedVoting};
+    pub use crate::strict::{Grid, Majority};
     pub use crate::system::{
         ByzantineQuorumSystem, ExplicitQuorumSystem, ProbabilisticQuorumSystem, QuorumSystem,
     };

@@ -28,8 +28,9 @@ pub use load::{induced_load, load_lower_bound, per_server_load, probabilistic_lo
 mod tests {
     use super::*;
     use crate::strategy::WeightedStrategy;
-    use crate::strict::{Grid, Majority, Singleton};
+    use crate::strict::{Grid, Majority};
     use crate::system::{ExplicitQuorumSystem, QuorumSystem};
+    use crate::universe::Universe;
 
     /// The generic computations must agree with the closed forms reported by
     /// the concrete constructions.
@@ -58,9 +59,9 @@ mod tests {
 
     #[test]
     fn generic_measures_agree_for_singleton() {
-        let s = Singleton::new(6);
-        let quorums = s.quorums();
-        let strategy = s.strategy();
+        // The one-quorum system {0} over six servers.
+        let quorums = [crate::quorum::Quorum::from_indices(Universe::new(6), [0]).unwrap()];
+        let strategy = WeightedStrategy::uniform(1);
         assert!((induced_load(&quorums, &strategy).unwrap() - 1.0).abs() < 1e-12);
         assert_eq!(exact_fault_tolerance(&quorums).unwrap(), 1);
         assert!((failure_probability_exact(&quorums, 0.25).unwrap() - 0.25).abs() < 1e-12);

@@ -9,18 +9,18 @@
 //! *any constant fraction* of Byzantine servers while keeping `O(1/√n)` load
 //! and `Θ(n)` crash fault tolerance.
 
-use crate::probabilistic::params::exact_epsilon_dissemination;
-use crate::quorum::Quorum;
-use crate::system::{ByzantineQuorumSystem, ProbabilisticQuorumSystem, QuorumSystem};
-use crate::universe::Universe;
-use crate::CoreError;
-use pqs_math::binomial::Binomial;
+use crate::probabilistic::params::{self, exact_epsilon_dissemination};
+use crate::rnq::{quorum_size_for_ell, quorum_system_via_core, Rnq};
+use crate::system::{ByzantineQuorumSystem, ProbabilisticQuorumSystem};
 use pqs_math::bounds;
-use pqs_math::sampling::sample_k_of_n;
-use rand::RngCore;
 
 /// The (b, ε)-dissemination quorum system: `R(n, q)` analysed against a
 /// Byzantine set of size `b`.
+///
+/// Beyond the shared set system it holds `b` and its exact ε: "load, fault
+/// tolerance and failure probability do not depend on b or ε" (Section 4.1),
+/// so the construction keeps `q/n` load and `Θ(n)` tolerance to *crash*
+/// failures whatever Byzantine threshold it masks.
 ///
 /// # Examples
 ///
@@ -37,8 +37,7 @@ use rand::RngCore;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbabilisticDissemination {
-    universe: Universe,
-    quorum_size: u32,
+    core: Rnq,
     byzantine: u32,
     exact_epsilon: f64,
 }
@@ -48,37 +47,14 @@ impl ProbabilisticDissemination {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConstruction`] if the parameters are out
-    /// of range or the crash fault tolerance `n − q + 1` would not exceed
-    /// `b` (Definition 4.1 requires `A(⟨Q, w⟩) > b`).
+    /// Returns [`CoreError::InvalidConstruction`](crate::CoreError) if the
+    /// parameters are out of range or the crash fault tolerance `n − q + 1`
+    /// would not exceed `b` (Definition 4.1 requires `A(⟨Q, w⟩) > b`).
     pub fn new(n: u32, q: u32, b: u32) -> crate::Result<Self> {
-        if b == 0 {
-            return Err(CoreError::invalid(
-                "b must be positive; use EpsilonIntersecting when no Byzantine failures are expected",
-            ));
-        }
-        if b >= n {
-            return Err(CoreError::invalid(format!(
-                "b={b} must be smaller than the universe n={n}"
-            )));
-        }
-        if q == 0 || q > n {
-            return Err(CoreError::invalid(format!(
-                "quorum size {q} must be in 1..={n}"
-            )));
-        }
-        if n - q < b {
-            return Err(CoreError::invalid(format!(
-                "fault tolerance n-q+1 = {} must exceed b = {b} (Definition 4.1)",
-                n - q + 1
-            )));
-        }
-        let exact_epsilon = exact_epsilon_dissemination(n, q, b)?;
         Ok(ProbabilisticDissemination {
-            universe: Universe::new(n),
-            quorum_size: q,
+            core: Rnq::against_byzantine(n, q, b)?,
             byzantine: b,
-            exact_epsilon,
+            exact_epsilon: exact_epsilon_dissemination(n, q, b)?,
         })
     }
 
@@ -88,13 +64,7 @@ impl ProbabilisticDissemination {
     ///
     /// As for [`new`](Self::new), plus `ℓ` must be positive.
     pub fn with_ell(n: u32, ell: f64, b: u32) -> crate::Result<Self> {
-        if ell.is_nan() || ell <= 0.0 {
-            return Err(CoreError::invalid(format!(
-                "ell must be positive, got {ell}"
-            )));
-        }
-        let q = (ell * (n as f64).sqrt()).round().max(1.0) as u32;
-        Self::new(n, q, b)
+        Self::new(n, quorum_size_for_ell(ell, (n as f64).sqrt(), 0.0)?, b)
     }
 
     /// Creates the smallest system whose exact ε (for the given `b`) is at
@@ -102,31 +72,22 @@ impl ProbabilisticDissemination {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConstruction`] if no quorum size
-    /// `q ≤ n − b` achieves the target.
+    /// Returns [`CoreError::InvalidConstruction`](crate::CoreError) if no
+    /// quorum size `q ≤ n − b` achieves the target.
     pub fn with_target_epsilon(n: u32, b: u32, target_epsilon: f64) -> crate::Result<Self> {
-        let q = crate::probabilistic::params::smallest_quorum_dissemination(n, b, target_epsilon)
-            .ok_or_else(|| {
-                CoreError::invalid(format!(
-                    "no quorum size achieves dissemination epsilon <= {target_epsilon} for n={n}, b={b}"
-                ))
-            })?;
+        let q = params::smallest_quorum_dissemination(n, b, target_epsilon)
+            .ok_or_else(|| params::unattainable("dissemination", n, b, target_epsilon))?;
         Self::new(n, q, b)
-    }
-
-    /// The fixed quorum size `q`.
-    pub fn quorum_size(&self) -> usize {
-        self.quorum_size as usize
     }
 
     /// The paper's parameter `ℓ = q/√n`.
     pub fn ell(&self) -> f64 {
-        self.quorum_size as f64 / (self.universe.size() as f64).sqrt()
+        self.core.ell()
     }
 
     /// The Byzantine fraction `α = b/n`.
     pub fn alpha(&self) -> f64 {
-        self.byzantine as f64 / self.universe.size() as f64
+        self.byzantine as f64 / self.core.n() as f64
     }
 
     /// The exact probability that `Q ∩ Q′ ⊆ B` for the configured `b`
@@ -147,52 +108,12 @@ impl ProbabilisticDissemination {
     }
 }
 
-impl QuorumSystem for ProbabilisticDissemination {
-    fn universe(&self) -> Universe {
-        self.universe
-    }
-
-    fn sample_quorum(&self, rng: &mut dyn RngCore) -> Quorum {
-        let indices = sample_k_of_n(rng, self.quorum_size as u64, self.universe.size() as u64)
-            .expect("quorum size validated");
-        Quorum::from_indices(self.universe, indices.into_iter().map(|i| i as u32))
-            .expect("indices in range")
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "dissemination-R(n={}, q={}, b={})",
-            self.universe.size(),
-            self.quorum_size,
-            self.byzantine
-        )
-    }
-
-    fn min_quorum_size(&self) -> usize {
-        self.quorum_size as usize
-    }
-
-    /// Exactly `q/n` under the uniform strategy (Section 4.1: "load, fault
-    /// tolerance and failure probability do not depend on b or ε").
-    fn load(&self) -> f64 {
-        self.quorum_size as f64 / self.universe.size() as f64
-    }
-
-    /// `n − q + 1` — the construction keeps `Θ(n)` tolerance to *crash*
-    /// failures regardless of the Byzantine threshold it masks.
-    fn fault_tolerance(&self) -> u32 {
-        self.universe.size() - self.quorum_size + 1
-    }
-
-    /// Exact binomial tail for crash failures, as for
-    /// [`crate::probabilistic::EpsilonIntersecting`].
-    fn failure_probability(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        Binomial::new(self.universe.size() as u64, p)
-            .expect("p clamped")
-            .sf((self.universe.size() - self.quorum_size) as u64)
-    }
-}
+quorum_system_via_core!(ProbabilisticDissemination, |s| format!(
+    "dissemination-R(n={}, q={}, b={})",
+    s.core.n(),
+    s.core.q(),
+    s.byzantine
+));
 
 impl ByzantineQuorumSystem for ProbabilisticDissemination {
     fn byzantine_threshold(&self) -> u32 {
@@ -209,6 +130,7 @@ impl ProbabilisticQuorumSystem for ProbabilisticDissemination {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::QuorumSystem;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -10,18 +10,19 @@
 //! for crash probabilities `p > ½` (Section 3.4), which no strict quorum
 //! system can do.
 
-use crate::probabilistic::params::exact_epsilon_intersecting;
-use crate::quorum::Quorum;
-use crate::system::{ProbabilisticQuorumSystem, QuorumSystem};
-use crate::universe::Universe;
-use crate::CoreError;
-use pqs_math::binomial::Binomial;
+use crate::probabilistic::params::{self, exact_epsilon_intersecting};
+use crate::rnq::{quorum_size_for_ell, quorum_system_via_core, Rnq};
+use crate::system::ProbabilisticQuorumSystem;
 use pqs_math::bounds;
-use pqs_math::sampling::sample_k_of_n;
-use rand::RngCore;
 
 /// The ε-intersecting quorum system `R(n, q)`: all `q`-subsets of `n`
 /// servers accessed uniformly at random.
+///
+/// Beyond the shared set system it holds only its exact ε.  Its load is
+/// `q/n = ℓ/√n`, its fault tolerance `n − q + 1` and its failure probability
+/// the exact binomial tail of "more than `n − q` servers crash" (Section 3.4,
+/// "Quality Measures"); the paper's Chernoff form of the last is
+/// [`failure_probability_bound`](Self::failure_probability_bound).
 ///
 /// # Examples
 ///
@@ -36,8 +37,7 @@ use rand::RngCore;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpsilonIntersecting {
-    universe: Universe,
-    quorum_size: u32,
+    core: Rnq,
     exact_epsilon: f64,
 }
 
@@ -46,14 +46,12 @@ impl EpsilonIntersecting {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConstruction`] if `n` is zero or `q` is
-    /// not in `1..=n`.
+    /// Returns [`CoreError::InvalidConstruction`](crate::CoreError) if `n` is
+    /// zero or `q` is not in `1..=n`.
     pub fn new(n: u32, q: u32) -> crate::Result<Self> {
-        let exact_epsilon = exact_epsilon_intersecting(n, q)?;
         Ok(EpsilonIntersecting {
-            universe: Universe::new(n),
-            quorum_size: q,
-            exact_epsilon,
+            core: Rnq::new(n, q)?,
+            exact_epsilon: exact_epsilon_intersecting(n, q)?,
         })
     }
 
@@ -62,16 +60,10 @@ impl EpsilonIntersecting {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConstruction`] if `ℓ ≤ 0` or the implied
-    /// quorum size falls outside `1..=n`.
+    /// Returns [`CoreError::InvalidConstruction`](crate::CoreError) if
+    /// `ℓ ≤ 0` or the implied quorum size falls outside `1..=n`.
     pub fn with_ell(n: u32, ell: f64) -> crate::Result<Self> {
-        if ell.is_nan() || ell <= 0.0 {
-            return Err(CoreError::invalid(format!(
-                "ell must be positive, got {ell}"
-            )));
-        }
-        let q = (ell * (n as f64).sqrt()).round().max(1.0) as u32;
-        Self::new(n, q)
+        Self::new(n, quorum_size_for_ell(ell, (n as f64).sqrt(), 0.0)?)
     }
 
     /// Creates the smallest `R(n, q)` whose *exact* non-intersection
@@ -80,26 +72,17 @@ impl EpsilonIntersecting {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConstruction`] if `target_epsilon` is not
-    /// in `(0, 1)`.
+    /// Returns [`CoreError::InvalidConstruction`](crate::CoreError) if
+    /// `target_epsilon` is not in `(0, 1)`.
     pub fn with_target_epsilon(n: u32, target_epsilon: f64) -> crate::Result<Self> {
-        let q = crate::probabilistic::params::smallest_quorum_intersecting(n, target_epsilon)
-            .ok_or_else(|| {
-                CoreError::invalid(format!(
-                    "no quorum size achieves epsilon <= {target_epsilon} over {n} servers"
-                ))
-            })?;
+        let q = params::smallest_quorum_intersecting(n, target_epsilon)
+            .ok_or_else(|| params::unattainable("intersecting", n, 0, target_epsilon))?;
         Self::new(n, q)
-    }
-
-    /// The fixed quorum size `q`.
-    pub fn quorum_size(&self) -> usize {
-        self.quorum_size as usize
     }
 
     /// The paper's parameter `ℓ = q/√n`.
     pub fn ell(&self) -> f64 {
-        self.quorum_size as f64 / (self.universe.size() as f64).sqrt()
+        self.core.ell()
     }
 
     /// The exact non-intersection probability
@@ -117,61 +100,22 @@ impl EpsilonIntersecting {
 
     /// The paper's Chernoff bound on the crash failure probability,
     /// `e^{−2n(1 − ℓ/√n − p)²}` for `p ≤ 1 − ℓ/√n` (Section 3.4); compare
-    /// with the exact [`QuorumSystem::failure_probability`].
+    /// with the exact
+    /// [`failure_probability`](crate::system::QuorumSystem::failure_probability).
     pub fn failure_probability_bound(&self, p: f64) -> f64 {
         pqs_math::tail::r_system_failure_bound(
-            self.universe.size() as u64,
-            self.quorum_size as u64,
+            self.core.n() as u64,
+            self.core.q() as u64,
             p.clamp(0.0, 1.0),
         )
     }
 }
 
-impl QuorumSystem for EpsilonIntersecting {
-    fn universe(&self) -> Universe {
-        self.universe
-    }
-
-    fn sample_quorum(&self, rng: &mut dyn RngCore) -> Quorum {
-        let indices = sample_k_of_n(rng, self.quorum_size as u64, self.universe.size() as u64)
-            .expect("quorum size validated");
-        Quorum::from_indices(self.universe, indices.into_iter().map(|i| i as u32))
-            .expect("indices in range")
-    }
-
-    fn name(&self) -> String {
-        format!("R(n={}, q={})", self.universe.size(), self.quorum_size)
-    }
-
-    fn min_quorum_size(&self) -> usize {
-        self.quorum_size as usize
-    }
-
-    /// Every server lies in the same number of quorums, so the load is
-    /// exactly `q/n = ℓ/√n` (Section 3.4, "Quality Measures").
-    fn load(&self) -> f64 {
-        self.quorum_size as f64 / self.universe.size() as f64
-    }
-
-    /// All quorums of the uniform construction are high quality, so the
-    /// probabilistic fault tolerance (Definition 3.7) coincides with the
-    /// strict one: `n − q + 1` — as long as `q` servers survive, some quorum
-    /// is fully alive.
-    fn fault_tolerance(&self) -> u32 {
-        self.universe.size() - self.quorum_size + 1
-    }
-
-    /// Exact: the system fails iff more than `n − q` servers crash
-    /// (a binomial tail); the paper's `e^{−2n(1−ℓ/√n−p)²}` Chernoff form is
-    /// available as
-    /// [`failure_probability_bound`](Self::failure_probability_bound).
-    fn failure_probability(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        Binomial::new(self.universe.size() as u64, p)
-            .expect("p clamped")
-            .sf((self.universe.size() - self.quorum_size) as u64)
-    }
-}
+quorum_system_via_core!(EpsilonIntersecting, |s| format!(
+    "R(n={}, q={})",
+    s.core.n(),
+    s.core.q()
+));
 
 impl ProbabilisticQuorumSystem for EpsilonIntersecting {
     /// The exact non-intersection probability of two quorums drawn by the
@@ -184,6 +128,7 @@ impl ProbabilisticQuorumSystem for EpsilonIntersecting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::QuorumSystem;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -11,18 +11,19 @@
 //! `b < n/2` can be masked with arbitrarily small ε, and for `b = ω(√n)` the
 //! load `ℓb/n` beats the `Ω(√(b/n))` lower bound of strict masking systems.
 
-use crate::probabilistic::params::{exact_epsilon_masking, worst_case_epsilon_masking};
-use crate::quorum::Quorum;
-use crate::system::{ByzantineQuorumSystem, ProbabilisticQuorumSystem, QuorumSystem};
-use crate::universe::Universe;
+use crate::probabilistic::params::{self, exact_epsilon_masking, worst_case_epsilon_masking};
+use crate::rnq::{quorum_size_for_ell, quorum_system_via_core, Rnq};
+use crate::system::{ByzantineQuorumSystem, ProbabilisticQuorumSystem};
 use crate::CoreError;
-use pqs_math::binomial::Binomial;
 use pqs_math::bounds;
-use pqs_math::sampling::sample_k_of_n;
-use rand::RngCore;
 
 /// The (b, ε)-masking quorum system `R_k(n, q)`: all `q`-subsets accessed
 /// uniformly, with read-acceptance threshold `k`.
+///
+/// Beyond the shared set system it holds `b`, `k` and its exact ε; load
+/// (`q/n = ℓb/n`), fault tolerance and failure probability are those of
+/// `R(n, q)` (Section 5.5, which quotes the Chernoff form
+/// `e^{−2n(1−q/n−p)²}` of the last).
 ///
 /// # Examples
 ///
@@ -39,8 +40,7 @@ use rand::RngCore;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbabilisticMasking {
-    universe: Universe,
-    quorum_size: u32,
+    core: Rnq,
     byzantine: u32,
     threshold: u32,
     exact_epsilon: f64,
@@ -65,25 +65,10 @@ impl ProbabilisticMasking {
     ///
     /// As for [`new`](Self::new); additionally `k` must be in `1..=q`.
     pub fn with_threshold(n: u32, q: u32, b: u32, k: u32) -> crate::Result<Self> {
-        if b == 0 {
-            return Err(CoreError::invalid(
-                "b must be positive; use EpsilonIntersecting when no Byzantine failures are expected",
-            ));
-        }
-        if q == 0 || q > n {
-            return Err(CoreError::invalid(format!(
-                "quorum size {q} must be in 1..={n}"
-            )));
-        }
-        if q <= 2 * b {
+        let core = Rnq::against_byzantine(n, q, b)?;
+        if q as u64 <= 2 * b as u64 {
             return Err(CoreError::invalid(format!(
                 "masking construction requires l = q/b > 2 (got q={q}, b={b})"
-            )));
-        }
-        if n - q < b {
-            return Err(CoreError::invalid(format!(
-                "fault tolerance n-q+1 = {} must exceed b = {b} (Definition 5.1)",
-                n - q + 1
             )));
         }
         if k == 0 || k > q {
@@ -91,13 +76,11 @@ impl ProbabilisticMasking {
                 "read threshold k={k} must be in 1..=q={q}"
             )));
         }
-        let exact_epsilon = exact_epsilon_masking(n, q, b, k)?;
         Ok(ProbabilisticMasking {
-            universe: Universe::new(n),
-            quorum_size: q,
+            core,
             byzantine: b,
             threshold: k,
-            exact_epsilon,
+            exact_epsilon: exact_epsilon_masking(n, q, b, k)?,
         })
     }
 
@@ -108,13 +91,7 @@ impl ProbabilisticMasking {
     ///
     /// As for [`new`](Self::new); additionally `ℓ` must exceed 2.
     pub fn with_ell(n: u32, ell: f64, b: u32) -> crate::Result<Self> {
-        if ell.is_nan() || ell <= 2.0 {
-            return Err(CoreError::invalid(format!(
-                "masking construction requires l > 2, got {ell}"
-            )));
-        }
-        let q = (ell * b as f64).round().max(1.0) as u32;
-        Self::new(n, q, b)
+        Self::new(n, quorum_size_for_ell(ell, b as f64, 2.0)?, b)
     }
 
     /// Creates the smallest system (scanning `q` upward from `2b + 1`) whose
@@ -125,18 +102,9 @@ impl ProbabilisticMasking {
     /// Returns [`CoreError::InvalidConstruction`] if no quorum size achieves
     /// the target for this `n` and `b`.
     pub fn with_target_epsilon(n: u32, b: u32, target_epsilon: f64) -> crate::Result<Self> {
-        let (q, k) = crate::probabilistic::params::smallest_quorum_masking(n, b, target_epsilon)
-            .ok_or_else(|| {
-                CoreError::invalid(format!(
-                    "no quorum size achieves masking epsilon <= {target_epsilon} for n={n}, b={b}"
-                ))
-            })?;
+        let (q, k) = params::smallest_quorum_masking(n, b, target_epsilon)
+            .ok_or_else(|| params::unattainable("masking", n, b, target_epsilon))?;
         Self::with_threshold(n, q, b, k)
-    }
-
-    /// The fixed quorum size `q`.
-    pub fn quorum_size(&self) -> usize {
-        self.quorum_size as usize
     }
 
     /// The read-acceptance threshold `k`: a reading client only accepts a
@@ -145,9 +113,10 @@ impl ProbabilisticMasking {
         self.threshold as usize
     }
 
-    /// The paper's parameter `ℓ = q/b`.
+    /// The paper's parameter `ℓ = q/b` (Section 5 measures quorums in units
+    /// of `b`, not of `√n`).
     pub fn ell(&self) -> f64 {
-        self.quorum_size as f64 / self.byzantine as f64
+        self.core.q() as f64 / self.byzantine as f64
     }
 
     /// The exact probability that the Definition 5.1 event fails (what
@@ -160,73 +129,24 @@ impl ProbabilisticMasking {
     /// previous write quorum (the coupling of Lemma 5.9); an upper bound on
     /// [`exact_epsilon`](Self::exact_epsilon).
     pub fn worst_case_epsilon(&self) -> f64 {
-        worst_case_epsilon_masking(
-            self.universe.size(),
-            self.quorum_size,
-            self.byzantine,
-            self.threshold,
-        )
-        .expect("parameters validated at construction")
+        worst_case_epsilon_masking(self.core.n(), self.core.q(), self.byzantine, self.threshold)
+            .expect("parameters validated at construction")
     }
 
     /// The Theorem 5.10 analytical bound
     /// `2·exp(−(q²/n)·min{ψ₁(ℓ), ψ₂(ℓ)})`.
     pub fn epsilon_bound(&self) -> f64 {
-        bounds::masking_bound(
-            self.universe.size() as u64,
-            self.quorum_size as u64,
-            self.ell(),
-        )
+        bounds::masking_bound(self.core.n() as u64, self.core.q() as u64, self.ell())
     }
 }
 
-impl QuorumSystem for ProbabilisticMasking {
-    fn universe(&self) -> Universe {
-        self.universe
-    }
-
-    fn sample_quorum(&self, rng: &mut dyn RngCore) -> Quorum {
-        let indices = sample_k_of_n(rng, self.quorum_size as u64, self.universe.size() as u64)
-            .expect("quorum size validated");
-        Quorum::from_indices(self.universe, indices.into_iter().map(|i| i as u32))
-            .expect("indices in range")
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "masking-R(n={}, q={}, b={}, k={})",
-            self.universe.size(),
-            self.quorum_size,
-            self.byzantine,
-            self.threshold
-        )
-    }
-
-    fn min_quorum_size(&self) -> usize {
-        self.quorum_size as usize
-    }
-
-    /// Exactly `q/n = ℓb/n` under the uniform strategy (Section 5.5).
-    fn load(&self) -> f64 {
-        self.quorum_size as f64 / self.universe.size() as f64
-    }
-
-    /// `n − q + 1` — the uniform system is symmetric, so all its quorums are
-    /// high quality and the probabilistic fault tolerance (Definition 3.7)
-    /// coincides with the strict value (Section 5.5).
-    fn fault_tolerance(&self) -> u32 {
-        self.universe.size() - self.quorum_size + 1
-    }
-
-    /// Exact binomial tail for crash failures (Section 5.5 quotes the
-    /// Chernoff form `e^{−2n(1−q/n−p)²}`).
-    fn failure_probability(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        Binomial::new(self.universe.size() as u64, p)
-            .expect("p clamped")
-            .sf((self.universe.size() - self.quorum_size) as u64)
-    }
-}
+quorum_system_via_core!(ProbabilisticMasking, |s| format!(
+    "masking-R(n={}, q={}, b={}, k={})",
+    s.core.n(),
+    s.core.q(),
+    s.byzantine,
+    s.threshold
+));
 
 impl ByzantineQuorumSystem for ProbabilisticMasking {
     fn byzantine_threshold(&self) -> u32 {
@@ -243,6 +163,7 @@ impl ProbabilisticQuorumSystem for ProbabilisticMasking {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::QuorumSystem;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

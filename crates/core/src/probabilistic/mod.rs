@@ -12,6 +12,13 @@
 //! | [`ProbabilisticDissemination`] | `Q ∩ Q′ ⊄ B` | `2e^{−ℓ²/6}` for `b=n/3` (Thm 4.4), `ε_α` for `b=αn` (Thm 4.6) | `R(n, ℓ√n)` |
 //! | [`ProbabilisticMasking`] | `|Q∩B| < k ∧ |Q∩Q′∖B| ≥ k` | `2e^{−(q²/n)·min(ψ₁,ψ₂)}` (Thm 5.10) | `R_k(n, ℓb)`, `k = q²/2n` |
 //!
+//! That shared set system is written once, in the crate-private `rnq.rs`
+//! (validation of `0 < q ≤ n`, the uniform `q`-subset sampler, load `q/n`,
+//! fault tolerance `n − q + 1`, the binomial crash tail); each type here
+//! holds it and adds only its row of the table: [`EpsilonIntersecting`] its
+//! exact ε, [`ProbabilisticDissemination`] `b` and its ε,
+//! [`ProbabilisticMasking`] `b`, `k` and its ε.
+//!
 //! [`params`] provides the exact ε values used to size the systems for the
 //! paper's concrete comparisons (Tables 2–4).
 

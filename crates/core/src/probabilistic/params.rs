@@ -23,9 +23,12 @@
 //! These functions drive the `with_target_epsilon` constructors and the
 //! Table 2–4 harness.
 
+use crate::rnq::Rnq;
 use crate::CoreError;
+use pqs_math::bounds::masking_threshold_k;
 use pqs_math::comb::ln_choose;
 use pqs_math::hypergeometric::Hypergeometric;
+use std::ops::RangeInclusive;
 
 /// Exact probability that two independent uniform `q`-subsets of an
 /// `n`-universe are disjoint: `C(n−q, q)/C(n, q)` (zero when `2q > n`).
@@ -43,8 +46,7 @@ use pqs_math::hypergeometric::Hypergeometric;
 /// assert_eq!(exact_epsilon_intersecting(100, 51).unwrap(), 0.0);
 /// ```
 pub fn exact_epsilon_intersecting(n: u32, q: u32) -> crate::Result<f64> {
-    validate_nq(n, q)?;
-    if 2 * q > n {
+    if Rnq::new(n, q)?.always_intersects() {
         return Ok(0.0);
     }
     Ok((ln_choose((n - q) as u64, q as u64) - ln_choose(n as u64, q as u64)).exp())
@@ -61,7 +63,7 @@ pub fn exact_epsilon_intersecting(n: u32, q: u32) -> crate::Result<f64> {
 /// Returns [`CoreError::InvalidConstruction`] if `q` is zero, `q > n`, or
 /// `b ≥ n`.
 pub fn exact_epsilon_dissemination(n: u32, q: u32, b: u32) -> crate::Result<f64> {
-    validate_nq(n, q)?;
+    Rnq::new(n, q)?;
     if b >= n {
         return Err(CoreError::invalid(format!(
             "byzantine set size {b} must be smaller than the universe {n}"
@@ -157,7 +159,7 @@ pub fn worst_case_epsilon_masking(n: u32, q: u32, b: u32, k: u32) -> crate::Resu
 }
 
 fn validate_masking(n: u32, q: u32, b: u32, k: u32) -> crate::Result<()> {
-    validate_nq(n, q)?;
+    Rnq::new(n, q)?;
     if b >= n {
         return Err(CoreError::invalid(format!(
             "byzantine set size {b} must be smaller than the universe {n}"
@@ -176,31 +178,51 @@ fn validate_masking(n: u32, q: u32, b: u32, k: u32) -> crate::Result<()> {
     Ok(())
 }
 
+/// The smallest `q` among `candidates` whose ε is at most `target_epsilon`;
+/// `None` if there is none or the target is not in `(0, 1)`.  Candidates for
+/// which `epsilon_at` fails are skipped.
+///
+/// The scan is linear on purpose: it is the reference the rest of the
+/// repository's searches are checked against, and masking's ε is not
+/// monotone in `q` (its `k = ⌈q²/2n⌉` moves in steps).
+fn smallest_quorum_where(
+    target_epsilon: f64,
+    mut candidates: RangeInclusive<u32>,
+    epsilon_at: impl Fn(u32) -> crate::Result<f64>,
+) -> Option<u32> {
+    if !(target_epsilon > 0.0 && target_epsilon < 1.0) {
+        return None;
+    }
+    candidates.find(|&q| epsilon_at(q).is_ok_and(|eps| eps <= target_epsilon))
+}
+
+/// The masking candidates `2b + 1 ..= n − b`: `ℓ = q/b > 2` and a fault
+/// tolerance above `b`.  `None` for `b = 0`, which is not a masking system.
+fn masking_candidates(n: u32, b: u32) -> Option<RangeInclusive<u32>> {
+    (b > 0).then(|| b.saturating_mul(2).saturating_add(1)..=n.saturating_sub(b))
+}
+
+/// The error of a `with_target_epsilon` constructor whose search found no
+/// quorum size.
+pub(crate) fn unattainable(kind: &str, n: u32, b: u32, target_epsilon: f64) -> CoreError {
+    CoreError::invalid(format!(
+        "no quorum size achieves {kind} epsilon <= {target_epsilon} for n={n}, b={b}"
+    ))
+}
+
 /// Smallest quorum size `q` such that the exact non-intersection probability
 /// is at most `target_epsilon`, or `None` if no `q ≤ n` achieves it
 /// (never the case for `target_epsilon > 0`, since `2q > n` gives ε = 0).
 pub fn smallest_quorum_intersecting(n: u32, target_epsilon: f64) -> Option<u32> {
-    if !(0.0..1.0).contains(&target_epsilon) || target_epsilon == 0.0 {
-        return None;
-    }
-    (1..=n).find(|&q| {
-        exact_epsilon_intersecting(n, q)
-            .map(|e| e <= target_epsilon)
-            .unwrap_or(false)
-    })
+    smallest_quorum_where(target_epsilon, 1..=n, |q| exact_epsilon_intersecting(n, q))
 }
 
 /// Smallest quorum size `q ≤ n − b` such that the exact dissemination ε is
 /// at most `target_epsilon`; `None` if none exists (the cap `q ≤ n − b`
 /// keeps the fault tolerance above `b`, per Definition 4.1).
 pub fn smallest_quorum_dissemination(n: u32, b: u32, target_epsilon: f64) -> Option<u32> {
-    if !(0.0..1.0).contains(&target_epsilon) || target_epsilon == 0.0 || b >= n {
-        return None;
-    }
-    (1..=(n - b)).find(|&q| {
+    smallest_quorum_where(target_epsilon, 1..=n.saturating_sub(b), |q| {
         exact_epsilon_dissemination(n, q, b)
-            .map(|e| e <= target_epsilon)
-            .unwrap_or(false)
     })
 }
 
@@ -208,23 +230,11 @@ pub fn smallest_quorum_dissemination(n: u32, b: u32, target_epsilon: f64) -> Opt
 /// exact masking ε is at most `target_epsilon`, scanning `q` from `2b + 1`
 /// to `n − b`; `None` if none qualifies.
 pub fn smallest_quorum_masking(n: u32, b: u32, target_epsilon: f64) -> Option<(u32, u32)> {
-    if !(0.0..1.0).contains(&target_epsilon) || target_epsilon == 0.0 || b == 0 || b >= n {
-        return None;
-    }
-    let lo = 2 * b + 1;
-    let hi = n.saturating_sub(b);
-    for q in lo..=hi {
-        let k = pqs_math::bounds::masking_threshold_k(n as u64, q as u64) as u32;
-        if k > q {
-            continue;
-        }
-        if let Ok(e) = exact_epsilon_masking(n, q, b, k) {
-            if e <= target_epsilon {
-                return Some((q, k));
-            }
-        }
-    }
-    None
+    let k_at = |q: u32| masking_threshold_k(n as u64, q as u64) as u32;
+    let q = smallest_quorum_where(target_epsilon, masking_candidates(n, b)?, |q| {
+        exact_epsilon_masking(n, q, b, k_at(q))
+    })?;
+    Some((q, k_at(q)))
 }
 
 /// The read threshold `k ∈ 1..=q` minimising the exact masking ε for the
@@ -260,31 +270,10 @@ pub fn smallest_quorum_masking_optimal_k(
     b: u32,
     target_epsilon: f64,
 ) -> Option<(u32, u32)> {
-    if !(0.0..1.0).contains(&target_epsilon) || target_epsilon == 0.0 || b == 0 || b >= n {
-        return None;
-    }
-    let lo = 2 * b + 1;
-    let hi = n.saturating_sub(b);
-    for q in lo..=hi {
-        if let Ok((k, eps)) = optimal_threshold_masking(n, q, b) {
-            if eps <= target_epsilon {
-                return Some((q, k));
-            }
-        }
-    }
-    None
-}
-
-fn validate_nq(n: u32, q: u32) -> crate::Result<()> {
-    if n == 0 {
-        return Err(CoreError::invalid("universe must be non-empty"));
-    }
-    if q == 0 || q > n {
-        return Err(CoreError::invalid(format!(
-            "quorum size {q} must be in 1..={n}"
-        )));
-    }
-    Ok(())
+    let q = smallest_quorum_where(target_epsilon, masking_candidates(n, b)?, |q| {
+        Ok(optimal_threshold_masking(n, q, b)?.1)
+    })?;
+    Some((q, optimal_threshold_masking(n, q, b).ok()?.0))
 }
 
 #[cfg(test)]

@@ -7,18 +7,19 @@
 //! is the "Threshold" comparator of Tables 2–4 and Figures 1–3.
 //!
 //! The system is *implicit*: its `C(n, q)` quorums are never enumerated; the
-//! uniform access strategy samples a random `q`-subset directly.
+//! uniform access strategy samples a random `q`-subset directly.  It is the
+//! paper's `R(n, q)` set system with `2q > n`, so it adds nothing to the
+//! shared core but that condition.
 
-use crate::quorum::Quorum;
-use crate::system::QuorumSystem;
-use crate::universe::Universe;
+use crate::rnq::{quorum_system_via_core, Rnq};
 use crate::CoreError;
-use pqs_math::binomial::Binomial;
-use pqs_math::sampling::sample_k_of_n;
-use rand::RngCore;
 
 /// The threshold quorum system: all `q`-subsets of `n` servers, `2q > n`,
 /// accessed uniformly at random.
+///
+/// Load `q/n` (the general formula `E[|Q|]/n` of Lemma 3.10 holds with
+/// equality), fault tolerance `n − q + 1` and the exact binomial-tail failure
+/// probability come from the shared `R(n, q)` core.
 ///
 /// # Examples
 ///
@@ -32,8 +33,7 @@ use rand::RngCore;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Majority {
-    universe: Universe,
-    quorum_size: u32,
+    core: Rnq,
 }
 
 impl Majority {
@@ -43,9 +43,6 @@ impl Majority {
     ///
     /// Returns [`CoreError::InvalidConstruction`] if `n` is zero.
     pub fn new(n: u32) -> crate::Result<Self> {
-        if n == 0 {
-            return Err(CoreError::invalid("universe must be non-empty"));
-        }
         Self::with_quorum_size(n, n / 2 + 1)
     }
 
@@ -56,83 +53,26 @@ impl Majority {
     /// Returns [`CoreError::InvalidConstruction`] unless `0 < q ≤ n` and
     /// `2q > n` (the condition for any two `q`-subsets to intersect).
     pub fn with_quorum_size(n: u32, q: u32) -> crate::Result<Self> {
-        if n == 0 {
-            return Err(CoreError::invalid("universe must be non-empty"));
-        }
-        if q == 0 || q > n {
-            return Err(CoreError::invalid(format!(
-                "quorum size {q} must be in 1..={n}"
-            )));
-        }
-        if 2 * q <= n {
+        let core = Rnq::new(n, q)?;
+        if !core.always_intersects() {
             return Err(CoreError::invalid(format!(
                 "quorum size {q} over {n} servers does not guarantee intersection (need 2q > n)"
             )));
         }
-        Ok(Majority {
-            universe: Universe::new(n),
-            quorum_size: q,
-        })
-    }
-
-    /// The fixed quorum size `q`.
-    pub fn quorum_size(&self) -> u32 {
-        self.quorum_size
+        Ok(Majority { core })
     }
 }
 
-impl QuorumSystem for Majority {
-    fn universe(&self) -> Universe {
-        self.universe
-    }
-
-    fn sample_quorum(&self, rng: &mut dyn RngCore) -> Quorum {
-        let indices = sample_k_of_n(rng, self.quorum_size as u64, self.universe.size() as u64)
-            .expect("quorum size validated against universe size");
-        Quorum::from_indices(self.universe, indices.into_iter().map(|i| i as u32))
-            .expect("sampled indices are in range")
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "threshold(n={}, q={})",
-            self.universe.size(),
-            self.quorum_size
-        )
-    }
-
-    fn min_quorum_size(&self) -> usize {
-        self.quorum_size as usize
-    }
-
-    /// Under the uniform strategy every server is equally loaded, so the
-    /// load is exactly `q/n` (this matches the general formula
-    /// `E[|Q|]/n` of Lemma 3.10 with equality).
-    fn load(&self) -> f64 {
-        self.quorum_size as f64 / self.universe.size() as f64
-    }
-
-    /// `A(Q) = n − q + 1`: once fewer than `q` servers remain alive, no
-    /// quorum is available.
-    fn fault_tolerance(&self) -> u32 {
-        self.universe.size() - self.quorum_size + 1
-    }
-
-    /// Exact: the system fails iff more than `n − q` servers crash, i.e. a
-    /// `Binomial(n, p)` tail.
-    fn failure_probability(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        let n = self.universe.size() as u64;
-        let dead_threshold = (self.universe.size() - self.quorum_size) as u64;
-        Binomial::new(n, p)
-            .expect("p clamped to [0,1]")
-            .sf(dead_threshold)
-    }
-}
+quorum_system_via_core!(Majority, |s| format!(
+    "threshold(n={}, q={})",
+    s.core.n(),
+    s.core.q()
+));
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::QuorumSystem;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -162,7 +102,7 @@ mod tests {
         ];
         for (n, size) in expected {
             let m = Majority::new(n).unwrap();
-            assert_eq!(m.quorum_size(), size, "n={n}");
+            assert_eq!(m.quorum_size(), size as usize, "n={n}");
             // Fault tolerance equals quorum size for odd-majority systems
             // (Table 2 lists identical columns).
             assert_eq!(m.fault_tolerance(), n - size + 1);

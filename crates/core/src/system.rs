@@ -10,7 +10,7 @@
 //! Sub-traits refine the interface:
 //!
 //! * [`ExplicitQuorumSystem`] — systems small enough to enumerate their
-//!   quorums (grid, singleton, hand-built systems), enabling exact generic
+//!   quorums (grid, hand-built systems), enabling exact generic
 //!   measure computations in [`crate::measures`];
 //! * [`ByzantineQuorumSystem`] — systems designed to mask `b` arbitrary
 //!   failures (strict or probabilistic dissemination/masking systems);
@@ -69,7 +69,9 @@ pub trait QuorumSystem: Send + Sync {
     /// crashed server when servers crash independently with probability `p`.
     ///
     /// Implementations may return an exact value or a tight analytical
-    /// expression; each documents which.
+    /// expression; each documents which.  None panics on any `p`: a `p`
+    /// outside `[0, 1]` (the infinities included) is clamped into it, so the
+    /// result is a probability, and `NaN` yields `NaN`.
     fn failure_probability(&self, p: f64) -> f64;
 }
 

@@ -20,26 +20,11 @@ note() {
     fail=1
 }
 
-# The sources as `file:line:text`, without `#[cfg(test)] mod … { … }`
-# blocks (rustfmt puts a block's closing brace at its opening indentation).
+# The sources as `file:line:text`, without `#[cfg(test)] mod … { … }` blocks.
 non_test_lines() {
     find crates/protocols/src crates/sim/src crates/apps/src -name '*.rs' | sort |
         while IFS= read -r file; do
-            awk -v file="$file" '
-                pending {
-                    pending = 0
-                    if ($0 ~ /^ *(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+ \{$/) {
-                        match($0, /^ */)
-                        closing = "^" substr($0, 1, RLENGTH) "}$"
-                        skipping = 1
-                        next
-                    }
-                    print file ":" FNR - 1 ":" held
-                }
-                skipping { if ($0 ~ closing) skipping = 0; next }
-                /^ *#\[cfg\(test\)\]$/ { pending = 1; held = $0; next }
-                { print file ":" FNR ":" $0 }
-            ' "$file"
+            awk -v file="$file" -f scripts/non_test_lines.awk "$file"
         done
 }
 lines=$(non_test_lines)

@@ -9,6 +9,7 @@ use probabilistic_quorums::core::probabilistic::params::{
 use probabilistic_quorums::math::binomial::Binomial;
 use probabilistic_quorums::math::bounds;
 use probabilistic_quorums::math::hypergeometric::Hypergeometric;
+use probabilistic_quorums::math::sampling::sample_k_of_n;
 use probabilistic_quorums::protocols::cluster::Cluster;
 use probabilistic_quorums::protocols::diffusion::{
     self, count_fresh_correct, diffuse, DiffusionConfig,
@@ -21,7 +22,7 @@ use probabilistic_quorums::sim::latency::LatencyModel;
 use probabilistic_quorums::sim::runner::{DiffusionPolicy, ProtocolKind, SimConfig, Simulation};
 use probabilistic_quorums::sim::workload::{KeySpace, Skew};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 proptest! {
@@ -120,6 +121,41 @@ proptest! {
         let sample = eps.sample_quorum(&mut rng);
         prop_assert_eq!(sample.len(), q as usize);
         prop_assert!(sample.iter().all(|s| s.index() < n));
+    }
+
+    /// The six named `R(n, q)` systems are one set system: from equal RNG
+    /// states each draws exactly `sample_k_of_n`'s indices and leaves the
+    /// stream where `sample_k_of_n` leaves it.
+    #[test]
+    fn rnq_systems_draw_exactly_sample_k_of_n(
+        n in 9u32..300,
+        b_frac in 0.0f64..1.0,
+        q_frac in 0.0f64..1.0,
+        seed in 0u64..1000,
+    ) {
+        // 1 <= b <= (n-1)/4 suits both strict thresholds; 2b < q <= n - b
+        // suits both probabilistic Byzantine systems.
+        let b = 1 + (b_frac * ((n - 1) / 4 - 1) as f64) as u32;
+        let q = 2 * b + 1 + (q_frac * (n - 3 * b - 1) as f64) as u32;
+        let systems: [Box<dyn QuorumSystem>; 6] = [
+            Box::new(EpsilonIntersecting::new(n, q).unwrap()),
+            Box::new(ProbabilisticDissemination::new(n, q, b).unwrap()),
+            Box::new(ProbabilisticMasking::new(n, q, b).unwrap()),
+            Box::new(Majority::with_quorum_size(n, q.max(n / 2 + 1)).unwrap()),
+            Box::new(DisseminationThreshold::new(n, b).unwrap()),
+            Box::new(MaskingThreshold::new(n, b).unwrap()),
+        ];
+        for system in &systems {
+            let mut reference = ChaCha8Rng::seed_from_u64(seed);
+            let size = system.min_quorum_size() as u64;
+            let mut indices = sample_k_of_n(&mut reference, size, n as u64).unwrap();
+            indices.sort_unstable();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let quorum = system.sample_quorum(&mut rng);
+            let members: Vec<u64> = quorum.iter().map(|s| s.index() as u64).collect();
+            prop_assert_eq!(&members, &indices, "{}", system.name());
+            prop_assert_eq!(rng.next_u64(), reference.next_u64(), "{}", system.name());
+        }
     }
 
     /// The failure probability of the R(n, q) construction is monotone in p,
