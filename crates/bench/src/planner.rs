@@ -2,10 +2,11 @@
 //! configurations, shared by the `plan` and `validate_plan` experiments.
 //!
 //! The math crate solves for `(n, q, probe_margin, gossip)` without knowing
-//! the simulator exists; this module does the mechanical mapping — latency
-//! spec to [`LatencyModel`], workload shape to [`KeySpace`], gossip plan to
-//! [`DiffusionPolicy`] — picks a run duration long enough for the measured
-//! stale-read rate to be statistically meaningful, and implements the
+//! the simulator exists; this module does the mechanical mapping — workload
+//! shape to [`KeySpace`], gossip plan to [`DiffusionPolicy`]; the latency law
+//! is one type in both crates and passes through — picks a run duration long
+//! enough for the measured stale-read rate to be statistically meaningful,
+//! and implements the
 //! tolerance-band checks of the prediction contract (`docs/ANALYSIS.md`):
 //! the Wilson interval of the measured ε must intersect the predicted
 //! `[epsilon_lower, epsilon_upper]` band and the measured p99 must land
@@ -13,7 +14,6 @@
 
 use pqs_math::mc::BernoulliEstimator;
 use pqs_math::plan::{tolerance, CapacityPlan, PlanInput, ProbeLatency, SloTargets, WorkloadShape};
-use pqs_sim::latency::LatencyModel;
 use pqs_sim::metrics::SimReport;
 use pqs_sim::runner::{DiffusionPolicy, SimConfig};
 use pqs_sim::workload::KeySpace;
@@ -116,18 +116,6 @@ pub fn scenario_by_name(name: &str) -> Option<Scenario> {
     scenarios().into_iter().find(|s| s.name == name)
 }
 
-/// Maps the planner's latency spec onto the simulator's model (the two
-/// enums are deliberately isomorphic; the math crate owns the CDFs, the
-/// simulator owns the samplers).
-pub fn latency_model(latency: &ProbeLatency) -> LatencyModel {
-    match *latency {
-        ProbeLatency::Fixed(v) => LatencyModel::Fixed(v),
-        ProbeLatency::Uniform { min, max } => LatencyModel::Uniform { min, max },
-        ProbeLatency::Exponential { mean } => LatencyModel::Exponential { mean },
-        ProbeLatency::Pareto { scale, shape } => LatencyModel::Pareto { scale, shape },
-    }
-}
-
 /// Maps the workload shape onto the simulator's key space.
 pub fn keyspace_for(workload: &WorkloadShape) -> KeySpace {
     if workload.keys == 1 {
@@ -177,7 +165,7 @@ pub fn plan_config(
         .with_arrival_rate(input.workload.arrival_rate)
         .with_read_fraction(input.workload.read_fraction)
         .with_keyspace(keyspace_for(&input.workload))
-        .with_latency(latency_model(&input.latency))
+        .with_latency(input.latency)
         .with_crash_probability(input.workload.crash_fraction)
         .with_probe_margin(plan.probe_margin as u32)
         .with_op_timeout(plan.predicted.op_timeout)
@@ -189,7 +177,7 @@ pub fn plan_config(
             } else {
                 DiffusionPolicy::full_push(g.period, g.fanout)
             };
-            policy = policy.with_push_latency(latency_model(&input.latency));
+            policy = policy.with_push_latency(input.latency);
             builder = builder.with_diffusion(policy);
         }
     }
@@ -363,64 +351,15 @@ mod tests {
 
     #[test]
     fn latency_and_keyspace_mappings_are_isomorphic() {
-        assert_eq!(
-            latency_model(&ProbeLatency::Fixed(0.001)),
-            LatencyModel::Fixed(0.001)
-        );
-        assert_eq!(
-            latency_model(&ProbeLatency::Pareto {
-                scale: 1e-3,
-                shape: 2.0
-            }),
-            LatencyModel::Pareto {
-                scale: 1e-3,
-                shape: 2.0
-            }
-        );
+        // The latency law needs no mapping: the two names are one type.
+        let law: pqs_sim::latency::LatencyModel = ProbeLatency::Fixed(0.001);
+        assert_eq!(law, ProbeLatency::Fixed(0.001));
         let mut w = scenario_by_name("directory").unwrap().input.workload;
         assert_eq!(keyspace_for(&w), KeySpace::zipf(64, 0.8));
         w.zipf_exponent = 0.0;
         assert_eq!(keyspace_for(&w), KeySpace::uniform(64));
         w.keys = 1;
         assert_eq!(keyspace_for(&w), KeySpace::single());
-    }
-
-    /// The name check above cannot see a CDF and a sampler drifting apart;
-    /// this one draws from the sampler and holds the draws to the CDF.
-    #[test]
-    fn sampled_latencies_follow_the_planners_cdf() {
-        use rand::SeedableRng;
-        const N: usize = 20_000;
-        let laws = [
-            ProbeLatency::Fixed(2e-3),
-            ProbeLatency::Uniform {
-                min: 1e-3,
-                max: 3e-3,
-            },
-            ProbeLatency::Exponential { mean: 2e-3 },
-            ProbeLatency::Pareto {
-                scale: 1e-3,
-                shape: 2.5,
-            },
-        ];
-        for (seed, law) in laws.iter().enumerate() {
-            let model = latency_model(law);
-            assert_eq!(model.mean(), law.mean(), "{law:?}");
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed as u64);
-            let mut draws: Vec<f64> = (0..N).map(|_| model.sample(&mut rng)).collect();
-            draws.sort_by(f64::total_cmp);
-            for percent in [10, 50, 90, 99] {
-                let t = draws[N * percent / 100];
-                let empirical = draws.partition_point(|&x| x <= t) as f64 / N as f64;
-                let f = law.cdf(t);
-                let tolerance = 4.0 * (f * (1.0 - f) / N as f64).sqrt() + 1.0 / N as f64;
-                assert!(
-                    (empirical - f).abs() <= tolerance,
-                    "{law:?} at the {percent} % order statistic {t}: \
-                     empirical {empirical} vs cdf {f} (tolerance {tolerance})"
-                );
-            }
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub fn dissemination_load_lower_bound(n: u32, b: u32) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    (((b + 1) as f64) / n as f64).sqrt().min(1.0)
+    ((b as f64 + 1.0) / n as f64).sqrt().min(1.0)
 }
 
 /// Table I: lower bound `√((2b+1)/n)` on the load of any strict b-masking
@@ -24,25 +24,7 @@ pub fn masking_load_lower_bound(n: u32, b: u32) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    (((2 * b + 1) as f64) / n as f64).sqrt().min(1.0)
-}
-
-/// Table I: the largest `b` a strict b-dissemination system can tolerate,
-/// `⌊(n−1)/3⌋`.
-pub fn dissemination_resilience_bound(n: u32) -> u32 {
-    crate::byzantine::max_dissemination_threshold(n)
-}
-
-/// Table I: the largest `b` a strict b-masking system can tolerate,
-/// `⌊(n−1)/4⌋`.
-pub fn masking_resilience_bound(n: u32) -> u32 {
-    crate::byzantine::max_masking_threshold(n)
-}
-
-/// Theorem 3.9: the load of any ε-intersecting system with expected quorum
-/// size `E[|Q|]` is at least `max{E[|Q|]/n, (1−√ε)²/E[|Q|]}`.
-pub fn epsilon_intersecting_load_lower_bound(n: u32, expected_quorum: f64, epsilon: f64) -> f64 {
-    crate::measures::probabilistic_load_lower_bound(n, expected_quorum, epsilon)
+    ((2.0 * b as f64 + 1.0) / n as f64).sqrt().min(1.0)
 }
 
 /// Corollary 3.12: the load of any ε-intersecting system is at least
@@ -91,8 +73,8 @@ pub fn table_one_row(n: u32, b: u32) -> TableOneRow {
         strict_load: strict_load_lower_bound(n),
         dissemination_load: dissemination_load_lower_bound(n, b),
         masking_load: masking_load_lower_bound(n, b),
-        dissemination_max_b: dissemination_resilience_bound(n),
-        masking_max_b: masking_resilience_bound(n),
+        dissemination_max_b: crate::byzantine::max_dissemination_threshold(n),
+        masking_max_b: crate::byzantine::max_masking_threshold(n),
     }
 }
 
@@ -109,8 +91,11 @@ mod tests {
         assert_eq!(strict_load_lower_bound(0), 0.0);
         assert!((dissemination_load_lower_bound(100, 4) - (5.0f64 / 100.0).sqrt()).abs() < 1e-12);
         assert!((masking_load_lower_bound(100, 4) - (9.0f64 / 100.0).sqrt()).abs() < 1e-12);
-        // Clamped to 1 for absurd b.
+        // Clamped to 1 for absurd b (`b + 1` and `2b + 1` are not computed
+        // in `u32`).
         assert_eq!(dissemination_load_lower_bound(10, 100), 1.0);
+        assert_eq!(dissemination_load_lower_bound(10, u32::MAX), 1.0);
+        assert_eq!(masking_load_lower_bound(10, u32::MAX), 1.0);
     }
 
     #[test]
@@ -150,8 +135,11 @@ mod tests {
         use crate::system::ProbabilisticQuorumSystem;
         let sys = EpsilonIntersecting::with_target_epsilon(400, 1e-3).unwrap();
         let cor = corollary_3_12_bound(400, sys.epsilon());
-        let thm =
-            epsilon_intersecting_load_lower_bound(400, sys.expected_quorum_size(), sys.epsilon());
+        let thm = crate::measures::probabilistic_load_lower_bound(
+            400,
+            sys.expected_quorum_size(),
+            sys.epsilon(),
+        );
         // The theorem's bound is at least as strong as the corollary's.
         assert!(thm + 1e-12 >= cor);
         assert!(sys.load() + 1e-12 >= thm);

@@ -11,179 +11,22 @@
 //! Quorums have `2rd − r²` servers.  These are the "Grid" comparators of
 //! Tables 3 and 4 (e.g. for `n = 400`, `b = 9` the dissemination grid quorum
 //! has `2·3·20 − 9 = 111` servers and the masking grid `2·4·20 − 16 = 144`).
+//!
+//! Both are the crate's row-and-column core (`grid_core.rs`): what each
+//! adds is `b` and the overlap that fixes `r`.
 
+use crate::grid_core::GridCore;
 use crate::quorum::Quorum;
 use crate::rnq::quorum_system_via_core;
 use crate::system::ByzantineQuorumSystem;
-use crate::universe::Universe;
-use crate::CoreError;
-use pqs_math::binomial::Binomial;
-use pqs_math::sampling::sample_k_of_n;
-use rand::Rng;
-use rand::RngCore;
-use rand::SeedableRng;
-
-/// Shared implementation of the r-rows-plus-r-columns grid systems.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ByzantineGridCore {
-    universe: Universe,
-    side: u32,
-    rows_and_cols: u32,
-    byzantine: u32,
-}
-
-impl ByzantineGridCore {
-    fn new(n: u32, b: u32, required_overlap: u32, kind: &str) -> crate::Result<Self> {
-        if n == 0 {
-            return Err(CoreError::invalid("universe must be non-empty"));
-        }
-        let side = (n as f64).sqrt().round() as u32;
-        if side * side != n {
-            return Err(CoreError::invalid(format!(
-                "{kind} grid requires a perfect-square universe, got n={n}"
-            )));
-        }
-        // Smallest r with 2 r^2 >= required_overlap.
-        let r = (required_overlap as f64 / 2.0).sqrt().ceil() as u32;
-        let r = r.max(1);
-        if r > side {
-            return Err(CoreError::invalid(format!(
-                "{kind} grid over n={n} cannot tolerate b={b}: needs {r} rows/columns but the grid only has {side}"
-            )));
-        }
-        // The quorum must still exist after b crashes have disabled rows:
-        // resilience requires A(Q) > b, i.e. side - r + 1 > b.
-        if side - r < b {
-            return Err(CoreError::invalid(format!(
-                "{kind} grid over n={n} has fault tolerance {} which does not exceed b={b}",
-                side - r + 1
-            )));
-        }
-        Ok(ByzantineGridCore {
-            universe: Universe::new(n),
-            side,
-            rows_and_cols: r,
-            byzantine: b,
-        })
-    }
-
-    fn universe(&self) -> Universe {
-        self.universe
-    }
-
-    /// `2rd − r²`.
-    fn quorum_size(&self) -> usize {
-        (2 * self.rows_and_cols * self.side - self.rows_and_cols * self.rows_and_cols) as usize
-    }
-
-    fn quorum_for(&self, rows: &[u32], cols: &[u32]) -> crate::Result<Quorum> {
-        let d = self.side;
-        let r = self.rows_and_cols as usize;
-        if rows.len() != r || cols.len() != r {
-            return Err(CoreError::invalid(format!(
-                "expected exactly {r} rows and {r} columns"
-            )));
-        }
-        if rows.iter().chain(cols).any(|&x| x >= d) {
-            return Err(CoreError::invalid("row/column index out of range"));
-        }
-        let mut indices = Vec::new();
-        for &row in rows {
-            for c in 0..d {
-                indices.push(row * d + c);
-            }
-        }
-        for &col in cols {
-            for row in 0..d {
-                if !rows.contains(&row) {
-                    indices.push(row * d + col);
-                }
-            }
-        }
-        Quorum::from_indices(self.universe, indices)
-    }
-
-    fn sample(&self, rng: &mut dyn RngCore) -> Quorum {
-        let r = self.rows_and_cols as u64;
-        let d = self.side as u64;
-        let rows: Vec<u32> = sample_k_of_n(rng, r, d)
-            .expect("r <= d")
-            .into_iter()
-            .map(|x| x as u32)
-            .collect();
-        let cols: Vec<u32> = sample_k_of_n(rng, r, d)
-            .expect("r <= d")
-            .into_iter()
-            .map(|x| x as u32)
-            .collect();
-        self.quorum_for(&rows, &cols).expect("sampled in range")
-    }
-
-    fn load(&self) -> f64 {
-        self.quorum_size() as f64 / self.universe.size() as f64
-    }
-
-    fn fault_tolerance(&self) -> u32 {
-        // One crash in each of d - r + 1 rows leaves fewer than r clean
-        // rows, so no quorum survives; any smaller set leaves both r clean
-        // rows and r clean columns.
-        self.side - self.rows_and_cols + 1
-    }
-
-    /// Estimated by deterministic Monte-Carlo (fixed seed, 40 000 samples):
-    /// the exact probability couples the row- and column-cleanliness events,
-    /// which have no convenient closed form for `r > 1`.
-    fn failure_probability(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        if p == 0.0 || p == 1.0 || p.is_nan() {
-            return p;
-        }
-        let d = self.side as usize;
-        let r = self.rows_and_cols as usize;
-        const SAMPLES: usize = 40_000;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x6121_d001);
-        let mut failures = 0usize;
-        for _ in 0..SAMPLES {
-            let mut clean_rows = 0usize;
-            let mut col_hit = vec![false; d];
-            for _row in 0..d {
-                let mut row_clean = true;
-                for hit in col_hit.iter_mut() {
-                    if rng.gen_bool(p) {
-                        row_clean = false;
-                        *hit = true;
-                    }
-                }
-                if row_clean {
-                    clean_rows += 1;
-                }
-            }
-            let clean_cols = col_hit.iter().filter(|h| !**h).count();
-            if clean_rows < r || clean_cols < r {
-                failures += 1;
-            }
-        }
-        failures as f64 / SAMPLES as f64
-    }
-
-    /// A cheap analytical *upper bound* on the failure probability via the
-    /// union bound over rows and columns: `2·P(Bin(d, (1−p)^d) ≤ r − 1)`.
-    fn failure_probability_union_bound(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        let d = self.side as u64;
-        let clean_row_prob = (1.0 - p).powi(self.side as i32);
-        let rows = Binomial::new(d, clean_row_prob).expect("probability");
-        let single = rows.cdf((self.rows_and_cols - 1) as u64);
-        (2.0 * single).min(1.0)
-    }
-}
 
 macro_rules! byzantine_grid_system {
     ($name:ident, $label:literal, $overlap:expr, $doc:literal) => {
         #[doc = $doc]
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub struct $name {
-            core: ByzantineGridCore,
+            core: GridCore,
+            byzantine: u32,
         }
 
         impl $name {
@@ -192,20 +35,21 @@ macro_rules! byzantine_grid_system {
             ///
             /// # Errors
             ///
-            /// Returns [`CoreError::InvalidConstruction`] if `n` is not a
-            /// perfect square, the required number of rows/columns exceeds
-            /// the grid side, or the resulting fault tolerance would not
-            /// exceed `b`.
+            /// Returns [`InvalidConstruction`](crate::CoreError::InvalidConstruction)
+            /// if `n` is not a perfect square, the required number of
+            /// rows/columns exceeds the grid side, or the resulting fault
+            /// tolerance would not exceed `b`.
             pub fn new(n: u32, b: u32) -> crate::Result<Self> {
-                let overlap: u32 = $overlap(b);
+                let overlap: u64 = $overlap(b as u64);
                 Ok(Self {
-                    core: ByzantineGridCore::new(n, b, overlap, $label)?,
+                    core: GridCore::against_byzantine(concat!($label, " grid"), n, b, overlap)?,
+                    byzantine: b,
                 })
             }
 
             /// Number of rows (equivalently columns) in each quorum.
             pub fn rows_and_cols(&self) -> u32 {
-                self.core.rows_and_cols
+                self.core.rows_and_cols()
             }
 
             /// The quorum formed by the given rows and columns.
@@ -220,7 +64,7 @@ macro_rules! byzantine_grid_system {
 
             /// Analytical upper bound on the failure probability
             /// (union bound over "too few clean rows" / "too few clean
-            /// columns").
+            /// columns"); `failure_probability` itself is exact.
             pub fn failure_probability_upper_bound(&self, p: f64) -> f64 {
                 self.core.failure_probability_union_bound(p)
             }
@@ -228,13 +72,13 @@ macro_rules! byzantine_grid_system {
 
         quorum_system_via_core!($name, |s| format!(
             concat!($label, "-grid(n={}, b={})"),
-            s.core.universe.size(),
-            s.core.byzantine
+            s.core.universe().size(),
+            s.byzantine
         ));
 
         impl ByzantineQuorumSystem for $name {
             fn byzantine_threshold(&self) -> u32 {
-                self.core.byzantine
+                self.byzantine
             }
         }
     };
@@ -243,15 +87,15 @@ macro_rules! byzantine_grid_system {
 byzantine_grid_system!(
     DisseminationGrid,
     "dissemination",
-    |b: u32| b + 1,
-    "Strict b-dissemination grid system: quorums are `⌈√((b+1)/2)⌉` rows plus as many columns, so any two quorums overlap in at least `b + 1` servers.\n\n# Examples\n\n```\nuse pqs_core::byzantine::DisseminationGrid;\nuse pqs_core::system::QuorumSystem;\nlet g = DisseminationGrid::new(400, 9).unwrap();\nassert_eq!(g.min_quorum_size(), 111); // Table 3\n```"
+    |b: u64| b + 1,
+    "Strict b-dissemination grid system: quorums are `⌈√((b+1)/2)⌉` rows plus as many columns, so any two quorums overlap in at least `b + 1` servers.  Sampler, sizes and the exact failure probability come from the shared grid core.\n\n# Examples\n\n```\nuse pqs_core::byzantine::DisseminationGrid;\nuse pqs_core::system::QuorumSystem;\nlet g = DisseminationGrid::new(400, 9).unwrap();\nassert_eq!(g.min_quorum_size(), 111); // Table 3\n```"
 );
 
 byzantine_grid_system!(
     MaskingGrid,
     "masking",
-    |b: u32| 2 * b + 1,
-    "Strict b-masking grid system: quorums are `⌈√((2b+1)/2)⌉` rows plus as many columns, so any two quorums overlap in at least `2b + 1` servers.\n\n# Examples\n\n```\nuse pqs_core::byzantine::MaskingGrid;\nuse pqs_core::system::QuorumSystem;\nlet g = MaskingGrid::new(400, 9).unwrap();\nassert_eq!(g.min_quorum_size(), 144); // Table 4\n```"
+    |b: u64| 2 * b + 1,
+    "Strict b-masking grid system: quorums are `⌈√((2b+1)/2)⌉` rows plus as many columns, so any two quorums overlap in at least `2b + 1` servers.  Sampler, sizes and the exact failure probability come from the shared grid core.\n\n# Examples\n\n```\nuse pqs_core::byzantine::MaskingGrid;\nuse pqs_core::system::QuorumSystem;\nlet g = MaskingGrid::new(400, 9).unwrap();\nassert_eq!(g.min_quorum_size(), 144); // Table 4\n```"
 );
 
 #[cfg(test)]
@@ -353,12 +197,13 @@ mod tests {
         let g = MaskingGrid::new(100, 4).unwrap();
         assert_eq!(g.failure_probability(0.0), 0.0);
         assert_eq!(g.failure_probability(1.0), 1.0);
-        let p = 0.15;
-        let mc = g.failure_probability(p);
-        let ub = g.failure_probability_upper_bound(p);
-        // The Monte-Carlo estimate must not exceed the union bound by more
-        // than sampling noise.
-        assert!(mc <= ub + 0.02, "mc={mc} ub={ub}");
+        // Exact, so below the union bound with no slack (the lattice up to
+        // d = 30 is walked beside the core).
+        let (exact, ub) = (
+            g.failure_probability(0.15),
+            g.failure_probability_upper_bound(0.15),
+        );
+        assert!(0.0 < exact && exact <= ub, "exact={exact} ub={ub}");
     }
 
     #[test]

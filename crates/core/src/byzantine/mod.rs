@@ -16,8 +16,11 @@
 //! they are the strict comparators of Tables 3 and 4 and Figures 2 and 3.
 //! The two threshold systems are the paper's `R(n, q)` set system (the
 //! crate-private `rnq.rs`) with `q` fixed by the required overlap; the two
-//! grids share a row-and-column core of their own.  All four get their
-//! `QuorumSystem` impl from the one macro next to `R(n, q)`.
+//! grids are the crate's other core, `r` rows plus `r` columns of a
+//! `√n × √n` array (`grid_core.rs`, shared with the strict
+//! [`Grid`](crate::strict::Grid)), with `r` fixed by the required overlap —
+//! their failure probability is exact, like the thresholds'.  All four get
+//! their `QuorumSystem` impl from the one macro next to `R(n, q)`.
 //! Their resilience is capped at `b ≤ ⌊(n−1)/3⌋` (dissemination) and
 //! `b ≤ ⌊(n−1)/4⌋` (masking), and their load is at least `√((b+1)/n)` /
 //! `√((2b+1)/n)` (Table I) — precisely the limitations the probabilistic

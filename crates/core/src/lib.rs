@@ -32,7 +32,8 @@
 //!   systems, plus parameter selection.  The set system `R(n, q)` itself —
 //!   every `q`-subset, drawn uniformly — is one crate-private core
 //!   (`rnq.rs`) that these three and the three threshold systems of
-//!   [`strict`] and [`byzantine`] hold.
+//!   [`strict`] and [`byzantine`] hold; the three grids hold the other
+//!   (`grid_core.rs`: `r` rows plus `r` columns of a `√n × √n` array).
 //! * [`measures`] — load, fault tolerance and failure probability, both the
 //!   strict definitions (2.4–2.6) and the probabilistic ones (3.3, 3.7, 3.8).
 //! * [`analysis`] — Monte-Carlo estimators of intersection events and the
@@ -71,6 +72,7 @@ pub mod system;
 pub mod universe;
 
 mod error;
+mod grid_core;
 mod rnq;
 
 pub use error::CoreError;

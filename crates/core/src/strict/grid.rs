@@ -6,17 +6,22 @@
 //! have size `2d − 1 = O(√n)` — so the load is near-optimal — but the fault
 //! tolerance is only `d = √n`: crashing one server per row disables every
 //! quorum.  This is the "Grid" comparator of Table 2.
+//!
+//! It is the crate's row-and-column core (`grid_core.rs`) with one row and
+//! one column; what it adds is that its `d²` quorums are few enough to
+//! enumerate.
 
+use crate::grid_core::GridCore;
 use crate::quorum::Quorum;
+use crate::rnq::quorum_system_via_core;
 use crate::strategy::WeightedStrategy;
-use crate::system::{ExplicitQuorumSystem, QuorumSystem};
-use crate::universe::Universe;
-use crate::CoreError;
-use pqs_math::comb::choose_f64;
-use rand::Rng;
-use rand::RngCore;
+use crate::system::ExplicitQuorumSystem;
 
 /// The grid quorum system over `n = d²` servers.
+///
+/// Load `(2d − 1)/d²`, fault tolerance `d` (one crash per row, or per
+/// column, hits every quorum) and the exact failure probability come from
+/// the shared grid core.
 ///
 /// # Examples
 ///
@@ -29,8 +34,7 @@ use rand::RngCore;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grid {
-    universe: Universe,
-    side: u32,
+    core: GridCore,
 }
 
 impl Grid {
@@ -38,140 +42,53 @@ impl Grid {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConstruction`] if `n` is not a positive
-    /// perfect square.
+    /// Returns [`InvalidConstruction`](crate::CoreError::InvalidConstruction)
+    /// if `n` is not a positive perfect square.
     pub fn new(n: u32) -> crate::Result<Self> {
-        if n == 0 {
-            return Err(CoreError::invalid("universe must be non-empty"));
-        }
-        let side = (n as f64).sqrt().round() as u32;
-        if side * side != n {
-            return Err(CoreError::invalid(format!(
-                "grid system requires a perfect-square universe, got n={n}"
-            )));
-        }
+        // One row and one column always cross: any two quorums share a server.
         Ok(Grid {
-            universe: Universe::new(n),
-            side,
+            core: GridCore::new("grid system", n, 1)?,
         })
     }
 
     /// The side length `d = √n` of the grid.
     pub fn side(&self) -> u32 {
-        self.side
+        self.core.side()
     }
 
     /// The quorum formed by row `row` and column `col` (both `0..d`).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConstruction`] if either index is out of
-    /// range.
+    /// Returns [`InvalidConstruction`](crate::CoreError::InvalidConstruction)
+    /// if either index is out of range.
     pub fn quorum_for(&self, row: u32, col: u32) -> crate::Result<Quorum> {
-        if row >= self.side || col >= self.side {
-            return Err(CoreError::invalid(format!(
-                "row {row} / col {col} out of range for side {}",
-                self.side
-            )));
-        }
-        let d = self.side;
-        let mut indices = Vec::with_capacity((2 * d - 1) as usize);
-        for c in 0..d {
-            indices.push(row * d + c);
-        }
-        for r in 0..d {
-            if r != row {
-                indices.push(r * d + col);
-            }
-        }
-        Quorum::from_indices(self.universe, indices)
+        self.core.quorum_for(&[row], &[col])
     }
 }
 
-impl QuorumSystem for Grid {
-    fn universe(&self) -> Universe {
-        self.universe
-    }
-
-    fn sample_quorum(&self, rng: &mut dyn RngCore) -> Quorum {
-        let row = rng.gen_range(0..self.side);
-        let col = rng.gen_range(0..self.side);
-        self.quorum_for(row, col).expect("row/col in range")
-    }
-
-    fn name(&self) -> String {
-        format!("grid(n={})", self.universe.size())
-    }
-
-    fn min_quorum_size(&self) -> usize {
-        (2 * self.side - 1) as usize
-    }
-
-    /// Under the uniform strategy over the `d²` (row, column) pairs, a
-    /// server in cell `(r, c)` belongs to the `2d − 1` quorums that pick row
-    /// `r` or column `c`, so every server's load is `(2d − 1)/d²` exactly.
-    fn load(&self) -> f64 {
-        let d = self.side as f64;
-        (2.0 * d - 1.0) / (d * d)
-    }
-
-    /// `A(Q) = d`: one crash per row (or per column) hits every quorum, and
-    /// no smaller set can, because `d − 1` crashes leave both a clean row
-    /// and a clean column.
-    fn fault_tolerance(&self) -> u32 {
-        self.side
-    }
-
-    /// Exact, by inclusion–exclusion.  The system is *available* iff some
-    /// row is entirely alive **and** some column is entirely alive; the
-    /// failure probability is therefore
-    /// `P(all rows hit) + P(all cols hit) − P(all rows hit ∧ all cols hit)`,
-    /// with the joint term computed by inclusion–exclusion over the clean
-    /// rows/columns.
-    fn failure_probability(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        let d = self.side as u64;
-        let alive = 1.0 - p;
-        // P(every row contains a crash) = (1 − (1−p)^d)^d, and by symmetry
-        // the same for columns.
-        let all_rows_hit = (1.0 - alive.powi(d as i32)).powi(d as i32);
-        // P(no clean row ∧ no clean col) via inclusion–exclusion over which
-        // rows/columns are clean: the union of a specific a rows and b
-        // columns covers ad + bd − ab cells.
-        let mut joint = 0.0f64;
-        for a in 0..=d {
-            for b in 0..=d {
-                let sign = if (a + b) % 2 == 0 { 1.0 } else { -1.0 };
-                let cells = (a * d + b * d - a * b) as i32;
-                joint += sign * choose_f64(d, a) * choose_f64(d, b) * alive.powi(cells);
-            }
-        }
-        let joint = joint.clamp(0.0, 1.0);
-        (2.0 * all_rows_hit - joint).clamp(0.0, 1.0)
-    }
-}
+quorum_system_via_core!(Grid, |s| format!("grid(n={})", s.core.universe().size()));
 
 impl ExplicitQuorumSystem for Grid {
+    /// The `d²` (row, column) pairs, row-major.
     fn quorums(&self) -> Vec<Quorum> {
-        let d = self.side;
-        let mut out = Vec::with_capacity((d * d) as usize);
-        for row in 0..d {
-            for col in 0..d {
-                out.push(self.quorum_for(row, col).expect("in range"));
-            }
-        }
-        out
+        let d = self.side();
+        (0..d)
+            .flat_map(|row| (0..d).map(move |col| (row, col)))
+            .map(|(row, col)| self.quorum_for(row, col).expect("in range"))
+            .collect()
     }
 
     fn strategy(&self) -> WeightedStrategy {
-        WeightedStrategy::uniform((self.side * self.side) as usize)
+        WeightedStrategy::uniform(self.core.universe().size() as usize)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use crate::system::QuorumSystem;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     #[test]

@@ -11,7 +11,10 @@
 //!   the type adds only that condition.
 //! * [`Grid`] — Maekawa-style `√n × √n` grid where a quorum is one full row
 //!   plus one full column (\[Mae85\], \[CAA90\]); near-optimal load but low
-//!   fault tolerance (the Table 2 comparator).
+//!   fault tolerance (the Table 2 comparator).  It is the crate's other
+//!   core, `r` rows plus `r` columns (`grid_core.rs`), at `r = 1`: sampler,
+//!   measures and the exact failure probability come from there and the
+//!   type adds only the enumeration of its `d²` quorums.
 //!
 //! (The strict floor of Figures 1–3 — the better of the majority and of a
 //! single server, footnote 3 — is

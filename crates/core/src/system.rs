@@ -69,7 +69,8 @@ pub trait QuorumSystem: Send + Sync {
     /// crashed server when servers crash independently with probability `p`.
     ///
     /// Implementations may return an exact value or a tight analytical
-    /// expression; each documents which.  None panics on any `p`: a `p`
+    /// expression; each documents which (every construction in this crate is
+    /// exact, and none draws a random number).  None panics on any `p`: a `p`
     /// outside `[0, 1]` (the infinities included) is clamped into it, so the
     /// result is a probability, and `NaN` yields `NaN`.
     fn failure_probability(&self, p: f64) -> f64;

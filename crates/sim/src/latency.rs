@@ -1,97 +1,11 @@
 //! Per-message latency models.
-
-use crate::time::SimTime;
-use rand::Rng;
-use rand::RngCore;
+//!
+//! The law itself — its sampler, CDF and mean — is written once, in
+//! `pqs-math`, where the capacity planner inverts it; the simulator knows
+//! it as [`LatencyModel`].
 
 /// Distribution of the one-way latency of a client–server exchange.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LatencyModel {
-    /// Every message takes exactly this long (seconds).
-    Fixed(SimTime),
-    /// Uniformly distributed in `[min, max]` seconds.
-    Uniform {
-        /// Minimum latency (seconds).
-        min: SimTime,
-        /// Maximum latency (seconds).
-        max: SimTime,
-    },
-    /// Exponentially distributed with the given mean (seconds) — a common
-    /// heavy-ish tail model for WAN links such as the country-wide voting
-    /// deployment of Section 1.1.
-    Exponential {
-        /// Mean latency (seconds).
-        mean: SimTime,
-    },
-    /// Pareto-distributed with the given scale (minimum latency, seconds)
-    /// and shape α: `P(X > x) = (scale/x)^α` for `x ≥ scale`.  A genuine
-    /// long tail — for α ≤ 2 the variance is infinite — used to demonstrate
-    /// how probing `q + margin` servers and finishing on the first `q`
-    /// responders cuts the tail of quorum-operation latency.
-    Pareto {
-        /// Minimum latency (seconds); samples never fall below it.
-        scale: SimTime,
-        /// Tail index α (> 0); smaller means heavier tail.
-        shape: f64,
-    },
-}
-
-impl Default for LatencyModel {
-    /// One millisecond fixed latency.
-    fn default() -> Self {
-        LatencyModel::Fixed(1e-3)
-    }
-}
-
-impl LatencyModel {
-    /// Draws one latency sample (always non-negative and finite).
-    pub fn sample(&self, rng: &mut dyn RngCore) -> SimTime {
-        match *self {
-            LatencyModel::Fixed(v) => v.max(0.0),
-            LatencyModel::Uniform { min, max } => {
-                let (lo, hi) = if min <= max { (min, max) } else { (max, min) };
-                if hi <= lo {
-                    lo.max(0.0)
-                } else {
-                    rng.gen_range(lo..=hi).max(0.0)
-                }
-            }
-            LatencyModel::Exponential { mean } => {
-                if mean <= 0.0 {
-                    return 0.0;
-                }
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                -mean * u.ln()
-            }
-            LatencyModel::Pareto { scale, shape } => {
-                if scale <= 0.0 || shape <= 0.0 {
-                    return scale.max(0.0);
-                }
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                // Inverse CDF: scale * u^(-1/shape).
-                scale * u.powf(-1.0 / shape)
-            }
-        }
-    }
-
-    /// The mean of the distribution (`+∞` for a Pareto tail with α ≤ 1).
-    pub fn mean(&self) -> SimTime {
-        match *self {
-            LatencyModel::Fixed(v) => v.max(0.0),
-            LatencyModel::Uniform { min, max } => (min.max(0.0) + max.max(0.0)) / 2.0,
-            LatencyModel::Exponential { mean } => mean.max(0.0),
-            LatencyModel::Pareto { scale, shape } => {
-                if scale <= 0.0 || shape <= 0.0 {
-                    scale.max(0.0)
-                } else if shape <= 1.0 {
-                    f64::INFINITY
-                } else {
-                    scale * shape / (shape - 1.0)
-                }
-            }
-        }
-    }
-}
+pub use pqs_math::plan::ProbeLatency as LatencyModel;
 
 #[cfg(test)]
 mod tests {
