@@ -2,8 +2,8 @@
 //!
 //! `plan` inverts the validators' parameter sweeps: given a staleness
 //! target (`--epsilon`), a latency SLO (`--p99-slo`) and a workload shape,
-//! it emits the minimal configuration the paper's tail bounds predict will
-//! meet them — as a ready-to-run `SimConfig::builder()` chain — together
+//! it emits the locally minimal configuration the paper's tail bounds
+//! predict will meet them — as a ready-to-run `SimConfig::builder()` chain — together
 //! with the predicted report (ε band, p99, per-server load, gossip volume).
 //! Start from a named scenario preset (`--scenario directory|hotkey|lock`,
 //! see `docs/PLANNER.md`) and override any knob.  It exits 0 for a solved

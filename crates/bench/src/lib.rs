@@ -28,7 +28,7 @@
 //! | `validate_diffusion` | Section 1.1 write-diffusion: stale-read-rate cut on hot keys, per-key convergence |
 //! | `validate_adaptive_diffusion` | digest/delta gossip: ≥60% push-volume cut vs full-push at equal-or-better hot-key staleness and coverage speed |
 //! | `validate_parallel` | sharded multi-core engine: bit-identical reports across shard/thread counts, plus throughput |
-//! | `plan` | the capacity planner: solves for minimal (n, q, margin, gossip) from an ε target, a p99 SLO and a workload shape |
+//! | `plan` | the capacity planner: solves for a locally minimal (n, q, margin, gossip) from an ε target, a p99 SLO and a workload shape |
 //! | `validate_plan` | the prediction contract: simulates each emitted plan and fails unless measured ε and p99 land in the documented tolerance bands |
 //! | `validate_adversarial` | graceful degradation: membership churn, healing partitions and adaptive Byzantine attackers bend the measured ε by no more than a quantified multiple of the static baseline |
 //!

@@ -4,8 +4,8 @@
 #   scripts/bench_ab.sh <base-ref> [workload...]
 #
 # Builds crates/bench/src/bin/benchmark twice — at <base-ref>, from a
-# `git archive` export, and from this checkout as it stands — into two
-# separate target directories, then runs the two binaries as alternating
+# `git archive` export, and from this checkout, which must be a clean
+# checkout of HEAD — into two separate target directories, then runs the two binaries as alternating
 # pairs (base first on even pairs, change first on odd ones) over a fixed
 # seed list, one workload at a time.  For every end-to-end metric of
 # BENCHMARK.json it prints each side's median and quartiles, the pair wins,
@@ -20,13 +20,16 @@
 #
 # After the tables, the same numbers are appended as one line — one JSON
 # object, described in docs/METRICS.md — to BENCH_e2e.json at the repo
-# root: the ledger of before/after pairs.  Commit the line with the change
-# it measured.
+# root: the ledger of before/after pairs.  A record names its change by
+# commit hash, so the script refuses to run (exit 2) while `git status`
+# shows anything but the ledger itself as modified or untracked: commit the
+# change, measure it, then commit the line.
 #
 # Environment: PAIRS (default 10, the minimum for a claim), RUN_SECONDS
 # (default: BENCHMARK.json's run_seconds), BENCH_AB_DIR (default
 # target/bench_ab: builds, base export, raw results).  Exit 1 if any run
-# reported a failed correctness check, 2 on usage errors.
+# reported a failed correctness check, 2 on usage errors and on a dirty
+# working tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
@@ -59,6 +62,10 @@ base_commit=$(git rev-parse --verify "$base_ref^{commit}") || {
     echo "bench_ab: $base_ref is not a commit" >&2
     exit 2
 }
+if [ -n "$(git status --porcelain -- . ':!BENCH_e2e.json')" ]; then
+    echo "bench_ab: the working tree differs from HEAD, and a ledger record names its change by commit: commit first" >&2
+    exit 2
+fi
 mkdir -p "$out"
 base_src=$out/base-src
 # An export, not a worktree: nothing is registered in .git, so an
@@ -99,9 +106,7 @@ for workload in "${workloads[@]}"; do
     done
 done
 
-# The change side is this checkout, so its name is HEAD plus "-dirty" when
-# the working tree differs from it.
-change_commit=$(git describe --always --dirty --abbrev=40)
+change_commit=$(git rev-parse HEAD)
 python3 - "$results" "$base_commit" "$change_commit" "$(nproc)" "$pairs" "$seconds" <<'EOF'
 import json, statistics, sys
 from collections import defaultdict
