@@ -15,13 +15,12 @@
 //! (`std::thread::available_parallelism`), so the experiment stays green on
 //! single-core containers while CI's multi-core runners enforce it.
 //!
-//! With `--ops N` (or `--soak`, = 10⁸ events) an additional **soak lane**
-//! runs a gossip-dominated endurance cell: a short calibration run
-//! measures the configuration's event density, the duration is sized to
-//! hit the requested event count, and the run's per-stage wall-clock
-//! breakdown (drain / sync / plan / route) is reported.  Under `--quick`
-//! the target is scaled down 100× so the CI smoke job exercises the lane
-//! in seconds.
+//! With `--soak` an additional **soak lane** runs a gossip-dominated
+//! endurance cell: a short calibration run measures the configuration's
+//! event density, the duration is sized to hit [`crate::cli::SOAK_OPS`]
+//! (10⁸) events, and the run's per-stage wall-clock breakdown (drain /
+//! sync / plan / route) is reported.  Under `--quick` the target is scaled
+//! down 100× so a smoke run exercises the lane in seconds.
 //!
 //! `--threads N` caps the thread sweep.
 
@@ -167,14 +166,9 @@ pub(super) fn validate_parallel(h: &mut Harness<'_>) {
         ));
     }
 
-    // Soak lane: an endurance run sized to the requested event count, with
-    // the engine's per-stage wall-clock breakdown.
-    if let Some(requested) = cli.ops {
-        let target = if cli.quick {
-            (requested / 100).max(100_000)
-        } else {
-            requested
-        };
+    // Soak lane: an endurance run sized to the soak event target, with the
+    // engine's per-stage wall-clock breakdown.
+    if let Some(target) = cli.soak_target() {
         // Two-point calibration: full-push event density ramps up while
         // records are still spreading (a cold Zipf key only starts
         // circulating after its first write), so a cold-start average

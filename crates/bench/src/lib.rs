@@ -5,10 +5,12 @@
 //! **experiment**: a function over a [`harness::Harness`], listed once in
 //! [`experiments::EXPERIMENTS`] and run as `pqs <name> [flags]` (`pqs list`
 //! names them, `pqs all` runs every one and exits 1 if any check failed).
-//! The library's own performance is measured in two places: the `benchmark`
-//! binary runs the workloads and per-layer probes of `BENCHMARK.json` (what
-//! a speed claim between two commits rests on), and `benches/engine.rs`
-//! times the reference cells CI's floors are enforced on.
+//! The library's own performance is measured in one place: the `benchmark`
+//! binary runs the workloads, per-layer probes and traced run of
+//! `BENCHMARK.json`, and a speed claim between two commits rests on it
+//! alone (`scripts/bench_ab.sh`).  `validate_parallel` adds the one
+//! relative check a single-threaded benchmark cannot make: 8 shards on 4+
+//! worker threads against the same run on one.
 //!
 //! | Experiment | Reproduces |
 //! |---|---|
@@ -39,7 +41,7 @@
 //! Every experiment prints aligned text tables to stdout and writes the
 //! same rows as CSV under `target/experiments/`, and speaks the shared
 //! command line of the [`cli`] module (`--seed`, `--quick`, `--threads`,
-//! `--out-dir`, `--ops`/`--soak`) with uniform help text and exit codes;
+//! `--out-dir`, `--soak`) with uniform help text and exit codes;
 //! `plan` adds its workload/SLO knobs through the same parser
 //! ([`cli::ExtraFlag`]).
 
@@ -163,16 +165,11 @@ impl ExperimentTable {
     }
 }
 
-/// Default directory for experiment CSVs (and the bench JSON), when no
-/// `--out-dir` is given: `$PQS_EXPERIMENTS_DIR` if set (CI uses this to pin
-/// the artifact path regardless of the process working directory — cargo
-/// runs benches from the package directory, not the workspace root),
-/// otherwise `$CARGO_TARGET_DIR/experiments`, otherwise
-/// `target/experiments`.
+/// Default directory for experiment CSVs, when no `--out-dir` is given:
+/// `$CARGO_TARGET_DIR/experiments`, otherwise `target/experiments` under
+/// the working directory — the workspace's own target directory when
+/// `cargo run` is started from the repo root, as CI does.
 pub fn output_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("PQS_EXPERIMENTS_DIR") {
-        return PathBuf::from(dir);
-    }
     PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string()))
         .join("experiments")
 }

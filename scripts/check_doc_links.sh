@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Fails if README.md or docs/*.md reference repo paths that do not exist.
+# Fails if README.md, docs/*.md or a skill's SKILL.md under .claude/skills/
+# reference repo paths that do not exist.
 #
 # Three kinds of references are checked:
 #   1. Relative markdown link targets: [text](path) — external URLs and
@@ -49,7 +50,7 @@ check_anchor() {
     fi
 }
 
-for doc in README.md docs/*.md; do
+for doc in README.md docs/*.md .claude/skills/*/SKILL.md; do
     [ -f "$doc" ] || continue
     dir=$(dirname "$doc")
 
