@@ -9,13 +9,19 @@
 //! [`FailurePlan`](crate::failure::FailurePlan) take effect *between* the
 //! probes of an ongoing operation.
 //!
-//! Events travel through the deterministic
+//! Messages in flight travel through the deterministic
 //! [`EventQueue`](crate::time::EventQueue) of the world that owns their
 //! variable; the accounting the reports need (processed-event counts, the
 //! time-weighted in-flight gauge) is rebuilt canonically when the worlds
 //! merge (see [`crate::metrics`]).
 //!
 //! # Event vocabulary
+//!
+//! [`Event::OpArrival`], [`Event::FailureTransition`] and
+//! [`Event::MembershipTransition`] are known before the run starts: a
+//! world reads them off cursors into the workload trace and the failure
+//! plan's schedules and never queues them.  Every other event is a message
+//! in flight and goes through the queue.
 //!
 //! * [`Event::OpArrival`] — a client starts an operation: sample a probe
 //!   set, send one message per probed server.
@@ -28,6 +34,8 @@
 //!   due and starts its attempt on a fresh probe set.
 //! * [`Event::FailureTransition`] — a scheduled crash or recovery flips a
 //!   server's behaviour.
+//! * [`Event::MembershipTransition`] — a scheduled join or leave; the
+//!   probe margin is re-solved for the new cluster size.
 //! * [`Event::GossipPush`] — one server-to-server gossip message arrives
 //!   at its receiver after its own latency draw, competing for simulated
 //!   time with the foreground client probes.  (The periodic round that

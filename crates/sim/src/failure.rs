@@ -328,8 +328,7 @@ impl FailurePlan {
 
     fn sort_crashes(&mut self) {
         // `total_cmp` so a NaN transition time cannot scramble the
-        // schedule; the engine's scheduler rejects it with a clear panic
-        // instead.
+        // schedule; `sort_schedules` rejects it with a clear panic instead.
         self.crashes.sort_by(|a, b| a.at.total_cmp(&b.at));
     }
 
@@ -348,7 +347,19 @@ impl FailurePlan {
     /// [`initially_absent`](Self::initially_absent) all read the lists as
     /// timelines.  The sorts are stable: a schedule already in order — any
     /// builder-made one — comes out unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a crash or membership time is NaN or negative: the
+    /// engine's cursors walk these times without the queue's check.
     pub(crate) fn sort_schedules(&mut self) {
+        let crash_times = self.crashes.iter().map(|c| c.at);
+        for at in crash_times.chain(self.memberships.iter().map(|m| m.at)) {
+            assert!(
+                at.is_finite() && at >= 0.0,
+                "event time must be finite and non-negative, got {at}"
+            );
+        }
         self.sort_crashes();
         self.sort_memberships();
         self.sort_partitions();

@@ -6,8 +6,10 @@
 //! shard is the smallest layout, not a different path:
 //!
 //! 1. The workload trace and failure plan are derived on the main RNG
-//!    stream, then each [`World`] seeds the arrivals of the variables it
-//!    owns (`variable % num_shards`) plus the full crash schedule.
+//!    stream, then each [`World`] lays out the arrivals of the variables
+//!    it owns (`variable % num_shards`) and borrows the full crash and
+//!    membership schedules, which it walks with cursors rather than
+//!    queueing them.
 //! 2. With no diffusion configured there is no cross-shard traffic at all:
 //!    every world drains to completion independently (on up to
 //!    [`SimConfig::threads`](crate::runner::SimConfig::threads) worker
@@ -155,8 +157,8 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
     let num_shards = u64::from(config.num_shards.max(1));
 
     // Trace derivation on the main RNG stream.  A caller-supplied plan is
-    // borrowed, never cloned: crash waves can carry thousands of
-    // transitions and the engine only reads them.
+    // borrowed, never cloned — not here and not by the worlds: crash waves
+    // can carry thousands of transitions and the engine only reads them.
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let derived_plan;
     let plan: &FailurePlan = match &sim.plan {
@@ -309,8 +311,9 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
                         // of the window count: a join *at* `t` is past the
                         // strict membership cursor above, so the spine
                         // still sees the pre-join record, and a join *at*
-                        // `at` pops before the push (membership events are
-                        // seeded first).  `Some(blocked)`: resolved here.
+                        // `at` is replayed before the push (the membership
+                        // cursor wins its ties with the queue).
+                        // `Some(blocked)`: resolved here.
                         let resolved = (push.covered && !plan.joins_within(push.to, t, at))
                             .then(|| plan.blocks_link(at, push.from, push.to));
                         match resolved {

@@ -16,8 +16,9 @@
 //! at its arrival instant and merely *derived* a latency — the engine
 //! schedules one [`Event`](crate::event::Event) per client–server message:
 //!
-//! 1. At [`Event::OpArrival`](crate::event::Event::OpArrival) the client
-//!    samples a probe set (a quorum drawn by the access strategy plus
+//! 1. At [`Event::OpArrival`](crate::event::Event::OpArrival) — read off
+//!    the workload trace in time order, never queued — the client samples
+//!    a probe set (a quorum drawn by the access strategy plus
 //!    [`SimConfig::probe_margin`] spare servers) and sends one probe per
 //!    member, each with its own latency draw.
 //! 2. Each [`Event::ProbeReply`](crate::event::Event::ProbeReply) evaluates

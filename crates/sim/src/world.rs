@@ -5,12 +5,19 @@
 //!
 //! The engine (see [`crate::parallel`]) partitions the key space by
 //! `variable % num_shards`; one shard is simply the layout in which a
-//! single world owns every key.  Each [`World`] owns a full event queue, a
+//! single world owns every key.  Each [`World`] owns an event queue, a
 //! full replica-cluster copy and the per-key client state for its
 //! variables, and drains independently between spine barriers — no locks,
 //! no channels, no shared mutable state.  Per-variable events (arrivals,
 //! probe replies, timeouts, retries) never leave their world; cross-world
-//! traffic (gossip messages, crash waves) is injected by the spine.
+//! traffic (gossip messages) is injected by the spine.
+//!
+//! The queue holds only messages in flight: probe replies, timeouts,
+//! retries and gossip deliveries.  The timelines known before the run —
+//! the owned arrivals, the crash schedule and the membership schedule —
+//! stay where they already are, in time order, and the drain loop walks
+//! them with three cursors beside the queue head, so queue memory is
+//! proportional to the traffic in flight rather than to the run's length.
 //!
 //! Every variable draws all of its randomness (probe sets, probe
 //! latencies) from its **own** ChaCha8 stream seeded by
@@ -174,7 +181,17 @@ pub(crate) struct RoundBatch {
 #[derive(Debug)]
 pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
     config: SimConfig,
+    /// Messages in flight; the timelines known before the run are walked
+    /// by the cursors below instead.
     queue: EventQueue<Event>,
+    /// Index into `acc.ops` (owned ops in arrival order) of the next
+    /// arrival to start.
+    next_arrival: usize,
+    /// Index into `plan.crashes` of the next crash transition to replay.
+    next_crash: usize,
+    /// Index into `plan.memberships` of the next membership transition to
+    /// replay.
+    next_membership: usize,
     /// The shard's replica-cluster copy.  Per-key server records live only
     /// on the key's owning shard; failure transitions are replayed in
     /// every shard so behaviour timelines agree everywhere.
@@ -210,10 +227,11 @@ pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
     /// the spine counts the union once per id (a blocked delta is one
     /// dropped message, however many shards its records span).
     pub(crate) deltas_blocked: BTreeSet<u64>,
-    /// Scenario state the shard consults at delivery time: the partition
-    /// windows and adversary strategy.  Crash, Byzantine and membership
-    /// entries are applied or seeded at construction and left empty here.
-    plan: FailurePlan,
+    /// The run's failure plan, borrowed: its crash and membership
+    /// schedules are two of the cursor timelines (replayed in every
+    /// shard), and its partition windows and adversary strategy are
+    /// consulted at delivery time.
+    plan: &'a FailurePlan,
     /// Present-server mask for the membership-churn margin recompute
     /// (empty when the membership schedule is — churn-free runs never
     /// touch the probe margin).
@@ -239,17 +257,25 @@ pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
 }
 
 impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
-    /// Builds shard `shard` of `num_shards` of `sim`: seeds owned arrivals
-    /// (in op order) and the full crash schedule, and derives the
-    /// per-variable RNG streams from the run seed.
+    /// Builds shard `shard` of `num_shards` of `sim`: lays out the op table
+    /// of the owned arrivals (in op order, which is arrival order), points
+    /// the three cursors at the starts of that table and of the plan's
+    /// crash and membership schedules, and derives the per-variable RNG
+    /// streams from the run seed.  The queue starts empty.
     pub(crate) fn new(
         sim: &Simulation<'a, S>,
         ops: &[Operation],
-        plan: &FailurePlan,
+        plan: &'a FailurePlan,
         byz_behavior: Behavior,
         shard: u64,
         num_shards: u64,
     ) -> Self {
+        debug_assert!(
+            ops.windows(2).all(|w| w[0].at <= w[1].at)
+                && plan.crashes.windows(2).all(|w| w[0].at <= w[1].at)
+                && plan.memberships.windows(2).all(|w| w[0].at <= w[1].at),
+            "the arrival, crash and membership cursors walk time-sorted timelines"
+        );
         let config = sim.config;
         let mut cluster = Cluster::new(sim.system.universe());
         cluster.reserve_variables(config.keyspace.keys);
@@ -273,7 +299,6 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         let registers =
             RegisterMap::new(sim.system, flavor, 1).with_probe_margin(config.probe_margin as usize);
 
-        let mut queue = EventQueue::new();
         let mut local = vec![0 as OpId; ops.len()];
         let owned = ops
             .iter()
@@ -284,7 +309,6 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         for (i, op) in ops.iter().enumerate() {
             if op.variable % num_shards == shard {
                 local[i] = states.len() as OpId;
-                queue.schedule(op.at, Event::OpArrival { op: i as OpId });
                 records.push(OpRecord {
                     op: i as OpId,
                     start: op.at,
@@ -302,27 +326,6 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                     window: None,
                 });
             }
-        }
-        for transition in &plan.crashes {
-            queue.schedule(
-                transition.at,
-                Event::FailureTransition {
-                    server: transition.server,
-                    crash: transition.crash,
-                },
-            );
-        }
-        // Membership transitions are replayed in every shard, like crash
-        // transitions: each shard applies them to its own cluster copy and
-        // recomputes the same probe margin from the same pure inputs.
-        for membership in &plan.memberships {
-            queue.schedule(
-                membership.at,
-                Event::MembershipTransition {
-                    server: membership.server,
-                    join: membership.join,
-                },
-            );
         }
         let universe_n = sim.system.universe().size() as u64;
         let min_quorum = sim.system.min_quorum_size() as u64;
@@ -356,7 +359,10 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         };
         World {
             config,
-            queue,
+            queue: EventQueue::new(),
+            next_arrival: 0,
+            next_crash: 0,
+            next_membership: 0,
             cluster,
             registers,
             states,
@@ -377,11 +383,7 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
             pending_deltas: PendingSlab::new(),
             deltas_sent: BTreeSet::new(),
             deltas_blocked: BTreeSet::new(),
-            plan: FailurePlan {
-                partitions: plan.partitions.clone(),
-                strategy: plan.strategy.clone(),
-                ..FailurePlan::none()
-            },
+            plan,
             present,
             present_count,
             universe_n,
@@ -391,20 +393,52 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         }
     }
 
-    /// Drains this shard's queue up to (strictly before) `barrier`, or
-    /// completely with `None`.  Events *at* the barrier belong to the next
+    /// Handles this shard's events up to (strictly before) `barrier`, or
+    /// all of them with `None`.  Events *at* the barrier belong to the next
     /// window: the spine's own work at a barrier time (crash application,
     /// round planning) happens before them — a round precedes the
-    /// same-time foreground events, like the upfront-seeded transitions
-    /// that the queue's FIFO tie-break pops first.
+    /// same-time foreground events, like the cursor transitions that win
+    /// their ties with the queue.
+    ///
+    /// Each step takes the earliest of the three cursor heads and the
+    /// queue head.  Ties go arrival → crash → membership → queue: the order
+    /// of `(time, insertion sequence)` had the three timelines been
+    /// queued, in that order, before any event of the run.
     pub(crate) fn drain_until(&mut self, barrier: Option<SimTime>) {
-        while let Some(next) = self.queue.peek_time() {
-            if let Some(b) = barrier {
-                if next >= b {
-                    break;
-                }
+        let end = barrier.unwrap_or(SimTime::INFINITY);
+        loop {
+            let arrival = self.acc.ops.get(self.next_arrival);
+            let crash = self.plan.crashes.get(self.next_crash);
+            let membership = self.plan.memberships.get(self.next_membership);
+            let arrival_at = arrival.map_or(SimTime::INFINITY, |r| r.start);
+            let crash_at = crash.map_or(SimTime::INFINITY, |c| c.at);
+            let membership_at = membership.map_or(SimTime::INFINITY, |m| m.at);
+            let queued_at = self.queue.peek_time().unwrap_or(SimTime::INFINITY);
+            let t = arrival_at.min(crash_at).min(membership_at).min(queued_at);
+            if t >= end {
+                break;
             }
-            let (t, event) = self.queue.pop().expect("peeked event must pop");
+            let event = match (arrival, crash, membership) {
+                (Some(r), _, _) if arrival_at == t => {
+                    self.next_arrival += 1;
+                    Event::OpArrival { op: r.op }
+                }
+                (_, Some(&c), _) if crash_at == t => {
+                    self.next_crash += 1;
+                    Event::FailureTransition {
+                        server: c.server,
+                        crash: c.crash,
+                    }
+                }
+                (_, _, Some(&m)) if membership_at == t => {
+                    self.next_membership += 1;
+                    Event::MembershipTransition {
+                        server: m.server,
+                        join: m.join,
+                    }
+                }
+                _ => self.queue.pop().expect("peeked event must pop").1,
+            };
             self.handle(t, event);
         }
     }
@@ -876,18 +910,13 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                             if got < seq {
                                 self.acc.report.stale_reads += 1;
                                 self.acc.report.per_variable[var].stale_reads += 1;
-                                note_component_staleness(
-                                    &self.plan,
-                                    now,
-                                    var,
-                                    &mut self.acc.report,
-                                );
+                                note_component_staleness(self.plan, now, var, &mut self.acc.report);
                             }
                         }
                         (Some(_), None) => {
                             self.acc.report.empty_reads += 1;
                             self.acc.report.per_variable[var].empty_reads += 1;
-                            note_component_staleness(&self.plan, now, var, &mut self.acc.report);
+                            note_component_staleness(self.plan, now, var, &mut self.acc.report);
                         }
                     }
                 }
@@ -971,21 +1000,22 @@ mod tests {
         }
     }
 
-    /// The one world of a one-shard layout of `config` over `ops`.
+    /// The one world of a one-shard layout of `config` over `ops` under
+    /// `plan`.
     fn sole_world<'a>(
         sys: &'a EpsilonIntersecting,
         config: SimConfig,
         ops: &[Operation],
+        plan: &'a FailurePlan,
     ) -> World<'a, EpsilonIntersecting> {
         let sim = Simulation::new(sys, ProtocolKind::Safe, config);
-        World::new(
-            &sim,
-            ops,
-            &FailurePlan::none(),
-            Behavior::ByzantineForge,
-            0,
-            1,
-        )
+        World::new(&sim, ops, plan, Behavior::ByzantineForge, 0, 1)
+    }
+
+    fn fixed_latency() -> SimConfig {
+        SimConfig::builder()
+            .with_latency(LatencyModel::Fixed(1e-3))
+            .build()
     }
 
     #[test]
@@ -1003,7 +1033,8 @@ mod tests {
     fn finalize_releases_a_read_session_and_keeps_a_write_record() {
         let sys = EpsilonIntersecting::new(20, 5).unwrap();
         let ops = [op(0.0, OpKind::Write), op(0.3, OpKind::Read)];
-        let mut world = sole_world(&sys, SimConfig::default(), &ops);
+        let plan = FailurePlan::none();
+        let mut world = sole_world(&sys, SimConfig::default(), &ops, &plan);
         let (near, far) = (ServerId::new(3), ServerId::new(17));
 
         // A retried write is the same logical write: same record, same
@@ -1070,12 +1101,11 @@ mod tests {
         let ops: Vec<Operation> = (0..40)
             .map(|i| op(0.01 * i as f64, OpKind::Write))
             .collect();
-        let config = SimConfig::builder()
-            .with_latency(LatencyModel::Fixed(1e-3))
-            .build();
+        let config = fixed_latency();
+        let plan = FailurePlan::none();
 
         // Without diffusion no spine exists: 200 write probes, no list.
-        let mut off = sole_world(&sys, config, &ops);
+        let mut off = sole_world(&sys, config, &ops, &plan);
         off.drain_until(None);
         assert_eq!(off.acc.report.completed_writes, 40);
         assert!(off.dirty.is_none());
@@ -1084,7 +1114,7 @@ mod tests {
         // it, and after the last barrier nothing is marked any more.
         let mut gossiping = config;
         gossiping.diffusion = Some(DiffusionPolicy::default());
-        let mut on = sole_world(&sys, gossiping, &ops);
+        let mut on = sole_world(&sys, gossiping, &ops, &plan);
         on.drain_until(Some(0.2));
         assert!(on.dirty.as_ref().is_some_and(|d| !d.is_empty()));
         let mut spine = Cluster::new(sys.universe());
@@ -1096,5 +1126,85 @@ mod tests {
         assert_eq!(on.acc.report.completed_writes, 40);
         assert!(on.dirty.is_none());
         assert_eq!(on.into_accumulator().ops.len(), 40);
+    }
+
+    #[test]
+    fn schedules_known_before_the_run_never_enter_the_queue() {
+        let sys = EpsilonIntersecting::new(20, 5).unwrap();
+        let s = ServerId::new;
+        let plan = FailurePlan::none()
+            .with_crash_wave(0.5, [s(1), s(2)])
+            .with_transition(2.0, s(1), false)
+            .with_join(1.0, s(9))
+            .with_leave(3.0, s(4));
+        let ops = [op(0.1, OpKind::Write), op(2.5, OpKind::Read)];
+        let mut world = sole_world(&sys, fixed_latency(), &ops, &plan);
+        assert!(world.queue.is_empty());
+        assert_eq!(world.cluster.server(s(9)).behavior(), Behavior::Crashed);
+
+        // The cursors replay every transition, in time order.
+        world.drain_until(None);
+        assert!(world.queue.is_empty());
+        let behavior = |i| world.cluster.server(s(i)).behavior();
+        assert_eq!(behavior(1), Behavior::Correct);
+        assert_eq!(behavior(2), Behavior::Crashed);
+        assert_eq!(behavior(4), Behavior::Crashed);
+        assert_eq!(behavior(9), Behavior::Correct);
+        let report = &world.acc.report;
+        assert_eq!((report.completed_writes, report.completed_reads), (1, 1));
+    }
+
+    #[test]
+    fn an_arrival_wins_its_tie_with_a_membership_leave() {
+        let sys = EpsilonIntersecting::new(20, 5).unwrap();
+        let plan = FailurePlan::none().with_leave(1.0, ServerId::new(7));
+        let ops = [op(1.0, OpKind::Read), op(1.5, OpKind::Read)];
+        let mut world = sole_world(&sys, fixed_latency(), &ops, &plan);
+        let q = sys.min_quorum_size();
+
+        // The arrival samples before the leave recomputes the margin: q
+        // probes, the configured margin being 0.  Had the leave gone first,
+        // it would have probed q + 1.
+        world.drain_until(Some(1.0005));
+        assert_eq!(world.next_membership, 1);
+        assert_eq!(world.states[0].outstanding, q);
+        // With one of 20 servers gone, only a margin of 1 keeps the timeout
+        // probability inside the budget: the next arrival probes q + 1.
+        world.drain_until(Some(1.5005));
+        assert_eq!(world.states[1].outstanding, q + 1);
+    }
+
+    #[test]
+    fn an_arrival_at_a_barrier_starts_in_the_next_window() {
+        let sys = EpsilonIntersecting::new(20, 5).unwrap();
+        let plan = FailurePlan::none();
+        let ops = [op(0.5, OpKind::Write)];
+        let mut world = sole_world(&sys, fixed_latency(), &ops, &plan);
+        world.drain_until(Some(0.5));
+        assert!(world.states[0].session.is_none());
+        assert_eq!(world.acc.logical_events, 0);
+        world.drain_until(Some(1.0));
+        assert!(world.states[0].session.is_some());
+        assert_eq!(world.acc.report.completed_writes, 1);
+    }
+
+    fn run_under(plan: FailurePlan) {
+        let sys = EpsilonIntersecting::new(20, 5).unwrap();
+        let config = SimConfig::builder().with_duration(1.0).build();
+        Simulation::new(&sys, ProtocolKind::Safe, config)
+            .with_failure_plan(plan)
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn a_nan_crash_time_is_rejected() {
+        run_under(FailurePlan::none().with_transition(f64::NAN, ServerId::new(3), true));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn a_negative_join_time_is_rejected() {
+        run_under(FailurePlan::none().with_join(-1.0, ServerId::new(3)));
     }
 }
