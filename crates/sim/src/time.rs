@@ -2,11 +2,15 @@
 //!
 //! The future-event list is a **calendar queue** (Brown's classic
 //! discrete-event-simulation structure, the one ns-2-style simulators
-//! use): pending events live in power-of-two time buckets of one "day"
-//! each, so `schedule` is an O(1) bucket push and `pop` serves the
-//! current day from a presorted buffer — O(1) amortized at a healthy
-//! load factor, against the two O(log n) sifts a binary heap pays per
-//! event.  The heap survives behind [`QueueKind::Heap`] as a reference
+//! use): pending events of later days live in power-of-two time buckets
+//! of one "day" each, so scheduling past the live day is an O(1) bucket
+//! push.  Everything due up to the live day — the day `pop` is serving,
+//! and any earlier day an out-of-order `schedule` lands in — sits in one
+//! sorted buffer that `pop` serves in order.  A lone insert into
+//! that buffer is placed by binary search; a burst of them is appended
+//! and sorted once, at the next pop or peek.  That is O(1) amortized at a
+//! healthy load factor, against the two O(log n) sifts a binary heap pays
+//! per event.  The heap survives behind [`QueueKind::Heap`] as a reference
 //! backend: property tests replay random interleavings against it, and
 //! debug builds shadow every calendar-backed queue with a heap of
 //! `(time, sequence)` keys, asserting each pop agrees.
@@ -99,28 +103,39 @@ fn day_of(time: SimTime, inv_width: f64) -> u64 {
     (time * inv_width) as u64
 }
 
-/// The calendar backend: one `Vec` lane per day modulo the bucket count,
-/// plus a presorted buffer for the day currently being served.
+/// The calendar backend: one `Vec` lane per day modulo the bucket count
+/// for the days after the live one, plus a sorted buffer holding
+/// everything due up to the end of the live day.
+///
+/// The invariant every method keeps: an entry of day `d` is in `day` if
+/// `d <= cursor_day` and in bucket `d % buckets.len()` otherwise.
 #[derive(Debug, Clone)]
 struct Calendar<E> {
     /// Power-of-two bucket directory; bucket `d % buckets.len()` holds
-    /// every pending event of day `d` (all laps mixed, unsorted).
+    /// every pending event of each day `d > cursor_day` mapping to it
+    /// (all laps mixed, unsorted).
     buckets: Vec<Vec<Scheduled<E>>>,
     /// Seconds covered by one day/bucket.
     width: SimTime,
     /// `1.0 / width`, precomputed for the hot path.
     inv_width: f64,
-    /// The day `pop` is currently serving.
+    /// The live day: the last day whose entries have left the buckets.
     cursor_day: u64,
-    /// The current day's events, served in `(time, sequence)`
-    /// **descending** order so the next pop is an O(1) `Vec::pop` off the
-    /// tail.  Kept *lazily* sorted: inserts into the live day append and
-    /// clear [`Self::day_sorted`], and the next pop/peek re-sorts once —
-    /// so a burst of k same-day inserts costs one O(k log k) sort, not k
-    /// O(k) memmoves.
+    /// Every pending entry of a day `<= cursor_day`, served in
+    /// `(time, sequence)` **descending** order so the next pop is an O(1)
+    /// `Vec::pop` off the tail.  An insert here that pops before all of
+    /// it is a push onto the tail.  Any other insert is placed by binary
+    /// search if it is the first since the last pop (one shift of the
+    /// entries that pop before it); a later one is a burst, appended
+    /// unsorted, and the next pop/peek sorts the buffer once — so k
+    /// inserts between two pops cost at most one shift plus one
+    /// O(k log k) sort, never k shifts.
     day: Vec<Scheduled<E>>,
     /// Whether `day` is currently in descending key order.
     day_sorted: bool,
+    /// Whether an entry has been placed into `day` by binary search since
+    /// the last pop.
+    placed_since_pop: bool,
     /// Total pending events across buckets and the day buffer.
     len: usize,
 }
@@ -134,96 +149,72 @@ impl<E> Calendar<E> {
             cursor_day: 0,
             day: Vec::new(),
             day_sorted: true,
+            placed_since_pop: false,
             len: 0,
         }
     }
 
-    /// O(1) insert: push onto the day's bucket — with two cold
-    /// exceptions that keep the pop order exact.  An entry landing in
-    /// the day currently being served is appended to the day buffer,
-    /// which re-sorts lazily on the next pop/peek (so bulk-scheduling a
-    /// gossip round into the live day stays O(1) per message).  An entry
-    /// landing *before* the cursor (a straggler scheduled in the past)
-    /// rewinds the cursor to its day, flushing the live day buffer back
-    /// to its buckets first.
+    /// Adds an entry.  One of a later day is an O(1) push onto its
+    /// bucket.  One due by the end of the live day goes into the day
+    /// buffer (see [`Self::day`] for how) — including one scheduled into
+    /// an earlier day, which `World::drain_until` does after a
+    /// `peek_time` has advanced the cursor.
     fn insert(&mut self, s: Scheduled<E>) {
         let d = day_of(s.time, self.inv_width);
-        if d < self.cursor_day {
-            self.flush_day();
-            self.cursor_day = d;
-        } else if d == self.cursor_day && !self.day.is_empty() {
-            // The buffer holds *every* remaining entry of the cursor day
-            // (its bucket was emptied when the day was prepared), so the
-            // append keeps that invariant and the lazy sort restores the
-            // serve order.
+        if d > self.cursor_day {
+            let b = (d % self.buckets.len() as u64) as usize;
+            self.buckets[b].push(s);
+        } else if !self.day_sorted || self.day.last().is_none_or(|last| last.key_cmp(&s).is_gt()) {
+            self.day.push(s);
+        } else if !self.placed_since_pop {
+            let at = self.day.partition_point(|e| e.key_cmp(&s).is_gt());
+            self.day.insert(at, s);
+            self.placed_since_pop = true;
+        } else {
             self.day.push(s);
             self.day_sorted = false;
-            self.len += 1;
-            return;
         }
-        let b = (d % self.buckets.len() as u64) as usize;
-        self.buckets[b].push(s);
         self.len += 1;
         if self.len > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
             self.resize();
         }
     }
 
-    /// Returns the unserved day buffer to its buckets (order within a
-    /// bucket is irrelevant — entries carry their own sort key).
-    fn flush_day(&mut self) {
-        let nbuckets = self.buckets.len() as u64;
-        let inv_width = self.inv_width;
-        for s in self.day.drain(..) {
-            let b = (day_of(s.time, inv_width) % nbuckets) as usize;
-            self.buckets[b].push(s);
-        }
-        self.day_sorted = true;
-    }
-
     /// Ensures the day buffer ends with the earliest pending entry
-    /// (no-op when it already does).  Scans forward from the cursor day;
-    /// after one fruitless lap over the directory it jumps straight to
-    /// the earliest pending day, so sparse far-future backlogs cost one
-    /// O(len) scan instead of an unbounded walk over empty days.
+    /// (no-op when it already does).  An empty buffer means every pending
+    /// entry is in a bucket of a later day, so the cursor scans forward
+    /// day by day; after one fruitless lap over the directory it jumps
+    /// straight to the earliest pending day, so sparse far-future
+    /// backlogs cost one O(len) scan instead of an unbounded walk over
+    /// empty days.
     fn prepare(&mut self) {
-        if self.len == 0 {
-            return;
-        }
-        if self.day.is_empty() {
-            let nbuckets = self.buckets.len() as u64;
+        if self.day.is_empty() && self.len > 0 {
             let mut scanned = 0usize;
-            loop {
-                let b = (self.cursor_day % nbuckets) as usize;
-                if !self.buckets[b].is_empty() {
-                    let inv_width = self.inv_width;
-                    let cursor = self.cursor_day;
-                    let bucket = &mut self.buckets[b];
-                    let mut i = 0;
-                    while i < bucket.len() {
-                        if day_of(bucket[i].time, inv_width) == cursor {
-                            self.day.push(bucket.swap_remove(i));
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    if !self.day.is_empty() {
-                        self.day_sorted = false;
-                        break;
+            while self.day.is_empty() {
+                if scanned == self.buckets.len() {
+                    // A whole lap found nothing: the earliest pending day
+                    // (it exists — len > 0, and it is after the cursor).
+                    self.cursor_day = self.min_pending_day() - 1;
+                }
+                self.cursor_day += 1;
+                let b = (self.cursor_day % self.buckets.len() as u64) as usize;
+                let (inv_width, cursor) = (self.inv_width, self.cursor_day);
+                let bucket = &mut self.buckets[b];
+                let mut i = 0;
+                while i < bucket.len() {
+                    if day_of(bucket[i].time, inv_width) == cursor {
+                        self.day.push(bucket.swap_remove(i));
+                    } else {
+                        i += 1;
                     }
                 }
                 scanned += 1;
-                if scanned > self.buckets.len() {
-                    // A whole lap found nothing in-day: jump to the
-                    // earliest pending day (it exists — len > 0).
-                    self.cursor_day = self.min_pending_day();
-                    scanned = 0;
-                    continue;
-                }
-                self.cursor_day = self.cursor_day.saturating_add(1);
             }
+            self.day_sorted = self.day.len() < 2;
         }
         if !self.day_sorted {
+            #[cfg(test)]
+            tests::SORTED_ENTRIES.with(|count| count.set(count.get() + self.day.len()));
             // The key is unique (sequence breaks ties), so an unstable
             // sort yields the exact `(time, sequence)` serve order.
             self.day.sort_unstable_by(|a, b| Scheduled::key_cmp(b, a));
@@ -250,6 +241,7 @@ impl<E> Calendar<E> {
         self.prepare();
         let s = self.day.pop()?;
         self.len -= 1;
+        self.placed_since_pop = false;
         if self.len < self.buckets.len() / 8 && self.buckets.len() > MIN_BUCKETS {
             self.resize();
         }
@@ -265,11 +257,12 @@ impl<E> Calendar<E> {
     /// Rebuilds the directory for the current population: bucket count
     /// tracks `len` (load factor ~1) and the day width tracks the mean
     /// spacing of pending events, so a day holds a small constant number
-    /// of entries whether the backlog is clustered or spread out.
+    /// of entries whether the backlog is clustered or spread out.  The
+    /// cursor restarts at the earliest pending day, whose entries form
+    /// the new day buffer.
     fn resize(&mut self) {
         let mut entries: Vec<Scheduled<E>> = Vec::with_capacity(self.len);
         entries.append(&mut self.day);
-        self.day_sorted = true;
         for bucket in &mut self.buckets {
             entries.append(bucket);
         }
@@ -296,10 +289,16 @@ impl<E> Calendar<E> {
             }
             self.cursor_day = day_of(min, self.inv_width);
         }
+        let nbuckets = self.buckets.len() as u64;
         for s in entries {
-            let b = (day_of(s.time, self.inv_width) % self.buckets.len() as u64) as usize;
-            self.buckets[b].push(s);
+            let d = day_of(s.time, self.inv_width);
+            if d <= self.cursor_day {
+                self.day.push(s);
+            } else {
+                self.buckets[(d % nbuckets) as usize].push(s);
+            }
         }
+        self.day_sorted = self.day.len() < 2;
     }
 }
 
@@ -468,8 +467,11 @@ impl<E> EventQueue<E> {
     /// messages (no caller inside this library any more: a world routes
     /// its round batch by payload type through `schedule`; the repo
     /// benchmark and the queue tests drive this entry point).  Inserting
-    /// in ascending time order appends to the tail of each calendar day
-    /// (and turns a heap backend's pushes into O(1) sifts).  Determinism
+    /// in ascending time order turns a heap backend's pushes into O(1)
+    /// sifts.  The calendar does not need the order: entries of later
+    /// days are O(1) bucket pushes either way, and the ones due in its
+    /// live day cost one placement plus at most one sort of that day
+    /// between them (see `Calendar::day`).  Determinism
     /// is preserved exactly — pops are ordered by `(time, insertion
     /// sequence)` and a stable sort keeps the relative order of equal-time
     /// entries, so the pop order is identical to scheduling the batch
@@ -498,6 +500,14 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Entries the calendars on this thread (each test runs on its
+        /// own) have passed through a lazy day sort, so a test can bound
+        /// the sorting work a traffic pattern costs.
+        pub(super) static SORTED_ENTRIES: Cell<usize> = const { Cell::new(0) };
+    }
 
     #[test]
     fn orders_by_time_then_fifo() {
@@ -634,7 +644,8 @@ mod tests {
     }
 
     /// A straggler scheduled before every pending event still pops first
-    /// on the calendar backend (the cursor rewinds to its day).
+    /// on the calendar backend (it joins the live day buffer, ahead of
+    /// the cursor day's own entries).
     #[test]
     fn straggler_in_the_past_pops_first() {
         let mut q = EventQueue::with_kind(QueueKind::Calendar);
@@ -646,5 +657,42 @@ mod tests {
         assert_eq!(q.peek_time(), Some(1.5));
         assert_eq!(q.pop(), Some((1.5, 999)));
         assert_eq!(q.pop(), Some((1001.0, 1)));
+    }
+
+    /// The digest/delta traffic shape: a burst of equal-time deliveries,
+    /// each of which schedules a successor into the day being served.
+    /// Each successor is one placement, not a re-sort of the day, so the
+    /// sorting work stays linear in the burst rather than quadratic, and
+    /// the pop stream is the heap's.
+    #[test]
+    fn successors_into_the_live_day_are_placed_not_resorted() {
+        const BURST: usize = 200;
+        let mut calendar = EventQueue::with_kind(QueueKind::Calendar);
+        let mut heap = EventQueue::with_kind(QueueKind::Heap);
+        for i in 0..BURST {
+            calendar.schedule(5.0, i);
+            heap.schedule(5.0, i);
+        }
+        SORTED_ENTRIES.with(|count| count.set(0));
+        for i in 0..BURST {
+            let got = calendar.pop();
+            assert_eq!(got, heap.pop());
+            // Day 5 like the burst (a one-time backlog keeps the default
+            // 1 s day).  The offsets cycle, so a successor ties the
+            // burst's time, sorts after everything, or sorts before an
+            // earlier successor.
+            let t = 5.0 + (i % 7) as f64 * 0.01;
+            calendar.schedule(t, BURST + i);
+            heap.schedule(t, BURST + i);
+        }
+        while let Some(got) = calendar.pop() {
+            assert_eq!(Some(got), heap.pop());
+        }
+        assert!(heap.pop().is_none());
+        let sorted = SORTED_ENTRIES.with(Cell::get);
+        assert!(
+            sorted <= 2 * BURST,
+            "{sorted} entries sorted for a {BURST}-entry burst"
+        );
     }
 }

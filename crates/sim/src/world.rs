@@ -445,8 +445,9 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
 
     /// Bulk-schedules one spine-planned round of cross-shard gossip:
     /// payloads go into the pending slabs and delivery events are inserted
-    /// in ascending-time order (an O(1) append each, whichever queue
-    /// backend serves).
+    /// in ascending-time order (an O(1) bucket push each past the
+    /// calendar's live day; the ones due in it cost one placement plus
+    /// at most one sort of that day between them).
     ///
     /// Determinism: the queue pops by `(time, insertion sequence)` and the
     /// sort is **stable**, so equal-time messages keep their plan order —

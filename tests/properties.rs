@@ -685,13 +685,15 @@ proptest! {
     /// binary-heap reference: random interleavings of `schedule`,
     /// `schedule_batch`, `pop` and `peek_time` — over clustered (tie-heavy),
     /// uniform, and far-future-outlier time distributions that force bucket
-    /// resizes and sparse-day scans — produce the same pop stream, clock,
-    /// and lengths, event for event.
+    /// resizes and sparse-day scans, and over the engine's own shape
+    /// (latencies after the clock, with the drain loop's schedule below a
+    /// peeked head) — produce the same pop stream, clock, and lengths,
+    /// event for event.
     #[test]
     fn calendar_queue_matches_heap_reference(
         seed in 0u64..10_000,
         ops in 50usize..400,
-        mode in 0u32..3,
+        mode in 0u32..4,
     ) {
         use probabilistic_quorums::sim::time::{EventQueue, QueueKind};
         use rand::Rng;
@@ -700,7 +702,7 @@ proptest! {
         let mut heap = EventQueue::<u64>::with_kind(QueueKind::Heap);
         prop_assert_eq!(calendar.kind(), QueueKind::Calendar);
         let mut next_id = 0u64;
-        let draw_time = |rng: &mut ChaCha8Rng| -> f64 {
+        let draw_time = |rng: &mut ChaCha8Rng, now: f64| -> f64 {
             match mode {
                 // Clustered: eight distinct times, so most events tie and
                 // FIFO order within a time carries the whole contract.
@@ -709,11 +711,21 @@ proptest! {
                 1 => rng.gen_range(0.0..100.0),
                 // Mostly near-term with rare far-future outliers: stretches
                 // the bucket span, forcing resizes and min-day jumps.
-                _ => {
+                2 => {
                     if rng.gen_bool(0.2) {
                         rng.gen_range(1.0e6..1.0e9)
                     } else {
                         rng.gen_range(0.0..4.0)
+                    }
+                }
+                // Engine-shaped: a message sent now arrives one latency
+                // later, a fixed one for a third of them (exact ties, like
+                // a round of deltas) and an exponential one otherwise.
+                _ => {
+                    now + if rng.gen_bool(1.0 / 3.0) {
+                        1e-3
+                    } else {
+                        -2e-3 * (1.0 - rng.gen_range(0.0..1.0_f64)).ln()
                     }
                 }
             }
@@ -721,15 +733,16 @@ proptest! {
         for _ in 0..ops {
             match rng.gen_range(0u32..10) {
                 0..=3 => {
-                    let t = draw_time(&mut rng);
+                    let t = draw_time(&mut rng, calendar.now());
                     calendar.schedule(t, next_id);
                     heap.schedule(t, next_id);
                     next_id += 1;
                 }
                 4..=5 => {
                     let n = rng.gen_range(0usize..12);
+                    let now = calendar.now();
                     let mut batch: Vec<(f64, u64)> = (0..n)
-                        .map(|i| (draw_time(&mut rng), next_id + i as u64))
+                        .map(|i| (draw_time(&mut rng, now), next_id + i as u64))
                         .collect();
                     next_id += n as u64;
                     let mut copy = batch.clone();
@@ -741,7 +754,18 @@ proptest! {
                     prop_assert_eq!(calendar.now(), heap.now());
                 }
                 _ => {
-                    prop_assert_eq!(calendar.peek_time(), heap.peek_time());
+                    let head = calendar.peek_time();
+                    prop_assert_eq!(head, heap.peek_time());
+                    // `World::drain_until`'s pattern: the peek has moved the
+                    // calendar to its head, then an earlier arrival sends a
+                    // message due before that head.
+                    if let (3, Some(head)) = (mode, head) {
+                        let now = calendar.now();
+                        let t = now + (head - now) * rng.gen_range(0.0..1.0);
+                        calendar.schedule(t, next_id);
+                        heap.schedule(t, next_id);
+                        next_id += 1;
+                    }
                 }
             }
             prop_assert_eq!(calendar.len(), heap.len());
