@@ -1,36 +1,37 @@
 //! A universe of replica servers addressed by quorum.
 //!
-//! [`Cluster`] owns one [`ReplicaServer`] per element of a
-//! [`Universe`], provides the per-server read/write probes the register
-//! protocols fan out over a quorum, failure injection (crashes and
-//! Byzantine corruption), and per-server access accounting used to
+//! [`Cluster`] owns the state of one replica server per element of a
+//! [`Universe`] — a [`Behavior`] per server and every server's records, in
+//! one var-major slab per record kind (see [`crate::server`]) — and hands
+//! out borrowed [`ReplicaServer`] / [`ReplicaServerMut`] views onto one
+//! server at a time.  On top it provides the per-server read/write probes
+//! the register protocols fan out over a quorum, failure injection (crashes
+//! and Byzantine corruption), and per-server access accounting used to
 //! *measure* load (Definition 2.4) empirically.
 
-use crate::server::{Behavior, Record, ReplicaServer, VariableId};
-use pqs_core::quorum::Quorum;
+use crate::server::{Behavior, Record, Records, ReplicaServer, ReplicaServerMut, VariableId};
 use pqs_core::universe::{ServerId, Universe};
-use rand::Rng;
-use rand::RngCore;
 
 /// A collection of replica servers covering a universe.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     universe: Universe,
-    servers: Vec<ReplicaServer>,
+    behaviors: Vec<Behavior>,
+    records: Records,
     access_counts: Vec<u64>,
     accesses: u64,
 }
 
 impl Cluster {
-    /// Creates a cluster with one correct server per universe element.
+    /// Creates a cluster with one correct server per universe element.  No
+    /// record storage is allocated until the first store.
     pub fn new(universe: Universe) -> Self {
-        let servers = (0..universe.size())
-            .map(|i| ReplicaServer::new(ServerId::new(i)))
-            .collect();
+        let n = universe.size() as usize;
         Cluster {
             universe,
-            servers,
-            access_counts: vec![0; universe.size() as usize],
+            behaviors: vec![Behavior::Correct; n],
+            records: Records::new(n),
+            access_counts: vec![0; n],
             accesses: 0,
         }
     }
@@ -40,50 +41,49 @@ impl Cluster {
         self.universe
     }
 
-    /// Pre-sizes every server's dense record stores for a key space of
-    /// `keys` variables ([`ReplicaServer::reserve_variables`] per
-    /// server) — a capacity hint the simulation drivers apply once at
-    /// start-up so the hot path never reallocates.
+    /// Plans the record slabs for a key space of `keys` variables — a
+    /// capacity hint the simulation drivers apply once at start-up so the
+    /// hot path never reallocates.  It allocates nothing itself: each
+    /// record kind's slab takes this capacity on that kind's first store,
+    /// so a kind no run stores is never allocated.
     pub fn reserve_variables(&mut self, keys: u64) {
-        for server in &mut self.servers {
-            server.reserve_variables(keys);
-        }
+        self.records.reserve(keys);
     }
 
     /// Number of servers.
     pub fn len(&self) -> usize {
-        self.servers.len()
+        self.behaviors.len()
     }
 
     /// Returns `true` if the cluster has no servers (never the case for a
     /// validly constructed cluster).
     pub fn is_empty(&self) -> bool {
-        self.servers.is_empty()
+        self.behaviors.is_empty()
     }
 
-    /// Immutable access to a server (for assertions and diffusion).
-    pub fn server(&self, id: ServerId) -> &ReplicaServer {
-        &self.servers[id.as_usize()]
+    /// A read view of one server (for probes, assertions and diffusion).
+    #[inline]
+    pub fn server(&self, id: ServerId) -> ReplicaServer<'_> {
+        ReplicaServer::new(id, self.behaviors[id.as_usize()], &self.records)
     }
 
-    /// Mutable access to a server.
-    pub fn server_mut(&mut self, id: ServerId) -> &mut ReplicaServer {
-        &mut self.servers[id.as_usize()]
+    /// A write view of one server.
+    #[inline]
+    pub fn server_mut(&mut self, id: ServerId) -> ReplicaServerMut<'_> {
+        ReplicaServerMut::new(id, self.behaviors[id.as_usize()], &mut self.records)
     }
 
     /// Sets the behaviour of a single server.
     pub fn set_behavior(&mut self, id: ServerId, behavior: Behavior) {
-        self.servers[id.as_usize()].set_behavior(behavior);
+        self.behaviors[id.as_usize()] = behavior;
     }
 
-    /// Brings a server (back) into membership with freshly reset record
-    /// stores sized for `keys` variables: the joiner comes up correct and
-    /// must bootstrap its state through gossip (see
-    /// [`ReplicaServer::reset_stores`]).
-    pub fn join_server(&mut self, id: ServerId, keys: u64) {
-        let server = self.server_mut(id);
-        server.reset_stores(keys);
-        server.set_behavior(Behavior::Correct);
+    /// Brings a server (back) into membership with its records wiped: the
+    /// joiner comes up correct and must bootstrap everything it once held
+    /// back through gossip rather than resurrect pre-departure records.
+    pub fn join_server(&mut self, id: ServerId) {
+        self.records.wipe(id);
+        self.set_behavior(id, Behavior::Correct);
     }
 
     /// Crashes every server in `ids`.
@@ -93,56 +93,11 @@ impl Cluster {
         }
     }
 
-    /// Crashes each server independently with probability `p`
-    /// (the failure model of Definition 2.6); returns how many crashed.
-    pub fn crash_independently(&mut self, rng: &mut dyn RngCore, p: f64) -> usize {
-        let p = p.clamp(0.0, 1.0);
-        let mut crashed = 0;
-        for i in 0..self.servers.len() {
-            if rng.gen_bool(p) {
-                self.servers[i].set_behavior(Behavior::Crashed);
-                crashed += 1;
-            }
-        }
-        crashed
-    }
-
     /// Makes every server in `ids` Byzantine with the given behaviour.
     pub fn corrupt_all<I: IntoIterator<Item = ServerId>>(&mut self, ids: I, behavior: Behavior) {
         for id in ids {
             self.set_behavior(id, behavior);
         }
-    }
-
-    /// Restores every server to correct behaviour (state is kept).
-    pub fn heal_all(&mut self) {
-        for s in &mut self.servers {
-            s.set_behavior(Behavior::Correct);
-        }
-    }
-
-    /// The set of servers currently exhibiting Byzantine behaviour.
-    pub fn byzantine_set(&self) -> Quorum {
-        Quorum::from_servers(
-            self.universe,
-            self.servers
-                .iter()
-                .filter(|s| s.behavior().is_byzantine())
-                .map(|s| s.id()),
-        )
-        .expect("server ids are in range")
-    }
-
-    /// The set of currently crashed servers.
-    pub fn crashed_set(&self) -> Quorum {
-        Quorum::from_servers(
-            self.universe,
-            self.servers
-                .iter()
-                .filter(|s| s.behavior() == Behavior::Crashed)
-                .map(|s| s.id()),
-        )
-        .expect("server ids are in range")
     }
 
     /// Sends a read for records of kind `R` to a single server; returns its
@@ -156,14 +111,14 @@ impl Cluster {
     /// rather than at the operation's start.
     pub fn probe_read<R: Record>(&mut self, id: ServerId, var: VariableId) -> Option<R> {
         self.note_access(id);
-        self.servers[id.as_usize()].handle_read(var)
+        self.server(id).handle_read(var)
     }
 
     /// Sends a write of `record` to a single server; returns `true` if it
     /// acknowledged.
     pub fn probe_write<R: Record>(&mut self, id: ServerId, var: VariableId, record: &R) -> bool {
         self.note_access(id);
-        self.servers[id.as_usize()].handle_write(var, record)
+        self.server_mut(id).handle_write(var, record)
     }
 
     /// Total number of quorum accesses performed so far (each read or write
@@ -188,12 +143,6 @@ impl Cluster {
         max as f64 / self.accesses as f64
     }
 
-    /// Resets the access accounting (e.g. after a warm-up phase).
-    pub fn reset_access_counts(&mut self) {
-        self.access_counts.iter_mut().for_each(|c| *c = 0);
-        self.accesses = 0;
-    }
-
     /// Counts one access at `id` without consulting the server: a probe
     /// whose reply nobody is waiting for any more still reached the server
     /// and still counts toward its load.
@@ -214,8 +163,7 @@ mod tests {
     use crate::crypto::{KeyRegistry, SignedValue};
     use crate::timestamp::Timestamp;
     use crate::value::{TaggedValue, Value};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use pqs_core::quorum::Quorum;
 
     fn tv(v: u64, c: u64) -> TaggedValue {
         TaggedValue::new(Value::from_u64(v), Timestamp::new(c, 1))
@@ -241,8 +189,10 @@ mod tests {
         assert!(!c.is_empty());
         assert_eq!(c.universe().size(), 10);
         assert_eq!(c.server(ServerId::new(3)).id(), ServerId::new(3));
-        assert!(c.byzantine_set().is_empty());
-        assert!(c.crashed_set().is_empty());
+        assert!(c
+            .universe()
+            .servers()
+            .all(|id| c.server(id).behavior() == Behavior::Correct));
         assert_eq!(c.empirical_load(), 0.0);
     }
 
@@ -266,9 +216,6 @@ mod tests {
         assert_eq!(c.access_counts()[0], 1);
         assert_eq!(c.access_counts()[9], 0);
         assert!((c.empirical_load() - 1.0).abs() < 1e-12);
-        let mut c2 = c.clone();
-        c2.reset_access_counts();
-        assert_eq!(c2.total_accesses(), 0);
     }
 
     #[test]
@@ -299,26 +246,25 @@ mod tests {
         let u = Universe::new(5);
         let mut c = Cluster::new(u);
         c.crash_all([ServerId::new(0), ServerId::new(1)]);
-        assert_eq!(c.crashed_set().len(), 2);
+        let crashed = |c: &Cluster| {
+            u.servers()
+                .filter(|&id| c.server(id).behavior() == Behavior::Crashed)
+                .count()
+        };
+        assert_eq!(crashed(&c), 2);
         let q = Quorum::from_indices(u, [0u32, 1, 2]).unwrap();
         assert_eq!(write_all(&mut c, &q, &tv(1, 1)), 1);
         assert_eq!(read_all::<TaggedValue>(&mut c, &q).len(), 1);
         // Silent servers were still accessed, once per probe.
         assert_eq!(c.access_counts()[..3], [2, 2, 2]);
-        c.heal_all();
+        // Repair keeps the state: the write server 2 stored is still there.
+        c.corrupt_all([ServerId::new(0), ServerId::new(1)], Behavior::Correct);
+        assert_eq!(crashed(&c), 0);
         assert_eq!(read_all::<TaggedValue>(&mut c, &q).len(), 3);
-    }
-
-    #[test]
-    fn independent_crashes_follow_probability() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut total = 0usize;
-        for _ in 0..200 {
-            let mut c = Cluster::new(Universe::new(50));
-            total += c.crash_independently(&mut rng, 0.3);
-        }
-        let avg = total as f64 / 200.0;
-        assert!((avg - 15.0).abs() < 1.5, "avg={avg}");
+        assert_eq!(
+            c.server(ServerId::new(2)).stored::<TaggedValue>(0),
+            tv(1, 1)
+        );
     }
 
     #[test]
@@ -329,11 +275,16 @@ mod tests {
             [ServerId::new(1), ServerId::new(4)],
             Behavior::ByzantineForge,
         );
-        let b = c.byzantine_set();
-        assert_eq!(b.len(), 2);
-        assert!(b.contains(ServerId::new(1)));
-        assert!(b.contains(ServerId::new(4)));
-        assert!(c.crashed_set().is_empty());
+        let byzantine: Vec<u32> = u
+            .servers()
+            .filter(|&id| c.server(id).behavior().is_byzantine())
+            .map(ServerId::index)
+            .collect();
+        assert_eq!(byzantine, [1, 4]);
+        assert_eq!(
+            c.server(ServerId::new(4)).behavior(),
+            Behavior::ByzantineForge
+        );
     }
 
     #[test]

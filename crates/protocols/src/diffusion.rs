@@ -141,7 +141,8 @@ pub fn plan_round<R: Record>(
         if sender.behavior() != Behavior::Correct {
             continue;
         }
-        // A held record is never the initial one (see `RecordStore`).
+        // A held record is never the initial one: `merge` stores only
+        // records fresher than it.
         let held = sender.record::<R>(variable);
         for _ in 0..fanout {
             let peer = rng.gen_range(0..n);
@@ -297,7 +298,7 @@ fn plan_pushes<R: Record, G: RngCore + ?Sized, M>(
     cluster: &Cluster,
     fanout: usize,
     rng: &mut G,
-    mut message: impl FnMut(&ReplicaServer, ServerId, VariableId, Timestamp) -> M,
+    mut message: impl FnMut(ReplicaServer<'_>, ServerId, VariableId, Timestamp) -> M,
 ) -> (Vec<M>, Vec<VariableCoverage>, u32) {
     let n = cluster.len();
     let mut pushes = Vec::new();
@@ -305,7 +306,7 @@ fn plan_pushes<R: Record, G: RngCore + ?Sized, M>(
     let mut correct_servers = 0u32;
     // One key buffer reused across senders: the planner runs every gossip
     // round, so per-sender allocations would be a steady-state hot spot.
-    // The dense store yields held keys already ascending, so the visit
+    // A server's slab column yields held keys ascending, so the visit
     // order (and hence the RNG stream) needs no per-sender sort.
     let mut variables: Vec<VariableId> = Vec::new();
     for i in 0..n as u32 {
@@ -536,8 +537,8 @@ fn plan_digests<R: Record>(
     let mut correct_servers = 0u32;
     // One entry buffer reused across the whole round (the per-digest
     // `entries.clone()` below is inherent — each message owns its entry
-    // list — but the scratch itself allocates only once).  The dense store
-    // yields held keys already ascending — no per-sender sort.
+    // list — but the scratch itself allocates only once).  A server's slab
+    // column yields held keys ascending — no per-sender sort.
     let mut entries: Vec<(VariableId, Timestamp)> = Vec::new();
     for i in 0..n as u32 {
         let sender = cluster.server(ServerId::new(i));
@@ -634,7 +635,7 @@ pub fn diff_digest(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDif
 /// Timestamps decide the diff; a record is cloned only when it actually
 /// rides in the delta (proving redundancy — the common case — is free).
 fn diff_entries<R: Record>(
-    receiver: &ReplicaServer,
+    receiver: ReplicaServer<'_>,
     digest: &GossipDigest,
 ) -> (Vec<(VariableId, AnyRecord)>, Vec<VariableId>) {
     debug_assert!(
@@ -679,7 +680,7 @@ fn diff_entries<R: Record>(
 #[cfg(test)]
 fn diff_digest_oracle(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDiff> {
     fn diff<R: Record>(
-        receiver: &ReplicaServer,
+        receiver: ReplicaServer<'_>,
         digest: &GossipDigest,
     ) -> (Vec<(VariableId, AnyRecord)>, Vec<VariableId>) {
         let mut records = Vec::new();
@@ -1202,7 +1203,7 @@ mod tests {
         // Random stores and digests in both flavors: entries mix keys the
         // receiver holds fresher, staler, equal and not at all; the
         // receiver holds keys below, between and above the advertised
-        // ones, on both record-store tiers.
+        // ones, on both slab tiers.
         fn check<R: Make>(rng: &mut ChaCha8Rng, case: u64) {
             let sparse = u64::MAX / 5;
             let mut cluster = Cluster::new(Universe::new(3));

@@ -21,11 +21,14 @@
 //! * [`crypto`] — simulated digital signatures for self-verifying data
 //!   (a keyed hash over an in-memory key registry; see DESIGN.md for the
 //!   substitution rationale).
-//! * [`server`] — a single replica server: storage plus a failure
-//!   behaviour, and the [`server::Record`] trait — plain or signed
-//!   ⟨v, t⟩ pairs — that every record operation below is generic over.
-//! * [`cluster`] — a universe of servers with per-server read/write
-//!   probes, failure injection and per-server access accounting.
+//! * [`server`] — a replica server's failure behaviour and records, seen
+//!   through borrowed views into its cluster, and the [`server::Record`]
+//!   trait — plain or signed ⟨v, t⟩ pairs — that every record operation
+//!   below is generic over.
+//! * [`cluster`] — a universe of servers: it owns their behaviours and
+//!   their records, in one var-major slab per record kind, with
+//!   per-server read/write probes, failure injection and per-server
+//!   access accounting.
 //! * [`register`] — the client protocol: one [`register::Register`] whose
 //!   [`register::RegisterFlavor`] makes it the safe
 //!   ([`register::SafeRegister`]), dissemination

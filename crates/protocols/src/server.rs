@@ -1,4 +1,16 @@
-//! A single replica server: per-variable storage plus a failure behaviour.
+//! A replica server — a failure behaviour plus one record per variable —
+//! seen through a borrowed view into the [`Cluster`](crate::cluster::Cluster)
+//! that owns both.
+//!
+//! A server owns no storage. Its cluster keeps the behaviours in one
+//! vector and the records in one **var-major** slab per record kind:
+//! slot `var · n + server` holds that server's record for `var`. An
+//! operation touches one key at a quorum of servers, so its probes land in
+//! one block of `n` slots rather than in `q` separate per-server arrays.
+//! [`ReplicaServer`] (read) and [`ReplicaServerMut`] (write) are views onto
+//! one server's column of those slabs, with the per-server operations
+//! (`record`, `handle_read`, `merge`, …); every record operation on them is
+//! generic over the [`Record`] kind.
 //!
 //! The paper's model (Section 2) distinguishes *correct* servers, which
 //! follow their specification, from *crashed* servers (benign failures) and
@@ -66,7 +78,7 @@ pub fn forged_timestamp() -> Timestamp {
 /// protocol ([`SignedValue`]).  Servers, the cluster, gossip and the
 /// register clients are written once against this trait; what a forging
 /// server can answer with is the only place the two kinds behave
-/// differently.  Sealed: the store selector is private to this module.
+/// differently.  Sealed: the slab selector is private to this module.
 pub trait Record: Clone + PartialEq + Debug + Into<AnyRecord> + store::Stored + 'static {
     /// The `signed: bool` flag that names this kind where a signature the
     /// repo benchmark compiles against ([`plan_digest`](crate::diffusion::plan_digest),
@@ -160,204 +172,242 @@ impl From<SignedValue> for AnyRecord {
     }
 }
 
-/// The per-kind record stores and the selector that seals [`Record`].
+/// The per-kind record slabs and the selector that seals [`Record`].
 mod store {
-    use super::{Record, ReplicaServer, VariableId};
+    use super::{Record, VariableId};
     use crate::crypto::SignedValue;
     use crate::timestamp::Timestamp;
     use crate::value::TaggedValue;
+    use pqs_core::universe::ServerId;
     use std::collections::BTreeMap;
 
-    /// Variable ids below this bound live in the dense slot tier of a
-    /// [`RecordStore`]; ids at or above it (the apps hash entity names into
-    /// the full `u64` space) spill into the ordered sparse tier.  2^16 slots
-    /// comfortably covers every simulator key space while capping the dense
-    /// tier's worst-case footprint per server.
+    /// Variable ids below this bound live in the dense tier of a [`Slab`];
+    /// ids at or above it (the apps hash entity names into the full `u64`
+    /// space) spill into the ordered sparse tier.  2^16 var blocks cover
+    /// every simulator key space.
     const DENSE_LIMIT: VariableId = 1 << 16;
 
-    /// Per-variable record storage: a dense slot vector for the workload
-    /// layer's ids (`0..keys`, so a direct index replaces the hash-and-probe
-    /// a map would pay on every probe and gossip delivery) plus an ordered
-    /// sparse overflow for hashed ids beyond [`DENSE_LIMIT`].
+    /// Every server's records of one kind.
+    ///
+    /// The dense tier is **var-major**: slot `var · servers + server`
+    /// holds `server`'s record for `var`, so the probes of one operation
+    /// share one block.  It is allocated on the kind's first store, at the
+    /// capacity [`Records::reserve`] planned, and grows in whole var
+    /// blocks up to the highest dense id stored.  One flag per block says
+    /// whether any server has stored into it, so a column scan skips the
+    /// blocks nobody holds without touching them: a shard's cluster holds
+    /// only its own keys.  The sparse tier is keyed server-major, so one
+    /// server's ids come out of a range scan ascending.
     ///
     /// A slot is occupied exactly when it holds a record fresher than
     /// [`Timestamp::ZERO`] (the only insertion path is [`merge`](Self::merge)).
-    /// Iteration is **ascending by id** by construction — dense slots scan
-    /// in index order, the sparse tier is a `BTreeMap` whose keys all exceed
-    /// the dense tier's — which is what lets the gossip planners drop their
+    /// A server's held ids iterate **ascending** by construction — its
+    /// dense slots in var order, then its sparse ids, which all exceed the
+    /// dense tier's — which is what lets the gossip planners skip their
     /// per-sender sorts.
     #[derive(Debug, Clone)]
-    pub struct RecordStore<T> {
+    pub struct Slab<T> {
+        servers: usize,
+        /// Var blocks to allocate on the first dense store.
+        planned_blocks: usize,
         dense: Vec<Option<T>>,
-        sparse: BTreeMap<VariableId, T>,
+        /// Per var block of `dense`: whether any server ever stored into
+        /// it.  A join's wipe leaves the flags set, which costs a scan a
+        /// look at the block and nothing else.
+        stored_blocks: Vec<bool>,
+        sparse: BTreeMap<(ServerId, VariableId), T>,
     }
 
-    impl<T> Default for RecordStore<T> {
-        fn default() -> Self {
-            RecordStore {
+    impl<T: Record> Slab<T> {
+        fn new(servers: usize) -> Self {
+            Slab {
+                servers,
+                planned_blocks: 0,
                 dense: Vec::new(),
+                stored_blocks: Vec::new(),
                 sparse: BTreeMap::new(),
             }
         }
-    }
 
-    impl<T: Record> RecordStore<T> {
         #[inline]
-        pub fn get(&self, var: VariableId) -> Option<&T> {
+        pub fn get(&self, server: ServerId, var: VariableId) -> Option<&T> {
             if var < DENSE_LIMIT {
-                self.dense.get(var as usize).and_then(Option::as_ref)
+                let slot = var as usize * self.servers + server.as_usize();
+                self.dense.get(slot).and_then(Option::as_ref)
             } else {
-                self.sparse.get(&var)
+                self.sparse.get(&(server, var))
             }
         }
 
-        fn set(&mut self, var: VariableId, value: T) {
-            if var < DENSE_LIMIT {
-                let idx = var as usize;
-                if idx >= self.dense.len() {
-                    self.dense.resize_with(idx + 1, || None);
-                }
-                self.dense[idx] = Some(value);
-            } else {
-                self.sparse.insert(var, value);
-            }
-        }
-
-        /// Capacity hint for a key space of `keys` dense ids.
-        pub fn reserve(&mut self, keys: u64) {
-            let cap = keys.min(DENSE_LIMIT) as usize;
-            self.dense.reserve(cap.saturating_sub(self.dense.len()));
-        }
-
-        /// Timestamp of the record held for `var`, [`Timestamp::ZERO`] when
-        /// unheld.
+        /// Timestamp of the record `server` holds for `var`,
+        /// [`Timestamp::ZERO`] when unheld.
         #[inline]
-        pub fn timestamp(&self, var: VariableId) -> Timestamp {
-            self.get(var).map_or(Timestamp::ZERO, Record::timestamp)
+        pub fn timestamp(&self, server: ServerId, var: VariableId) -> Timestamp {
+            self.get(server, var)
+                .map_or(Timestamp::ZERO, Record::timestamp)
         }
 
         /// The freshest-wins merge rule: `incoming` replaces the held record
         /// iff it is strictly fresher.  The comparison comes first, so the
         /// record is cloned only when it is actually stored.
         #[inline]
-        pub fn merge(&mut self, var: VariableId, incoming: &T) -> bool {
-            let fresher = incoming.timestamp() > self.timestamp(var);
+        pub fn merge(&mut self, server: ServerId, var: VariableId, incoming: &T) -> bool {
+            let fresher = incoming.timestamp() > self.timestamp(server, var);
             if fresher {
-                self.set(var, incoming.clone());
+                self.set(server, var, incoming.clone());
             }
             fresher
         }
 
-        /// Held variable ids, ascending.
-        pub fn variables(&self) -> impl Iterator<Item = VariableId> + '_ {
+        fn set(&mut self, server: ServerId, var: VariableId, value: T) {
+            if var >= DENSE_LIMIT {
+                self.sparse.insert((server, var), value);
+                return;
+            }
+            let var = var as usize;
+            let blocks = self.stored_blocks.len();
+            if var >= blocks {
+                if var >= self.stored_blocks.capacity() && var < self.planned_blocks {
+                    let more = self.planned_blocks - blocks;
+                    self.dense.reserve_exact(more * self.servers);
+                    self.stored_blocks.reserve_exact(more);
+                }
+                self.dense.resize_with((var + 1) * self.servers, || None);
+                self.stored_blocks.resize(var + 1, false);
+            }
+            self.stored_blocks[var] = true;
+            self.dense[var * self.servers + server.as_usize()] = Some(value);
+        }
+
+        /// `server`'s held variable ids, ascending: a strided scan of its
+        /// dense column over the stored blocks, then its range of the
+        /// sparse tier.
+        pub fn variables(&self, server: ServerId) -> impl Iterator<Item = VariableId> + '_ {
+            let held =
+                move |var: usize| self.dense[var * self.servers + server.as_usize()].is_some();
+            let sparse = self.sparse.range((server, 0)..=(server, VariableId::MAX));
+            (self.stored_blocks.iter().enumerate())
+                .filter(move |&(var, &stored)| stored && held(var))
+                .map(|(var, _)| var as VariableId)
+                .chain(sparse.map(|(&(_, var), _)| var))
+        }
+
+        fn wipe(&mut self, server: ServerId) {
             self.dense
-                .iter()
-                .enumerate()
-                .filter(|(_, slot)| slot.is_some())
-                .map(|(idx, _)| idx as VariableId)
-                .chain(self.sparse.keys().copied())
+                .iter_mut()
+                .skip(server.as_usize())
+                .step_by(self.servers)
+                .for_each(|slot| *slot = None);
+            self.sparse.retain(|&(holder, _), _| holder != server);
         }
     }
 
-    /// Which of a server's two stores holds records of this kind.
+    /// A cluster's records: one [`Slab`] per record kind.
+    #[derive(Debug, Clone)]
+    pub struct Records {
+        plain: Slab<TaggedValue>,
+        signed: Slab<SignedValue>,
+    }
+
+    impl Records {
+        /// Empty slabs for a cluster of `servers` servers; nothing is
+        /// allocated until a kind's first store.
+        pub fn new(servers: usize) -> Self {
+            Records {
+                plain: Slab::new(servers),
+                signed: Slab::new(servers),
+            }
+        }
+
+        /// Plans each slab's dense tier for `keys` variable ids, so
+        /// steady-state stores never reallocate.  Allocates nothing: a
+        /// kind's slab takes the planned capacity on its first store.
+        pub fn reserve(&mut self, keys: u64) {
+            let blocks = keys.min(DENSE_LIMIT) as usize;
+            self.plain.planned_blocks = blocks;
+            self.signed.planned_blocks = blocks;
+        }
+
+        /// Drops every record `server` holds, of either kind.
+        pub fn wipe(&mut self, server: ServerId) {
+            self.plain.wipe(server);
+            self.signed.wipe(server);
+        }
+    }
+
+    /// Which of a cluster's two slabs holds records of this kind.
     pub trait Stored: Sized {
-        fn store(server: &ReplicaServer) -> &RecordStore<Self>;
-        fn store_mut(server: &mut ReplicaServer) -> &mut RecordStore<Self>;
+        fn slab(records: &Records) -> &Slab<Self>;
+        fn slab_mut(records: &mut Records) -> &mut Slab<Self>;
     }
 
     impl Stored for TaggedValue {
         #[inline]
-        fn store(server: &ReplicaServer) -> &RecordStore<Self> {
-            &server.plain
+        fn slab(records: &Records) -> &Slab<Self> {
+            &records.plain
         }
         #[inline]
-        fn store_mut(server: &mut ReplicaServer) -> &mut RecordStore<Self> {
-            &mut server.plain
+        fn slab_mut(records: &mut Records) -> &mut Slab<Self> {
+            &mut records.plain
         }
     }
 
     impl Stored for SignedValue {
         #[inline]
-        fn store(server: &ReplicaServer) -> &RecordStore<Self> {
-            &server.signed
+        fn slab(records: &Records) -> &Slab<Self> {
+            &records.signed
         }
         #[inline]
-        fn store_mut(server: &mut ReplicaServer) -> &mut RecordStore<Self> {
-            &mut server.signed
+        fn slab_mut(records: &mut Records) -> &mut Slab<Self> {
+            &mut records.signed
         }
     }
 }
 
-/// A replica server.
+pub(crate) use store::Records;
+
+/// A read view of one replica server: its behaviour and its column of the
+/// cluster's record slabs, from [`Cluster::server`](crate::cluster::Cluster::server).
 ///
-/// Per-variable records live in a two-tier record store per record kind:
-/// dense `Vec` slots indexed directly by [`VariableId`] (with a sparse
-/// overflow tier for hashed ids), lazily grown to the highest id actually
-/// stored — see [`reserve_variables`](Self::reserve_variables) for
-/// pre-sizing.  Every record operation is generic over the [`Record`] kind.
-#[derive(Debug, Clone)]
-pub struct ReplicaServer {
+/// The view is `Copy`, and what it lends out borrows the cluster, not the
+/// view, so `cluster.server(id).record(var)` outlives the temporary view.
+#[derive(Clone, Copy)]
+pub struct ReplicaServer<'a> {
     id: ServerId,
     behavior: Behavior,
-    plain: store::RecordStore<TaggedValue>,
-    signed: store::RecordStore<SignedValue>,
+    records: &'a Records,
 }
 
-impl ReplicaServer {
-    /// Creates a correct server with the given id and empty storage.
-    pub fn new(id: ServerId) -> Self {
+impl<'a> ReplicaServer<'a> {
+    pub(crate) fn new(id: ServerId, behavior: Behavior, records: &'a Records) -> Self {
         ReplicaServer {
             id,
-            behavior: Behavior::Correct,
-            plain: Default::default(),
-            signed: Default::default(),
+            behavior,
+            records,
         }
-    }
-
-    /// Pre-allocates both record stores for a key space of `keys` dense
-    /// variable ids, so steady-state stores never reallocate.  Purely a
-    /// capacity hint: occupancy (and hence iteration) is unchanged.
-    pub fn reserve_variables(&mut self, keys: u64) {
-        self.plain.reserve(keys);
-        self.signed.reserve(keys);
-    }
-
-    /// Wipes both record stores and re-reserves capacity for `keys` dense
-    /// variable ids: the state of a server (re)joining the cluster, which
-    /// must bootstrap everything it once held back through gossip rather
-    /// than resurrect pre-departure records.
-    pub fn reset_stores(&mut self, keys: u64) {
-        self.plain = Default::default();
-        self.signed = Default::default();
-        self.reserve_variables(keys);
     }
 
     /// The server's id.
-    pub fn id(&self) -> ServerId {
+    pub fn id(self) -> ServerId {
         self.id
     }
 
     /// The server's current behaviour.
-    pub fn behavior(&self) -> Behavior {
+    pub fn behavior(self) -> Behavior {
         self.behavior
-    }
-
-    /// Changes the server's behaviour (crash it, corrupt it, or repair it).
-    pub fn set_behavior(&mut self, behavior: Behavior) {
-        self.behavior = behavior;
     }
 
     /// The record of kind `R` held for `var` by reference, `None` when
     /// unheld — the copy-free form of [`stored`](Self::stored).
     #[inline]
-    pub fn record<R: Record>(&self, var: VariableId) -> Option<&R> {
-        R::store(self).get(var)
+    pub fn record<R: Record>(self, var: VariableId) -> Option<&'a R> {
+        R::slab(self.records).get(self.id, var)
     }
 
     /// The record the server *actually* stores for `var`, regardless of
     /// behaviour — useful for assertions and diffusion.
     #[inline]
-    pub fn stored<R: Record>(&self, var: VariableId) -> R {
+    pub fn stored<R: Record>(self, var: VariableId) -> R {
         self.record(var).cloned().unwrap_or_else(R::initial)
     }
 
@@ -365,17 +415,62 @@ impl ReplicaServer {
     /// ([`Timestamp::ZERO`] when unheld) — a clone-free accessor for the
     /// gossip planners' per-key version summaries.
     #[inline]
-    pub fn stored_timestamp<R: Record>(&self, var: VariableId) -> Timestamp {
-        R::store(self).timestamp(var)
+    pub fn stored_timestamp<R: Record>(self, var: VariableId) -> Timestamp {
+        R::slab(self.records).timestamp(self.id, var)
     }
 
     /// Handles a read request. Returns `None` if the server does not answer
     /// (crashed).
-    pub fn handle_read<R: Record>(&self, var: VariableId) -> Option<R> {
+    pub fn handle_read<R: Record>(self, var: VariableId) -> Option<R> {
         match self.behavior {
             Behavior::Crashed => None,
             Behavior::Correct | Behavior::ByzantineStale => Some(self.stored(var)),
             Behavior::ByzantineForge => Some(R::forged().unwrap_or_else(|| self.stored(var))),
+        }
+    }
+
+    /// All variables for which this server holds a record of kind `R`, in
+    /// **ascending id order** — a strided scan of its dense column, which
+    /// the gossip planners rely on to skip re-sorting per sender.
+    pub fn variables<R: Record>(self) -> impl Iterator<Item = VariableId> + 'a {
+        R::slab(self.records).variables(self.id)
+    }
+}
+
+/// Prints the server, not the whole cluster's slabs the view borrows.
+impl Debug for ReplicaServer<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReplicaServer")
+            .field("id", &self.id)
+            .field("behavior", &self.behavior)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A write view of one replica server, from
+/// [`Cluster::server_mut`](crate::cluster::Cluster::server_mut): the store
+/// rules over its column of the cluster's record slabs.
+pub struct ReplicaServerMut<'a> {
+    id: ServerId,
+    behavior: Behavior,
+    records: &'a mut Records,
+}
+
+impl Debug for ReplicaServerMut<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReplicaServerMut")
+            .field("id", &self.id)
+            .field("behavior", &self.behavior)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a> ReplicaServerMut<'a> {
+    pub(crate) fn new(id: ServerId, behavior: Behavior, records: &'a mut Records) -> Self {
+        ReplicaServerMut {
+            id,
+            behavior,
+            records,
         }
     }
 
@@ -402,7 +497,7 @@ impl ReplicaServer {
     /// is stored, so a delivery that stores nothing copies nothing.
     #[inline]
     pub fn merge<R: Record>(&mut self, var: VariableId, incoming: &R) -> bool {
-        R::store_mut(self).merge(var, incoming)
+        R::slab_mut(self.records).merge(self.id, var, incoming)
     }
 
     /// [`merge`](Self::merge) of a plain record by value — the name and
@@ -416,19 +511,14 @@ impl ReplicaServer {
     pub fn store_signed_if_fresher(&mut self, var: VariableId, incoming: SignedValue) -> bool {
         self.merge(var, &incoming)
     }
-
-    /// All variables for which this server holds a record of kind `R`, in
-    /// **ascending id order** — a linear scan over the dense slots, which
-    /// the gossip planners rely on to skip re-sorting per sender.
-    pub fn variables<R: Record>(&self) -> impl Iterator<Item = VariableId> + '_ {
-        R::store(self).variables()
-    }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::cluster::Cluster;
     use crate::crypto::{KeyRegistry, SigningKey};
+    use pqs_core::universe::Universe;
 
     /// A record of either kind carrying value `v` under counter `c` of
     /// writer 1 — signed, where the kind is, by one fixed key.
@@ -474,38 +564,48 @@ pub(crate) mod tests {
         (Behavior::ByzantineStale, true, false, Reply::Old),
     ];
 
-    /// Drives one row of [`TABLE`] on records of kind `R`.
+    /// Drives one row of [`TABLE`] on records of kind `R`, at the one
+    /// server of a one-server cluster.
     fn check_row<R: Make>(behavior: Behavior) {
         let &(_, acks, stores, reply) = TABLE
             .iter()
             .find(|row| row.0 == behavior)
             .expect("every behaviour has a row");
         let (old, new, newest) = (R::make(1, 1), R::make(2, 2), R::make(3, 3));
-        let mut s = ReplicaServer::new(ServerId::new(4));
-        assert_eq!(s.handle_read::<R>(0), Some(R::initial()));
-        assert!(s.handle_write(0, &old));
-        s.set_behavior(behavior);
-        assert_eq!(s.handle_write(0, &new), acks, "{behavior:?} ack");
+        let mut c = Cluster::new(Universe::new(1));
+        let s = ServerId::new(0);
+        assert_eq!(c.server(s).handle_read::<R>(0), Some(R::initial()));
+        assert!(c.server_mut(s).handle_write(0, &old));
+        c.set_behavior(s, behavior);
+        assert_eq!(
+            c.server_mut(s).handle_write(0, &new),
+            acks,
+            "{behavior:?} ack"
+        );
         let held = if stores { &new } else { &old };
-        assert_eq!(s.record::<R>(0), Some(held), "{behavior:?} store");
-        assert_eq!(s.stored_timestamp::<R>(0), held.timestamp());
+        assert_eq!(c.server(s).record::<R>(0), Some(held), "{behavior:?} store");
+        assert_eq!(c.server(s).stored_timestamp::<R>(0), held.timestamp());
         let expected = match reply {
             Reply::Silent => None,
             Reply::New => Some(new.clone()),
             Reply::Old => Some(old.clone()),
             Reply::Forged => Some(R::forged().unwrap_or_else(|| old.clone())),
         };
-        assert_eq!(s.handle_read::<R>(0), expected, "{behavior:?} reply");
+        assert_eq!(
+            c.server(s).handle_read::<R>(0),
+            expected,
+            "{behavior:?} reply"
+        );
         // Stale writes are ignored whatever the behaviour, and `merge` is
         // the bare store rule: it asks no behaviour.
-        s.handle_write(0, &old);
-        assert_eq!(s.record::<R>(0), Some(held));
-        assert!(!s.merge(0, held));
-        assert!(s.merge(0, &newest));
-        assert_eq!(s.stored::<R>(0), newest);
-        // The other kind's store and other variables are untouched.
-        assert_eq!(s.variables::<R>().count(), 1);
-        assert_eq!(s.stored::<R>(7), R::initial());
+        c.server_mut(s).handle_write(0, &old);
+        assert_eq!(c.server(s).record::<R>(0), Some(held));
+        assert!(!c.server_mut(s).merge(0, held));
+        assert!(c.server_mut(s).merge(0, &newest));
+        assert_eq!(c.server(s).stored::<R>(0), newest);
+        // The other kind's slab and other variables are untouched.
+        assert_eq!(c.server(s).variables::<R>().count(), 1);
+        assert_eq!(c.server(s).stored::<R>(7), R::initial());
     }
 
     fn check_both_kinds(behavior: Behavior) {
@@ -516,17 +616,25 @@ pub(crate) mod tests {
     #[test]
     fn correct_server_stores_and_serves() {
         check_both_kinds(Behavior::Correct);
-        let mut s = ReplicaServer::new(ServerId::new(3));
-        assert_eq!(s.id(), ServerId::new(3));
-        assert_eq!(s.behavior(), Behavior::Correct);
+        let mut c = Cluster::new(Universe::new(4));
+        let id = ServerId::new(3);
+        assert_eq!(c.server(id).id(), id);
+        assert_eq!(c.server(id).behavior(), Behavior::Correct);
         // Independent variables and kinds do not interfere.
-        assert!(s.handle_write(0, &tv(9, 2)));
-        assert!(s.handle_write(7, &tv(1, 1)));
-        assert!(s.handle_write(7, &SignedValue::make(4, 4)));
+        let mut w = c.server_mut(id);
+        assert!(w.handle_write(0, &tv(9, 2)));
+        assert!(w.handle_write(7, &tv(1, 1)));
+        assert!(w.handle_write(7, &SignedValue::make(4, 4)));
+        let s = c.server(id);
         assert_eq!(s.handle_read(0), Some(tv(9, 2)));
         assert_eq!(s.handle_read(7), Some(tv(1, 1)));
         assert_eq!(s.variables::<TaggedValue>().count(), 2);
         assert!(s.variables::<SignedValue>().eq([7]));
+        // Neither do servers: the neighbouring slots of the same var
+        // blocks stay empty.
+        let other = c.server(ServerId::new(2));
+        assert_eq!(other.handle_read(0), Some(TaggedValue::initial()));
+        assert_eq!(other.variables::<TaggedValue>().count(), 0);
     }
 
     #[test]
@@ -548,10 +656,11 @@ pub(crate) mod tests {
         // it has: it cannot fabricate a verifying record.
         let mut registry = KeyRegistry::new();
         registry.register(1, 7);
-        let mut s = ReplicaServer::new(ServerId::new(1));
-        s.merge(0, &SignedValue::make(10, 1));
-        s.set_behavior(Behavior::ByzantineForge);
-        let served: SignedValue = s.handle_read(0).unwrap();
+        let mut c = Cluster::new(Universe::new(1));
+        let s = ServerId::new(0);
+        c.server_mut(s).merge(0, &SignedValue::make(10, 1));
+        c.set_behavior(s, Behavior::ByzantineForge);
+        let served: SignedValue = c.server(s).handle_read(0).unwrap();
         assert!(registry.verifies(&served));
         assert_eq!(served, SignedValue::make(10, 1));
     }
@@ -569,30 +678,47 @@ pub(crate) mod tests {
     #[test]
     fn held_variables_iterate_in_ascending_id_order() {
         // The gossip planners skip per-sender sorts on the strength of
-        // this: dense slots yield ids ascending no matter the insertion
-        // order, and unheld ids in between never appear.
-        let mut s = ReplicaServer::new(ServerId::new(0));
-        s.reserve_variables(16);
+        // this: a server's dense column yields ids ascending no matter the
+        // insertion order, and unheld ids in between never appear.
+        let mut c = Cluster::new(Universe::new(3));
+        c.reserve_variables(16);
+        let id = ServerId::new(1);
         for var in [9u64, 2, 11, 0, 5] {
-            assert!(s.store_plain_if_fresher(var, tv(var, 1)));
+            assert!(c.server_mut(id).store_plain_if_fresher(var, tv(var, 1)));
         }
-        assert!(s.variables::<TaggedValue>().eq([0u64, 2, 5, 9, 11]));
+        // Neighbours in the same var blocks stay out of this column.
+        c.server_mut(ServerId::new(0))
+            .store_plain_if_fresher(3, tv(3, 1));
+        c.server_mut(ServerId::new(2))
+            .store_plain_if_fresher(14, tv(14, 1));
+        let held = |c: &Cluster| c.server(id).variables::<TaggedValue>().collect::<Vec<_>>();
+        assert_eq!(held(&c), [0u64, 2, 5, 9, 11]);
         // A stale store (timestamp ZERO never beats an empty slot) does
         // not occupy a slot.
-        assert!(!s.store_plain_if_fresher(13, TaggedValue::initial()));
-        assert!(s.variables::<TaggedValue>().eq([0u64, 2, 5, 9, 11]));
-        assert_eq!(s.stored_timestamp::<TaggedValue>(13), Timestamp::ZERO);
+        assert!(!c
+            .server_mut(id)
+            .store_plain_if_fresher(13, TaggedValue::initial()));
+        assert_eq!(held(&c), [0u64, 2, 5, 9, 11]);
+        assert_eq!(
+            c.server(id).stored_timestamp::<TaggedValue>(13),
+            Timestamp::ZERO
+        );
         // Hashed ids (the apps namespace entities into the full u64
-        // space) land in the sparse tier, still iterated in order.
+        // space) land in the sparse tier, still iterated in order, and
+        // another server's sparse ids stay out of this column too.
         let huge = u64::MAX / 3;
-        assert!(s.store_plain_if_fresher(huge, tv(1, 4)));
-        assert_eq!(s.stored::<TaggedValue>(huge), tv(1, 4));
-        assert!(s.variables::<TaggedValue>().eq([0u64, 2, 5, 9, 11, huge]));
+        assert!(c.server_mut(id).store_plain_if_fresher(huge, tv(1, 4)));
+        c.server_mut(ServerId::new(2))
+            .store_plain_if_fresher(huge - 1, tv(1, 4));
+        assert_eq!(c.server(id).stored::<TaggedValue>(huge), tv(1, 4));
+        assert_eq!(held(&c), [0u64, 2, 5, 9, 11, huge]);
     }
 
     #[test]
     fn store_if_fresher_reports_whether_it_stored() {
-        let mut s = ReplicaServer::new(ServerId::new(0));
+        let mut c = Cluster::new(Universe::new(1));
+        let id = ServerId::new(0);
+        let mut s = c.server_mut(id);
         assert!(s.store_plain_if_fresher(0, tv(1, 1)));
         // Same timestamp or older: kept, not replaced.
         assert!(!s.store_plain_if_fresher(0, tv(9, 1)));
@@ -602,13 +728,14 @@ pub(crate) mod tests {
         assert!(s.store_signed_if_fresher(3, v1.clone()));
         assert!(!s.store_signed_if_fresher(3, v1));
         assert!(s.store_signed_if_fresher(3, v2.clone()));
-        assert!(s.variables::<SignedValue>().eq(std::iter::once(3)));
         // The by-value forwarders and `merge` are one rule.
         assert!(!s.merge(0, &tv(9, 2)));
         assert!(s.merge(0, &tv(3, 3)));
+        assert!(!s.merge(3, &v2));
+        let s = c.server(id);
+        assert!(s.variables::<SignedValue>().eq(std::iter::once(3)));
         assert_eq!(s.record(0), Some(&tv(3, 3)));
         assert_eq!(s.record::<TaggedValue>(1), None);
-        assert!(!s.merge(3, &v2));
         assert_eq!(s.record(3), Some(&v2));
     }
 }

@@ -279,7 +279,7 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
             {
                 let m = &plan.memberships[membership_cursor];
                 if m.join {
-                    spine.join_server(m.server, config.keyspace.keys);
+                    spine.join_server(m.server);
                 } else {
                     spine.set_behavior(m.server, Behavior::Crashed);
                 }

@@ -656,7 +656,7 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                 // the same simulated time.
                 let si = server.index() as usize;
                 if join {
-                    self.cluster.join_server(server, self.config.keyspace.keys);
+                    self.cluster.join_server(server);
                     if !self.present[si] {
                         self.present[si] = true;
                         self.present_count += 1;

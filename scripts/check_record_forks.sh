@@ -20,7 +20,8 @@ note() {
     fail=1
 }
 
-# The sources as `file:line:text`, without `#[cfg(test)] mod … { … }` blocks.
+# The sources as `file:line:text`, without test-only items (`#[cfg(test)]`
+# mod blocks and free functions).
 non_test_lines() {
     find crates/protocols/src crates/sim/src crates/apps/src -name '*.rs' | sort |
         while IFS= read -r file; do

@@ -6,8 +6,9 @@
 # For each `*.rs` file named, or found under a directory named, prints
 #   <code> <all> <file>
 # where `code` is the non-blank lines that do not start with `//` (so doc
-# comments are not code) outside the file's `#[cfg(test)] mod … { … }`
-# blocks, at any indentation — the same stripping the grep gates use,
+# comments are not code) outside the file's test-only items — its
+# `#[cfg(test)] mod … { … }` blocks and `#[cfg(test)]` free functions, at
+# any indentation: the same stripping the grep gates use,
 # scripts/non_test_lines.awk — and `all` is lines of every kind, tests
 # included. Ends with a `total` line.
 set -euo pipefail

@@ -3,8 +3,9 @@
 //! This binary installs a counting global allocator (which is why it is a
 //! test target of its own) and asserts a count of **zero** heap requests
 //! for the steps the engines repeat per probe and per gossip message, after
-//! the stores and buffers they touch have been sized.  The counter is
-//! per-thread, so the tests of this binary can run in parallel.
+//! the stores and buffers they touch have been sized, and pins what sizing
+//! a cluster's record storage costs.  The counters are per-thread, so the
+//! tests of this binary can run in parallel.
 //!
 //! Beside them sit the property tests of the two representations this
 //! rests on: `Value`'s inline/heap split against a `Vec<u8>` oracle, and
@@ -31,35 +32,38 @@ use std::hash::{Hash, Hasher};
 thread_local! {
     /// Heap requests (`alloc`, `alloc_zeroed`, `realloc`) made by this thread.
     static REQUESTS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those requests asked for (a `realloc` counts its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
 
-fn count_request() {
+fn count_request(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's locals are torn
-    // down, when the counter is no longer reachable.
+    // down, when the counters are no longer reachable.
     let _ = REQUESTS.try_with(|requests| requests.set(requests.get() + 1));
+    let _ = BYTES.try_with(|total| total.set(total.get() + bytes as u64));
 }
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract.  The counter is a const-initialised
-// thread-local integer without a destructor, so touching it neither
+// the `GlobalAlloc` contract.  The counters are const-initialised
+// thread-local integers without a destructor, so touching them neither
 // allocates nor re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_request();
+        count_request(layout.size());
         // SAFETY: the caller's obligations are exactly `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_request();
+        count_request(layout.size());
         // SAFETY: the caller's obligations are exactly `System.alloc_zeroed`'s.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_request();
+        count_request(new_size);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -73,11 +77,20 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Heap requests this thread makes while `body` runs, and the bytes they
+/// ask for.
+fn heap_during(body: impl FnOnce()) -> (u64, u64) {
+    let before = (REQUESTS.with(Cell::get), BYTES.with(Cell::get));
+    body();
+    (
+        REQUESTS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    )
+}
+
 /// Heap requests this thread makes while `body` runs.
 fn requests_during(body: impl FnOnce()) -> u64 {
-    let before = REQUESTS.with(Cell::get);
-    body();
-    REQUESTS.with(Cell::get) - before
+    heap_during(body).0
 }
 
 const STEPS: u64 = 10_000;
@@ -230,6 +243,32 @@ fn a_gossip_delivery_that_stores_nothing_allocates_nothing() {
         }
     });
     assert_eq!(requests, 0);
+}
+
+#[test]
+fn sizing_a_cluster_takes_a_constant_number_of_heap_requests() {
+    // `write_heavy_masking`'s shape: 400 servers planned for 4096 keys,
+    // then one plain store.  Four requests whatever `n` is: the
+    // behaviour and access-count vectors, then the plain slab and its
+    // per-block flags at their planned size.  Planning allocates nothing,
+    // and no signed slab is allocated, since nothing signed is stored.
+    const KEYS: u64 = 4096;
+    let sized = |n: u32| {
+        heap_during(|| {
+            let mut cluster = Cluster::new(Universe::new(n));
+            cluster.reserve_variables(KEYS);
+            assert!(cluster.probe_write(server(), 0, &tagged(1, 1)));
+            std::hint::black_box(&cluster);
+        })
+    };
+    let (requests, bytes) = sized(400);
+    assert_eq!(requests, 4);
+    assert_eq!(sized(8).0, requests, "independent of n");
+    let plain_slab = KEYS * 400 * std::mem::size_of::<Option<TaggedValue>>() as u64;
+    assert!(
+        (plain_slab..plain_slab + 16 * 1024).contains(&bytes),
+        "{bytes} bytes for a {plain_slab}-byte plain slab"
+    );
 }
 
 #[test]

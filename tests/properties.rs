@@ -15,7 +15,7 @@ use probabilistic_quorums::protocols::diffusion::{
     self, count_fresh_correct, diffuse, DiffusionConfig,
 };
 use probabilistic_quorums::protocols::register::{RegisterFlavor, RegisterMap};
-use probabilistic_quorums::protocols::server::VariableId;
+use probabilistic_quorums::protocols::server::{Behavior, Record, VariableId};
 use probabilistic_quorums::protocols::timestamp::Timestamp;
 use probabilistic_quorums::protocols::value::{TaggedValue, Value};
 use probabilistic_quorums::sim::latency::LatencyModel;
@@ -24,6 +24,7 @@ use probabilistic_quorums::sim::workload::{KeySpace, Skew};
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeMap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -379,6 +380,55 @@ proptest! {
             let (a, b) = (by_reg.server(ServerId::new(i)), by_map.server(ServerId::new(i)));
             prop_assert_eq!(a.stored::<TaggedValue>(v), b.stored::<TaggedValue>(v));
             prop_assert_eq!(a.stored::<SignedValue>(v), b.stored::<SignedValue>(v));
+        }
+    }
+
+    /// The cluster's var-major record slabs against a slow model, one
+    /// `BTreeMap<(server, var), record>` per record kind: random write
+    /// probes under all four behaviours, bare merges, gossip deliveries,
+    /// read probes and joins, over dense ids and ids ≥ 2^16, with and
+    /// without a capacity plan.  After every step each server's reads and
+    /// held ids (ascending) agree with the model, for both kinds.
+    #[test]
+    fn record_slabs_match_a_map_model(
+        n in 1u32..7,
+        reserve in 0u64..20,
+        steps in 1usize..150,
+        seed in 0u64..10_000,
+    ) {
+        use probabilistic_quorums::protocols::crypto::{SignedValue, SigningKey};
+        use rand::Rng;
+        let key = SigningKey::derive(1, seed);
+        let plain = |v, c| TaggedValue::new(Value::from_u64(v), Timestamp::new(c, 1));
+        let signed = |v, c| SignedValue::create(&key, Value::from_u64(v), Timestamp::new(c, 1));
+        let mut cluster = Cluster::new(Universe::new(n));
+        if reserve > 0 {
+            cluster.reserve_variables(reserve);
+        }
+        let mut behaviors = vec![Behavior::Correct; n as usize];
+        let (mut plain_model, mut signed_model) = (SlabModel::new(), SlabModel::new());
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for _ in 0..steps {
+            let server = ServerId::new(rng.gen_range(0..n));
+            match rng.gen_range(0u32..12) {
+                0 => {
+                    let behavior = BEHAVIORS[rng.gen_range(0..BEHAVIORS.len())];
+                    cluster.set_behavior(server, behavior);
+                    behaviors[server.as_usize()] = behavior;
+                }
+                1 => {
+                    cluster.join_server(server);
+                    behaviors[server.as_usize()] = Behavior::Correct;
+                    plain_model.retain(|&(s, _), _| s != server);
+                    signed_model.retain(|&(s, _), _| s != server);
+                }
+                draw if draw % 2 == 0 => {
+                    slab_step(&mut cluster, &mut plain_model, &behaviors, server, &mut rng, &plain)
+                }
+                _ => slab_step(&mut cluster, &mut signed_model, &behaviors, server, &mut rng, &signed),
+            }
+            slab_agrees(&cluster, &plain_model, n);
+            slab_agrees(&cluster, &signed_model, n);
         }
     }
 
@@ -1091,5 +1141,93 @@ proptest! {
             r.post_heal_coverage
         );
         prop_assert!(r.partition_blocked_gossip > 0);
+    }
+}
+
+/// Every behaviour a server can take.
+const BEHAVIORS: [Behavior; 4] = [
+    Behavior::Correct,
+    Behavior::Crashed,
+    Behavior::ByzantineForge,
+    Behavior::ByzantineStale,
+];
+
+/// The slab oracle's model of one record kind: what each server holds.
+type SlabModel<R> = BTreeMap<(ServerId, VariableId), R>;
+
+/// The ids the slab oracle draws: dense ones and three sparse ones, the
+/// first at the tier boundary.
+const SLAB_VARS: [VariableId; 9] = [0, 1, 2, 5, 9, 14, 1 << 16, (1 << 16) + 3, u64::MAX / 7];
+
+/// One random step on records of kind `R` at `server`, applied to the
+/// cluster and to the model: a write probe, a bare merge, a gossip delivery
+/// or a read probe, of a fresh record or (one time in ten) the initial one.
+fn slab_step<R: Record>(
+    cluster: &mut Cluster,
+    model: &mut SlabModel<R>,
+    behaviors: &[Behavior],
+    server: ServerId,
+    rng: &mut ChaCha8Rng,
+    make: &dyn Fn(u64, u64) -> R,
+) {
+    use rand::Rng;
+    let var = SLAB_VARS[rng.gen_range(0..SLAB_VARS.len())];
+    let record = if rng.gen_bool(0.1) {
+        R::initial()
+    } else {
+        make(var, rng.gen_range(1..6))
+    };
+    let held = model
+        .get(&(server, var))
+        .map_or(Timestamp::ZERO, Record::timestamp);
+    let fresher = record.timestamp() > held;
+    let behavior = behaviors[server.as_usize()];
+    let stores = match rng.gen_range(0u32..4) {
+        0 => {
+            let acked = cluster.probe_write(server, var, &record);
+            assert_eq!(acked, behavior != Behavior::Crashed);
+            behavior == Behavior::Correct && fresher
+        }
+        1 => {
+            assert_eq!(cluster.server_mut(server).merge(var, &record), fresher);
+            fresher
+        }
+        2 => {
+            let stored = diffusion::deliver_record(cluster, server, var, &record.clone().into());
+            assert_eq!(stored, behavior == Behavior::Correct && fresher);
+            stored
+        }
+        _ => {
+            let stored = model
+                .get(&(server, var))
+                .cloned()
+                .unwrap_or_else(R::initial);
+            let expected = match behavior {
+                Behavior::Crashed => None,
+                Behavior::ByzantineForge => Some(R::forged().unwrap_or(stored)),
+                Behavior::Correct | Behavior::ByzantineStale => Some(stored),
+            };
+            assert_eq!(cluster.probe_read::<R>(server, var), expected);
+            false
+        }
+    };
+    if stores {
+        model.insert((server, var), record);
+    }
+}
+
+/// Each server's held ids of kind `R`, ascending, and its record for every
+/// drawn id are the model's.
+fn slab_agrees<R: Record>(cluster: &Cluster, model: &SlabModel<R>, n: u32) {
+    for id in (0..n).map(ServerId::new) {
+        let server = cluster.server(id);
+        let held: Vec<VariableId> = model
+            .range((id, 0)..=(id, VariableId::MAX))
+            .map(|(&(_, var), _)| var)
+            .collect();
+        assert_eq!(server.variables::<R>().collect::<Vec<_>>(), held);
+        for var in SLAB_VARS {
+            assert_eq!(server.record::<R>(var), model.get(&(id, var)));
+        }
     }
 }
