@@ -57,6 +57,14 @@
 //! [`diffuse_digest`] composes the three steps into synchronous rounds,
 //! exactly like [`diffuse`] does for the push protocol.
 //!
+//! [`plan_digest`] and [`diff_digest`] return owned messages.  Each wraps a
+//! core that writes into caller-owned buffers instead — [`plan_digest_into`]
+//! plans a round into a reused [`DigestArena`], where a sender's `fanout`
+//! digests share one range of entries, and [`diff_digest_into`] appends a
+//! delta's records to a reused buffer and reports avoided keys through a
+//! callback — which is how the discrete-event engine gossips without a
+//! heap request per message.
+//!
 //! Failure semantics are identical in both drivers and both protocols:
 //! **crashed** servers neither initiate nor answer, and **Byzantine**
 //! servers receive digests and pushes (harmlessly — they drop or suppress
@@ -181,13 +189,15 @@ pub struct VariableCoverage {
 /// `HashMap` the planners used to rebuild every round: no hash per
 /// (sender, key) visit, and the final snapshot falls out in ascending id
 /// order without a sort.
+#[derive(Debug, Default)]
 struct CoverageScratch {
     slots: Vec<(Timestamp, u32)>,
 }
 
 impl CoverageScratch {
-    fn new() -> Self {
-        CoverageScratch { slots: Vec::new() }
+    /// Forgets the last round's counts, keeping the slots.
+    fn reset(&mut self) {
+        self.slots.fill((Timestamp::ZERO, 0));
     }
 
     /// Records that one correct server holds `variable` at `ts`
@@ -206,12 +216,12 @@ impl CoverageScratch {
     }
 
     /// The snapshot, sorted by variable id (slots come out ascending).
-    fn into_coverage(self) -> Vec<VariableCoverage> {
+    fn snapshot(&self) -> Vec<VariableCoverage> {
         self.slots
-            .into_iter()
+            .iter()
             .enumerate()
-            .filter(|&(_, (_, holders))| holders > 0)
-            .map(|(variable, (freshest, holders))| VariableCoverage {
+            .filter(|&(_, &(_, holders))| holders > 0)
+            .map(|(variable, &(freshest, holders))| VariableCoverage {
                 variable: variable as VariableId,
                 freshest,
                 holders,
@@ -302,7 +312,7 @@ fn plan_pushes<R: Record, G: RngCore + ?Sized, M>(
 ) -> (Vec<M>, Vec<VariableCoverage>, u32) {
     let n = cluster.len();
     let mut pushes = Vec::new();
-    let mut coverage = CoverageScratch::new();
+    let mut coverage = CoverageScratch::default();
     let mut correct_servers = 0u32;
     // One key buffer reused across senders: the planner runs every gossip
     // round, so per-sender allocations would be a steady-state hot spot.
@@ -337,7 +347,7 @@ fn plan_pushes<R: Record, G: RngCore + ?Sized, M>(
             }
         }
     }
-    (pushes, coverage.into_coverage(), correct_servers)
+    (pushes, coverage.snapshot(), correct_servers)
 }
 
 /// Plans one engine round of push gossip over **every** variable held
@@ -501,6 +511,62 @@ pub struct DigestRoundPlan {
     pub correct_servers: u32,
 }
 
+/// One digest of a planned round without its entries: they are the range
+/// `start..end` of an entry arena ([`DigestArena::entries`], or the
+/// engine's per-shard batch the spine routes them to).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlannedDigest {
+    /// The (correct) digest sender.
+    pub from: ServerId,
+    /// The receiver.
+    pub to: ServerId,
+    /// Whether the exchange covers signed (dissemination) or plain records.
+    pub signed: bool,
+    /// Whether the entries cover every key the sender holds (see
+    /// [`GossipDigest::complete`]).
+    pub complete: bool,
+    /// First arena index of the digest's entries.
+    pub start: u32,
+    /// One past its last arena index.
+    pub end: u32,
+}
+
+impl PlannedDigest {
+    /// The digest's entries in `arena`.
+    pub fn entries<'a>(
+        &self,
+        arena: &'a [(VariableId, Timestamp)],
+    ) -> &'a [(VariableId, Timestamp)] {
+        &arena[self.start as usize..self.end as usize]
+    }
+
+    /// The full message, its entries copied out of `arena`.
+    pub fn materialise(&self, arena: &[(VariableId, Timestamp)]) -> GossipDigest {
+        GossipDigest {
+            from: self.from,
+            to: self.to,
+            signed: self.signed,
+            complete: self.complete,
+            entries: self.entries(arena).to_vec(),
+        }
+    }
+}
+
+/// Caller-owned buffers one round of digest gossip is planned into by
+/// [`plan_digest_into`], reused round after round: each sender's entries
+/// are written once, back to back, and its `fanout` digests share them as
+/// one range.  Once the buffers have grown to a round's size, planning the
+/// next allocates only the coverage snapshot it returns.
+#[derive(Debug, Default)]
+pub struct DigestArena {
+    /// Every sender's advertised `(key, timestamp)` entries, sorted by key
+    /// within each sender's range.
+    pub entries: Vec<(VariableId, Timestamp)>,
+    /// The round's digests, in deterministic sender-id order.
+    pub digests: Vec<PlannedDigest>,
+    coverage: CoverageScratch,
+}
+
 /// Plans one round of digest gossip: each correct server summarises the
 /// keys admitted by `selector` and addresses the summary to `fanout`
 /// uniformly drawn peers (self-draws are consumed but skipped, like the
@@ -509,7 +575,9 @@ pub struct DigestRoundPlan {
 /// one record-bearing push per (sender, peer, key).
 ///
 /// Nothing is mutated; apply the exchange with [`diff_digest`] at each
-/// receiver and [`deliver_delta`] back at each sender.
+/// receiver and [`deliver_delta`] back at each sender.  A thin wrapper
+/// over [`plan_digest_into`] that copies each digest's entries out of a
+/// fresh arena.
 pub fn plan_digest(
     cluster: &Cluster,
     fanout: usize,
@@ -517,29 +585,39 @@ pub fn plan_digest(
     selector: &KeySelector,
     rng: &mut dyn RngCore,
 ) -> DigestRoundPlan {
-    if signed {
-        plan_digests::<SignedValue>(cluster, fanout, selector, rng)
+    let mut arena = DigestArena::default();
+    let (coverage, correct_servers) = if signed {
+        plan_digest_into::<SignedValue, _>(cluster, fanout, selector, rng, &mut arena)
     } else {
-        plan_digests::<TaggedValue>(cluster, fanout, selector, rng)
+        plan_digest_into::<TaggedValue, _>(cluster, fanout, selector, rng, &mut arena)
+    };
+    DigestRoundPlan {
+        digests: arena
+            .digests
+            .iter()
+            .map(|digest| digest.materialise(&arena.entries))
+            .collect(),
+        coverage,
+        correct_servers,
     }
 }
 
-/// [`plan_digest`] over the stores of `R` records.
-fn plan_digests<R: Record>(
+/// [`plan_digest`] over the stores of `R` records, into `arena` (cleared
+/// first): the round's digests and their entries land there, and the
+/// coverage snapshot and the number of correct servers are returned.
+pub fn plan_digest_into<R: Record, G: RngCore + ?Sized>(
     cluster: &Cluster,
     fanout: usize,
     selector: &KeySelector,
-    rng: &mut dyn RngCore,
-) -> DigestRoundPlan {
+    rng: &mut G,
+    arena: &mut DigestArena,
+) -> (Vec<VariableCoverage>, u32) {
     let n = cluster.len();
-    let mut digests = Vec::new();
-    let mut coverage = CoverageScratch::new();
+    let complete = selector.is_complete();
+    arena.entries.clear();
+    arena.digests.clear();
+    arena.coverage.reset();
     let mut correct_servers = 0u32;
-    // One entry buffer reused across the whole round (the per-digest
-    // `entries.clone()` below is inherent — each message owns its entry
-    // list — but the scratch itself allocates only once).  A server's slab
-    // column yields held keys ascending — no per-sender sort.
-    let mut entries: Vec<(VariableId, Timestamp)> = Vec::new();
     for i in 0..n as u32 {
         let sender = cluster.server(ServerId::new(i));
         if sender.behavior() != Behavior::Correct {
@@ -548,40 +626,46 @@ fn plan_digests<R: Record>(
         correct_servers += 1;
         // One pass builds the coverage snapshot (over everything held,
         // selector or not) and, for complete digests, the entry list —
-        // timestamps only, no record is ever cloned while planning.
-        entries.clear();
+        // timestamps only, no record is ever cloned while planning.  A
+        // server's slab column yields held keys ascending — no sort.
+        let start = arena_index(arena.entries.len());
         for variable in sender.variables::<R>() {
             let ts = sender.stored_timestamp::<R>(variable);
             if ts == Timestamp::ZERO {
                 continue;
             }
-            coverage.note(variable, ts);
-            if selector.is_complete() {
-                entries.push((variable, ts));
+            arena.coverage.note(variable, ts);
+            if complete {
+                arena.entries.push((variable, ts));
             }
         }
         if let KeySelector::Only(keys) = selector {
-            entries.extend(keys.iter().map(|&v| (v, sender.stored_timestamp::<R>(v))));
+            arena
+                .entries
+                .extend(keys.iter().map(|&v| (v, sender.stored_timestamp::<R>(v))));
         }
+        let end = arena_index(arena.entries.len());
         for _ in 0..fanout {
             let peer = rng.gen_range(0..n);
             if peer == i as usize {
                 continue;
             }
-            digests.push(GossipDigest {
+            arena.digests.push(PlannedDigest {
                 from: ServerId::new(i),
                 to: ServerId::new(peer as u32),
                 signed: R::SIGNED,
-                complete: selector.is_complete(),
-                entries: entries.clone(),
+                complete,
+                start,
+                end,
             });
         }
     }
-    DigestRoundPlan {
-        digests,
-        coverage: coverage.into_coverage(),
-        correct_servers,
-    }
+    (arena.coverage.snapshot(), correct_servers)
+}
+
+/// An entry-arena length as a [`PlannedDigest`] bound.
+fn arena_index(len: usize) -> u32 {
+    u32::try_from(len).expect("a round's digest entries fit a u32 index")
 }
 
 /// What [`diff_digest`] computed at a digest's receiver.
@@ -606,18 +690,15 @@ pub struct DigestDiff {
 /// that record is strictly fresher than the advertised timestamp; when the
 /// digest is [`complete`](GossipDigest::complete) it additionally
 /// volunteers records for keys it holds that the digest never mentioned
-/// (the sender provably holds nothing for them).
+/// (the sender provably holds nothing for them).  A wrapper over
+/// [`diff_digest_into`] that collects into fresh vectors.
 pub fn diff_digest(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDiff> {
-    let receiver = cluster.server(digest.to);
-    if receiver.behavior() != Behavior::Correct {
-        return None;
-    }
-    let (records, avoided) = if digest.signed {
-        diff_entries::<SignedValue>(receiver, digest)
-    } else {
-        diff_entries::<TaggedValue>(receiver, digest)
-    };
-    Some(DigestDiff {
+    let mut records = Vec::new();
+    let mut avoided = Vec::new();
+    diff_digest_into(cluster, digest, &mut records, |variable| {
+        avoided.push(variable)
+    })
+    .then_some(DigestDiff {
         delta: GossipDelta {
             from: digest.to,
             to: digest.from,
@@ -625,6 +706,29 @@ pub fn diff_digest(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDif
         },
         avoided,
     })
+}
+
+/// The diff behind [`diff_digest`], into caller-owned storage: appends the
+/// delta's `(key, record)` pairs to `records` in key order and calls
+/// `avoided` once per key the digest proved redundant, in key order.
+/// Returns `false`, touching neither, when the receiver does not answer.
+/// With `records` already large enough it allocates nothing.
+pub fn diff_digest_into(
+    cluster: &Cluster,
+    digest: &GossipDigest,
+    records: &mut Vec<(VariableId, AnyRecord)>,
+    avoided: impl FnMut(VariableId),
+) -> bool {
+    let receiver = cluster.server(digest.to);
+    if receiver.behavior() != Behavior::Correct {
+        return false;
+    }
+    if digest.signed {
+        diff_entries::<SignedValue>(receiver, digest, records, avoided);
+    } else {
+        diff_entries::<TaggedValue>(receiver, digest, records, avoided);
+    }
+    true
 }
 
 /// The diff itself, against the receiver's store of `R` records.
@@ -637,13 +741,13 @@ pub fn diff_digest(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDif
 fn diff_entries<R: Record>(
     receiver: ReplicaServer<'_>,
     digest: &GossipDigest,
-) -> (Vec<(VariableId, AnyRecord)>, Vec<VariableId>) {
+    records: &mut Vec<(VariableId, AnyRecord)>,
+    mut avoided: impl FnMut(VariableId),
+) {
     debug_assert!(
         digest.entries.windows(2).all(|w| w[0].0 < w[1].0),
         "digest entries must be sorted by key"
     );
-    let mut records = Vec::new();
-    let mut avoided = Vec::new();
     // Only a complete digest lets the receiver volunteer what it holds.
     let mut held = receiver
         .variables::<R>()
@@ -658,21 +762,20 @@ fn diff_entries<R: Record>(
     for &(variable, advertised) in &digest.entries {
         // Held keys the digest never mentioned that sort before this entry.
         while let Some(unadvertised) = held.next_if(|&h| h < variable) {
-            volunteer(unadvertised, &mut records);
+            volunteer(unadvertised, records);
         }
         held.next_if_eq(&variable);
         match lookup(variable) {
             Some(mine) if mine.timestamp() > advertised => {
                 records.push((variable, mine.clone().into()))
             }
-            Some(mine) if mine.timestamp() != Timestamp::ZERO => avoided.push(variable),
+            Some(mine) if mine.timestamp() != Timestamp::ZERO => avoided(variable),
             _ => {}
         }
     }
     for unadvertised in held {
-        volunteer(unadvertised, &mut records);
+        volunteer(unadvertised, records);
     }
-    (records, avoided)
 }
 
 /// The set-and-sort implementation [`diff_digest`] replaced, kept as the
@@ -765,7 +868,7 @@ pub fn diffuse_digest<R: Record>(
 ) -> DigestDiffusionStats {
     let mut stats = DigestDiffusionStats::default();
     for _ in 0..config.rounds {
-        let plan = plan_digests::<R>(cluster, config.fanout, &KeySelector::All, rng);
+        let plan = plan_digest(cluster, config.fanout, R::SIGNED, &KeySelector::All, rng);
         for digest in &plan.digests {
             stats.digests += 1;
             if let Some(diff) = diff_digest(cluster, digest) {
@@ -1321,6 +1424,57 @@ mod tests {
             });
         let diff = diff_digest(&cluster, &digest).unwrap();
         assert!(diff.delta.records.iter().any(|&(v, _)| v == 7));
+    }
+
+    #[test]
+    fn a_reused_arena_plans_what_the_wrapper_plans_fresh() {
+        // Rounds planned into one arena, over stores that change between
+        // rounds and under complete and selective digests, equal the
+        // wrapper's rounds from fresh buffers: the arena keeps capacity,
+        // never contents, and a sender's digests share one entry range.
+        fn check<R: Make>(rng: &mut ChaCha8Rng, case: u64) {
+            let mut cluster = Cluster::new(Universe::new(10));
+            cluster.set_behavior(ServerId::new(4), Behavior::Crashed);
+            let mut arena = DigestArena::default();
+            for round in 0..6u64 {
+                for _ in 0..8 {
+                    let server = ServerId::new(rng.gen_range(0..10));
+                    let var = rng.gen_range(0..12u64);
+                    let age = rng.gen_range(1..2 + round);
+                    cluster.server_mut(server).merge(var, &R::make(var, age));
+                }
+                let selector = if round % 3 == 2 {
+                    KeySelector::Only(BTreeSet::from([1, 5, 30]))
+                } else {
+                    KeySelector::All
+                };
+                let seed = 100 * case + round;
+                let mut rng_a = ChaCha8Rng::seed_from_u64(seed);
+                let mut rng_b = ChaCha8Rng::seed_from_u64(seed);
+                let (coverage, correct_servers) =
+                    plan_digest_into::<R, _>(&cluster, 2, &selector, &mut rng_a, &mut arena);
+                let fresh = plan_digest(&cluster, 2, R::SIGNED, &selector, &mut rng_b);
+                assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "same draws");
+                assert_eq!(coverage, fresh.coverage, "case {case} round {round}");
+                assert_eq!(correct_servers, fresh.correct_servers);
+                let digests: Vec<GossipDigest> = arena
+                    .digests
+                    .iter()
+                    .map(|d| d.materialise(&arena.entries))
+                    .collect();
+                assert_eq!(digests, fresh.digests, "case {case} round {round}");
+                for pair in arena.digests.windows(2) {
+                    if pair[0].from == pair[1].from {
+                        assert_eq!((pair[0].start, pair[0].end), (pair[1].start, pair[1].end));
+                    }
+                }
+            }
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(53);
+        for case in 0..20u64 {
+            check::<TaggedValue>(&mut rng, 2 * case);
+            check::<SignedValue>(&mut rng, 2 * case + 1);
+        }
     }
 
     #[test]

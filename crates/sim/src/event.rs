@@ -141,8 +141,10 @@ pub enum Event {
 
 /// A reusable slot-indexed store for in-flight gossip payloads.
 ///
-/// Gossip events carry a `u64` handle instead of their (heap-allocated)
-/// payload so [`Event`] stays small and `Copy`.  The slab is a plain
+/// Gossip events carry a `u64` handle instead of their payload so
+/// [`Event`] stays small and `Copy`.  A payload's variable-length part (a
+/// digest's entries, a delta's records) is a buffer drawn from a
+/// [`BufferPool`] and returned to it after delivery.  The slab is a plain
 /// `Vec<Option<T>>` plus a free list: `insert` is a push or a free-slot
 /// reuse, `take` is an indexed load, and the backing storage reaches the
 /// high-water mark of in-flight messages once and is reused for the rest
@@ -209,6 +211,36 @@ impl<T> PendingSlab<T> {
     }
 }
 
+/// A free list of cleared buffers for in-flight payloads.
+///
+/// A message takes a buffer when it is sent and gives it back once it is
+/// delivered or dropped, so after the run's high-water mark of in-flight
+/// messages (each buffer at its largest payload) sending allocates
+/// nothing.
+#[derive(Debug)]
+pub struct BufferPool<T> {
+    free: Vec<Vec<T>>,
+}
+
+impl<T> Default for BufferPool<T> {
+    fn default() -> Self {
+        BufferPool { free: Vec::new() }
+    }
+}
+
+impl<T> BufferPool<T> {
+    /// An empty buffer: a recycled one, or a fresh one if none is free.
+    pub fn take(&mut self) -> Vec<T> {
+        self.free.pop().unwrap_or_default()
+    }
+
+    /// Returns `buffer` to the pool, emptied and with its capacity kept.
+    pub fn give(&mut self, mut buffer: Vec<T>) {
+        buffer.clear();
+        self.free.push(buffer);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,5 +264,22 @@ mod tests {
         assert_eq!(slab.take(b), Some("b"));
         assert_eq!(slab.take(c), Some("c"));
         assert!(slab.is_empty());
+    }
+
+    #[test]
+    fn buffer_pool_recycles_cleared_buffers() {
+        let mut pool: BufferPool<u32> = BufferPool::default();
+        let mut a = pool.take();
+        a.extend([1, 2, 3]);
+        let capacity = a.capacity();
+        pool.give(a);
+        let b = pool.take();
+        assert!(b.is_empty());
+        assert_eq!(b.capacity(), capacity, "the same allocation comes back");
+        assert_eq!(
+            pool.take().capacity(),
+            0,
+            "an empty pool hands out fresh buffers"
+        );
     }
 }

@@ -45,7 +45,7 @@ use crate::runner::{GossipMode, KeyGossipPolicy, ProtocolKind, Simulation};
 use crate::staleness::HealTracking;
 use crate::time::SimTime;
 use crate::workload::WorkloadConfig;
-use crate::world::{QueuedPush, RoundBatch, World};
+use crate::world::{DigestIds, QueuedPush, RoundBatch, World};
 use pqs_core::system::QuorumSystem;
 #[cfg(debug_assertions)]
 use pqs_core::universe::ServerId;
@@ -238,11 +238,12 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
         let mut next_gossip_id: u64 = 0;
 
         // Round-scoped buffers, all reused across barriers: per-shard
-        // message batches, per-shard digest-entry buckets, and the
-        // write-state snapshots for the digest key policies.
+        // message batches, the digest planner's arena, each shard's range
+        // of the sender being routed, and the write-state snapshots for
+        // the digest key policies.
         let mut batches: Vec<RoundBatch> = (0..num_shards).map(|_| RoundBatch::default()).collect();
-        let mut entry_buckets: Vec<Vec<(VariableId, Timestamp)>> =
-            (0..num_shards).map(|_| Vec::new()).collect();
+        let mut arena = diffusion::DigestArena::default();
+        let mut spans: Vec<(u32, u32)> = vec![(0, 0); num_shards as usize];
         let mut write_counts = vec![0u64; nvars];
         let mut last_writes = vec![f64::NEG_INFINITY; nvars];
 
@@ -342,14 +343,18 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
                     gather_write_state(&worlds, &mut write_counts, &mut last_writes);
                     let selector =
                         digest_selector(policy.key_policy, round, t, &write_counts, &last_writes);
-                    let round_plan = diffusion::plan_digest(
+                    let (coverage, correct_servers) = diffusion::plan_digest_into::<R, _>(
                         &spine,
                         policy.fanout as usize,
-                        R::SIGNED,
                         &selector,
                         &mut gossip_rng,
+                        &mut arena,
                     );
-                    for digest in round_plan.digests {
+                    // The arena range whose per-shard split `spans` holds:
+                    // a sender's digests share one range, so its entries
+                    // are routed once and its sub-digests share the copy.
+                    let mut routed: Option<(u32, u32)> = None;
+                    for &digest in &arena.digests {
                         // Both legs' latencies are drawn eagerly at
                         // planning time: the gossip stream must never
                         // depend on whether a shard's delta turns out
@@ -369,33 +374,39 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
                             digests_blocked += 1;
                             continue;
                         }
-                        // One pass buckets the advertised entries by
-                        // owning shard — O(entries + shards) per digest
-                        // instead of a per-shard scan of the full list.
-                        for &entry in &digest.entries {
-                            entry_buckets[(entry.0 % num_shards) as usize].push(entry);
+                        // One pass appends the sender's advertised entries
+                        // to their owning shards' arenas — O(entries +
+                        // shards) per sender.
+                        if routed != Some((digest.start, digest.end)) {
+                            for (span, batch) in spans.iter_mut().zip(&batches) {
+                                span.0 = batch.entries.len() as u32;
+                            }
+                            for &entry in digest.entries(&arena.entries) {
+                                batches[(entry.0 % num_shards) as usize].entries.push(entry);
+                            }
+                            for (span, batch) in spans.iter_mut().zip(&batches) {
+                                span.1 = batch.entries.len() as u32;
+                            }
+                            routed = Some((digest.start, digest.end));
                         }
-                        for (bucket, batch) in entry_buckets.iter_mut().zip(batches.iter_mut()) {
+                        for (&(start, end), batch) in spans.iter().zip(batches.iter_mut()) {
                             // An incomplete digest with no entries for this
                             // shard can neither transfer nor avoid
                             // anything; a *complete* one still lets the
                             // receiver volunteer records the sender never
                             // advertised, so it visits every shard.
-                            if bucket.is_empty() && !digest.complete {
+                            if start == end && !digest.complete {
                                 continue;
                             }
-                            let sub = diffusion::GossipDigest {
-                                from: digest.from,
-                                to: digest.to,
-                                signed: digest.signed,
-                                complete: digest.complete,
-                                entries: bucket.clone(),
+                            let sub = diffusion::PlannedDigest {
+                                start,
+                                end,
+                                ..digest
                             };
-                            bucket.clear();
                             batch.digests.push((t + digest_rtt, id, sub, delta_rtt));
                         }
                     }
-                    (round_plan.coverage, round_plan.correct_servers)
+                    (coverage, correct_servers)
                 }
             };
 
@@ -451,12 +462,8 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
     // digest's delta is one message, however many shards contributed to
     // it); blocked deltas likewise deduplicate to one dropped message per
     // id.
-    let mut delta_ids: BTreeSet<u64> = BTreeSet::new();
-    let mut blocked_delta_ids: BTreeSet<u64> = BTreeSet::new();
-    for world in &worlds {
-        delta_ids.extend(world.deltas_sent.iter().copied());
-        blocked_delta_ids.extend(world.deltas_blocked.iter().copied());
-    }
+    let deltas_sent = DigestIds::union_len(worlds.iter().map(|w| &w.deltas_sent));
+    let deltas_blocked = DigestIds::union_len(worlds.iter().map(|w| &w.deltas_blocked));
 
     let mut report = merge_shard_reports(worlds.into_iter().map(World::into_accumulator).collect());
     report.gossip_rounds = rounds;
@@ -464,8 +471,7 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
     report.gossip_digests = digests_planned - digests_blocked;
     let resolved_delivered: u64 = resolved_pushes.iter().sum();
     report.gossip_pushes += resolved_delivered;
-    report.partition_blocked_gossip +=
-        resolved_blocked + digests_blocked + blocked_delta_ids.len() as u64;
+    report.partition_blocked_gossip += resolved_blocked + digests_blocked + deltas_blocked;
     report.membership_events = plan.memberships.len() as u64;
     heals.finish_into(&mut report);
     // Spine-level events: crash and membership transitions (replayed per
@@ -475,7 +481,7 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
         + plan.memberships.len() as u64
         + rounds
         + digests_planned
-        + delta_ids.len() as u64
+        + deltas_sent
         + resolved_delivered
         + resolved_blocked;
     for v in 0..nvars {

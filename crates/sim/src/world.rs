@@ -26,7 +26,7 @@
 //! merged report bit-identical across all shard counts and all thread
 //! counts.
 
-use crate::event::{Event, OpId, PendingSlab};
+use crate::event::{BufferPool, Event, OpId, PendingSlab};
 use crate::failure::{ByzantineStrategy, FailurePlan};
 use crate::metrics::{OpOutcome, OpRecord, ShardAccumulator, SimReport, VariableReport};
 use crate::runner::{ProtocolKind, SimConfig, Simulation};
@@ -42,10 +42,10 @@ use pqs_protocols::diffusion;
 use pqs_protocols::register::session::{self, ReadSession, WriteSession};
 use pqs_protocols::register::{RegisterFlavor, RegisterMap};
 use pqs_protocols::server::{AnyRecord, Behavior, Record, VariableId};
+use pqs_protocols::timestamp::Timestamp;
 use pqs_protocols::value::Value;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeSet;
 
 /// Seed of variable `var`'s private RNG stream: a splitmix64-style mix of
 /// the run seed and the variable id, so neighbouring variables get
@@ -136,15 +136,50 @@ fn strategy_fires(
 }
 
 /// A digest injected by the spine, waiting for its delivery event: the
-/// sub-digest itself, its **global** digest id (events carry slab slots,
-/// so the id used for the cross-shard one-delta-per-digest accounting
-/// rides here) and the pre-drawn latency of the answering delta (drawn on
-/// the spine so the gossip RNG stream never depends on shard outcomes).
+/// sub-digest itself (its entries in a buffer from the world's pool), its
+/// **global** digest id (events carry slab slots, so the id used for the
+/// cross-shard one-delta-per-digest accounting rides here) and the
+/// pre-drawn latency of the answering delta (drawn on the spine so the
+/// gossip RNG stream never depends on shard outcomes).
 #[derive(Debug)]
 struct PendingDigest {
     global_id: u64,
     digest: diffusion::GossipDigest,
     delta_rtt: SimTime,
+}
+
+/// A set of global digest ids as a dense bitset: the ids run
+/// `0..digests planned`, so a bit per id is both smaller and cheaper to
+/// insert into than an ordered set, and the spine's cross-shard union is
+/// a word-wise OR.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub(crate) struct DigestIds {
+    words: Vec<u64>,
+}
+
+impl DigestIds {
+    /// Adds `id` to the set.
+    pub(crate) fn insert(&mut self, id: u64) {
+        let word = (id / 64) as usize;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (id % 64);
+    }
+
+    /// The number of ids in the union of `sets`.
+    pub(crate) fn union_len<'s>(sets: impl IntoIterator<Item = &'s DigestIds>) -> u64 {
+        let mut union: Vec<u64> = Vec::new();
+        for set in sets {
+            if set.words.len() > union.len() {
+                union.resize(set.words.len(), 0);
+            }
+            for (acc, word) in union.iter_mut().zip(&set.words) {
+                *acc |= word;
+            }
+        }
+        union.iter().map(|word| u64::from(word.count_ones())).sum()
+    }
 }
 
 /// A full-push message travelling through a shard queue.
@@ -165,16 +200,19 @@ pub(crate) struct QueuedPush {
 
 /// One gossip round's cross-shard traffic bound for a single shard,
 /// accumulated by the spine during planning and bulk-scheduled by
-/// [`World::schedule_round_batch`].  The buffers are drained each
-/// round and keep their capacity, so steady-state routing allocates
-/// nothing.
+/// [`World::schedule_round_batch`].  A sub-digest's entries are a range
+/// of the batch's own entry arena, not a vector of their own.  The
+/// buffers are drained each round and keep their capacity, so
+/// steady-state routing allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct RoundBatch {
     /// `(delivery time, push)` in plan order.
     pub(crate) pushes: Vec<(SimTime, QueuedPush)>,
     /// `(delivery time, global digest id, sub-digest, delta latency)` in
-    /// plan order.
-    pub(crate) digests: Vec<(SimTime, u64, diffusion::GossipDigest, SimTime)>,
+    /// plan order; each sub-digest's range indexes `entries`.
+    pub(crate) digests: Vec<(SimTime, u64, diffusion::PlannedDigest, SimTime)>,
+    /// The sub-digests' `(key, timestamp)` entries, back to back.
+    pub(crate) entries: Vec<(VariableId, Timestamp)>,
 }
 
 /// One world's complete simulation state.
@@ -219,14 +257,18 @@ pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
     /// Answering deltas in flight, each carrying its global digest id so
     /// blocked deliveries can be attributed once per message.
     pending_deltas: PendingSlab<(u64, diffusion::GossipDelta)>,
+    /// Recycled entry buffers of the pending digests.
+    digest_entries: BufferPool<(VariableId, Timestamp)>,
+    /// Recycled record buffers of the pending deltas.
+    delta_records: BufferPool<(VariableId, AnyRecord)>,
     /// Global ids of digests this shard answered with a non-empty delta;
     /// the spine counts the union as delta *events* (a digest's delta is
     /// one message, however many shards contribute records to it).
-    pub(crate) deltas_sent: BTreeSet<u64>,
+    pub(crate) deltas_sent: DigestIds,
     /// Global ids of deltas whose delivery a partition window blocked;
     /// the spine counts the union once per id (a blocked delta is one
     /// dropped message, however many shards its records span).
-    pub(crate) deltas_blocked: BTreeSet<u64>,
+    pub(crate) deltas_blocked: DigestIds,
     /// The run's failure plan, borrowed: its crash and membership
     /// schedules are two of the cursor timelines (replayed in every
     /// shard), and its partition windows and adversary strategy are
@@ -381,8 +423,10 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
             pending_pushes: PendingSlab::new(),
             pending_digests: PendingSlab::new(),
             pending_deltas: PendingSlab::new(),
-            deltas_sent: BTreeSet::new(),
-            deltas_blocked: BTreeSet::new(),
+            digest_entries: BufferPool::default(),
+            delta_records: BufferPool::default(),
+            deltas_sent: DigestIds::default(),
+            deltas_blocked: DigestIds::default(),
             plan,
             present,
             present_count,
@@ -449,10 +493,15 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
     /// calendar's live day; the ones due in it cost one placement plus
     /// at most one sort of that day between them).
     ///
-    /// Determinism: the queue pops by `(time, insertion sequence)` and the
-    /// sort is **stable**, so equal-time messages keep their plan order —
-    /// the pop order is bit-identical to unsorted per-message injection.
-    /// The batch buffers are drained with capacity kept for the next round.
+    /// Each sub-digest's entries are copied out of the batch arena into a
+    /// recycled buffer that travels with the pending digest.
+    ///
+    /// Determinism: the queue pops by `(time, insertion sequence)` and
+    /// equal-time messages keep their plan order — the pushes' sort is
+    /// **stable**, and the digests' breaks ties by global id, which rises
+    /// in plan order — so the pop order is bit-identical to unsorted
+    /// per-message injection.  The batch buffers are drained with capacity
+    /// kept for the next round.
     pub(crate) fn schedule_round_batch(&mut self, batch: &mut RoundBatch) {
         // `total_cmp`, not `partial_cmp(..).unwrap_or(Equal)`: a NaN draw
         // must not scramble the sort before `schedule`'s validation
@@ -462,16 +511,29 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
             let slot = self.pending_pushes.insert(push);
             self.queue.schedule(at, Event::GossipPush { push: slot });
         }
-        batch.digests.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for (at, global_id, digest, delta_rtt) in batch.digests.drain(..) {
+        // A shard gets at most one sub-digest per id, so the key is total
+        // and the unstable sort (which needs no scratch buffer) is exact.
+        batch
+            .digests
+            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        for (at, global_id, planned, delta_rtt) in batch.digests.drain(..) {
+            let mut entries = self.digest_entries.take();
+            entries.extend_from_slice(planned.entries(&batch.entries));
             let slot = self.pending_digests.insert(PendingDigest {
                 global_id,
-                digest,
+                digest: diffusion::GossipDigest {
+                    from: planned.from,
+                    to: planned.to,
+                    signed: planned.signed,
+                    complete: planned.complete,
+                    entries,
+                },
                 delta_rtt,
             });
             self.queue
                 .schedule(at, Event::GossipDigest { digest: slot });
         }
+        batch.entries.clear();
     }
 
     /// Applies this shard's record changes since the last barrier to the
@@ -723,19 +785,26 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                 // one digest may fan out to several shards but is one
                 // message); only its per-variable outcomes happen here.
                 if let Some(p) = self.pending_digests.take(digest) {
-                    if let Some(diff) = diffusion::diff_digest(&self.cluster, &p.digest) {
-                        for &var in &diff.avoided {
-                            self.acc.report.gossip_redundant_pushes_avoided += 1;
-                            self.acc.report.per_variable[var as usize]
-                                .gossip_redundant_pushes_avoided += 1;
-                        }
-                        if !diff.delta.records.is_empty() {
-                            self.deltas_sent.insert(p.global_id);
-                            let slot = self.pending_deltas.insert((p.global_id, diff.delta));
-                            self.queue
-                                .schedule(t + p.delta_rtt, Event::GossipDelta { delta: slot });
-                        }
+                    let mut records = self.delta_records.take();
+                    let report = &mut self.acc.report;
+                    diffusion::diff_digest_into(&self.cluster, &p.digest, &mut records, |var| {
+                        report.gossip_redundant_pushes_avoided += 1;
+                        report.per_variable[var as usize].gossip_redundant_pushes_avoided += 1;
+                    });
+                    if records.is_empty() {
+                        self.delta_records.give(records);
+                    } else {
+                        self.deltas_sent.insert(p.global_id);
+                        let delta = diffusion::GossipDelta {
+                            from: p.digest.to,
+                            to: p.digest.from,
+                            records,
+                        };
+                        let slot = self.pending_deltas.insert((p.global_id, delta));
+                        self.queue
+                            .schedule(t + p.delta_rtt, Event::GossipDelta { delta: slot });
                     }
+                    self.digest_entries.give(p.digest.entries);
                 }
             }
             Event::GossipDelta { delta } => {
@@ -747,19 +816,20 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                     // deduplicated on the spine into one dropped message.
                     if self.plan.blocks_link(t, d.from, d.to) {
                         self.deltas_blocked.insert(global_id);
-                        return;
-                    }
-                    for (var, record) in &d.records {
-                        let vi = *var as usize;
-                        self.acc.report.gossip_pushes += 1;
-                        self.acc.report.per_variable[vi].gossip_pushes += 1;
-                        self.acc.report.per_variable[vi].gossip_delta_records += 1;
-                        if diffusion::deliver_record(&mut self.cluster, d.to, *var, record) {
-                            self.acc.report.gossip_stores += 1;
-                            self.acc.report.per_variable[vi].gossip_stores += 1;
-                            self.mark_dirty(d.to, *var);
+                    } else {
+                        for (var, record) in &d.records {
+                            let vi = *var as usize;
+                            self.acc.report.gossip_pushes += 1;
+                            self.acc.report.per_variable[vi].gossip_pushes += 1;
+                            self.acc.report.per_variable[vi].gossip_delta_records += 1;
+                            if diffusion::deliver_record(&mut self.cluster, d.to, *var, record) {
+                                self.acc.report.gossip_stores += 1;
+                                self.acc.report.per_variable[vi].gossip_stores += 1;
+                                self.mark_dirty(d.to, *var);
+                            }
                         }
                     }
+                    self.delta_records.give(d.records);
                 }
             }
         }
@@ -992,6 +1062,59 @@ mod tests {
     use crate::runner::DiffusionPolicy;
     use pqs_core::probabilistic::EpsilonIntersecting;
     use pqs_protocols::value::TaggedValue;
+    use rand::Rng;
+    use std::collections::BTreeSet;
+
+    /// The ordered-set union [`DigestIds::union_len`] replaced, kept as its
+    /// oracle.
+    fn union_len_oracle(sets: &[BTreeSet<u64>]) -> u64 {
+        let mut union: BTreeSet<u64> = BTreeSet::new();
+        for set in sets {
+            union.extend(set.iter().copied());
+        }
+        union.len() as u64
+    }
+
+    #[test]
+    fn bitset_union_counts_what_the_ordered_set_union_counts() {
+        // Random id sets over 1–8 worlds, with the word-boundary ids mixed
+        // in and some worlds left empty.
+        let boundary = [0u64, 63, 64, 127, 128, 191, 192];
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        for case in 0..500 {
+            let worlds = rng.gen_range(1..=8usize);
+            let top = [1u64, 64, 129, 1000][case % 4];
+            let sets: Vec<BTreeSet<u64>> = (0..worlds)
+                .map(|_| {
+                    if rng.gen_bool(0.25) {
+                        return BTreeSet::new();
+                    }
+                    let mut set: BTreeSet<u64> = (0..rng.gen_range(0..40))
+                        .map(|_| rng.gen_range(0..top))
+                        .collect();
+                    set.extend(boundary.iter().filter(|_| rng.gen_bool(0.3)));
+                    set
+                })
+                .collect();
+            let bits: Vec<DigestIds> = sets
+                .iter()
+                .map(|set| {
+                    let mut ids = DigestIds::default();
+                    for &id in set {
+                        ids.insert(id);
+                        ids.insert(id);
+                    }
+                    ids
+                })
+                .collect();
+            assert_eq!(
+                DigestIds::union_len(&bits),
+                union_len_oracle(&sets),
+                "case {case}: {sets:?}"
+            );
+        }
+        assert_eq!(DigestIds::union_len(&[]), 0, "no worlds");
+    }
 
     fn op(at: SimTime, kind: OpKind) -> Operation {
         Operation {

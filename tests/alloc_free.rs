@@ -15,7 +15,9 @@ use probabilistic_quorums::core::universe::{ServerId, Universe};
 use probabilistic_quorums::math::sampling::sample_k_of_n;
 use probabilistic_quorums::protocols::cluster::Cluster;
 use probabilistic_quorums::protocols::crypto::{KeyRegistry, SignedValue, SigningKey};
-use probabilistic_quorums::protocols::diffusion::{self, GossipPush};
+use probabilistic_quorums::protocols::diffusion::{
+    self, DigestArena, GossipDigest, GossipPush, KeySelector,
+};
 use probabilistic_quorums::protocols::register::session::{ReadMode, ReadSession};
 use probabilistic_quorums::protocols::server::AnyRecord;
 use probabilistic_quorums::protocols::timestamp::Timestamp;
@@ -243,6 +245,106 @@ fn a_gossip_delivery_that_stores_nothing_allocates_nothing() {
         }
     });
     assert_eq!(requests, 0);
+}
+
+#[test]
+fn diffing_a_digest_into_a_warmed_buffer_allocates_nothing() {
+    // The receiver holds keys 0..12 at counter 1 + key % 3; the digest
+    // advertises the even keys at counter 2, so some records ride back,
+    // some are proven redundant and, when the digest is complete, the odd
+    // keys are volunteered.
+    let key = SigningKey::derive(1, 7);
+    let mut cluster = Cluster::new(Universe::new(8));
+    cluster.reserve_variables(16);
+    for var in 0..12u64 {
+        let ts = Timestamp::new(1 + var % 3, 1);
+        assert!(cluster.probe_write(server(), var, &tagged(var, 1 + var % 3)));
+        let signed = SignedValue::create(&key, Value::from_u64(var), ts);
+        assert!(cluster.probe_write(server(), var, &signed));
+    }
+    let entries: Vec<(u64, Timestamp)> = (0..12u64)
+        .step_by(2)
+        .map(|var| (var, Timestamp::new(2, 1)))
+        .collect();
+    let mut records = Vec::new();
+    for signed in [false, true] {
+        for complete in [false, true] {
+            let digest = GossipDigest {
+                from: ServerId::new(0),
+                to: server(),
+                signed,
+                complete,
+                entries: entries.clone(),
+            };
+            // Sized by one diff of the same digest.
+            assert!(diffusion::diff_digest_into(
+                &cluster,
+                &digest,
+                &mut records,
+                |_| ()
+            ));
+            let sent = records.len();
+            let mut avoided = 0u64;
+            let requests = requests_during(|| {
+                for _ in 0..STEPS {
+                    records.clear();
+                    diffusion::diff_digest_into(&cluster, &digest, &mut records, |_| avoided += 1);
+                }
+            });
+            assert_eq!(requests, 0, "signed {signed}, complete {complete}");
+            assert_eq!(records.len(), sent);
+            assert_eq!(
+                sent,
+                if complete { 8 } else { 2 },
+                "2 fresher + 6 volunteered"
+            );
+            assert_eq!(avoided, 4 * STEPS, "keys 0, 4, 6 and 10");
+            records.clear();
+        }
+    }
+}
+
+#[test]
+fn planning_a_digest_round_into_warmed_buffers_allocates_only_the_coverage_snapshot() {
+    // The repo benchmark's digest shape: 16 keys of signed records of
+    // mixed age on every server, fanout 3.  Once the arena has grown to a
+    // round's size, a round's heap requests are the returned coverage
+    // snapshot's, whatever the number of servers.
+    let key = SigningKey::derive(1, 7);
+    let planned = |n: u32| {
+        let mut cluster = Cluster::new(Universe::new(n));
+        cluster.reserve_variables(16);
+        for s in 0..n {
+            for v in 0..16u64 {
+                let age = 1 + (u64::from(s) * 31 + v * 17) % 4;
+                let record = SignedValue::create(&key, Value::from_u64(v), Timestamp::new(age, 1));
+                assert!(cluster.probe_write(ServerId::new(s), v, &record));
+            }
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(15);
+        let mut arena = DigestArena::default();
+        let plan = |rng: &mut ChaCha8Rng, arena: &mut DigestArena| {
+            diffusion::plan_digest_into::<SignedValue, _>(
+                &cluster,
+                3,
+                &KeySelector::All,
+                rng,
+                arena,
+            )
+        };
+        for _ in 0..3 {
+            plan(&mut rng, &mut arena);
+        }
+        let mut coverage = Vec::new();
+        let requests = requests_during(|| coverage = plan(&mut rng, &mut arena).0);
+        assert_eq!(coverage.len(), 16);
+        assert_eq!(arena.entries.len(), 16 * n as usize, "one range per sender");
+        requests
+    };
+    // A 16-entry snapshot collects through 4, 8 and 16 slots.
+    let requests = planned(60);
+    assert_eq!(requests, 3, "the coverage snapshot and nothing else");
+    assert_eq!(planned(240), requests, "independent of n");
 }
 
 #[test]
