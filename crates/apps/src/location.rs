@@ -77,11 +77,6 @@ impl<'a, S: QuorumSystem + ?Sized> LocationDirectory<'a, S> {
         self.registers.probe_margin()
     }
 
-    /// Number of devices whose location variable has been touched.
-    pub fn tracked_devices(&self) -> usize {
-        self.registers.len()
-    }
-
     /// The device reports that it moved to `cell`: writes the replicated
     /// variable through a quorum.  Returns `false` if no replica stored the
     /// update.
@@ -116,11 +111,6 @@ impl<'a, S: QuorumSystem + ?Sized> LocationDirectory<'a, S> {
                 }
             }
         }
-    }
-
-    /// The ground-truth location of a device, if it ever reported one.
-    pub fn true_location(&self, device: DeviceId) -> Option<CellId> {
-        self.truth.get(&device).copied()
     }
 }
 
@@ -208,11 +198,7 @@ mod tests {
         let mut cluster = Cluster::new(sys.universe());
         let mut dir = LocationDirectory::new(&sys);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        assert_eq!(dir.tracked_devices(), 0);
         assert!(dir.report_move(&mut cluster, &mut rng, 5, 17));
-        assert_eq!(dir.tracked_devices(), 1);
-        assert_eq!(dir.true_location(5), Some(17));
-        assert_eq!(dir.true_location(6), None);
         match dir.lookup(&mut cluster, &mut rng, 5) {
             Lookup::Current(17) => {}
             other => panic!("unexpected lookup result {other:?}"),
@@ -229,8 +215,6 @@ mod tests {
         let stats = mobility_experiment(&mut dir, &mut cluster, &mut rng, 20, 50, 10, 3);
         assert_eq!(stats.current + stats.stale + stats.miss, 20 * 10 * 3);
         assert!(stats.reachability() > 0.97, "{stats:?}");
-        // Each of the 20 devices holds its own register in the map.
-        assert_eq!(dir.tracked_devices(), 20);
         // Stale or missed lookups happen at roughly the epsilon rate.
         let failure_rate = 1.0 - stats.current as f64 / 600.0;
         assert!(

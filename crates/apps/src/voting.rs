@@ -89,11 +89,6 @@ impl<'a, S: QuorumSystem + ?Sized> VoterLockService<'a, S> {
         }
     }
 
-    /// Number of voters whose lock variable has been touched.
-    pub fn touched_locks(&self) -> usize {
-        self.registers.len()
-    }
-
     /// Attempts to cast a vote for `voter` at `station`.
     ///
     /// The protocol is the lock protocol sketched in Section 1.1: read the
@@ -119,19 +114,6 @@ impl<'a, S: QuorumSystem + ?Sized> VoterLockService<'a, S> {
                 Ok(_) => VoteOutcome::Accepted,
                 Err(_) => VoteOutcome::Unavailable,
             },
-        }
-    }
-
-    /// Checks whether a voter currently appears locked (read-only).
-    pub fn is_locked(
-        &self,
-        cluster: &mut Cluster,
-        rng: &mut dyn RngCore,
-        voter: VoterId,
-    ) -> Option<StationId> {
-        match self.registers.get(cluster, rng, lock_variable(voter)) {
-            Ok(Some(existing)) => Some(decode_station(&existing.value)),
-            _ => None,
         }
     }
 }
@@ -229,18 +211,14 @@ mod tests {
         let mut service = VoterLockService::new(&sys, sys.read_threshold());
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         assert_eq!(service.threshold(), sys.read_threshold());
-        assert_eq!(service.touched_locks(), 0);
         assert_eq!(
             service.cast_vote(&mut cluster, &mut rng, 10, 777),
             VoteOutcome::Accepted
         );
-        assert_eq!(service.touched_locks(), 1);
         match service.cast_vote(&mut cluster, &mut rng, 11, 777) {
             VoteOutcome::RejectedAlreadyVoted { locked_by } => assert_eq!(locked_by, 10),
             other => panic!("expected rejection, got {other:?}"),
         }
-        assert_eq!(service.is_locked(&mut cluster, &mut rng, 777), Some(10));
-        assert_eq!(service.is_locked(&mut cluster, &mut rng, 778), None);
     }
 
     #[test]
@@ -255,7 +233,6 @@ mod tests {
                 "voter {voter}"
             );
         }
-        assert_eq!(service.touched_locks(), 20);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * `--out-dir PATH` — write CSV artifacts under `PATH` instead of the
 //!   [`crate::output_dir`] default.
 //! * `--soak` — run the soak lane of validators that have one (currently
-//!   `validate_parallel`), a [`SOAK_OPS`]-event endurance run.  Validators
+//!   `validate_parallel`), a 10⁸-event endurance run.  Validators
 //!   without a soak lane ignore it.
 //!
 //! Exit codes are uniform across the registry: [`EXIT_OK`] (0) for a clean
@@ -49,12 +49,12 @@ pub struct ValidatorCli {
     pub threads: u32,
     /// CSV output directory override (`--out-dir`).
     pub out_dir: Option<PathBuf>,
-    /// Run the soak lane, a [`SOAK_OPS`]-event endurance run (`--soak`).
+    /// Run the soak lane, a 10⁸-event endurance run (`--soak`).
     pub soak: bool,
 }
 
 /// The soak lane's engine-event target: a 10⁸-event endurance run.
-pub const SOAK_OPS: u64 = 100_000_000;
+const SOAK_OPS: u64 = 100_000_000;
 
 impl Default for ValidatorCli {
     fn default() -> Self {
@@ -195,7 +195,7 @@ pub fn help_text(name: &str, about: &str, extras: &[ExtraFlag]) -> String {
 }
 
 impl ValidatorCli {
-    /// The soak lane's engine-event target: [`SOAK_OPS`], a hundredth of it
+    /// The soak lane's engine-event target: 10⁸, a hundredth of it
     /// under `--quick`, or `None` without `--soak`.
     pub fn soak_target(&self) -> Option<u64> {
         self.soak

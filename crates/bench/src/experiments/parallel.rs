@@ -17,9 +17,10 @@
 //!
 //! With `--soak` an additional **soak lane** runs a gossip-dominated
 //! endurance cell: a short calibration run measures the configuration's
-//! event density, the duration is sized to hit [`crate::cli::SOAK_OPS`]
-//! (10⁸) events, and the run's per-stage wall-clock breakdown (drain /
-//! sync / plan / route) is reported.  Under `--quick` the target is scaled
+//! event density, the duration is sized to hit
+//! [`soak_target`](crate::cli::ValidatorCli::soak_target) (10⁸) events,
+//! and the run's per-stage wall-clock breakdown (drain / sync / plan /
+//! route) is reported.  Under `--quick` the target is scaled
 //! down 100× so a smoke run exercises the lane in seconds.
 //!
 //! `--threads N` caps the thread sweep.

@@ -23,15 +23,15 @@ use crate::harness::Harness;
 /// Expected stale-read events the run duration is sized for (at the
 /// mid-band ε): enough that the Wilson interval is a few times narrower
 /// than the predicted band.
-pub const EPS_EVENTS_TARGET: f64 = 40.0;
+const EPS_EVENTS_TARGET: f64 = 40.0;
 
 /// Minimum completed operations the run duration is sized for, so the p99
 /// estimate rests on a real sample.
-pub const MIN_OP_SAMPLES: f64 = 4000.0;
+const MIN_OP_SAMPLES: f64 = 4000.0;
 
 /// Run-duration clamp in simulated seconds (quick mode divides by 4 and
 /// clamps to the same floor).
-pub const DURATION_RANGE: (f64, f64) = (20.0, 240.0);
+const DURATION_RANGE: (f64, f64) = (20.0, 240.0);
 
 /// A named workload/SLO preset — the worked examples of `docs/PLANNER.md`.
 #[derive(Debug, Clone, Copy)]
@@ -117,7 +117,7 @@ pub fn scenario_by_name(name: &str) -> Option<Scenario> {
 }
 
 /// Maps the workload shape onto the simulator's key space.
-pub fn keyspace_for(workload: &WorkloadShape) -> KeySpace {
+fn keyspace_for(workload: &WorkloadShape) -> KeySpace {
     if workload.keys == 1 {
         KeySpace::single()
     } else if workload.zipf_exponent == 0.0 {
@@ -128,8 +128,8 @@ pub fn keyspace_for(workload: &WorkloadShape) -> KeySpace {
 }
 
 /// Picks a run duration long enough that (a) the mid-band ε prediction
-/// implies ≥ [`EPS_EVENTS_TARGET`] expected stale reads and (b) at least
-/// [`MIN_OP_SAMPLES`] operations complete, clamped to [`DURATION_RANGE`];
+/// implies ≥ `EPS_EVENTS_TARGET` expected stale reads and (b) at least
+/// `MIN_OP_SAMPLES` operations complete, clamped to `DURATION_RANGE`;
 /// `quick` divides by 4 for smoke runs (the Wilson check automatically
 /// widens with the smaller sample).
 pub fn duration_for(input: &PlanInput, plan: &CapacityPlan, quick: bool) -> f64 {

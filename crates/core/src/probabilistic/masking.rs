@@ -64,7 +64,7 @@ impl ProbabilisticMasking {
     /// # Errors
     ///
     /// As for [`new`](Self::new); additionally `k` must be in `1..=q`.
-    pub fn with_threshold(n: u32, q: u32, b: u32, k: u32) -> crate::Result<Self> {
+    fn with_threshold(n: u32, q: u32, b: u32, k: u32) -> crate::Result<Self> {
         let core = Rnq::against_byzantine(n, q, b)?;
         if q as u64 <= 2 * b as u64 {
             return Err(CoreError::invalid(format!(

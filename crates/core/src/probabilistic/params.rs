@@ -261,21 +261,6 @@ pub fn optimal_threshold_masking(n: u32, q: u32, b: u32) -> crate::Result<(u32, 
     Ok(best)
 }
 
-/// Smallest quorum size `q` (with its *optimised* threshold `k`) such that
-/// the exact masking ε is at most `target_epsilon`; `None` if none
-/// qualifies.  Companion of [`smallest_quorum_masking`], which uses the
-/// paper's default `k = ⌈q²/2n⌉`.
-pub fn smallest_quorum_masking_optimal_k(
-    n: u32,
-    b: u32,
-    target_epsilon: f64,
-) -> Option<(u32, u32)> {
-    let q = smallest_quorum_where(target_epsilon, masking_candidates(n, b)?, |q| {
-        Ok(optimal_threshold_masking(n, q, b)?.1)
-    })?;
-    Some((q, optimal_threshold_masking(n, q, b).ok()?.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,16 +465,6 @@ mod tests {
             // within a small factor of the 0.001 consistency target.
             assert!(opt_eps <= 2e-2, "n={n} opt_eps={opt_eps}");
         }
-    }
-
-    #[test]
-    fn smallest_quorum_with_optimal_k_not_larger_than_default_rule() {
-        let (n, b) = (100, 4);
-        let default = smallest_quorum_masking(n, b, 0.001).unwrap();
-        let optimal = smallest_quorum_masking_optimal_k(n, b, 0.001).unwrap();
-        assert!(optimal.0 <= default.0);
-        assert!(exact_epsilon_masking(n, optimal.0, b, optimal.1).unwrap() <= 0.001);
-        assert!(smallest_quorum_masking_optimal_k(n, 0, 0.001).is_none());
     }
 
     #[test]

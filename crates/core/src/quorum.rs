@@ -57,36 +57,6 @@ impl Quorum {
         Ok(Quorum { universe, members })
     }
 
-    /// Builds a quorum from server ids.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ServerOutOfRange`] if any id is outside the
-    /// universe.
-    pub fn from_servers<I>(universe: Universe, servers: I) -> crate::Result<Self>
-    where
-        I: IntoIterator<Item = ServerId>,
-    {
-        Self::from_indices(universe, servers.into_iter().map(|s| s.index()))
-    }
-
-    /// Builds a quorum directly from a bitset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConstruction`] if the bitset capacity does
-    /// not match the universe size.
-    pub fn from_bitset(universe: Universe, members: BitSet) -> crate::Result<Self> {
-        if members.capacity() != universe.size() as usize {
-            return Err(CoreError::invalid(format!(
-                "bitset capacity {} does not match universe size {}",
-                members.capacity(),
-                universe.size()
-            )));
-        }
-        Ok(Quorum { universe, members })
-    }
-
     /// The quorum containing every server of the universe.
     pub fn full(universe: Universe) -> Self {
         Quorum {
@@ -244,21 +214,6 @@ mod tests {
             err,
             CoreError::ServerOutOfRange { server: 10, .. }
         ));
-    }
-
-    #[test]
-    fn from_servers_matches_from_indices() {
-        let a = Quorum::from_indices(u10(), [2u32, 4]).unwrap();
-        let b = Quorum::from_servers(u10(), [ServerId::new(2), ServerId::new(4)]).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn from_bitset_requires_matching_capacity() {
-        let bs = BitSet::from_indices(10, [0usize, 9]);
-        assert!(Quorum::from_bitset(u10(), bs).is_ok());
-        let bs_wrong = BitSet::from_indices(11, [0usize]);
-        assert!(Quorum::from_bitset(u10(), bs_wrong).is_err());
     }
 
     #[test]

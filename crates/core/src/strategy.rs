@@ -17,8 +17,6 @@
 //!   (see [`crate::probabilistic`]).
 
 use crate::CoreError;
-use pqs_math::sampling::weighted_choice;
-use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 /// An explicit access strategy: a normalised probability vector over the
@@ -57,7 +55,7 @@ impl WeightedStrategy {
     ///
     /// Returns [`CoreError::InvalidConstruction`] if the weights are empty,
     /// contain negative or non-finite entries, or sum to zero.
-    pub fn from_weights(weights: Vec<f64>) -> crate::Result<Self> {
+    pub(crate) fn from_weights(weights: Vec<f64>) -> crate::Result<Self> {
         if weights.is_empty() {
             return Err(CoreError::invalid("strategy weights must be non-empty"));
         }
@@ -98,16 +96,6 @@ impl WeightedStrategy {
         self.weights[index]
     }
 
-    /// The full probability vector.
-    pub fn probabilities(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// Samples a quorum index according to the strategy.
-    pub fn sample_index<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
-        weighted_choice(rng, &self.weights).expect("validated at construction")
-    }
-
     /// Mixes this strategy with another: with probability `1 − gamma` use
     /// `self`, with probability `gamma` use `other`.
     ///
@@ -137,8 +125,6 @@ impl WeightedStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn uniform_strategy_probabilities() {
@@ -148,7 +134,7 @@ mod tests {
         for i in 0..5 {
             assert!((s.probability(i) - 0.2).abs() < 1e-12);
         }
-        let total: f64 = s.probabilities().iter().sum();
+        let total: f64 = (0..s.len()).map(|i| s.probability(i)).sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
 
@@ -174,20 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn sampling_follows_weights() {
-        let s = WeightedStrategy::from_weights(vec![1.0, 0.0, 3.0]).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut counts = [0usize; 3];
-        let trials = 20_000;
-        for _ in 0..trials {
-            counts[s.sample_index(&mut rng)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let frac0 = counts[0] as f64 / trials as f64;
-        assert!((frac0 - 0.25).abs() < 0.02, "frac0={frac0}");
-    }
-
-    #[test]
     fn mix_reproduces_section_3_2_inflation_setup() {
         // Original strategy over 2 quorums, mixed with singletons at gamma.
         let base = WeightedStrategy::uniform(2);
@@ -198,7 +170,7 @@ mod tests {
         // Base quorums get (1-gamma)/2 each, singletons gamma/4 each.
         assert!((mixed.probability(0) - 0.495).abs() < 1e-12);
         assert!((mixed.probability(2) - 0.0025).abs() < 1e-12);
-        let total: f64 = mixed.probabilities().iter().sum();
+        let total: f64 = (0..mixed.len()).map(|i| mixed.probability(i)).sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
 

@@ -100,12 +100,6 @@ impl Universe {
         server.index() < self.size
     }
 
-    /// `⌈√n⌉`, the side length of the smallest square grid covering the
-    /// universe — used by grid constructions and by the `ℓ√n` quorum sizes.
-    pub fn sqrt_ceil(&self) -> u32 {
-        (self.size as f64).sqrt().ceil() as u32
-    }
-
     /// `√n` as a float, used when converting the paper's `ℓ√n` quorum sizes.
     pub fn sqrt(&self) -> f64 {
         (self.size as f64).sqrt()
@@ -146,16 +140,8 @@ mod tests {
         assert!(u.contains(ServerId::new(24)));
         assert!(!u.contains(ServerId::new(25)));
         assert_eq!(u.servers().count(), 25);
-        assert_eq!(u.sqrt_ceil(), 5);
         assert!((u.sqrt() - 5.0).abs() < 1e-12);
         assert_eq!(u.to_string(), "Universe(n=25)");
-    }
-
-    #[test]
-    fn sqrt_ceil_rounds_up() {
-        assert_eq!(Universe::new(26).sqrt_ceil(), 6);
-        assert_eq!(Universe::new(24).sqrt_ceil(), 5);
-        assert_eq!(Universe::new(1).sqrt_ceil(), 1);
     }
 
     #[test]

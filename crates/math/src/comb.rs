@@ -10,14 +10,7 @@
 ///
 /// Accurate to better than `1e-10` relative error over the whole range used
 /// by this workspace (universes up to a few hundred thousand servers).
-///
-/// # Examples
-///
-/// ```
-/// use pqs_math::comb::ln_factorial;
-/// assert!((ln_factorial(5) - 120f64.ln()).abs() < 1e-12);
-/// ```
-pub fn ln_factorial(n: u64) -> f64 {
+fn ln_factorial(n: u64) -> f64 {
     // Table of ln(n!) for n in 0..=255, filled lazily at first use.
     const TABLE_SIZE: usize = 256;
     use std::sync::OnceLock;
@@ -119,8 +112,8 @@ pub fn choose_exact(n: u64, k: u64) -> Option<u128> {
 /// The ratio `C(n − c, c − i) / C(n, c)` bounded per Proposition 3.14:
 /// it is at most `(c/n)^i · ((n − c)/(n − i))^(c − i)`.
 ///
-/// This helper returns the *bound* (right-hand side). It is used by the
-/// ε-bound derivations in [`crate::bounds`].
+/// This helper returns the *bound* (right-hand side); the unit tests hold it
+/// against the exact ratio, [`quorum_overlap_ratio`].
 ///
 /// # Panics
 ///
@@ -153,35 +146,6 @@ pub fn quorum_overlap_ratio(n: u64, c: u64, i: u64) -> f64 {
         return 0.0;
     }
     (num - ln_choose(n, c)).exp()
-}
-
-/// Computes `ln(1 + x)` accurately for small `x` (thin wrapper for clarity).
-pub fn ln_1p(x: f64) -> f64 {
-    x.ln_1p()
-}
-
-/// Natural logarithm of the "rising ratio" `∏_{j=0}^{k-1} (a - j) / (b - j)`,
-/// useful for hypergeometric probabilities expressed as products of falling
-/// factorials.
-///
-/// Returns `f64::NEG_INFINITY` if any numerator factor is non-positive while
-/// the corresponding denominator factor is positive (the product is zero).
-///
-/// # Panics
-///
-/// Panics in debug builds if any denominator factor `b - j` is non-positive.
-pub fn ln_falling_ratio(a: u64, b: u64, k: u64) -> f64 {
-    let mut acc = 0.0f64;
-    for j in 0..k {
-        let den = b as i128 - j as i128;
-        debug_assert!(den > 0, "denominator factor must be positive");
-        let num = a as i128 - j as i128;
-        if num <= 0 {
-            return f64::NEG_INFINITY;
-        }
-        acc += (num as f64).ln() - (den as f64).ln();
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -281,19 +245,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn falling_ratio_matches_choose_ratio() {
-        // C(a, k)/C(b, k) = prod_{j<k} (a-j)/(b-j)
-        let (a, b, k) = (30u64, 50u64, 7u64);
-        let direct = (ln_choose(a, k) - ln_choose(b, k)).exp();
-        let via_falling = ln_falling_ratio(a, b, k).exp();
-        assert!((direct - via_falling).abs() < 1e-10);
-    }
-
-    #[test]
-    fn falling_ratio_zero_when_numerator_exhausted() {
-        assert_eq!(ln_falling_ratio(3, 10, 5), f64::NEG_INFINITY);
     }
 }

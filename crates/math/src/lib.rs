@@ -28,10 +28,10 @@
 //! * [`bounds`] — the paper-specific ε bounds: Lemma 3.15 / Theorem 3.16,
 //!   Lemma 4.3 / Theorem 4.4, Lemma 4.5 / Theorem 4.6 and
 //!   Lemmas 5.7–5.9 / Theorem 5.10 (ψ₁, ψ₂).
-//! * [`sampling`] — uniform random k-subset sampling (Floyd's algorithm)
-//!   and weighted choice, the building blocks of access strategies.
+//! * [`sampling`] — uniform random k-subset sampling (Floyd's algorithm),
+//!   the building block of the uniform access strategy.
 //! * [`mc`] — Monte-Carlo estimation helpers: Bernoulli estimators with
-//!   Wilson / normal confidence intervals and sequential stopping.
+//!   Wilson confidence intervals, and running mean / variance statistics.
 //! * [`plan`] — the capacity planner: inverts the tail bounds to solve for
 //!   the minimal `(n, q, probe_margin, gossip)` meeting an ε target and a
 //!   p99 SLO, with a predicted report the simulator is CI-checked against.

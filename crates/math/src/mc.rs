@@ -7,7 +7,7 @@
 //! estimates and confidence intervals for Bernoulli probabilities — often
 //! very small ones (ε ≤ 10⁻³).  [`BernoulliEstimator`] accumulates
 //! success/failure counts and reports the Wilson score interval, which
-//! behaves well for rare events, alongside the plain normal interval.
+//! behaves well for rare events.
 
 /// Running estimator of a Bernoulli success probability.
 ///
@@ -78,22 +78,6 @@ impl BernoulliEstimator {
         }
     }
 
-    /// Standard error of the point estimate, `√(p̂(1−p̂)/n)`.
-    pub fn standard_error(&self) -> f64 {
-        if self.trials == 0 {
-            return 0.0;
-        }
-        let p = self.estimate();
-        (p * (1.0 - p) / self.trials as f64).sqrt()
-    }
-
-    /// Normal (Wald) confidence interval `p̂ ± z·SE`, clamped to `[0, 1]`.
-    pub fn normal_interval(&self, z: f64) -> (f64, f64) {
-        let p = self.estimate();
-        let half = z * self.standard_error();
-        ((p - half).max(0.0), (p + half).min(1.0))
-    }
-
     /// Wilson score interval with critical value `z` (e.g. 1.96 for 95%).
     ///
     /// Unlike the Wald interval this never collapses to a zero-width interval
@@ -110,20 +94,6 @@ impl BernoulliEstimator {
         let centre = (p + z2 / (2.0 * n)) / denom;
         let half = (z / denom) * ((p * (1.0 - p) / n) + z2 / (4.0 * n * n)).sqrt();
         ((centre - half).max(0.0), (centre + half).min(1.0))
-    }
-
-    /// The "rule of three" upper bound `3/n` on the true probability when no
-    /// successes have been observed (95% confidence), or the Wilson upper
-    /// bound otherwise.
-    pub fn rare_event_upper_bound(&self) -> f64 {
-        if self.trials == 0 {
-            return 1.0;
-        }
-        if self.successes == 0 {
-            (3.0 / self.trials as f64).min(1.0)
-        } else {
-            self.wilson_interval(1.96).1
-        }
     }
 }
 
@@ -187,11 +157,6 @@ impl RunningStats {
         } else {
             self.m2 / (self.count - 1) as f64
         }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest observation (`+∞` when empty).
@@ -278,26 +243,12 @@ mod tests {
         let (lo, hi) = e.wilson_interval(1.96);
         assert_eq!(lo, 0.0);
         assert!(hi > 0.0 && hi < 0.01);
-        assert!(e.rare_event_upper_bound() <= 3.0 / 1000.0 + 1e-12);
     }
 
     #[test]
     fn empty_estimator_intervals_are_trivial() {
         let e = BernoulliEstimator::new();
         assert_eq!(e.wilson_interval(1.96), (0.0, 1.0));
-        assert_eq!(e.rare_event_upper_bound(), 1.0);
-        assert_eq!(e.standard_error(), 0.0);
-        assert_eq!(e.normal_interval(1.96), (0.0, 0.0));
-    }
-
-    #[test]
-    fn normal_interval_clamped() {
-        let e = BernoulliEstimator::from_counts(99, 100);
-        let (_, hi) = e.normal_interval(10.0);
-        assert!(hi <= 1.0);
-        let e = BernoulliEstimator::from_counts(1, 100);
-        let (lo, _) = e.normal_interval(10.0);
-        assert!(lo >= 0.0);
     }
 
     #[test]
@@ -358,6 +309,5 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
     }
 }

@@ -42,10 +42,10 @@
 //!
 //! Crash faults enter through the live universe: with time-zero crash
 //! probability `p`, the live count is `Binomial(n, 1−p)` and the solver
-//! brackets it at ±[`tolerance::LIVE_SIGMAS`]·σ, using the pessimistic end
+//! brackets it at ±`tolerance::LIVE_SIGMAS`·σ, using the pessimistic end
 //! for every guarantee and the bracket ends for the ε tolerance band.
 //!
-//! **The searches decide; only the report inverts.**  [`completion_cdf`] is
+//! **The searches decide; only the report inverts.**  `completion_cdf` is
 //! monotone in `t`, so "the p99 is within the SLO" is
 //! `completion_cdf(SLO) ≥ 0.99` — one evaluation — and that is what every
 //! margin probe and every probe of the `n` search asks (the same question at
@@ -120,7 +120,7 @@ pub mod tolerance {
     pub const TIMEOUT_BUDGET: f64 = 0.002;
 
     /// The latency quantile the planner predicts and the SLO constrains.
-    pub const P99_QUANTILE: f64 = 0.99;
+    pub(crate) const P99_QUANTILE: f64 = 0.99;
 
     /// Relative tolerance on the p99 prediction: the measured p99 must lie
     /// within `±P99_REL_TOL` of the predicted value.
@@ -137,21 +137,21 @@ pub mod tolerance {
 
     /// Half-width, in standard deviations of `Binomial(n, 1−crash)`, of the
     /// bracket placed around the expected live-server count.
-    pub const LIVE_SIGMAS: f64 = 2.0;
+    pub(crate) const LIVE_SIGMAS: f64 = 2.0;
 
     /// The recommended operation timeout as a multiple of the predicted
     /// p99, far enough out that timeouts stay inside [`TIMEOUT_BUDGET`].
-    pub const OP_TIMEOUT_P99_MULTIPLE: f64 = 5.0;
+    pub(crate) const OP_TIMEOUT_P99_MULTIPLE: f64 = 5.0;
 
     /// Gossip fanout emitted by the planner (per-round push targets).
-    pub const GOSSIP_FANOUT: u32 = 3;
+    pub(crate) const GOSSIP_FANOUT: u32 = 3;
 
     /// Fraction of the hottest key's expected inter-write interval within
     /// which epidemic coverage should complete.
-    pub const GOSSIP_WINDOW_FRACTION: f64 = 0.5;
+    pub(crate) const GOSSIP_WINDOW_FRACTION: f64 = 0.5;
 
     /// Clamp range (seconds) for the emitted gossip period.
-    pub const GOSSIP_PERIOD_RANGE: (f64, f64) = (0.02, 2.0);
+    pub(crate) const GOSSIP_PERIOD_RANGE: (f64, f64) = (0.02, 2.0);
 }
 
 /// The law of one message's latency: what the simulator samples and the
@@ -344,7 +344,7 @@ pub struct WorkloadShape {
 
 impl WorkloadShape {
     /// Write arrivals per second, `arrival_rate · (1 − read_fraction)`.
-    pub fn write_rate(&self) -> f64 {
+    fn write_rate(&self) -> f64 {
         self.arrival_rate * (1.0 - self.read_fraction)
     }
 
@@ -352,24 +352,7 @@ impl WorkloadShape {
     ///
     /// Under Zipf(s) over `k` keys this is `1 / H_k(s)` where
     /// `H_k(s) = Σ i^−s`; for `s = 0` it degenerates to `1/k`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pqs_math::plan::WorkloadShape;
-    /// let mut w = WorkloadShape {
-    ///     arrival_rate: 100.0,
-    ///     read_fraction: 0.9,
-    ///     keys: 4,
-    ///     zipf_exponent: 0.0,
-    ///     crash_fraction: 0.0,
-    /// };
-    /// assert!((w.hottest_key_share() - 0.25).abs() < 1e-12);
-    /// w.zipf_exponent = 1.0;
-    /// // H_4(1) = 1 + 1/2 + 1/3 + 1/4 = 25/12.
-    /// assert!((w.hottest_key_share() - 12.0 / 25.0).abs() < 1e-12);
-    /// ```
-    pub fn hottest_key_share(&self) -> f64 {
+    fn hottest_key_share(&self) -> f64 {
         if self.keys <= 1 {
             return 1.0;
         }
@@ -502,10 +485,10 @@ pub struct PredictedReport {
     /// expected live-universe size.
     pub p99_latency: f64,
     /// Optimistic p99: the same quantile when the crash draw is lucky
-    /// (live universe at +[`tolerance::LIVE_SIGMAS`]σ).
+    /// (live universe at +`tolerance::LIVE_SIGMAS`·σ).
     pub p99_lower: f64,
     /// Pessimistic p99: the quantile when the crash draw is unlucky
-    /// (live universe at −[`tolerance::LIVE_SIGMAS`]σ).  The solver holds
+    /// (live universe at −`tolerance::LIVE_SIGMAS`·σ).  The solver holds
     /// *this* value to the SLO, so the plan meets its latency target across
     /// the plausible crash outcomes, and the validation band is anchored on
     /// `[p99_lower, p99_upper]` rather than the point prediction.
@@ -513,7 +496,7 @@ pub struct PredictedReport {
     /// Probability an operation cannot assemble `q` live replies.
     pub timeout_probability: f64,
     /// Recommended operation timeout (seconds),
-    /// [`tolerance::OP_TIMEOUT_P99_MULTIPLE`] × the pessimistic p99.
+    /// `tolerance::OP_TIMEOUT_P99_MULTIPLE` × the pessimistic p99.
     pub op_timeout: f64,
     /// Fraction of the universe each operation touches, `(q + margin)/n`.
     pub load_fraction: f64,
@@ -652,18 +635,7 @@ pub fn timeout_probability(n: u64, n_live: u64, quorum: u64, margin: u64) -> f64
 /// Evaluated in one pass over `ℓ = q ..= ℓ_max` by the three ratio
 /// recurrences of the module docs: no logarithm, exponential or binomial
 /// coefficient per term, every term non-negative, nothing subtracted.
-///
-/// # Examples
-///
-/// ```
-/// use pqs_math::plan::{completion_cdf, ProbeLatency};
-/// let law = ProbeLatency::Uniform { min: 0.0, max: 1.0 };
-/// // No crashes and no margin: all 3 probes must have replied by t = 0.5.
-/// assert!((completion_cdf(10, 10, 3, 0, &law, 0.5) - 0.125).abs() < 1e-12);
-/// // One spare probe: P(Bin(4, 0.5) ≥ 3) = 5/16.
-/// assert!((completion_cdf(10, 10, 3, 1, &law, 0.5) - 0.3125).abs() < 1e-12);
-/// ```
-pub fn completion_cdf(
+fn completion_cdf(
     n: u64,
     n_live: u64,
     quorum: u64,
@@ -735,7 +707,7 @@ pub fn completion_cdf(
 }
 
 /// The predicted latency quantile of quorum completion: the smallest `t`
-/// with [`completion_cdf`] `≥ quantile`, or `None` when the completion
+/// with `completion_cdf ≥ quantile`, or `None` when the completion
 /// probability can never reach the quantile (too many probes land on
 /// crashed servers).
 pub fn predicted_quantile(
@@ -1329,6 +1301,11 @@ mod tests {
         w.keys = 10;
         w.zipf_exponent = 0.0;
         assert!((w.hottest_key_share() - 0.1).abs() < 1e-12);
+        w.keys = 4;
+        assert!((w.hottest_key_share() - 0.25).abs() < 1e-12);
+        w.zipf_exponent = 1.0;
+        // H_4(1) = 1 + 1/2 + 1/3 + 1/4 = 25/12.
+        assert!((w.hottest_key_share() - 12.0 / 25.0).abs() < 1e-12);
     }
 
     /// ROADMAP 1(b), "every fast path has a slow oracle": the recurrence
@@ -1388,7 +1365,11 @@ mod tests {
     #[test]
     fn completion_cdf_matches_exact_rational_values() {
         for (n, live, q, m, f, exact) in [
-            (210u64, 190u64, 32u64, 10u64, 0.9, 8.683_976_444_238_217e-1),
+            // No crashes and no margin: all 3 probes must have replied.
+            (10u64, 10u64, 3u64, 0u64, 0.5, 0.125),
+            // One spare probe: P(Bin(4, 0.5) ≥ 3) = 5/16.
+            (10, 10, 3, 1, 0.5, 0.3125),
+            (210, 190, 32, 10, 0.9, 8.683_976_444_238_217e-1),
             (54, 38, 14, 13, 0.85, 8.946_680_536_766_86e-1),
             (4096, 3200, 140, 60, 0.8, 1.508_789_730_282_416_3e-2),
             (2049, 1600, 100, 332, 0.5, 9.999_999_999_996_878e-1),

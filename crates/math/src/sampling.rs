@@ -4,8 +4,7 @@
 //! systems: `R(n, q)` contains every `q`-subset of the universe and the
 //! access strategy is uniform, so "pick a quorum" means "sample a uniform
 //! random `q`-subset of `{0, …, n−1}`".  This module provides that sampling
-//! primitive (Floyd's algorithm, `O(q)` expected work) plus a weighted
-//! choice helper used by explicit access strategies.
+//! primitive (Floyd's algorithm, `O(q)` expected work).
 
 use crate::MathError;
 use rand::Rng;
@@ -142,62 +141,6 @@ fn map_compacted_index(pos: u64, excluded: &[u64]) -> u64 {
     candidate
 }
 
-/// Chooses an index in `0..weights.len()` with probability proportional to
-/// `weights[i]`.
-///
-/// # Errors
-///
-/// Returns [`MathError::InvalidParameter`] if `weights` is empty, contains a
-/// negative or non-finite value, or sums to zero.
-pub fn weighted_choice<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> crate::Result<usize> {
-    if weights.is_empty() {
-        return Err(MathError::invalid("weights must be non-empty"));
-    }
-    let mut total = 0.0f64;
-    for (i, &w) in weights.iter().enumerate() {
-        if !w.is_finite() || w < 0.0 {
-            return Err(MathError::invalid(format!("weight {i} is invalid: {w}")));
-        }
-        total += w;
-    }
-    if total <= 0.0 {
-        return Err(MathError::invalid("weights sum to zero"));
-    }
-    let mut x = rng.gen_range(0.0..total);
-    for (i, &w) in weights.iter().enumerate() {
-        if x < w {
-            return Ok(i);
-        }
-        x -= w;
-    }
-    // Floating point slack: return the last positive-weight index.
-    Ok(weights
-        .iter()
-        .rposition(|&w| w > 0.0)
-        .expect("total > 0 implies a positive weight exists"))
-}
-
-/// Draws a Bernoulli subset of `{0, …, n−1}`: each index is included
-/// independently with probability `p`.  Used to sample crash-failure sets.
-///
-/// # Errors
-///
-/// Returns [`MathError::InvalidParameter`] if `p` is not a probability.
-pub fn bernoulli_subset<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> crate::Result<Vec<u64>> {
-    if !(0.0..=1.0).contains(&p) || p.is_nan() {
-        return Err(MathError::invalid(format!(
-            "inclusion probability must be in [0,1], got {p}"
-        )));
-    }
-    let mut out = Vec::new();
-    for i in 0..n {
-        if rng.gen_bool(p) {
-            out.push(i);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,53 +262,5 @@ mod tests {
         let excluded = vec![0, 3, 4, 9];
         let remaining: Vec<u64> = (0..6).map(|p| map_compacted_index(p, &excluded)).collect();
         assert_eq!(remaining, vec![1, 2, 5, 6, 7, 8]);
-    }
-
-    #[test]
-    fn weighted_choice_validation() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        assert!(weighted_choice(&mut rng, &[]).is_err());
-        assert!(weighted_choice(&mut rng, &[0.0, 0.0]).is_err());
-        assert!(weighted_choice(&mut rng, &[1.0, -1.0]).is_err());
-        assert!(weighted_choice(&mut rng, &[1.0, f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn weighted_choice_respects_weights() {
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let weights = [1.0, 3.0, 6.0];
-        let trials = 30_000usize;
-        let mut counts = [0usize; 3];
-        for _ in 0..trials {
-            counts[weighted_choice(&mut rng, &weights).unwrap()] += 1;
-        }
-        let fractions: Vec<f64> = counts.iter().map(|&c| c as f64 / trials as f64).collect();
-        assert!((fractions[0] - 0.1).abs() < 0.02);
-        assert!((fractions[1] - 0.3).abs() < 0.02);
-        assert!((fractions[2] - 0.6).abs() < 0.02);
-    }
-
-    #[test]
-    fn weighted_choice_zero_weight_never_selected() {
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        for _ in 0..1000 {
-            let idx = weighted_choice(&mut rng, &[0.0, 1.0, 0.0]).unwrap();
-            assert_eq!(idx, 1);
-        }
-    }
-
-    #[test]
-    fn bernoulli_subset_respects_probability() {
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let mut total = 0usize;
-        let trials = 2000;
-        for _ in 0..trials {
-            total += bernoulli_subset(&mut rng, 50, 0.2).unwrap().len();
-        }
-        let avg = total as f64 / trials as f64;
-        assert!((avg - 10.0).abs() < 0.5, "avg={avg}");
-        assert!(bernoulli_subset(&mut rng, 50, 1.5).is_err());
-        assert_eq!(bernoulli_subset(&mut rng, 50, 0.0).unwrap().len(), 0);
-        assert_eq!(bernoulli_subset(&mut rng, 50, 1.0).unwrap().len(), 50);
     }
 }

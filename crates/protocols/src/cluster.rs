@@ -277,7 +277,12 @@ mod tests {
         );
         let byzantine: Vec<u32> = u
             .servers()
-            .filter(|&id| c.server(id).behavior().is_byzantine())
+            .filter(|&id| {
+                matches!(
+                    c.server(id).behavior(),
+                    Behavior::ByzantineForge | Behavior::ByzantineStale
+                )
+            })
             .map(ServerId::index)
             .collect();
         assert_eq!(byzantine, [1, 4]);

@@ -55,21 +55,14 @@ pub enum Behavior {
     ByzantineStale,
 }
 
-impl Behavior {
-    /// Returns `true` for the two Byzantine variants.
-    pub fn is_byzantine(self) -> bool {
-        matches!(self, Behavior::ByzantineForge | Behavior::ByzantineStale)
-    }
-}
-
 /// The value colluding [`Behavior::ByzantineForge`] servers fabricate.
-pub fn forged_value() -> Value {
+pub(crate) fn forged_value() -> Value {
     Value::from_str_value("FORGED")
 }
 
 /// The inflated timestamp attached to the fabricated value: far ahead of any
 /// honest write in a test run, attributed to a bogus writer id.
-pub fn forged_timestamp() -> Timestamp {
+fn forged_timestamp() -> Timestamp {
     Timestamp::new(u64::MAX / 2, u32::MAX)
 }
 
@@ -640,13 +633,11 @@ pub(crate) mod tests {
     #[test]
     fn crashed_server_is_silent() {
         check_both_kinds(Behavior::Crashed);
-        assert!(!Behavior::Crashed.is_byzantine());
     }
 
     #[test]
     fn forging_server_returns_colluding_fabrication() {
         check_both_kinds(Behavior::ByzantineForge);
-        assert!(Behavior::ByzantineForge.is_byzantine());
         // Collusion: every forger answers with the identical fabricated
         // value and timestamp, whatever it stores.
         let forged = TaggedValue::forged().expect("plain data can be fabricated");

@@ -53,15 +53,6 @@ impl Timestamp {
     pub fn writer(&self) -> ClientId {
         self.writer
     }
-
-    /// The next timestamp for the given writer: one larger than `self` in
-    /// the counter component.
-    pub fn next_for(&self, writer: ClientId) -> Timestamp {
-        Timestamp {
-            counter: self.counter + 1,
-            writer,
-        }
-    }
 }
 
 impl fmt::Display for Timestamp {
@@ -98,12 +89,6 @@ impl TimestampIssuer {
         self.last += 1;
         Timestamp::new(self.last, self.writer)
     }
-
-    /// Fast-forwards the issuer past an observed timestamp, so a writer that
-    /// reads a fresher value (e.g. after recovery) never reuses a counter.
-    pub fn observe(&mut self, ts: Timestamp) {
-        self.last = self.last.max(ts.counter());
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +109,6 @@ mod tests {
         assert_eq!(t.counter(), 5);
         assert_eq!(t.writer(), 2);
         assert_eq!(t.to_string(), "5@c2");
-        assert_eq!(t.next_for(3), Timestamp::new(6, 3));
     }
 
     #[test]
@@ -138,16 +122,5 @@ mod tests {
             assert_eq!(t.writer(), 4);
             prev = t;
         }
-    }
-
-    #[test]
-    fn issuer_observe_fast_forwards() {
-        let mut issuer = TimestampIssuer::new(1);
-        issuer.observe(Timestamp::new(50, 9));
-        let t = issuer.next();
-        assert_eq!(t.counter(), 51);
-        // Observing something older has no effect.
-        issuer.observe(Timestamp::new(10, 9));
-        assert_eq!(issuer.next().counter(), 52);
     }
 }

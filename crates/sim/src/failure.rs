@@ -249,11 +249,6 @@ impl FailurePlan {
         self
     }
 
-    /// Number of servers that are Byzantine from the start.
-    pub fn byzantine_count(&self) -> usize {
-        self.byzantine.len()
-    }
-
     /// Servers whose first membership event is a join: they are absent
     /// (crashed, empty stores) from the start of the run.
     pub fn initially_absent(&self) -> Vec<ServerId> {
@@ -375,7 +370,7 @@ mod tests {
     #[test]
     fn empty_plan() {
         let p = FailurePlan::none();
-        assert_eq!(p.byzantine_count(), 0);
+        assert!(p.byzantine.is_empty());
         assert!(p.crashes.is_empty());
         assert!(p.memberships.is_empty());
         assert!(p.partitions.is_empty());
@@ -390,7 +385,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let u = Universe::new(50);
         let p = FailurePlan::none().with_random_byzantine(u, 7, &mut rng);
-        assert_eq!(p.byzantine_count(), 7);
+        assert_eq!(p.byzantine.len(), 7);
         let mut unique: Vec<_> = p.byzantine.clone();
         unique.dedup();
         assert_eq!(unique.len(), 7);

@@ -97,7 +97,7 @@ impl LatencySamples {
     }
 
     /// Iterates over the raw samples in recording order.
-    pub fn samples_iter(&self) -> impl Iterator<Item = f64> + '_ {
+    fn samples_iter(&self) -> impl Iterator<Item = f64> + '_ {
         self.samples.iter().copied()
     }
 }
@@ -458,7 +458,7 @@ pub struct EngineStageTimings {
 
 impl EngineStageTimings {
     /// Total serial (spine) time: sync + plan + route.
-    pub fn spine_seconds(&self) -> f64 {
+    fn spine_seconds(&self) -> f64 {
         self.sync_seconds + self.plan_seconds + self.route_seconds
     }
 

@@ -215,27 +215,9 @@ impl DiffusionPolicy {
         }
     }
 
-    /// Replaces the round period (simulated seconds, > 0).
-    pub fn with_period(mut self, period: SimTime) -> Self {
-        self.period = period;
-        self
-    }
-
-    /// Replaces the per-round fanout (≥ 1).
-    pub fn with_fanout(mut self, fanout: u32) -> Self {
-        self.fanout = fanout;
-        self
-    }
-
     /// Replaces the per-message gossip latency model.
     pub fn with_push_latency(mut self, push_latency: LatencyModel) -> Self {
         self.push_latency = push_latency;
-        self
-    }
-
-    /// Replaces the gossip mode.
-    pub fn with_mode(mut self, mode: GossipMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -588,12 +570,6 @@ impl SimConfigBuilder {
     /// Enables epidemic write-diffusion under the given policy.
     pub fn with_diffusion(mut self, policy: DiffusionPolicy) -> Self {
         self.config.diffusion = Some(policy);
-        self
-    }
-
-    /// Disables write-diffusion (the default).
-    pub fn without_diffusion(mut self) -> Self {
-        self.config.diffusion = None;
         self
     }
 
@@ -1322,6 +1298,69 @@ mod tests {
         );
     }
 
+    /// Every rejection of [`SimConfigBuilder::build`]: each row spoils one
+    /// field of a valid builder and names the panic that must follow.
+    #[test]
+    fn build_rejects_each_invalid_field_with_its_message() {
+        type Spoil = fn(SimConfigBuilder) -> SimConfigBuilder;
+        let duration = "duration must be positive and finite";
+        let rate = "arrival_rate must be positive and finite";
+        let reads = "read_fraction must lie in [0, 1]";
+        let crash = "crash_probability must lie in [0, 1]";
+        let timeout = "op_timeout must be non-negative and finite";
+        let backoff = "retry_backoff must be non-negative and finite";
+        let period = "diffusion period must be positive and finite";
+        let rows: [(Spoil, &str); 22] = [
+            (|b| b.with_duration(f64::NAN), duration),
+            (|b| b.with_duration(f64::INFINITY), duration),
+            (|b| b.with_duration(-1.0), duration),
+            (|b| b.with_arrival_rate(f64::NAN), rate),
+            (|b| b.with_arrival_rate(f64::INFINITY), rate),
+            (|b| b.with_arrival_rate(-1.0), rate),
+            (|b| b.with_read_fraction(-0.1), reads),
+            (|b| b.with_read_fraction(1.1), reads),
+            (|b| b.with_read_fraction(f64::NAN), reads),
+            (|b| b.with_crash_probability(-0.1), crash),
+            (|b| b.with_crash_probability(1.1), crash),
+            (|b| b.with_crash_probability(f64::NAN), crash),
+            (|b| b.with_op_timeout(-1.0), timeout),
+            (|b| b.with_op_timeout(f64::NAN), timeout),
+            (|b| b.with_retry_backoff(-1.0), backoff),
+            (|b| b.with_retry_backoff(f64::NAN), backoff),
+            (|b| b.with_num_shards(0), "num_shards must be at least 1"),
+            (|b| b.with_threads(0), "threads must be at least 1"),
+            (
+                |b| b.with_diffusion(DiffusionPolicy::full_push(0.0, 2)),
+                period,
+            ),
+            (
+                |b| b.with_diffusion(DiffusionPolicy::full_push(-0.25, 2)),
+                period,
+            ),
+            (
+                |b| b.with_diffusion(DiffusionPolicy::full_push(f64::NAN, 2)),
+                period,
+            ),
+            (
+                |b| b.with_diffusion(DiffusionPolicy::full_push(0.25, 0)),
+                "diffusion fanout must be at least 1",
+            ),
+        ];
+        let valid = || SimConfig::builder().with_diffusion(DiffusionPolicy::default());
+        valid().build();
+        for (row, (spoil, expected)) in rows.into_iter().enumerate() {
+            let builder = spoil(valid());
+            let panic = std::panic::catch_unwind(move || builder.build())
+                .expect_err(&format!("row {row} built"));
+            let message = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(message.starts_with(expected), "row {row}: {message:?}");
+        }
+    }
+
     #[test]
     fn diffusion_policy_builders_compose() {
         let policy = DiffusionPolicy::default();
@@ -1337,16 +1376,9 @@ mod tests {
         assert_eq!(digest.mode, GossipMode::DigestDelta);
         assert_eq!(digest.period, 0.1);
         assert_eq!(digest.fanout, 3);
-        let retuned = digest
-            .with_period(0.2)
-            .with_fanout(1)
-            .with_mode(GossipMode::PushAll);
-        assert_eq!(retuned.period, 0.2);
-        assert_eq!(retuned.fanout, 1);
-        assert_eq!(retuned.mode, GossipMode::PushAll);
         // The key policy survives unrelated builder calls.
         assert_eq!(
-            retuned.key_policy,
+            digest.key_policy,
             KeyGossipPolicy::RecentWrites {
                 window: 0.5,
                 cold_every: 8

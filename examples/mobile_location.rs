@@ -38,5 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\ndegraded phase: {} stores crashed", stores / 3);
     println!("  reachability : {:.4}", degraded.reachability());
     println!("  staleness    : {:.4}", degraded.staleness());
+
+    // One device reports a move by hand; a caller then looks it up.
+    let stored = directory.report_move(&mut cluster, &mut rng, 7, 12);
+    let found = directory.lookup(&mut cluster, &mut rng, 7);
+    println!("\ndevice 7 moves to cell 12 (stored: {stored}); a caller finds {found:?}");
     Ok(())
 }

@@ -50,5 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  undetected repeat rate: {:.4e}",
         stats.undetected_repeat_rate()
     );
+
+    // Voter 0 voted at station 1 above; a new voter and a repeat, by hand.
+    let fresh = service.cast_vote(&mut cluster, &mut rng, 5, voters);
+    let repeat = service.cast_vote(&mut cluster, &mut rng, 99, 0);
+    println!("\nvoter {voters} at station 5: {fresh:?}");
+    println!("voter 0 again at station 99: {repeat:?}");
     Ok(())
 }
