@@ -10,7 +10,14 @@
 ///
 /// Accurate to better than `1e-10` relative error over the whole range used
 /// by this workspace (universes up to a few hundred thousand servers).
-fn ln_factorial(n: u64) -> f64 {
+///
+/// # Examples
+///
+/// ```
+/// use pqs_math::comb::ln_factorial;
+/// assert!((ln_factorial(5) - 120f64.ln()).abs() < 1e-12);
+/// ```
+pub fn ln_factorial(n: u64) -> f64 {
     // Table of ln(n!) for n in 0..=255, filled lazily at first use.
     const TABLE_SIZE: usize = 256;
     use std::sync::OnceLock;

@@ -45,7 +45,7 @@
 //! brackets it at ±`tolerance::LIVE_SIGMAS`·σ, using the pessimistic end
 //! for every guarantee and the bracket ends for the ε tolerance band.
 //!
-//! **The searches decide; only the report inverts.**  `completion_cdf` is
+//! **The searches decide; only the report inverts.**  [`completion_cdf`] is
 //! monotone in `t`, so "the p99 is within the SLO" is
 //! `completion_cdf(SLO) ≥ 0.99` — one evaluation — and that is what every
 //! margin probe and every probe of the `n` search asks (the same question at
@@ -352,7 +352,24 @@ impl WorkloadShape {
     ///
     /// Under Zipf(s) over `k` keys this is `1 / H_k(s)` where
     /// `H_k(s) = Σ i^−s`; for `s = 0` it degenerates to `1/k`.
-    fn hottest_key_share(&self) -> f64 {
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pqs_math::plan::WorkloadShape;
+    /// let mut w = WorkloadShape {
+    ///     arrival_rate: 100.0,
+    ///     read_fraction: 0.9,
+    ///     keys: 4,
+    ///     zipf_exponent: 0.0,
+    ///     crash_fraction: 0.0,
+    /// };
+    /// assert!((w.hottest_key_share() - 0.25).abs() < 1e-12);
+    /// w.zipf_exponent = 1.0;
+    /// // H_4(1) = 1 + 1/2 + 1/3 + 1/4 = 25/12.
+    /// assert!((w.hottest_key_share() - 12.0 / 25.0).abs() < 1e-12);
+    /// ```
+    pub fn hottest_key_share(&self) -> f64 {
         if self.keys <= 1 {
             return 1.0;
         }
@@ -635,7 +652,18 @@ pub fn timeout_probability(n: u64, n_live: u64, quorum: u64, margin: u64) -> f64
 /// Evaluated in one pass over `ℓ = q ..= ℓ_max` by the three ratio
 /// recurrences of the module docs: no logarithm, exponential or binomial
 /// coefficient per term, every term non-negative, nothing subtracted.
-fn completion_cdf(
+///
+/// # Examples
+///
+/// ```
+/// use pqs_math::plan::{completion_cdf, ProbeLatency};
+/// let law = ProbeLatency::Uniform { min: 0.0, max: 1.0 };
+/// // No crashes and no margin: all 3 probes must have replied by t = 0.5.
+/// assert!((completion_cdf(10, 10, 3, 0, &law, 0.5) - 0.125).abs() < 1e-12);
+/// // One spare probe: P(Bin(4, 0.5) ≥ 3) = 5/16.
+/// assert!((completion_cdf(10, 10, 3, 1, &law, 0.5) - 0.3125).abs() < 1e-12);
+/// ```
+pub fn completion_cdf(
     n: u64,
     n_live: u64,
     quorum: u64,
@@ -707,7 +735,7 @@ fn completion_cdf(
 }
 
 /// The predicted latency quantile of quorum completion: the smallest `t`
-/// with `completion_cdf ≥ quantile`, or `None` when the completion
+/// with [`completion_cdf`] `≥ quantile`, or `None` when the completion
 /// probability can never reach the quantile (too many probes land on
 /// crashed servers).
 pub fn predicted_quantile(
