@@ -20,8 +20,9 @@
 //! event density, the duration is sized to hit
 //! [`soak_target`](crate::cli::ValidatorCli::soak_target) (10⁸) events,
 //! and the run's per-stage wall-clock breakdown (drain / sync / plan /
-//! route) is reported.  Under `--quick` the target is scaled
-//! down 100× so a smoke run exercises the lane in seconds.
+//! route) is reported beside the process's peak resident set.  Under
+//! `--quick` the target is scaled down 100× so a smoke run exercises the
+//! lane in seconds.
 //!
 //! `--threads N` caps the thread sweep.
 
@@ -46,6 +47,16 @@ fn sharded_config(seed: u64, duration: f64, num_shards: u32, threads: u32) -> Si
         .with_num_shards(num_shards)
         .with_threads(threads)
         .build()
+}
+
+/// The process's peak resident set so far, in MB: `VmHWM` from
+/// `/proc/self/status`, or `None` where that file is absent (or reads
+/// unexpectedly).
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 /// The soak cell: gossip-dominated on purpose.  A 20 Hz full-push round
@@ -221,6 +232,7 @@ pub(super) fn validate_parallel(h: &mut Harness<'_>) {
                 "plan (s)",
                 "route (s)",
                 "spine fraction",
+                "peak RSS (MB)",
             ],
         );
         soak_table.push_row(vec![
@@ -233,6 +245,7 @@ pub(super) fn validate_parallel(h: &mut Harness<'_>) {
             format!("{:.3}", stages.plan_seconds),
             format!("{:.3}", stages.route_seconds),
             format!("{:.4}", stages.spine_fraction()),
+            peak_rss_mb().map_or_else(|| "n/a".to_string(), |mb| format!("{mb:.1}")),
         ]);
         h.emit(&soak_table);
         h.check(

@@ -21,7 +21,10 @@
 //! [`Event::MembershipTransition`] are known before the run starts: a
 //! world reads them off cursors into the workload trace and the failure
 //! plan's schedules and never queues them.  Every other event is a message
-//! in flight and goes through the queue.
+//! in flight and goes through the queue.  The op events after the arrival
+//! name their operation by its slot in the world's op slab
+//! ([`PendingSlab`]), which the operation holds from its arrival until it
+//! is done and its last probe reply has landed.
 //!
 //! * [`Event::OpArrival`] — a client starts an operation: sample a probe
 //!   set, send one message per probed server.
@@ -47,7 +50,10 @@
 //!   version summary travels out, and only the records its sender provably
 //!   lacks travel back.
 
+use crate::workload::OpKind;
 use pqs_core::universe::ServerId;
+use pqs_protocols::server::VariableId;
+use std::ops::{Index, IndexMut};
 
 /// Identifier of one simulated client operation (its index in the generated
 /// workload trace).
@@ -56,15 +62,24 @@ pub type OpId = u64;
 /// Everything that can happen in the simulated world.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
-    /// A client operation arrives and starts its first attempt.
+    /// A client operation arrives and starts its first attempt.  The
+    /// world reads it off its cursor into the workload trace, so it
+    /// carries what the operation is; the world then gives the operation
+    /// a slot in its op slab, which the operation's other events carry.
     OpArrival {
         /// The operation.
         op: OpId,
+        /// Whether it reads or writes.
+        kind: OpKind,
+        /// The key it targets.
+        variable: VariableId,
     },
-    /// The round trip of one probe completes at the client.
+    /// The round trip of one probe completes at the client.  Every probe
+    /// an attempt sends is counted on its operation's slot until its reply
+    /// lands, so the slot still holds the probe's operation when it does.
     ProbeReply {
-        /// The operation the probe belongs to.
-        op: OpId,
+        /// Slot of the operation's state in its world's op slab.
+        slot: u64,
         /// Which attempt of the operation sent the probe; replies of
         /// abandoned attempts still touch the server but no longer feed the
         /// session.
@@ -72,9 +87,15 @@ pub enum Event {
         /// The probed server.
         server: ServerId,
     },
-    /// The per-attempt timeout fires.
+    /// The per-attempt timeout fires.  Nothing holds the slot for it: the
+    /// operation may have finished, and its slot may hold another
+    /// operation by now, so the event names its operation too and is
+    /// ignored unless the slot still holds that operation, unfinished, at
+    /// this attempt.
     OpTimeout {
-        /// The operation.
+        /// Slot of the operation's state when the timer was armed.
+        slot: u64,
+        /// The operation, checked against the slot's occupant.
         op: OpId,
         /// The attempt the timer was armed for.
         attempt: u32,
@@ -85,7 +106,10 @@ pub enum Event {
     /// is positive — with the default immediate-retry policy the next
     /// attempt starts inline and no such event exists.
     RetryAttempt {
-        /// The operation.
+        /// Slot of the operation's state when the retry was scheduled.
+        slot: u64,
+        /// The operation, checked against the slot's occupant as a
+        /// timeout's is.
         op: OpId,
         /// The attempt to start (the op's attempt counter at scheduling
         /// time; a stale event — e.g. after the op finished — is ignored).
@@ -139,22 +163,26 @@ pub enum Event {
     },
 }
 
-/// A reusable slot-indexed store for in-flight gossip payloads.
+/// A reusable slot-indexed store for in-flight payloads: gossip messages,
+/// and the state of the operations in flight.
 ///
-/// Gossip events carry a `u64` handle instead of their payload so
-/// [`Event`] stays small and `Copy`.  A payload's variable-length part (a
-/// digest's entries, a delta's records) is a buffer drawn from a
+/// Gossip and op events carry a `u64` handle instead of their payload so
+/// [`Event`] stays small and `Copy`.  A gossip payload's variable-length
+/// part (a digest's entries, a delta's records) is a buffer drawn from a
 /// [`BufferPool`] and returned to it after delivery.  The slab is a plain
 /// `Vec<Option<T>>` plus a free list: `insert` is a push or a free-slot
 /// reuse, `take` is an indexed load, and the backing storage reaches the
-/// high-water mark of in-flight messages once and is reused for the rest
+/// high-water mark of in-flight payloads once and is reused for the rest
 /// of the run.
 ///
 /// Slot reuse is safe because every scheduled gossip event is delivered
 /// exactly once: a slot is freed only by the `take` of its own delivery,
-/// so no two in-flight messages ever share a slot.  Slots never influence
-/// event ordering (the queue orders by time and insertion sequence), so
-/// switching ids to slots is invisible to the simulated trajectory.
+/// so no two in-flight messages ever share a slot.  An operation's slot is
+/// freed once the operation is done and its last probe reply has landed;
+/// the events that can outlive that (timeouts, retries) check the slot's
+/// occupant.  Slots never influence event ordering (the queue orders by
+/// time and insertion sequence), so switching ids to slots is invisible
+/// to the simulated trajectory.
 #[derive(Debug)]
 pub struct PendingSlab<T> {
     slots: Vec<Option<T>>,
@@ -200,6 +228,18 @@ impl<T> PendingSlab<T> {
         value
     }
 
+    /// The payload at `slot` (`None` if the slot is vacant or out of
+    /// range).
+    pub fn get(&self, slot: u64) -> Option<&T> {
+        self.slots.get(slot as usize)?.as_ref()
+    }
+
+    /// Slots ever used: the high-water mark of in-flight payloads.
+    #[cfg(test)]
+    pub(crate) fn high_water(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Number of occupied slots (in-flight payloads).
     pub fn len(&self) -> usize {
         self.slots.len() - self.free.len()
@@ -208,6 +248,33 @@ impl<T> PendingSlab<T> {
     /// Returns `true` if no payload is in flight.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl<T> Index<u64> for PendingSlab<T> {
+    type Output = T;
+
+    /// The payload at an occupied `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is vacant or out of range.
+    fn index(&self, slot: u64) -> &T {
+        self.get(slot).expect("an occupied slab slot")
+    }
+}
+
+impl<T> IndexMut<u64> for PendingSlab<T> {
+    /// The payload at an occupied `slot`, mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is vacant or out of range.
+    fn index_mut(&mut self, slot: u64) -> &mut T {
+        self.slots
+            .get_mut(slot as usize)
+            .and_then(Option::as_mut)
+            .expect("an occupied slab slot")
     }
 }
 

@@ -10,18 +10,35 @@
 //! that buffer is placed by binary search; a burst of them is appended
 //! and sorted once, at the next pop or peek.  That is O(1) amortized at a
 //! healthy load factor, against the two O(log n) sifts a binary heap pays
-//! per event.  The heap survives behind [`QueueKind::Heap`] as a reference
-//! backend: property tests replay random interleavings against it, and
-//! debug builds shadow every calendar-backed queue with a heap of
-//! `(time, sequence)` keys, asserting each pop agrees.
+//! per event.
+//!
+//! Beside the calendar sit **trains**: the messages one send step puts in
+//! flight at once (an attempt's probe replies), handed over together
+//! through [`EventQueue::schedule_train`].  A train is stored as one
+//! sorted buffer, and only its head — its earliest entry — is keyed, in a
+//! small heap of heads; `pop` serves the smaller of the calendar's head
+//! and the earliest train head.  A train costs one small sort and one
+//! heap push, its buffer is recycled when it runs dry, and the calendar's
+//! population is left to the traffic that is not sent in batches.
+//!
+//! The heap survives behind [`QueueKind::Heap`] as a reference backend
+//! (it schedules a train's entries one by one): property tests replay
+//! random interleavings against it, and debug builds shadow every
+//! calendar-backed queue with a heap of `(time, sequence)` keys — train
+//! entries included — asserting each pop agrees.
 //!
 //! Both backends honour the exact same contract: pops are ordered by
 //! `(time, insertion sequence)` — strictly by time, FIFO among equal
 //! times — which is what every pinned determinism fingerprint in
-//! `tests/determinism.rs` rests on.
+//! `tests/determinism.rs` rests on.  A train's entries take consecutive
+//! sequence numbers in iteration order, exactly as that many `schedule`
+//! calls would, so a train pops in the same order its entries would have
+//! one by one.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
+use std::mem;
 
 /// Simulation time in seconds since the start of the run.
 pub type SimTime = f64;
@@ -49,10 +66,11 @@ struct Scheduled<E> {
 }
 
 impl<E> Scheduled<E> {
-    /// The `(time, insertion sequence)` sort key.  `total_cmp` is safe
-    /// here: `schedule` rejects NaN, and for finite floats it agrees
-    /// with the usual ordering.
-    fn key_cmp(&self, other: &Self) -> Ordering {
+    /// The `(time, insertion sequence)` sort key, across payload types
+    /// (a train's head key carries its slot).  `total_cmp` is safe here:
+    /// scheduling rejects NaN, and for finite floats it agrees with the
+    /// usual ordering.
+    fn key_cmp<F>(&self, other: &Scheduled<F>) -> Ordering {
         self.time
             .total_cmp(&other.time)
             .then_with(|| self.sequence.cmp(&other.sequence))
@@ -103,9 +121,91 @@ fn day_of(time: SimTime, inv_width: f64) -> u64 {
     (time * inv_width) as u64
 }
 
+/// The trains of a calendar-backed queue: each one a batch of entries
+/// scheduled together, sorted once, with only its next entry keyed.
+#[derive(Debug, Clone)]
+struct Trains<E> {
+    /// One buffer per slot, sorted by `(time, sequence)` **descending** so
+    /// the train's next entry is the tail.  A vacant slot keeps its
+    /// emptied buffer, capacity intact, for the next train it carries.
+    slots: Vec<Vec<Scheduled<E>>>,
+    /// Vacant slots.
+    free: Vec<u32>,
+    /// The key of each non-empty train's next entry; the payload is the
+    /// train's slot.
+    heads: BinaryHeap<Scheduled<u32>>,
+    /// Total pending entries across trains.
+    len: usize,
+}
+
+impl<E> Trains<E> {
+    fn new() -> Self {
+        Trains {
+            slots: Vec::new(),
+            free: Vec::new(),
+            heads: BinaryHeap::new(),
+            len: 0,
+        }
+    }
+
+    /// A slot for a new train and its (empty, recycled) buffer.
+    fn open(&mut self) -> (u32, Vec<Scheduled<E>>) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Vec::new());
+            (self.slots.len() - 1) as u32
+        });
+        (slot, mem::take(&mut self.slots[slot as usize]))
+    }
+
+    /// Stores the filled `train` in `slot` and keys its earliest entry;
+    /// an empty train gives its slot straight back.
+    fn close(&mut self, slot: u32, mut train: Vec<Scheduled<E>>) {
+        // The key is unique (sequence breaks ties), so an unstable sort
+        // yields the exact serve order.
+        train.sort_unstable_by(|a, b| b.key_cmp(a));
+        match train.last() {
+            Some(head) => {
+                self.heads.push(Scheduled {
+                    time: head.time,
+                    sequence: head.sequence,
+                    event: slot,
+                });
+                self.len += train.len();
+            }
+            None => self.free.push(slot),
+        }
+        self.slots[slot as usize] = train;
+    }
+
+    /// The key of the earliest pending train entry.
+    fn head(&self) -> Option<&Scheduled<u32>> {
+        self.heads.peek()
+    }
+
+    /// Pops the earliest pending train entry, re-keying its train on the
+    /// next entry or vacating the slot when the train is done.
+    fn pop(&mut self) -> Option<Scheduled<E>> {
+        let mut head = self.heads.peek_mut()?;
+        let train = &mut self.slots[head.event as usize];
+        let s = train.pop().expect("a keyed train is non-empty");
+        match train.last() {
+            Some(next) => {
+                head.time = next.time;
+                head.sequence = next.sequence;
+            }
+            None => {
+                self.free.push(head.event);
+                PeekMut::pop(head);
+            }
+        }
+        self.len -= 1;
+        Some(s)
+    }
+}
+
 /// The calendar backend: one `Vec` lane per day modulo the bucket count
 /// for the days after the live one, plus a sorted buffer holding
-/// everything due up to the end of the live day.
+/// everything due up to the end of the live day, plus the trains.
 ///
 /// The invariant every method keeps: an entry of day `d` is in `day` if
 /// `d <= cursor_day` and in bucket `d % buckets.len()` otherwise.
@@ -136,8 +236,12 @@ struct Calendar<E> {
     /// Whether an entry has been placed into `day` by binary search since
     /// the last pop.
     placed_since_pop: bool,
-    /// Total pending events across buckets and the day buffer.
+    /// Total pending events across buckets and the day buffer (trains
+    /// count their own).
     len: usize,
+    /// Entries scheduled as trains, outside the buckets and the day
+    /// buffer.
+    trains: Trains<E>,
 }
 
 impl<E> Calendar<E> {
@@ -151,6 +255,7 @@ impl<E> Calendar<E> {
             day_sorted: true,
             placed_since_pop: false,
             len: 0,
+            trains: Trains::new(),
         }
     }
 
@@ -236,9 +341,22 @@ impl<E> Calendar<E> {
         day_of(min_time, self.inv_width)
     }
 
+    /// Whether the earliest pending entry is a train's rather than the
+    /// day buffer's (call after [`Self::prepare`]).
+    fn train_first(&self) -> bool {
+        self.trains.head().is_some_and(|head| {
+            self.day
+                .last()
+                .is_none_or(|s| head.key_cmp(s) == Ordering::Less)
+        })
+    }
+
     /// Pops the earliest pending entry.
     fn pop(&mut self) -> Option<Scheduled<E>> {
         self.prepare();
+        if self.train_first() {
+            return self.trains.pop();
+        }
         let s = self.day.pop()?;
         self.len -= 1;
         self.placed_since_pop = false;
@@ -251,6 +369,9 @@ impl<E> Calendar<E> {
     /// Time of the earliest pending entry.
     fn peek_time(&mut self) -> Option<SimTime> {
         self.prepare();
+        if self.train_first() {
+            return self.trains.head().map(|head| head.time);
+        }
         self.day.last().map(|s| s.time)
     }
 
@@ -381,7 +502,7 @@ impl<E> EventQueue<E> {
     pub fn len(&self) -> usize {
         match &self.backend {
             Backend::Heap(heap) => heap.len(),
-            Backend::Calendar(cal) => cal.len,
+            Backend::Calendar(cal) => cal.len + cal.trains.len,
         }
     }
 
@@ -396,16 +517,52 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `time` is NaN or negative.
     pub fn schedule(&mut self, time: SimTime, event: E) {
+        let s = self.stamp(time, event);
+        match &mut self.backend {
+            Backend::Heap(heap) => heap.push(s),
+            Backend::Calendar(cal) => cal.insert(s),
+        }
+    }
+
+    /// Schedules every `(time, event)` of `train` — the messages one send
+    /// step puts in flight together, such as an attempt's probe replies —
+    /// in any time order.
+    ///
+    /// The entries take consecutive insertion sequence numbers in
+    /// iteration order, exactly as that many [`Self::schedule`] calls
+    /// would, so the pop order is the one-by-one order, equal times
+    /// included.  On the calendar the train is sorted once into a recycled
+    /// buffer and only its earliest entry is keyed; the heap backend
+    /// schedules the entries one by one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any entry's time is NaN or negative.
+    pub fn schedule_train(&mut self, train: impl IntoIterator<Item = (SimTime, E)>) {
+        let Backend::Calendar(cal) = &mut self.backend else {
+            for (time, event) in train {
+                self.schedule(time, event);
+            }
+            return;
+        };
+        let (slot, mut buffer) = cal.trains.open();
+        for (time, event) in train {
+            let s = self.stamp(time, event);
+            buffer.push(s);
+        }
+        if let Backend::Calendar(cal) = &mut self.backend {
+            cal.trains.close(slot, buffer);
+        }
+    }
+
+    /// Checks `time` and gives `event` the next insertion sequence
+    /// number, entering its key into the debug shadow.
+    fn stamp(&mut self, time: SimTime, event: E) -> Scheduled<E> {
         assert!(
             time.is_finite() && time >= 0.0,
             "event time must be finite and non-negative, got {time}"
         );
         self.sequence += 1;
-        let s = Scheduled {
-            time,
-            sequence: self.sequence,
-            event,
-        };
         #[cfg(debug_assertions)]
         if let Some(shadow) = &mut self.shadow {
             shadow.push(Scheduled {
@@ -414,9 +571,10 @@ impl<E> EventQueue<E> {
                 event: (),
             });
         }
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(s),
-            Backend::Calendar(cal) => cal.insert(s),
+        Scheduled {
+            time,
+            sequence: self.sequence,
+            event,
         }
     }
 
@@ -461,39 +619,19 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Drains `batch` into the queue after **stably** sorting it by time.
-    ///
-    /// This is how to bulk-schedule one round's worth of same-typed
-    /// messages (no caller inside this library any more: a world routes
-    /// its round batch by payload type through `schedule`; the repo
-    /// benchmark and the queue tests drive this entry point).  Inserting
-    /// in ascending time order turns a heap backend's pushes into O(1)
-    /// sifts.  The calendar does not need the order: entries of later
-    /// days are O(1) bucket pushes either way, and the ones due in its
-    /// live day cost one placement plus at most one sort of that day
-    /// between them (see `Calendar::day`).  Determinism
-    /// is preserved exactly — pops are ordered by `(time, insertion
-    /// sequence)` and a stable sort keeps the relative order of equal-time
-    /// entries, so the pop order is identical to scheduling the batch
-    /// unsorted.  The sort uses `f64::total_cmp`: unlike a
-    /// `partial_cmp(..).unwrap_or(Equal)` comparator, a NaN in the batch
-    /// cannot scramble the surrounding entries before `schedule`'s
-    /// validation rejects it.
+    /// Drains `batch` into the queue as one train
+    /// ([`Self::schedule_train`]): the pop order is that of scheduling the
+    /// entries one by one, in batch order.  No library code calls it; the
+    /// repo benchmark and the queue tests drive it.
     ///
     /// The batch vector is left empty with its capacity intact, ready for
-    /// reuse by the next round.
+    /// reuse.
     ///
     /// # Panics
     ///
     /// Panics if any entry's time is NaN or negative.
     pub fn schedule_batch(&mut self, batch: &mut Vec<(SimTime, E)>) {
-        batch.sort_by(|a, b| a.0.total_cmp(&b.0));
-        if let Backend::Heap(heap) = &mut self.backend {
-            heap.reserve(batch.len());
-        }
-        for (time, event) in batch.drain(..) {
-            self.schedule(time, event);
-        }
+        self.schedule_train(batch.drain(..));
     }
 }
 
@@ -532,6 +670,13 @@ mod tests {
     fn rejects_nan_times() {
         let mut q = EventQueue::new();
         q.schedule(f64::NAN, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn rejects_nan_times_in_a_train() {
+        let mut q = EventQueue::new();
+        q.schedule_train([(1.0, ()), (f64::NAN, ())]);
     }
 
     #[test]
@@ -643,6 +788,86 @@ mod tests {
         assert_eq!(calendar.now(), heap.now());
     }
 
+    /// A splitmix64 stream: a cheap deterministic scramble for the
+    /// property-style tests.
+    fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// Trains pop exactly as their entries would one by one: random
+    /// interleavings of single schedules, trains (empty, of one entry, of
+    /// equal times, of random times), peeks and pops give a calendar and
+    /// the heap oracle (which schedules a train entry by entry) the same
+    /// `(time, event)` stream and the same `len()`.  Times come from a
+    /// small grid, so trains and singles tie often, and after a peek has
+    /// moved the calendar's cursor to a far-future day, entries are
+    /// scheduled before it.
+    #[test]
+    fn trains_pop_in_the_heap_oracles_order() {
+        for case in 0..200u64 {
+            let mut next = splitmix(case);
+            let mut calendar = EventQueue::with_kind(QueueKind::Calendar);
+            let mut heap = EventQueue::with_kind(QueueKind::Heap);
+            let mut id = 0u64;
+            let time = |now: SimTime, r: u64| match r % 3 {
+                // A grid of 0.25 s steps: ties within and across trains.
+                0 => now + ((r >> 8) % 8) as f64 * 0.25,
+                // Continuous, near the clock.
+                1 => now + ((r >> 8) % 10_000) as f64 * 1e-4,
+                // Far future: peeking there moves the live day past the
+                // near-term entries scheduled next.
+                _ => now + 1e3 + ((r >> 8) % 4) as f64,
+            };
+            for _ in 0..300 {
+                let r = next();
+                let now = heap.now();
+                match r % 8 {
+                    0 | 1 => {
+                        let t = time(now, next());
+                        calendar.schedule(t, id);
+                        heap.schedule(t, id);
+                        id += 1;
+                    }
+                    2 | 3 => {
+                        let len = match (r >> 8) % 4 {
+                            0 => 0,
+                            1 => 1,
+                            _ => ((r >> 16) % 24) as usize,
+                        };
+                        let equal = (r >> 24).is_multiple_of(4);
+                        let first = time(now, next());
+                        let train: Vec<(SimTime, u64)> = (0..len)
+                            .map(|i| {
+                                let t = if equal { first } else { time(now, next()) };
+                                (t, id + i as u64)
+                            })
+                            .collect();
+                        id += len as u64;
+                        calendar.schedule_train(train.iter().copied());
+                        heap.schedule_train(train);
+                    }
+                    4 => assert_eq!(calendar.peek_time(), heap.peek_time(), "case {case}"),
+                    _ => {
+                        assert_eq!(calendar.peek_time(), heap.peek_time(), "case {case}");
+                        assert_eq!(calendar.pop(), heap.pop(), "case {case}");
+                    }
+                }
+                assert_eq!(calendar.len(), heap.len(), "case {case}");
+            }
+            while let Some(got) = calendar.pop() {
+                assert_eq!(Some(got), heap.pop(), "case {case}");
+            }
+            assert!(heap.pop().is_none() && calendar.is_empty(), "case {case}");
+            assert_eq!(calendar.now(), heap.now());
+        }
+    }
+
     /// A straggler scheduled before every pending event still pops first
     /// on the calendar backend (it joins the live day buffer, ahead of
     /// the cursor day's own entries).
@@ -657,6 +882,24 @@ mod tests {
         assert_eq!(q.peek_time(), Some(1.5));
         assert_eq!(q.pop(), Some((1.5, 999)));
         assert_eq!(q.pop(), Some((1001.0, 1)));
+    }
+
+    /// A train due before the calendar's live day — the cursor already
+    /// peeked far ahead — pops first, in `(time, sequence)` order.
+    #[test]
+    fn a_train_due_before_the_live_day_pops_first() {
+        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        for i in 0..100u32 {
+            q.schedule(1000.0 + i as f64, i);
+        }
+        assert_eq!(q.peek_time(), Some(1000.0));
+        q.schedule_train([(2.0, 200), (1.5, 201), (2.0, 202)]);
+        assert_eq!(q.len(), 103);
+        assert_eq!(q.peek_time(), Some(1.5));
+        assert_eq!(q.pop(), Some((1.5, 201)));
+        assert_eq!(q.pop(), Some((2.0, 200)));
+        assert_eq!(q.pop(), Some((2.0, 202)));
+        assert_eq!(q.pop(), Some((1000.0, 0)));
     }
 
     /// The digest/delta traffic shape: a burst of equal-time deliveries,

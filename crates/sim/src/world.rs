@@ -13,11 +13,20 @@
 //! traffic (gossip messages) is injected by the spine.
 //!
 //! The queue holds only messages in flight: probe replies, timeouts,
-//! retries and gossip deliveries.  The timelines known before the run —
-//! the owned arrivals, the crash schedule and the membership schedule —
-//! stay where they already are, in time order, and the drain loop walks
-//! them with three cursors beside the queue head, so queue memory is
-//! proportional to the traffic in flight rather than to the run's length.
+//! retries and gossip deliveries.  An attempt sends to its whole probe set
+//! at once, so its replies enter the queue as one train
+//! ([`EventQueue::schedule_train`]), keyed by its earliest reply only.
+//! The timelines known before the run — the owned arrivals in the workload
+//! trace, the crash schedule and the membership schedule — stay where they
+//! already are, in time order, and the drain loop walks them with three
+//! cursors beside the queue head, so queue memory is proportional to the
+//! traffic in flight rather than to the run's length.
+//!
+//! The same holds for client state: an operation takes a slot of the
+//! world's op slab when it arrives and gives it back once it is done and
+//! its last probe reply has landed, so the slab's size follows the
+//! operations in flight.  What still grows with the run is the op log
+//! (one [`OpRecord`] per owned op, for the merge) and the trace itself.
 //!
 //! Every variable draws all of its randomness (probe sets, probe
 //! latencies) from its **own** ChaCha8 stream seeded by
@@ -67,19 +76,31 @@ enum OpSession {
     Write(AnyRecord, WriteSession),
 }
 
-/// Book-keeping for one client operation across its attempts (its arrival
-/// time is in its [`OpRecord`]).
+/// Book-keeping for one client operation across its attempts, held in a
+/// slot of its world's op slab from its arrival until it is done and its
+/// last probe reply has landed (its arrival time is in its [`OpRecord`]).
 #[derive(Debug)]
 struct OpState {
+    /// The operation: what a timeout or retry checks the slot's occupant
+    /// against.
+    op: OpId,
+    /// Index of the operation's record in the world's op log.
+    record: usize,
     kind: OpKind,
     /// The key the operation targets.
     variable: VariableId,
     attempt: u32,
+    /// The current attempt's probes whose replies the session still
+    /// awaits.
     outstanding: usize,
+    /// Probe replies of every attempt still in flight; the slot is
+    /// released once the operation is done and this reaches 0.
+    pending: usize,
     done: bool,
     /// The current attempt's session.  `finalize` releases a read's (its
-    /// reply buffer is dead weight once condensed); a write's stays, since
-    /// its record is what late probes and retries still deliver.
+    /// reply buffer is dead weight once condensed); a write's stays until
+    /// the slot is released, since its record is what late probes still
+    /// store and a retry re-sends.
     session: Option<OpSession>,
     /// The value a write pushes: its variable's write sequence number,
     /// assigned at arrival (reads leave it 0).
@@ -222,9 +243,18 @@ pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
     /// Messages in flight; the timelines known before the run are walked
     /// by the cursors below instead.
     queue: EventQueue<Event>,
-    /// Index into `acc.ops` (owned ops in arrival order) of the next
-    /// arrival to start.
+    /// The run's workload trace, in arrival order (shared by every world).
+    trace: &'a [Operation],
+    /// Index into `trace` of the next arrival this world owns (the trace's
+    /// length once every owned op has arrived).
     next_arrival: usize,
+    /// Owned ops arrived so far: the index into `acc.ops` of the next
+    /// arrival's record.
+    arrived: usize,
+    /// This world's shard and the shard count: the world owns the ops on
+    /// variables `v` with `v % num_shards == shard`.
+    shard: u64,
+    num_shards: u64,
     /// Index into `plan.crashes` of the next crash transition to replay.
     next_crash: usize,
     /// Index into `plan.memberships` of the next membership transition to
@@ -235,13 +265,10 @@ pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
     /// every shard so behaviour timelines agree everywhere.
     pub(crate) cluster: Cluster,
     registers: RegisterMap<'a, S>,
-    /// Compact op table: one entry per *owned* op, in arrival order.  A
-    /// world never inspects other worlds' op states, so a full-size table
-    /// would cost `num_shards×` the memory and cold-page time for nothing.
-    /// `acc.ops` runs parallel to it (same index).
-    states: Vec<OpState>,
-    /// Global op id → index into `states` (meaningful for owned ops only).
-    local: Vec<OpId>,
+    /// The state of the operations in flight, one slot each from arrival
+    /// until the operation is done and its last probe reply has landed, so
+    /// the slab follows the operations in flight, not the operations run.
+    ops: PendingSlab<OpState>,
     writes: Vec<WriteLog>,
     /// Per-variable write sequence counters (authoritative for owned
     /// variables; the spine gathers them for the digest key policies).
@@ -295,18 +322,21 @@ pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
     /// without diffusion, and again after the last barrier
     /// ([`World::end_sync`]) — nothing would ever drain the list then.
     dirty: Option<Vec<(u32, VariableId)>>,
+    /// Index into `acc.ops` of the earliest-arrived op that may still be
+    /// unfinished.
     oldest_active: usize,
 }
 
 impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
-    /// Builds shard `shard` of `num_shards` of `sim`: lays out the op table
+    /// Builds shard `shard` of `num_shards` of `sim`: lays out the op log
     /// of the owned arrivals (in op order, which is arrival order), points
-    /// the three cursors at the starts of that table and of the plan's
-    /// crash and membership schedules, and derives the per-variable RNG
-    /// streams from the run seed.  The queue starts empty.
+    /// the three cursors at the first owned arrival of the trace and the
+    /// starts of the plan's crash and membership schedules, and derives the
+    /// per-variable RNG streams from the run seed.  The queue and the op
+    /// slab start empty.
     pub(crate) fn new(
         sim: &Simulation<'a, S>,
-        ops: &[Operation],
+        ops: &'a [Operation],
         plan: &'a FailurePlan,
         byz_behavior: Behavior,
         shard: u64,
@@ -341,31 +371,18 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         let registers =
             RegisterMap::new(sim.system, flavor, 1).with_probe_margin(config.probe_margin as usize);
 
-        let mut local = vec![0 as OpId; ops.len()];
         let owned = ops
             .iter()
             .filter(|op| op.variable % num_shards == shard)
             .count();
-        let mut states = Vec::with_capacity(owned);
         let mut records = Vec::with_capacity(owned);
         for (i, op) in ops.iter().enumerate() {
             if op.variable % num_shards == shard {
-                local[i] = states.len() as OpId;
                 records.push(OpRecord {
                     op: i as OpId,
                     start: op.at,
                     end: op.at,
                     outcome: OpOutcome::Pending,
-                });
-                states.push(OpState {
-                    kind: op.kind,
-                    variable: op.variable,
-                    attempt: 0,
-                    outstanding: 0,
-                    done: false,
-                    session: None,
-                    sequence: 0,
-                    window: None,
                 });
             }
         }
@@ -399,16 +416,19 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
             ],
             ..SimReport::default()
         };
-        World {
+        let mut world = World {
             config,
             queue: EventQueue::new(),
+            trace: ops,
             next_arrival: 0,
+            arrived: 0,
+            shard,
+            num_shards,
             next_crash: 0,
             next_membership: 0,
             cluster,
             registers,
-            states,
-            local,
+            ops: PendingSlab::new(),
             writes: (0..nvars).map(|_| WriteLog::default()).collect(),
             sequences: vec![0; nvars],
             last_write_at: vec![f64::NEG_INFINITY; nvars],
@@ -434,7 +454,19 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
             min_quorum,
             dirty: config.diffusion.map(|_| Vec::new()),
             oldest_active: 0,
-        }
+        };
+        world.next_arrival = world.owned_arrival_from(0);
+        world
+    }
+
+    /// Index into the trace of the first op this world owns at or after
+    /// `from` (the trace's length if there is none).
+    fn owned_arrival_from(&self, from: usize) -> usize {
+        let rest = &self.trace[from..];
+        from + rest
+            .iter()
+            .position(|op| op.variable % self.num_shards == self.shard)
+            .unwrap_or(rest.len())
     }
 
     /// Handles this shard's events up to (strictly before) `barrier`, or
@@ -451,10 +483,10 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
     pub(crate) fn drain_until(&mut self, barrier: Option<SimTime>) {
         let end = barrier.unwrap_or(SimTime::INFINITY);
         loop {
-            let arrival = self.acc.ops.get(self.next_arrival);
+            let arrival = self.trace.get(self.next_arrival);
             let crash = self.plan.crashes.get(self.next_crash);
             let membership = self.plan.memberships.get(self.next_membership);
-            let arrival_at = arrival.map_or(SimTime::INFINITY, |r| r.start);
+            let arrival_at = arrival.map_or(SimTime::INFINITY, |a| a.at);
             let crash_at = crash.map_or(SimTime::INFINITY, |c| c.at);
             let membership_at = membership.map_or(SimTime::INFINITY, |m| m.at);
             let queued_at = self.queue.peek_time().unwrap_or(SimTime::INFINITY);
@@ -463,9 +495,14 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                 break;
             }
             let event = match (arrival, crash, membership) {
-                (Some(r), _, _) if arrival_at == t => {
-                    self.next_arrival += 1;
-                    Event::OpArrival { op: r.op }
+                (Some(&a), _, _) if arrival_at == t => {
+                    let op = self.next_arrival as OpId;
+                    self.next_arrival = self.owned_arrival_from(self.next_arrival + 1);
+                    Event::OpArrival {
+                        op,
+                        kind: a.kind,
+                        variable: a.variable,
+                    }
                 }
                 (_, Some(&c), _) if crash_at == t => {
                     self.next_crash += 1;
@@ -596,51 +633,67 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
     /// gossip deliveries handled here.
     fn handle(&mut self, t: SimTime, event: Event) {
         match event {
-            Event::OpArrival { op } => {
+            Event::OpArrival { op, kind, variable } => {
                 self.acc.logical_events += 1;
-                let idx = self.local[op as usize] as usize;
-                // The compact table holds owned ops in arrival order, so
-                // the first not-done entry bounds the earliest start of
-                // any unfinished op this shard's write logs care about
+                let record = self.arrived;
+                self.arrived += 1;
+                debug_assert_eq!(self.acc.ops[record].op, op, "arrivals follow the op log");
+                // The op log holds owned ops in arrival order, so the first
+                // unfinished entry bounds the earliest start of any
+                // unfinished op this shard's write logs care about
                 // (staleness is per-variable and variables never cross
-                // shards).
-                while self.oldest_active < self.states.len() && self.states[self.oldest_active].done
-                {
+                // shards).  The walk stops at this arrival's own record at
+                // the latest.
+                while self.acc.ops[self.oldest_active].outcome != OpOutcome::Pending {
                     self.oldest_active += 1;
                 }
-                let horizon = self.acc.ops[self.oldest_active.min(idx)].start;
-                let var = self.states[idx].variable as usize;
+                let horizon = self.acc.ops[self.oldest_active].start;
+                let var = variable as usize;
                 self.writes[var].advance(horizon);
-                if self.states[idx].kind == OpKind::Write {
+                let (mut sequence, mut window) = (0, None);
+                if kind == OpKind::Write {
                     self.sequences[var] += 1;
-                    self.states[idx].sequence = self.sequences[var];
+                    sequence = self.sequences[var];
                     self.last_write_at[var] = t;
-                    let handle = self.writes[var].open(t, self.sequences[var]);
-                    self.states[idx].window = Some(handle);
+                    window = Some(self.writes[var].open(t, sequence));
                 }
-                self.start_attempt(op, t);
+                let slot = self.ops.insert(OpState {
+                    op,
+                    record,
+                    kind,
+                    variable,
+                    attempt: 0,
+                    outstanding: 0,
+                    pending: 0,
+                    done: false,
+                    session: None,
+                    sequence,
+                    window,
+                });
+                self.start_attempt(slot, t);
             }
             Event::ProbeReply {
-                op,
+                slot,
                 attempt,
                 server,
             } => {
                 self.acc.logical_events += 1;
-                let idx = self.local[op as usize] as usize;
-                let fed = if self.plan.blocks_probe(t, self.states[idx].variable, server) {
+                let variable = self.ops[slot].variable;
+                self.ops[slot].pending -= 1;
+                let fed = if self.plan.blocks_probe(t, variable, server) {
                     // The message never crossed the partition: no
                     // server-side effect, and the client sees one more
                     // silent server (exactly like a crashed replier).
                     self.acc.report.dropped_probes += 1;
-                    !self.states[idx].done && self.states[idx].attempt == attempt
+                    !self.ops[slot].done && self.ops[slot].attempt == attempt
                 } else {
-                    if self.states[idx].kind == OpKind::Write {
+                    if self.ops[slot].kind == OpKind::Write {
                         // The probe's server-side store (which happens
                         // whether or not the client still cares) may
                         // freshen this record; non-correct receivers store
                         // nothing, but the over-mark is harmless — see
                         // `dirty`.
-                        self.mark_dirty(server, self.states[idx].variable);
+                        self.mark_dirty(server, variable);
                     }
                     // An adaptive sleeper answers exactly this probe as a
                     // stale replier when its foreground predicate fires —
@@ -651,7 +704,7 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                         && strategy_fires(
                             &self.plan.strategy,
                             server,
-                            self.states[idx].variable,
+                            variable,
                             t,
                             &self.sequences,
                             &self.last_write_at,
@@ -661,14 +714,14 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                         self.acc.report.adaptive_activations += 1;
                     }
                     let fed =
-                        deliver_probe(&mut self.states[idx], server, &mut self.cluster, attempt);
+                        deliver_probe(&mut self.ops[slot], server, &mut self.cluster, attempt);
                     if flip {
                         self.cluster.set_behavior(server, Behavior::Correct);
                     }
                     fed
                 };
                 if fed {
-                    let state = &mut self.states[idx];
+                    let state = &mut self.ops[slot];
                     state.outstanding -= 1;
                     let complete = match state.session.as_ref() {
                         Some(OpSession::Read(s)) => s.is_complete(),
@@ -676,27 +729,27 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                         None => false,
                     };
                     if complete {
-                        self.finalize(op, t);
-                    } else if self.states[idx].outstanding == 0 {
-                        self.end_attempt(op, t);
+                        self.finalize(slot, t);
+                    } else if state.outstanding == 0 {
+                        self.end_attempt(slot, t);
                     }
                 }
+                self.release_if_idle(slot);
             }
-            Event::OpTimeout { op, attempt } => {
+            Event::OpTimeout { slot, op, attempt } => {
                 self.acc.logical_events += 1;
-                let idx = self.local[op as usize] as usize;
-                if !self.states[idx].done && self.states[idx].attempt == attempt {
-                    let var = self.states[idx].variable as usize;
+                if self.is_live(slot, op, attempt) {
+                    let var = self.ops[slot].variable as usize;
                     self.acc.report.timed_out_attempts += 1;
                     self.acc.report.per_variable[var].timed_out_attempts += 1;
-                    self.end_attempt(op, t);
+                    self.end_attempt(slot, t);
+                    self.release_if_idle(slot);
                 }
             }
-            Event::RetryAttempt { op, attempt } => {
+            Event::RetryAttempt { slot, op, attempt } => {
                 self.acc.logical_events += 1;
-                let idx = self.local[op as usize] as usize;
-                if !self.states[idx].done && self.states[idx].attempt == attempt {
-                    self.start_attempt(op, t);
+                if self.is_live(slot, op, attempt) {
+                    self.start_attempt(slot, t);
                 }
             }
             Event::FailureTransition { server, crash } => {
@@ -835,13 +888,30 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         }
     }
 
+    /// Whether `slot` still holds operation `op`, unfinished, at
+    /// `attempt` — what a timeout or retry must find to act.
+    fn is_live(&self, slot: u64, op: OpId, attempt: u32) -> bool {
+        self.ops
+            .get(slot)
+            .is_some_and(|state| state.op == op && !state.done && state.attempt == attempt)
+    }
+
+    /// Frees `slot` once its operation is done and no probe reply of it is
+    /// in flight.
+    fn release_if_idle(&mut self, slot: u64) {
+        let state = &self.ops[slot];
+        if state.done && state.pending == 0 {
+            self.ops.take(slot);
+        }
+    }
+
     /// Samples a probe set from the operation's variable's stream, creates
     /// the attempt's session through the per-variable register table, and
-    /// schedules one probe-reply event per probed server plus the attempt
+    /// schedules the probe replies, as one train, plus the attempt
     /// timeout.
-    fn start_attempt(&mut self, op: OpId, now: SimTime) {
+    fn start_attempt(&mut self, slot: u64, now: SimTime) {
         self.cluster.note_operation();
-        let state = &mut self.states[self.local[op as usize] as usize];
+        let state = &mut self.ops[slot];
         let rng = &mut self.key_rngs[state.variable as usize];
         let probe = self.registers.sample_probe_set(rng);
         match state.kind {
@@ -870,22 +940,24 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
             }
         }
         state.outstanding = probe.probed();
-        for &server in &probe.servers {
-            let rtt = self.config.latency.sample(rng);
-            self.queue.schedule(
-                now + rtt,
-                Event::ProbeReply {
-                    op,
-                    attempt: state.attempt,
+        state.pending += probe.probed();
+        let attempt = state.attempt;
+        let latency = &self.config.latency;
+        self.queue
+            .schedule_train(probe.servers.iter().map(|&server| {
+                let reply = Event::ProbeReply {
+                    slot,
+                    attempt,
                     server,
-                },
-            );
-        }
+                };
+                (now + latency.sample(rng), reply)
+            }));
         self.queue.schedule(
             now + self.config.op_timeout.max(0.0),
             Event::OpTimeout {
-                op,
-                attempt: state.attempt,
+                slot,
+                op: state.op,
+                attempt,
             },
         );
     }
@@ -893,35 +965,34 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
     /// An attempt ran out of probes or timed out: condense partial replies,
     /// retry on a fresh probe set (immediately or after the backoff delay),
     /// or give up.
-    fn end_attempt(&mut self, op: OpId, now: SimTime) {
-        let idx = self.local[op as usize] as usize;
-        let responders = match self.states[idx].session.as_ref() {
+    fn end_attempt(&mut self, slot: u64, now: SimTime) {
+        let state = &mut self.ops[slot];
+        let responders = match state.session.as_ref() {
             Some(OpSession::Read(s)) => s.responders(),
             Some(OpSession::Write(_, s)) => s.acks(),
             None => 0,
         };
+        let var = state.variable as usize;
         if responders > 0 {
-            self.finalize(op, now);
-        } else if self.states[idx].attempt < self.config.max_retries {
-            self.states[idx].attempt += 1;
-            let attempt = self.states[idx].attempt;
-            let var = self.states[idx].variable as usize;
+            self.finalize(slot, now);
+        } else if state.attempt < self.config.max_retries {
+            state.attempt += 1;
+            let (op, attempt) = (state.op, state.attempt);
             self.acc.report.retries += 1;
             self.acc.report.per_variable[var].retries += 1;
             let delay = retry_delay(&self.config, attempt);
             if delay > 0.0 {
                 self.queue
-                    .schedule(now + delay, Event::RetryAttempt { op, attempt });
+                    .schedule(now + delay, Event::RetryAttempt { slot, op, attempt });
             } else {
-                self.start_attempt(op, now);
+                self.start_attempt(slot, now);
             }
         } else {
-            let var = self.states[idx].variable as usize;
-            self.states[idx].done = true;
-            self.acc.ops[idx].finish(now, OpOutcome::Unavailable);
+            state.done = true;
+            self.acc.ops[state.record].finish(now, OpOutcome::Unavailable);
             self.acc.report.unavailable_ops += 1;
             self.acc.report.per_variable[var].unavailable_ops += 1;
-            if let Some(handle) = self.states[idx].window {
+            if let Some(handle) = state.window {
                 self.writes[var].fail(handle, now);
             }
         }
@@ -932,17 +1003,17 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
     /// aggregate latencies are left to the merge, which replays the op log
     /// canonically; per-variable stats record directly, their order being
     /// the variable's own completion order regardless of sharding.
-    fn finalize(&mut self, op: OpId, now: SimTime) {
-        let idx = self.local[op as usize] as usize;
-        let state = &mut self.states[idx];
+    fn finalize(&mut self, slot: u64, now: SimTime) {
+        let state = &mut self.ops[slot];
         state.done = true;
-        let read_start = self.acc.ops[idx].start;
+        let record = &mut self.acc.ops[state.record];
+        let read_start = record.start;
         let latency = now - read_start;
         let var = state.variable as usize;
         match state.session.as_ref() {
             Some(OpSession::Write(_, _)) => {
                 self.acc.report.completed_writes += 1;
-                self.acc.ops[idx].finish(now, OpOutcome::Write);
+                record.finish(now, OpOutcome::Write);
                 let pv = &mut self.acc.report.per_variable[var];
                 pv.completed_writes += 1;
                 pv.latency.record(latency);
@@ -955,11 +1026,11 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                     .finish()
                     .expect("finalize is only called with at least one responder");
                 // The replies are condensed: release the buffer now rather
-                // than at the end of the run.  A probe of this read still
-                // in flight finds no session and only counts its access.
+                // than with the slot.  A probe of this read still in
+                // flight finds no session and only counts its access.
                 state.session = None;
                 self.acc.report.completed_reads += 1;
-                self.acc.ops[idx].finish(now, OpOutcome::Read);
+                record.finish(now, OpOutcome::Read);
                 let pv = &mut self.acc.report.per_variable[var];
                 pv.completed_reads += 1;
                 pv.latency.record(latency);
@@ -1060,6 +1131,7 @@ mod tests {
     use super::*;
     use crate::latency::LatencyModel;
     use crate::runner::DiffusionPolicy;
+    use crate::workload::WorkloadConfig;
     use pqs_core::probabilistic::EpsilonIntersecting;
     use pqs_protocols::value::TaggedValue;
     use rand::Rng;
@@ -1129,11 +1201,35 @@ mod tests {
     fn sole_world<'a>(
         sys: &'a EpsilonIntersecting,
         config: SimConfig,
-        ops: &[Operation],
+        ops: &'a [Operation],
         plan: &'a FailurePlan,
     ) -> World<'a, EpsilonIntersecting> {
         let sim = Simulation::new(sys, ProtocolKind::Safe, config);
         World::new(&sim, ops, plan, Behavior::ByzantineForge, 0, 1)
+    }
+
+    /// The slot holding operation `op`, if it holds one.
+    fn slot_of(world: &World<'_, EpsilonIntersecting>, op: OpId) -> Option<u64> {
+        (0..world.ops.high_water() as u64)
+            .find(|&slot| world.ops.get(slot).is_some_and(|state| state.op == op))
+    }
+
+    /// The state of operation `op`, looked up through its slot.
+    fn state<'w>(world: &'w World<'_, EpsilonIntersecting>, op: OpId) -> Option<&'w OpState> {
+        slot_of(world, op).map(|slot| &world.ops[slot])
+    }
+
+    /// Hands operation `op` of the world's trace to the arrival handler,
+    /// as the drain loop would, and returns the slot it took.
+    fn arrive(world: &mut World<'_, EpsilonIntersecting>, op: OpId) -> u64 {
+        let a = world.trace[op as usize];
+        let arrival = Event::OpArrival {
+            op,
+            kind: a.kind,
+            variable: a.variable,
+        };
+        world.handle(a.at, arrival);
+        slot_of(world, op).expect("an arrived op holds a slot")
     }
 
     fn fixed_latency() -> SimConfig {
@@ -1162,16 +1258,17 @@ mod tests {
         let (near, far) = (ServerId::new(3), ServerId::new(17));
 
         // A retried write is the same logical write: same record, same
-        // timestamp, a fresh acknowledgement count.
-        world.states[0].sequence = 1;
-        world.start_attempt(0, 0.0);
-        let Some(OpSession::Write(first, _)) = &world.states[0].session else {
+        // timestamp, a fresh acknowledgement count.  Its arrival assigns
+        // the write its sequence number and starts the first attempt.
+        let w = arrive(&mut world, 0);
+        assert_eq!(world.ops[w].sequence, 1);
+        let Some(OpSession::Write(first, _)) = &world.ops[w].session else {
             panic!("a started write holds a write session");
         };
         let first = first.clone();
-        world.states[0].attempt += 1;
-        world.start_attempt(0, 0.1);
-        let Some(OpSession::Write(resent, session)) = &world.states[0].session else {
+        world.ops[w].attempt += 1;
+        world.start_attempt(w, 0.1);
+        let Some(OpSession::Write(resent, session)) = &world.ops[w].session else {
             panic!("a retried write holds a write session");
         };
         assert_eq!(*resent, first, "the retry re-sends the original record");
@@ -1179,13 +1276,13 @@ mod tests {
         assert_eq!(session.acks(), 0);
         // Finalizing the write keeps its session: a probe still in flight
         // delivers the record to its server.
-        let deliver = |world: &mut World<'_, EpsilonIntersecting>, idx: usize, server, attempt| {
-            deliver_probe(&mut world.states[idx], server, &mut world.cluster, attempt)
+        let deliver = |world: &mut World<'_, EpsilonIntersecting>, slot: u64, server, attempt| {
+            deliver_probe(&mut world.ops[slot], server, &mut world.cluster, attempt)
         };
-        assert!(deliver(&mut world, 0, near, 1));
-        world.finalize(0, 0.2);
-        assert!(world.states[0].done && world.states[0].session.is_some());
-        assert!(!deliver(&mut world, 0, far, 1));
+        assert!(deliver(&mut world, w, near, 1));
+        world.finalize(w, 0.2);
+        assert!(world.ops[w].done && world.ops[w].session.is_some());
+        assert!(!deliver(&mut world, w, far, 1));
         assert_eq!(
             world.cluster.server(far).stored_timestamp::<TaggedValue>(0),
             first.timestamp()
@@ -1193,10 +1290,10 @@ mod tests {
 
         // Finalizing a read releases its session; a probe still in flight
         // counts its server access and nothing else.
-        world.start_attempt(1, 0.3);
-        assert!(deliver(&mut world, 1, near, 0));
-        world.finalize(1, 0.4);
-        assert!(world.states[1].done && world.states[1].session.is_none());
+        let r = arrive(&mut world, 1);
+        assert!(deliver(&mut world, r, near, 0));
+        world.finalize(r, 0.4);
+        assert!(world.ops[r].done && world.ops[r].session.is_none());
         let report = &world.acc.report;
         assert_eq!((report.completed_writes, report.completed_reads), (1, 1));
         let before = world.cluster.access_counts()[far.as_usize()];
@@ -1291,11 +1388,11 @@ mod tests {
         // it would have probed q + 1.
         world.drain_until(Some(1.0005));
         assert_eq!(world.next_membership, 1);
-        assert_eq!(world.states[0].outstanding, q);
+        assert_eq!(state(&world, 0).map(|s| s.outstanding), Some(q));
         // With one of 20 servers gone, only a margin of 1 keeps the timeout
         // probability inside the budget: the next arrival probes q + 1.
         world.drain_until(Some(1.5005));
-        assert_eq!(world.states[1].outstanding, q + 1);
+        assert_eq!(state(&world, 1).map(|s| s.outstanding), Some(q + 1));
     }
 
     #[test]
@@ -1305,11 +1402,52 @@ mod tests {
         let ops = [op(0.5, OpKind::Write)];
         let mut world = sole_world(&sys, fixed_latency(), &ops, &plan);
         world.drain_until(Some(0.5));
-        assert!(world.states[0].session.is_none());
+        assert!(state(&world, 0).is_none());
         assert_eq!(world.acc.logical_events, 0);
+        // Its probes are in flight until 0.501.
+        world.drain_until(Some(0.5005));
+        assert!(state(&world, 0).is_some_and(|s| s.session.is_some()));
         world.drain_until(Some(1.0));
-        assert!(world.states[0].session.is_some());
         assert_eq!(world.acc.report.completed_writes, 1);
+        assert!(world.ops.is_empty(), "the last reply released the slot");
+    }
+
+    /// The op slab's high-water mark after a whole `seq_foreground`-shaped
+    /// run of `duration` simulated seconds (n = 100, q = 16, 2000 ops/s,
+    /// 90 % reads, exponential 2 ms probe latency), and the ops it ran.
+    fn op_slots_used(duration: SimTime) -> (usize, usize) {
+        let sys = EpsilonIntersecting::new(100, 16).unwrap();
+        let config = SimConfig::builder()
+            .with_duration(duration)
+            .with_arrival_rate(2000.0)
+            .with_read_fraction(0.9)
+            .with_latency(LatencyModel::Exponential { mean: 2e-3 })
+            .with_seed(1)
+            .build();
+        let ops = WorkloadConfig {
+            duration,
+            arrival_rate: config.arrival_rate,
+            read_fraction: config.read_fraction,
+            keyspace: config.keyspace,
+        }
+        .generate(&mut ChaCha8Rng::seed_from_u64(1));
+        let plan = FailurePlan::none();
+        let mut world = sole_world(&sys, config, &ops, &plan);
+        world.drain_until(None);
+        assert!(world.ops.is_empty(), "every slot is released by the end");
+        assert!(world.queue.is_empty());
+        (world.ops.high_water(), ops.len())
+    }
+
+    #[test]
+    fn op_memory_follows_the_ops_in_flight_not_the_run_length() {
+        let (short_slots, short_ops) = op_slots_used(5.0);
+        let (long_slots, long_ops) = op_slots_used(50.0);
+        assert!(long_ops > 9 * short_ops, "{short_ops} → {long_ops} ops");
+        assert!(
+            long_slots < 2 * short_slots,
+            "{short_slots} → {long_slots} op slots over a 10× longer run"
+        );
     }
 
     fn run_under(plan: FailurePlan) {

@@ -22,6 +22,7 @@ use probabilistic_quorums::protocols::register::session::{ReadMode, ReadSession}
 use probabilistic_quorums::protocols::server::AnyRecord;
 use probabilistic_quorums::protocols::timestamp::Timestamp;
 use probabilistic_quorums::protocols::value::{TaggedValue, Value};
+use probabilistic_quorums::sim::time::EventQueue;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -383,6 +384,30 @@ fn sampling_a_quorum_allocates_only_its_output() {
         }
     });
     assert_eq!(requests, STEPS, "one vector per call and nothing else");
+}
+
+#[test]
+fn a_probe_train_allocates_nothing_once_warm() {
+    // The probe fan-out of a masking write: 100 quorum members plus an
+    // 8-server margin, with replies landing out of send order.
+    const TRAIN: u64 = 108;
+    let train = |start: f64| (0..TRAIN).map(move |i| (start + ((i * 37) % TRAIN) as f64 * 1e-4, i));
+    let mut queue: EventQueue<u64> = EventQueue::new();
+    // One train scheduled and drained sizes the recycled train buffer and
+    // the heap of train heads (and, in debug builds, the shadow heap).
+    queue.schedule_train(train(0.0));
+    while queue.pop().is_some() {}
+    let mut popped = 0;
+    let requests = requests_during(|| {
+        for round in 1..=100 {
+            queue.schedule_train(train(f64::from(round)));
+            while queue.pop().is_some() {
+                popped += 1;
+            }
+        }
+    });
+    assert_eq!(popped, 100 * TRAIN);
+    assert_eq!(requests, 0);
 }
 
 /// Floyd's algorithm over an ordered set, as `sample_k_of_n` ran it before
