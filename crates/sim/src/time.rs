@@ -1,31 +1,35 @@
 //! Simulation time and the pending-event queue.
 //!
-//! The future-event list is a **calendar queue** (Brown's classic
-//! discrete-event-simulation structure, the one ns-2-style simulators
-//! use): pending events of later days live in power-of-two time buckets
-//! of one "day" each, so scheduling past the live day is an O(1) bucket
-//! push.  Everything due up to the live day — the day `pop` is serving,
-//! and any earlier day an out-of-order `schedule` lands in — sits in one
-//! sorted buffer that `pop` serves in order.  A lone insert into
-//! that buffer is placed by binary search; a burst of them is appended
-//! and sorted once, at the next pop or peek.  That is O(1) amortized at a
-//! healthy load factor, against the two O(log n) sifts a binary heap pays
-//! per event.
+//! The future-event list is shaped like the traffic the engine sends.  A
+//! client sends to a whole quorum at once and waits for the replies with a
+//! timeout, and gossip runs in rounds, so almost every event is either one
+//! of a batch sent together or scheduled no earlier than the event
+//! scheduled before it.  The queue keeps three sources:
 //!
-//! Beside the calendar sit **trains**: the messages one send step puts in
-//! flight at once (an attempt's probe replies), handed over together
-//! through [`EventQueue::schedule_train`].  A train is stored as one
-//! sorted buffer, and only its head — its earliest entry — is keyed, in a
-//! small heap of heads; `pop` serves the smaller of the calendar's head
-//! and the earliest train head.  A train costs one small sort and one
-//! heap push, its buffer is recycled when it runs dry, and the calendar's
-//! population is left to the traffic that is not sent in batches.
+//! - the **lane**, a FIFO of single entries.  [`EventQueue::schedule`]
+//!   appends an entry to it when the lane is empty or the entry's time is
+//!   no earlier than the lane tail's.  Timeouts (`now + op_timeout`, with a
+//!   `now` that never decreases) all land here.
+//! - the **trains**: the messages one send step puts in flight at once (an
+//!   attempt's probe replies, a round's gossip pushes or digests), handed
+//!   over together through [`EventQueue::schedule_train`].  A train is
+//!   stored as one sorted buffer, and only its head — its earliest entry —
+//!   is keyed, in a small heap of heads.  Its buffer is recycled when it
+//!   runs dry.
+//! - the **singles**, a binary heap of every other entry: one scheduled
+//!   earlier than the lane tail, such as a gossip delta.
+//!
+//! `pop` and `peek_time` take the smallest `(time, sequence)` of the three
+//! heads.  Every stamp takes a higher sequence number than all before it,
+//! so an entry no earlier in time than the lane tail is also later in
+//! `(time, sequence)`: the lane stays sorted for *any* input.  The routing
+//! decides only how cheap an entry is, never when it pops.
 //!
 //! The heap survives behind [`QueueKind::Heap`] as a reference backend
 //! (it schedules a train's entries one by one): property tests replay
 //! random interleavings against it, and debug builds shadow every
-//! calendar-backed queue with a heap of `(time, sequence)` keys — train
-//! entries included — asserting each pop agrees.
+//! production queue with a heap of `(time, sequence)` keys — lane, train
+//! and single entries alike — asserting each pop agrees.
 //!
 //! Both backends honour the exact same contract: pops are ordered by
 //! `(time, insertion sequence)` — strictly by time, FIFO among equal
@@ -37,7 +41,7 @@
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::mem;
 
 /// Simulation time in seconds since the start of the run.
@@ -46,7 +50,9 @@ pub type SimTime = f64;
 /// Which backend an [`EventQueue`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
-    /// The calendar queue: O(1) amortized schedule/pop (the default).
+    /// The production queue: a lane, trains and a heap of singles (the
+    /// default).  The name is kept from the calendar queue it replaced,
+    /// until the benchmark package stops naming it.
     #[default]
     Calendar,
     /// The binary heap: O(log n) sifts, kept as the reference backend
@@ -99,29 +105,12 @@ impl<E> PartialOrd for Scheduled<E> {
 }
 
 /// The debug-build equivalence oracle: a heap of `(time, sequence)` keys
-/// shadowing a calendar-backed queue, payload-free so it imposes no extra
+/// shadowing a production queue, payload-free so it imposes no extra
 /// bounds on `E`.
 #[cfg(debug_assertions)]
 type Shadow = BinaryHeap<Scheduled<()>>;
 
-/// Number of buckets a calendar starts with (and never shrinks below).
-const MIN_BUCKETS: usize = 16;
-
-/// Hard cap on the bucket directory, so a pathological backlog cannot
-/// grow the directory unboundedly (2^20 buckets ≈ 24 MiB of empty Vecs).
-const MAX_BUCKETS: usize = 1 << 20;
-
-/// The bucket a time falls into: its "day" index.  Multiplying by the
-/// precomputed reciprocal is monotone in `t` (for `t ≥ 0` and a positive
-/// width) and the saturating float→int cast keeps monotonicity at the
-/// far end, which is all correctness needs — equal times always share a
-/// day, and an earlier time never lands in a later day.
-#[inline]
-fn day_of(time: SimTime, inv_width: f64) -> u64 {
-    (time * inv_width) as u64
-}
-
-/// The trains of a calendar-backed queue: each one a batch of entries
+/// The trains of a production queue: each one a batch of entries
 /// scheduled together, sorted once, with only its next entry keyed.
 #[derive(Debug, Clone)]
 struct Trains<E> {
@@ -203,223 +192,81 @@ impl<E> Trains<E> {
     }
 }
 
-/// The calendar backend: one `Vec` lane per day modulo the bucket count
-/// for the days after the live one, plus a sorted buffer holding
-/// everything due up to the end of the live day, plus the trains.
-///
-/// The invariant every method keeps: an entry of day `d` is in `day` if
-/// `d <= cursor_day` and in bucket `d % buckets.len()` otherwise.
-#[derive(Debug, Clone)]
-struct Calendar<E> {
-    /// Power-of-two bucket directory; bucket `d % buckets.len()` holds
-    /// every pending event of each day `d > cursor_day` mapping to it
-    /// (all laps mixed, unsorted).
-    buckets: Vec<Vec<Scheduled<E>>>,
-    /// Seconds covered by one day/bucket.
-    width: SimTime,
-    /// `1.0 / width`, precomputed for the hot path.
-    inv_width: f64,
-    /// The live day: the last day whose entries have left the buckets.
-    cursor_day: u64,
-    /// Every pending entry of a day `<= cursor_day`, served in
-    /// `(time, sequence)` **descending** order so the next pop is an O(1)
-    /// `Vec::pop` off the tail.  An insert here that pops before all of
-    /// it is a push onto the tail.  Any other insert is placed by binary
-    /// search if it is the first since the last pop (one shift of the
-    /// entries that pop before it); a later one is a burst, appended
-    /// unsorted, and the next pop/peek sorts the buffer once — so k
-    /// inserts between two pops cost at most one shift plus one
-    /// O(k log k) sort, never k shifts.
-    day: Vec<Scheduled<E>>,
-    /// Whether `day` is currently in descending key order.
-    day_sorted: bool,
-    /// Whether an entry has been placed into `day` by binary search since
-    /// the last pop.
-    placed_since_pop: bool,
-    /// Total pending events across buckets and the day buffer (trains
-    /// count their own).
-    len: usize,
-    /// Entries scheduled as trains, outside the buckets and the day
-    /// buffer.
-    trains: Trains<E>,
+/// Which source holds the earliest pending entry of a [`Sources`] queue.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Lane,
+    Train,
+    Single,
 }
 
-impl<E> Calendar<E> {
+/// The production backend: a FIFO lane, the trains and a heap of singles.
+///
+/// The invariant every method keeps: the lane is sorted by
+/// `(time, sequence)`.  An entry joins it only when its time is no earlier
+/// than the lane tail's, and sequence numbers rise on every stamp.
+#[derive(Debug, Clone)]
+struct Sources<E> {
+    /// Entries scheduled no earlier than the entry scheduled before them,
+    /// served from the front.
+    lane: VecDeque<Scheduled<E>>,
+    /// Entries scheduled together as trains.
+    trains: Trains<E>,
+    /// Every other entry.
+    singles: BinaryHeap<Scheduled<E>>,
+}
+
+impl<E> Sources<E> {
     fn new() -> Self {
-        Calendar {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width: 1.0,
-            inv_width: 1.0,
-            cursor_day: 0,
-            day: Vec::new(),
-            day_sorted: true,
-            placed_since_pop: false,
-            len: 0,
+        Sources {
+            lane: VecDeque::new(),
             trains: Trains::new(),
+            singles: BinaryHeap::new(),
         }
     }
 
-    /// Adds an entry.  One of a later day is an O(1) push onto its
-    /// bucket.  One due by the end of the live day goes into the day
-    /// buffer (see [`Self::day`] for how) — including one scheduled into
-    /// an earlier day, which `World::drain_until` does after a
-    /// `peek_time` has advanced the cursor.
+    fn len(&self) -> usize {
+        self.lane.len() + self.trains.len + self.singles.len()
+    }
+
+    /// Adds a single entry: onto the lane if that keeps the lane sorted,
+    /// into the heap otherwise.
     fn insert(&mut self, s: Scheduled<E>) {
-        let d = day_of(s.time, self.inv_width);
-        if d > self.cursor_day {
-            let b = (d % self.buckets.len() as u64) as usize;
-            self.buckets[b].push(s);
-        } else if !self.day_sorted || self.day.last().is_none_or(|last| last.key_cmp(&s).is_gt()) {
-            self.day.push(s);
-        } else if !self.placed_since_pop {
-            let at = self.day.partition_point(|e| e.key_cmp(&s).is_gt());
-            self.day.insert(at, s);
-            self.placed_since_pop = true;
+        if self.lane.back().is_none_or(|tail| tail.key_cmp(&s).is_lt()) {
+            self.lane.push_back(s);
         } else {
-            self.day.push(s);
-            self.day_sorted = false;
-        }
-        self.len += 1;
-        if self.len > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
-            self.resize();
+            self.singles.push(s);
         }
     }
 
-    /// Ensures the day buffer ends with the earliest pending entry
-    /// (no-op when it already does).  An empty buffer means every pending
-    /// entry is in a bucket of a later day, so the cursor scans forward
-    /// day by day; after one fruitless lap over the directory it jumps
-    /// straight to the earliest pending day, so sparse far-future
-    /// backlogs cost one O(len) scan instead of an unbounded walk over
-    /// empty days.
-    fn prepare(&mut self) {
-        if self.day.is_empty() && self.len > 0 {
-            let mut scanned = 0usize;
-            while self.day.is_empty() {
-                if scanned == self.buckets.len() {
-                    // A whole lap found nothing: the earliest pending day
-                    // (it exists — len > 0, and it is after the cursor).
-                    self.cursor_day = self.min_pending_day() - 1;
-                }
-                self.cursor_day += 1;
-                let b = (self.cursor_day % self.buckets.len() as u64) as usize;
-                let (inv_width, cursor) = (self.inv_width, self.cursor_day);
-                let bucket = &mut self.buckets[b];
-                let mut i = 0;
-                while i < bucket.len() {
-                    if day_of(bucket[i].time, inv_width) == cursor {
-                        self.day.push(bucket.swap_remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-                scanned += 1;
-            }
-            self.day_sorted = self.day.len() < 2;
-        }
-        if !self.day_sorted {
-            #[cfg(test)]
-            tests::SORTED_ENTRIES.with(|count| count.set(count.get() + self.day.len()));
-            // The key is unique (sequence breaks ties), so an unstable
-            // sort yields the exact `(time, sequence)` serve order.
-            self.day.sort_unstable_by(|a, b| Scheduled::key_cmp(b, a));
-            self.day_sorted = true;
-        }
-    }
-
-    /// Day of the earliest pending entry across all buckets.
-    fn min_pending_day(&self) -> u64 {
-        let mut min_time = f64::INFINITY;
-        for bucket in &self.buckets {
-            for s in bucket {
-                if s.time < min_time {
-                    min_time = s.time;
-                }
-            }
-        }
-        debug_assert!(min_time.is_finite(), "min_pending_day on an empty calendar");
-        day_of(min_time, self.inv_width)
-    }
-
-    /// Whether the earliest pending entry is a train's rather than the
-    /// day buffer's (call after [`Self::prepare`]).
-    fn train_first(&self) -> bool {
-        self.trains.head().is_some_and(|head| {
-            self.day
-                .last()
-                .is_none_or(|s| head.key_cmp(s) == Ordering::Less)
-        })
+    /// The source holding the earliest pending entry, and its time.
+    fn first(&self) -> Option<(Source, SimTime)> {
+        let lane = self
+            .lane
+            .front()
+            .map(|s| (Source::Lane, s.time, s.sequence));
+        let train = self
+            .trains
+            .head()
+            .map(|s| (Source::Train, s.time, s.sequence));
+        let single = self
+            .singles
+            .peek()
+            .map(|s| (Source::Single, s.time, s.sequence));
+        [lane, train, single]
+            .into_iter()
+            .flatten()
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.2.cmp(&b.2)))
+            .map(|(source, time, _)| (source, time))
     }
 
     /// Pops the earliest pending entry.
     fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.prepare();
-        if self.train_first() {
-            return self.trains.pop();
+        match self.first()?.0 {
+            Source::Lane => self.lane.pop_front(),
+            Source::Train => self.trains.pop(),
+            Source::Single => self.singles.pop(),
         }
-        let s = self.day.pop()?;
-        self.len -= 1;
-        self.placed_since_pop = false;
-        if self.len < self.buckets.len() / 8 && self.buckets.len() > MIN_BUCKETS {
-            self.resize();
-        }
-        Some(s)
-    }
-
-    /// Time of the earliest pending entry.
-    fn peek_time(&mut self) -> Option<SimTime> {
-        self.prepare();
-        if self.train_first() {
-            return self.trains.head().map(|head| head.time);
-        }
-        self.day.last().map(|s| s.time)
-    }
-
-    /// Rebuilds the directory for the current population: bucket count
-    /// tracks `len` (load factor ~1) and the day width tracks the mean
-    /// spacing of pending events, so a day holds a small constant number
-    /// of entries whether the backlog is clustered or spread out.  The
-    /// cursor restarts at the earliest pending day, whose entries form
-    /// the new day buffer.
-    fn resize(&mut self) {
-        let mut entries: Vec<Scheduled<E>> = Vec::with_capacity(self.len);
-        entries.append(&mut self.day);
-        for bucket in &mut self.buckets {
-            entries.append(bucket);
-        }
-        debug_assert_eq!(entries.len(), self.len);
-        let nbuckets = entries
-            .len()
-            .next_power_of_two()
-            .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if self.buckets.len() != nbuckets {
-            self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        }
-        if let (Some(min), Some(max)) = (
-            entries.iter().map(|s| s.time).min_by(f64::total_cmp),
-            entries.iter().map(|s| s.time).max_by(f64::total_cmp),
-        ) {
-            let span = max - min;
-            if span > 0.0 {
-                // Two mean gaps per day: ~2 entries per bucket on average.
-                let width = span / entries.len() as f64 * 2.0;
-                if width.is_finite() && width > 0.0 && width.recip().is_finite() {
-                    self.width = width;
-                    self.inv_width = width.recip();
-                }
-            }
-            self.cursor_day = day_of(min, self.inv_width);
-        }
-        let nbuckets = self.buckets.len() as u64;
-        for s in entries {
-            let d = day_of(s.time, self.inv_width);
-            if d <= self.cursor_day {
-                self.day.push(s);
-            } else {
-                self.buckets[(d % nbuckets) as usize].push(s);
-            }
-        }
-        self.day_sorted = self.day.len() < 2;
     }
 }
 
@@ -427,7 +274,7 @@ impl<E> Calendar<E> {
 #[derive(Debug, Clone)]
 enum Backend<E> {
     Heap(BinaryHeap<Scheduled<E>>),
-    Calendar(Calendar<E>),
+    Sources(Sources<E>),
 }
 
 /// A deterministic future-event list ordered by time (FIFO among equal
@@ -449,9 +296,8 @@ pub struct EventQueue<E> {
     backend: Backend<E>,
     sequence: u64,
     now: SimTime,
-    /// Debug builds shadow the calendar with a key-only heap and assert
-    /// every pop agrees — the continuous equivalence check the tentpole
-    /// refactor is gated on.  `None` on heap-backed queues.
+    /// Debug builds shadow the production backend with a key-only heap
+    /// and assert every pop agrees.  `None` on heap-backed queues.
     #[cfg(debug_assertions)]
     shadow: Option<Shadow>,
 }
@@ -463,7 +309,7 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty calendar-backed queue at time zero.
+    /// Creates an empty queue on the production backend at time zero.
     pub fn new() -> Self {
         Self::with_kind(QueueKind::Calendar)
     }
@@ -473,7 +319,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             backend: match kind {
                 QueueKind::Heap => Backend::Heap(BinaryHeap::new()),
-                QueueKind::Calendar => Backend::Calendar(Calendar::new()),
+                QueueKind::Calendar => Backend::Sources(Sources::new()),
             },
             sequence: 0,
             now: 0.0,
@@ -489,7 +335,7 @@ impl<E> EventQueue<E> {
     pub fn kind(&self) -> QueueKind {
         match self.backend {
             Backend::Heap(_) => QueueKind::Heap,
-            Backend::Calendar(_) => QueueKind::Calendar,
+            Backend::Sources(_) => QueueKind::Calendar,
         }
     }
 
@@ -502,7 +348,7 @@ impl<E> EventQueue<E> {
     pub fn len(&self) -> usize {
         match &self.backend {
             Backend::Heap(heap) => heap.len(),
-            Backend::Calendar(cal) => cal.len + cal.trains.len,
+            Backend::Sources(sources) => sources.len(),
         }
     }
 
@@ -520,7 +366,7 @@ impl<E> EventQueue<E> {
         let s = self.stamp(time, event);
         match &mut self.backend {
             Backend::Heap(heap) => heap.push(s),
-            Backend::Calendar(cal) => cal.insert(s),
+            Backend::Sources(sources) => sources.insert(s),
         }
     }
 
@@ -531,27 +377,27 @@ impl<E> EventQueue<E> {
     /// The entries take consecutive insertion sequence numbers in
     /// iteration order, exactly as that many [`Self::schedule`] calls
     /// would, so the pop order is the one-by-one order, equal times
-    /// included.  On the calendar the train is sorted once into a recycled
-    /// buffer and only its earliest entry is keyed; the heap backend
-    /// schedules the entries one by one.
+    /// included.  On the production backend the train is sorted once into a
+    /// recycled buffer and only its earliest entry is keyed; the heap
+    /// backend schedules the entries one by one.
     ///
     /// # Panics
     ///
     /// Panics if any entry's time is NaN or negative.
     pub fn schedule_train(&mut self, train: impl IntoIterator<Item = (SimTime, E)>) {
-        let Backend::Calendar(cal) = &mut self.backend else {
+        let Backend::Sources(sources) = &mut self.backend else {
             for (time, event) in train {
                 self.schedule(time, event);
             }
             return;
         };
-        let (slot, mut buffer) = cal.trains.open();
+        let (slot, mut buffer) = sources.trains.open();
         for (time, event) in train {
             let s = self.stamp(time, event);
             buffer.push(s);
         }
-        if let Backend::Calendar(cal) = &mut self.backend {
-            cal.trains.close(slot, buffer);
+        if let Backend::Sources(sources) = &mut self.backend {
+            sources.trains.close(slot, buffer);
         }
     }
 
@@ -582,7 +428,7 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let popped = match &mut self.backend {
             Backend::Heap(heap) => heap.pop(),
-            Backend::Calendar(cal) => cal.pop(),
+            Backend::Sources(sources) => sources.pop(),
         };
         #[cfg(debug_assertions)]
         if let Some(shadow) = &mut self.shadow {
@@ -591,13 +437,13 @@ impl<E> EventQueue<E> {
                 (None, None) => {}
                 (Some(got), Some(want)) => debug_assert!(
                     got.time == want.time && got.sequence == want.sequence,
-                    "calendar pop ({}, #{}) disagrees with the heap oracle ({}, #{})",
+                    "queue pop ({}, #{}) disagrees with the heap oracle ({}, #{})",
                     got.time,
                     got.sequence,
                     want.time,
                     want.sequence,
                 ),
-                _ => debug_assert!(false, "calendar and heap oracle disagree on emptiness"),
+                _ => debug_assert!(false, "queue and heap oracle disagree on emptiness"),
             }
         }
         popped.map(|s| {
@@ -610,12 +456,10 @@ impl<E> EventQueue<E> {
     ///
     /// The engine drains each shard queue up to a window barrier;
     /// peeking lets the drain loop stop without disturbing the queue.
-    /// (Takes `&mut self`: the calendar backend may rotate the earliest
-    /// day into its serve buffer — observable state is untouched.)
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
+    pub fn peek_time(&self) -> Option<SimTime> {
+        match &self.backend {
             Backend::Heap(heap) => heap.peek().map(|s| s.time),
-            Backend::Calendar(cal) => cal.peek_time(),
+            Backend::Sources(sources) => sources.first().map(|(_, time)| time),
         }
     }
 
@@ -638,14 +482,6 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Entries the calendars on this thread (each test runs on its
-        /// own) have passed through a lazy day sort, so a test can bound
-        /// the sorting work a traffic pattern costs.
-        pub(super) static SORTED_ENTRIES: Cell<usize> = const { Cell::new(0) };
-    }
 
     #[test]
     fn orders_by_time_then_fifo() {
@@ -742,21 +578,13 @@ mod tests {
 
     /// Both backends pop the same `(time, event)` stream under an
     /// adversarial mix of clustered, equal and far-future times with
-    /// interleaved pops — enough traffic to force calendar resizes in
-    /// both directions.
+    /// interleaved pops, so entries fall to the lane and to the singles
+    /// heap alike.
     #[test]
     fn calendar_matches_heap_under_interleaved_load() {
-        let mut calendar = EventQueue::with_kind(QueueKind::Calendar);
+        let mut queue = EventQueue::with_kind(QueueKind::Calendar);
         let mut heap = EventQueue::with_kind(QueueKind::Heap);
-        // A cheap deterministic scramble (splitmix64) for times.
-        let mut state = 0x1234_5678_u64;
-        let mut next = || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut next = splitmix(0x1234_5678);
         let mut popped = 0u64;
         for i in 0..5000u64 {
             let r = next();
@@ -767,25 +595,25 @@ mod tests {
                 1 => ((r >> 8) % 1000) as f64 * 1e-4,
                 // Spread over a wide window.
                 2 => ((r >> 8) % 1000) as f64,
-                // Far future: forces wide spans and directory jumps.
+                // Far future: pushes the lane tail out of reach.
                 _ => 1e6 + ((r >> 8) % 100) as f64 * 1e3,
             };
-            calendar.schedule(t, i);
+            queue.schedule(t, i);
             heap.schedule(t, i);
-            if r % 3 == 0 {
-                assert_eq!(calendar.peek_time(), heap.peek_time());
-                assert_eq!(calendar.pop(), heap.pop());
+            if r.is_multiple_of(3) {
+                assert_eq!(queue.peek_time(), heap.peek_time());
+                assert_eq!(queue.pop(), heap.pop());
                 popped += 1;
             }
         }
-        assert_eq!(calendar.len(), heap.len());
-        while let Some(got) = calendar.pop() {
+        assert_eq!(queue.len(), heap.len());
+        while let Some(got) = queue.pop() {
             assert_eq!(Some(got), heap.pop());
             popped += 1;
         }
         assert!(heap.pop().is_none());
         assert_eq!(popped, 5000);
-        assert_eq!(calendar.now(), heap.now());
+        assert_eq!(queue.now(), heap.now());
     }
 
     /// A splitmix64 stream: a cheap deterministic scramble for the
@@ -802,17 +630,17 @@ mod tests {
 
     /// Trains pop exactly as their entries would one by one: random
     /// interleavings of single schedules, trains (empty, of one entry, of
-    /// equal times, of random times), peeks and pops give a calendar and
-    /// the heap oracle (which schedules a train entry by entry) the same
-    /// `(time, event)` stream and the same `len()`.  Times come from a
-    /// small grid, so trains and singles tie often, and after a peek has
-    /// moved the calendar's cursor to a far-future day, entries are
-    /// scheduled before it.
+    /// equal times, of random times), peeks and pops give the production
+    /// queue and the heap oracle (which schedules a train entry by entry)
+    /// the same `(time, event)` stream and the same `len()`.  Times come
+    /// from a small grid, so trains and singles tie often, and after a
+    /// far-future single has joined the lane, entries are scheduled before
+    /// it.
     #[test]
     fn trains_pop_in_the_heap_oracles_order() {
         for case in 0..200u64 {
             let mut next = splitmix(case);
-            let mut calendar = EventQueue::with_kind(QueueKind::Calendar);
+            let mut queue = EventQueue::with_kind(QueueKind::Calendar);
             let mut heap = EventQueue::with_kind(QueueKind::Heap);
             let mut id = 0u64;
             let time = |now: SimTime, r: u64| match r % 3 {
@@ -820,8 +648,8 @@ mod tests {
                 0 => now + ((r >> 8) % 8) as f64 * 0.25,
                 // Continuous, near the clock.
                 1 => now + ((r >> 8) % 10_000) as f64 * 1e-4,
-                // Far future: peeking there moves the live day past the
-                // near-term entries scheduled next.
+                // Far future: a lane tail the near-term entries scheduled
+                // next fall below.
                 _ => now + 1e3 + ((r >> 8) % 4) as f64,
             };
             for _ in 0..300 {
@@ -830,7 +658,7 @@ mod tests {
                 match r % 8 {
                     0 | 1 => {
                         let t = time(now, next());
-                        calendar.schedule(t, id);
+                        queue.schedule(t, id);
                         heap.schedule(t, id);
                         id += 1;
                     }
@@ -849,28 +677,27 @@ mod tests {
                             })
                             .collect();
                         id += len as u64;
-                        calendar.schedule_train(train.iter().copied());
+                        queue.schedule_train(train.iter().copied());
                         heap.schedule_train(train);
                     }
-                    4 => assert_eq!(calendar.peek_time(), heap.peek_time(), "case {case}"),
+                    4 => assert_eq!(queue.peek_time(), heap.peek_time(), "case {case}"),
                     _ => {
-                        assert_eq!(calendar.peek_time(), heap.peek_time(), "case {case}");
-                        assert_eq!(calendar.pop(), heap.pop(), "case {case}");
+                        assert_eq!(queue.peek_time(), heap.peek_time(), "case {case}");
+                        assert_eq!(queue.pop(), heap.pop(), "case {case}");
                     }
                 }
-                assert_eq!(calendar.len(), heap.len(), "case {case}");
+                assert_eq!(queue.len(), heap.len(), "case {case}");
             }
-            while let Some(got) = calendar.pop() {
+            while let Some(got) = queue.pop() {
                 assert_eq!(Some(got), heap.pop(), "case {case}");
             }
-            assert!(heap.pop().is_none() && calendar.is_empty(), "case {case}");
-            assert_eq!(calendar.now(), heap.now());
+            assert!(heap.pop().is_none() && queue.is_empty(), "case {case}");
+            assert_eq!(queue.now(), heap.now());
         }
     }
 
     /// A straggler scheduled before every pending event still pops first
-    /// on the calendar backend (it joins the live day buffer, ahead of
-    /// the cursor day's own entries).
+    /// (it goes to the singles heap, ahead of the lane's head).
     #[test]
     fn straggler_in_the_past_pops_first() {
         let mut q = EventQueue::with_kind(QueueKind::Calendar);
@@ -884,7 +711,7 @@ mod tests {
         assert_eq!(q.pop(), Some((1001.0, 1)));
     }
 
-    /// A train due before the calendar's live day — the cursor already
+    /// A train due before every pending single — the lane's head already
     /// peeked far ahead — pops first, in `(time, sequence)` order.
     #[test]
     fn a_train_due_before_the_live_day_pops_first() {
@@ -902,40 +729,46 @@ mod tests {
         assert_eq!(q.pop(), Some((1000.0, 0)));
     }
 
-    /// The digest/delta traffic shape: a burst of equal-time deliveries,
-    /// each of which schedules a successor into the day being served.
-    /// Each successor is one placement, not a re-sort of the day, so the
-    /// sorting work stays linear in the burst rather than quadratic, and
-    /// the pop stream is the heap's.
+    /// Singles scheduled in non-decreasing time order all ride the lane,
+    /// equal times included, and the singles heap stays empty.
     #[test]
-    fn successors_into_the_live_day_are_placed_not_resorted() {
-        const BURST: usize = 200;
-        let mut calendar = EventQueue::with_kind(QueueKind::Calendar);
-        let mut heap = EventQueue::with_kind(QueueKind::Heap);
-        for i in 0..BURST {
-            calendar.schedule(5.0, i);
-            heap.schedule(5.0, i);
+    fn a_non_decreasing_stream_rides_the_lane() {
+        let mut q = EventQueue::new();
+        for i in 0..100u32 {
+            q.schedule(f64::from(i / 3), i);
+            if i % 10 == 9 {
+                assert_eq!(q.pop().map(|(_, e)| e), Some(i / 10));
+            }
         }
-        SORTED_ENTRIES.with(|count| count.set(0));
-        for i in 0..BURST {
-            let got = calendar.pop();
-            assert_eq!(got, heap.pop());
-            // Day 5 like the burst (a one-time backlog keeps the default
-            // 1 s day).  The offsets cycle, so a successor ties the
-            // burst's time, sorts after everything, or sorts before an
-            // earlier successor.
-            let t = 5.0 + (i % 7) as f64 * 0.01;
-            calendar.schedule(t, BURST + i);
-            heap.schedule(t, BURST + i);
-        }
-        while let Some(got) = calendar.pop() {
-            assert_eq!(Some(got), heap.pop());
-        }
-        assert!(heap.pop().is_none());
-        let sorted = SORTED_ENTRIES.with(Cell::get);
-        assert!(
-            sorted <= 2 * BURST,
-            "{sorted} entries sorted for a {BURST}-entry burst"
+        let Backend::Sources(sources) = &q.backend else {
+            unreachable!("the default queue runs on the production backend")
+        };
+        assert_eq!(sources.lane.len(), 90);
+        assert!(sources.singles.is_empty());
+        let popped: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(popped, (10..100).collect::<Vec<_>>());
+    }
+
+    /// An entry earlier than the lane tail goes to the singles heap, and
+    /// the two sources interleave in `(time, sequence)` order, ties across
+    /// them included.
+    #[test]
+    fn an_entry_before_the_lane_tail_goes_to_the_singles_heap() {
+        let mut q = EventQueue::new();
+        q.schedule(1.0, "lane 1");
+        q.schedule(3.0, "lane 3");
+        q.schedule(2.0, "single 2");
+        q.schedule(3.0, "lane 3 again");
+        q.schedule(1.0, "single 1");
+        let Backend::Sources(sources) = &q.backend else {
+            unreachable!("the default queue runs on the production backend")
+        };
+        assert_eq!(sources.lane.len(), 3);
+        assert_eq!(sources.singles.len(), 2);
+        let popped: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            popped,
+            ["lane 1", "single 1", "single 2", "lane 3", "lane 3 again"]
         );
     }
 }

@@ -525,51 +525,41 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
     }
 
     /// Bulk-schedules one spine-planned round of cross-shard gossip:
-    /// payloads go into the pending slabs and delivery events are inserted
-    /// in ascending-time order (an O(1) bucket push each past the
-    /// calendar's live day; the ones due in it cost one placement plus
-    /// at most one sort of that day between them).
+    /// payloads go into the pending slabs, and the round's pushes enter
+    /// the queue as one train and its digests as another.
     ///
     /// Each sub-digest's entries are copied out of the batch arena into a
     /// recycled buffer that travels with the pending digest.
     ///
-    /// Determinism: the queue pops by `(time, insertion sequence)` and
-    /// equal-time messages keep their plan order — the pushes' sort is
-    /// **stable**, and the digests' breaks ties by global id, which rises
-    /// in plan order — so the pop order is bit-identical to unsorted
+    /// Determinism: a train's entries take consecutive sequence numbers in
+    /// plan order and pop by `(time, sequence)`, so equal-time messages
+    /// keep their plan order and the pop order is bit-identical to
     /// per-message injection.  The batch buffers are drained with capacity
     /// kept for the next round.
     pub(crate) fn schedule_round_batch(&mut self, batch: &mut RoundBatch) {
-        // `total_cmp`, not `partial_cmp(..).unwrap_or(Equal)`: a NaN draw
-        // must not scramble the sort before `schedule`'s validation
-        // rejects it.
-        batch.pushes.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for (at, push) in batch.pushes.drain(..) {
-            let slot = self.pending_pushes.insert(push);
-            self.queue.schedule(at, Event::GossipPush { push: slot });
-        }
-        // A shard gets at most one sub-digest per id, so the key is total
-        // and the unstable sort (which needs no scratch buffer) is exact.
-        batch
-            .digests
-            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        for (at, global_id, planned, delta_rtt) in batch.digests.drain(..) {
-            let mut entries = self.digest_entries.take();
-            entries.extend_from_slice(planned.entries(&batch.entries));
-            let slot = self.pending_digests.insert(PendingDigest {
-                global_id,
-                digest: diffusion::GossipDigest {
-                    from: planned.from,
-                    to: planned.to,
-                    signed: planned.signed,
-                    complete: planned.complete,
-                    entries,
-                },
-                delta_rtt,
-            });
-            self.queue
-                .schedule(at, Event::GossipDigest { digest: slot });
-        }
+        self.queue
+            .schedule_train(batch.pushes.drain(..).map(|(at, push)| {
+                let slot = self.pending_pushes.insert(push);
+                (at, Event::GossipPush { push: slot })
+            }));
+        self.queue.schedule_train(batch.digests.drain(..).map(
+            |(at, global_id, planned, delta_rtt)| {
+                let mut entries = self.digest_entries.take();
+                entries.extend_from_slice(planned.entries(&batch.entries));
+                let slot = self.pending_digests.insert(PendingDigest {
+                    global_id,
+                    digest: diffusion::GossipDigest {
+                        from: planned.from,
+                        to: planned.to,
+                        signed: planned.signed,
+                        complete: planned.complete,
+                        entries,
+                    },
+                    delta_rtt,
+                });
+                (at, Event::GossipDigest { digest: slot })
+            },
+        ));
         batch.entries.clear();
     }
 

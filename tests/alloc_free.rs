@@ -410,6 +410,41 @@ fn a_probe_train_allocates_nothing_once_warm() {
     assert_eq!(requests, 0);
 }
 
+#[test]
+fn a_round_of_trains_timeouts_and_deltas_allocates_nothing_once_warm() {
+    // Per round, the production queue's three sources each take what the
+    // engine gives them: a probe train, a timeout one `op_timeout` after
+    // the clock (the lane) and a delta due before that timeout (a single,
+    // since it is earlier than the lane tail).
+    const TRAIN: u64 = 16;
+    const OP_TIMEOUT: f64 = 0.5;
+    let mut queue: EventQueue<u64> = EventQueue::new();
+    let round = |queue: &mut EventQueue<u64>| {
+        let now = queue.now();
+        queue.schedule_train((0..TRAIN).map(|i| (now + ((i * 7) % TRAIN) as f64 * 1e-3, i)));
+        queue.schedule(now + OP_TIMEOUT, TRAIN);
+        queue.schedule(now + 2e-3, TRAIN + 1);
+        let mut popped = 0;
+        while queue.pop().is_some() {
+            popped += 1;
+        }
+        popped
+    };
+    // Warm-up rounds size the train buffer, the heaps of train heads and
+    // singles, the lane (and, in debug builds, the shadow heap).
+    for _ in 0..4 {
+        round(&mut queue);
+    }
+    let mut popped = 0;
+    let requests = requests_during(|| {
+        for _ in 0..100 {
+            popped += round(&mut queue);
+        }
+    });
+    assert_eq!(popped, 100 * (TRAIN + 2));
+    assert_eq!(requests, 0);
+}
+
 /// Floyd's algorithm over an ordered set, as `sample_k_of_n` ran it before
 /// it had a bitmask form: the reference for the draws and the output.
 fn floyd_reference(rng: &mut ChaCha8Rng, k: u64, n: u64) -> Vec<u64> {

@@ -731,36 +731,48 @@ proptest! {
         prop_assert!(on.gossip_rounds > 0);
     }
 
-    /// The calendar-queue event list is observationally identical to the
+    /// The production event queue is observationally identical to the
     /// binary-heap reference: random interleavings of `schedule`,
-    /// `schedule_batch`, `pop` and `peek_time` — over clustered (tie-heavy),
-    /// uniform, and far-future-outlier time distributions that force bucket
-    /// resizes and sparse-day scans, and over the engine's own shape
-    /// (latencies after the clock, with the drain loop's schedule below a
-    /// peeked head) — produce the same pop stream, clock, and lengths,
-    /// event for event.
+    /// `schedule_batch`, `pop` and `peek_time` produce the same pop
+    /// stream, clock, and lengths, event for event.  The time modes are
+    /// clustered (tie-heavy), uniform, far-future outliers, the engine's
+    /// own shape (latencies after the clock, with the drain loop's
+    /// schedule below a peeked head), timeouts interleaved with trains and
+    /// latency singles, and rare far-future singles that push the lane
+    /// tail out of reach of the near-term entries after them.
     #[test]
-    fn calendar_queue_matches_heap_reference(
+    fn event_queue_matches_heap_reference(
         seed in 0u64..10_000,
         ops in 50usize..400,
-        mode in 0u32..4,
+        mode in 0u32..6,
     ) {
         use probabilistic_quorums::sim::time::{EventQueue, QueueKind};
         use rand::Rng;
+        /// The constant offset of a timeout-shaped entry.
+        const TIMEOUT: f64 = 0.05;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut calendar = EventQueue::<u64>::new();
+        let mut queue = EventQueue::<u64>::new();
         let mut heap = EventQueue::<u64>::with_kind(QueueKind::Heap);
-        prop_assert_eq!(calendar.kind(), QueueKind::Calendar);
+        prop_assert_eq!(queue.kind(), QueueKind::Calendar);
         let mut next_id = 0u64;
         let draw_time = |rng: &mut ChaCha8Rng, now: f64| -> f64 {
+            // A message sent now arrives one latency later, a fixed one for
+            // a third of them (exact ties, like a round of deltas) and an
+            // exponential one otherwise.
+            let latency = |rng: &mut ChaCha8Rng| {
+                if rng.gen_bool(1.0 / 3.0) {
+                    1e-3
+                } else {
+                    -2e-3 * (1.0 - rng.gen_range(0.0..1.0_f64)).ln()
+                }
+            };
             match mode {
                 // Clustered: eight distinct times, so most events tie and
                 // FIFO order within a time carries the whole contract.
                 0 => f64::from(rng.gen_range(0u32..8)) * 0.5,
                 // Uniform spread over a moderate horizon.
                 1 => rng.gen_range(0.0..100.0),
-                // Mostly near-term with rare far-future outliers: stretches
-                // the bucket span, forcing resizes and min-day jumps.
+                // Mostly near-term with rare far-future outliers.
                 2 => {
                     if rng.gen_bool(0.2) {
                         rng.gen_range(1.0e6..1.0e9)
@@ -768,14 +780,16 @@ proptest! {
                         rng.gen_range(0.0..4.0)
                     }
                 }
-                // Engine-shaped: a message sent now arrives one latency
-                // later, a fixed one for a third of them (exact ties, like
-                // a round of deltas) and an exponential one otherwise.
+                // Engine-shaped, and the latencies beside mode 4's
+                // timeouts.
+                3 | 4 => now + latency(rng),
+                // A rare far-future single: the lane tail moves out past
+                // everything near-term scheduled after it.
                 _ => {
-                    now + if rng.gen_bool(1.0 / 3.0) {
-                        1e-3
+                    if rng.gen_bool(0.05) {
+                        now + 1e3 + rng.gen_range(0.0..1.0)
                     } else {
-                        -2e-3 * (1.0 - rng.gen_range(0.0..1.0_f64)).ln()
+                        now + latency(rng)
                     }
                 }
             }
@@ -783,49 +797,53 @@ proptest! {
         for _ in 0..ops {
             match rng.gen_range(0u32..10) {
                 0..=3 => {
-                    let t = draw_time(&mut rng, calendar.now());
-                    calendar.schedule(t, next_id);
+                    let now = queue.now();
+                    let t = if mode >= 4 && rng.gen_bool(0.5) {
+                        now + TIMEOUT
+                    } else {
+                        draw_time(&mut rng, now)
+                    };
+                    queue.schedule(t, next_id);
                     heap.schedule(t, next_id);
                     next_id += 1;
                 }
                 4..=5 => {
                     let n = rng.gen_range(0usize..12);
-                    let now = calendar.now();
+                    let now = queue.now();
                     let mut batch: Vec<(f64, u64)> = (0..n)
                         .map(|i| (draw_time(&mut rng, now), next_id + i as u64))
                         .collect();
                     next_id += n as u64;
                     let mut copy = batch.clone();
-                    calendar.schedule_batch(&mut batch);
+                    queue.schedule_batch(&mut batch);
                     heap.schedule_batch(&mut copy);
                 }
                 6..=8 => {
-                    prop_assert_eq!(calendar.pop(), heap.pop());
-                    prop_assert_eq!(calendar.now(), heap.now());
+                    prop_assert_eq!(queue.pop(), heap.pop());
+                    prop_assert_eq!(queue.now(), heap.now());
                 }
                 _ => {
-                    let head = calendar.peek_time();
+                    let head = queue.peek_time();
                     prop_assert_eq!(head, heap.peek_time());
-                    // `World::drain_until`'s pattern: the peek has moved the
-                    // calendar to its head, then an earlier arrival sends a
-                    // message due before that head.
-                    if let (3, Some(head)) = (mode, head) {
-                        let now = calendar.now();
+                    // `World::drain_until`'s pattern: an arrival earlier
+                    // than the peeked head sends a message due before it.
+                    if let (3.., Some(head)) = (mode, head) {
+                        let now = queue.now();
                         let t = now + (head - now) * rng.gen_range(0.0..1.0);
-                        calendar.schedule(t, next_id);
+                        queue.schedule(t, next_id);
                         heap.schedule(t, next_id);
                         next_id += 1;
                     }
                 }
             }
-            prop_assert_eq!(calendar.len(), heap.len());
+            prop_assert_eq!(queue.len(), heap.len());
         }
         // Drain both: the remaining pop streams agree element for element.
         while let Some(expect) = heap.pop() {
-            prop_assert_eq!(calendar.pop(), Some(expect));
+            prop_assert_eq!(queue.pop(), Some(expect));
         }
-        prop_assert!(calendar.pop().is_none());
-        prop_assert!(calendar.is_empty());
+        prop_assert!(queue.pop().is_none());
+        prop_assert!(queue.is_empty());
     }
 
     /// Byzantine strict systems: sampled quorum overlaps always meet the
