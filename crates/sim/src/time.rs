@@ -81,6 +81,15 @@ impl<E> Scheduled<E> {
             .total_cmp(&other.time)
             .then_with(|| self.sequence.cmp(&other.sequence))
     }
+
+    /// This entry's key, carrying `event` instead of the payload.
+    fn key_with<F>(&self, event: F) -> Scheduled<F> {
+        Scheduled {
+            time: self.time,
+            sequence: self.sequence,
+            event,
+        }
+    }
 }
 
 impl<E> PartialEq for Scheduled<E> {
@@ -154,11 +163,7 @@ impl<E> Trains<E> {
         train.sort_unstable_by(|a, b| b.key_cmp(a));
         match train.last() {
             Some(head) => {
-                self.heads.push(Scheduled {
-                    time: head.time,
-                    sequence: head.sequence,
-                    event: slot,
-                });
+                self.heads.push(head.key_with(slot));
                 self.len += train.len();
             }
             None => self.free.push(slot),
@@ -240,24 +245,26 @@ impl<E> Sources<E> {
     }
 
     /// The source holding the earliest pending entry, and its time.
+    ///
+    /// Written out head by head: a `min_by` over the three heads as
+    /// `Option`s ran `seq_foreground` about 30 % slower.
     fn first(&self) -> Option<(Source, SimTime)> {
-        let lane = self
-            .lane
-            .front()
-            .map(|s| (Source::Lane, s.time, s.sequence));
-        let train = self
-            .trains
-            .head()
-            .map(|s| (Source::Train, s.time, s.sequence));
-        let single = self
-            .singles
-            .peek()
-            .map(|s| (Source::Single, s.time, s.sequence));
-        [lane, train, single]
-            .into_iter()
-            .flatten()
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.2.cmp(&b.2)))
-            .map(|(source, time, _)| (source, time))
+        // Times are finite, so the infinite key stands for "no entry".
+        let mut first = Scheduled {
+            time: SimTime::INFINITY,
+            sequence: u64::MAX,
+            event: Source::Lane,
+        };
+        if let Some(s) = self.lane.front() {
+            first = s.key_with(Source::Lane);
+        }
+        if let Some(s) = self.trains.head().filter(|s| s.key_cmp(&first).is_lt()) {
+            first = s.key_with(Source::Train);
+        }
+        if let Some(s) = self.singles.peek().filter(|s| s.key_cmp(&first).is_lt()) {
+            first = s.key_with(Source::Single);
+        }
+        first.time.is_finite().then_some((first.event, first.time))
     }
 
     /// Pops the earliest pending entry.
