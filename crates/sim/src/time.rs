@@ -718,8 +718,8 @@ mod tests {
         assert_eq!(q.pop(), Some((1001.0, 1)));
     }
 
-    /// A train due before every pending single — the lane's head already
-    /// peeked far ahead — pops first, in `(time, sequence)` order.
+    /// A train due before everything in the lane pops first, in
+    /// `(time, sequence)` order, even after a peek has read the lane's head.
     #[test]
     fn a_train_due_before_the_live_day_pops_first() {
         let mut q = EventQueue::with_kind(QueueKind::Calendar);
