@@ -22,7 +22,9 @@
 //!   messages (no state is mutated while planning, so a round is a
 //!   synchronous exchange).  [`outline_cluster_round`] is the same round
 //!   without the payloads, for a driver that can tell from timestamps
-//!   which pushes are worth sending.
+//!   which pushes are worth sending.  It and [`plan_digest_into`] read the
+//!   servers through [`Holdings`], so a driver that keeps records outside
+//!   one [`Cluster`] plans from them where they are.
 //! * [`deliver`] — apply one push to its receiver, evaluated at delivery
 //!   time (the engine delays each push by its own latency draw, so a
 //!   receiver that crashed mid-flight simply drops the message).
@@ -230,9 +232,47 @@ impl CoverageScratch {
     }
 }
 
+/// Where a round planner reads the servers it plans for: their behaviours
+/// and the `R` records each holds.  A [`Cluster`] is the plain case; a
+/// driver that keeps each key's records elsewhere — the simulator keeps
+/// them on the key's owning shard — plans through its own view instead of
+/// a merged copy.
+pub trait Holdings {
+    /// Number of servers.
+    fn servers(&self) -> usize;
+    /// Server `id`'s current behaviour.
+    fn behavior(&self, id: ServerId) -> Behavior;
+    /// The `R` record server `id` holds for `var`, `None` when unheld.
+    fn record<R: Record>(&self, id: ServerId, var: VariableId) -> Option<&R>;
+    /// The variables server `id` holds an `R` record for, ascending.
+    fn variables<R: Record>(&self, id: ServerId) -> impl Iterator<Item = VariableId> + '_;
+
+    /// Timestamp of [`record`](Self::record), [`Timestamp::ZERO`] when
+    /// unheld.
+    fn timestamp<R: Record>(&self, id: ServerId, var: VariableId) -> Timestamp {
+        self.record::<R>(id, var)
+            .map_or(Timestamp::ZERO, Record::timestamp)
+    }
+}
+
+impl Holdings for Cluster {
+    fn servers(&self) -> usize {
+        self.len()
+    }
+    fn behavior(&self, id: ServerId) -> Behavior {
+        self.server(id).behavior()
+    }
+    fn record<R: Record>(&self, id: ServerId, var: VariableId) -> Option<&R> {
+        self.server(id).record(var)
+    }
+    fn variables<R: Record>(&self, id: ServerId) -> impl Iterator<Item = VariableId> + '_ {
+        self.server(id).variables::<R>()
+    }
+}
+
 /// One push of an engine round without its payload — what
 /// [`outline_cluster_round`] plans.  Timestamps alone decide whether a
-/// delivery can store anything, so a driver that holds the receivers'
+/// delivery can store anything, so a driver that can read the receivers'
 /// records can settle most pushes before a record is ever copied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedPush {
@@ -253,15 +293,16 @@ pub struct PlannedPush {
 }
 
 impl PlannedPush {
-    /// The full message: the sender's `R` record as `cluster` holds it,
-    /// which is the planned one as long as `cluster` has not changed since
+    /// The full message: the sender's `R` record as `holdings` hold it,
+    /// which is the planned one as long as they have not changed since
     /// planning.
-    pub fn materialise<R: Record>(&self, cluster: &Cluster) -> GossipPush {
+    pub fn materialise<R: Record>(&self, holdings: &impl Holdings) -> GossipPush {
+        let record = holdings.record::<R>(self.from, self.variable);
         GossipPush {
             from: self.from,
             to: self.to,
             variable: self.variable,
-            record: cluster.server(self.from).stored::<R>(self.variable).into(),
+            record: record.cloned().unwrap_or_else(R::initial).into(),
         }
     }
 }
@@ -305,30 +346,30 @@ pub struct RoundPlan {
 /// produces the per-variable [`VariableCoverage`] snapshot used by the
 /// convergence metrics, returned with the number of correct servers.
 fn plan_pushes<R: Record, G: RngCore + ?Sized, M>(
-    cluster: &Cluster,
+    holdings: &impl Holdings,
     fanout: usize,
     rng: &mut G,
-    mut message: impl FnMut(ReplicaServer<'_>, ServerId, VariableId, Timestamp) -> M,
+    mut message: impl FnMut(ServerId, ServerId, VariableId, Timestamp) -> M,
 ) -> (Vec<M>, Vec<VariableCoverage>, u32) {
-    let n = cluster.len();
+    let n = holdings.servers();
     let mut pushes = Vec::new();
     let mut coverage = CoverageScratch::default();
     let mut correct_servers = 0u32;
     // One key buffer reused across senders: the planner runs every gossip
     // round, so per-sender allocations would be a steady-state hot spot.
-    // A server's slab column yields held keys ascending, so the visit
-    // order (and hence the RNG stream) needs no per-sender sort.
+    // Held keys come out ascending, so the visit order (and hence the RNG
+    // stream) needs no per-sender sort.
     let mut variables: Vec<VariableId> = Vec::new();
     for i in 0..n as u32 {
-        let sender = cluster.server(ServerId::new(i));
-        if sender.behavior() != Behavior::Correct {
+        let sender = ServerId::new(i);
+        if holdings.behavior(sender) != Behavior::Correct {
             continue;
         }
         correct_servers += 1;
         variables.clear();
-        variables.extend(sender.variables::<R>());
+        variables.extend(holdings.variables::<R>(sender));
         for &variable in &variables {
-            let timestamp = sender.stored_timestamp::<R>(variable);
+            let timestamp = holdings.timestamp::<R>(sender, variable);
             if timestamp == Timestamp::ZERO {
                 continue;
             }
@@ -367,11 +408,11 @@ pub fn plan_cluster_round(
 ) -> RoundPlan {
     fn plan<R: Record>(cluster: &Cluster, fanout: usize, rng: &mut dyn RngCore) -> RoundPlan {
         let (pushes, coverage, correct_servers) =
-            plan_pushes::<R, _, _>(cluster, fanout, rng, |sender, to, variable, _| GossipPush {
-                from: sender.id(),
+            plan_pushes::<R, _, _>(cluster, fanout, rng, |from, to, variable, _| GossipPush {
+                from,
                 to,
                 variable,
-                record: sender.stored::<R>(variable).into(),
+                record: cluster.server(from).stored::<R>(variable).into(),
             });
         RoundPlan {
             pushes,
@@ -390,18 +431,18 @@ pub fn plan_cluster_round(
 /// draws, same coverage snapshot — with each push noting whether its
 /// receiver is already [`covered`](PlannedPush::covered).
 pub fn outline_cluster_round<R: Record, G: RngCore + ?Sized>(
-    cluster: &Cluster,
+    holdings: &impl Holdings,
     fanout: usize,
     rng: &mut G,
 ) -> RoundOutline {
     let (pushes, coverage, correct_servers) =
-        plan_pushes::<R, _, _>(cluster, fanout, rng, |sender, to, variable, timestamp| {
+        plan_pushes::<R, _, _>(holdings, fanout, rng, |from, to, variable, timestamp| {
             PlannedPush {
-                from: sender.id(),
+                from,
                 to,
                 variable,
                 timestamp,
-                covered: cluster.server(to).stored_timestamp::<R>(variable) >= timestamp,
+                covered: holdings.timestamp::<R>(to, variable) >= timestamp,
             }
         });
     RoundOutline {
@@ -606,31 +647,31 @@ pub fn plan_digest(
 /// first): the round's digests and their entries land there, and the
 /// coverage snapshot and the number of correct servers are returned.
 pub fn plan_digest_into<R: Record, G: RngCore + ?Sized>(
-    cluster: &Cluster,
+    holdings: &impl Holdings,
     fanout: usize,
     selector: &KeySelector,
     rng: &mut G,
     arena: &mut DigestArena,
 ) -> (Vec<VariableCoverage>, u32) {
-    let n = cluster.len();
+    let n = holdings.servers();
     let complete = selector.is_complete();
     arena.entries.clear();
     arena.digests.clear();
     arena.coverage.reset();
     let mut correct_servers = 0u32;
     for i in 0..n as u32 {
-        let sender = cluster.server(ServerId::new(i));
-        if sender.behavior() != Behavior::Correct {
+        let sender = ServerId::new(i);
+        if holdings.behavior(sender) != Behavior::Correct {
             continue;
         }
         correct_servers += 1;
         // One pass builds the coverage snapshot (over everything held,
         // selector or not) and, for complete digests, the entry list —
-        // timestamps only, no record is ever cloned while planning.  A
-        // server's slab column yields held keys ascending — no sort.
+        // timestamps only, no record is ever cloned while planning.  Held
+        // keys come out ascending — no sort.
         let start = arena_index(arena.entries.len());
-        for variable in sender.variables::<R>() {
-            let ts = sender.stored_timestamp::<R>(variable);
+        for variable in holdings.variables::<R>(sender) {
+            let ts = holdings.timestamp::<R>(sender, variable);
             if ts == Timestamp::ZERO {
                 continue;
             }
@@ -640,9 +681,10 @@ pub fn plan_digest_into<R: Record, G: RngCore + ?Sized>(
             }
         }
         if let KeySelector::Only(keys) = selector {
-            arena
-                .entries
-                .extend(keys.iter().map(|&v| (v, sender.stored_timestamp::<R>(v))));
+            arena.entries.extend(
+                keys.iter()
+                    .map(|&v| (v, holdings.timestamp::<R>(sender, v))),
+            );
         }
         let end = arena_index(arena.entries.len());
         for _ in 0..fanout {
@@ -651,7 +693,7 @@ pub fn plan_digest_into<R: Record, G: RngCore + ?Sized>(
                 continue;
             }
             arena.digests.push(PlannedDigest {
-                from: ServerId::new(i),
+                from: sender,
                 to: ServerId::new(peer as u32),
                 signed: R::SIGNED,
                 complete,

@@ -17,17 +17,15 @@
 //!
 //! # Event vocabulary
 //!
-//! [`Event::OpArrival`], [`Event::FailureTransition`] and
-//! [`Event::MembershipTransition`] are known before the run starts: a
-//! world reads them off cursors into the workload trace and the failure
-//! plan's schedules and never queues them.  Every other event is a message
-//! in flight and goes through the queue.  The op events after the arrival
-//! name their operation by its slot in the world's op slab
+//! An [`Event`] is a message in flight: it goes through the queue.  What
+//! is known before the run starts — the operations' arrivals, the crash
+//! and recovery schedule and the membership schedule — is not an event: a
+//! world walks the workload trace and the failure plan's two schedules
+//! with cursors beside the queue head, and steps them directly.  The op
+//! events name their operation by its slot in the world's op slab
 //! ([`PendingSlab`]), which the operation holds from its arrival until it
 //! is done and its last probe reply has landed.
 //!
-//! * [`Event::OpArrival`] — a client starts an operation: sample a probe
-//!   set, send one message per probed server.
 //! * [`Event::ProbeReply`] — the round trip to one server completes.  The
 //!   server's behaviour is evaluated *now*, not at the operation's start:
 //!   a server that crashed mid-flight simply fails to answer.
@@ -35,10 +33,6 @@
 //!   cut short (condense what arrived, or resample a fresh probe set).
 //! * [`Event::RetryAttempt`] — an exponentially backed-off retry becomes
 //!   due and starts its attempt on a fresh probe set.
-//! * [`Event::FailureTransition`] — a scheduled crash or recovery flips a
-//!   server's behaviour.
-//! * [`Event::MembershipTransition`] — a scheduled join or leave; the
-//!   probe margin is re-solved for the new cluster size.
 //! * [`Event::GossipPush`] — one server-to-server gossip message arrives
 //!   at its receiver after its own latency draw, competing for simulated
 //!   time with the foreground client probes.  (The periodic round that
@@ -50,30 +44,16 @@
 //!   version summary travels out, and only the records its sender provably
 //!   lacks travel back.
 
-use crate::workload::OpKind;
 use pqs_core::universe::ServerId;
-use pqs_protocols::server::VariableId;
 use std::ops::{Index, IndexMut};
 
 /// Identifier of one simulated client operation (its index in the generated
 /// workload trace).
 pub type OpId = u64;
 
-/// Everything that can happen in the simulated world.
+/// A message in flight in the simulated world.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
-    /// A client operation arrives and starts its first attempt.  The
-    /// world reads it off its cursor into the workload trace, so it
-    /// carries what the operation is; the world then gives the operation
-    /// a slot in its op slab, which the operation's other events carry.
-    OpArrival {
-        /// The operation.
-        op: OpId,
-        /// Whether it reads or writes.
-        kind: OpKind,
-        /// The key it targets.
-        variable: VariableId,
-    },
     /// The round trip of one probe completes at the client.  Every probe
     /// an attempt sends is counted on its operation's slot until its reply
     /// lands, so the slot still holds the probe's operation when it does.
@@ -114,24 +94,6 @@ pub enum Event {
         /// The attempt to start (the op's attempt counter at scheduling
         /// time; a stale event — e.g. after the op finished — is ignored).
         attempt: u32,
-    },
-    /// A scheduled crash (`crash == true`) or recovery of one server.
-    FailureTransition {
-        /// The server.
-        server: ServerId,
-        /// `true` for a crash, `false` for a recovery.
-        crash: bool,
-    },
-    /// A scheduled membership transition: a joining server comes up
-    /// correct with freshly reset record stores (it bootstraps through
-    /// gossip); a leaving server goes dark like a crash.  When the
-    /// schedule is non-empty the engine also recomputes the probe margin
-    /// online against the ε budget for the new cluster size.
-    MembershipTransition {
-        /// The server.
-        server: ServerId,
-        /// `true` for a join, `false` for a leave.
-        join: bool,
     },
     /// One server-to-server gossip push arrives at its receiver.  The
     /// payload (sender, receiver, variable, record) lives in the engine's

@@ -17,9 +17,9 @@
 //! ## Layout
 //!
 //! * [`time`] — simulation time and the deterministic event queue.
-//! * [`event`] — the event vocabulary (`OpArrival`, `ProbeReply`,
-//!   `OpTimeout`, `RetryAttempt`, `FailureTransition`, the gossip
-//!   deliveries) and the slab that holds in-flight gossip payloads.
+//! * [`event`] — the event vocabulary, one variant per kind of message in
+//!   flight (`ProbeReply`, `OpTimeout`, `RetryAttempt`, the gossip
+//!   deliveries), and the slab that holds in-flight gossip payloads.
 //! * [`latency`] — per-message latency models (fixed, uniform, exponential,
 //!   Pareto long-tail).
 //! * [`workload`] — open-loop workload generation (Poisson arrivals,

@@ -433,8 +433,10 @@ impl SimReport {
 pub struct EngineStageTimings {
     /// Time spent draining shard event queues (parallel across threads).
     pub drain_seconds: f64,
-    /// Time spent synchronising shard records into the spine cluster at
-    /// barriers (serial).
+    /// Time spent at barriers stepping the spine's crash and membership
+    /// cursors (serial).  The spine keeps no copy of the shards' records,
+    /// so this is close to 0; the field stays for the repo benchmark,
+    /// which reads it.
     pub sync_seconds: f64,
     /// Time spent planning gossip rounds on the spine — RNG draws, digest
     /// assembly, per-shard bucketing (serial).
@@ -521,9 +523,10 @@ impl OpRecord {
 /// canonical replay, and the count of logical events it processed.
 #[derive(Debug, Default)]
 pub(crate) struct ShardAccumulator {
-    /// Counters and the owned per-variable rows.  Order-sensitive
-    /// aggregates (latency stats, the in-flight gauge) are left at their
-    /// defaults here and reconstructed by [`merge_shard_reports`].
+    /// Counters and the owned per-variable rows.  The per-key outcome
+    /// totals are counted in the rows only, and order-sensitive aggregates
+    /// (latency stats, the in-flight gauge) are left at their defaults
+    /// here; [`merge_shard_reports`] builds both.
     pub(crate) report: SimReport,
     /// One record per owned op, in arrival order.
     pub(crate) ops: Vec<OpRecord>,
@@ -537,10 +540,14 @@ pub(crate) struct ShardAccumulator {
 /// Merges per-world accumulators into one [`SimReport`], bit-identically
 /// for any shard count ≥ 1 and any thread count:
 ///
-/// * `u64` counters, per-server access counts and logical event counts sum
-///   (addition is order-free);
 /// * per-variable rows are taken verbatim from their owning world
-///   (`variable % num_shards` — ownership is total and disjoint);
+///   (`variable % num_shards` — ownership is total and disjoint), and each
+///   per-key outcome total (completed, stale, empty and unwritten reads,
+///   completed writes, unavailable ops, concurrent reads, retries,
+///   timeouts, gossip pushes, stores and avoided pushes) is the sum of its
+///   rows — a world counts each outcome once, in its key's row;
+/// * the other `u64` counters, per-server access counts and logical event
+///   counts sum over the worlds (addition is order-free);
 /// * latency aggregates are replayed from the union of op logs in
 ///   `(end, op)` order with `latency = end − start`, so the floating-point
 ///   accumulation order is canonical;
@@ -557,18 +564,6 @@ pub(crate) fn merge_shard_reports(shards: Vec<ShardAccumulator>) -> SimReport {
     let mut merged = SimReport::default();
     for acc in &shards {
         let r = &acc.report;
-        merged.completed_reads += r.completed_reads;
-        merged.completed_writes += r.completed_writes;
-        merged.stale_reads += r.stale_reads;
-        merged.empty_reads += r.empty_reads;
-        merged.unwritten_reads += r.unwritten_reads;
-        merged.unavailable_ops += r.unavailable_ops;
-        merged.concurrent_reads += r.concurrent_reads;
-        merged.retries += r.retries;
-        merged.timed_out_attempts += r.timed_out_attempts;
-        merged.gossip_pushes += r.gossip_pushes;
-        merged.gossip_stores += r.gossip_stores;
-        merged.gossip_redundant_pushes_avoided += r.gossip_redundant_pushes_avoided;
         merged.dropped_probes += r.dropped_probes;
         merged.partition_blocked_gossip += r.partition_blocked_gossip;
         merged.adaptive_activations += r.adaptive_activations;
@@ -604,6 +599,20 @@ pub(crate) fn merge_shard_reports(shards: Vec<ShardAccumulator>) -> SimReport {
     merged.per_variable = (0..nvars)
         .map(|v| shards[v % num_shards].report.per_variable[v].clone())
         .collect();
+    for row in &merged.per_variable {
+        merged.completed_reads += row.completed_reads;
+        merged.completed_writes += row.completed_writes;
+        merged.stale_reads += row.stale_reads;
+        merged.empty_reads += row.empty_reads;
+        merged.unwritten_reads += row.unwritten_reads;
+        merged.unavailable_ops += row.unavailable_ops;
+        merged.concurrent_reads += row.concurrent_reads;
+        merged.retries += row.retries;
+        merged.timed_out_attempts += row.timed_out_attempts;
+        merged.gossip_pushes += row.gossip_pushes;
+        merged.gossip_stores += row.gossip_stores;
+        merged.gossip_redundant_pushes_avoided += row.gossip_redundant_pushes_avoided;
+    }
 
     let mut by_end: Vec<OpRecord> = Vec::new();
     for mut acc in shards {
@@ -790,14 +799,18 @@ mod tests {
     fn merge_replays_completions_canonically_and_sums_counters() {
         // Two shards log the same global history split two ways; the merge
         // must be identical either way and independent of per-shard order.
-        let make = |rows: &[(f64, u64, OpOutcome, f64)], reads: u64, accesses: Vec<u64>| {
+        // Each shard's row of its own key counts one completed read.
+        let make = |rows: &[(f64, u64, OpOutcome, f64)], accesses: Vec<u64>| {
             let mut acc = ShardAccumulator {
                 logical_events: 10,
                 ..ShardAccumulator::default()
             };
-            acc.report.completed_reads = reads;
             acc.report.per_server_accesses = accesses;
-            acc.report.per_variable = vec![VariableReport::default(); 2];
+            let read_once = VariableReport {
+                completed_reads: 1,
+                ..VariableReport::default()
+            };
+            acc.report.per_variable = vec![read_once; 2];
             for &(end, op, outcome, latency) in rows {
                 acc.ops.push(OpRecord {
                     op,
@@ -817,14 +830,8 @@ mod tests {
             (2.0, 1, OpOutcome::Write, 0.25),
             (2.5, 3, OpOutcome::Unavailable, 1.0),
         ];
-        let a = merge_shard_reports(vec![
-            make(&first, 2, vec![1, 0]),
-            make(&second, 0, vec![0, 2]),
-        ]);
-        let b = merge_shard_reports(vec![
-            make(&second, 0, vec![0, 2]),
-            make(&first, 2, vec![1, 0]),
-        ]);
+        let a = merge_shard_reports(vec![make(&first, vec![1, 0]), make(&second, vec![0, 2])]);
+        let b = merge_shard_reports(vec![make(&second, vec![0, 2]), make(&first, vec![1, 0])]);
         assert_eq!(a.completed_reads, 2);
         assert_eq!(a.events_processed, 20);
         assert_eq!(a.per_server_accesses, vec![1, 2]);
@@ -874,11 +881,47 @@ mod tests {
         // Shard 0 owns even keys, shard 1 odd keys.
         shard0.report.per_variable[2].completed_reads = 7;
         shard1.report.per_variable[3].completed_writes = 5;
+        // Every per-key outcome field gets distinct values in the rows
+        // each shard owns; a shard's copy of a key it does not own must
+        // not count.
+        type Row = fn(&mut VariableReport) -> &mut u64;
+        type Total = fn(&SimReport) -> u64;
+        let fields: [(Row, Total); 12] = [
+            (|v| &mut v.completed_reads, |r| r.completed_reads),
+            (|v| &mut v.completed_writes, |r| r.completed_writes),
+            (|v| &mut v.stale_reads, |r| r.stale_reads),
+            (|v| &mut v.empty_reads, |r| r.empty_reads),
+            (|v| &mut v.unwritten_reads, |r| r.unwritten_reads),
+            (|v| &mut v.unavailable_ops, |r| r.unavailable_ops),
+            (|v| &mut v.concurrent_reads, |r| r.concurrent_reads),
+            (|v| &mut v.retries, |r| r.retries),
+            (|v| &mut v.timed_out_attempts, |r| r.timed_out_attempts),
+            (|v| &mut v.gossip_pushes, |r| r.gossip_pushes),
+            (|v| &mut v.gossip_stores, |r| r.gossip_stores),
+            (
+                |v| &mut v.gossip_redundant_pushes_avoided,
+                |r| r.gossip_redundant_pushes_avoided,
+            ),
+        ];
+        for (i, (field, _)) in fields.iter().enumerate() {
+            for (shard, acc) in [&mut shard0, &mut shard1].into_iter().enumerate() {
+                for (v, row) in acc.report.per_variable.iter_mut().enumerate() {
+                    let owned = 10 * (shard + 1) + i;
+                    *field(row) += if v % 2 == shard { owned as u64 } else { 1000 };
+                }
+            }
+        }
         let merged = merge_shard_reports(vec![shard0, shard1]);
         assert_eq!(merged.per_variable.len(), 4);
-        assert_eq!(merged.per_variable[2].completed_reads, 7);
-        assert_eq!(merged.per_variable[3].completed_writes, 5);
-        assert_eq!(merged.per_variable[0].completed_reads, 0);
+        assert_eq!(merged.per_variable[2].completed_reads, 7 + 10);
+        assert_eq!(merged.per_variable[3].completed_writes, 5 + 20 + 1);
+        assert_eq!(merged.per_variable[0].completed_reads, 10);
+        assert_eq!(merged.completed_reads, 7 + 2 * 10 + 2 * 20);
+        for (i, (field, total)) in fields.iter().enumerate() {
+            let mut rows = merged.per_variable.clone();
+            let sum: u64 = rows.iter_mut().map(|row| *field(row)).sum();
+            assert_eq!(total(&merged), sum, "field {i}");
+        }
     }
 
     #[test]

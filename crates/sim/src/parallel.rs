@@ -15,17 +15,16 @@
 //!    [`SimConfig::threads`](crate::runner::SimConfig::threads) worker
 //!    threads) and the accumulators merge.
 //! 3. With diffusion, the gossip round times are the spine's **barriers**:
-//!    all worlds drain strictly past each barrier, the spine applies the
-//!    **incremental sync** — each world replays only the `(server, key)`
-//!    records dirtied since the last barrier (store-if-fresher is
-//!    monotone, so this is bit-identical to a full resync; debug builds
-//!    assert it) — applies due crash transitions, plans the round on the
-//!    dedicated gossip RNG stream — drawing *all* message latencies
-//!    eagerly, so the stream never depends on shard outcomes — and
-//!    accumulates each message into its destination world's
-//!    [`RoundBatch`], bulk-scheduled in one pre-sorted pass per world.
-//!    A full push whose receiver the spine already holds as fresh is
-//!    *covered*: it can store nothing whenever it lands, so the spine
+//!    all worlds drain up to (strictly before) each barrier, the spine
+//!    applies the crash and membership transitions due by then to its
+//!    behaviour timeline, and plans the round straight from the records
+//!    where they live — key `v`'s on world `v % num_shards`, the only copy
+//!    there is, read through [`Shards`] — on the dedicated gossip RNG
+//!    stream, drawing *all* message latencies eagerly, so the stream never
+//!    depends on shard outcomes.  Each message goes into its destination
+//!    world's [`RoundBatch`], bulk-scheduled in one pre-sorted pass per
+//!    world.  A full push whose receiver already holds a record as fresh
+//!    is *covered*: it can store nothing whenever it lands, so the spine
 //!    counts its delivery on the spot and sends nothing (see
 //!    `docs/ARCHITECTURE.md`, "Plan-time resolution of covered pushes").
 //!
@@ -34,9 +33,8 @@
 //! what makes the merged report bit-identical across all shard counts and
 //! all thread counts.
 //!
-//! Steady-state barrier cost is proportional to *work since the last
-//! barrier* (dirty records + planned messages), not to total simulation
-//! state; [`run`] reports wall-clock per stage through
+//! A barrier costs one scan of the records held plus the round's
+//! messages; [`run`] reports wall-clock per stage through
 //! [`EngineStageTimings`].
 
 use crate::failure::FailurePlan;
@@ -47,11 +45,10 @@ use crate::time::SimTime;
 use crate::workload::WorkloadConfig;
 use crate::world::{DigestIds, QueuedPush, RoundBatch, World};
 use pqs_core::system::QuorumSystem;
-#[cfg(debug_assertions)]
 use pqs_core::universe::ServerId;
 use pqs_protocols::cluster::Cluster;
 use pqs_protocols::crypto::SignedValue;
-use pqs_protocols::diffusion;
+use pqs_protocols::diffusion::{self, Holdings};
 use pqs_protocols::server::{Behavior, Record, VariableId};
 use pqs_protocols::timestamp::Timestamp;
 use pqs_protocols::value::TaggedValue;
@@ -65,16 +62,55 @@ use std::time::Instant;
 /// converged.
 const COVERAGE_TARGET: f64 = 0.9;
 
+/// The records of a run where they live, as the round planners read them at
+/// a barrier: key `v`'s records and write state on world `v % worlds.len()`
+/// — the only copy there is — and every server's behaviour on the spine's
+/// own timeline.
+struct Shards<'w, 'a, S: QuorumSystem + ?Sized> {
+    behaviors: &'w Cluster,
+    worlds: &'w [World<'a, S>],
+    keys: VariableId,
+}
+
+impl<'a, S: QuorumSystem + ?Sized> Shards<'_, 'a, S> {
+    /// The world that owns key `v`.
+    fn owner(&self, v: VariableId) -> &World<'a, S> {
+        &self.worlds[(v % self.worlds.len() as VariableId) as usize]
+    }
+
+    /// Key `v`'s write count and latest write time.
+    fn write_state(&self, v: usize) -> (u64, SimTime) {
+        let world = self.owner(v as VariableId);
+        (world.sequences[v], world.last_write_at[v])
+    }
+}
+
+impl<S: QuorumSystem + ?Sized> Holdings for Shards<'_, '_, S> {
+    fn servers(&self) -> usize {
+        self.behaviors.len()
+    }
+    fn behavior(&self, id: ServerId) -> Behavior {
+        self.behaviors.server(id).behavior()
+    }
+    fn record<R: Record>(&self, id: ServerId, var: VariableId) -> Option<&R> {
+        self.owner(var).cluster.server(id).record(var)
+    }
+    fn variables<R: Record>(&self, id: ServerId) -> impl Iterator<Item = VariableId> + '_ {
+        (0..self.keys).filter(move |&v| self.record::<R>(id, v).is_some())
+    }
+}
+
 /// Resolves the digest advertisement policy for one round into the concrete
-/// key set the digests carry, from foreground-observable state only (write
-/// counts and last-write times) — the selection itself never draws
-/// randomness, so every policy replays the identical foreground trajectory.
+/// key set the digests carry, from foreground-observable state only —
+/// `write_state(v)` is key `v`'s write count and last write time, for each
+/// of the `keys` keys.  The selection itself never draws randomness, so
+/// every policy replays the identical foreground trajectory.
 pub(crate) fn digest_selector(
     policy: KeyGossipPolicy,
     round: u64,
     now: SimTime,
-    write_counts: &[u64],
-    last_write_at: &[SimTime],
+    keys: usize,
+    write_state: impl Fn(usize) -> (u64, SimTime),
 ) -> diffusion::KeySelector {
     match policy {
         KeyGossipPolicy::Uniform => diffusion::KeySelector::All,
@@ -85,11 +121,9 @@ pub(crate) fn digest_selector(
             if cold_every <= 1 || round.is_multiple_of(cold_every) {
                 return diffusion::KeySelector::All;
             }
-            let mut ranked: Vec<(u64, usize)> = write_counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &w)| w > 0)
-                .map(|(i, &w)| (w, i))
+            let mut ranked: Vec<(u64, usize)> = (0..keys)
+                .map(|v| (write_state(v).0, v))
+                .filter(|&(w, _)| w > 0)
                 .collect();
             ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
             let set: BTreeSet<VariableId> = ranked
@@ -104,11 +138,9 @@ pub(crate) fn digest_selector(
                 return diffusion::KeySelector::All;
             }
             let since = now - window;
-            let set: BTreeSet<VariableId> = last_write_at
-                .iter()
-                .enumerate()
-                .filter(|&(_, &at)| at >= since)
-                .map(|(i, _)| i as VariableId)
+            let set: BTreeSet<VariableId> = (0..keys)
+                .filter(|&v| write_state(v).1 >= since)
+                .map(|v| v as VariableId)
                 .collect();
             diffusion::KeySelector::Only(set)
         }
@@ -136,7 +168,7 @@ impl Default for ConvergenceTracker {
 
 /// Runs the simulation: [`Simulation::run_with_stats`], in full.  The one
 /// point where a run's record kind — a consequence of its protocol — becomes
-/// a type: the spine below is monomorphic in the records it syncs and plans.
+/// a type: the spine below is monomorphic in the records it plans from.
 pub(crate) fn run<S: QuorumSystem + ?Sized>(
     sim: &Simulation<'_, S>,
 ) -> (SimReport, EngineStageTimings) {
@@ -223,13 +255,12 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
         );
         assert!(policy.fanout >= 1, "diffusion fanout must be at least 1");
 
-        // The spine's planning cluster: behaviour timeline plus the union
-        // of every shard's per-key records, synchronised at each barrier.
-        let mut spine = Cluster::new(sim.system.universe());
-        spine.reserve_variables(config.keyspace.keys);
-        spine.corrupt_all(plan.byzantine.iter().copied(), byz_behavior);
+        // The spine's behaviour timeline.  It stores no record: the
+        // planners read each key's records on its owning world.
+        let mut behaviors = Cluster::new(sim.system.universe());
+        behaviors.corrupt_all(plan.byzantine.iter().copied(), byz_behavior);
         for absent in plan.initially_absent() {
-            spine.set_behavior(absent, Behavior::Crashed);
+            behaviors.set_behavior(absent, Behavior::Crashed);
         }
         let mut gossip_rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x9e37_79b9_7f4a_7c15);
         let mut trackers: Vec<ConvergenceTracker> = vec![ConvergenceTracker::default(); nvars];
@@ -238,14 +269,11 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
         let mut next_gossip_id: u64 = 0;
 
         // Round-scoped buffers, all reused across barriers: per-shard
-        // message batches, the digest planner's arena, each shard's range
-        // of the sender being routed, and the write-state snapshots for
-        // the digest key policies.
+        // message batches, the digest planner's arena, and each shard's
+        // range of the sender being routed.
         let mut batches: Vec<RoundBatch> = (0..num_shards).map(|_| RoundBatch::default()).collect();
         let mut arena = diffusion::DigestArena::default();
         let mut spans: Vec<(u32, u32)> = vec![(0, 0); num_shards as usize];
-        let mut write_counts = vec![0u64; nvars];
-        let mut last_writes = vec![f64::NEG_INFINITY; nvars];
 
         // Round `r` fires at `r · period`, accumulated by repeated addition;
         // rounds stop with the foreground arrivals.
@@ -266,54 +294,54 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
                 } else {
                     Behavior::Correct
                 };
-                spine.set_behavior(c.server, behavior);
+                behaviors.set_behavior(c.server, behavior);
                 crash_cursor += 1;
             }
             // Membership transitions use a *strict* cursor (`at < t`, not
-            // `<= t`): a join resets the spine's copy of the joiner, and
-            // the strict bound guarantees every shard has already replayed
-            // the event — so the dirty-pair replay below reads the shards'
-            // *post-reset* records and the incremental sync stays
-            // bit-identical to a full resync (debug builds assert it).
+            // `<= t`): a join wipes the joiner's records, and the worlds
+            // replay a join at the barrier time itself only after the
+            // round, so the strict bound keeps the joiner's behaviour in
+            // step with the records the worlds hold for it.
             while membership_cursor < plan.memberships.len()
                 && plan.memberships[membership_cursor].at < t
             {
                 let m = &plan.memberships[membership_cursor];
                 if m.join {
-                    spine.join_server(m.server);
+                    behaviors.join_server(m.server);
                 } else {
-                    spine.set_behavior(m.server, Behavior::Crashed);
+                    behaviors.set_behavior(m.server, Behavior::Crashed);
                 }
                 membership_cursor += 1;
             }
-            for world in worlds.iter_mut() {
-                world.sync_dirty_into::<R>(&mut spine);
-            }
-            #[cfg(debug_assertions)]
-            assert_sync_matches_full_resync::<R, S>(sim, &worlds, &spine);
             stages.sync_seconds += sync_start.elapsed().as_secs_f64();
 
             let plan_start = Instant::now();
             rounds += 1;
+            let shards = Shards {
+                behaviors: &behaviors,
+                worlds: &worlds,
+                keys: config.keyspace.keys,
+            };
             let (coverage, correct_servers) = match policy.mode {
                 GossipMode::PushAll => {
                     let outline = diffusion::outline_cluster_round::<R, _>(
-                        &spine,
+                        &shards,
                         policy.fanout as usize,
                         &mut gossip_rng,
                     );
                     stages.planned_pushes += outline.pushes.len() as u64;
                     for push in &outline.pushes {
                         let at = t + policy.push_latency.sample(&mut gossip_rng);
-                        // The spine holds the receiver's record as of this
-                        // barrier and a stored timestamp only ever falls at
-                        // a join, so a covered push stores nothing at `at`
-                        // unless its receiver joins in between.  Both ends
-                        // of the window count: a join *at* `t` is past the
-                        // strict membership cursor above, so the spine
-                        // still sees the pre-join record, and a join *at*
-                        // `at` is replayed before the push (the membership
-                        // cursor wins its ties with the queue).
+                        // The planner read the receiver's record on its
+                        // owning world at this barrier, and a stored
+                        // timestamp only ever falls at a join, so a covered
+                        // push stores nothing at `at` unless its receiver
+                        // joins in between.  Both ends of the window count:
+                        // the world replays a join *at* `t` only after the
+                        // round, so the planner still saw the pre-join
+                        // record, and a join *at* `at` is replayed before
+                        // the push (the membership cursor wins its ties
+                        // with the queue).
                         // `Some(blocked)`: resolved here.
                         let resolved = (push.covered && !plan.joins_within(push.to, t, at))
                             .then(|| plan.blocks_link(at, push.from, push.to));
@@ -331,7 +359,7 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
                         batches[dest].pushes.push((
                             at,
                             QueuedPush {
-                                push: push.materialise::<R>(&spine),
+                                push: push.materialise::<R>(&shards),
                                 #[cfg(debug_assertions)]
                                 resolved,
                             },
@@ -340,11 +368,11 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
                     (outline.coverage, outline.correct_servers)
                 }
                 GossipMode::DigestDelta => {
-                    gather_write_state(&worlds, &mut write_counts, &mut last_writes);
-                    let selector =
-                        digest_selector(policy.key_policy, round, t, &write_counts, &last_writes);
+                    let selector = digest_selector(policy.key_policy, round, t, nvars, |v| {
+                        shards.write_state(v)
+                    });
                     let (coverage, correct_servers) = diffusion::plan_digest_into::<R, _>(
-                        &spine,
+                        &shards,
                         policy.fanout as usize,
                         &selector,
                         &mut gossip_rng,
@@ -448,9 +476,6 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
                 break;
             }
         }
-        for world in worlds.iter_mut() {
-            world.end_sync();
-        }
     }
 
     // No more cross-shard traffic will ever be injected: drain everything.
@@ -519,67 +544,14 @@ fn drain_all<S: QuorumSystem + ?Sized>(
     });
 }
 
-/// Debug-build invariant behind the incremental sync: after every shard
-/// replays its dirty `(server, key)` pairs, the spine's record state must
-/// be exactly what a from-scratch full resync of every shard record would
-/// produce.  Store-if-fresher is monotone and per-key records live only on
-/// the key's owning shard, so the dirty pairs — however conservatively
-/// over-marked — are sufficient.
-#[cfg(debug_assertions)]
-fn assert_sync_matches_full_resync<R: Record, S: QuorumSystem + ?Sized>(
-    sim: &Simulation<'_, S>,
-    worlds: &[World<'_, S>],
-    spine: &Cluster,
-) {
-    let mut full = Cluster::new(sim.system.universe());
-    full.reserve_variables(sim.config.keyspace.keys);
-    for world in worlds {
-        for i in 0..world.cluster.len() as u32 {
-            let id = ServerId::new(i);
-            let src = world.cluster.server(id);
-            for var in src.variables::<R>() {
-                full.server_mut(id).merge(var, &src.stored::<R>(var));
-            }
-        }
-    }
-    for i in 0..spine.len() as u32 {
-        let id = ServerId::new(i);
-        let held = |cluster: &Cluster| -> Vec<(VariableId, R)> {
-            let server = cluster.server(id);
-            server
-                .variables::<R>()
-                .map(|v| (v, server.stored(v)))
-                .collect()
-        };
-        assert_eq!(
-            held(spine),
-            held(&full),
-            "incremental spine sync diverged from full resync at server {i}"
-        );
-    }
-}
-
-/// Gathers the authoritative per-variable write counters and latest write
-/// times from each variable's owning shard into the caller's reused
-/// buffers, for the digest key policies.
-fn gather_write_state<S: QuorumSystem + ?Sized>(
-    worlds: &[World<'_, S>],
-    counts: &mut [u64],
-    last: &mut [SimTime],
-) {
-    let n = worlds.len();
-    for (v, (count, at)) in counts.iter_mut().zip(last.iter_mut()).enumerate() {
-        let world = &worlds[v % n];
-        *count = world.sequences[v];
-        *at = world.last_write_at[v];
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::runner::{DiffusionPolicy, ProtocolKind, SimConfig, Simulation};
+    use super::*;
+    use crate::runner::{DiffusionPolicy, SimConfig};
     use crate::workload::KeySpace;
     use pqs_core::probabilistic::EpsilonIntersecting;
+    use pqs_protocols::diffusion::{outline_cluster_round, plan_digest_into};
+    use pqs_protocols::diffusion::{DigestArena, KeySelector};
 
     /// `SimConfig`'s fields are public, so a zero shard count can bypass
     /// the builder's check; it must mean the smallest layout, not a
@@ -598,5 +570,89 @@ mod tests {
         assert!(one.completed_reads > 0 && one.gossip_digests > 0);
         config.num_shards = 0;
         assert_eq!(Simulation::new(&sys, ProtocolKind::Safe, config).run(), one);
+    }
+
+    /// Each key's records live only on its owning world, so the view the
+    /// planners read reads what one cluster holding a merge of every
+    /// world's records would: the same held keys and records per server,
+    /// and the same planned rounds.
+    #[test]
+    fn shards_hold_what_one_merged_cluster_holds() {
+        type R = TaggedValue;
+        let sys = EpsilonIntersecting::new(36, 9).unwrap();
+        let keys = 16;
+        let config = SimConfig::builder()
+            .with_duration(3.0)
+            .with_arrival_rate(200.0)
+            .with_keyspace(KeySpace::zipf(keys, 1.0))
+            .with_diffusion(DiffusionPolicy::digest_delta(0.25, 2))
+            .with_num_shards(3)
+            .with_seed(5)
+            .build();
+        let s = ServerId::new;
+        // Churn: an initially absent server joins, another leaves and
+        // rejoins with its records wiped, a third crashes.
+        let plan = FailurePlan::none()
+            .with_join(0.4, s(30))
+            .with_leave(0.8, s(31))
+            .with_join(1.5, s(31))
+            .with_transition(1.0, s(2), true);
+        let sim = Simulation::new(&sys, ProtocolKind::Safe, config);
+        let ops = WorkloadConfig {
+            duration: config.duration,
+            arrival_rate: config.arrival_rate,
+            read_fraction: config.read_fraction,
+            keyspace: config.keyspace,
+        }
+        .generate(&mut ChaCha8Rng::seed_from_u64(5));
+        let mut worlds: Vec<_> = (0..3)
+            .map(|shard| World::new(&sim, &ops, &plan, Behavior::ByzantineForge, shard, 3))
+            .collect();
+        drain_all(&mut worlds, Some(2.0), 1);
+
+        let universe = sys.universe();
+        let mut behaviors = Cluster::new(universe);
+        for id in universe.servers() {
+            behaviors.set_behavior(id, worlds[0].cluster.server(id).behavior());
+        }
+        let mut merged = behaviors.clone();
+        for world in &worlds {
+            for id in universe.servers() {
+                let src = world.cluster.server(id);
+                for var in src.variables::<R>() {
+                    merged.server_mut(id).merge(var, &src.stored::<R>(var));
+                }
+            }
+        }
+        let shards = Shards {
+            behaviors: &behaviors,
+            worlds: &worlds,
+            keys,
+        };
+        let mut held = 0;
+        for id in universe.servers() {
+            let vars: Vec<VariableId> = merged.variables::<R>(id).collect();
+            assert_eq!(shards.variables::<R>(id).collect::<Vec<_>>(), vars);
+            for v in 0..keys {
+                let record = merged.record::<R>(id, v);
+                assert_eq!(shards.record::<R>(id, v), record, "{id:?}, key {v}");
+            }
+            held += vars.len();
+        }
+        assert!(held > 3 * keys as usize, "only {held} records held");
+
+        let rng = || ChaCha8Rng::seed_from_u64(9);
+        assert_eq!(
+            outline_cluster_round::<R, _>(&shards, 2, &mut rng()),
+            outline_cluster_round::<R, _>(&merged, 2, &mut rng()),
+        );
+        let hot = KeySelector::Only(BTreeSet::from([0, 1, 5]));
+        for keys in [KeySelector::All, hot] {
+            let (mut a, mut b) = (DigestArena::default(), DigestArena::default());
+            let planned = plan_digest_into::<R, _>(&shards, 2, &keys, &mut rng(), &mut a);
+            let expected = plan_digest_into::<R, _>(&merged, 2, &keys, &mut rng(), &mut b);
+            assert_eq!(planned, expected);
+            assert_eq!((a.entries, a.digests), (b.entries, b.digests));
+        }
     }
 }

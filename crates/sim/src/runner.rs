@@ -16,17 +16,17 @@
 //! at its arrival instant and merely *derived* a latency — the engine
 //! schedules one [`Event`](crate::event::Event) per client–server message:
 //!
-//! 1. At [`Event::OpArrival`](crate::event::Event::OpArrival) — read off
-//!    the workload trace in time order, never queued — the client samples
-//!    a probe set (a quorum drawn by the access strategy plus
-//!    [`SimConfig::probe_margin`] spare servers) and sends one probe per
-//!    member, each with its own latency draw.
+//! 1. At the operation's arrival — read off the workload trace in time
+//!    order, never queued — the client samples a probe set (a quorum drawn
+//!    by the access strategy plus [`SimConfig::probe_margin`] spare
+//!    servers) and sends one probe per member, each with its own latency
+//!    draw.
 //! 2. Each [`Event::ProbeReply`](crate::event::Event::ProbeReply) evaluates
 //!    the server *at the message's round-trip completion time*: a server
-//!    crashed by an intervening
-//!    [`Event::FailureTransition`](crate::event::Event::FailureTransition)
-//!    simply fails to answer, and a write probe mutates the replica at that
-//!    instant — so concurrent operations genuinely interleave.
+//!    crashed by an intervening transition of the [`FailurePlan`] — read
+//!    off its schedule like the arrivals — simply fails to answer, and a
+//!    write probe mutates the replica at that instant — so concurrent
+//!    operations genuinely interleave.
 //! 3. The operation completes on the **first `q` responders** (the
 //!    incremental sessions of [`pqs_protocols::register::session`]), or —
 //!    when the probe set is exhausted or [`SimConfig::op_timeout`] fires —
@@ -600,7 +600,9 @@ impl SimConfigBuilder {
     /// a probability (`read_fraction`, `crash_probability`) leaves [0, 1],
     /// the timeout or backoff factor is negative or non-finite, the shard
     /// or thread count is 0, or a configured diffusion policy has a
-    /// non-positive period or zero fanout.
+    /// non-positive period, zero fanout or a
+    /// [`RecentWrites`](KeyGossipPolicy::RecentWrites) window that is
+    /// negative or NaN.
     pub fn build(self) -> SimConfig {
         let c = &self.config;
         assert!(
@@ -641,6 +643,12 @@ impl SimConfigBuilder {
                 "diffusion period must be positive and finite"
             );
             assert!(policy.fanout >= 1, "diffusion fanout must be at least 1");
+            if let KeyGossipPolicy::RecentWrites { window, .. } = policy.key_policy {
+                assert!(
+                    window >= 0.0,
+                    "recent-writes window must be non-negative, got {window}"
+                );
+            }
         }
         self.config
     }
@@ -1247,8 +1255,9 @@ mod tests {
         use std::collections::BTreeSet;
         let writes = [5u64, 0, 9, 2];
         let last = [10.0, f64::NEG_INFINITY, 11.8, 4.0];
+        let state = |v: usize| (writes[v], last[v]);
         assert_eq!(
-            digest_selector(KeyGossipPolicy::Uniform, 3, 12.0, &writes, &last),
+            digest_selector(KeyGossipPolicy::Uniform, 3, 12.0, 4, state),
             KeySelector::All
         );
         // Hot-first: top keys by write count, never-written keys excluded;
@@ -1258,20 +1267,17 @@ mod tests {
             cold_every: 4,
         };
         assert_eq!(
-            digest_selector(hot, 3, 12.0, &writes, &last),
+            digest_selector(hot, 3, 12.0, 4, state),
             KeySelector::Only(BTreeSet::from([2, 0]))
         );
-        assert_eq!(
-            digest_selector(hot, 4, 12.0, &writes, &last),
-            KeySelector::All
-        );
+        assert_eq!(digest_selector(hot, 4, 12.0, 4, state), KeySelector::All);
         // A hot_keys budget beyond the written keys takes what exists.
         let wide = KeyGossipPolicy::HotFirst {
             hot_keys: 10,
             cold_every: 4,
         };
         assert_eq!(
-            digest_selector(wide, 1, 12.0, &writes, &last),
+            digest_selector(wide, 1, 12.0, 4, state),
             KeySelector::Only(BTreeSet::from([0, 2, 3]))
         );
         // Recent-writes: only keys written inside the trailing window.
@@ -1280,20 +1286,17 @@ mod tests {
             cold_every: 4,
         };
         assert_eq!(
-            digest_selector(recent, 2, 12.0, &writes, &last),
+            digest_selector(recent, 2, 12.0, 4, state),
             KeySelector::Only(BTreeSet::from([2]))
         );
-        assert_eq!(
-            digest_selector(recent, 8, 12.0, &writes, &last),
-            KeySelector::All
-        );
+        assert_eq!(digest_selector(recent, 8, 12.0, 4, state), KeySelector::All);
         // cold_every <= 1 degenerates to uniform for both policies.
         let degenerate = KeyGossipPolicy::HotFirst {
             hot_keys: 1,
             cold_every: 1,
         };
         assert_eq!(
-            digest_selector(degenerate, 3, 12.0, &writes, &last),
+            digest_selector(degenerate, 3, 12.0, 4, state),
             KeySelector::All
         );
     }
@@ -1310,7 +1313,14 @@ mod tests {
         let timeout = "op_timeout must be non-negative and finite";
         let backoff = "retry_backoff must be non-negative and finite";
         let period = "diffusion period must be positive and finite";
-        let rows: [(Spoil, &str); 22] = [
+        let window = "recent-writes window must be non-negative";
+        fn recent(window: SimTime) -> DiffusionPolicy {
+            DiffusionPolicy::digest_delta(0.1, 3).with_key_policy(KeyGossipPolicy::RecentWrites {
+                window,
+                cold_every: 8,
+            })
+        }
+        let rows: [(Spoil, &str); 24] = [
             (|b| b.with_duration(f64::NAN), duration),
             (|b| b.with_duration(f64::INFINITY), duration),
             (|b| b.with_duration(-1.0), duration),
@@ -1345,6 +1355,8 @@ mod tests {
                 |b| b.with_diffusion(DiffusionPolicy::full_push(0.25, 0)),
                 "diffusion fanout must be at least 1",
             ),
+            (|b| b.with_diffusion(recent(f64::NAN)), window),
+            (|b| b.with_diffusion(recent(-1.0)), window),
         ];
         let valid = || SimConfig::builder().with_diffusion(DiffusionPolicy::default());
         valid().build();

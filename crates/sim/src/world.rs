@@ -50,7 +50,7 @@ use pqs_protocols::crypto::KeyRegistry;
 use pqs_protocols::diffusion;
 use pqs_protocols::register::session::{self, ReadSession, WriteSession};
 use pqs_protocols::register::{RegisterFlavor, RegisterMap};
-use pqs_protocols::server::{AnyRecord, Behavior, Record, VariableId};
+use pqs_protocols::server::{AnyRecord, Behavior, VariableId};
 use pqs_protocols::timestamp::Timestamp;
 use pqs_protocols::value::Value;
 use rand::SeedableRng;
@@ -261,8 +261,9 @@ pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
     /// replay.
     next_membership: usize,
     /// The shard's replica-cluster copy.  Per-key server records live only
-    /// on the key's owning shard; failure transitions are replayed in
-    /// every shard so behaviour timelines agree everywhere.
+    /// on the key's owning shard — the spine plans gossip from them there —
+    /// and failure transitions are replayed in every shard so behaviour
+    /// timelines agree everywhere.
     pub(crate) cluster: Cluster,
     registers: RegisterMap<'a, S>,
     /// The state of the operations in flight, one slot each from arrival
@@ -271,7 +272,7 @@ pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
     ops: PendingSlab<OpState>,
     writes: Vec<WriteLog>,
     /// Per-variable write sequence counters (authoritative for owned
-    /// variables; the spine gathers them for the digest key policies).
+    /// variables; the spine reads them for the digest key policies).
     pub(crate) sequences: Vec<u64>,
     /// Per-variable latest write arrival time (authoritative for owned
     /// variables).
@@ -311,17 +312,6 @@ pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
     universe_n: u64,
     /// The system's minimum quorum size, for the margin recompute.
     min_quorum: u64,
-    /// `(server index, variable)` pairs whose stored record may have
-    /// changed since the last spine barrier — the write-probe, push and
-    /// delta delivery sites append here.  Marking is conservative (a write
-    /// probe to a crashed server changes nothing) but store-if-fresher is
-    /// monotone, so re-syncing an unchanged record is a no-op and the
-    /// incremental spine sync stays bit-identical to a full resync.
-    ///
-    /// `Some` only while a spine exists to read and clear it: `None`
-    /// without diffusion, and again after the last barrier
-    /// ([`World::end_sync`]) — nothing would ever drain the list then.
-    dirty: Option<Vec<(u32, VariableId)>>,
     /// Index into `acc.ops` of the earliest-arrived op that may still be
     /// unfinished.
     oldest_active: usize,
@@ -452,7 +442,6 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
             present_count,
             universe_n,
             min_quorum,
-            dirty: config.diffusion.map(|_| Vec::new()),
             oldest_active: 0,
         };
         world.next_arrival = world.owned_arrival_from(0);
@@ -494,33 +483,32 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
             if t >= end {
                 break;
             }
-            let event = match (arrival, crash, membership) {
+            match (arrival, crash, membership) {
                 (Some(&a), _, _) if arrival_at == t => {
                     let op = self.next_arrival as OpId;
                     self.next_arrival = self.owned_arrival_from(self.next_arrival + 1);
-                    Event::OpArrival {
-                        op,
-                        kind: a.kind,
-                        variable: a.variable,
-                    }
+                    self.arrive(t, op, a.kind, a.variable);
                 }
                 (_, Some(&c), _) if crash_at == t => {
+                    // Replayed in every shard (each owns a full cluster
+                    // copy); counted once, by the spine.
                     self.next_crash += 1;
-                    Event::FailureTransition {
-                        server: c.server,
-                        crash: c.crash,
-                    }
+                    let behavior = if c.crash {
+                        Behavior::Crashed
+                    } else {
+                        Behavior::Correct
+                    };
+                    self.cluster.set_behavior(c.server, behavior);
                 }
                 (_, _, Some(&m)) if membership_at == t => {
                     self.next_membership += 1;
-                    Event::MembershipTransition {
-                        server: m.server,
-                        join: m.join,
-                    }
+                    self.apply_membership(m.server, m.join);
                 }
-                _ => self.queue.pop().expect("peeked event must pop").1,
-            };
-            self.handle(t, event);
+                _ => {
+                    let (_, event) = self.queue.pop().expect("peeked event must pop");
+                    self.handle(t, event);
+                }
+            }
         }
     }
 
@@ -563,105 +551,91 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         batch.entries.clear();
     }
 
-    /// Applies this shard's record changes since the last barrier to the
-    /// spine's planning cluster and clears the dirty list.
-    ///
-    /// The list is sorted and deduplicated first (a hot key can be marked
-    /// many times per window); each surviving `(server, variable)` pair
-    /// re-stores the shard's current record into the spine.  Because
-    /// stores are strictly-fresher-wins and shard records are monotone in
-    /// time, replaying only the dirty pairs leaves the spine bit-identical
-    /// to a from-scratch full resync — an invariant the debug builds check
-    /// at every barrier and the property suite exercises under random
-    /// interleavings.
-    pub(crate) fn sync_dirty_into<R: Record>(&mut self, spine: &mut Cluster) {
-        let dirty = self
-            .dirty
-            .as_mut()
-            .expect("the spine syncs only between the first and the last barrier");
-        dirty.sort_unstable();
-        dirty.dedup();
-        for &(server, var) in dirty.iter() {
-            let id = ServerId::new(server);
-            // Marking is conservative, so most pairs hold nothing newer
-            // than the spine does: the merge compares before it copies.
-            if let Some(record) = self.cluster.server(id).record::<R>(var) {
-                spine.server_mut(id).merge(var, record);
-            }
-        }
-        dirty.clear();
-    }
-
-    /// The spine has passed its last barrier and will not sync again: stop
-    /// marking and release the list, which nothing would drain any more.
-    pub(crate) fn end_sync(&mut self) {
-        self.dirty = None;
-    }
-
-    /// Marks `(server, var)` as possibly changed since the last barrier,
-    /// while a spine exists to read the mark.
-    fn mark_dirty(&mut self, server: ServerId, var: VariableId) {
-        if let Some(dirty) = &mut self.dirty {
-            dirty.push((server.index(), var));
-        }
-    }
-
     /// Finishes the shard: stamps the cluster-side tallies into the report
     /// and releases the accumulator for merging.
     pub(crate) fn into_accumulator(mut self) -> ShardAccumulator {
-        debug_assert!(
-            self.dirty.is_none(),
-            "a finished world still marks dirty pairs nobody will read"
-        );
         self.acc.report.per_server_accesses = self.cluster.access_counts().to_vec();
         self.acc.report.total_operations = self.cluster.total_accesses();
         self.acc
     }
 
-    /// Processes one event.  Randomness comes from the event's variable's
-    /// own stream; round planning lives on the spine, which injects the
-    /// gossip deliveries handled here.
+    /// Operation `op`, read off the arrival cursor, enters the system: it
+    /// takes a slot of the op slab, a write takes its variable's next
+    /// sequence number, and the first attempt starts.
+    fn arrive(&mut self, t: SimTime, op: OpId, kind: OpKind, variable: VariableId) {
+        self.acc.logical_events += 1;
+        let record = self.arrived;
+        self.arrived += 1;
+        debug_assert_eq!(self.acc.ops[record].op, op, "arrivals follow the op log");
+        // The op log holds owned ops in arrival order, so the first
+        // unfinished entry bounds the earliest start of any unfinished op
+        // this shard's write logs care about (staleness is per-variable
+        // and variables never cross shards).  The walk stops at this
+        // arrival's own record at the latest.
+        while self.acc.ops[self.oldest_active].outcome != OpOutcome::Pending {
+            self.oldest_active += 1;
+        }
+        let horizon = self.acc.ops[self.oldest_active].start;
+        let var = variable as usize;
+        self.writes[var].advance(horizon);
+        let (mut sequence, mut window) = (0, None);
+        if kind == OpKind::Write {
+            self.sequences[var] += 1;
+            sequence = self.sequences[var];
+            self.last_write_at[var] = t;
+            window = Some(self.writes[var].open(t, sequence));
+        }
+        let slot = self.ops.insert(OpState {
+            op,
+            record,
+            kind,
+            variable,
+            attempt: 0,
+            outstanding: 0,
+            pending: 0,
+            done: false,
+            session: None,
+            sequence,
+            window,
+        });
+        self.start_attempt(slot, t);
+    }
+
+    /// Replays one membership transition of the plan's schedule: a join
+    /// (`join == true`) or a leave of `server`.
+    fn apply_membership(&mut self, server: ServerId, join: bool) {
+        // Replayed in every shard, like crash transitions (and counted
+        // once, by the spine): a joiner comes up correct with reset
+        // stores, a leaver goes dark, and the probe margin is recomputed
+        // online against the ε budget — pure arithmetic, so every shard
+        // lands on the same margin at the same simulated time.
+        let si = server.index() as usize;
+        if join {
+            self.cluster.join_server(server);
+            if !self.present[si] {
+                self.present[si] = true;
+                self.present_count += 1;
+            }
+        } else {
+            self.cluster.set_behavior(server, Behavior::Crashed);
+            if self.present[si] {
+                self.present[si] = false;
+                self.present_count -= 1;
+            }
+        }
+        self.registers.set_probe_margin(churn_probe_margin(
+            self.config.probe_margin as u64,
+            self.universe_n,
+            self.min_quorum,
+            self.present_count,
+        ));
+    }
+
+    /// Processes one message popped off the queue.  Randomness comes from
+    /// the event's variable's own stream; round planning lives on the
+    /// spine, which injects the gossip deliveries handled here.
     fn handle(&mut self, t: SimTime, event: Event) {
         match event {
-            Event::OpArrival { op, kind, variable } => {
-                self.acc.logical_events += 1;
-                let record = self.arrived;
-                self.arrived += 1;
-                debug_assert_eq!(self.acc.ops[record].op, op, "arrivals follow the op log");
-                // The op log holds owned ops in arrival order, so the first
-                // unfinished entry bounds the earliest start of any
-                // unfinished op this shard's write logs care about
-                // (staleness is per-variable and variables never cross
-                // shards).  The walk stops at this arrival's own record at
-                // the latest.
-                while self.acc.ops[self.oldest_active].outcome != OpOutcome::Pending {
-                    self.oldest_active += 1;
-                }
-                let horizon = self.acc.ops[self.oldest_active].start;
-                let var = variable as usize;
-                self.writes[var].advance(horizon);
-                let (mut sequence, mut window) = (0, None);
-                if kind == OpKind::Write {
-                    self.sequences[var] += 1;
-                    sequence = self.sequences[var];
-                    self.last_write_at[var] = t;
-                    window = Some(self.writes[var].open(t, sequence));
-                }
-                let slot = self.ops.insert(OpState {
-                    op,
-                    record,
-                    kind,
-                    variable,
-                    attempt: 0,
-                    outstanding: 0,
-                    pending: 0,
-                    done: false,
-                    session: None,
-                    sequence,
-                    window,
-                });
-                self.start_attempt(slot, t);
-            }
             Event::ProbeReply {
                 slot,
                 attempt,
@@ -677,14 +651,6 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                     self.acc.report.dropped_probes += 1;
                     !self.ops[slot].done && self.ops[slot].attempt == attempt
                 } else {
-                    if self.ops[slot].kind == OpKind::Write {
-                        // The probe's server-side store (which happens
-                        // whether or not the client still cares) may
-                        // freshen this record; non-correct receivers store
-                        // nothing, but the over-mark is harmless — see
-                        // `dirty`.
-                        self.mark_dirty(server, variable);
-                    }
                     // An adaptive sleeper answers exactly this probe as a
                     // stale replier when its foreground predicate fires —
                     // `sequences`/`last_write_at` are authoritative here,
@@ -730,7 +696,6 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                 self.acc.logical_events += 1;
                 if self.is_live(slot, op, attempt) {
                     let var = self.ops[slot].variable as usize;
-                    self.acc.report.timed_out_attempts += 1;
                     self.acc.report.per_variable[var].timed_out_attempts += 1;
                     self.end_attempt(slot, t);
                     self.release_if_idle(slot);
@@ -742,44 +707,6 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                     self.start_attempt(slot, t);
                 }
             }
-            Event::FailureTransition { server, crash } => {
-                // Replayed in every shard (each owns a full cluster copy);
-                // counted once, by the spine.
-                let behavior = if crash {
-                    Behavior::Crashed
-                } else {
-                    Behavior::Correct
-                };
-                self.cluster.set_behavior(server, behavior);
-            }
-            Event::MembershipTransition { server, join } => {
-                // Replayed in every shard, like crash transitions (and
-                // counted once, by the spine): a joiner comes up correct
-                // with reset stores, a leaver goes dark, and the probe
-                // margin is recomputed online against the ε budget — pure
-                // arithmetic, so every shard lands on the same margin at
-                // the same simulated time.
-                let si = server.index() as usize;
-                if join {
-                    self.cluster.join_server(server);
-                    if !self.present[si] {
-                        self.present[si] = true;
-                        self.present_count += 1;
-                    }
-                } else {
-                    self.cluster.set_behavior(server, Behavior::Crashed);
-                    if self.present[si] {
-                        self.present[si] = false;
-                        self.present_count -= 1;
-                    }
-                }
-                self.registers.set_probe_margin(churn_probe_margin(
-                    self.config.probe_margin as u64,
-                    self.universe_n,
-                    self.min_quorum,
-                    self.present_count,
-                ));
-            }
             Event::GossipPush { push } => {
                 let queued = self.pending_pushes.take(push);
                 #[cfg(debug_assertions)]
@@ -789,9 +716,8 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                 }) = &queued
                 {
                     // Uncounted: the spine tallied this delivery when it
-                    // planned it.  Neither check touches a counter, the
-                    // dirty list or an RNG, so debug and release reports
-                    // stay equal.
+                    // planned it.  Neither check touches a counter or an
+                    // RNG, so debug and release reports stay equal.
                     assert_eq!(
                         self.plan.blocks_link(t, p.from, p.to),
                         *blocked,
@@ -814,12 +740,9 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                         return;
                     }
                     let var = p.variable as usize;
-                    self.acc.report.gossip_pushes += 1;
                     self.acc.report.per_variable[var].gossip_pushes += 1;
                     if diffusion::deliver(&mut self.cluster, &p) {
-                        self.acc.report.gossip_stores += 1;
                         self.acc.report.per_variable[var].gossip_stores += 1;
-                        self.mark_dirty(p.to, p.variable);
                     }
                 }
             }
@@ -831,7 +754,6 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                     let mut records = self.delta_records.take();
                     let report = &mut self.acc.report;
                     diffusion::diff_digest_into(&self.cluster, &p.digest, &mut records, |var| {
-                        report.gossip_redundant_pushes_avoided += 1;
                         report.per_variable[var as usize].gossip_redundant_pushes_avoided += 1;
                     });
                     if records.is_empty() {
@@ -862,13 +784,10 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                     } else {
                         for (var, record) in &d.records {
                             let vi = *var as usize;
-                            self.acc.report.gossip_pushes += 1;
                             self.acc.report.per_variable[vi].gossip_pushes += 1;
                             self.acc.report.per_variable[vi].gossip_delta_records += 1;
                             if diffusion::deliver_record(&mut self.cluster, d.to, *var, record) {
-                                self.acc.report.gossip_stores += 1;
                                 self.acc.report.per_variable[vi].gossip_stores += 1;
-                                self.mark_dirty(d.to, *var);
                             }
                         }
                     }
@@ -968,7 +887,6 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         } else if state.attempt < self.config.max_retries {
             state.attempt += 1;
             let (op, attempt) = (state.op, state.attempt);
-            self.acc.report.retries += 1;
             self.acc.report.per_variable[var].retries += 1;
             let delay = retry_delay(&self.config, attempt);
             if delay > 0.0 {
@@ -980,7 +898,6 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         } else {
             state.done = true;
             self.acc.ops[state.record].finish(now, OpOutcome::Unavailable);
-            self.acc.report.unavailable_ops += 1;
             self.acc.report.per_variable[var].unavailable_ops += 1;
             if let Some(handle) = state.window {
                 self.writes[var].fail(handle, now);
@@ -1002,7 +919,6 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         let var = state.variable as usize;
         match state.session.as_ref() {
             Some(OpSession::Write(_, _)) => {
-                self.acc.report.completed_writes += 1;
                 record.finish(now, OpOutcome::Write);
                 let pv = &mut self.acc.report.per_variable[var];
                 pv.completed_writes += 1;
@@ -1019,14 +935,12 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                 // than with the slot.  A probe of this read still in
                 // flight finds no session and only counts its access.
                 state.session = None;
-                self.acc.report.completed_reads += 1;
                 record.finish(now, OpOutcome::Read);
                 let pv = &mut self.acc.report.per_variable[var];
                 pv.completed_reads += 1;
                 pv.latency.record(latency);
                 let read_end = now;
                 if self.writes[var].concurrent_with(read_start, read_end) {
-                    self.acc.report.concurrent_reads += 1;
                     self.acc.report.per_variable[var].concurrent_reads += 1;
                 } else {
                     // The freshest write of this variable completed before
@@ -1034,19 +948,16 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                     let expected = self.writes[var].latest_completed_before(read_start);
                     match (expected, result) {
                         (None, _) => {
-                            self.acc.report.unwritten_reads += 1;
                             self.acc.report.per_variable[var].unwritten_reads += 1;
                         }
                         (Some(seq), Some(tv)) => {
                             let got = tv.value.as_u64().unwrap_or(0);
                             if got < seq {
-                                self.acc.report.stale_reads += 1;
                                 self.acc.report.per_variable[var].stale_reads += 1;
                                 note_component_staleness(self.plan, now, var, &mut self.acc.report);
                             }
                         }
                         (Some(_), None) => {
-                            self.acc.report.empty_reads += 1;
                             self.acc.report.per_variable[var].empty_reads += 1;
                             note_component_staleness(self.plan, now, var, &mut self.acc.report);
                         }
@@ -1120,7 +1031,6 @@ fn retry_delay(config: &SimConfig, attempt: u32) -> SimTime {
 mod tests {
     use super::*;
     use crate::latency::LatencyModel;
-    use crate::runner::DiffusionPolicy;
     use crate::workload::WorkloadConfig;
     use pqs_core::probabilistic::EpsilonIntersecting;
     use pqs_protocols::value::TaggedValue;
@@ -1213,12 +1123,7 @@ mod tests {
     /// as the drain loop would, and returns the slot it took.
     fn arrive(world: &mut World<'_, EpsilonIntersecting>, op: OpId) -> u64 {
         let a = world.trace[op as usize];
-        let arrival = Event::OpArrival {
-            op,
-            kind: a.kind,
-            variable: a.variable,
-        };
-        world.handle(a.at, arrival);
+        world.arrive(a.at, op, a.kind, a.variable);
         slot_of(world, op).expect("an arrived op holds a slot")
     }
 
@@ -1284,8 +1189,8 @@ mod tests {
         assert!(deliver(&mut world, r, near, 0));
         world.finalize(r, 0.4);
         assert!(world.ops[r].done && world.ops[r].session.is_none());
-        let report = &world.acc.report;
-        assert_eq!((report.completed_writes, report.completed_reads), (1, 1));
+        let row = &world.acc.report.per_variable[0];
+        assert_eq!((row.completed_writes, row.completed_reads), (1, 1));
         let before = world.cluster.access_counts()[far.as_usize()];
         assert!(!deliver(&mut world, 1, far, 0));
         assert_eq!(world.cluster.access_counts()[far.as_usize()], before + 1);
@@ -1304,39 +1209,6 @@ mod tests {
                 logged(1, 0.3, 0.4, OpOutcome::Read)
             ]
         );
-    }
-
-    #[test]
-    fn dirty_pairs_are_marked_only_while_a_spine_reads_them() {
-        let sys = EpsilonIntersecting::new(20, 5).unwrap();
-        let ops: Vec<Operation> = (0..40)
-            .map(|i| op(0.01 * i as f64, OpKind::Write))
-            .collect();
-        let config = fixed_latency();
-        let plan = FailurePlan::none();
-
-        // Without diffusion no spine exists: 200 write probes, no list.
-        let mut off = sole_world(&sys, config, &ops, &plan);
-        off.drain_until(None);
-        assert_eq!(off.acc.report.completed_writes, 40);
-        assert!(off.dirty.is_none());
-
-        // With diffusion the list fills between barriers, a sync empties
-        // it, and after the last barrier nothing is marked any more.
-        let mut gossiping = config;
-        gossiping.diffusion = Some(DiffusionPolicy::default());
-        let mut on = sole_world(&sys, gossiping, &ops, &plan);
-        on.drain_until(Some(0.2));
-        assert!(on.dirty.as_ref().is_some_and(|d| !d.is_empty()));
-        let mut spine = Cluster::new(sys.universe());
-        spine.reserve_variables(1);
-        on.sync_dirty_into::<TaggedValue>(&mut spine);
-        assert!(on.dirty.as_ref().is_some_and(Vec::is_empty));
-        on.end_sync();
-        on.drain_until(None);
-        assert_eq!(on.acc.report.completed_writes, 40);
-        assert!(on.dirty.is_none());
-        assert_eq!(on.into_accumulator().ops.len(), 40);
     }
 
     #[test]
@@ -1361,8 +1233,8 @@ mod tests {
         assert_eq!(behavior(2), Behavior::Crashed);
         assert_eq!(behavior(4), Behavior::Crashed);
         assert_eq!(behavior(9), Behavior::Correct);
-        let report = &world.acc.report;
-        assert_eq!((report.completed_writes, report.completed_reads), (1, 1));
+        let row = &world.acc.report.per_variable[0];
+        assert_eq!((row.completed_writes, row.completed_reads), (1, 1));
     }
 
     #[test]
@@ -1398,7 +1270,7 @@ mod tests {
         world.drain_until(Some(0.5005));
         assert!(state(&world, 0).is_some_and(|s| s.session.is_some()));
         world.drain_until(Some(1.0));
-        assert_eq!(world.acc.report.completed_writes, 1);
+        assert_eq!(world.acc.report.per_variable[0].completed_writes, 1);
         assert!(world.ops.is_empty(), "the last reply released the slot");
     }
 

@@ -451,8 +451,8 @@ fn sharded_reports_are_identical_across_shard_and_thread_counts() {
 /// 8-shard/2-thread **full-push** run of `sharded_base` with a mid-run
 /// crash wave.  Together with the digest/delta pin at the end of this file
 /// (`sharded_family_fingerprint_is_pinned`) it freezes both gossip modes,
-/// so hot-path work (incremental spine sync, batched routing, slab pending
-/// stores) can be proven bit-preserving, not merely plausible.
+/// so hot-path work (batched routing, slab pending stores, planning from
+/// the owning shards) can be proven bit-preserving, not merely plausible.
 #[test]
 #[allow(clippy::excessive_precision)]
 fn sharded_full_push_fingerprint_is_pinned() {
