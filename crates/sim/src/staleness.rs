@@ -22,12 +22,16 @@ struct WriteWindow {
 /// The write windows of one variable, pruned as simulated time advances so
 /// the per-read staleness checks scan only windows that can still matter —
 /// without pruning the event loop would be O(reads × writes), quadratic in
-/// run duration.  A world keeps one log per key: staleness is a
-/// per-variable property (a write of key 3 cannot make a read of key 5
-/// stale).
+/// run duration — and freed once pruned, so the log's memory follows the
+/// writes that can still matter, not the writes run.  A world keeps one log
+/// per key: staleness is a per-variable property (a write of key 3 cannot
+/// make a read of key 5 stale).
 #[derive(Debug, Default)]
 pub(crate) struct WriteLog {
     windows: Vec<WriteWindow>,
+    /// The handle of `windows[0]`: archived windows are drained off the
+    /// front, and handles count from the log's first write.
+    base: usize,
     /// Windows before this index are archived: they ended at or before
     /// every start time a still-unfinished operation can have, so they can
     /// never again classify as concurrent; their freshest sequence is kept
@@ -45,23 +49,28 @@ impl WriteLog {
             sequence,
             failed: false,
         });
-        self.windows.len() - 1
+        self.base + self.windows.len() - 1
     }
 
     /// Marks a write completed at `end`.
     pub(crate) fn close(&mut self, handle: usize, end: SimTime) {
-        self.windows[handle].end = end;
+        self.windows[handle - self.base].end = end;
     }
 
     /// Marks a write failed (stored nowhere): excluded from accounting.
     pub(crate) fn fail(&mut self, handle: usize, end: SimTime) {
-        self.windows[handle].end = end;
-        self.windows[handle].failed = true;
+        let window = &mut self.windows[handle - self.base];
+        window.end = end;
+        window.failed = true;
     }
 
     /// Archives every leading window that ended at or before `horizon`
     /// (the earliest start time any in-flight or future operation can
-    /// have).  Amortised O(1) per write over the run.
+    /// have), and frees the archived windows once they make up half the
+    /// log.  A window is archived only after its write closed or failed,
+    /// so no handle still in use ever points at a freed window.  Amortised
+    /// O(1) per write over the run: a drain moves at most as many windows
+    /// as it frees.
     pub(crate) fn advance(&mut self, horizon: SimTime) {
         while let Some(w) = self.windows.get(self.frontier) {
             if w.end > horizon {
@@ -74,6 +83,11 @@ impl WriteLog {
                 });
             }
             self.frontier += 1;
+        }
+        if self.frontier > 0 && 2 * self.frontier >= self.windows.len() {
+            self.windows.drain(..self.frontier);
+            self.base += self.frontier;
+            self.frontier = 0;
         }
     }
 
@@ -211,5 +225,58 @@ impl HealTracking {
         report.post_heal_rounds_to_coverage = self.rounds_sum;
         report.post_heal_coverage_completions = self.completions;
         report.post_heal_coverage = self.curve;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::collections::VecDeque;
+
+    /// 10⁵ writes, each open for a random spell, with the horizon at the
+    /// earliest start still in flight: the log frees what it archives, and
+    /// every handle stays valid across the drains.
+    #[test]
+    fn archived_windows_are_freed_and_handles_stay_valid() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut log = WriteLog::default();
+        // (handle, start, end) of the writes in flight, in start order.
+        let mut open: VecDeque<(usize, SimTime, SimTime)> = VecDeque::new();
+        let mut latest_closed = 0;
+        for i in 0..100_000u64 {
+            let now = i as SimTime;
+            // Close every write that ended by now, in end order.
+            let mut due: Vec<(usize, SimTime)> = open
+                .iter()
+                .filter(|w| w.2 <= now)
+                .map(|w| (w.0, w.2))
+                .collect();
+            due.sort_by(|a, b| a.1.total_cmp(&b.1));
+            for (handle, end) in due {
+                if handle % 7 == 0 {
+                    log.fail(handle, end);
+                } else {
+                    log.close(handle, end);
+                    latest_closed = latest_closed.max(handle as u64 + 1);
+                }
+            }
+            open.retain(|w| w.2 > now);
+            let horizon = open.front().map_or(now, |w| w.1);
+            log.advance(horizon);
+            let in_flight = open.len();
+            assert!(
+                log.windows.len() <= 2 * in_flight + 64,
+                "write {i}: {} windows kept with {in_flight} in flight",
+                log.windows.len()
+            );
+            let handle = log.open(now, i + 1);
+            assert_eq!(handle, i as usize, "handles count from the first write");
+            open.push_back((handle, now, now + rng.gen_range(0.5..6.0)));
+        }
+        // Sequence `h + 1` belongs to handle `h`: the freshest completed
+        // write is the latest one closed, archived or not.
+        assert_eq!(log.latest_completed_before(1e12), Some(latest_closed));
     }
 }
