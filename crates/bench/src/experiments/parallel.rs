@@ -203,6 +203,11 @@ pub(super) fn validate_parallel(h: &mut Harness<'_>) {
             soak_config(base_seed, calib_long, cli.threads),
         )
         .run();
+        // The memory gate: the engine's memory follows the traffic in
+        // flight, not the run's length, so the sized soak — 10⁸ events in
+        // CI, hundreds of times the calibration run's — must peak where
+        // the 30 s calibration run already did.
+        let calibration_rss = peak_rss_mb();
         let events_per_sim_sec = ((long.events_processed - short.events_processed) as f64
             / (calib_long - calib_short))
             .max(1.0);
@@ -232,9 +237,12 @@ pub(super) fn validate_parallel(h: &mut Harness<'_>) {
                 "plan (s)",
                 "route (s)",
                 "spine fraction",
+                "calibration peak RSS (MB)",
                 "peak RSS (MB)",
             ],
         );
+        let soak_rss = peak_rss_mb();
+        let mb = |rss: Option<f64>| rss.map_or_else(|| "n/a".to_string(), |mb| format!("{mb:.1}"));
         soak_table.push_row(vec![
             report.events_processed.to_string(),
             target.to_string(),
@@ -245,9 +253,22 @@ pub(super) fn validate_parallel(h: &mut Harness<'_>) {
             format!("{:.3}", stages.plan_seconds),
             format!("{:.3}", stages.route_seconds),
             format!("{:.4}", stages.spine_fraction()),
-            peak_rss_mb().map_or_else(|| "n/a".to_string(), |mb| format!("{mb:.1}")),
+            mb(calibration_rss),
+            mb(soak_rss),
         ]);
         h.emit(&soak_table);
+        match (calibration_rss, soak_rss) {
+            (Some(calibration), Some(soak)) => {
+                h.check(
+                    soak <= 1.10 * calibration + 4.0,
+                    format_args!(
+                        "soak peak RSS {soak:.1} MB exceeds 1.10 x the calibration run's \
+                         {calibration:.1} MB + 4 MB: memory grows with run length"
+                    ),
+                );
+            }
+            _ => h.line("soak memory check skipped: VmHWM is not available on this host"),
+        }
         h.check(
             (report.events_processed as f64) >= 0.8 * target as f64,
             format_args!(

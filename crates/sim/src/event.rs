@@ -12,16 +12,16 @@
 //! Messages in flight travel through the deterministic
 //! [`EventQueue`](crate::time::EventQueue) of the world that owns their
 //! variable; the accounting the reports need (processed-event counts, the
-//! time-weighted in-flight gauge) is rebuilt canonically when the worlds
-//! merge (see [`crate::metrics`]).
+//! in-flight gauge) is order-free, so the worlds' sums merge into the same
+//! report whatever the layout (see [`crate::metrics`]).
 //!
 //! # Event vocabulary
 //!
 //! An [`Event`] is a message in flight: it goes through the queue.  What
 //! is known before the run starts — the operations' arrivals, the crash
 //! and recovery schedule and the membership schedule — is not an event: a
-//! world walks the workload trace and the failure plan's two schedules
-//! with cursors beside the queue head, and steps them directly.  The op
+//! world draws its keys' arrivals lazily and walks the failure plan's two
+//! schedules with cursors beside the queue head, and steps them directly.  The op
 //! events name their operation by its slot in the world's op slab
 //! ([`PendingSlab`]), which the operation holds from its arrival until it
 //! is done and its last probe reply has landed.
@@ -47,8 +47,9 @@
 use pqs_core::universe::ServerId;
 use std::ops::{Index, IndexMut};
 
-/// Identifier of one simulated client operation (its index in the generated
-/// workload trace).
+/// Identifier of one simulated client operation: its arrival count in its
+/// world.  It only tells a slot's occupant from an earlier one, so a stale
+/// timeout or retry can be recognised.
 pub type OpId = u64;
 
 /// A message in flight in the simulated world.

@@ -1,83 +1,210 @@
 //! What a simulation run measures: the [`SimReport`] and its per-key
-//! breakdown, the engine's wall-clock [`EngineStageTimings`], and the merge
-//! that rebuilds one report from the worlds' accumulators and per-op logs
-//! in canonical `(time, op)` order — bit-identically for every shard and
-//! thread count.
+//! breakdown, the log-bucketed [`LatencySamples`] histogram, the engine's
+//! wall-clock [`EngineStageTimings`], and the merge that rebuilds one
+//! report from the worlds' accumulators — bit-identically for every shard
+//! and thread count, because every aggregate is a sum or an extremum:
+//! counters, histogram buckets, latency moments and time in the system in
+//! integer fixed point.  Nothing here keeps a record per operation, so a
+//! run's metrics take the same memory however long it runs.
 
 use crate::time::SimTime;
-use pqs_math::mc::RunningStats;
 use pqs_protocols::server::VariableId;
 
-/// A collection of latency samples supporting percentile queries.
+/// Relative error of every [`LatencySamples`] quantile: the reported value
+/// lies within `α · x` of the exact nearest-rank sample `x`.
+pub const LATENCY_RELATIVE_ERROR: f64 = 0.005;
+
+/// The bucket growth factor `γ = (1 + α) / (1 − α)`: bucket `i` holds the
+/// samples in `(γ^(i−1), γ^i]`.
+const GAMMA: f64 = (1.0 + LATENCY_RELATIVE_ERROR) / (1.0 - LATENCY_RELATIVE_ERROR);
+
+/// `ln γ`, written out because `f64::ln` is not `const`; a unit test pins
+/// it to `GAMMA.ln()`.
+const LN_GAMMA: f64 = 0.010_000_083_334_583_179;
+
+/// The bucket index of the non-positive samples, which report as 0.
+const ZERO_BUCKET: i32 = i32::MIN;
+
+/// Units per simulated second of the fixed-point latency sums: integer
+/// sums are exact, so they come out the same in any order of addition.
+const FIXED_PER_SECOND: f64 = (1u64 << 32) as f64;
+
+/// `x` seconds in fixed point (`2⁻³²` s units; negative or NaN becomes 0,
+/// beyond `2³²` s saturates).
+pub(crate) fn fixed_point(x: SimTime) -> u64 {
+    (x * FIXED_PER_SECOND).round() as u64
+}
+
+/// A fixed-point sum back in seconds.
+pub(crate) fn from_fixed_point(sum: u128) -> f64 {
+    sum as f64 / FIXED_PER_SECOND
+}
+
+/// A log-bucketed latency histogram with a fixed relative quantile error —
+/// the DDSketch construction (Masson et al., VLDB 2019).
 ///
-/// [`RunningStats`] aggregates on the fly but cannot answer percentile
-/// questions; the event engine's tail-latency claims (the whole point of
-/// probing `q + margin` servers) need p95/p99, so completed-operation
-/// latencies are kept individually.  Sample counts are bounded by the
-/// workload size, so memory stays proportional to the run.
+/// [`record`](Self::record) puts a sample into bucket
+/// `⌈log_γ x⌉` with `γ = (1 + α) / (1 − α)` and
+/// `α =` [`LATENCY_RELATIVE_ERROR`]; a quantile walks the buckets to the
+/// nearest rank and reports its bucket's centre `2γ^i / (γ + 1)`, which
+/// lies within `α · x` of every sample `x` of the bucket.  Beside the
+/// bucket counts the histogram keeps the exact count, minimum and maximum,
+/// and the sum and sum of squares in integer fixed point (`2⁻³²` s), so
+/// the mean is exact to `2⁻³³` s and no statistic depends on the order the
+/// samples came in: two histograms of the same samples are equal, and
+/// [`merge`](Self::merge) is a sum.  Storage is sparse — one
+/// `(bucket, count)` pair per occupied bucket — so memory follows the
+/// spread of the latencies, not the number of operations.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencySamples {
-    samples: Vec<f64>,
+    /// `(bucket index, samples)` of the occupied buckets, by index.
+    buckets: Vec<(i32, u64)>,
+    count: u64,
+    /// Sum of the samples in fixed point.
+    sum: u128,
+    /// Sum of the squared fixed-point samples.
+    sum_squares: u128,
+    min: f64,
+    max: f64,
+}
+
+/// The bucket `x` falls in.
+fn bucket_of(x: f64) -> i32 {
+    if x > 0.0 {
+        // Saturates at the ends: `+∞` lands in the top bucket.
+        (x.ln() / LN_GAMMA).ceil() as i32
+    } else {
+        ZERO_BUCKET
+    }
+}
+
+/// The value bucket `i` reports: its centre, within `α` of every sample in
+/// it.
+fn bucket_value(i: i32) -> f64 {
+    if i == ZERO_BUCKET {
+        0.0
+    } else {
+        2.0 * (f64::from(i) * LN_GAMMA).exp() / (GAMMA + 1.0)
+    }
 }
 
 impl LatencySamples {
-    /// Creates an empty collection.
+    /// Creates an empty histogram.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Records one latency observation (seconds).
     pub fn record(&mut self, x: f64) {
-        self.samples.push(x);
+        self.add(bucket_of(x), 1);
+        if self.count == 0 {
+            (self.min, self.max) = (x, x);
+        } else {
+            self.min = self.min.min(x);
+            self.max = self.max.max(x);
+        }
+        self.count += 1;
+        let fixed = u128::from(fixed_point(x));
+        self.sum += fixed;
+        self.sum_squares = self.sum_squares.saturating_add(fixed * fixed);
+    }
+
+    /// Adds `n` samples to bucket `bucket`.
+    fn add(&mut self, bucket: i32, n: u64) {
+        match self.buckets.binary_search_by_key(&bucket, |&(i, _)| i) {
+            Ok(at) => self.buckets[at].1 += n,
+            Err(at) => self.buckets.insert(at, (bucket, n)),
+        }
+    }
+
+    /// Adds every sample of `other`: the histogram of both sample sets,
+    /// whichever order they are merged in.
+    pub fn merge(&mut self, other: &LatencySamples) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            self.clone_from(other);
+            return;
+        }
+        for &(bucket, n) in &other.buckets {
+            self.add(bucket, n);
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.sum_squares = self.sum_squares.saturating_add(other.sum_squares);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> usize {
-        self.samples.len()
+        self.count as usize
     }
 
     /// Returns `true` if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.count == 0
     }
 
-    /// Mean of the samples (0 when empty).
+    /// Mean of the samples (0 when empty), from the fixed-point sum.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             0.0
         } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
+            from_fixed_point(self.sum) / self.count as f64
         }
     }
 
-    /// Largest sample (0 when empty).
+    /// Unbiased sample variance (0 for fewer than two samples), from the
+    /// fixed-point sums.
+    pub fn variance(&self) -> f64 {
+        if self.count < 2 {
+            return 0.0;
+        }
+        let n = self.count as f64;
+        let (sum, squares) = (self.sum as f64, self.sum_squares as f64);
+        ((squares - sum * sum / n) / (n - 1.0)).max(0.0) / (FIXED_PER_SECOND * FIXED_PER_SECOND)
+    }
+
+    /// Largest sample, exact (0 when empty).
     pub fn max(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// The `p`-th percentile (nearest-rank on a sorted copy; `p` in
-    /// `[0, 100]`).  Returns 0 when empty.  For several quantiles of the
-    /// same collection prefer [`percentiles`](Self::percentiles), which
-    /// sorts once.
-    pub fn percentile(&self, p: f64) -> f64 {
-        self.percentiles(&[p])[0]
-    }
-
-    /// Several percentiles from a single sort of the samples (0 for every
-    /// entry when the collection is empty).
-    pub fn percentiles(&self, ps: &[f64]) -> Vec<f64> {
-        if self.samples.is_empty() {
-            return vec![0.0; ps.len()];
+        if self.count == 0 {
+            0.0
+        } else {
+            self.max
         }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable_by(f64::total_cmp);
-        ps.iter()
-            .map(|p| {
-                let p = p.clamp(0.0, 100.0);
-                let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-                sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-            })
-            .collect()
+    }
+
+    /// The `p`-th percentile (nearest rank, `p` in `[0, 100]`), within
+    /// [`LATENCY_RELATIVE_ERROR`] of the exact nearest-rank sample; the
+    /// lowest and highest ranks report the exact minimum and maximum.
+    /// Returns 0 when empty.
+    pub fn percentile(&self, p: f64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        let p = p.clamp(0.0, 100.0);
+        let rank = (((p / 100.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
+        if rank == 1 {
+            return self.min;
+        }
+        if rank == self.count {
+            return self.max;
+        }
+        let mut seen = 0;
+        for &(bucket, n) in &self.buckets {
+            seen += n;
+            if seen >= rank {
+                return bucket_value(bucket).clamp(self.min, self.max);
+            }
+        }
+        unreachable!("the bucket counts sum to the sample count")
+    }
+
+    /// Several percentiles at once (0 for every entry when empty).
+    pub fn percentiles(&self, ps: &[f64]) -> Vec<f64> {
+        ps.iter().map(|&p| self.percentile(p)).collect()
     }
 
     /// Median latency.
@@ -94,11 +221,6 @@ impl LatencySamples {
     /// is designed to cut.
     pub fn p99(&self) -> f64 {
         self.percentile(99.0)
-    }
-
-    /// Iterates over the raw samples in recording order.
-    fn samples_iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.samples.iter().copied()
     }
 }
 
@@ -230,11 +352,11 @@ pub struct SimReport {
     /// Reads that were concurrent with a write (excluded from the staleness
     /// accounting, as in the theorems' hypotheses).
     pub concurrent_reads: u64,
-    /// Latency statistics over completed operations (seconds).
-    pub latency: RunningStats,
-    /// Per-sample latencies of completed reads (for percentiles).
+    /// Latencies of completed reads (seconds): a histogram with exact
+    /// count, mean and maximum and quantiles within
+    /// [`LATENCY_RELATIVE_ERROR`].
     pub read_latency: LatencySamples,
-    /// Per-sample latencies of completed writes (for percentiles).
+    /// Latencies of completed writes (seconds), likewise.
     pub write_latency: LatencySamples,
     /// Operation attempts that were resampled onto a fresh probe set after
     /// gathering zero replies (timeout-and-resample retries).
@@ -262,7 +384,9 @@ pub struct SimReport {
     pub events_processed: u64,
     /// Largest number of simultaneously in-flight operations.
     pub max_in_flight: u64,
-    /// Time-weighted mean number of in-flight operations.
+    /// Time-weighted mean number of in-flight operations: the fixed-point
+    /// sum of every operation's time in the system over the time the last
+    /// one left.
     pub mean_in_flight: f64,
     /// Per-server access counts.
     pub per_server_accesses: Vec<u64>,
@@ -360,21 +484,23 @@ impl SimReport {
         max as f64 / self.total_operations as f64
     }
 
-    /// Mean operation latency in seconds.
+    /// Latencies of every completed operation: the read and write
+    /// histograms merged.
+    fn all_latency(&self) -> LatencySamples {
+        let mut all = self.read_latency.clone();
+        all.merge(&self.write_latency);
+        all
+    }
+
+    /// Mean operation latency in seconds, over reads and writes.
     pub fn mean_latency(&self) -> f64 {
-        self.latency.mean()
+        self.all_latency().mean()
     }
 
     /// 99th-percentile latency over all completed operations (reads and
-    /// writes merged).
+    /// writes merged), within [`LATENCY_RELATIVE_ERROR`].
     pub fn p99_latency(&self) -> SimTime {
-        let mut merged = LatencySamples::new();
-        merged.samples.extend(
-            self.read_latency
-                .samples_iter()
-                .chain(self.write_latency.samples_iter()),
-        );
-        merged.p99()
+        self.all_latency().p99()
     }
 
     /// Total operations summed over the per-key breakdown; equals
@@ -475,61 +601,22 @@ impl EngineStageTimings {
     }
 }
 
-/// How an owned operation left the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OpOutcome {
-    /// Still in flight (every operation ends before its world is merged:
-    /// each attempt arms a timeout).
-    Pending,
-    /// Completed as a read.
-    Read,
-    /// Completed as a write.
-    Write,
-    /// Gave up: no probed server answered within any attempt.
-    Unavailable,
-}
-
-/// The one per-operation log entry a world keeps, preallocated for every
-/// op it owns: when the op entered the system, when it left and how.
-///
-/// Latency aggregates ([`SimReport::latency`], the read/write percentile
-/// collections) and the in-flight gauge are order-sensitive —
-/// floating-point accumulation and the `PartialEq` on raw sample vectors
-/// both depend on insertion order — so worlds only log, and the merge
-/// replays the union in canonical `(time, op)` orders no shard or thread
-/// count can perturb.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OpRecord {
-    /// The operation's global workload index (the canonical tie-breaker).
-    pub(crate) op: u64,
-    /// Arrival time.
-    pub(crate) start: SimTime,
-    /// Completion or give-up time (meaningless while `Pending`).
-    pub(crate) end: SimTime,
-    /// How the operation ended.
-    pub(crate) outcome: OpOutcome,
-}
-
-impl OpRecord {
-    /// Closes the record at `end`.
-    pub(crate) fn finish(&mut self, end: SimTime, outcome: OpOutcome) {
-        self.end = end;
-        self.outcome = outcome;
-    }
-}
-
-/// Everything one world accumulates: its partial report (order-free
-/// counters plus the per-variable rows it owns), the per-op log for
-/// canonical replay, and the count of logical events it processed.
+/// Everything one world accumulates, all of it order-free: its partial
+/// report (counters, latency histograms and the per-variable rows it
+/// owns), the fixed-point time its operations spent in the system, and
+/// the count of logical events it processed.
 #[derive(Debug, Default)]
 pub(crate) struct ShardAccumulator {
-    /// Counters and the owned per-variable rows.  The per-key outcome
-    /// totals are counted in the rows only, and order-sensitive aggregates
-    /// (latency stats, the in-flight gauge) are left at their defaults
-    /// here; [`merge_shard_reports`] builds both.
+    /// Counters, histograms and the owned per-variable rows.  The per-key
+    /// outcome totals are counted in the rows only, and the in-flight
+    /// gauge is left at its default here; [`merge_shard_reports`] sums the
+    /// one and the spine's [`InFlightGauge`] walks the other.
     pub(crate) report: SimReport,
-    /// One record per owned op, in arrival order.
-    pub(crate) ops: Vec<OpRecord>,
+    /// Summed time in the system of every operation that left it, given up
+    /// ones included, in fixed point.
+    pub(crate) op_time: u128,
+    /// When the last of this world's operations left the system.
+    pub(crate) busy_until: SimTime,
     /// Logical events this world processed (arrivals, probe replies,
     /// timeouts, retries, gossip pushes — the event classes whose count is
     /// shard-count-independent; spine-level events are counted by the
@@ -537,8 +624,60 @@ pub(crate) struct ShardAccumulator {
     pub(crate) logical_events: u64,
 }
 
+/// The in-flight gauge's maximum, exact for any layout: the spine feeds it
+/// each drain window's start and end transitions from every world, and it
+/// walks their union in time order.  Each world records its transitions in
+/// time order within a window, and windows follow one another in time, so
+/// the walk sees every transition of the run in time order while holding
+/// only one window's.
+#[derive(Debug, Default)]
+pub(crate) struct InFlightGauge {
+    starts: Vec<SimTime>,
+    ends: Vec<SimTime>,
+    in_flight: u64,
+    max: u64,
+}
+
+impl InFlightGauge {
+    /// Walks one window: every world's `(starts, ends)` transitions since
+    /// the last window, which it clears.  At equal times the entering
+    /// transitions go first, so an operation that leaves the instant it
+    /// arrives still registers.
+    pub(crate) fn window<'w>(
+        &mut self,
+        transitions: impl IntoIterator<Item = (&'w mut Vec<SimTime>, &'w mut Vec<SimTime>)>,
+    ) {
+        for (starts, ends) in transitions {
+            self.starts.append(starts);
+            self.ends.append(ends);
+        }
+        // Each world's transitions are already sorted: the sort merges
+        // the runs.
+        self.starts.sort_by(f64::total_cmp);
+        self.ends.sort_by(f64::total_cmp);
+        let mut ends = self.ends.iter().peekable();
+        for &start in &self.starts {
+            while ends.next_if(|&&end| end < start).is_some() {
+                self.in_flight -= 1;
+            }
+            self.in_flight += 1;
+            self.max = self.max.max(self.in_flight);
+        }
+        self.in_flight -= ends.count() as u64;
+        self.starts.clear();
+        self.ends.clear();
+    }
+
+    /// The largest number of operations in flight at once.
+    pub(crate) fn max(&self) -> u64 {
+        self.max
+    }
+}
+
 /// Merges per-world accumulators into one [`SimReport`], bit-identically
-/// for any shard count ≥ 1 and any thread count:
+/// for any shard count ≥ 1 and any thread count, because every quantity
+/// is a sum or an extremum, whose value does not depend on the order of
+/// its terms:
 ///
 /// * per-variable rows are taken verbatim from their owning world
 ///   (`variable % num_shards` — ownership is total and disjoint), and each
@@ -547,21 +686,21 @@ pub(crate) struct ShardAccumulator {
 ///   timeouts, gossip pushes, stores and avoided pushes) is the sum of its
 ///   rows — a world counts each outcome once, in its key's row;
 /// * the other `u64` counters, per-server access counts and logical event
-///   counts sum over the worlds (addition is order-free);
-/// * latency aggregates are replayed from the union of op logs in
-///   `(end, op)` order with `latency = end − start`, so the floating-point
-///   accumulation order is canonical;
-/// * the in-flight gauge is rebuilt by an area walk over every op's
-///   entering and leaving transition in `(time, op, start-before-end)`
-///   order — a time-weighted mean over the span in which operations
-///   existed.
+///   counts sum over the worlds;
+/// * the read and write latency histograms merge, which sums their bucket
+///   counts and fixed-point moments;
+/// * the mean in flight is the summed fixed-point time operations spent in
+///   the system over the time the last one left.
 ///
-/// Spine-level quantities (gossip rounds/digests, coverage accounting,
+/// The maximum in flight comes from the spine's [`InFlightGauge`], and the
+/// spine-level quantities (gossip rounds/digests, coverage accounting,
 /// spine event counts) are not known here; the caller adds them onto the
 /// merged report afterwards.
 pub(crate) fn merge_shard_reports(shards: Vec<ShardAccumulator>) -> SimReport {
     let num_shards = shards.len();
     let mut merged = SimReport::default();
+    let mut op_time: u128 = 0;
+    let mut busy_until: SimTime = 0.0;
     for acc in &shards {
         let r = &acc.report;
         merged.dropped_probes += r.dropped_probes;
@@ -569,6 +708,10 @@ pub(crate) fn merge_shard_reports(shards: Vec<ShardAccumulator>) -> SimReport {
         merged.adaptive_activations += r.adaptive_activations;
         merged.events_processed += acc.logical_events;
         merged.total_operations += r.total_operations;
+        merged.read_latency.merge(&r.read_latency);
+        merged.write_latency.merge(&r.write_latency);
+        op_time += acc.op_time;
+        busy_until = busy_until.max(acc.busy_until);
         if merged.per_component_stale_reads.len() < r.per_component_stale_reads.len() {
             merged
                 .per_component_stale_reads
@@ -613,59 +756,10 @@ pub(crate) fn merge_shard_reports(shards: Vec<ShardAccumulator>) -> SimReport {
         merged.gossip_stores += row.gossip_stores;
         merged.gossip_redundant_pushes_avoided += row.gossip_redundant_pushes_avoided;
     }
-
-    let mut by_end: Vec<OpRecord> = Vec::new();
-    for mut acc in shards {
-        by_end.append(&mut acc.ops);
-    }
-    let mut starts: Vec<(SimTime, u64)> = by_end.iter().map(|r| (r.start, r.op)).collect();
-    starts.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    by_end.retain(|r| r.outcome != OpOutcome::Pending);
-    by_end.sort_unstable_by(|a, b| a.end.total_cmp(&b.end).then(a.op.cmp(&b.op)));
-    for r in &by_end {
-        let samples = match r.outcome {
-            OpOutcome::Read => &mut merged.read_latency,
-            OpOutcome::Write => &mut merged.write_latency,
-            OpOutcome::Unavailable | OpOutcome::Pending => continue,
-        };
-        let latency = r.end - r.start;
-        merged.latency.record(latency);
-        samples.record(latency);
-    }
-    // The gauge walk merges the two sorted transition streams.  At equal
-    // (time, op) the entering transition goes first: an operation that
-    // completes with zero latency still registers.
-    let mut ends = by_end.iter().map(|r| (r.end, r.op)).peekable();
-    let mut starts = starts.into_iter().peekable();
-    let mut in_flight: u64 = 0;
-    let mut area = 0.0;
-    let mut prev = 0.0;
-    let mut busy_until = 0.0;
-    loop {
-        let entering = match (starts.peek(), ends.peek()) {
-            (Some(s), Some(e)) => s.0.total_cmp(&e.0).then(s.1.cmp(&e.1)).is_le(),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        let (time, _) = if entering { starts.next() } else { ends.next() }
-            .expect("the peeked transition exists");
-        if time > prev {
-            area += in_flight as f64 * (time - prev);
-            prev = time;
-        }
-        if entering {
-            in_flight += 1;
-            merged.max_in_flight = merged.max_in_flight.max(in_flight);
-        } else {
-            in_flight = in_flight.saturating_sub(1);
-        }
-        busy_until = time;
-    }
     merged.mean_in_flight = if busy_until <= 0.0 {
         0.0
     } else {
-        area / busy_until
+        from_fixed_point(op_time) / busy_until
     };
     merged
 }
@@ -697,12 +791,18 @@ mod tests {
             per_server_accesses: vec![10, 30, 20],
             ..SimReport::default()
         };
-        r.latency.record(0.1);
-        r.latency.record(0.3);
+        // Binary fractions: exact in the fixed-point sums.
+        r.read_latency.record(0.125);
+        r.write_latency.record(0.375);
         assert!((r.stale_read_rate() - 4.0 / 80.0).abs() < 1e-12);
         assert!((r.unavailability() - 10.0 / 160.0).abs() < 1e-12);
         assert!((r.empirical_load() - 30.0 / 150.0).abs() < 1e-12);
-        assert!((r.mean_latency() - 0.2).abs() < 1e-12);
+        assert_eq!(r.mean_latency(), 0.25);
+    }
+
+    /// Whether `got` is within the histogram's relative error of `exact`.
+    fn within_alpha(got: f64, exact: f64) -> bool {
+        (got - exact).abs() <= LATENCY_RELATIVE_ERROR * exact * (1.0 + 1e-9)
     }
 
     #[test]
@@ -714,19 +814,49 @@ mod tests {
             s.record(i as f64);
         }
         assert_eq!(s.count(), 100);
-        assert_eq!(s.p50(), 50.0);
-        assert_eq!(s.p95(), 95.0);
-        assert_eq!(s.p99(), 99.0);
+        for (p, exact) in [(50.0, 50.0), (95.0, 95.0), (99.0, 99.0)] {
+            assert!(within_alpha(s.percentile(p), exact), "p{p}");
+        }
+        // The extreme ranks are the exact extremes.
         assert_eq!(s.percentile(100.0), 100.0);
         assert_eq!(s.percentile(0.0), 1.0);
         assert_eq!(s.max(), 100.0);
-        assert!((s.mean() - 50.5).abs() < 1e-12);
-        // Batch form agrees with single calls and sorts only once.
-        assert_eq!(s.percentiles(&[50.0, 95.0, 99.0]), vec![50.0, 95.0, 99.0]);
+        // Integers are exact in the fixed-point sums.
+        assert_eq!(s.mean(), 50.5);
+        assert!((s.variance() - 841.666_666_666_666_6).abs() < 1e-9);
+        // Batch form agrees with single calls.
+        assert_eq!(
+            s.percentiles(&[50.0, 95.0, 99.0]),
+            vec![s.p50(), s.p95(), s.p99()]
+        );
         assert_eq!(
             LatencySamples::new().percentiles(&[50.0, 99.0]),
             vec![0.0, 0.0]
         );
+    }
+
+    #[test]
+    fn the_bucket_constants_agree() {
+        assert_eq!(LN_GAMMA, GAMMA.ln());
+        // A bucket's centre is within α of both of its edges.
+        for i in [-2000, -1, 1, 700] {
+            let (lo, hi) = (
+                (f64::from(i - 1) * LN_GAMMA).exp(),
+                (f64::from(i) * LN_GAMMA).exp(),
+            );
+            let centre = bucket_value(i);
+            assert!(
+                within_alpha(centre, lo) && within_alpha(centre, hi),
+                "bucket {i}"
+            );
+            assert_eq!(bucket_of(centre), i);
+        }
+        // Non-positive samples report as 0; they count like any other.
+        let mut s = LatencySamples::new();
+        for x in [0.0, 0.0, 2.0] {
+            s.record(x);
+        }
+        assert_eq!((s.p50(), s.max(), s.count()), (0.0, 2.0, 3));
     }
 
     #[test]
@@ -736,7 +866,8 @@ mod tests {
             r.read_latency.record(i as f64 / 1000.0);
         }
         r.write_latency.record(1.0);
-        assert!((r.p99_latency() - 0.099).abs() < 1e-12);
+        assert!(within_alpha(r.p99_latency(), 0.099));
+        assert_eq!(r.read_latency.max(), 0.099);
     }
 
     #[test]
@@ -762,7 +893,7 @@ mod tests {
         assert_eq!(hot.operations(), 60);
         // max 60 over mean 100/3.
         assert!((r.key_load_imbalance() - 60.0 / (100.0 / 3.0)).abs() < 1e-12);
-        assert!((hot.mean_latency() - 0.001).abs() < 1e-12);
+        assert!((hot.mean_latency() - 0.001).abs() < 1e-9);
         assert_eq!(hot.p99_latency(), 0.001);
     }
 
@@ -796,13 +927,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_replays_completions_canonically_and_sums_counters() {
-        // Two shards log the same global history split two ways; the merge
-        // must be identical either way and independent of per-shard order.
+    fn merge_sums_counters_and_histograms_in_any_order() {
+        // Two shards hold the same global history split two ways; the merge
+        // must be identical either way and independent of shard order.
         // Each shard's row of its own key counts one completed read.
-        let make = |rows: &[(f64, u64, OpOutcome, f64)], accesses: Vec<u64>| {
+        let make = |reads: &[f64], writes: &[f64], accesses: Vec<u64>, end: f64| {
             let mut acc = ShardAccumulator {
                 logical_events: 10,
+                op_time: u128::from(fixed_point(1.0)),
+                busy_until: end,
                 ..ShardAccumulator::default()
             };
             acc.report.per_server_accesses = accesses;
@@ -811,59 +944,70 @@ mod tests {
                 ..VariableReport::default()
             };
             acc.report.per_variable = vec![read_once; 2];
-            for &(end, op, outcome, latency) in rows {
-                acc.ops.push(OpRecord {
-                    op,
-                    start: end - latency,
-                    end,
-                    outcome,
-                });
+            for &x in reads {
+                acc.report.read_latency.record(x);
+            }
+            for &x in writes {
+                acc.report.write_latency.record(x);
             }
             acc
         };
-        // Op 3 gave up: it moves the gauge but records no latency.
-        let first = [
-            (1.0, 0, OpOutcome::Read, 0.5),
-            (3.0, 2, OpOutcome::Read, 0.125),
-        ];
-        let second = [
-            (2.0, 1, OpOutcome::Write, 0.25),
-            (2.5, 3, OpOutcome::Unavailable, 1.0),
-        ];
-        let a = merge_shard_reports(vec![make(&first, vec![1, 0]), make(&second, vec![0, 2])]);
-        let b = merge_shard_reports(vec![make(&second, vec![0, 2]), make(&first, vec![1, 0])]);
+        let first = || make(&[0.5, 0.125], &[], vec![1, 0], 3.0);
+        let second = || make(&[], &[0.25], vec![0, 2], 2.5);
+        let a = merge_shard_reports(vec![first(), second()]);
+        let b = merge_shard_reports(vec![second(), first()]);
         assert_eq!(a.completed_reads, 2);
         assert_eq!(a.events_processed, 20);
         assert_eq!(a.per_server_accesses, vec![1, 2]);
         assert_eq!(a.read_latency.count(), 2);
         assert_eq!(a.write_latency.count(), 1);
-        assert!((a.mean_latency() - (0.5 + 0.25 + 0.125) / 3.0).abs() < 1e-15);
-        // Replayed in completion order, not in log order.
-        assert_eq!(
-            a.read_latency.samples_iter().collect::<Vec<_>>(),
-            vec![0.5, 0.125]
-        );
-        // Canonical replay: identical regardless of which shard held what.
+        assert_eq!(a.mean_latency(), (0.5 + 0.25 + 0.125) / 3.0);
+        // Two seconds in the system over the three until the last left.
+        assert_eq!(a.mean_in_flight, 2.0 / 3.0);
+        // Order-free: identical regardless of which shard held what.
         assert_eq!(a, b);
+        let mut both = LatencySamples::new();
+        for x in [0.125, 0.5] {
+            both.record(x);
+        }
+        assert_eq!(a.read_latency, both);
     }
 
     #[test]
     fn merge_walks_the_in_flight_gauge_like_the_sequential_engine() {
-        // Ops: #1 in flight over [1, 4), #2 over [2, 4): area 5 over busy
-        // time 4.  #0 enters and leaves at t = 0.5; were its leave walked
-        // before its enter, the gauge would stay one too high for good.
-        let mut shards = vec![ShardAccumulator::default(), ShardAccumulator::default()];
-        for (shard, op, start, end) in [(0, 0u64, 0.5, 0.5), (1, 1, 1.0, 4.0), (0, 2, 2.0, 4.0)] {
-            shards[shard].ops.push(OpRecord {
-                op,
-                start,
-                end,
-                outcome: OpOutcome::Read,
-            });
-        }
-        let merged = merge_shard_reports(shards);
-        assert_eq!(merged.max_in_flight, 2);
-        assert!((merged.mean_in_flight - 5.0 / 4.0).abs() < 1e-12);
+        // Ops: #1 in flight over [1, 4), #2 over [2, 4).  #0 enters and
+        // leaves at t = 0.5; were its leave walked before its enter, the
+        // gauge would stay one too high for good.  The windows split the
+        // run at 1.5 and at 3, and #1's and #2's starts come from two
+        // worlds.
+        let mut gauge = InFlightGauge::default();
+        let world = |starts: &[f64], ends: &[f64]| (starts.to_vec(), ends.to_vec());
+        let (mut a, mut b) = (world(&[0.5, 1.0], &[0.5]), world(&[], &[]));
+        gauge.window([(&mut a.0, &mut a.1), (&mut b.0, &mut b.1)]);
+        assert!(
+            a.0.is_empty() && a.1.is_empty(),
+            "a window clears its buffers"
+        );
+        assert_eq!(gauge.max(), 1);
+        let (mut a, mut b) = (world(&[], &[]), world(&[2.0], &[]));
+        gauge.window([(&mut a.0, &mut a.1), (&mut b.0, &mut b.1)]);
+        let (mut a, mut b) = (world(&[], &[4.0]), world(&[], &[4.0]));
+        gauge.window([(&mut a.0, &mut a.1), (&mut b.0, &mut b.1)]);
+        assert_eq!(gauge.max(), 2);
+        // Starts go first at a tie: a third op entering at 4 overlaps both.
+        let mut late = InFlightGauge::default();
+        let (mut s, mut e) = (vec![1.0, 2.0, 4.0], vec![4.0, 4.0, 5.0]);
+        late.window([(&mut s, &mut e)]);
+        assert_eq!(late.max(), 3);
+        // The mean is the time in the system over the time the last op
+        // left: 3 + 2 + 0 over 4.
+        let acc = ShardAccumulator {
+            op_time: u128::from(fixed_point(3.0) + fixed_point(2.0)),
+            busy_until: 4.0,
+            ..ShardAccumulator::default()
+        };
+        let merged = merge_shard_reports(vec![acc]);
+        assert_eq!(merged.mean_in_flight, 5.0 / 4.0);
     }
 
     #[test]
@@ -928,8 +1072,6 @@ mod tests {
     fn reports_compare_equal_field_by_field() {
         let mut a = SimReport::default();
         let mut b = SimReport::default();
-        a.latency.record(0.5);
-        b.latency.record(0.5);
         a.read_latency.record(0.5);
         b.read_latency.record(0.5);
         assert_eq!(a, b);

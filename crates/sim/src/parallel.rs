@@ -5,15 +5,16 @@
 //! [`SimConfig::num_shards`](crate::runner::SimConfig::num_shards) — one
 //! shard is the smallest layout, not a different path:
 //!
-//! 1. The workload trace and failure plan are derived on the main RNG
-//!    stream, then each [`World`] lays out the arrivals of the variables
-//!    it owns (`variable % num_shards`) and borrows the full crash and
-//!    membership schedules, which it walks with cursors rather than
-//!    queueing them.
+//! 1. The failure plan is derived on the main RNG stream, then each
+//!    [`World`] opens the arrival streams of the variables it owns
+//!    (`variable % num_shards`, each key on its own stream, drawn lazily)
+//!    and borrows the full crash and membership schedules, which it walks
+//!    with cursors rather than queueing them.
 //! 2. With no diffusion configured there is no cross-shard traffic at all:
-//!    every world drains to completion independently (on up to
+//!    every world drains independently (on up to
 //!    [`SimConfig::threads`](crate::runner::SimConfig::threads) worker
-//!    threads) and the accumulators merge.
+//!    threads), in windows of a constant simulated length, and the
+//!    accumulators merge.
 //! 3. With diffusion, the gossip round times are the spine's **barriers**:
 //!    all worlds drain up to (strictly before) each barrier, the spine
 //!    applies the crash and membership transitions due by then to its
@@ -28,6 +29,13 @@
 //!    counts its delivery on the spot and sends nothing (see
 //!    `docs/ARCHITECTURE.md`, "Plan-time resolution of covered pushes").
 //!
+//! After every drain window — a gossip barrier, or a fixed stretch of
+//! simulated time without gossip — the spine's [`InFlightGauge`] takes the
+//! worlds' start and end transitions of that window and walks them in time
+//! order, so the maximum in flight is exact across worlds while no world
+//! holds more than one window's transitions.  Every other aggregate is a
+//! sum the worlds keep themselves.
+//!
 //! Everything the spine computes is a function of per-variable outcomes
 //! and the seed, never of shard layout or thread interleaving — which is
 //! what makes the merged report bit-identical across all shard counts and
@@ -38,11 +46,11 @@
 //! [`EngineStageTimings`].
 
 use crate::failure::FailurePlan;
-use crate::metrics::{merge_shard_reports, EngineStageTimings, SimReport};
+use crate::metrics::{merge_shard_reports, EngineStageTimings, InFlightGauge, SimReport};
 use crate::runner::{GossipMode, KeyGossipPolicy, ProtocolKind, Simulation};
 use crate::staleness::HealTracking;
 use crate::time::SimTime;
-use crate::workload::WorkloadConfig;
+use crate::workload::{Arrivals, WorkloadConfig};
 use crate::world::{DigestIds, QueuedPush, RoundBatch, World};
 use pqs_core::system::QuorumSystem;
 use pqs_core::universe::ServerId;
@@ -61,6 +69,12 @@ use std::time::Instant;
 /// rounds-to-coverage accounting (per key, and after a heal) to call it
 /// converged.
 const COVERAGE_TARGET: f64 = 0.9;
+
+/// Expected arrivals per drain window of a gossip-free run: the window's
+/// simulated length is this over the arrival rate, so the in-flight
+/// gauge's buffers hold about a thousand transitions whatever the run's
+/// length.
+const WINDOW_ARRIVALS: f64 = 1024.0;
 
 /// The records of a run where they live, as the round planners read them at
 /// a barrier: key `v`'s records and write state on world `v % worlds.len()`
@@ -188,7 +202,7 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
     // The fields are public, so a 0 can get past the builder's check.
     let num_shards = u64::from(config.num_shards.max(1));
 
-    // Trace derivation on the main RNG stream.  A caller-supplied plan is
+    // Plan derivation on the main RNG stream.  A caller-supplied plan is
     // borrowed, never cloned — not here and not by the worlds: crash waves
     // can carry thousands of transitions and the engine only reads them.
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
@@ -220,18 +234,29 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
         ProtocolKind::Dissemination => Behavior::ByzantineStale,
         _ => Behavior::ByzantineForge,
     };
-    let ops = WorkloadConfig {
+    let workload = WorkloadConfig {
         duration: config.duration,
         arrival_rate: config.arrival_rate,
         read_fraction: config.read_fraction,
         keyspace: config.keyspace,
-    }
-    .generate(&mut rng);
+    };
+    let popularity = config.keyspace.popularity();
 
     let mut worlds: Vec<World<'_, S>> = (0..num_shards)
-        .map(|shard| World::new(sim, &ops, plan, byz_behavior, shard, num_shards))
+        .map(|shard| {
+            let keys = (shard..config.keyspace.keys).step_by(num_shards as usize);
+            let arrivals = Arrivals::new(&workload, &popularity, config.seed, keys);
+            World::new(sim, arrivals, plan, byz_behavior)
+        })
         .collect();
     let threads = (config.threads as usize).min(worlds.len()).max(1);
+    let mut gauge = InFlightGauge::default();
+    let mut drain = |worlds: &mut [World<'_, S>], barrier: Option<SimTime>| {
+        let drain_start = Instant::now();
+        drain_all(worlds, barrier, threads);
+        gauge.window(worlds.iter_mut().map(|w| (&mut w.starts, &mut w.ends)));
+        drain_start.elapsed().as_secs_f64()
+    };
 
     let nvars = config.keyspace.keys as usize;
     let mut coverage_rounds_sum = vec![0u64; nvars];
@@ -280,9 +305,7 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
         let mut round: u64 = 1;
         let mut t = policy.period;
         loop {
-            let drain_start = Instant::now();
-            drain_all(&mut worlds, Some(t), threads);
-            stages.drain_seconds += drain_start.elapsed().as_secs_f64();
+            stages.drain_seconds += drain(&mut worlds, Some(t));
 
             let sync_start = Instant::now();
             // Crash transitions due by now flip the spine's behaviours — a
@@ -476,12 +499,17 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
                 break;
             }
         }
+    } else {
+        let window = WINDOW_ARRIVALS / config.arrival_rate;
+        let mut t = window;
+        while t < config.duration {
+            stages.drain_seconds += drain(&mut worlds, Some(t));
+            t += window;
+        }
     }
 
     // No more cross-shard traffic will ever be injected: drain everything.
-    let drain_start = Instant::now();
-    drain_all(&mut worlds, None, threads);
-    stages.drain_seconds += drain_start.elapsed().as_secs_f64();
+    stages.drain_seconds += drain(&mut worlds, None);
 
     // One delta *event* per digest id that produced any records (a
     // digest's delta is one message, however many shards contributed to
@@ -491,6 +519,7 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
     let deltas_blocked = DigestIds::union_len(worlds.iter().map(|w| &w.deltas_blocked));
 
     let mut report = merge_shard_reports(worlds.into_iter().map(World::into_accumulator).collect());
+    report.max_in_flight = gauge.max();
     report.gossip_rounds = rounds;
     // A digest a partition blocked was planned but never delivered.
     report.gossip_digests = digests_planned - digests_blocked;
@@ -598,15 +627,19 @@ mod tests {
             .with_join(1.5, s(31))
             .with_transition(1.0, s(2), true);
         let sim = Simulation::new(&sys, ProtocolKind::Safe, config);
-        let ops = WorkloadConfig {
+        let workload = WorkloadConfig {
             duration: config.duration,
             arrival_rate: config.arrival_rate,
             read_fraction: config.read_fraction,
             keyspace: config.keyspace,
-        }
-        .generate(&mut ChaCha8Rng::seed_from_u64(5));
+        };
+        let popularity = config.keyspace.popularity();
         let mut worlds: Vec<_> = (0..3)
-            .map(|shard| World::new(&sim, &ops, &plan, Behavior::ByzantineForge, shard, 3))
+            .map(|shard| {
+                let keys = (shard..keys).step_by(3);
+                let arrivals = Arrivals::new(&workload, &popularity, 5, keys);
+                World::new(&sim, arrivals, &plan, Behavior::ByzantineForge)
+            })
             .collect();
         drain_all(&mut worlds, Some(2.0), 1);
 

@@ -16,8 +16,8 @@
 //! at its arrival instant and merely *derived* a latency — the engine
 //! schedules one [`Event`](crate::event::Event) per client–server message:
 //!
-//! 1. At the operation's arrival — read off the workload trace in time
-//!    order, never queued — the client samples a probe set (a quorum drawn
+//! 1. At the operation's arrival — drawn lazily from its key's own arrival
+//!    stream, in time order, never queued — the client samples a probe set (a quorum drawn
 //!    by the access strategy plus [`SimConfig::probe_margin`] spare
 //!    servers) and sends one probe per member, each with its own latency
 //!    draw.

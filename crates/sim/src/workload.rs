@@ -11,11 +11,44 @@
 //! uniform or Zipf popularity law ([`Skew`]); the per-key arrival stream the
 //! simulator sees is exactly the per-variable load profile the paper's
 //! ε/load analysis is stated against.
+//!
+//! The engine draws that stream lazily, key by key: a Poisson process of
+//! rate `λ` whose arrivals pick key `v` with probability `p_v` is the
+//! superposition of independent Poisson processes of rates `λ · p_v`, one
+//! per key (Poisson splitting), and independent read/write marks stay
+//! independent under the split.  So each key draws its own arrivals from
+//! its own ChaCha stream (`key_stream_seed`), a world merges the next
+//! arrivals of the keys it owns by `(time, key)`, and no run holds more of
+//! its workload than one pending arrival per key — a key's history is its
+//! own, whatever else shares its world, which is Kishon's argument for
+//! judging each key on its own.  [`WorkloadConfig::generate`] draws the
+//! same process as one global trace; it is the oracle the per-key streams
+//! are tested against.
 
 use crate::time::SimTime;
 use pqs_protocols::server::VariableId;
 use rand::Rng;
 use rand::RngCore;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Seed of variable `var`'s private RNG stream: a splitmix64-style mix of
+/// the run seed and the variable id, so neighbouring variables get
+/// statistically independent streams and the mapping is stable across
+/// shard counts (it depends on the *variable*, never on the shard).
+pub(crate) fn key_stream_seed(seed: u64, var: VariableId) -> u64 {
+    let mut z = seed ^ var.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Salt that separates a key's arrival stream from its protocol stream:
+/// the arrivals of key `v` draw from `key_stream_seed(seed ^ ARRIVAL_SALT,
+/// v)`.
+const ARRIVAL_SALT: u64 = 0x5851_f42d_4c95_7f2d;
 
 /// The kind of a client operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -271,18 +304,7 @@ impl WorkloadConfig {
     /// Panics if the duration or rate is non-positive, the read fraction is
     /// outside `[0, 1]`, or the key space is invalid.
     pub fn generate(&self, rng: &mut dyn RngCore) -> Vec<Operation> {
-        assert!(
-            self.duration > 0.0 && self.duration.is_finite(),
-            "duration must be positive"
-        );
-        assert!(
-            self.arrival_rate > 0.0 && self.arrival_rate.is_finite(),
-            "arrival rate must be positive"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.read_fraction),
-            "read fraction must be in [0,1]"
-        );
+        self.validate();
         let sampler = self.keyspace.sampler();
         let mut ops = Vec::new();
         let mut t = 0.0;
@@ -305,6 +327,144 @@ impl WorkloadConfig {
             });
         }
         ops
+    }
+
+    /// # Panics
+    ///
+    /// Panics if the duration or rate is non-positive, or the read fraction
+    /// is outside `[0, 1]`.
+    fn validate(&self) {
+        assert!(
+            self.duration > 0.0 && self.duration.is_finite(),
+            "duration must be positive"
+        );
+        assert!(
+            self.arrival_rate > 0.0 && self.arrival_rate.is_finite(),
+            "arrival rate must be positive"
+        );
+        assert!(
+            (0.0..=1.0).contains(&self.read_fraction),
+            "read fraction must be in [0,1]"
+        );
+    }
+}
+
+/// One key's pending arrival, as the merge orders it: time (as its bits,
+/// which order like the non-negative times they encode), key, the key's
+/// stream in [`Arrivals::streams`] and whether it is a write.
+type Head = Reverse<(u64, VariableId, u32, bool)>;
+
+/// One key's arrival process: a Poisson process of the key's share of the
+/// arrival rate, on the key's own arrival stream.
+#[derive(Debug)]
+struct KeyStream {
+    rng: ChaCha8Rng,
+    /// The key's arrival rate, `λ · p_v`.
+    rate: f64,
+    /// The time of the key's latest drawn arrival.
+    at: SimTime,
+}
+
+/// The arrivals of the keys one world owns, drawn lazily: each key's next
+/// arrival waits in a heap, and taking the earliest draws that key's
+/// following one.  Memory is one pending arrival and one stream per key,
+/// however long the run.
+#[derive(Debug)]
+pub(crate) struct Arrivals {
+    heads: BinaryHeap<Head>,
+    streams: Vec<(VariableId, KeyStream)>,
+    duration: SimTime,
+    read_fraction: f64,
+}
+
+impl Arrivals {
+    /// The arrival processes of `keys` under `workload` in the run seeded
+    /// `seed`, each key's first arrival drawn.  `popularity` is the key
+    /// space's ([`KeySpace::popularity`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the duration or rate is non-positive, or the read fraction
+    /// is outside `[0, 1]`.
+    pub(crate) fn new(
+        workload: &WorkloadConfig,
+        popularity: &[f64],
+        seed: u64,
+        keys: impl Iterator<Item = VariableId>,
+    ) -> Self {
+        workload.validate();
+        let mut arrivals = Arrivals {
+            heads: BinaryHeap::new(),
+            streams: Vec::new(),
+            duration: workload.duration,
+            read_fraction: workload.read_fraction,
+        };
+        for v in keys {
+            let stream = KeyStream {
+                rng: ChaCha8Rng::seed_from_u64(key_stream_seed(seed ^ ARRIVAL_SALT, v)),
+                rate: workload.arrival_rate * popularity[v as usize],
+                at: 0.0,
+            };
+            arrivals.streams.push((v, stream));
+            arrivals.draw(arrivals.streams.len() - 1);
+        }
+        arrivals
+    }
+
+    /// A fixed list of arrivals, for tests that script a world's workload.
+    #[cfg(test)]
+    pub(crate) fn scripted(ops: &[Operation]) -> Self {
+        Arrivals {
+            heads: ops
+                .iter()
+                .map(|op| {
+                    Reverse((
+                        op.at.to_bits(),
+                        op.variable,
+                        u32::MAX,
+                        op.kind == OpKind::Write,
+                    ))
+                })
+                .collect(),
+            streams: Vec::new(),
+            duration: SimTime::INFINITY,
+            read_fraction: 1.0,
+        }
+    }
+
+    /// Draws stream `s`'s next arrival into the heap, unless it falls past
+    /// the run's duration.
+    fn draw(&mut self, s: usize) {
+        let (variable, stream) = &mut self.streams[s];
+        let u: f64 = stream.rng.gen_range(f64::MIN_POSITIVE..1.0);
+        stream.at += -u.ln() / stream.rate;
+        if stream.at > self.duration {
+            return;
+        }
+        let read = stream.rng.gen_bool(self.read_fraction);
+        self.heads
+            .push(Reverse((stream.at.to_bits(), *variable, s as u32, !read)));
+    }
+
+    /// The earliest pending arrival (ties go to the lower key).
+    pub(crate) fn peek(&self) -> Option<Operation> {
+        self.heads
+            .peek()
+            .map(|&Reverse((at, variable, _, write))| Operation {
+                at: SimTime::from_bits(at),
+                kind: if write { OpKind::Write } else { OpKind::Read },
+                variable,
+            })
+    }
+
+    /// Takes the earliest pending arrival and draws its key's next one.
+    pub(crate) fn pop(&mut self) -> Option<Operation> {
+        let op = self.peek()?;
+        let Reverse((_, _, s, _)) = self.heads.pop().expect("peeked arrival exists");
+        if (s as usize) < self.streams.len() {
+            self.draw(s as usize);
+        }
+        Some(op)
     }
 }
 
@@ -525,6 +685,108 @@ mod tests {
             // Identical RNG stream: both sides consumed the same draws.
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    /// Every arrival of `config`'s key space drawn lazily, key by key, in
+    /// the merged `(time, key)` order a one-world layout takes them in.
+    fn lazy_trace(config: &WorkloadConfig, seed: u64) -> Vec<Operation> {
+        let popularity = config.keyspace.popularity();
+        let mut arrivals = Arrivals::new(config, &popularity, seed, 0..config.keyspace.keys);
+        std::iter::from_fn(|| arrivals.pop()).collect()
+    }
+
+    /// Pearson's statistic of `counts` against the probabilities `p`.
+    fn chi_square(counts: &[u64], p: &[f64]) -> f64 {
+        let n = counts.iter().sum::<u64>() as f64;
+        counts
+            .iter()
+            .zip(p)
+            .map(|(&c, &p)| (c as f64 - n * p).powi(2) / (n * p))
+            .sum()
+    }
+
+    /// The per-key Poisson processes of rates `λ · p_v` are the global
+    /// process of rate `λ` split by key (Poisson splitting): over
+    /// `zipf(64, 1.0)` and ten fixed seeds, the lazily drawn arrivals and
+    /// `WorkloadConfig::generate`, the oracle, agree in distribution.
+    ///
+    /// Each check is sized to a false-alarm rate of 10⁻⁴ on a correct
+    /// implementation, so a fresh seed set fails this test with
+    /// probability at most 5 · 10⁻⁴ (Bonferroni over its five checks):
+    /// * per-key counts against the popularity, χ² with 63 degrees of
+    ///   freedom ≤ 113.65, its upper 10⁻⁴ point (Wilson–Hilferty) — for the
+    ///   lazy arrivals and for the oracle;
+    /// * the lazy and the oracle per-key counts against each other, the
+    ///   2 × 64 homogeneity χ², 63 degrees of freedom, same bound;
+    /// * the lazy read fraction inside its binomial band,
+    ///   `0.9 ± 3.891 · √(0.09 / N)` (two-sided 10⁻⁴, normal limit);
+    /// * the lazy total inside its Poisson band, `Λ ± 3.891 · √Λ`.
+    #[test]
+    fn per_key_arrivals_match_the_global_process_in_distribution() {
+        const CHI2_63: f64 = 113.65;
+        const Z: f64 = 3.891;
+        let config = WorkloadConfig {
+            duration: 40.0,
+            arrival_rate: 250.0,
+            read_fraction: 0.9,
+            keyspace: KeySpace::zipf(64, 1.0),
+        };
+        let popularity = config.keyspace.popularity();
+        let (mut lazy, mut oracle) = (vec![0u64; 64], vec![0u64; 64]);
+        let mut reads = 0u64;
+        let seeds = 0..10u64;
+        for seed in seeds.clone() {
+            let ops = lazy_trace(&config, seed);
+            assert!(
+                ops.windows(2)
+                    .all(|w| (w[0].at, w[0].variable) < (w[1].at, w[1].variable)),
+                "the merge takes arrivals in (time, key) order"
+            );
+            assert!(ops.iter().all(|o| o.at > 0.0 && o.at <= config.duration));
+            for op in &ops {
+                lazy[op.variable as usize] += 1;
+                reads += u64::from(op.kind == OpKind::Read);
+            }
+            for op in config.generate(&mut ChaCha8Rng::seed_from_u64(seed)) {
+                oracle[op.variable as usize] += 1;
+            }
+        }
+        assert!(chi_square(&lazy, &popularity) <= CHI2_63, "{lazy:?}");
+        assert!(chi_square(&oracle, &popularity) <= CHI2_63, "{oracle:?}");
+        // Homogeneity: each side against the pooled per-key shares.
+        let (nl, no) = (lazy.iter().sum::<u64>(), oracle.iter().sum::<u64>());
+        let pooled: Vec<f64> = lazy
+            .iter()
+            .zip(&oracle)
+            .map(|(&a, &b)| (a + b) as f64 / (nl + no) as f64)
+            .collect();
+        let homogeneity = chi_square(&lazy, &pooled) + chi_square(&oracle, &pooled);
+        assert!(homogeneity <= CHI2_63, "homogeneity χ² {homogeneity}");
+        let n = nl as f64;
+        let read_share = reads as f64 / n;
+        assert!(
+            (read_share - 0.9).abs() <= Z * (0.09 / n).sqrt(),
+            "read share {read_share}"
+        );
+        let expected = config.arrival_rate * config.duration * seeds.count() as f64;
+        assert!(
+            (n - expected).abs() <= Z * expected.sqrt(),
+            "{n} arrivals against {expected}"
+        );
+    }
+
+    #[test]
+    fn scripted_arrivals_come_out_in_time_then_key_order() {
+        let op = |at, variable| Operation {
+            at,
+            kind: OpKind::Read,
+            variable,
+        };
+        let mut arrivals = Arrivals::scripted(&[op(2.0, 0), op(1.0, 5), op(1.0, 3)]);
+        let order: Vec<_> = std::iter::from_fn(|| arrivals.pop())
+            .map(|o| (o.at, o.variable))
+            .collect();
+        assert_eq!(order, [(1.0, 3), (1.0, 5), (2.0, 0)]);
     }
 
     #[test]

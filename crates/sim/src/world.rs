@@ -16,32 +16,35 @@
 //! retries and gossip deliveries.  An attempt sends to its whole probe set
 //! at once, so its replies enter the queue as one train
 //! ([`EventQueue::schedule_train`]), keyed by its earliest reply only.
-//! The timelines known before the run — the owned arrivals in the workload
-//! trace, the crash schedule and the membership schedule — stay where they
-//! already are, in time order, and the drain loop walks them with three
-//! cursors beside the queue head, so queue memory is proportional to the
-//! traffic in flight rather than to the run's length.
+//! Beside the queue head the drain loop walks three timelines: the owned
+//! keys' [`Arrivals`], drawn lazily one pending arrival per key, and the
+//! plan's crash and membership schedules, walked with cursors.  Queue
+//! memory is proportional to the traffic in flight rather than to the
+//! run's length.
 //!
 //! The same holds for client state: an operation takes a slot of the
 //! world's op slab when it arrives and gives it back once it is done and
 //! its last probe reply has landed, so the slab's size follows the
-//! operations in flight.  What still grows with the run is the op log
-//! (one [`OpRecord`] per owned op, for the merge) and the trace itself.
+//! operations in flight.  What an operation leaves behind is order-free:
+//! counters, a latency-histogram bucket, its time in the system added to a
+//! fixed-point sum, and its start and end times in the current window's
+//! transition buffers, which the spine's in-flight gauge empties at every
+//! window.  Nothing in a world grows with the run's length.
 //!
-//! Every variable draws all of its randomness (probe sets, probe
-//! latencies) from its **own** ChaCha8 stream seeded by
-//! [`key_stream_seed`], so a variable's trajectory is a function of the
-//! seed and its own event history alone — the property that makes the
-//! merged report bit-identical across all shard counts and all thread
-//! counts.
+//! Every variable draws all of its randomness from its **own** ChaCha8
+//! streams seeded by [`key_stream_seed`] — its arrivals from one, its
+//! probe sets and probe latencies from another — so a variable's
+//! trajectory is a function of the seed and its own event history alone —
+//! the property that makes the merged report bit-identical across all
+//! shard counts and all thread counts.
 
 use crate::event::{BufferPool, Event, OpId, PendingSlab};
 use crate::failure::{ByzantineStrategy, FailurePlan};
-use crate::metrics::{OpOutcome, OpRecord, ShardAccumulator, SimReport, VariableReport};
+use crate::metrics::{fixed_point, ShardAccumulator, SimReport, VariableReport};
 use crate::runner::{ProtocolKind, SimConfig, Simulation};
 use crate::staleness::WriteLog;
 use crate::time::{EventQueue, SimTime};
-use crate::workload::{OpKind, Operation};
+use crate::workload::{key_stream_seed, Arrivals, OpKind};
 use pqs_core::system::QuorumSystem;
 use pqs_core::universe::ServerId;
 use pqs_math::plan::{smallest_u64_where, timeout_probability, tolerance};
@@ -55,17 +58,7 @@ use pqs_protocols::timestamp::Timestamp;
 use pqs_protocols::value::Value;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-/// Seed of variable `var`'s private RNG stream: a splitmix64-style mix of
-/// the run seed and the variable id, so neighbouring variables get
-/// statistically independent streams and the mapping is stable across
-/// shard counts (it depends on the *variable*, never on the shard).
-fn key_stream_seed(seed: u64, var: VariableId) -> u64 {
-    let mut z = seed ^ var.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use std::collections::VecDeque;
 
 /// What one in-flight operation sends to servers and how it tracks replies.
 /// The write record is plain or signed according to the protocol flavor
@@ -78,14 +71,14 @@ enum OpSession {
 
 /// Book-keeping for one client operation across its attempts, held in a
 /// slot of its world's op slab from its arrival until it is done and its
-/// last probe reply has landed (its arrival time is in its [`OpRecord`]).
+/// last probe reply has landed.
 #[derive(Debug)]
 struct OpState {
     /// The operation: what a timeout or retry checks the slot's occupant
     /// against.
     op: OpId,
-    /// Index of the operation's record in the world's op log.
-    record: usize,
+    /// Arrival time.
+    start: SimTime,
     kind: OpKind,
     /// The key the operation targets.
     variable: VariableId,
@@ -240,21 +233,13 @@ pub(crate) struct RoundBatch {
 #[derive(Debug)]
 pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
     config: SimConfig,
-    /// Messages in flight; the timelines known before the run are walked
-    /// by the cursors below instead.
+    /// Messages in flight; the arrivals and the schedules known before the
+    /// run are walked beside it instead.
     queue: EventQueue<Event>,
-    /// The run's workload trace, in arrival order (shared by every world).
-    trace: &'a [Operation],
-    /// Index into `trace` of the next arrival this world owns (the trace's
-    /// length once every owned op has arrived).
-    next_arrival: usize,
-    /// Owned ops arrived so far: the index into `acc.ops` of the next
-    /// arrival's record.
-    arrived: usize,
-    /// This world's shard and the shard count: the world owns the ops on
-    /// variables `v` with `v % num_shards == shard`.
-    shard: u64,
-    num_shards: u64,
+    /// The pending arrivals of the keys this world owns.
+    arrivals: Arrivals,
+    /// Operations arrived so far: the next arrival's [`OpId`].
+    arrived: OpId,
     /// Index into `plan.crashes` of the next crash transition to replay.
     next_crash: usize,
     /// Index into `plan.memberships` of the next membership transition to
@@ -312,31 +297,35 @@ pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
     universe_n: u64,
     /// The system's minimum quorum size, for the margin recompute.
     min_quorum: u64,
-    /// Index into `acc.ops` of the earliest-arrived op that may still be
-    /// unfinished.
-    oldest_active: usize,
+    /// Arrival time and whether it is done, of every operation from the
+    /// earliest-arrived one that may be unfinished on: the front is the
+    /// write logs' horizon.  Operation `op` sits at `op - unfinished_base`.
+    unfinished: VecDeque<(SimTime, bool)>,
+    /// The [`OpId`] of `unfinished`'s front.
+    unfinished_base: OpId,
+    /// Arrival times of the operations that arrived since the spine's
+    /// in-flight gauge last read them, in time order.
+    pub(crate) starts: Vec<SimTime>,
+    /// Times operations left the system since the gauge last read them, in
+    /// time order.
+    pub(crate) ends: Vec<SimTime>,
 }
 
 impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
-    /// Builds shard `shard` of `num_shards` of `sim`: lays out the op log
-    /// of the owned arrivals (in op order, which is arrival order), points
-    /// the three cursors at the first owned arrival of the trace and the
-    /// starts of the plan's crash and membership schedules, and derives the
-    /// per-variable RNG streams from the run seed.  The queue and the op
-    /// slab start empty.
+    /// Builds a world of `sim` that owns the keys `arrivals` draws for:
+    /// points the crash and membership cursors at the starts of the plan's
+    /// schedules, and derives the per-variable RNG streams from the run
+    /// seed.  The queue and the op slab start empty.
     pub(crate) fn new(
         sim: &Simulation<'a, S>,
-        ops: &'a [Operation],
+        arrivals: Arrivals,
         plan: &'a FailurePlan,
         byz_behavior: Behavior,
-        shard: u64,
-        num_shards: u64,
     ) -> Self {
         debug_assert!(
-            ops.windows(2).all(|w| w[0].at <= w[1].at)
-                && plan.crashes.windows(2).all(|w| w[0].at <= w[1].at)
+            plan.crashes.windows(2).all(|w| w[0].at <= w[1].at)
                 && plan.memberships.windows(2).all(|w| w[0].at <= w[1].at),
-            "the arrival, crash and membership cursors walk time-sorted timelines"
+            "the crash and membership cursors walk time-sorted timelines"
         );
         let config = sim.config;
         let mut cluster = Cluster::new(sim.system.universe());
@@ -361,21 +350,6 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         let registers =
             RegisterMap::new(sim.system, flavor, 1).with_probe_margin(config.probe_margin as usize);
 
-        let owned = ops
-            .iter()
-            .filter(|op| op.variable % num_shards == shard)
-            .count();
-        let mut records = Vec::with_capacity(owned);
-        for (i, op) in ops.iter().enumerate() {
-            if op.variable % num_shards == shard {
-                records.push(OpRecord {
-                    op: i as OpId,
-                    start: op.at,
-                    end: op.at,
-                    outcome: OpOutcome::Pending,
-                });
-            }
-        }
         let universe_n = sim.system.universe().size() as u64;
         let min_quorum = sim.system.min_quorum_size() as u64;
         let mut present: Vec<bool> = Vec::new();
@@ -406,14 +380,11 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
             ],
             ..SimReport::default()
         };
-        let mut world = World {
+        World {
             config,
             queue: EventQueue::new(),
-            trace: ops,
-            next_arrival: 0,
+            arrivals,
             arrived: 0,
-            shard,
-            num_shards,
             next_crash: 0,
             next_membership: 0,
             cluster,
@@ -427,8 +398,7 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                 .collect(),
             acc: ShardAccumulator {
                 report,
-                ops: records,
-                logical_events: 0,
+                ..ShardAccumulator::default()
             },
             pending_pushes: PendingSlab::new(),
             pending_digests: PendingSlab::new(),
@@ -442,20 +412,11 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
             present_count,
             universe_n,
             min_quorum,
-            oldest_active: 0,
-        };
-        world.next_arrival = world.owned_arrival_from(0);
-        world
-    }
-
-    /// Index into the trace of the first op this world owns at or after
-    /// `from` (the trace's length if there is none).
-    fn owned_arrival_from(&self, from: usize) -> usize {
-        let rest = &self.trace[from..];
-        from + rest
-            .iter()
-            .position(|op| op.variable % self.num_shards == self.shard)
-            .unwrap_or(rest.len())
+            unfinished: VecDeque::new(),
+            unfinished_base: 0,
+            starts: Vec::new(),
+            ends: Vec::new(),
+        }
     }
 
     /// Handles this shard's events up to (strictly before) `barrier`, or
@@ -472,7 +433,7 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
     pub(crate) fn drain_until(&mut self, barrier: Option<SimTime>) {
         let end = barrier.unwrap_or(SimTime::INFINITY);
         loop {
-            let arrival = self.trace.get(self.next_arrival);
+            let arrival = self.arrivals.peek();
             let crash = self.plan.crashes.get(self.next_crash);
             let membership = self.plan.memberships.get(self.next_membership);
             let arrival_at = arrival.map_or(SimTime::INFINITY, |a| a.at);
@@ -484,10 +445,9 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                 break;
             }
             match (arrival, crash, membership) {
-                (Some(&a), _, _) if arrival_at == t => {
-                    let op = self.next_arrival as OpId;
-                    self.next_arrival = self.owned_arrival_from(self.next_arrival + 1);
-                    self.arrive(t, op, a.kind, a.variable);
+                (Some(a), _, _) if arrival_at == t => {
+                    self.arrivals.pop();
+                    self.arrive(t, a.kind, a.variable);
                 }
                 (_, Some(&c), _) if crash_at == t => {
                     // Replayed in every shard (each owns a full cluster
@@ -559,23 +519,29 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         self.acc
     }
 
-    /// Operation `op`, read off the arrival cursor, enters the system: it
-    /// takes a slot of the op slab, a write takes its variable's next
-    /// sequence number, and the first attempt starts.
-    fn arrive(&mut self, t: SimTime, op: OpId, kind: OpKind, variable: VariableId) {
+    /// An operation, taken off the arrivals, enters the system: it takes
+    /// the next [`OpId`] and a slot of the op slab, a write takes its
+    /// variable's next sequence number, and the first attempt starts.
+    fn arrive(&mut self, t: SimTime, kind: OpKind, variable: VariableId) {
         self.acc.logical_events += 1;
-        let record = self.arrived;
+        let op = self.arrived;
         self.arrived += 1;
-        debug_assert_eq!(self.acc.ops[record].op, op, "arrivals follow the op log");
-        // The op log holds owned ops in arrival order, so the first
-        // unfinished entry bounds the earliest start of any unfinished op
-        // this shard's write logs care about (staleness is per-variable
-        // and variables never cross shards).  The walk stops at this
-        // arrival's own record at the latest.
-        while self.acc.ops[self.oldest_active].outcome != OpOutcome::Pending {
-            self.oldest_active += 1;
+        self.starts.push(t);
+        // Operations arrive in time order, so the first unfinished one
+        // bounds the earliest start of any unfinished op this world's
+        // write logs care about (staleness is per-variable and variables
+        // never cross worlds).  The walk stops at this arrival at the
+        // latest.
+        self.unfinished.push_back((t, false));
+        while self.unfinished.front().is_some_and(|&(_, done)| done) {
+            self.unfinished.pop_front();
+            self.unfinished_base += 1;
         }
-        let horizon = self.acc.ops[self.oldest_active].start;
+        let horizon = self
+            .unfinished
+            .front()
+            .expect("this arrival is unfinished")
+            .0;
         let var = variable as usize;
         self.writes[var].advance(horizon);
         let (mut sequence, mut window) = (0, None);
@@ -587,7 +553,7 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         }
         let slot = self.ops.insert(OpState {
             op,
-            record,
+            start: t,
             kind,
             variable,
             attempt: 0,
@@ -897,29 +863,40 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
             }
         } else {
             state.done = true;
-            self.acc.ops[state.record].finish(now, OpOutcome::Unavailable);
-            self.acc.report.per_variable[var].unavailable_ops += 1;
+            let (op, start) = (state.op, state.start);
             if let Some(handle) = state.window {
                 self.writes[var].fail(handle, now);
             }
+            self.acc.report.per_variable[var].unavailable_ops += 1;
+            self.leave(op, start, now);
         }
     }
 
+    /// Operation `op`, arrived at `start`, leaves the system at `now`,
+    /// completed or given up: it no longer holds back the write logs'
+    /// horizon, and its time in the system goes to the in-flight gauge.
+    fn leave(&mut self, op: OpId, start: SimTime, now: SimTime) {
+        self.unfinished[(op - self.unfinished_base) as usize].1 = true;
+        self.ends.push(now);
+        self.acc.op_time += u128::from(fixed_point(now - start));
+        self.acc.busy_until = self.acc.busy_until.max(now);
+    }
+
     /// A session gathered its replies (all `q`, or a non-empty partial set):
-    /// close the operation and account for it.  The order-sensitive
-    /// aggregate latencies are left to the merge, which replays the op log
-    /// canonically; per-variable stats record directly, their order being
-    /// the variable's own completion order regardless of sharding.
+    /// close the operation and account for it.  Every aggregate it feeds
+    /// is order-free — counters, histograms, fixed-point sums — so the
+    /// world records straight into its report.
     fn finalize(&mut self, slot: u64, now: SimTime) {
         let state = &mut self.ops[slot];
         state.done = true;
-        let record = &mut self.acc.ops[state.record];
-        let read_start = record.start;
+        let (op, read_start) = (state.op, state.start);
+        self.leave(op, read_start, now);
+        let state = &mut self.ops[slot];
         let latency = now - read_start;
         let var = state.variable as usize;
         match state.session.as_ref() {
             Some(OpSession::Write(_, _)) => {
-                record.finish(now, OpOutcome::Write);
+                self.acc.report.write_latency.record(latency);
                 let pv = &mut self.acc.report.per_variable[var];
                 pv.completed_writes += 1;
                 pv.latency.record(latency);
@@ -935,7 +912,7 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                 // than with the slot.  A probe of this read still in
                 // flight finds no session and only counts its access.
                 state.session = None;
-                record.finish(now, OpOutcome::Read);
+                self.acc.report.read_latency.record(latency);
                 let pv = &mut self.acc.report.per_variable[var];
                 pv.completed_reads += 1;
                 pv.latency.record(latency);
@@ -1031,7 +1008,8 @@ fn retry_delay(config: &SimConfig, attempt: u32) -> SimTime {
 mod tests {
     use super::*;
     use crate::latency::LatencyModel;
-    use crate::workload::WorkloadConfig;
+    use crate::metrics::LatencySamples;
+    use crate::workload::{Operation, WorkloadConfig};
     use pqs_core::probabilistic::EpsilonIntersecting;
     use pqs_protocols::value::TaggedValue;
     use rand::Rng;
@@ -1096,16 +1074,21 @@ mod tests {
         }
     }
 
-    /// The one world of a one-shard layout of `config` over `ops` under
-    /// `plan`.
+    /// The one world of a one-shard layout of `config` over the scripted
+    /// arrivals `ops` under `plan`.
     fn sole_world<'a>(
         sys: &'a EpsilonIntersecting,
         config: SimConfig,
-        ops: &'a [Operation],
+        ops: &[Operation],
         plan: &'a FailurePlan,
     ) -> World<'a, EpsilonIntersecting> {
         let sim = Simulation::new(sys, ProtocolKind::Safe, config);
-        World::new(&sim, ops, plan, Behavior::ByzantineForge, 0, 1)
+        World::new(
+            &sim,
+            Arrivals::scripted(ops),
+            plan,
+            Behavior::ByzantineForge,
+        )
     }
 
     /// The slot holding operation `op`, if it holds one.
@@ -1119,11 +1102,11 @@ mod tests {
         slot_of(world, op).map(|slot| &world.ops[slot])
     }
 
-    /// Hands operation `op` of the world's trace to the arrival handler,
-    /// as the drain loop would, and returns the slot it took.
+    /// Hands the world's next arrival, operation `op`, to the arrival
+    /// handler, as the drain loop would, and returns the slot it took.
     fn arrive(world: &mut World<'_, EpsilonIntersecting>, op: OpId) -> u64 {
-        let a = world.trace[op as usize];
-        world.arrive(a.at, op, a.kind, a.variable);
+        let a = world.arrivals.pop().expect("a scripted arrival is pending");
+        world.arrive(a.at, a.kind, a.variable);
         slot_of(world, op).expect("an arrived op holds a slot")
     }
 
@@ -1195,20 +1178,25 @@ mod tests {
         assert!(!deliver(&mut world, 1, far, 0));
         assert_eq!(world.cluster.access_counts()[far.as_usize()], before + 1);
 
-        // Each op left exactly one log entry: when it ended, and how.
-        let logged = |op, start, end, outcome| OpRecord {
-            op,
-            start,
-            end,
-            outcome,
+        // Each op left its latency in its kind's histogram, its time in
+        // the system in the gauge's sum, and its two transitions.
+        let latencies = |xs: &[f64]| {
+            let mut h = LatencySamples::new();
+            xs.iter().for_each(|&x| h.record(x));
+            h
         };
+        let report = &world.acc.report;
+        assert_eq!(report.write_latency, latencies(&[0.2]));
+        assert_eq!(report.read_latency, latencies(&[0.4 - 0.3]));
         assert_eq!(
-            world.acc.ops,
-            [
-                logged(0, 0.0, 0.2, OpOutcome::Write),
-                logged(1, 0.3, 0.4, OpOutcome::Read)
-            ]
+            world.acc.op_time,
+            u128::from(fixed_point(0.2) + fixed_point(0.4 - 0.3))
         );
+        assert_eq!(
+            (world.starts.as_slice(), world.ends.as_slice()),
+            (&[0.0, 0.3][..], &[0.2, 0.4][..])
+        );
+        assert_eq!(world.acc.busy_until, 0.4);
     }
 
     #[test]
@@ -1286,19 +1274,20 @@ mod tests {
             .with_latency(LatencyModel::Exponential { mean: 2e-3 })
             .with_seed(1)
             .build();
-        let ops = WorkloadConfig {
+        let workload = WorkloadConfig {
             duration,
             arrival_rate: config.arrival_rate,
             read_fraction: config.read_fraction,
             keyspace: config.keyspace,
-        }
-        .generate(&mut ChaCha8Rng::seed_from_u64(1));
+        };
+        let arrivals = Arrivals::new(&workload, &[1.0], config.seed, 0..1);
         let plan = FailurePlan::none();
-        let mut world = sole_world(&sys, config, &ops, &plan);
+        let sim = Simulation::new(&sys, ProtocolKind::Safe, config);
+        let mut world = World::new(&sim, arrivals, &plan, Behavior::ByzantineForge);
         world.drain_until(None);
         assert!(world.ops.is_empty(), "every slot is released by the end");
         assert!(world.queue.is_empty());
-        (world.ops.high_water(), ops.len())
+        (world.ops.high_water(), world.arrived as usize)
     }
 
     #[test]

@@ -1,16 +1,20 @@
-//! The per-message path allocates nothing in steady state.
+//! The per-message path allocates nothing in steady state, and a run's heap
+//! does not grow with its length.
 //!
 //! This binary installs a counting global allocator (which is why it is a
 //! test target of its own) and asserts a count of **zero** heap requests
 //! for the steps the engines repeat per probe and per gossip message, after
 //! the stores and buffers they touch have been sized, and pins what sizing
-//! a cluster's record storage costs.  The counters are per-thread, so the
-//! tests of this binary can run in parallel.
+//! a cluster's record storage costs.  It also tracks the bytes each thread
+//! holds live and their peak, and asserts that a run ten times longer peaks
+//! at about the same live heap.  The counters are per-thread, so the tests
+//! of this binary can run in parallel.
 //!
 //! Beside them sit the property tests of the two representations this
 //! rests on: `Value`'s inline/heap split against a `Vec<u8>` oracle, and
 //! the bitmask form of Floyd's sampling against the ordered-set form.
 
+use probabilistic_quorums::core::probabilistic::EpsilonIntersecting;
 use probabilistic_quorums::core::universe::{ServerId, Universe};
 use probabilistic_quorums::math::sampling::sample_k_of_n;
 use probabilistic_quorums::protocols::cluster::Cluster;
@@ -22,7 +26,10 @@ use probabilistic_quorums::protocols::register::session::{ReadMode, ReadSession}
 use probabilistic_quorums::protocols::server::AnyRecord;
 use probabilistic_quorums::protocols::timestamp::Timestamp;
 use probabilistic_quorums::protocols::value::{TaggedValue, Value};
+use probabilistic_quorums::sim::latency::LatencyModel;
+use probabilistic_quorums::sim::runner::{DiffusionPolicy, ProtocolKind, SimConfig, Simulation};
 use probabilistic_quorums::sim::time::EventQueue;
+use probabilistic_quorums::sim::workload::KeySpace;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -37,6 +44,11 @@ thread_local! {
     static REQUESTS: Cell<u64> = const { Cell::new(0) };
     /// Bytes those requests asked for (a `realloc` counts its new size).
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated and has not freed (`dealloc` subtracts;
+    /// signed, since a thread may free what another allocated).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` has been since the last [`peak_live_during`].
+    static PEAK_LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
@@ -48,6 +60,14 @@ fn count_request(bytes: usize) {
     let _ = BYTES.try_with(|total| total.set(total.get() + bytes as u64));
 }
 
+/// Moves this thread's live byte count by `delta`, raising its peak.
+fn count_live(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK_LIVE.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract.  The counters are const-initialised
 // thread-local integers without a destructor, so touching them neither
@@ -55,23 +75,27 @@ fn count_request(bytes: usize) {
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_request(layout.size());
+        count_live(layout.size() as i64);
         // SAFETY: the caller's obligations are exactly `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_request(layout.size());
+        count_live(layout.size() as i64);
         // SAFETY: the caller's obligations are exactly `System.alloc_zeroed`'s.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_request(new_size);
+        count_live(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_live(-(layout.size() as i64));
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -94,6 +118,78 @@ fn heap_during(body: impl FnOnce()) -> (u64, u64) {
 /// Heap requests this thread makes while `body` runs.
 fn requests_during(body: impl FnOnce()) -> u64 {
     heap_during(body).0
+}
+
+/// The most bytes this thread held live at once while `body` ran, above
+/// what it held when `body` started.
+fn peak_live_during(body: impl FnOnce()) -> u64 {
+    let start = LIVE.with(Cell::get);
+    PEAK_LIVE.with(|peak| peak.set(start));
+    body();
+    (PEAK_LIVE.with(Cell::get) - start) as u64
+}
+
+/// The shorter run of the two heap-flatness tests, in simulated seconds:
+/// both runs of each test together take a few seconds in a debug build.
+const SHORT_RUN: f64 = 3.0;
+
+/// Asserts that `run`, `seconds → peak live bytes`, peaks at no more than
+/// 1.10 × its short run's live heap plus 256 KiB over a ten times longer
+/// run.
+fn assert_heap_flat_in_run_length(short: f64, run: impl Fn(f64) -> u64) {
+    let (short_peak, long_peak) = (run(short), run(10.0 * short));
+    assert!(
+        long_peak as f64 <= 1.10 * short_peak as f64 + 256.0 * 1024.0,
+        "{short} s peaked at {short_peak} live bytes, {} s at {long_peak}",
+        10.0 * short
+    );
+}
+
+/// One-shard, one-thread `seq_foreground`-shaped runs (ε-intersecting
+/// 100/16, 2 000 op/s, 90 % reads, exponential 2 ms probes): nearly all
+/// of the memory such a run could grow is per-operation state.
+#[test]
+fn a_single_key_run_keeps_its_heap_flat_in_run_length() {
+    let system = EpsilonIntersecting::new(100, 16).unwrap();
+    assert_heap_flat_in_run_length(SHORT_RUN, |seconds| {
+        let config = SimConfig::builder()
+            .with_duration(seconds)
+            .with_arrival_rate(2000.0)
+            .with_read_fraction(0.9)
+            .with_latency(LatencyModel::Exponential { mean: 2e-3 })
+            .with_seed(1)
+            .build();
+        let simulation = Simulation::new(&system, ProtocolKind::Safe, config);
+        peak_live_during(|| assert!(simulation.run().completed_reads > 0))
+    });
+}
+
+/// Four-shard full-push runs on one thread: the drain windows are the
+/// gossip barriers, and the in-flight gauge's buffers are emptied at each
+/// one.  Eight keys and an even read/write mix write every key, and gossip
+/// spreads it to every server, within the first rounds, so the record
+/// store is at its full size in the shorter run too.
+#[test]
+fn a_sharded_gossip_run_keeps_its_heap_flat_in_run_length() {
+    let system = EpsilonIntersecting::new(100, 16).unwrap();
+    assert_heap_flat_in_run_length(SHORT_RUN, |seconds| {
+        let config = SimConfig::builder()
+            .with_duration(seconds)
+            .with_arrival_rate(500.0)
+            .with_read_fraction(0.5)
+            .with_keyspace(KeySpace::uniform(8))
+            .with_latency(LatencyModel::Exponential { mean: 2e-3 })
+            .with_diffusion(
+                DiffusionPolicy::full_push(0.25, 2)
+                    .with_push_latency(LatencyModel::Exponential { mean: 2e-3 }),
+            )
+            .with_num_shards(4)
+            .with_threads(1)
+            .with_seed(1)
+            .build();
+        let simulation = Simulation::new(&system, ProtocolKind::Safe, config);
+        peak_live_during(|| assert!(simulation.run().gossip_pushes > 0))
+    });
 }
 
 const STEPS: u64 = 10_000;

@@ -2,14 +2,17 @@
 //! must produce **bit-identical** `SimReport`s for every protocol and every
 //! key space, however hostile the configuration — and for every layout:
 //! `num_shards` and `threads` only say how the run is executed.  Everything
-//! random flows from seeded ChaCha streams (one for the workload and failure
-//! plan, one per variable, one for gossip), the event queues break time ties
-//! FIFO, and the merge replays per-op logs in canonical `(time, op)` order.
+//! random flows from seeded ChaCha streams (one for the failure plan, two per
+//! variable — its arrivals, and its probe sets and latencies — one for
+//! gossip), the event queues break time ties FIFO, and every merged
+//! aggregate is an integer sum or an extremum, which no order of addition
+//! can change.
 //!
 //! There is one fingerprint family.  The literals below were captured from
-//! the engine itself; the one-shard pins were re-pinned when the sequential
-//! event loop was retired (PR 14, old → new values and the statistical
-//! equivalence table in CHANGES.md), every other literal predates that.
+//! the engine itself.  They were last re-pinned together, once, when
+//! arrivals became lazy per-key streams and the aggregates order-free
+//! (latency histograms, fixed-point sums): CHANGES.md holds the old → new
+//! value of every literal and the 20-seed statistical-equivalence table.
 
 use probabilistic_quorums::core::prelude::*;
 use probabilistic_quorums::sim::failure::{ByzantineStrategy, FailurePlan};
@@ -233,7 +236,7 @@ fn digest_runs_are_bit_identical_per_seed() {
 }
 
 /// A one-shard full-push gossip run over derived crashes, captured field by
-/// field from the engine (re-pinned in PR 14): the full-push mode is frozen,
+/// field from the engine: the full-push mode is frozen,
 /// not merely similar.
 #[test]
 fn full_push_gossip_fingerprint_is_pinned() {
@@ -257,41 +260,41 @@ fn full_push_gossip_fingerprint_is_pinned() {
     let r = on_every_layout(config, |config| {
         Simulation::new(&sys, ProtocolKind::Safe, config).run()
     });
-    assert_eq!(r.completed_reads, 1503);
-    assert_eq!(r.completed_writes, 283);
-    assert_eq!(r.stale_reads, 28);
+    assert_eq!(r.completed_reads, 1558);
+    assert_eq!(r.completed_writes, 288);
+    assert_eq!(r.stale_reads, 35);
     assert_eq!(r.empty_reads, 1);
     assert_eq!(r.unavailable_ops, 0);
-    assert_eq!(r.concurrent_reads, 16);
+    assert_eq!(r.concurrent_reads, 20);
     assert_eq!(r.retries, 0);
     assert_eq!(r.timed_out_attempts, 0);
     assert_eq!(r.gossip_rounds, 299);
-    assert_eq!(r.gossip_pushes, 729677);
-    assert_eq!(r.gossip_stores, 12281);
-    assert_eq!(r.events_processed, 751414);
+    assert_eq!(r.gossip_pushes, 687601);
+    assert_eq!(r.gossip_stores, 12254);
+    assert_eq!(r.events_processed, 710058);
     assert_eq!(r.max_in_flight, 4);
-    assert_eq!(r.total_operations, 1786);
+    assert_eq!(r.total_operations, 1846);
     // Digest-mode machinery must stay completely cold in full-push mode.
     assert_eq!(r.gossip_digests, 0);
     assert_eq!(r.gossip_redundant_pushes_avoided, 0);
     assert!(r.per_variable.iter().all(|v| v.gossip_delta_records == 0));
     // Floating-point trajectories, pinned to the bit.
-    assert_eq!(r.mean_in_flight, 0.22145516349452313);
-    assert_eq!(r.mean_latency(), 0.0037199791665598605);
-    assert_eq!(r.p99_latency(), 0.010587806977600422);
-    assert_eq!(server_access_hash(&r), 13266753428964552100);
+    assert_eq!(r.mean_in_flight, 0.23028252031510224);
+    assert_eq!(r.mean_latency(), 0.0037424270098197513);
+    assert_eq!(r.p99_latency(), 0.010726367758280243);
+    assert_eq!(server_access_hash(&r), 1645602112920066732);
     // The hot key's gossip and convergence accounting, also frozen.
     let hot = &r.per_variable[0];
-    assert_eq!(hot.gossip_pushes, 50012);
-    assert_eq!(hot.gossip_stores, 3581);
-    assert_eq!(hot.coverage_rounds_sum, 108);
-    assert_eq!(hot.coverage_events, 37);
+    assert_eq!(hot.gossip_pushes, 50872);
+    assert_eq!(hot.gossip_stores, 3619);
+    assert_eq!(hot.coverage_rounds_sum, 87);
+    assert_eq!(hot.coverage_events, 30);
     assert_eq!(hot.stale_reads, 18);
-    assert_eq!(hot.completed_reads, 531);
+    assert_eq!(hot.completed_reads, 570);
 }
 
 /// The default 1-key `KeySpace`, diffusion-free, under two protocols,
-/// captured field by field from the engine (re-pinned in PR 14): same
+/// captured field by field from the engine: same
 /// workload draws, same probe sets, same event count, same latencies to the
 /// last ulp.
 #[test]
@@ -320,23 +323,23 @@ fn one_key_fingerprint_is_pinned() {
     // A `DiffusionPolicy::None` run schedules no gossip event at all.
     assert_eq!(r.gossip_rounds, 0);
     assert_eq!(r.gossip_pushes, 0);
-    assert_eq!(r.completed_reads, 955);
-    assert_eq!(r.completed_writes, 240);
+    assert_eq!(r.completed_reads, 950);
+    assert_eq!(r.completed_writes, 257);
     assert_eq!(r.stale_reads, 0);
     assert_eq!(r.empty_reads, 0);
     assert_eq!(r.unavailable_ops, 0);
-    assert_eq!(r.concurrent_reads, 75);
+    assert_eq!(r.concurrent_reads, 73);
     assert_eq!(r.retries, 0);
     assert_eq!(r.timed_out_attempts, 2);
-    assert_eq!(r.events_processed, 33467);
+    assert_eq!(r.events_processed, 33803);
     assert_eq!(r.max_in_flight, 4);
-    assert_eq!(r.total_operations, 1195);
+    assert_eq!(r.total_operations, 1207);
     // Floating-point trajectories, pinned to the bit.
-    assert_eq!(r.mean_in_flight, 0.2009251629910557);
-    assert_eq!(r.mean_latency(), 0.0050423547788399576);
-    assert_eq!(r.p99_latency(), 0.02448848278187299);
+    assert_eq!(r.mean_in_flight, 0.20290652800477216);
+    assert_eq!(r.mean_latency(), 0.005038572038780796);
+    assert_eq!(r.p99_latency(), 0.02411205051009983);
     // Per-server access vector, pinned through an order-sensitive hash.
-    assert_eq!(server_access_hash(&r), 6031251255751975920);
+    assert_eq!(server_access_hash(&r), 1709861829850640776);
     // The per-key breakdown degenerates to one row equal to the aggregates.
     assert_eq!(r.per_variable.len(), 1);
     assert_eq!(r.per_variable[0].completed_reads, r.completed_reads);
@@ -353,11 +356,11 @@ fn one_key_fingerprint_is_pinned() {
     let r2 = on_every_layout(c2, |config| {
         Simulation::new(&sys2, ProtocolKind::Dissemination, config).run()
     });
-    assert_eq!(r2.completed_reads, 970);
-    assert_eq!(r2.completed_writes, 203);
+    assert_eq!(r2.completed_reads, 943);
+    assert_eq!(r2.completed_writes, 240);
     assert_eq!(r2.stale_reads, 1);
-    assert_eq!(r2.events_processed, 31671);
-    assert_eq!(r2.mean_latency(), 0.009035634071514772);
+    assert_eq!(r2.events_processed, 31941);
+    assert_eq!(r2.mean_latency(), 0.00907209914099718);
 }
 
 /// Base configuration of the layout-invariance obligations: a hostile
@@ -447,7 +450,7 @@ fn sharded_reports_are_identical_across_shard_and_thread_counts() {
     }
 }
 
-/// A pinned fingerprint captured from the PR 6 engine on an
+/// A pinned fingerprint captured from the engine on an
 /// 8-shard/2-thread **full-push** run of `sharded_base` with a mid-run
 /// crash wave.  Together with the digest/delta pin at the end of this file
 /// (`sharded_family_fingerprint_is_pinned`) it freezes both gossip modes,
@@ -467,26 +470,26 @@ fn sharded_full_push_fingerprint_is_pinned() {
     let r = Simulation::new(&sys, ProtocolKind::Safe, config)
         .with_failure_plan(mid_run_wave())
         .run();
-    assert_eq!(r.completed_reads, 1256);
-    assert_eq!(r.completed_writes, 323);
+    assert_eq!(r.completed_reads, 1281);
+    assert_eq!(r.completed_writes, 328);
     assert_eq!(r.stale_reads, 0);
     assert_eq!(r.empty_reads, 0);
     assert_eq!(r.unavailable_ops, 0);
-    assert_eq!(r.concurrent_reads, 23);
+    assert_eq!(r.concurrent_reads, 14);
     assert_eq!(r.retries, 0);
     assert_eq!(r.timed_out_attempts, 0);
     assert_eq!(r.gossip_rounds, 100);
     assert_eq!(r.gossip_digests, 0);
-    assert_eq!(r.gossip_pushes, 499250);
-    assert_eq!(r.gossip_stores, 17867);
+    assert_eq!(r.gossip_pushes, 528571);
+    assert_eq!(r.gossip_stores, 18996);
     assert_eq!(r.gossip_redundant_pushes_avoided, 0);
-    assert_eq!(r.events_processed, 541993);
+    assert_eq!(r.events_processed, 572124);
     assert_eq!(r.max_in_flight, 5);
-    assert_eq!(r.total_operations, 1579);
+    assert_eq!(r.total_operations, 1609);
     // Floating-point trajectories, pinned to the bit.
-    assert_eq!(r.mean_in_flight, 4.5105489249514724e-1);
-    assert_eq!(r.mean_latency(), 5.7143094013534885e-3);
-    assert_eq!(r.p99_latency(), 1.3249916559010089e-2);
+    assert_eq!(r.mean_in_flight, 0.4665084711414739);
+    assert_eq!(r.mean_latency(), 0.005799181271700977);
+    assert_eq!(r.p99_latency(), 0.013500232442887552);
     let hash = r
         .per_server_accesses
         .iter()
@@ -494,15 +497,15 @@ fn sharded_full_push_fingerprint_is_pinned() {
         .fold(0u64, |acc, (i, &c)| {
             acc.wrapping_mul(1000003).wrapping_add(c ^ i as u64)
         });
-    assert_eq!(hash, 12038364402710033471);
+    assert_eq!(hash, 14448362333035612305);
     // The hot key's gossip and convergence accounting, also frozen.
     let hot = &r.per_variable[0];
-    assert_eq!(hot.gossip_pushes, 18165);
-    assert_eq!(hot.gossip_stores, 3259);
-    assert_eq!(hot.coverage_rounds_sum, 15);
-    assert_eq!(hot.coverage_events, 5);
+    assert_eq!(hot.gossip_pushes, 18681);
+    assert_eq!(hot.gossip_stores, 2848);
+    assert_eq!(hot.coverage_rounds_sum, 24);
+    assert_eq!(hot.coverage_events, 8);
     assert_eq!(hot.stale_reads, 0);
-    assert_eq!(hot.completed_reads, 314);
+    assert_eq!(hot.completed_reads, 341);
 }
 
 /// The scenario engine's membership-churn schedule: one initially-absent
@@ -528,8 +531,8 @@ fn adaptive_schedule() -> FailurePlan {
 }
 
 /// Membership churn, frozen: the `sharded_base` workload under
-/// `churn_schedule`, pinned on one shard (re-pinned in PR 14) and, with the
-/// PR 10 literals, on four.  Joins bootstrap through `Cluster::join_server` (stores wiped,
+/// `churn_schedule`, pinned on one shard and, with the same literals, on
+/// four.  Joins bootstrap through `Cluster::join_server` (stores wiped,
 /// variables re-reserved) and the probe margin is re-solved against the
 /// ε budget at every membership event, so any drift in that machinery
 /// breaks these pins.
@@ -542,23 +545,23 @@ fn churn_fingerprint_is_pinned() {
     let r = Simulation::new(&sys, ProtocolKind::Safe, config)
         .with_failure_plan(churn_schedule())
         .run();
-    assert_eq!(r.completed_reads, 1217);
-    assert_eq!(r.completed_writes, 375);
+    assert_eq!(r.completed_reads, 1268);
+    assert_eq!(r.completed_writes, 304);
     assert_eq!(r.stale_reads, 0);
     assert_eq!(r.empty_reads, 0);
     assert_eq!(r.unavailable_ops, 0);
     assert_eq!(r.concurrent_reads, 24);
     assert_eq!(r.retries, 0);
     assert_eq!(r.timed_out_attempts, 0);
-    assert_eq!(r.events_processed, 42989);
-    assert_eq!(r.total_operations, 1592);
+    assert_eq!(r.events_processed, 42449);
+    assert_eq!(r.total_operations, 1572);
     assert_eq!(r.membership_events, 5);
     assert_eq!(r.dropped_probes, 0);
     assert_eq!(r.adaptive_activations, 0);
-    assert_eq!(r.mean_in_flight, 0.38882578667847545);
-    assert_eq!(r.mean_latency(), 0.004883960487292785);
-    assert_eq!(r.p99_latency(), 0.009467893529183868);
-    assert_eq!(server_access_hash(&r), 17532421316546503462);
+    assert_eq!(r.mean_in_flight, 0.3798119565651983);
+    assert_eq!(r.mean_latency(), 0.004827328833500184);
+    assert_eq!(r.p99_latency(), 0.009049446267284624);
+    assert_eq!(server_access_hash(&r), 11213712870161985354);
 
     // The same run on wider layouts, invariant across shard/thread counts.
     let mut cs = config;
@@ -575,17 +578,17 @@ fn churn_fingerprint_is_pinned() {
         .run();
     assert_eq!(rs, rs2, "churn must be shard- and thread-invariant");
     assert_eq!(r, rs, "churn must be shard- and thread-invariant");
-    assert_eq!(rs.completed_reads, 1217);
-    assert_eq!(rs.completed_writes, 375);
-    assert_eq!(rs.events_processed, 42989);
+    assert_eq!(rs.completed_reads, 1268);
+    assert_eq!(rs.completed_writes, 304);
+    assert_eq!(rs.events_processed, 42449);
     assert_eq!(rs.membership_events, 5);
-    assert_eq!(rs.mean_in_flight, 0.38882578667847545);
-    assert_eq!(rs.mean_latency(), 0.004883960487292785);
-    assert_eq!(server_access_hash(&rs), 17532421316546503462);
+    assert_eq!(rs.mean_in_flight, 0.3798119565651983);
+    assert_eq!(rs.mean_latency(), 0.004827328833500184);
+    assert_eq!(server_access_hash(&rs), 11213712870161985354);
 }
 
 /// A healing partition under full-push diffusion, frozen on one shard
-/// (re-pinned in PR 14) and on four: probes and gossip cross components only after the heal, the heal is
+/// and on four: probes and gossip cross components only after the heal, the heal is
 /// observed by the coverage tracker, and the post-heal coverage curve
 /// re-converges in a pinned number of rounds.
 #[test]
@@ -602,26 +605,32 @@ fn partition_heal_fingerprint_is_pinned() {
     let r = Simulation::new(&sys, ProtocolKind::Safe, config)
         .with_failure_plan(plan.clone())
         .run();
-    assert_eq!(r.completed_reads, 1290);
-    assert_eq!(r.completed_writes, 332);
-    assert_eq!(r.stale_reads, 0);
+    assert_eq!(r.completed_reads, 1254);
+    assert_eq!(r.completed_writes, 327);
+    assert_eq!(r.stale_reads, 3);
     assert_eq!(r.empty_reads, 0);
     assert_eq!(r.gossip_rounds, 100);
-    assert_eq!(r.gossip_pushes, 399201);
-    assert_eq!(r.gossip_stores, 17691);
-    assert_eq!(r.events_processed, 529455);
-    assert_eq!(r.total_operations, 1622);
-    assert_eq!(r.dropped_probes, 7144);
-    assert_eq!(r.partition_blocked_gossip, 86360);
+    assert_eq!(r.gossip_pushes, 417650);
+    assert_eq!(r.gossip_stores, 17331);
+    assert_eq!(r.events_processed, 550985);
+    assert_eq!(r.total_operations, 1581);
+    assert_eq!(r.dropped_probes, 7130);
+    assert_eq!(r.partition_blocked_gossip, 90548);
     assert_eq!(r.heals_observed, 1);
-    assert_eq!(r.post_heal_rounds_to_coverage, 4);
+    assert_eq!(r.post_heal_rounds_to_coverage, 27);
     assert_eq!(r.post_heal_coverage_completions, 1);
-    assert_eq!(r.post_heal_coverage, vec![2, 20, 26, 28, 30]);
-    assert_eq!(r.per_component_stale_reads, vec![0, 0]);
-    assert_eq!(r.mean_in_flight, 0.45921389786412087);
-    assert_eq!(r.mean_latency(), 0.005662250694559051);
-    assert_eq!(r.p99_latency(), 0.012944505085215496);
-    assert_eq!(server_access_hash(&r), 16193927228281797792);
+    assert_eq!(
+        r.post_heal_coverage,
+        vec![
+            8, 25, 26, 27, 29, 29, 29, 29, 29, 29, 29, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30,
+            30, 30, 30, 30, 30, 31
+        ]
+    );
+    assert_eq!(r.per_component_stale_reads, vec![2, 1]);
+    assert_eq!(r.mean_in_flight, 0.44871766871259766);
+    assert_eq!(r.mean_latency(), 0.0056680555823262);
+    assert_eq!(r.p99_latency(), 0.012970876433536881);
+    assert_eq!(server_access_hash(&r), 17765709661039239107);
 
     // The same run on wider layouts: spine-planned digest gating and
     // global-id delta dedup keep the counts shard-layout-invariant.
@@ -642,21 +651,26 @@ fn partition_heal_fingerprint_is_pinned() {
         "partition heal must be shard- and thread-invariant"
     );
     assert_eq!(r, rs, "partition heal must be shard- and thread-invariant");
-    assert_eq!(rs.completed_reads, 1290);
-    assert_eq!(rs.gossip_pushes, 399201);
-    assert_eq!(rs.gossip_stores, 17691);
-    assert_eq!(rs.events_processed, 529455);
-    assert_eq!(rs.dropped_probes, 7144);
-    assert_eq!(rs.partition_blocked_gossip, 86360);
+    assert_eq!(rs.completed_reads, 1254);
+    assert_eq!(rs.gossip_pushes, 417650);
+    assert_eq!(rs.gossip_stores, 17331);
+    assert_eq!(rs.events_processed, 550985);
+    assert_eq!(rs.dropped_probes, 7130);
+    assert_eq!(rs.partition_blocked_gossip, 90548);
     assert_eq!(rs.heals_observed, 1);
-    assert_eq!(rs.post_heal_rounds_to_coverage, 4);
-    assert_eq!(rs.post_heal_coverage, vec![2, 20, 26, 28, 30]);
-    assert_eq!(rs.mean_in_flight, 0.45921389786412087);
-    assert_eq!(server_access_hash(&rs), 16193927228281797792);
+    assert_eq!(rs.post_heal_rounds_to_coverage, 27);
+    assert_eq!(
+        rs.post_heal_coverage,
+        vec![
+            8, 25, 26, 27, 29, 29, 29, 29, 29, 29, 29, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30,
+            30, 30, 30, 30, 30, 31
+        ]
+    );
+    assert_eq!(rs.mean_in_flight, 0.44871766871259766);
+    assert_eq!(server_access_hash(&rs), 17765709661039239107);
 }
 
-/// The adaptive hot-key adversary, frozen on one shard (re-pinned in
-/// PR 14) and on four — and checked against its same-seed static twin: foreground trajectory identical,
+/// The adaptive hot-key adversary, frozen on one shard and on four — and checked against its same-seed static twin: foreground trajectory identical,
 /// staleness never lower (the sleeper flip is a pure read-side overlay).
 #[test]
 #[allow(clippy::excessive_precision)]
@@ -667,17 +681,17 @@ fn adaptive_adversary_fingerprint_is_pinned() {
     let r = Simulation::new(&sys, ProtocolKind::Safe, config)
         .with_failure_plan(adaptive_schedule())
         .run();
-    assert_eq!(r.completed_reads, 1327);
-    assert_eq!(r.completed_writes, 303);
-    assert_eq!(r.stale_reads, 1030);
+    assert_eq!(r.completed_reads, 1260);
+    assert_eq!(r.completed_writes, 312);
+    assert_eq!(r.stale_reads, 982);
     assert_eq!(r.empty_reads, 0);
-    assert_eq!(r.events_processed, 44010);
-    assert_eq!(r.total_operations, 1630);
-    assert_eq!(r.adaptive_activations, 1930);
-    assert_eq!(r.mean_in_flight, 0.3774505017038662);
-    assert_eq!(r.mean_latency(), 0.004622407899601067);
-    assert_eq!(r.p99_latency(), 0.008199413647309584);
-    assert_eq!(server_access_hash(&r), 5134640556423834096);
+    assert_eq!(r.events_processed, 42444);
+    assert_eq!(r.total_operations, 1572);
+    assert_eq!(r.adaptive_activations, 1901);
+    assert_eq!(r.mean_in_flight, 0.3623068797510444);
+    assert_eq!(r.mean_latency(), 0.004607654849817365);
+    assert_eq!(r.p99_latency(), 0.008106795440421305);
+    assert_eq!(server_access_hash(&r), 3465716923191045438);
 
     // Same-seed static twin: identical foreground, never fresher reads.
     let stat = Simulation::new(&sys, ProtocolKind::Safe, config)
@@ -705,13 +719,13 @@ fn adaptive_adversary_fingerprint_is_pinned() {
         .run();
     assert_eq!(rs, rs2, "adaptive runs must be shard- and thread-invariant");
     assert_eq!(r, rs, "adaptive runs must be shard- and thread-invariant");
-    assert_eq!(rs.completed_reads, 1327);
-    assert_eq!(rs.completed_writes, 303);
-    assert_eq!(rs.stale_reads, 1030);
-    assert_eq!(rs.events_processed, 44010);
-    assert_eq!(rs.adaptive_activations, 1930);
-    assert_eq!(rs.mean_in_flight, 0.3774505017038662);
-    assert_eq!(server_access_hash(&rs), 5134640556423834096);
+    assert_eq!(rs.completed_reads, 1260);
+    assert_eq!(rs.completed_writes, 312);
+    assert_eq!(rs.stale_reads, 982);
+    assert_eq!(rs.events_processed, 42444);
+    assert_eq!(rs.adaptive_activations, 1901);
+    assert_eq!(rs.mean_in_flight, 0.3623068797510444);
+    assert_eq!(server_access_hash(&rs), 3465716923191045438);
 }
 
 #[test]
@@ -728,26 +742,26 @@ fn sharded_family_fingerprint_is_pinned() {
     let r = Simulation::new(&sys, ProtocolKind::Safe, config)
         .with_failure_plan(mid_run_wave())
         .run();
-    assert_eq!(r.completed_reads, 1256);
-    assert_eq!(r.completed_writes, 323);
+    assert_eq!(r.completed_reads, 1281);
+    assert_eq!(r.completed_writes, 328);
     assert_eq!(r.stale_reads, 0);
     assert_eq!(r.empty_reads, 0);
     assert_eq!(r.unavailable_ops, 0);
-    assert_eq!(r.concurrent_reads, 23);
+    assert_eq!(r.concurrent_reads, 14);
     assert_eq!(r.retries, 0);
     assert_eq!(r.timed_out_attempts, 0);
     assert_eq!(r.gossip_rounds, 100);
     assert_eq!(r.gossip_digests, 18811);
-    assert_eq!(r.gossip_pushes, 25594);
-    assert_eq!(r.gossip_stores, 18799);
-    assert_eq!(r.gossip_redundant_pushes_avoided, 449121);
-    assert_eq!(r.events_processed, 75000);
+    assert_eq!(r.gossip_pushes, 27079);
+    assert_eq!(r.gossip_stores, 19884);
+    assert_eq!(r.gossip_redundant_pushes_avoided, 476926);
+    assert_eq!(r.events_processed, 76024);
     assert_eq!(r.max_in_flight, 5);
-    assert_eq!(r.total_operations, 1579);
+    assert_eq!(r.total_operations, 1609);
     // Floating-point trajectories, pinned to the bit.
-    assert_eq!(r.mean_in_flight, 4.5105489249514724e-1);
-    assert_eq!(r.mean_latency(), 5.7143094013534885e-3);
-    assert_eq!(r.p99_latency(), 1.3249916559010089e-2);
+    assert_eq!(r.mean_in_flight, 0.4665084711414739);
+    assert_eq!(r.mean_latency(), 0.005799181271700977);
+    assert_eq!(r.p99_latency(), 0.013500232442887552);
     let hash = r
         .per_server_accesses
         .iter()
@@ -755,5 +769,5 @@ fn sharded_family_fingerprint_is_pinned() {
         .fold(0u64, |acc, (i, &c)| {
             acc.wrapping_mul(1000003).wrapping_add(c ^ i as u64)
         });
-    assert_eq!(hash, 12038364402710033471);
+    assert_eq!(hash, 14448362333035612305);
 }

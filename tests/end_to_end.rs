@@ -330,8 +330,8 @@ fn a_rejoining_server_bootstraps_from_pushes_planned_before_it_left() {
         "the joiner regained {regained} of {written} written keys"
     );
     // Measured at the parent commit, where every push went through a queue.
-    assert_eq!(back.gossip_stores, 9831);
-    assert_eq!(back.events_processed, 90117);
+    assert_eq!(back.gossip_stores, 10392);
+    assert_eq!(back.events_processed, 91507);
 }
 
 /// A failure schedule is a set of timed events: a plan written as a struct

@@ -19,6 +19,7 @@ use probabilistic_quorums::protocols::server::{Behavior, Record, VariableId};
 use probabilistic_quorums::protocols::timestamp::Timestamp;
 use probabilistic_quorums::protocols::value::{TaggedValue, Value};
 use probabilistic_quorums::sim::latency::LatencyModel;
+use probabilistic_quorums::sim::metrics::{LatencySamples, LATENCY_RELATIVE_ERROR};
 use probabilistic_quorums::sim::runner::{DiffusionPolicy, ProtocolKind, SimConfig, Simulation};
 use probabilistic_quorums::sim::workload::{KeySpace, Skew};
 use proptest::prelude::*;
@@ -1247,4 +1248,111 @@ fn slab_agrees<R: Record>(cluster: &Cluster, model: &SlabModel<R>, n: u32) {
             assert_eq!(server.record::<R>(var), model.get(&(id, var)));
         }
     }
+}
+
+/// The exact sample collection the latency histogram replaced, kept as its
+/// oracle: the nearest-rank `p`-th percentile of `samples`.
+fn exact_percentile(samples: &[f64], p: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// The histogram of `samples`, recorded in order.
+fn histogram(samples: &[f64]) -> LatencySamples {
+    let mut h = LatencySamples::new();
+    samples.iter().for_each(|&x| h.record(x));
+    h
+}
+
+/// `n` latencies spread over `10^−6 .. 10^(−6 + decades)` seconds, with
+/// repeats and exact zeros mixed in.
+fn latencies(rng: &mut ChaCha8Rng, n: usize, decades: f64) -> Vec<f64> {
+    let mut out: Vec<f64> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let u = rng.next_u64();
+        let x = match u % 16 {
+            0 => 0.0,
+            1 if !out.is_empty() => out[(u >> 8) as usize % out.len()],
+            _ => 10f64.powf(-6.0 + decades * (u >> 11) as f64 / (1u64 << 53) as f64),
+        };
+        out.push(x);
+    }
+    out
+}
+
+const QUANTILES: [f64; 10] = [0.0, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every quantile of the histogram is within its stated relative error
+    /// of the exact nearest-rank sample, and merging is a sum: in either
+    /// order it gives the histogram of the concatenated samples.
+    #[test]
+    fn latency_histogram_quantiles_and_merge(
+        seed in 0u64..1_000_000,
+        len_a in 1usize..400,
+        len_b in 0usize..400,
+        decades in 0.0f64..9.0,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let a = latencies(&mut rng, len_a, decades);
+        let b = latencies(&mut rng, len_b, decades);
+        let ha = histogram(&a);
+        for p in QUANTILES {
+            let (got, exact) = (ha.percentile(p), exact_percentile(&a, p));
+            prop_assert!(
+                (got - exact).abs() <= LATENCY_RELATIVE_ERROR * exact * (1.0 + 1e-9),
+                "p{} of {} samples: {} against {}", p, a.len(), got, exact
+            );
+        }
+        prop_assert_eq!(ha.count(), a.len());
+        prop_assert_eq!(ha.max(), a.iter().copied().fold(0.0, f64::max));
+        let exact_mean = a.iter().sum::<f64>() / a.len() as f64;
+        prop_assert!((ha.mean() - exact_mean).abs() <= 1e-9, "mean");
+
+        let hb = histogram(&b);
+        let mut ab = ha.clone();
+        ab.merge(&hb);
+        let mut ba = hb.clone();
+        ba.merge(&ha);
+        let concatenated: Vec<f64> = a.iter().chain(&b).copied().collect();
+        prop_assert_eq!(&ab, &ba);
+        prop_assert_eq!(&ab, &histogram(&concatenated));
+    }
+}
+
+/// On one fixed trace — the completion latencies of 10⁵ first-13-of-16
+/// probe sets under Pareto(1 ms, 1.9) probe latencies — the histogram's
+/// p99 is within its relative error of the exact one, and its variance
+/// matches the exact sample variance.
+#[test]
+fn latency_histogram_p99_matches_the_exact_oracle_on_a_fixed_trace() {
+    let model = LatencyModel::Pareto {
+        scale: 1e-3,
+        shape: 1.9,
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(2019);
+    let trace: Vec<f64> = (0..100_000)
+        .map(|_| {
+            let mut probes: Vec<f64> = (0..16).map(|_| model.sample(&mut rng)).collect();
+            probes.sort_by(f64::total_cmp);
+            probes[12]
+        })
+        .collect();
+    let h = histogram(&trace);
+    let exact = exact_percentile(&trace, 99.0);
+    assert!(
+        (h.p99() - exact).abs() <= LATENCY_RELATIVE_ERROR * exact,
+        "p99 {} against exact {exact}",
+        h.p99()
+    );
+    let mean = trace.iter().sum::<f64>() / trace.len() as f64;
+    let variance = trace.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (trace.len() - 1) as f64;
+    assert!(
+        (h.variance() - variance).abs() <= 1e-6 * variance,
+        "variance"
+    );
 }
