@@ -329,6 +329,8 @@ impl WorkloadConfig {
         ops
     }
 
+    /// Checks the arrival process's parameters.
+    ///
     /// # Panics
     ///
     /// Panics if the duration or rate is non-positive, or the read fraction
@@ -358,6 +360,7 @@ type Head = Reverse<(u64, VariableId, u32, bool)>;
 /// arrival rate, on the key's own arrival stream.
 #[derive(Debug)]
 struct KeyStream {
+    key: VariableId,
     rng: ChaCha8Rng,
     /// The key's arrival rate, `λ · p_v`.
     rate: f64,
@@ -372,7 +375,7 @@ struct KeyStream {
 #[derive(Debug)]
 pub(crate) struct Arrivals {
     heads: BinaryHeap<Head>,
-    streams: Vec<(VariableId, KeyStream)>,
+    streams: Vec<KeyStream>,
     duration: SimTime,
     read_fraction: f64,
 }
@@ -400,12 +403,12 @@ impl Arrivals {
             read_fraction: workload.read_fraction,
         };
         for v in keys {
-            let stream = KeyStream {
+            arrivals.streams.push(KeyStream {
+                key: v,
                 rng: ChaCha8Rng::seed_from_u64(key_stream_seed(seed ^ ARRIVAL_SALT, v)),
                 rate: workload.arrival_rate * popularity[v as usize],
                 at: 0.0,
-            };
-            arrivals.streams.push((v, stream));
+            });
             arrivals.draw(arrivals.streams.len() - 1);
         }
         arrivals
@@ -435,7 +438,7 @@ impl Arrivals {
     /// Draws stream `s`'s next arrival into the heap, unless it falls past
     /// the run's duration.
     fn draw(&mut self, s: usize) {
-        let (variable, stream) = &mut self.streams[s];
+        let stream = &mut self.streams[s];
         let u: f64 = stream.rng.gen_range(f64::MIN_POSITIVE..1.0);
         stream.at += -u.ln() / stream.rate;
         if stream.at > self.duration {
@@ -443,7 +446,7 @@ impl Arrivals {
         }
         let read = stream.rng.gen_bool(self.read_fraction);
         self.heads
-            .push(Reverse((stream.at.to_bits(), *variable, s as u32, !read)));
+            .push(Reverse((stream.at.to_bits(), stream.key, s as u32, !read)));
     }
 
     /// The earliest pending arrival (ties go to the lower key).

@@ -862,24 +862,26 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                 self.start_attempt(slot, now);
             }
         } else {
-            state.done = true;
-            let (op, start) = (state.op, state.start);
             if let Some(handle) = state.window {
                 self.writes[var].fail(handle, now);
             }
             self.acc.report.per_variable[var].unavailable_ops += 1;
-            self.leave(op, start, now);
+            self.leave(slot, now);
         }
     }
 
-    /// Operation `op`, arrived at `start`, leaves the system at `now`,
-    /// completed or given up: it no longer holds back the write logs'
-    /// horizon, and its time in the system goes to the in-flight gauge.
-    fn leave(&mut self, op: OpId, start: SimTime, now: SimTime) {
+    /// The operation in `slot` is done at `now`, completed or given up: it
+    /// no longer holds back the write logs' horizon, and its time in the
+    /// system goes to the in-flight gauge.  Returns its arrival time.
+    fn leave(&mut self, slot: u64, now: SimTime) -> SimTime {
+        let state = &mut self.ops[slot];
+        state.done = true;
+        let (op, start) = (state.op, state.start);
         self.unfinished[(op - self.unfinished_base) as usize].1 = true;
         self.ends.push(now);
         self.acc.op_time += u128::from(fixed_point(now - start));
         self.acc.busy_until = self.acc.busy_until.max(now);
+        start
     }
 
     /// A session gathered its replies (all `q`, or a non-empty partial set):
@@ -887,10 +889,7 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
     /// is order-free — counters, histograms, fixed-point sums — so the
     /// world records straight into its report.
     fn finalize(&mut self, slot: u64, now: SimTime) {
-        let state = &mut self.ops[slot];
-        state.done = true;
-        let (op, read_start) = (state.op, state.start);
-        self.leave(op, read_start, now);
+        let read_start = self.leave(slot, now);
         let state = &mut self.ops[slot];
         let latency = now - read_start;
         let var = state.variable as usize;
