@@ -247,13 +247,17 @@ pub(super) fn validate_adversarial(h: &mut Harness<'_>) {
                 let tag = |adv: &str| format!("{}/{proto_name}/{adv} seed {seed}", scenario.name);
 
                 if scenario.churn {
+                    let scheduled = static_plan
+                        .transitions
+                        .iter()
+                        .filter(|t| t.kind.is_membership())
+                        .count() as u64;
                     h.check(
-                        baseline.membership_events == static_plan.memberships.len() as u64,
+                        baseline.membership_events == scheduled,
                         format_args!(
-                            "{}: {} membership events applied, schedule has {}",
+                            "{}: {} membership events applied, schedule has {scheduled}",
                             tag("static"),
                             baseline.membership_events,
-                            static_plan.memberships.len()
                         ),
                     );
                 }

@@ -19,8 +19,8 @@
 //! endurance cell: a short calibration run measures the configuration's
 //! event density, the duration is sized to hit
 //! [`soak_target`](crate::cli::ValidatorCli::soak_target) (10⁸) events,
-//! and the run's per-stage wall-clock breakdown (drain / sync / plan /
-//! route) is reported beside the process's peak resident set.  Under
+//! and the run's per-stage wall-clock breakdown (drain / plan / route) is
+//! reported beside the process's peak resident set.  Under
 //! `--quick` the target is scaled down 100× so a smoke run exercises the
 //! lane in seconds.
 //!
@@ -233,7 +233,6 @@ pub(super) fn validate_parallel(h: &mut Harness<'_>) {
                 "wall (s)",
                 "events/sec",
                 "drain (s)",
-                "sync (s)",
                 "plan (s)",
                 "route (s)",
                 "spine fraction",
@@ -249,7 +248,6 @@ pub(super) fn validate_parallel(h: &mut Harness<'_>) {
             format!("{wall:.2}"),
             format!("{:.0}", report.events_processed as f64 / wall.max(1e-9)),
             format!("{:.3}", stages.drain_seconds),
-            format!("{:.3}", stages.sync_seconds),
             format!("{:.3}", stages.plan_seconds),
             format!("{:.3}", stages.route_seconds),
             format!("{:.4}", stages.spine_fraction()),

@@ -18,11 +18,12 @@
 //! # Event vocabulary
 //!
 //! An [`Event`] is a message in flight: it goes through the queue.  What
-//! is known before the run starts — the operations' arrivals, the crash
-//! and recovery schedule and the membership schedule — is not an event: a
-//! world draws its keys' arrivals lazily and walks the failure plan's two
-//! schedules with cursors beside the queue head, and steps them directly.  The op
-//! events name their operation by its slot in the world's op slab
+//! is known before the run starts — the operations' arrivals and the
+//! crash, recovery, join and leave transitions — is not an event: a world
+//! draws its keys' arrivals lazily and walks the failure plan's one
+//! transition list with a cursor beside the queue head, and steps them
+//! directly.  The op events name their operation by its slot in the
+//! world's op slab
 //! ([`PendingSlab`]), which the operation holds from its arrival until it
 //! is done and its last probe reply has landed.
 //!

@@ -7,30 +7,40 @@ use pqs_math::sampling::sample_k_of_n;
 use pqs_protocols::server::VariableId;
 use rand::RngCore;
 
-/// A scheduled crash (or recovery) of one server.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrashEvent {
-    /// When the transition happens.
-    pub at: SimTime,
-    /// Which server.
-    pub server: ServerId,
-    /// `true` for a crash, `false` for a recovery.
-    pub crash: bool,
+/// What a scheduled transition does to its server.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransitionKind {
+    /// The server fail-stops: it goes silent and keeps its stores.
+    Crash,
+    /// A crashed server comes back correct, with the stores it had.
+    Recover,
+    /// The server joins the cluster: it comes up correct with freshly
+    /// reset record stores and bootstraps its state through gossip.  A
+    /// server whose *first* membership transition is a join is absent
+    /// (crashed, empty stores) from the start of the run.
+    Join,
+    /// The server leaves the cluster: it goes dark.
+    Leave,
 }
 
-/// A scheduled membership transition: a server joining or leaving the
-/// cluster mid-run.  A server whose *first* membership event is a join is
-/// absent (crashed, empty stores) from the start of the run; a joiner
-/// always comes up with freshly reset record stores and bootstraps its
-/// state through gossip.
+impl TransitionKind {
+    /// Whether this is a membership change (a join or a leave) rather
+    /// than a crash or recovery.  At equal times every crash and recovery
+    /// comes before every membership change.
+    pub fn is_membership(self) -> bool {
+        matches!(self, TransitionKind::Join | TransitionKind::Leave)
+    }
+}
+
+/// A scheduled change to one server's state.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MembershipEvent {
+pub struct Transition {
     /// When the transition happens.
     pub at: SimTime,
     /// Which server.
     pub server: ServerId,
-    /// `true` for a join, `false` for a leave.
-    pub join: bool,
+    /// What happens to it.
+    pub kind: TransitionKind,
 }
 
 /// A healing partition: from `from` until `heals_at` the universe is split
@@ -106,10 +116,10 @@ impl ByzantineStrategy {
 pub struct FailurePlan {
     /// Servers that behave Byzantine from the start of the run.
     pub byzantine: Vec<ServerId>,
-    /// Crash / recovery transitions ordered by time.
-    pub crashes: Vec<CrashEvent>,
-    /// Membership churn: join / leave transitions ordered by time.
-    pub memberships: Vec<MembershipEvent>,
+    /// Crash, recovery and membership transitions in time order; at equal
+    /// times crashes and recoveries come first, each group in the order it
+    /// was added.
+    pub transitions: Vec<Transition>,
     /// Healing partitions ordered by onset time.
     pub partitions: Vec<PartitionWindow>,
     /// How the Byzantine set adapts over the run.
@@ -149,7 +159,7 @@ impl FailurePlan {
     /// Crashes each server independently with probability `p` at time
     /// `at` (the iid model of Definition 2.6).
     pub fn with_independent_crashes(
-        mut self,
+        self,
         universe: Universe,
         p: f64,
         at: SimTime,
@@ -157,24 +167,18 @@ impl FailurePlan {
     ) -> Self {
         use rand::Rng;
         let p = p.clamp(0.0, 1.0);
-        for i in 0..universe.size() {
-            if rng.gen_bool(p) {
-                self.crashes.push(CrashEvent {
-                    at,
-                    server: ServerId::new(i),
-                    crash: true,
-                });
-            }
-        }
-        self.sort_crashes();
-        self
+        let crashed: Vec<ServerId> = universe.servers().filter(|_| rng.gen_bool(p)).collect();
+        self.with_crash_wave(at, crashed)
     }
 
-    /// Adds an explicit crash or recovery transition.
-    pub fn with_transition(mut self, at: SimTime, server: ServerId, crash: bool) -> Self {
-        self.crashes.push(CrashEvent { at, server, crash });
-        self.sort_crashes();
-        self
+    /// Adds an explicit crash (`crash == true`) or recovery transition.
+    pub fn with_transition(self, at: SimTime, server: ServerId, crash: bool) -> Self {
+        let kind = if crash {
+            TransitionKind::Crash
+        } else {
+            TransitionKind::Recover
+        };
+        self.scheduling(at, [server], kind)
     }
 
     /// Crashes every server in `servers` simultaneously at time `at` — a
@@ -182,43 +186,38 @@ impl FailurePlan {
     /// The event engine honours the wave mid-run: operations in flight when
     /// it hits lose the probes that had not yet been answered.
     pub fn with_crash_wave<I: IntoIterator<Item = ServerId>>(
-        mut self,
+        self,
         at: SimTime,
         servers: I,
     ) -> Self {
-        for server in servers {
-            self.crashes.push(CrashEvent {
-                at,
-                server,
-                crash: true,
-            });
-        }
-        self.sort_crashes();
-        self
+        self.scheduling(at, servers, TransitionKind::Crash)
     }
 
     /// Schedules `server` to join the cluster at time `at`.  If this is
-    /// the server's first membership event it is absent (crashed) from the
-    /// start of the run; the join resets its record stores and it
+    /// the server's first membership transition it is absent (crashed)
+    /// from the start of the run; the join resets its record stores and it
     /// bootstraps through gossip.
-    pub fn with_join(mut self, at: SimTime, server: ServerId) -> Self {
-        self.memberships.push(MembershipEvent {
-            at,
-            server,
-            join: true,
-        });
-        self.sort_memberships();
-        self
+    pub fn with_join(self, at: SimTime, server: ServerId) -> Self {
+        self.scheduling(at, [server], TransitionKind::Join)
     }
 
     /// Schedules `server` to leave the cluster at time `at`.
-    pub fn with_leave(mut self, at: SimTime, server: ServerId) -> Self {
-        self.memberships.push(MembershipEvent {
-            at,
-            server,
-            join: false,
-        });
-        self.sort_memberships();
+    pub fn with_leave(self, at: SimTime, server: ServerId) -> Self {
+        self.scheduling(at, [server], TransitionKind::Leave)
+    }
+
+    /// Adds a `kind` transition of each of `servers` at time `at`.
+    fn scheduling(
+        mut self,
+        at: SimTime,
+        servers: impl IntoIterator<Item = ServerId>,
+        kind: TransitionKind,
+    ) -> Self {
+        let added = servers
+            .into_iter()
+            .map(|server| Transition { at, server, kind });
+        self.transitions.extend(added);
+        self.sort_transitions();
         self
     }
 
@@ -229,16 +228,13 @@ impl FailurePlan {
     ///
     /// Panics on an empty or inverted window or fewer than two components.
     pub fn with_partition(mut self, from: SimTime, heals_at: SimTime, components: u32) -> Self {
-        assert!(
-            from < heals_at,
-            "partition window [{from}, {heals_at}) is empty"
-        );
-        assert!(components >= 2, "a partition needs at least 2 components");
-        self.partitions.push(PartitionWindow {
+        let window = PartitionWindow {
             from,
             heals_at,
             components,
-        });
+        };
+        window.check();
+        self.partitions.push(window);
         self.sort_partitions();
         self
     }
@@ -249,17 +245,17 @@ impl FailurePlan {
         self
     }
 
-    /// Servers whose first membership event is a join: they are absent
-    /// (crashed, empty stores) from the start of the run.
+    /// Servers whose first membership transition is a join: they are
+    /// absent (crashed, empty stores) from the start of the run.
     pub fn initially_absent(&self) -> Vec<ServerId> {
         let mut seen: Vec<ServerId> = Vec::new();
         let mut absent: Vec<ServerId> = Vec::new();
-        for m in &self.memberships {
+        for m in self.transitions.iter().filter(|m| m.kind.is_membership()) {
             if seen.contains(&m.server) {
                 continue;
             }
             seen.push(m.server);
-            if m.join {
+            if m.kind == TransitionKind::Join {
                 absent.push(m.server);
             }
         }
@@ -274,11 +270,11 @@ impl FailurePlan {
     ///
     /// [`Cluster::join_server`]: pqs_protocols::cluster::Cluster::join_server
     pub fn joins_within(&self, server: ServerId, from: SimTime, to: SimTime) -> bool {
-        let first = self.memberships.partition_point(|m| m.at < from);
-        self.memberships[first..]
+        let first = self.transitions.partition_point(|m| m.at < from);
+        self.transitions[first..]
             .iter()
             .take_while(|m| m.at <= to)
-            .any(|m| m.join && m.server == server)
+            .any(|m| m.kind == TransitionKind::Join && m.server == server)
     }
 
     /// The partition window active at time `t`, if any.
@@ -321,43 +317,75 @@ impl FailurePlan {
         self.strategy.sleepers()
     }
 
-    fn sort_crashes(&mut self) {
+    fn sort_transitions(&mut self) {
         // `total_cmp` so a NaN transition time cannot scramble the
-        // schedule; `sort_schedules` rejects it with a clear panic instead.
-        self.crashes.sort_by(|a, b| a.at.total_cmp(&b.at));
-    }
-
-    fn sort_memberships(&mut self) {
-        self.memberships.sort_by(|a, b| a.at.total_cmp(&b.at));
+        // schedule; `check` rejects it with a clear panic instead.
+        self.transitions.sort_by(|a, b| {
+            let rank = |t: &Transition| t.kind.is_membership();
+            a.at.total_cmp(&b.at).then(rank(a).cmp(&rank(b)))
+        });
     }
 
     fn sort_partitions(&mut self) {
         self.partitions.sort_by(|a, b| a.from.total_cmp(&b.from));
     }
 
-    /// Puts the three schedules in time order, as the `with_*` builders
-    /// leave them.  The fields are public, so a struct literal can list
-    /// events in any order, and the spine's monotone cursors,
+    /// Rejects, where a plan enters a run, what the builders would have
+    /// refused or the engine cannot run.  The fields are public, so a
+    /// struct literal can get past every builder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transition time is NaN or negative (the worlds walk
+    /// these times without the queue's check), a partition window is one
+    /// [`with_partition`](Self::with_partition) refuses, or a Byzantine,
+    /// transition or sleeper server lies outside `universe`.
+    pub(crate) fn check(&self, universe: Universe) {
+        for t in &self.transitions {
+            assert!(
+                t.at.is_finite() && t.at >= 0.0,
+                "event time must be finite and non-negative, got {}",
+                t.at
+            );
+        }
+        self.partitions.iter().for_each(PartitionWindow::check);
+        let servers = self.transitions.iter().map(|t| &t.server);
+        for server in self.byzantine.iter().chain(servers).chain(self.sleepers()) {
+            assert!(
+                server.index() < universe.size(),
+                "server {} is outside the universe of {} servers",
+                server.index(),
+                universe.size()
+            );
+        }
+    }
+
+    /// Puts the schedules in time order, as the `with_*` builders leave
+    /// them.  The fields are public, so a struct literal can list events
+    /// in any order, and the worlds' transition cursor,
     /// [`joins_within`](Self::joins_within) and
     /// [`initially_absent`](Self::initially_absent) all read the lists as
     /// timelines.  The sorts are stable: a schedule already in order — any
     /// builder-made one — comes out unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a crash or membership time is NaN or negative: the
-    /// engine's cursors walk these times without the queue's check.
     pub(crate) fn sort_schedules(&mut self) {
-        let crash_times = self.crashes.iter().map(|c| c.at);
-        for at in crash_times.chain(self.memberships.iter().map(|m| m.at)) {
-            assert!(
-                at.is_finite() && at >= 0.0,
-                "event time must be finite and non-negative, got {at}"
-            );
-        }
-        self.sort_crashes();
-        self.sort_memberships();
+        self.sort_transitions();
         self.sort_partitions();
+    }
+}
+
+impl PartitionWindow {
+    /// Panics on an empty, inverted or NaN window or fewer than two
+    /// components.
+    fn check(&self) {
+        let (from, heals_at) = (self.from, self.heals_at);
+        assert!(
+            from < heals_at,
+            "partition window [{from}, {heals_at}) is empty"
+        );
+        assert!(
+            self.components >= 2,
+            "a partition needs at least 2 components"
+        );
     }
 }
 
@@ -371,8 +399,7 @@ mod tests {
     fn empty_plan() {
         let p = FailurePlan::none();
         assert!(p.byzantine.is_empty());
-        assert!(p.crashes.is_empty());
-        assert!(p.memberships.is_empty());
+        assert!(p.transitions.is_empty());
         assert!(p.partitions.is_empty());
         assert_eq!(p.strategy, ByzantineStrategy::Static);
         assert!(p.sleepers().is_empty());
@@ -408,10 +435,10 @@ mod tests {
             .with_independent_crashes(u, 0.2, 1.0, &mut rng)
             .with_transition(0.5, ServerId::new(1), true);
         // Sorted by time.
-        assert!(p.crashes.windows(2).all(|w| w[0].at <= w[1].at));
-        assert_eq!(p.crashes.first().unwrap().at, 0.5);
+        assert!(p.transitions.windows(2).all(|w| w[0].at <= w[1].at));
+        assert_eq!(p.transitions.first().unwrap().at, 0.5);
         // Roughly 20 crashes from the independent model (plus the 2 manual).
-        let count = p.crashes.len();
+        let count = p.transitions.len();
         assert!((10..=35).contains(&count), "count={count}");
     }
 
@@ -420,9 +447,12 @@ mod tests {
         let p = FailurePlan::none()
             .with_transition(1.0, ServerId::new(9), true)
             .with_crash_wave(0.25, (0..4).map(ServerId::new));
-        assert_eq!(p.crashes.len(), 5);
-        assert!(p.crashes[..4].iter().all(|c| c.at == 0.25 && c.crash));
-        assert_eq!(p.crashes[4].at, 1.0);
+        assert_eq!(p.transitions.len(), 5);
+        let wave = &p.transitions[..4];
+        assert!(wave
+            .iter()
+            .all(|c| c.at == 0.25 && c.kind == TransitionKind::Crash));
+        assert_eq!(p.transitions[4].at, 1.0);
     }
 
     #[test]
@@ -430,8 +460,8 @@ mod tests {
         let p = FailurePlan::none()
             .with_transition(1.0, ServerId::new(3), true)
             .with_transition(2.0, ServerId::new(3), false);
-        assert!(p.crashes[0].crash);
-        assert!(!p.crashes[1].crash);
+        assert_eq!(p.transitions[0].kind, TransitionKind::Crash);
+        assert_eq!(p.transitions[1].kind, TransitionKind::Recover);
     }
 
     #[test]
@@ -441,7 +471,7 @@ mod tests {
             .with_join(5.0, ServerId::new(7))
             .with_join(12.0, ServerId::new(2))
             .with_join(1.0, ServerId::new(9));
-        assert!(p.memberships.windows(2).all(|w| w[0].at <= w[1].at));
+        assert!(p.transitions.windows(2).all(|w| w[0].at <= w[1].at));
         // Server 7 and 9 join first → absent at t=0; server 2 leaves first
         // → present at t=0.
         let absent = p.initially_absent();
@@ -449,6 +479,39 @@ mod tests {
         assert!(absent.contains(&ServerId::new(9)));
         assert!(!absent.contains(&ServerId::new(2)));
         assert_eq!(absent.len(), 2);
+    }
+
+    /// At equal times every crash and recovery comes before every join
+    /// and leave, whatever order they were added in; within each group the
+    /// order they were added in holds.
+    #[test]
+    fn equal_time_transitions_put_crashes_before_membership_changes() {
+        let s = ServerId::new;
+        let p = FailurePlan::none()
+            .with_join(1.0, s(5))
+            .with_leave(1.0, s(6))
+            .with_transition(1.0, s(3), false)
+            .with_transition(2.0, s(8), true)
+            .with_crash_wave(1.0, [s(4), s(2)])
+            .with_join(0.5, s(7));
+        let order: Vec<(SimTime, u32, TransitionKind)> = p
+            .transitions
+            .iter()
+            .map(|t| (t.at, t.server.index(), t.kind))
+            .collect();
+        use TransitionKind::*;
+        assert_eq!(
+            order,
+            [
+                (0.5, 7, Join),
+                (1.0, 3, Recover),
+                (1.0, 4, Crash),
+                (1.0, 2, Crash),
+                (1.0, 5, Join),
+                (1.0, 6, Leave),
+                (2.0, 8, Crash),
+            ]
+        );
     }
 
     #[test]
@@ -511,8 +574,7 @@ mod tests {
             FailurePlan::none(),
             FailurePlan {
                 byzantine: vec![],
-                crashes: vec![],
-                memberships: vec![],
+                transitions: vec![],
                 partitions: vec![],
                 strategy: ByzantineStrategy::Static,
             }

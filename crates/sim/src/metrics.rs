@@ -559,10 +559,9 @@ impl SimReport {
 pub struct EngineStageTimings {
     /// Time spent draining shard event queues (parallel across threads).
     pub drain_seconds: f64,
-    /// Time spent at barriers stepping the spine's crash and membership
-    /// cursors (serial).  The spine keeps no copy of the shards' records,
-    /// so this is close to 0; the field stays for the repo benchmark,
-    /// which reads it.
+    /// Always 0: the spine keeps no copy of the shards' records or
+    /// behaviours, so there is nothing left to bring in step at a barrier.
+    /// The field stays only because the repo benchmark reads it.
     pub sync_seconds: f64,
     /// Time spent planning gossip rounds on the spine — RNG draws, digest
     /// assembly, per-shard bucketing (serial).
@@ -585,9 +584,9 @@ pub struct EngineStageTimings {
 }
 
 impl EngineStageTimings {
-    /// Total serial (spine) time: sync + plan + route.
+    /// Total serial (spine) time: plan + route.
     fn spine_seconds(&self) -> f64 {
-        self.sync_seconds + self.plan_seconds + self.route_seconds
+        self.plan_seconds + self.route_seconds
     }
 
     /// Serial fraction of the run: spine time over total wall time (0 for

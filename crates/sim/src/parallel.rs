@@ -8,25 +8,27 @@
 //! 1. The failure plan is derived on the main RNG stream, then each
 //!    [`World`] opens the arrival streams of the variables it owns
 //!    (`variable % num_shards`, each key on its own stream, drawn lazily)
-//!    and borrows the full crash and membership schedules, which it walks
-//!    with cursors rather than queueing them.
+//!    and borrows the plan's one transition list (crashes, recoveries,
+//!    joins and leaves), which it walks with a cursor rather than queueing
+//!    it.  Every world applies every transition, so every world holds the
+//!    run's behaviours.
 //! 2. With no diffusion configured there is no cross-shard traffic at all:
 //!    every world drains independently (on up to
 //!    [`SimConfig::threads`](crate::runner::SimConfig::threads) worker
 //!    threads), in windows of a constant simulated length, and the
 //!    accumulators merge.
 //! 3. With diffusion, the gossip round times are the spine's **barriers**:
-//!    all worlds drain up to (strictly before) each barrier, the spine
-//!    applies the crash and membership transitions due by then to its
-//!    behaviour timeline, and plans the round straight from the records
-//!    where they live — key `v`'s on world `v % num_shards`, the only copy
-//!    there is, read through [`Shards`] — on the dedicated gossip RNG
-//!    stream, drawing *all* message latencies eagerly, so the stream never
-//!    depends on shard outcomes.  Each message goes into its destination
-//!    world's [`RoundBatch`], bulk-scheduled in one pre-sorted pass per
-//!    world.  A full push whose receiver already holds a record as fresh
-//!    is *covered*: it can store nothing whenever it lands, so the spine
-//!    counts its delivery on the spot and sends nothing (see
+//!    all worlds drain up to (strictly before) each barrier and apply the
+//!    crashes and recoveries due exactly at it, and the spine plans the
+//!    round straight from the state where it lives — key `v`'s records on
+//!    world `v % num_shards`, the only copy there is, and every behaviour
+//!    on the first world, read through [`Shards`] — on the dedicated
+//!    gossip RNG stream, drawing *all* message latencies eagerly, so the
+//!    stream never depends on shard outcomes.  Each message goes into its
+//!    destination world's [`RoundBatch`], bulk-scheduled in one pre-sorted
+//!    pass per world.  A full push whose receiver already holds a record
+//!    as fresh is *covered*: it can store nothing whenever it lands, so the
+//!    spine counts its delivery on the spot and sends nothing (see
 //!    `docs/ARCHITECTURE.md`, "Plan-time resolution of covered pushes").
 //!
 //! After every drain window — a gossip barrier, or a fixed stretch of
@@ -54,7 +56,6 @@ use crate::workload::{Arrivals, WorkloadConfig};
 use crate::world::{DigestIds, QueuedPush, RoundBatch, World};
 use pqs_core::system::QuorumSystem;
 use pqs_core::universe::ServerId;
-use pqs_protocols::cluster::Cluster;
 use pqs_protocols::crypto::SignedValue;
 use pqs_protocols::diffusion::{self, Holdings};
 use pqs_protocols::server::{Behavior, Record, VariableId};
@@ -78,10 +79,9 @@ const WINDOW_ARRIVALS: f64 = 1024.0;
 
 /// The records of a run where they live, as the round planners read them at
 /// a barrier: key `v`'s records and write state on world `v % worlds.len()`
-/// — the only copy there is — and every server's behaviour on the spine's
-/// own timeline.
+/// — the only copy there is — and every server's behaviour on the first
+/// world, which holds the same behaviours as every other.
 struct Shards<'w, 'a, S: QuorumSystem + ?Sized> {
-    behaviors: &'w Cluster,
     worlds: &'w [World<'a, S>],
     keys: VariableId,
 }
@@ -101,10 +101,10 @@ impl<'a, S: QuorumSystem + ?Sized> Shards<'_, 'a, S> {
 
 impl<S: QuorumSystem + ?Sized> Holdings for Shards<'_, '_, S> {
     fn servers(&self) -> usize {
-        self.behaviors.len()
+        self.worlds[0].cluster.len()
     }
     fn behavior(&self, id: ServerId) -> Behavior {
-        self.behaviors.server(id).behavior()
+        self.worlds[0].cluster.server(id).behavior()
     }
     fn record<R: Record>(&self, id: ServerId, var: VariableId) -> Option<&R> {
         self.owner(var).cluster.server(id).record(var)
@@ -199,7 +199,9 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
     let run_start = Instant::now();
     let mut stages = EngineStageTimings::default();
     let config = sim.config;
-    // The fields are public, so a 0 can get past the builder's check.
+    // The fields are public and may be written after `build()`.
+    config.validate();
+    // A shard count of 0 is read as 1.
     let num_shards = u64::from(config.num_shards.max(1));
 
     // Plan derivation on the main RNG stream.  A caller-supplied plan is
@@ -274,23 +276,8 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
     let mut heals = HealTracking::default();
 
     if let Some(policy) = config.diffusion {
-        assert!(
-            policy.period > 0.0 && policy.period.is_finite(),
-            "diffusion period must be positive and finite"
-        );
-        assert!(policy.fanout >= 1, "diffusion fanout must be at least 1");
-
-        // The spine's behaviour timeline.  It stores no record: the
-        // planners read each key's records on its owning world.
-        let mut behaviors = Cluster::new(sim.system.universe());
-        behaviors.corrupt_all(plan.byzantine.iter().copied(), byz_behavior);
-        for absent in plan.initially_absent() {
-            behaviors.set_behavior(absent, Behavior::Crashed);
-        }
         let mut gossip_rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x9e37_79b9_7f4a_7c15);
         let mut trackers: Vec<ConvergenceTracker> = vec![ConvergenceTracker::default(); nvars];
-        let mut crash_cursor = 0usize;
-        let mut membership_cursor = 0usize;
         let mut next_gossip_id: u64 = 0;
 
         // Round-scoped buffers, all reused across barriers: per-shard
@@ -307,41 +294,9 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
         loop {
             stages.drain_seconds += drain(&mut worlds, Some(t));
 
-            let sync_start = Instant::now();
-            // Crash transitions due by now flip the spine's behaviours — a
-            // transition at the barrier time itself precedes the round.
-            while crash_cursor < plan.crashes.len() && plan.crashes[crash_cursor].at <= t {
-                let c = &plan.crashes[crash_cursor];
-                let behavior = if c.crash {
-                    Behavior::Crashed
-                } else {
-                    Behavior::Correct
-                };
-                behaviors.set_behavior(c.server, behavior);
-                crash_cursor += 1;
-            }
-            // Membership transitions use a *strict* cursor (`at < t`, not
-            // `<= t`): a join wipes the joiner's records, and the worlds
-            // replay a join at the barrier time itself only after the
-            // round, so the strict bound keeps the joiner's behaviour in
-            // step with the records the worlds hold for it.
-            while membership_cursor < plan.memberships.len()
-                && plan.memberships[membership_cursor].at < t
-            {
-                let m = &plan.memberships[membership_cursor];
-                if m.join {
-                    behaviors.join_server(m.server);
-                } else {
-                    behaviors.set_behavior(m.server, Behavior::Crashed);
-                }
-                membership_cursor += 1;
-            }
-            stages.sync_seconds += sync_start.elapsed().as_secs_f64();
-
             let plan_start = Instant::now();
             rounds += 1;
             let shards = Shards {
-                behaviors: &behaviors,
                 worlds: &worlds,
                 keys: config.keyspace.keys,
             };
@@ -363,7 +318,7 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
                         // the world replays a join *at* `t` only after the
                         // round, so the planner still saw the pre-join
                         // record, and a join *at* `at` is replayed before
-                        // the push (the membership cursor wins its ties
+                        // the push (the transition cursor wins its ties
                         // with the queue).
                         // `Some(blocked)`: resolved here.
                         let resolved = (push.covered && !plan.joins_within(push.to, t, at))
@@ -526,13 +481,16 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
     let resolved_delivered: u64 = resolved_pushes.iter().sum();
     report.gossip_pushes += resolved_delivered;
     report.partition_blocked_gossip += resolved_blocked + digests_blocked + deltas_blocked;
-    report.membership_events = plan.memberships.len() as u64;
+    report.membership_events = plan
+        .transitions
+        .iter()
+        .filter(|t| t.kind.is_membership())
+        .count() as u64;
     heals.finish_into(&mut report);
-    // Spine-level events: crash and membership transitions (replayed per
-    // shard but one event each), rounds, digest deliveries, delta
-    // deliveries and the push deliveries resolved at planning time.
-    report.events_processed += plan.crashes.len() as u64
-        + plan.memberships.len() as u64
+    // Spine-level events: transitions (applied per shard but one event
+    // each), rounds, digest deliveries, delta deliveries and the push
+    // deliveries resolved at planning time.
+    report.events_processed += plan.transitions.len() as u64
         + rounds
         + digests_planned
         + deltas_sent
@@ -576,9 +534,11 @@ fn drain_all<S: QuorumSystem + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::TransitionKind;
     use crate::runner::{DiffusionPolicy, SimConfig};
     use crate::workload::KeySpace;
     use pqs_core::probabilistic::EpsilonIntersecting;
+    use pqs_protocols::cluster::Cluster;
     use pqs_protocols::diffusion::{outline_cluster_round, plan_digest_into};
     use pqs_protocols::diffusion::{DigestArena, KeySelector};
 
@@ -599,6 +559,91 @@ mod tests {
         assert!(one.completed_reads > 0 && one.gossip_digests > 0);
         config.num_shards = 0;
         assert_eq!(Simulation::new(&sys, ProtocolKind::Safe, config).run(), one);
+    }
+
+    /// The behaviours the planners read at a barrier are the plan folded
+    /// by hand: Byzantine servers from the start, a server whose first
+    /// membership change is a join absent until it joins, then every crash
+    /// and recovery at or before the barrier and every join and leave
+    /// strictly before it.  The barriers hit each kind's ties exactly.
+    #[test]
+    fn shards_read_the_plan_folded_up_to_each_barrier() {
+        let sys = EpsilonIntersecting::new(36, 9).unwrap();
+        let s = ServerId::new;
+        let mut plan = FailurePlan::none()
+            .with_join(0.5, s(30))
+            .with_transition(0.5, s(1), true)
+            .with_leave(1.0, s(31))
+            .with_transition(1.0, s(2), true)
+            .with_transition(1.5, s(1), false)
+            .with_join(1.5, s(31))
+            .with_crash_wave(2.0, [s(3), s(4)])
+            .with_leave(2.0, s(5));
+        plan.byzantine = vec![s(6)];
+        let keys = 6;
+        let config = SimConfig::builder()
+            .with_duration(3.0)
+            .with_arrival_rate(100.0)
+            .with_keyspace(KeySpace::zipf(keys, 1.0))
+            .with_num_shards(3)
+            .with_seed(7)
+            .build();
+        let sim = Simulation::new(&sys, ProtocolKind::Safe, config);
+        let workload = WorkloadConfig {
+            duration: config.duration,
+            arrival_rate: config.arrival_rate,
+            read_fraction: config.read_fraction,
+            keyspace: config.keyspace,
+        };
+        let popularity = config.keyspace.popularity();
+        let mut worlds: Vec<_> = (0..3)
+            .map(|shard| {
+                let keys = (shard..keys).step_by(3);
+                let arrivals = Arrivals::new(&workload, &popularity, 7, keys);
+                World::new(&sim, arrivals, &plan, Behavior::ByzantineForge)
+            })
+            .collect();
+
+        let n = sys.universe().size() as usize;
+        for barrier in [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5] {
+            drain_all(&mut worlds, Some(barrier), 1);
+            let mut expected = vec![Behavior::Correct; n];
+            for b in &plan.byzantine {
+                expected[b.as_usize()] = Behavior::ByzantineForge;
+            }
+            let memberships = plan.transitions.iter().filter(|t| t.kind.is_membership());
+            let mut seen = vec![false; n];
+            for t in memberships {
+                let i = t.server.as_usize();
+                if !seen[i] && t.kind == TransitionKind::Join {
+                    expected[i] = Behavior::Crashed;
+                }
+                seen[i] = true;
+            }
+            for t in &plan.transitions {
+                let due = match t.kind {
+                    TransitionKind::Crash | TransitionKind::Recover => t.at <= barrier,
+                    TransitionKind::Join | TransitionKind::Leave => t.at < barrier,
+                };
+                if due {
+                    expected[t.server.as_usize()] = match t.kind {
+                        TransitionKind::Crash | TransitionKind::Leave => Behavior::Crashed,
+                        TransitionKind::Recover | TransitionKind::Join => Behavior::Correct,
+                    };
+                }
+            }
+            let shards = Shards {
+                worlds: &worlds,
+                keys,
+            };
+            assert_eq!(shards.servers(), n);
+            let read: Vec<Behavior> = sys
+                .universe()
+                .servers()
+                .map(|id| shards.behavior(id))
+                .collect();
+            assert_eq!(read, expected, "barrier {barrier}");
+        }
     }
 
     /// Each key's records live only on its owning world, so the view the
@@ -644,11 +689,10 @@ mod tests {
         drain_all(&mut worlds, Some(2.0), 1);
 
         let universe = sys.universe();
-        let mut behaviors = Cluster::new(universe);
+        let mut merged = Cluster::new(universe);
         for id in universe.servers() {
-            behaviors.set_behavior(id, worlds[0].cluster.server(id).behavior());
+            merged.set_behavior(id, worlds[0].cluster.server(id).behavior());
         }
-        let mut merged = behaviors.clone();
         for world in &worlds {
             for id in universe.servers() {
                 let src = world.cluster.server(id);
@@ -658,7 +702,6 @@ mod tests {
             }
         }
         let shards = Shards {
-            behaviors: &behaviors,
             worlds: &worlds,
             keys,
         };

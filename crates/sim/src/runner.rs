@@ -596,48 +596,63 @@ impl SimConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the duration or arrival rate is not positive and finite,
-    /// a probability (`read_fraction`, `crash_probability`) leaves [0, 1],
-    /// the timeout or backoff factor is negative or non-finite, the shard
-    /// or thread count is 0, or a configured diffusion policy has a
-    /// non-positive period, zero fanout or a
-    /// [`RecentWrites`](KeyGossipPolicy::RecentWrites) window that is
-    /// negative or NaN.
+    /// Panics if the shard or thread count is 0, or on any field
+    /// [`SimConfig::validate`] rejects.
     pub fn build(self) -> SimConfig {
         let c = &self.config;
-        assert!(
-            c.duration > 0.0 && c.duration.is_finite(),
-            "duration must be positive and finite, got {}",
-            c.duration
-        );
-        assert!(
-            c.arrival_rate > 0.0 && c.arrival_rate.is_finite(),
-            "arrival_rate must be positive and finite, got {}",
-            c.arrival_rate
-        );
-        assert!(
-            (0.0..=1.0).contains(&c.read_fraction),
-            "read_fraction must lie in [0, 1], got {}",
-            c.read_fraction
-        );
-        assert!(
-            (0.0..=1.0).contains(&c.crash_probability),
-            "crash_probability must lie in [0, 1], got {}",
-            c.crash_probability
-        );
-        assert!(
-            c.op_timeout >= 0.0 && c.op_timeout.is_finite(),
-            "op_timeout must be non-negative and finite, got {}",
-            c.op_timeout
-        );
-        assert!(
-            c.retry_backoff >= 0.0 && c.retry_backoff.is_finite(),
-            "retry_backoff must be non-negative and finite, got {}",
-            c.retry_backoff
-        );
         assert!(c.num_shards >= 1, "num_shards must be at least 1");
         assert!(c.threads >= 1, "threads must be at least 1");
-        if let Some(policy) = &c.diffusion {
+        c.validate();
+        self.config
+    }
+}
+
+impl SimConfig {
+    /// Checks every field a run reads.  [`SimConfigBuilder::build`] calls
+    /// it, and so does every run: the fields are public and may be written
+    /// after `build()`.  Shard and thread counts are not checked here — a
+    /// run reads 0 as 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the duration or arrival rate is not positive and finite,
+    /// a probability (`read_fraction`, `crash_probability`) leaves [0, 1],
+    /// the timeout or backoff factor is negative or non-finite, or a
+    /// configured diffusion policy has a non-positive period, zero fanout
+    /// or a [`RecentWrites`](KeyGossipPolicy::RecentWrites) window that is
+    /// negative or NaN.
+    pub(crate) fn validate(&self) {
+        assert!(
+            self.duration > 0.0 && self.duration.is_finite(),
+            "duration must be positive and finite, got {}",
+            self.duration
+        );
+        assert!(
+            self.arrival_rate > 0.0 && self.arrival_rate.is_finite(),
+            "arrival_rate must be positive and finite, got {}",
+            self.arrival_rate
+        );
+        assert!(
+            (0.0..=1.0).contains(&self.read_fraction),
+            "read_fraction must lie in [0, 1], got {}",
+            self.read_fraction
+        );
+        assert!(
+            (0.0..=1.0).contains(&self.crash_probability),
+            "crash_probability must lie in [0, 1], got {}",
+            self.crash_probability
+        );
+        assert!(
+            self.op_timeout >= 0.0 && self.op_timeout.is_finite(),
+            "op_timeout must be non-negative and finite, got {}",
+            self.op_timeout
+        );
+        assert!(
+            self.retry_backoff >= 0.0 && self.retry_backoff.is_finite(),
+            "retry_backoff must be non-negative and finite, got {}",
+            self.retry_backoff
+        );
+        if let Some(policy) = &self.diffusion {
             assert!(
                 policy.period > 0.0 && policy.period.is_finite(),
                 "diffusion period must be positive and finite"
@@ -650,7 +665,6 @@ impl SimConfigBuilder {
                 );
             }
         }
-        self.config
     }
 }
 
@@ -678,7 +692,14 @@ impl<'a, S: QuorumSystem + ?Sized> Simulation<'a, S> {
     /// explicit one (Byzantine placement and crash schedule).  A schedule
     /// is a set of timed events: the order a struct literal lists them in
     /// does not matter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transition time is NaN or negative, a partition window
+    /// is one [`FailurePlan::with_partition`] refuses, or a Byzantine,
+    /// transition or sleeper server lies outside the system's universe.
     pub fn with_failure_plan(mut self, mut plan: FailurePlan) -> Self {
+        plan.check(self.system.universe());
         plan.sort_schedules();
         self.plan = Some(plan);
         self
@@ -692,7 +713,7 @@ impl<'a, S: QuorumSystem + ?Sized> Simulation<'a, S> {
     /// Runs the simulation and additionally returns the engine's
     /// wall-clock stage timings.
     ///
-    /// Each gossip barrier splits into drain / sync / plan / route; a
+    /// Each gossip barrier splits into drain / plan / route; a
     /// diffusion-free run has no barrier and its spine stages stay zero.
     /// The report half is bit-identical to [`Simulation::run`]; the
     /// timings half is wall-clock measurement and never feeds back into
@@ -1371,6 +1392,24 @@ mod tests {
                 .unwrap_or_default();
             assert!(message.starts_with(expected), "row {row}: {message:?}");
         }
+    }
+
+    /// The fields are public, so a value written after `build()` is checked
+    /// again where the run starts, with `build()`'s message.
+    #[test]
+    #[should_panic(expected = "recent-writes window must be non-negative, got NaN")]
+    fn a_nan_window_written_after_build_is_rejected_at_run() {
+        let sys = EpsilonIntersecting::new(20, 5).unwrap();
+        let policy = DiffusionPolicy::digest_delta(0.1, 2);
+        let mut config = SimConfig::builder()
+            .with_duration(1.0)
+            .with_diffusion(policy)
+            .build();
+        config.diffusion = Some(policy.with_key_policy(KeyGossipPolicy::RecentWrites {
+            window: f64::NAN,
+            cold_every: 8,
+        }));
+        Simulation::new(&sys, ProtocolKind::Safe, config).run();
     }
 
     #[test]

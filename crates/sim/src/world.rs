@@ -16,11 +16,13 @@
 //! retries and gossip deliveries.  An attempt sends to its whole probe set
 //! at once, so its replies enter the queue as one train
 //! ([`EventQueue::schedule_train`]), keyed by its earliest reply only.
-//! Beside the queue head the drain loop walks three timelines: the owned
+//! Beside the queue head the drain loop walks two timelines: the owned
 //! keys' [`Arrivals`], drawn lazily one pending arrival per key, and the
-//! plan's crash and membership schedules, walked with cursors.  Queue
-//! memory is proportional to the traffic in flight rather than to the
-//! run's length.
+//! plan's one list of crash, recovery, join and leave transitions, walked
+//! with a cursor.  Every world applies every transition, so every world
+//! holds the run's behaviours at every barrier — the spine reads them off
+//! the first world and keeps no timeline of its own.  Queue memory is
+//! proportional to the traffic in flight rather than to the run's length.
 //!
 //! The same holds for client state: an operation takes a slot of the
 //! world's op slab when it arrives and gives it back once it is done and
@@ -39,7 +41,7 @@
 //! shard counts and all thread counts.
 
 use crate::event::{BufferPool, Event, OpId, PendingSlab};
-use crate::failure::{ByzantineStrategy, FailurePlan};
+use crate::failure::{ByzantineStrategy, FailurePlan, Transition, TransitionKind};
 use crate::metrics::{fixed_point, ShardAccumulator, SimReport, VariableReport};
 use crate::runner::{ProtocolKind, SimConfig, Simulation};
 use crate::staleness::WriteLog;
@@ -240,15 +242,12 @@ pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
     arrivals: Arrivals,
     /// Operations arrived so far: the next arrival's [`OpId`].
     arrived: OpId,
-    /// Index into `plan.crashes` of the next crash transition to replay.
-    next_crash: usize,
-    /// Index into `plan.memberships` of the next membership transition to
-    /// replay.
-    next_membership: usize,
+    /// Index into `plan.transitions` of the next transition to apply.
+    next_transition: usize,
     /// The shard's replica-cluster copy.  Per-key server records live only
     /// on the key's owning shard — the spine plans gossip from them there —
-    /// and failure transitions are replayed in every shard so behaviour
-    /// timelines agree everywhere.
+    /// and every transition is applied in every shard, so all worlds hold
+    /// the same behaviours, which the spine reads off the first world.
     pub(crate) cluster: Cluster,
     registers: RegisterMap<'a, S>,
     /// The state of the operations in flight, one slot each from arrival
@@ -282,13 +281,13 @@ pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
     /// the spine counts the union once per id (a blocked delta is one
     /// dropped message, however many shards its records span).
     pub(crate) deltas_blocked: DigestIds,
-    /// The run's failure plan, borrowed: its crash and membership
-    /// schedules are two of the cursor timelines (replayed in every
-    /// shard), and its partition windows and adversary strategy are
-    /// consulted at delivery time.
+    /// The run's failure plan, borrowed: its transitions are one of the
+    /// timelines the drain loop walks (applied in every shard), and its
+    /// partition windows and adversary strategy are consulted at delivery
+    /// time.
     plan: &'a FailurePlan,
     /// Present-server mask for the membership-churn margin recompute
-    /// (empty when the membership schedule is — churn-free runs never
+    /// (empty when the plan has no join or leave — churn-free runs never
     /// touch the probe margin).
     present: Vec<bool>,
     /// Count of `true` entries in `present`.
@@ -313,9 +312,9 @@ pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
 
 impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
     /// Builds a world of `sim` that owns the keys `arrivals` draws for:
-    /// points the crash and membership cursors at the starts of the plan's
-    /// schedules, and derives the per-variable RNG streams from the run
-    /// seed.  The queue and the op slab start empty.
+    /// points the transition cursor at the start of the plan's schedule,
+    /// and derives the per-variable RNG streams from the run seed.  The
+    /// queue and the op slab start empty.
     pub(crate) fn new(
         sim: &Simulation<'a, S>,
         arrivals: Arrivals,
@@ -323,9 +322,11 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         byz_behavior: Behavior,
     ) -> Self {
         debug_assert!(
-            plan.crashes.windows(2).all(|w| w[0].at <= w[1].at)
-                && plan.memberships.windows(2).all(|w| w[0].at <= w[1].at),
-            "the crash and membership cursors walk time-sorted timelines"
+            plan.transitions.windows(2).all(|w| {
+                let rank = |t: &Transition| (t.at, t.kind.is_membership());
+                rank(&w[0]) <= rank(&w[1])
+            }),
+            "the transition cursor walks a sorted timeline"
         );
         let config = sim.config;
         let mut cluster = Cluster::new(sim.system.universe());
@@ -333,9 +334,7 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         cluster.corrupt_all(plan.byzantine.iter().copied(), byz_behavior);
         // Servers whose first membership event is a join have not joined
         // yet: they start dark and bootstrap through gossip when they do.
-        for absent in plan.initially_absent() {
-            cluster.set_behavior(absent, Behavior::Crashed);
-        }
+        cluster.crash_all(plan.initially_absent());
 
         let mut registry = KeyRegistry::new();
         let signing_key = registry.register(1, config.seed ^ 0xabcdef);
@@ -354,7 +353,7 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         let min_quorum = sim.system.min_quorum_size() as u64;
         let mut present: Vec<bool> = Vec::new();
         let mut present_count = 0u64;
-        if !plan.memberships.is_empty() {
+        if plan.transitions.iter().any(|t| t.kind.is_membership()) {
             present = vec![true; universe_n as usize];
             for absent in plan.initially_absent() {
                 present[absent.index() as usize] = false;
@@ -385,8 +384,7 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
             queue: EventQueue::new(),
             arrivals,
             arrived: 0,
-            next_crash: 0,
-            next_membership: 0,
+            next_transition: 0,
             cluster,
             registers,
             ops: PendingSlab::new(),
@@ -420,55 +418,53 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
     }
 
     /// Handles this shard's events up to (strictly before) `barrier`, or
-    /// all of them with `None`.  Events *at* the barrier belong to the next
-    /// window: the spine's own work at a barrier time (crash application,
-    /// round planning) happens before them — a round precedes the
-    /// same-time foreground events, like the cursor transitions that win
-    /// their ties with the queue.
+    /// all of them with `None`, then applies the crashes and recoveries due
+    /// exactly at `barrier`.  The other events *at* the barrier belong to
+    /// the next window: the spine plans its round at the barrier time
+    /// before them, against behaviours that already include that instant's
+    /// crashes.  Taking those crashes ahead of the same-time arrivals
+    /// changes nothing: an arrival samples its probe set without reading
+    /// any behaviour, so the two commute.  Joins and leaves at the barrier
+    /// wait for the next window, because a join wipes records the round
+    /// is planned from.
     ///
-    /// Each step takes the earliest of the three cursor heads and the
-    /// queue head.  Ties go arrival → crash → membership → queue: the order
-    /// of `(time, insertion sequence)` had the three timelines been
-    /// queued, in that order, before any event of the run.
+    /// Each step takes the earliest of the two timeline heads and the
+    /// queue head.  Ties go arrival → transition → queue: the order of
+    /// `(time, insertion sequence)` had the two timelines been queued, in
+    /// that order, before any event of the run.
     pub(crate) fn drain_until(&mut self, barrier: Option<SimTime>) {
         let end = barrier.unwrap_or(SimTime::INFINITY);
         loop {
             let arrival = self.arrivals.peek();
-            let crash = self.plan.crashes.get(self.next_crash);
-            let membership = self.plan.memberships.get(self.next_membership);
+            let transition = self.plan.transitions.get(self.next_transition);
             let arrival_at = arrival.map_or(SimTime::INFINITY, |a| a.at);
-            let crash_at = crash.map_or(SimTime::INFINITY, |c| c.at);
-            let membership_at = membership.map_or(SimTime::INFINITY, |m| m.at);
+            let transition_at = transition.map_or(SimTime::INFINITY, |next| next.at);
             let queued_at = self.queue.peek_time().unwrap_or(SimTime::INFINITY);
-            let t = arrival_at.min(crash_at).min(membership_at).min(queued_at);
+            let t = arrival_at.min(transition_at).min(queued_at);
             if t >= end {
                 break;
             }
-            match (arrival, crash, membership) {
-                (Some(a), _, _) if arrival_at == t => {
+            match (arrival, transition) {
+                (Some(a), _) if arrival_at == t => {
                     self.arrivals.pop();
                     self.arrive(t, a.kind, a.variable);
                 }
-                (_, Some(&c), _) if crash_at == t => {
-                    // Replayed in every shard (each owns a full cluster
-                    // copy); counted once, by the spine.
-                    self.next_crash += 1;
-                    let behavior = if c.crash {
-                        Behavior::Crashed
-                    } else {
-                        Behavior::Correct
-                    };
-                    self.cluster.set_behavior(c.server, behavior);
-                }
-                (_, _, Some(&m)) if membership_at == t => {
-                    self.next_membership += 1;
-                    self.apply_membership(m.server, m.join);
-                }
+                (_, Some(&transition)) if transition_at == t => self.apply(transition),
                 _ => {
                     let (_, event) = self.queue.pop().expect("peeked event must pop");
                     self.handle(t, event);
                 }
             }
+        }
+        // Crashes and recoveries sort ahead of membership changes at equal
+        // times, so the ones due at the barrier are next in line.
+        while let Some(&transition) = self
+            .plan
+            .transitions
+            .get(self.next_transition)
+            .filter(|c| c.at == end && !c.kind.is_membership())
+        {
+            self.apply(transition);
         }
     }
 
@@ -567,25 +563,33 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
         self.start_attempt(slot, t);
     }
 
-    /// Replays one membership transition of the plan's schedule: a join
-    /// (`join == true`) or a leave of `server`.
-    fn apply_membership(&mut self, server: ServerId, join: bool) {
-        // Replayed in every shard, like crash transitions (and counted
-        // once, by the spine): a joiner comes up correct with reset
-        // stores, a leaver goes dark, and the probe margin is recomputed
-        // online against the ε budget — pure arithmetic, so every shard
-        // lands on the same margin at the same simulated time.
-        let si = server.index() as usize;
-        if join {
-            self.cluster.join_server(server);
-            if !self.present[si] {
-                self.present[si] = true;
-                self.present_count += 1;
+    /// Applies the plan's next transition, `transition`, and steps the
+    /// cursor past it.  Every shard applies every transition (each owns a
+    /// full cluster copy); the spine counts each once.  A joiner comes up
+    /// correct with reset stores, a leaver goes dark, and on either the
+    /// probe margin is recomputed online against the ε budget — pure
+    /// arithmetic, so every shard lands on the same margin at the same
+    /// simulated time.
+    fn apply(&mut self, transition: Transition) {
+        self.next_transition += 1;
+        let server = transition.server;
+        match transition.kind {
+            TransitionKind::Crash | TransitionKind::Leave => {
+                self.cluster.set_behavior(server, Behavior::Crashed);
             }
-        } else {
-            self.cluster.set_behavior(server, Behavior::Crashed);
-            if self.present[si] {
-                self.present[si] = false;
+            TransitionKind::Recover => self.cluster.set_behavior(server, Behavior::Correct),
+            TransitionKind::Join => self.cluster.join_server(server),
+        }
+        if !transition.kind.is_membership() {
+            return;
+        }
+        let joined = transition.kind == TransitionKind::Join;
+        let si = server.index() as usize;
+        if self.present[si] != joined {
+            self.present[si] = joined;
+            if joined {
+                self.present_count += 1;
+            } else {
                 self.present_count -= 1;
             }
         }
@@ -1006,6 +1010,7 @@ fn retry_delay(config: &SimConfig, attempt: u32) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::PartitionWindow;
     use crate::latency::LatencyModel;
     use crate::metrics::LatencySamples;
     use crate::workload::{Operation, WorkloadConfig};
@@ -1212,7 +1217,7 @@ mod tests {
         assert!(world.queue.is_empty());
         assert_eq!(world.cluster.server(s(9)).behavior(), Behavior::Crashed);
 
-        // The cursors replay every transition, in time order.
+        // The cursor applies every transition, in time order.
         world.drain_until(None);
         assert!(world.queue.is_empty());
         let behavior = |i| world.cluster.server(s(i)).behavior();
@@ -1236,7 +1241,7 @@ mod tests {
         // probes, the configured margin being 0.  Had the leave gone first,
         // it would have probed q + 1.
         world.drain_until(Some(1.0005));
-        assert_eq!(world.next_membership, 1);
+        assert_eq!(world.next_transition, 1);
         assert_eq!(state(&world, 0).map(|s| s.outstanding), Some(q));
         // With one of 20 servers gone, only a margin of 1 keeps the timeout
         // probability inside the budget: the next arrival probes q + 1.
@@ -1259,6 +1264,52 @@ mod tests {
         world.drain_until(Some(1.0));
         assert_eq!(world.acc.report.per_variable[0].completed_writes, 1);
         assert!(world.ops.is_empty(), "the last reply released the slot");
+    }
+
+    /// A barrier takes the crashes and recoveries due exactly at it — the
+    /// round planned there sees them — and leaves that instant's joins,
+    /// leaves and arrivals to the next window.
+    #[test]
+    fn a_barrier_applies_its_own_crashes_and_recoveries_only() {
+        let sys = EpsilonIntersecting::new(20, 5).unwrap();
+        let s = ServerId::new;
+        let plan = FailurePlan::none()
+            .with_transition(0.5, s(3), true)
+            .with_transition(1.0, s(3), false)
+            .with_transition(1.0, s(4), true)
+            .with_join(1.0, s(9))
+            .with_leave(1.0, s(7));
+        let ops = [op(1.0, OpKind::Read)];
+        let mut world = sole_world(&sys, fixed_latency(), &ops, &plan);
+        let behavior =
+            |world: &World<'_, EpsilonIntersecting>, i| world.cluster.server(s(i)).behavior();
+        assert_eq!(
+            behavior(&world, 9),
+            Behavior::Crashed,
+            "absent until it joins"
+        );
+
+        world.drain_until(Some(1.0));
+        assert_eq!(
+            behavior(&world, 3),
+            Behavior::Correct,
+            "recovered at the barrier"
+        );
+        assert_eq!(
+            behavior(&world, 4),
+            Behavior::Crashed,
+            "crashed at the barrier"
+        );
+        assert_eq!(behavior(&world, 9), Behavior::Crashed, "the join waits");
+        assert_eq!(behavior(&world, 7), Behavior::Correct, "the leave waits");
+        assert_eq!(world.arrived, 0, "the arrival waits");
+        assert_eq!(world.next_transition, 3);
+
+        world.drain_until(Some(1.0005));
+        assert_eq!(behavior(&world, 9), Behavior::Correct);
+        assert_eq!(behavior(&world, 7), Behavior::Crashed);
+        assert_eq!(world.arrived, 1);
+        assert_eq!(world.next_transition, 5);
     }
 
     /// The op slab's high-water mark after a whole `seq_foreground`-shaped
@@ -1318,5 +1369,60 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn a_negative_join_time_is_rejected() {
         run_under(FailurePlan::none().with_join(-1.0, ServerId::new(3)));
+    }
+
+    /// A struct-literal plan with `partitions` set to `window`.
+    fn partitioned(from: SimTime, heals_at: SimTime, components: u32) -> FailurePlan {
+        FailurePlan {
+            partitions: vec![PartitionWindow {
+                from,
+                heals_at,
+                components,
+            }],
+            ..FailurePlan::none()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "partition window [NaN, 1) is empty")]
+    fn a_nan_partition_window_is_rejected() {
+        run_under(partitioned(f64::NAN, 1.0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "a partition needs at least 2 components")]
+    fn a_partition_of_zero_components_is_rejected() {
+        run_under(partitioned(0.2, 0.6, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "server 20 is outside the universe of 20 servers")]
+    fn a_transition_of_a_server_outside_the_universe_is_rejected() {
+        run_under(FailurePlan::none().with_transition(0.5, ServerId::new(20), true));
+    }
+
+    /// Byzantine and sleeper ids are checked like transition ids.
+    #[test]
+    fn byzantine_and_sleeper_servers_outside_the_universe_are_rejected() {
+        let sleepers = ByzantineStrategy::StaleSigned {
+            sleepers: vec![ServerId::new(25)],
+            window: 0.5,
+        };
+        let plans = [
+            FailurePlan {
+                byzantine: vec![ServerId::new(1), ServerId::new(20)],
+                ..FailurePlan::none()
+            },
+            FailurePlan::none().with_strategy(sleepers),
+        ];
+        for plan in plans {
+            let panic = std::panic::catch_unwind(|| run_under(plan.clone()))
+                .expect_err(&format!("{plan:?} ran"));
+            let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                message.contains("is outside the universe of 20 servers"),
+                "{message:?}"
+            );
+        }
     }
 }

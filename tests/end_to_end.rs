@@ -336,10 +336,10 @@ fn a_rejoining_server_bootstraps_from_pushes_planned_before_it_left() {
 
 /// A failure schedule is a set of timed events: a plan written as a struct
 /// literal in any order runs exactly like the builder-made, time-sorted
-/// one.  The worlds' queues order the events either way; the spine's
-/// behaviour timeline walks the lists with monotone cursors, so with
-/// gossip on an unsorted plan once kept it planning pushes from servers
-/// every world held as crashed.
+/// one.  The worlds walk the transition list with a monotone cursor, and
+/// before the plan was sorted where it enters a run, an unsorted plan with
+/// gossip on kept the spine planning pushes from servers every world held
+/// as crashed.
 #[test]
 fn a_failure_plan_means_the_same_in_any_listed_order() {
     let sys = EpsilonIntersecting::new(36, 9).unwrap();
@@ -351,8 +351,7 @@ fn a_failure_plan_means_the_same_in_any_listed_order() {
         .with_partition(8.0, 10.0, 2)
         .with_partition(16.0, 17.0, 3);
     let reversed = FailurePlan {
-        crashes: built.crashes.iter().rev().copied().collect(),
-        memberships: built.memberships.iter().rev().copied().collect(),
+        transitions: built.transitions.iter().rev().copied().collect(),
         partitions: built.partitions.iter().rev().copied().collect(),
         ..FailurePlan::none()
     };
