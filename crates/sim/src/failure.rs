@@ -1,5 +1,6 @@
-//! Failure plans: who fails, how, and when — crash schedules, membership
-//! churn, healing partitions and adaptive Byzantine strategies.
+//! Failure plans: who fails, how, and when — one time-sorted list of
+//! crash, recovery, join and leave transitions, healing partitions and
+//! adaptive Byzantine strategies.
 
 use crate::time::SimTime;
 use pqs_core::universe::{ServerId, Universe};
