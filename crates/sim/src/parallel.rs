@@ -561,11 +561,12 @@ mod tests {
         assert_eq!(Simulation::new(&sys, ProtocolKind::Safe, config).run(), one);
     }
 
-    /// The behaviours the planners read at a barrier are the plan folded
-    /// by hand: Byzantine servers from the start, a server whose first
-    /// membership change is a join absent until it joins, then every crash
-    /// and recovery at or before the barrier and every join and leave
-    /// strictly before it.  The barriers hit each kind's ties exactly.
+    /// The behaviours the planners read at a barrier — and every world
+    /// holds — are the plan folded by hand: Byzantine servers from the
+    /// start, a server whose first membership change is a join absent
+    /// until it joins, then every crash and recovery at or before the
+    /// barrier and every join and leave strictly before it.  The barriers
+    /// hit each kind's ties exactly.
     #[test]
     fn shards_read_the_plan_folded_up_to_each_barrier() {
         let sys = EpsilonIntersecting::new(36, 9).unwrap();
@@ -637,12 +638,16 @@ mod tests {
                 keys,
             };
             assert_eq!(shards.servers(), n);
-            let read: Vec<Behavior> = sys
-                .universe()
-                .servers()
-                .map(|id| shards.behavior(id))
-                .collect();
+            let universe = sys.universe();
+            let read: Vec<Behavior> = universe.servers().map(|id| shards.behavior(id)).collect();
             assert_eq!(read, expected, "barrier {barrier}");
+            for (shard, world) in worlds.iter().enumerate() {
+                let held: Vec<Behavior> = universe
+                    .servers()
+                    .map(|id| world.cluster.server(id).behavior())
+                    .collect();
+                assert_eq!(held, expected, "world {shard} at barrier {barrier}");
+            }
         }
     }
 

@@ -596,8 +596,14 @@ impl SimConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the shard or thread count is 0, or on any field
-    /// [`SimConfig::validate`] rejects.
+    /// Panics if the duration or arrival rate is not positive and finite,
+    /// a probability (`read_fraction`, `crash_probability`) leaves [0, 1],
+    /// the timeout or backoff factor is negative or non-finite, the shard
+    /// or thread count is 0, or a configured diffusion policy has a
+    /// non-positive period, zero fanout or a
+    /// [`RecentWrites`](KeyGossipPolicy::RecentWrites) window that is
+    /// negative or NaN.  A run checks every field but the shard and thread
+    /// counts again, since the fields may be written after `build()`.
     pub fn build(self) -> SimConfig {
         let c = &self.config;
         assert!(c.num_shards >= 1, "num_shards must be at least 1");
@@ -608,19 +614,10 @@ impl SimConfigBuilder {
 }
 
 impl SimConfig {
-    /// Checks every field a run reads.  [`SimConfigBuilder::build`] calls
-    /// it, and so does every run: the fields are public and may be written
-    /// after `build()`.  Shard and thread counts are not checked here — a
-    /// run reads 0 as 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the duration or arrival rate is not positive and finite,
-    /// a probability (`read_fraction`, `crash_probability`) leaves [0, 1],
-    /// the timeout or backoff factor is negative or non-finite, or a
-    /// configured diffusion policy has a non-positive period, zero fanout
-    /// or a [`RecentWrites`](KeyGossipPolicy::RecentWrites) window that is
-    /// negative or NaN.
+    /// Panics on any field [`SimConfigBuilder::build`] rejects, except the
+    /// shard and thread counts, which a run reads as 1 when 0.
+    /// `build()` calls it, and so does every run: the fields are public
+    /// and may be written after `build()`.
     pub(crate) fn validate(&self) {
         assert!(
             self.duration > 0.0 && self.duration.is_finite(),

@@ -462,7 +462,7 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
             .plan
             .transitions
             .get(self.next_transition)
-            .filter(|c| c.at == end && !c.kind.is_membership())
+            .filter(|next| next.at == end && !next.kind.is_membership())
         {
             self.apply(transition);
         }
@@ -1371,7 +1371,9 @@ mod tests {
         run_under(FailurePlan::none().with_join(-1.0, ServerId::new(3)));
     }
 
-    /// A struct-literal plan with `partitions` set to `window`.
+    /// A struct-literal plan whose one partition window splits the
+    /// universe into `components` groups over `[from, heals_at)`, past the
+    /// builder's checks.
     fn partitioned(from: SimTime, heals_at: SimTime, components: u32) -> FailurePlan {
         FailurePlan {
             partitions: vec![PartitionWindow {
