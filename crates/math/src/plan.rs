@@ -242,6 +242,22 @@ impl ProbeLatency {
         }
     }
 
+    /// How many `next_u64` draws one [`sample`](Self::sample) takes from
+    /// its generator: 0 for a law that degrades to a constant (a fixed
+    /// latency, equal uniform endpoints, a non-positive mean, scale or
+    /// shape), 1 otherwise.  A caller that skips a sample whose value it
+    /// does not need can move a seekable stream past it instead.
+    pub fn draws(&self) -> u64 {
+        // The same tests, in the same form, as `sample`'s early returns.
+        let constant = match *self {
+            ProbeLatency::Fixed(_) => true,
+            ProbeLatency::Uniform { min, max } => min == max,
+            ProbeLatency::Exponential { mean } => mean <= 0.0,
+            ProbeLatency::Pareto { scale, shape } => scale <= 0.0 || shape <= 0.0,
+        };
+        u64::from(!constant)
+    }
+
     /// The cumulative distribution function `P(latency ≤ t)`.
     ///
     /// # Examples
@@ -1208,6 +1224,49 @@ mod tests {
                 "{law:?}: average {average} vs mean {}",
                 law.mean()
             );
+        }
+    }
+
+    /// `draws` is what `sample` takes from the stream, on every branch:
+    /// the regular laws and each degenerate one.
+    #[test]
+    fn a_sample_takes_the_draws_its_law_states() {
+        use rand::{RngCore, SeedableRng};
+        let uniform = |min, max| ProbeLatency::Uniform { min, max };
+        let exponential = |mean| ProbeLatency::Exponential { mean };
+        let pareto = |scale, shape| ProbeLatency::Pareto { scale, shape };
+        let laws = [
+            (ProbeLatency::Fixed(2e-3), 0),
+            (ProbeLatency::Fixed(-1.0), 0),
+            (uniform(1e-3, 3e-3), 1),
+            (uniform(3e-3, 1e-3), 1),
+            (uniform(2e-3, 2e-3), 0),
+            (exponential(2e-3), 1),
+            (exponential(0.0), 0),
+            (exponential(-1.0), 0),
+            (pareto(1e-3, 2.5), 1),
+            (pareto(1e-3, 0.5), 1),
+            (pareto(0.0, 2.5), 0),
+            (pareto(-1e-3, 2.5), 0),
+            (pareto(1e-3, 0.0), 0),
+            (pareto(1e-3, -2.0), 0),
+        ];
+        for (law, draws) in laws {
+            assert_eq!(law.draws(), draws, "{law:?}");
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+            // An odd start, so a draw straddles a block boundary too.
+            for start in 0..20 {
+                let before = rng.get_word_pos();
+                law.sample(&mut rng);
+                assert_eq!(
+                    rng.get_word_pos() - before,
+                    2 * u128::from(draws),
+                    "{law:?}"
+                );
+                for _ in 0..=start % 3 {
+                    rng.next_u32();
+                }
+            }
         }
     }
 

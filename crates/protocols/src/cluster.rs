@@ -9,7 +9,9 @@
 //! and Byzantine corruption), and per-server access accounting used to
 //! *measure* load (Definition 2.4) empirically.
 
-use crate::server::{Behavior, Record, Records, ReplicaServer, ReplicaServerMut, VariableId};
+use crate::server::{
+    Behavior, KeyRecords, Record, Records, ReplicaServer, ReplicaServerMut, VariableId,
+};
 use pqs_core::universe::{ServerId, Universe};
 
 /// A collection of replica servers covering a universe.
@@ -65,6 +67,13 @@ impl Cluster {
     #[inline]
     pub fn server(&self, id: ServerId) -> ReplicaServer<'_> {
         ReplicaServer::new(id, self.behaviors[id.as_usize()], &self.records)
+    }
+
+    /// Every server's `R` record for `var`: one key across the cluster, as
+    /// [`server`](Self::server) is one server across its keys.
+    #[inline]
+    pub fn key_records<R: Record>(&self, var: VariableId) -> KeyRecords<'_, R> {
+        KeyRecords::new(var, &self.records)
     }
 
     /// A write view of one server.

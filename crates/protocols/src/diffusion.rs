@@ -20,11 +20,12 @@
 //! * [`plan_round`] / [`plan_cluster_round`] — snapshot the senders and
 //!   draw the peers of one round, producing a batch of [`GossipPush`]
 //!   messages (no state is mutated while planning, so a round is a
-//!   synchronous exchange).  [`outline_cluster_round`] is the same round
-//!   without the payloads, for a driver that can tell from timestamps
-//!   which pushes are worth sending.  It and [`plan_digest_into`] read the
-//!   servers through [`Holdings`], so a driver that keeps records outside
-//!   one [`Cluster`] plans from them where they are.
+//!   synchronous exchange).  [`plan_pushes`] is the loop behind the
+//!   round: it hands each push, without its payload, to a caller-owned
+//!   sink, for a driver that can tell from timestamps which pushes are
+//!   worth sending.  It and [`plan_digest_into`] read the servers through
+//!   [`Holdings`], so a driver that keeps records outside one [`Cluster`]
+//!   plans from them where they are.
 //! * [`deliver`] — apply one push to its receiver, evaluated at delivery
 //!   time (the engine delays each push by its own latency draw, so a
 //!   receiver that crashed mid-flight simply drops the message).
@@ -233,45 +234,47 @@ impl CoverageScratch {
 }
 
 /// Where a round planner reads the servers it plans for: their behaviours
-/// and the `R` records each holds.  A [`Cluster`] is the plain case; a
-/// driver that keeps each key's records elsewhere — the simulator keeps
-/// them on the key's owning shard — plans through its own view instead of
-/// a merged copy.
-pub trait Holdings {
+/// and the `R` records each holds.  A [`Cluster`] is the plain case, for
+/// either record kind; a driver that keeps each key's records elsewhere —
+/// the simulator keeps them on the key's owning shard — plans through its
+/// own view instead of a merged copy, and need only serve the kind it
+/// stores.
+pub trait Holdings<R: Record> {
     /// Number of servers.
     fn servers(&self) -> usize;
     /// Server `id`'s current behaviour.
     fn behavior(&self, id: ServerId) -> Behavior;
-    /// The `R` record server `id` holds for `var`, `None` when unheld.
-    fn record<R: Record>(&self, id: ServerId, var: VariableId) -> Option<&R>;
-    /// The variables server `id` holds an `R` record for, ascending.
-    fn variables<R: Record>(&self, id: ServerId) -> impl Iterator<Item = VariableId> + '_;
+    /// The record server `id` holds for `var`, `None` when unheld.
+    fn record(&self, id: ServerId, var: VariableId) -> Option<&R>;
+    /// The variables server `id` holds a record for, ascending, each with
+    /// its record's timestamp — one lookup per held key.
+    fn held(&self, id: ServerId) -> impl Iterator<Item = (VariableId, Timestamp)> + '_;
 
     /// Timestamp of [`record`](Self::record), [`Timestamp::ZERO`] when
     /// unheld.
-    fn timestamp<R: Record>(&self, id: ServerId, var: VariableId) -> Timestamp {
-        self.record::<R>(id, var)
+    fn timestamp(&self, id: ServerId, var: VariableId) -> Timestamp {
+        self.record(id, var)
             .map_or(Timestamp::ZERO, Record::timestamp)
     }
 }
 
-impl Holdings for Cluster {
+impl<R: Record> Holdings<R> for Cluster {
     fn servers(&self) -> usize {
         self.len()
     }
     fn behavior(&self, id: ServerId) -> Behavior {
         self.server(id).behavior()
     }
-    fn record<R: Record>(&self, id: ServerId, var: VariableId) -> Option<&R> {
+    fn record(&self, id: ServerId, var: VariableId) -> Option<&R> {
         self.server(id).record(var)
     }
-    fn variables<R: Record>(&self, id: ServerId) -> impl Iterator<Item = VariableId> + '_ {
-        self.server(id).variables::<R>()
+    fn held(&self, id: ServerId) -> impl Iterator<Item = (VariableId, Timestamp)> + '_ {
+        self.server(id).held::<R>()
     }
 }
 
 /// One push of an engine round without its payload — what
-/// [`outline_cluster_round`] plans.  Timestamps alone decide whether a
+/// [`plan_pushes`] hands its sink.  Timestamps alone decide whether a
 /// delivery can store anything, so a driver that can read the receivers'
 /// records can settle most pushes before a record is ever copied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -296,8 +299,8 @@ impl PlannedPush {
     /// The full message: the sender's `R` record as `holdings` hold it,
     /// which is the planned one as long as they have not changed since
     /// planning.
-    pub fn materialise<R: Record>(&self, holdings: &impl Holdings) -> GossipPush {
-        let record = holdings.record::<R>(self.from, self.variable);
+    pub fn materialise<R: Record>(&self, holdings: &impl Holdings<R>) -> GossipPush {
+        let record = holdings.record(self.from, self.variable);
         GossipPush {
             from: self.from,
             to: self.to,
@@ -305,20 +308,6 @@ impl PlannedPush {
             record: record.cloned().unwrap_or_else(R::initial).into(),
         }
     }
-}
-
-/// One planned engine round, payload-free: [`RoundPlan`] with
-/// [`PlannedPush`]es in place of the record-carrying messages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundOutline {
-    /// The round's pushes, in deterministic (sender id, variable) order.
-    pub pushes: Vec<PlannedPush>,
-    /// Per-variable coverage among correct servers at planning time,
-    /// sorted by variable id.
-    pub coverage: Vec<VariableCoverage>,
-    /// Number of correct servers at planning time (the coverage
-    /// denominator).
-    pub correct_servers: u32,
 }
 
 /// One planned engine round: the pushes of every correct server for every
@@ -336,40 +325,35 @@ pub struct RoundPlan {
     pub correct_servers: u32,
 }
 
-/// The planning loop behind both cluster-round planners: each correct
-/// server pushes its freshest `R` record for each variable it stores to
-/// `fanout` uniform peers, and `message` decides what is kept of each push
-/// `(sender, receiver, variable, sender's timestamp)`.
+/// The one planning loop of a full-push round: each correct server pushes
+/// its freshest `R` record for each variable it stores to `fanout` uniform
+/// peers, and each push goes to `sink` the moment its peer is drawn, with
+/// [`covered`](PlannedPush::covered) read off the receiver's record.  What
+/// a push becomes is the caller's: [`plan_cluster_round`] copies the
+/// sender's record into a message, a driver that can settle covered pushes
+/// keeps only the others.
 ///
-/// Variables are visited in sorted order per sender so the RNG consumption
-/// (and hence the whole simulation) is deterministic.  The same pass also
-/// produces the per-variable [`VariableCoverage`] snapshot used by the
+/// Variables are visited in ascending order per sender, so the draws (and
+/// hence the whole simulation) are deterministic: each push's peer is the
+/// round's next draw, and self-draws are consumed but skipped.  The same
+/// pass produces the per-variable [`VariableCoverage`] snapshot used by the
 /// convergence metrics, returned with the number of correct servers.
-fn plan_pushes<R: Record, G: RngCore + ?Sized, M>(
-    holdings: &impl Holdings,
+pub fn plan_pushes<R: Record, G: RngCore + ?Sized>(
+    holdings: &impl Holdings<R>,
     fanout: usize,
     rng: &mut G,
-    mut message: impl FnMut(ServerId, ServerId, VariableId, Timestamp) -> M,
-) -> (Vec<M>, Vec<VariableCoverage>, u32) {
+    mut sink: impl FnMut(PlannedPush),
+) -> (Vec<VariableCoverage>, u32) {
     let n = holdings.servers();
-    let mut pushes = Vec::new();
     let mut coverage = CoverageScratch::default();
     let mut correct_servers = 0u32;
-    // One key buffer reused across senders: the planner runs every gossip
-    // round, so per-sender allocations would be a steady-state hot spot.
-    // Held keys come out ascending, so the visit order (and hence the RNG
-    // stream) needs no per-sender sort.
-    let mut variables: Vec<VariableId> = Vec::new();
     for i in 0..n as u32 {
         let sender = ServerId::new(i);
         if holdings.behavior(sender) != Behavior::Correct {
             continue;
         }
         correct_servers += 1;
-        variables.clear();
-        variables.extend(holdings.variables::<R>(sender));
-        for &variable in &variables {
-            let timestamp = holdings.timestamp::<R>(sender, variable);
+        for (variable, timestamp) in holdings.held(sender) {
             if timestamp == Timestamp::ZERO {
                 continue;
             }
@@ -379,16 +363,18 @@ fn plan_pushes<R: Record, G: RngCore + ?Sized, M>(
                 if peer == i as usize {
                     continue;
                 }
-                pushes.push(message(
-                    sender,
-                    ServerId::new(peer as u32),
+                let to = ServerId::new(peer as u32);
+                sink(PlannedPush {
+                    from: sender,
+                    to,
                     variable,
                     timestamp,
-                ));
+                    covered: holdings.timestamp(to, variable) >= timestamp,
+                });
             }
         }
     }
-    (pushes, coverage.snapshot(), correct_servers)
+    (coverage.snapshot(), correct_servers)
 }
 
 /// Plans one engine round of push gossip over **every** variable held
@@ -396,10 +382,10 @@ fn plan_pushes<R: Record, G: RngCore + ?Sized, M>(
 /// for each variable it stores to `fanout` uniform peers, in deterministic
 /// (sender id, variable) order.
 ///
-/// The simulator's spine plans through [`outline_cluster_round`] and
-/// materialises only the pushes it queues, so nothing inside the workspace
-/// libraries calls this any more; it stays as the record-carrying reference
-/// the outline is tested against, and the repo benchmark times it.
+/// The simulator's spine plans through [`plan_pushes`] and materialises
+/// only the pushes it queues, so nothing inside the workspace libraries
+/// calls this any more; it stays as the record-carrying form of the round
+/// that tests check the pushes against, and the repo benchmark times it.
 pub fn plan_cluster_round(
     cluster: &Cluster,
     fanout: usize,
@@ -407,13 +393,10 @@ pub fn plan_cluster_round(
     rng: &mut dyn RngCore,
 ) -> RoundPlan {
     fn plan<R: Record>(cluster: &Cluster, fanout: usize, rng: &mut dyn RngCore) -> RoundPlan {
-        let (pushes, coverage, correct_servers) =
-            plan_pushes::<R, _, _>(cluster, fanout, rng, |from, to, variable, _| GossipPush {
-                from,
-                to,
-                variable,
-                record: cluster.server(from).stored::<R>(variable).into(),
-            });
+        let mut pushes = Vec::new();
+        let (coverage, correct_servers) = plan_pushes::<R, _>(cluster, fanout, rng, |push| {
+            pushes.push(push.materialise::<R>(cluster));
+        });
         RoundPlan {
             pushes,
             coverage,
@@ -424,31 +407,6 @@ pub fn plan_cluster_round(
         plan::<SignedValue>(cluster, fanout, rng)
     } else {
         plan::<TaggedValue>(cluster, fanout, rng)
-    }
-}
-
-/// [`plan_cluster_round`] without copying a record — same visit order, same
-/// draws, same coverage snapshot — with each push noting whether its
-/// receiver is already [`covered`](PlannedPush::covered).
-pub fn outline_cluster_round<R: Record, G: RngCore + ?Sized>(
-    holdings: &impl Holdings,
-    fanout: usize,
-    rng: &mut G,
-) -> RoundOutline {
-    let (pushes, coverage, correct_servers) =
-        plan_pushes::<R, _, _>(holdings, fanout, rng, |from, to, variable, timestamp| {
-            PlannedPush {
-                from,
-                to,
-                variable,
-                timestamp,
-                covered: holdings.timestamp::<R>(to, variable) >= timestamp,
-            }
-        });
-    RoundOutline {
-        pushes,
-        coverage,
-        correct_servers,
     }
 }
 
@@ -647,7 +605,7 @@ pub fn plan_digest(
 /// first): the round's digests and their entries land there, and the
 /// coverage snapshot and the number of correct servers are returned.
 pub fn plan_digest_into<R: Record, G: RngCore + ?Sized>(
-    holdings: &impl Holdings,
+    holdings: &impl Holdings<R>,
     fanout: usize,
     selector: &KeySelector,
     rng: &mut G,
@@ -670,8 +628,7 @@ pub fn plan_digest_into<R: Record, G: RngCore + ?Sized>(
         // timestamps only, no record is ever cloned while planning.  Held
         // keys come out ascending — no sort.
         let start = arena_index(arena.entries.len());
-        for variable in holdings.variables::<R>(sender) {
-            let ts = holdings.timestamp::<R>(sender, variable);
+        for (variable, ts) in holdings.held(sender) {
             if ts == Timestamp::ZERO {
                 continue;
             }
@@ -681,10 +638,9 @@ pub fn plan_digest_into<R: Record, G: RngCore + ?Sized>(
             }
         }
         if let KeySelector::Only(keys) = selector {
-            arena.entries.extend(
-                keys.iter()
-                    .map(|&v| (v, holdings.timestamp::<R>(sender, v))),
-            );
+            arena
+                .entries
+                .extend(keys.iter().map(|&v| (v, holdings.timestamp(sender, v))));
         }
         let end = arena_index(arena.entries.len());
         for _ in 0..fanout {
@@ -1192,9 +1148,9 @@ mod tests {
     }
 
     #[test]
-    fn round_outline_is_the_round_plan_minus_payloads_and_knows_what_stores() {
+    fn planned_pushes_are_the_round_plan_minus_payloads_and_know_what_stores() {
         // Random stores of mixed age in both flavors, some receivers
-        // faulty: the outline draws the plan's peers, names the plan's
+        // faulty: the sink sees the plan's peers and names the plan's
         // records, and `covered` is exactly "delivery stores nothing" at a
         // correct receiver.
         fn check<R: Make>(rng: &mut ChaCha8Rng, case: u64) {
@@ -1214,15 +1170,17 @@ mod tests {
             cluster.set_behavior(ServerId::new(7), Behavior::ByzantineStale);
             let mut rng_a = ChaCha8Rng::seed_from_u64(case);
             let mut rng_b = ChaCha8Rng::seed_from_u64(case);
-            let outline = outline_cluster_round::<R, _>(&cluster, 2, &mut rng_a);
+            let mut pushes = Vec::new();
+            let (coverage, correct_servers) =
+                plan_pushes::<R, _>(&cluster, 2, &mut rng_a, |p| pushes.push(p));
             let plan = plan_cluster_round(&cluster, 2, R::SIGNED, &mut rng_b);
             assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "same draws");
-            assert_eq!(outline.coverage, plan.coverage);
-            assert_eq!(outline.correct_servers, plan.correct_servers);
-            assert_eq!(outline.pushes.len(), plan.pushes.len());
-            assert!(outline.pushes.iter().any(|p| p.covered));
-            assert!(outline.pushes.iter().any(|p| !p.covered));
-            for (planned, push) in outline.pushes.iter().zip(&plan.pushes) {
+            assert_eq!(coverage, plan.coverage);
+            assert_eq!(correct_servers, plan.correct_servers);
+            assert_eq!(pushes.len(), plan.pushes.len());
+            assert!(pushes.iter().any(|p| p.covered));
+            assert!(pushes.iter().any(|p| !p.covered));
+            for (planned, push) in pushes.iter().zip(&plan.pushes) {
                 assert_eq!(planned.materialise::<R>(&cluster), *push);
                 assert_eq!(planned.timestamp, push.record.timestamp());
                 let correct = cluster.server(push.to).behavior() == Behavior::Correct;

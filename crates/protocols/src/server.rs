@@ -232,6 +232,17 @@ mod store {
             }
         }
 
+        /// `var`'s var-major block — one slot per server — or `None` for
+        /// an id of the sparse tier.  A block not allocated yet reads as
+        /// empty: no server holds the key.
+        #[inline]
+        pub(super) fn block(&self, var: VariableId) -> Option<&[Option<T>]> {
+            (var < DENSE_LIMIT).then(|| {
+                let start = var as usize * self.servers;
+                self.dense.get(start..start + self.servers).unwrap_or(&[])
+            })
+        }
+
         /// Timestamp of the record `server` holds for `var`,
         /// [`Timestamp::ZERO`] when unheld.
         #[inline]
@@ -272,17 +283,18 @@ mod store {
             self.dense[var * self.servers + server.as_usize()] = Some(value);
         }
 
-        /// `server`'s held variable ids, ascending: a strided scan of its
-        /// dense column over the stored blocks, then its range of the
-        /// sparse tier.
-        pub fn variables(&self, server: ServerId) -> impl Iterator<Item = VariableId> + '_ {
-            let held =
-                move |var: usize| self.dense[var * self.servers + server.as_usize()].is_some();
+        /// `server`'s held variable ids and their records' timestamps,
+        /// ascending by id: a strided scan of its dense column over the
+        /// stored blocks, then its range of the sparse tier.
+        pub fn held(&self, server: ServerId) -> impl Iterator<Item = (VariableId, Timestamp)> + '_ {
+            let slot = move |var: usize| &self.dense[var * self.servers + server.as_usize()];
             let sparse = self.sparse.range((server, 0)..=(server, VariableId::MAX));
             (self.stored_blocks.iter().enumerate())
-                .filter(move |&(var, &stored)| stored && held(var))
-                .map(|(var, _)| var as VariableId)
-                .chain(sparse.map(|(&(_, var), _)| var))
+                .filter(|&(_, &stored)| stored)
+                .filter_map(move |(var, _)| {
+                    (slot(var).as_ref()).map(|r| (var as VariableId, r.timestamp()))
+                })
+                .chain(sparse.map(|(&(_, var), r)| (var, r.timestamp())))
         }
 
         fn wipe(&mut self, server: ServerId) {
@@ -426,7 +438,13 @@ impl<'a> ReplicaServer<'a> {
     /// **ascending id order** — a strided scan of its dense column, which
     /// the gossip planners rely on to skip re-sorting per sender.
     pub fn variables<R: Record>(self) -> impl Iterator<Item = VariableId> + 'a {
-        R::slab(self.records).variables(self.id)
+        self.held::<R>().map(|(var, _)| var)
+    }
+
+    /// [`variables`](Self::variables) with each held record's timestamp —
+    /// one scan of the column for the gossip planners, which need both.
+    pub fn held<R: Record>(self) -> impl Iterator<Item = (VariableId, Timestamp)> + 'a {
+        R::slab(self.records).held(self.id)
     }
 }
 
@@ -436,6 +454,55 @@ impl Debug for ReplicaServer<'_> {
         f.debug_struct("ReplicaServer")
             .field("id", &self.id)
             .field("behavior", &self.behavior)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Every server's record of kind `R` for one variable, from
+/// [`Cluster::key_records`](crate::cluster::Cluster::key_records).  For a
+/// dense id it is the slab's var-major block itself, so a reader of many
+/// servers' records of one key — a gossip planner comparing a round's
+/// receivers — finds the key once instead of once per server.
+pub struct KeyRecords<'a, R> {
+    var: VariableId,
+    slab: &'a store::Slab<R>,
+    /// The key's block, `None` for an id of the sparse tier.
+    block: Option<&'a [Option<R>]>,
+}
+
+impl<'a, R: Record> KeyRecords<'a, R> {
+    pub(crate) fn new(var: VariableId, records: &'a Records) -> Self {
+        let slab = R::slab(records);
+        KeyRecords {
+            var,
+            slab,
+            block: slab.block(var),
+        }
+    }
+
+    /// The record server `id` holds for the key, `None` when unheld.
+    #[inline]
+    pub fn get(&self, id: ServerId) -> Option<&'a R> {
+        match self.block {
+            Some(block) => block.get(id.as_usize())?.as_ref(),
+            None => self.slab.get(id, self.var),
+        }
+    }
+}
+
+impl<R> Clone for KeyRecords<'_, R> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<R> Copy for KeyRecords<'_, R> {}
+
+/// Prints the key, not the slab the view borrows.
+impl<R> Debug for KeyRecords<'_, R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KeyRecords")
+            .field("var", &self.var)
             .finish_non_exhaustive()
     }
 }

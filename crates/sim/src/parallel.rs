@@ -23,13 +23,22 @@
 //!    round straight from the state where it lives — key `v`'s records on
 //!    world `v % num_shards`, the only copy there is, and every behaviour
 //!    on the first world, read through [`Shards`] — on the dedicated
-//!    gossip RNG stream, drawing *all* message latencies eagerly, so the
-//!    stream never depends on shard outcomes.  Each message goes into its
-//!    destination world's [`RoundBatch`], bulk-scheduled in one pre-sorted
-//!    pass per world.  A full push whose receiver already holds a record
-//!    as fresh is *covered*: it can store nothing whenever it lands, so the
-//!    spine counts its delivery on the spot and sends nothing (see
-//!    `docs/ARCHITECTURE.md`, "Plan-time resolution of covered pushes").
+//!    gossip RNG stream, which takes or skips *every* message latency
+//!    draw, so the stream never depends on shard outcomes.  Each message
+//!    goes into its destination world's [`RoundBatch`], bulk-scheduled in
+//!    one pre-sorted pass per world.
+//! 4. A full push whose receiver already holds a record as fresh is
+//!    *covered*: it can store nothing whenever it lands, so the spine
+//!    counts its delivery and sends nothing.  The one planning loop,
+//!    [`diffusion::plan_pushes`], hands each push to the spine's sink as
+//!    its peer is drawn.  In a *quiet* round — no join at or after the
+//!    barrier, no partition window still open at it — a covered push
+//!    resolves the same wherever its latency lands, so the sink counts it
+//!    there and then, and the stream seeks past its latency draw instead
+//!    of making it ([`ChaCha8Rng::set_word_pos`]).  The sink keeps every
+//!    other push with its ordinal in the round, which locates its draw
+//!    (see `docs/ARCHITECTURE.md`, "Plan-time resolution of covered
+//!    pushes").
 //!
 //! After every drain window — a gossip barrier, or a fixed stretch of
 //! simulated time without gossip — the spine's [`InFlightGauge`] takes the
@@ -43,13 +52,14 @@
 //! what makes the merged report bit-identical across all shard counts and
 //! all thread counts.
 //!
-//! A barrier costs one scan of the records held plus the round's
-//! messages; [`run`] reports wall-clock per stage through
-//! [`EngineStageTimings`].
+//! A barrier costs one scan of the records held, one peer draw and one
+//! receiver lookup per planned push, and a latency draw, a record copy
+//! and a queue slot for each push it cannot settle; [`run`] reports
+//! wall-clock per stage through [`EngineStageTimings`].
 
-use crate::failure::FailurePlan;
+use crate::failure::{FailurePlan, TransitionKind};
 use crate::metrics::{merge_shard_reports, EngineStageTimings, InFlightGauge, SimReport};
-use crate::runner::{GossipMode, KeyGossipPolicy, ProtocolKind, Simulation};
+use crate::runner::{DiffusionPolicy, GossipMode, KeyGossipPolicy, ProtocolKind, Simulation};
 use crate::staleness::HealTracking;
 use crate::time::SimTime;
 use crate::workload::{Arrivals, WorkloadConfig};
@@ -57,8 +67,8 @@ use crate::world::{DigestIds, QueuedPush, RoundBatch, World};
 use pqs_core::system::QuorumSystem;
 use pqs_core::universe::ServerId;
 use pqs_protocols::crypto::SignedValue;
-use pqs_protocols::diffusion::{self, Holdings};
-use pqs_protocols::server::{Behavior, Record, VariableId};
+use pqs_protocols::diffusion::{self, Holdings, PlannedPush, VariableCoverage};
+use pqs_protocols::server::{Behavior, KeyRecords, Record, VariableId};
 use pqs_protocols::timestamp::Timestamp;
 use pqs_protocols::value::TaggedValue;
 use rand::SeedableRng;
@@ -81,36 +91,194 @@ const WINDOW_ARRIVALS: f64 = 1024.0;
 /// a barrier: key `v`'s records and write state on world `v % worlds.len()`
 /// — the only copy there is — and every server's behaviour on the first
 /// world, which holds the same behaviours as every other.
-struct Shards<'w, 'a, S: QuorumSystem + ?Sized> {
+struct Shards<'w, 'a, S: QuorumSystem + ?Sized, R> {
     worlds: &'w [World<'a, S>],
-    keys: VariableId,
+    /// Key `v`'s records on its owning world, found once per barrier: a
+    /// round reads them once per held key and once per push.
+    keys: Vec<KeyRecords<'w, R>>,
 }
 
-impl<'a, S: QuorumSystem + ?Sized> Shards<'_, 'a, S> {
-    /// The world that owns key `v`.
-    fn owner(&self, v: VariableId) -> &World<'a, S> {
-        &self.worlds[(v % self.worlds.len() as VariableId) as usize]
+impl<'w, 'a, S: QuorumSystem + ?Sized, R: Record> Shards<'w, 'a, S, R> {
+    /// The records of keys `0..keys` on `worlds`.
+    fn new(worlds: &'w [World<'a, S>], keys: VariableId) -> Self {
+        // Cycling through the worlds in step with the keys finds each
+        // key's owner without a division.
+        let keys = (0..keys).zip(worlds.iter().cycle());
+        Shards {
+            worlds,
+            keys: keys
+                .map(|(v, world)| world.cluster.key_records(v))
+                .collect(),
+        }
     }
 
     /// Key `v`'s write count and latest write time.
     fn write_state(&self, v: usize) -> (u64, SimTime) {
-        let world = self.owner(v as VariableId);
+        let world = &self.worlds[v % self.worlds.len()];
         (world.sequences[v], world.last_write_at[v])
     }
 }
 
-impl<S: QuorumSystem + ?Sized> Holdings for Shards<'_, '_, S> {
+impl<S: QuorumSystem + ?Sized, R: Record> Holdings<R> for Shards<'_, '_, S, R> {
     fn servers(&self) -> usize {
         self.worlds[0].cluster.len()
     }
     fn behavior(&self, id: ServerId) -> Behavior {
         self.worlds[0].cluster.server(id).behavior()
     }
-    fn record<R: Record>(&self, id: ServerId, var: VariableId) -> Option<&R> {
-        self.owner(var).cluster.server(id).record(var)
+    fn record(&self, id: ServerId, var: VariableId) -> Option<&R> {
+        self.keys.get(var as usize)?.get(id)
     }
-    fn variables<R: Record>(&self, id: ServerId) -> impl Iterator<Item = VariableId> + '_ {
-        (0..self.keys).filter(move |&v| self.record::<R>(id, v).is_some())
+    fn held(&self, id: ServerId) -> impl Iterator<Item = (VariableId, Timestamp)> + '_ {
+        (0..).zip(&self.keys).filter_map(move |(v, key)| {
+            let record = key.get(id);
+            record.map(|r| (v, r.timestamp()))
+        })
+    }
+}
+
+/// The spine's full-push rounds under one failure plan: the covered
+/// pushes settled at planning time, and a buffer of the pushes left to
+/// resolve that every barrier reuses.
+struct FullPush<'p> {
+    plan: &'p FailurePlan,
+    /// The plan's last join and when its last partition window heals (−∞
+    /// without any): what makes a round [quiet](Self::quiet).
+    last_join: SimTime,
+    last_heal: SimTime,
+    /// The round's pushes still to resolve, each with its ordinal in the
+    /// round — also the index of its latency draw.
+    kept: Vec<(u32, PlannedPush)>,
+    /// Covered pushes settled at planning time: what the owning shard's
+    /// `Event::GossipPush` arm would have counted for each — delivered
+    /// (per variable) or dropped at a partition.
+    resolved: Vec<u64>,
+    blocked: u64,
+}
+
+impl<'p> FullPush<'p> {
+    fn new(plan: &'p FailurePlan, keys: usize) -> Self {
+        let joins = (plan.transitions.iter()).filter(|m| m.kind == TransitionKind::Join);
+        let heals = plan.partitions.iter().map(|w| w.heals_at);
+        FullPush {
+            plan,
+            last_join: (joins.map(|m| m.at)).fold(SimTime::NEG_INFINITY, SimTime::max),
+            last_heal: heals.fold(SimTime::NEG_INFINITY, SimTime::max),
+            kept: Vec::new(),
+            resolved: vec![0; keys],
+            blocked: 0,
+        }
+    }
+
+    /// Whether the round at barrier `t` is *quiet*: the plan has no join at
+    /// or after `t` and no partition window still open at `t`.  A push is
+    /// delivered at `t` or later, so in a quiet round no join can wipe its
+    /// receiver before it lands and no partition can block it: a covered
+    /// push is delivered without a store whenever it lands, and its latency
+    /// draw is never needed.  A join at `t` itself counts (the world
+    /// replays it only after the round is planned); a window healing at `t`
+    /// is closed.
+    fn quiet(&self, t: SimTime) -> bool {
+        t > self.last_join && t >= self.last_heal
+    }
+
+    /// Plans the round at barrier `t` on the gossip stream `rng` and puts
+    /// every push it cannot settle into its destination's batch.  Returns
+    /// the planner's coverage snapshot and correct-server count.
+    fn round<R: Record, S: QuorumSystem + ?Sized>(
+        &mut self,
+        shards: &Shards<'_, '_, S, R>,
+        policy: &DiffusionPolicy,
+        t: SimTime,
+        rng: &mut ChaCha8Rng,
+        batches: &mut [RoundBatch],
+        stages: &mut EngineStageTimings,
+    ) -> (Vec<VariableCoverage>, u32) {
+        // The planning loop hands over each push as its peer is drawn.  A
+        // covered push in a quiet round is counted on the spot; the others
+        // are kept.  Debug builds keep the counted ones too, to queue as
+        // shadows.
+        let quiet = self.quiet(t);
+        let mut planned: u32 = 0;
+        let (kept, resolved) = (&mut self.kept, &mut self.resolved);
+        kept.clear();
+        let planner = diffusion::plan_pushes::<R, _>(shards, policy.fanout as usize, rng, |push| {
+            let settled = quiet && push.covered;
+            if settled {
+                resolved[push.variable as usize] += 1;
+            }
+            if !settled || cfg!(debug_assertions) {
+                kept.push((planned, push));
+            }
+            planned += 1;
+        });
+        stages.planned_pushes += u64::from(planned);
+        // The round's latencies follow its peers on the stream, one per push
+        // in push order: push `k`'s draw starts `k · words` words past
+        // `start`.  Each kept push seeks to its own, and the stream ends past
+        // them all, as if every latency had been drawn.
+        let start = rng.get_word_pos();
+        let words = 2 * u128::from(policy.push_latency.draws());
+        // Debug builds draw every latency in order on a clone: the skipped
+        // ones time the shadows, the others must be what the seeks read.
+        let mut drawn_rng = cfg!(debug_assertions).then(|| rng.clone());
+        let num_shards = batches.len() as VariableId;
+        for &(ordinal, push) in &self.kept {
+            let drawn = (drawn_rng.as_mut()).map(|rng| t + policy.push_latency.sample(rng));
+            let settled = quiet && push.covered;
+            let at = match drawn {
+                Some(at) if settled => at,
+                _ => {
+                    rng.set_word_pos(start + u128::from(ordinal) * words);
+                    t + policy.push_latency.sample(rng)
+                }
+            };
+            assert!(
+                drawn.is_none_or(|d| d == at),
+                "push {ordinal}: the seek missed its draw"
+            );
+            // `Some(blocked)`: resolved here.
+            let resolved = if settled {
+                Some(false)
+            } else {
+                // The planner read the receiver's record on its owning world
+                // at this barrier, and a stored timestamp only ever falls at
+                // a join, so a covered push stores nothing at `at` unless its
+                // receiver joins in between.  Both ends of the window count:
+                // the world replays a join *at* `t` only after the round, so
+                // the planner still saw the pre-join record, and a join *at*
+                // `at` is replayed before the push (the transition cursor
+                // wins its ties with the queue).
+                let plan = self.plan;
+                let resolved = (push.covered && !plan.joins_within(push.to, t, at))
+                    .then(|| plan.blocks_link(at, push.from, push.to));
+                match resolved {
+                    Some(true) => self.blocked += 1,
+                    Some(false) => self.resolved[push.variable as usize] += 1,
+                    None => stages.queued_pushes += 1,
+                }
+                resolved
+            };
+            // Debug builds send the resolved pushes too, as uncounted
+            // shadows (see `QueuedPush`).
+            if resolved.is_some() && !cfg!(debug_assertions) {
+                continue;
+            }
+            let dest = (push.variable % num_shards) as usize;
+            batches[dest].pushes.push((
+                at,
+                QueuedPush {
+                    push: push.materialise::<R>(shards),
+                    #[cfg(debug_assertions)]
+                    resolved,
+                },
+            ));
+        }
+        rng.set_word_pos(start + u128::from(planned) * words);
+        if let Some(drawn_rng) = drawn_rng {
+            assert_eq!(drawn_rng.get_word_pos(), rng.get_word_pos());
+        }
+        planner
     }
 }
 
@@ -266,11 +434,7 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
     let mut rounds: u64 = 0;
     let mut digests_planned: u64 = 0;
     let mut digests_blocked: u64 = 0;
-    // Covered full pushes settled at planning time: what the owning
-    // shard's `Event::GossipPush` arm would have counted for each —
-    // delivered (per variable) or dropped at a partition.
-    let mut resolved_pushes = vec![0u64; nvars];
-    let mut resolved_blocked: u64 = 0;
+    let mut full_push = FullPush::new(plan, nvars);
     // Post-heal re-convergence accounting, spine-level like the coverage
     // trackers (no-op without partition windows).
     let mut heals = HealTracking::default();
@@ -296,55 +460,16 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
 
             let plan_start = Instant::now();
             rounds += 1;
-            let shards = Shards {
-                worlds: &worlds,
-                keys: config.keyspace.keys,
-            };
+            let shards = Shards::<_, R>::new(&worlds, config.keyspace.keys);
             let (coverage, correct_servers) = match policy.mode {
-                GossipMode::PushAll => {
-                    let outline = diffusion::outline_cluster_round::<R, _>(
-                        &shards,
-                        policy.fanout as usize,
-                        &mut gossip_rng,
-                    );
-                    stages.planned_pushes += outline.pushes.len() as u64;
-                    for push in &outline.pushes {
-                        let at = t + policy.push_latency.sample(&mut gossip_rng);
-                        // The planner read the receiver's record on its
-                        // owning world at this barrier, and a stored
-                        // timestamp only ever falls at a join, so a covered
-                        // push stores nothing at `at` unless its receiver
-                        // joins in between.  Both ends of the window count:
-                        // the world replays a join *at* `t` only after the
-                        // round, so the planner still saw the pre-join
-                        // record, and a join *at* `at` is replayed before
-                        // the push (the transition cursor wins its ties
-                        // with the queue).
-                        // `Some(blocked)`: resolved here.
-                        let resolved = (push.covered && !plan.joins_within(push.to, t, at))
-                            .then(|| plan.blocks_link(at, push.from, push.to));
-                        match resolved {
-                            Some(true) => resolved_blocked += 1,
-                            Some(false) => resolved_pushes[push.variable as usize] += 1,
-                            None => stages.queued_pushes += 1,
-                        }
-                        // Debug builds send the resolved pushes too, as
-                        // uncounted shadows (see `QueuedPush`).
-                        if resolved.is_some() && !cfg!(debug_assertions) {
-                            continue;
-                        }
-                        let dest = (push.variable % num_shards) as usize;
-                        batches[dest].pushes.push((
-                            at,
-                            QueuedPush {
-                                push: push.materialise::<R>(&shards),
-                                #[cfg(debug_assertions)]
-                                resolved,
-                            },
-                        ));
-                    }
-                    (outline.coverage, outline.correct_servers)
-                }
+                GossipMode::PushAll => full_push.round(
+                    &shards,
+                    &policy,
+                    t,
+                    &mut gossip_rng,
+                    &mut batches,
+                    &mut stages,
+                ),
                 GossipMode::DigestDelta => {
                     let selector = digest_selector(policy.key_policy, round, t, nvars, |v| {
                         shards.write_state(v)
@@ -478,6 +603,11 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
     report.gossip_rounds = rounds;
     // A digest a partition blocked was planned but never delivered.
     report.gossip_digests = digests_planned - digests_blocked;
+    let FullPush {
+        resolved: resolved_pushes,
+        blocked: resolved_blocked,
+        ..
+    } = full_push;
     let resolved_delivered: u64 = resolved_pushes.iter().sum();
     report.gossip_pushes += resolved_delivered;
     report.partition_blocked_gossip += resolved_blocked + digests_blocked + deltas_blocked;
@@ -534,13 +664,14 @@ fn drain_all<S: QuorumSystem + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::failure::TransitionKind;
-    use crate::runner::{DiffusionPolicy, SimConfig};
+    use crate::latency::LatencyModel;
+    use crate::runner::SimConfig;
     use crate::workload::KeySpace;
     use pqs_core::probabilistic::EpsilonIntersecting;
     use pqs_protocols::cluster::Cluster;
-    use pqs_protocols::diffusion::{outline_cluster_round, plan_digest_into};
+    use pqs_protocols::diffusion::{plan_digest_into, plan_pushes};
     use pqs_protocols::diffusion::{DigestArena, KeySelector};
+    use rand::RngCore;
 
     /// `SimConfig`'s fields are public, so a zero shard count can bypass
     /// the builder's check; it must mean the smallest layout, not a
@@ -633,10 +764,7 @@ mod tests {
                     };
                 }
             }
-            let shards = Shards {
-                worlds: &worlds,
-                keys,
-            };
+            let shards = Shards::<_, TaggedValue>::new(&worlds, keys);
             assert_eq!(shards.servers(), n);
             let universe = sys.universe();
             let read: Vec<Behavior> = universe.servers().map(|id| shards.behavior(id)).collect();
@@ -647,6 +775,180 @@ mod tests {
                     .map(|id| world.cluster.server(id).behavior())
                     .collect();
                 assert_eq!(held, expected, "world {shard} at barrier {barrier}");
+            }
+        }
+    }
+
+    /// A round is quiet from just after the last join and from the last
+    /// heal on: a join at the barrier itself, or a window still open at it
+    /// or yet to open, keeps a round from being quiet.
+    #[test]
+    fn quiet_rounds_start_after_the_last_join_and_heal() {
+        let s = ServerId::new;
+        let quiet = |plan: FailurePlan, t: SimTime| FullPush::new(&plan, 0).quiet(t);
+        let joins = || {
+            FailurePlan::none()
+                .with_join(1.0, s(3))
+                .with_join(0.5, s(4))
+        };
+        assert!(!quiet(joins(), 0.75) && !quiet(joins(), 1.0) && quiet(joins(), 1.25));
+        let windows = || {
+            (FailurePlan::none())
+                .with_partition(0.5, 1.0, 2)
+                .with_partition(2.0, 3.0, 2)
+        };
+        for (t, expected) in [(0.75, false), (1.0, false), (1.5, false), (2.5, false)] {
+            assert_eq!(quiet(windows(), t), expected, "{t}");
+        }
+        assert!(quiet(windows(), 3.0) && quiet(windows(), 9.0));
+        let leaves = || FailurePlan::none().with_leave(2.0, s(3));
+        assert!(quiet(leaves(), 0.25) && quiet(leaves(), 2.0));
+        assert!(quiet(FailurePlan::none(), 0.0));
+    }
+
+    /// A world per shard over `keys` keys, drained to `barrier` under
+    /// `plan`.
+    fn worlds_at<'a>(
+        sim: &'a Simulation<'a, EpsilonIntersecting>,
+        plan: &'a FailurePlan,
+        shards: u64,
+        barrier: SimTime,
+    ) -> Vec<World<'a, EpsilonIntersecting>> {
+        let config = sim.config;
+        let workload = WorkloadConfig {
+            duration: config.duration,
+            arrival_rate: config.arrival_rate,
+            read_fraction: config.read_fraction,
+            keyspace: config.keyspace,
+        };
+        let popularity = config.keyspace.popularity();
+        let mut worlds: Vec<_> = (0..shards)
+            .map(|shard| {
+                let keys = (shard..config.keyspace.keys).step_by(shards as usize);
+                let arrivals = Arrivals::new(&workload, &popularity, config.seed, keys);
+                World::new(sim, arrivals, plan, Behavior::ByzantineForge)
+            })
+            .collect();
+        drain_all(&mut worlds, Some(barrier), 1);
+        worlds
+    }
+
+    /// The spine's full-push round — pushes counted inside the planning
+    /// loop, the gossip stream seeked past their latencies — diffed against
+    /// the round as the spine planned it before: every push outlined first,
+    /// then every latency drawn in order and each covered push resolved at
+    /// its delivery time.  Four rounds: a quiet one under each of a drawn
+    /// and a fixed latency, one inside a partition window that heals while
+    /// its pushes are in flight, and one whose flight window holds a
+    /// receiver's join.  Compared: the queued pushes (shadows included in
+    /// debug builds) and their times, the per-key settled counts, the
+    /// blocked count, the push counters and the stream's final position.
+    #[test]
+    fn a_settled_round_queues_and_counts_what_sampling_every_push_does() {
+        type R = TaggedValue;
+        let sys = EpsilonIntersecting::new(36, 9).unwrap();
+        let s = ServerId::new;
+        let (keys, t) = (8, 1.0);
+        let exponential = LatencyModel::Exponential { mean: 2e-3 };
+        let rounds = [
+            ("quiet", FailurePlan::none(), exponential),
+            (
+                "quiet, fixed",
+                FailurePlan::none(),
+                LatencyModel::Fixed(1e-3),
+            ),
+            (
+                "partitioned",
+                FailurePlan::none().with_partition(0.9, t + 2e-3, 2),
+                exponential,
+            ),
+            (
+                "joining",
+                FailurePlan::none()
+                    .with_leave(0.95, s(5))
+                    .with_join(t + 2e-3, s(5)),
+                exponential,
+            ),
+        ];
+        for (name, plan, latency) in rounds {
+            let policy = DiffusionPolicy::full_push(0.25, 2).with_push_latency(latency);
+            let config = SimConfig::builder()
+                .with_duration(3.0)
+                .with_arrival_rate(200.0)
+                .with_keyspace(KeySpace::zipf(keys, 1.0))
+                .with_diffusion(policy)
+                .with_num_shards(3)
+                .with_seed(3)
+                .build();
+            let sim = Simulation::new(&sys, ProtocolKind::Safe, config);
+            let worlds = worlds_at(&sim, &plan, 3, t);
+            let shards = Shards::<_, R>::new(&worlds, keys);
+            let stream = || {
+                let mut rng = ChaCha8Rng::seed_from_u64(17);
+                rng.next_u32(); // an odd start
+                rng
+            };
+
+            let mut rng = stream();
+            let mut full_push = FullPush::new(&plan, keys as usize);
+            let mut batches: Vec<RoundBatch> = (0..3).map(|_| RoundBatch::default()).collect();
+            let mut stages = EngineStageTimings::default();
+            let planned = full_push.round(&shards, &policy, t, &mut rng, &mut batches, &mut stages);
+            #[cfg(debug_assertions)]
+            let shadow = |q: &QueuedPush| q.resolved;
+            #[cfg(not(debug_assertions))]
+            let shadow = |_: &QueuedPush| None;
+            let sent: Vec<Vec<_>> = (batches.iter())
+                .map(|b| (b.pushes.iter()).map(|(at, q)| (*at, q.push.clone(), shadow(q))))
+                .map(Iterator::collect)
+                .collect();
+
+            let mut reference = stream();
+            let mut outline = Vec::new();
+            let expected = plan_pushes::<R, _>(&shards, 2, &mut reference, |p| outline.push(p));
+            let mut queued: Vec<Vec<_>> = vec![Vec::new(); 3];
+            let (mut resolved, mut blocked) = (vec![0u64; keys as usize], 0);
+            let mut joined = 0;
+            for push in &outline {
+                let at = t + latency.sample(&mut reference);
+                let joins = plan.joins_within(push.to, t, at);
+                joined += u64::from(push.covered && joins);
+                let verdict =
+                    (push.covered && !joins).then(|| plan.blocks_link(at, push.from, push.to));
+                match verdict {
+                    Some(true) => blocked += 1,
+                    Some(false) => resolved[push.variable as usize] += 1,
+                    None => {}
+                }
+                if verdict.is_none() || cfg!(debug_assertions) {
+                    let shadow = verdict.filter(|_| cfg!(debug_assertions));
+                    let message = push.materialise::<R>(&shards);
+                    queued[(push.variable % 3) as usize].push((at, message, shadow));
+                }
+            }
+
+            assert_eq!(planned, expected, "{name}: coverage");
+            assert_eq!(sent, queued, "{name}: queued pushes");
+            assert_eq!(full_push.resolved, resolved, "{name}: settled per key");
+            assert_eq!(full_push.blocked, blocked, "{name}: blocked");
+            let unsettled = outline.len() as u64 - resolved.iter().sum::<u64>() - blocked;
+            assert_eq!(
+                (stages.planned_pushes, stages.queued_pushes),
+                (outline.len() as u64, unsettled),
+                "{name}: counters"
+            );
+            assert_eq!(
+                rng.get_word_pos(),
+                reference.get_word_pos(),
+                "{name}: stream"
+            );
+            assert_eq!(rng.next_u64(), reference.next_u64(), "{name}: stream");
+            // Each round exercises what it is named for.
+            assert!(resolved.iter().sum::<u64>() > 20, "{name}: {resolved:?}");
+            match name {
+                "partitioned" => assert!(blocked > 0, "{name}: nothing blocked"),
+                "joining" => assert!(joined > 0, "{name}: no covered push to the joiner"),
+                _ => assert!(full_push.quiet(t), "{name}"),
             }
         }
     }
@@ -706,26 +1008,28 @@ mod tests {
                 }
             }
         }
-        let shards = Shards {
-            worlds: &worlds,
-            keys,
-        };
+        let shards = Shards::<_, R>::new(&worlds, keys);
         let mut held = 0;
         for id in universe.servers() {
-            let vars: Vec<VariableId> = merged.variables::<R>(id).collect();
-            assert_eq!(shards.variables::<R>(id).collect::<Vec<_>>(), vars);
+            let vars: Vec<(VariableId, Timestamp)> = merged.server(id).held::<R>().collect();
+            assert_eq!(shards.held(id).collect::<Vec<_>>(), vars);
             for v in 0..keys {
-                let record = merged.record::<R>(id, v);
-                assert_eq!(shards.record::<R>(id, v), record, "{id:?}, key {v}");
+                let record = merged.server(id).record::<R>(v);
+                assert_eq!(shards.record(id, v), record, "{id:?}, key {v}");
             }
             held += vars.len();
         }
         assert!(held > 3 * keys as usize, "only {held} records held");
 
         let rng = || ChaCha8Rng::seed_from_u64(9);
+        let round = |holdings: &dyn Fn(&mut Vec<_>) -> (Vec<_>, u32)| {
+            let mut pushes = Vec::new();
+            let planned = holdings(&mut pushes);
+            (pushes, planned)
+        };
         assert_eq!(
-            outline_cluster_round::<R, _>(&shards, 2, &mut rng()),
-            outline_cluster_round::<R, _>(&merged, 2, &mut rng()),
+            round(&|pushes| plan_pushes::<R, _>(&shards, 2, &mut rng(), |p| pushes.push(p))),
+            round(&|pushes| plan_pushes::<R, _>(&merged, 2, &mut rng(), |p| pushes.push(p))),
         );
         let hot = KeySelector::Only(BTreeSet::from([0, 1, 5]));
         for keys in [KeySelector::All, hot] {

@@ -598,9 +598,11 @@ impl SimConfigBuilder {
     ///
     /// Panics if the duration or arrival rate is not positive and finite,
     /// a probability (`read_fraction`, `crash_probability`) leaves [0, 1],
-    /// the timeout or backoff factor is negative or non-finite, the shard
-    /// or thread count is 0, or a configured diffusion policy has a
-    /// non-positive period, zero fanout or a
+    /// the timeout or backoff factor is negative or non-finite, a parameter
+    /// of the probe latency law is negative or non-finite, the shard or
+    /// thread count is 0, or a configured diffusion policy has a
+    /// non-positive period, zero fanout, a push latency law with a negative
+    /// or non-finite parameter or a
     /// [`RecentWrites`](KeyGossipPolicy::RecentWrites) window that is
     /// negative or NaN.  A run checks every field but the shard and thread
     /// counts again, since the fields may be written after `build()`.
@@ -649,11 +651,13 @@ impl SimConfig {
             "retry_backoff must be non-negative and finite, got {}",
             self.retry_backoff
         );
+        check_latency(&self.latency, "latency");
         if let Some(policy) = &self.diffusion {
             assert!(
                 policy.period > 0.0 && policy.period.is_finite(),
                 "diffusion period must be positive and finite"
             );
+            check_latency(&policy.push_latency, "diffusion push_latency");
             assert!(policy.fanout >= 1, "diffusion fanout must be at least 1");
             if let KeyGossipPolicy::RecentWrites { window, .. } = policy.key_policy {
                 assert!(
@@ -663,6 +667,24 @@ impl SimConfig {
             }
         }
     }
+}
+
+/// Panics unless every parameter of `law` is finite and non-negative,
+/// naming `field`: a NaN or infinite draw would otherwise surface as the
+/// event queue's panic at the first message scheduled with it.  Degenerate
+/// laws — a zero mean, equal or swapped uniform endpoints, a Pareto shape
+/// at most 1 — stay valid: sampling them is total.
+fn check_latency(law: &LatencyModel, field: &str) {
+    let parameters = match *law {
+        LatencyModel::Fixed(v) => [v, 0.0],
+        LatencyModel::Uniform { min, max } => [min, max],
+        LatencyModel::Exponential { mean } => [mean, 0.0],
+        LatencyModel::Pareto { scale, shape } => [scale, shape],
+    };
+    assert!(
+        parameters.iter().all(|p| p.is_finite() && *p >= 0.0),
+        "{field} parameters must be finite and non-negative, got {law:?}"
+    );
 }
 
 /// A configured simulation, ready to [`run`](Simulation::run).
@@ -1338,7 +1360,12 @@ mod tests {
                 cold_every: 8,
             })
         }
-        let rows: [(Spoil, &str); 24] = [
+        let latency = "latency parameters must be finite and non-negative";
+        let push_latency = "diffusion push_latency parameters must be finite and non-negative";
+        fn pushing(law: LatencyModel) -> DiffusionPolicy {
+            DiffusionPolicy::full_push(0.25, 2).with_push_latency(law)
+        }
+        let rows: [(Spoil, &str); 33] = [
             (|b| b.with_duration(f64::NAN), duration),
             (|b| b.with_duration(f64::INFINITY), duration),
             (|b| b.with_duration(-1.0), duration),
@@ -1375,9 +1402,79 @@ mod tests {
             ),
             (|b| b.with_diffusion(recent(f64::NAN)), window),
             (|b| b.with_diffusion(recent(-1.0)), window),
+            (|b| b.with_latency(LatencyModel::Fixed(-1e-3)), latency),
+            (
+                |b| b.with_latency(LatencyModel::Fixed(f64::INFINITY)),
+                latency,
+            ),
+            (
+                |b| {
+                    b.with_latency(LatencyModel::Uniform {
+                        min: 1e-3,
+                        max: f64::NAN,
+                    })
+                },
+                latency,
+            ),
+            (
+                |b| b.with_latency(LatencyModel::Exponential { mean: f64::NAN }),
+                latency,
+            ),
+            (
+                |b| {
+                    b.with_latency(LatencyModel::Exponential {
+                        mean: f64::INFINITY,
+                    })
+                },
+                latency,
+            ),
+            (
+                |b| {
+                    b.with_latency(LatencyModel::Pareto {
+                        scale: 1e-3,
+                        shape: f64::NAN,
+                    })
+                },
+                latency,
+            ),
+            (
+                |b| b.with_diffusion(pushing(LatencyModel::Exponential { mean: f64::NAN })),
+                push_latency,
+            ),
+            (
+                |b| b.with_diffusion(pushing(LatencyModel::Fixed(f64::INFINITY))),
+                push_latency,
+            ),
+            (
+                |b| {
+                    b.with_diffusion(pushing(LatencyModel::Pareto {
+                        scale: -1e-3,
+                        shape: 2.0,
+                    }))
+                },
+                push_latency,
+            ),
         ];
         let valid = || SimConfig::builder().with_diffusion(DiffusionPolicy::default());
         valid().build();
+        // Degenerate laws that sample to a constant stay valid.
+        for law in [
+            LatencyModel::Fixed(0.0),
+            LatencyModel::Uniform {
+                min: 2e-3,
+                max: 1e-3,
+            },
+            LatencyModel::Exponential { mean: 0.0 },
+            LatencyModel::Pareto {
+                scale: 1e-3,
+                shape: 0.5,
+            },
+        ] {
+            valid()
+                .with_latency(law)
+                .with_diffusion(pushing(law))
+                .build();
+        }
         for (row, (spoil, expected)) in rows.into_iter().enumerate() {
             let builder = spoil(valid());
             let panic = std::panic::catch_unwind(move || builder.build())
@@ -1406,6 +1503,22 @@ mod tests {
             window: f64::NAN,
             cold_every: 8,
         }));
+        Simulation::new(&sys, ProtocolKind::Safe, config).run();
+    }
+
+    /// A push latency law written after `build()` is checked at `run()`
+    /// too, with `build()`'s message, before any message is scheduled.
+    #[test]
+    #[should_panic(expected = "diffusion push_latency parameters must be finite and non-negative")]
+    fn a_nan_push_latency_written_after_build_is_rejected_at_run() {
+        let sys = EpsilonIntersecting::new(20, 5).unwrap();
+        let mut config = SimConfig::builder()
+            .with_duration(1.0)
+            .with_diffusion(DiffusionPolicy::full_push(0.1, 2))
+            .build();
+        if let Some(policy) = &mut config.diffusion {
+            policy.push_latency = LatencyModel::Exponential { mean: f64::NAN };
+        }
         Simulation::new(&sys, ProtocolKind::Safe, config).run();
     }
 

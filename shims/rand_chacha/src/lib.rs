@@ -62,6 +62,40 @@ impl<const DOUBLE_ROUNDS: usize> ChaCha<DOUBLE_ROUNDS> {
         self.cursor = 0;
         self.counter = self.counter.wrapping_add(1);
     }
+
+    /// The stream position: how many 32-bit words have been read since
+    /// the start of the keystream (a `u128`, as in `rand_chacha` 0.3; the
+    /// block counter is 64 bits wide, so positions wrap at `2^68`).
+    pub fn get_word_pos(&self) -> u128 {
+        // `cursor == 16` means the next word is the first of block
+        // `counter`; otherwise the buffer holds block `counter - 1`.
+        let (block, word) = if self.cursor >= 16 {
+            (self.counter, 0)
+        } else {
+            (self.counter.wrapping_sub(1), self.cursor)
+        };
+        (u128::from(block) << 4) + word as u128
+    }
+
+    /// Moves the stream to word position `pos` (see
+    /// [`get_word_pos`](Self::get_word_pos)): the next words drawn are the
+    /// ones that `pos` words drawn from the start would be followed by.
+    /// A seek inside the block already buffered generates nothing.
+    pub fn set_word_pos(&mut self, pos: u128) {
+        let block = (pos >> 4) as u64;
+        let word = (pos & 15) as usize;
+        // A fresh generator (counter 0) has buffered no block yet.
+        if self.counter != 0 && self.counter.wrapping_sub(1) == block {
+            self.cursor = word;
+        } else {
+            self.counter = block;
+            self.cursor = 16;
+            if word > 0 {
+                self.refill();
+                self.cursor = word;
+            }
+        }
+    }
 }
 
 impl<const DOUBLE_ROUNDS: usize> RngCore for ChaCha<DOUBLE_ROUNDS> {
@@ -128,6 +162,46 @@ mod tests {
         let zs: Vec<u64> = (0..64).map(|_| c.next_u64()).collect();
         assert_eq!(xs, ys);
         assert_ne!(xs, zs);
+    }
+
+    /// Seeking `k` words ahead lands where drawing `k` words does, from
+    /// every start position of the first three blocks — mid-block, on a
+    /// block boundary, and after an odd number of 32-bit draws.
+    #[test]
+    fn a_seek_lands_where_drawing_the_skipped_words_does() {
+        let fresh = || ChaCha8Rng::seed_from_u64(5);
+        let mut reference = fresh();
+        let words: Vec<u32> = (0..96).map(|_| reference.next_u32()).collect();
+        for start in 0..48usize {
+            for k in [0, 1, 2, 3, 15, 16, 17, 31, 32, 33] {
+                let mut drawn = fresh();
+                for _ in 0..start {
+                    drawn.next_u32();
+                }
+                let mut seeked = drawn.clone();
+                for _ in 0..k {
+                    drawn.next_u32();
+                }
+                assert_eq!(drawn.get_word_pos(), (start + k) as u128);
+                seeked.set_word_pos((start + k) as u128);
+                assert_eq!(seeked.get_word_pos(), (start + k) as u128);
+                let next = (seeked.next_u32(), seeked.next_u64());
+                assert_eq!(next, (drawn.next_u32(), drawn.next_u64()), "{start} + {k}");
+                let at = start + k;
+                let expected = u64::from(words[at + 1]) | (u64::from(words[at + 2]) << 32);
+                assert_eq!(next, (words[at], expected), "{start} + {k}");
+            }
+        }
+        // Backwards, and from a generator that has drawn nothing.
+        let mut back = fresh();
+        for _ in 0..40 {
+            back.next_u32();
+        }
+        back.set_word_pos(7);
+        assert_eq!(back.next_u32(), words[7]);
+        let mut cold = fresh();
+        cold.set_word_pos(0);
+        assert_eq!((cold.get_word_pos(), cold.next_u32()), (0, words[0]));
     }
 
     #[test]
