@@ -103,12 +103,13 @@ impl<'w, 'a, S: QuorumSystem + ?Sized, R: Record> Shards<'w, 'a, S, R> {
     fn new(worlds: &'w [World<'a, S>], keys: VariableId) -> Self {
         // Cycling through the worlds in step with the keys finds each
         // key's owner without a division.
-        let keys = (0..keys).zip(worlds.iter().cycle());
+        let owners = worlds.iter().cycle();
+        let keys = (0..keys)
+            .zip(owners)
+            .map(|(v, world)| world.cluster.key_records(v));
         Shards {
             worlds,
-            keys: keys
-                .map(|(v, world)| world.cluster.key_records(v))
-                .collect(),
+            keys: keys.collect(),
         }
     }
 
@@ -130,10 +131,8 @@ impl<S: QuorumSystem + ?Sized, R: Record> Holdings<R> for Shards<'_, '_, S, R> {
         self.keys.get(var as usize)?.get(id)
     }
     fn held(&self, id: ServerId) -> impl Iterator<Item = (VariableId, Timestamp)> + '_ {
-        (0..).zip(&self.keys).filter_map(move |(v, key)| {
-            let record = key.get(id);
-            record.map(|r| (v, r.timestamp()))
-        })
+        let keys = (0..).zip(&self.keys);
+        keys.filter_map(move |(v, key)| key.get(id).map(|r| (v, r.timestamp())))
     }
 }
 
