@@ -209,8 +209,8 @@ impl ProbeLatency {
     /// non-positive mean gives `0`, a non-positive scale or shape gives the
     /// scale clamped at `0` — rather than panicking mid-simulation.
     ///
-    /// `#[inline]`: the engine draws one per probe and per gossip push from
-    /// another crate; without it `adversarial_digest` read 1.2 % slower in
+    /// `#[inline]`: the engine draws one per probe and per gossip message
+    /// from another crate; without it `adversarial_digest` read 1.2 % slower in
     /// ten of ten A/B pairs.
     #[inline]
     pub fn sample(&self, rng: &mut dyn RngCore) -> f64 {

@@ -490,14 +490,6 @@ impl<'a, R: Record> KeyRecords<'a, R> {
     }
 }
 
-impl<R> Clone for KeyRecords<'_, R> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<R> Copy for KeyRecords<'_, R> {}
-
 /// Prints the key, not the slab the view borrows.
 impl<R> Debug for KeyRecords<'_, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

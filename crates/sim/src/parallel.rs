@@ -147,7 +147,7 @@ struct FullPush<'p> {
     last_heal: SimTime,
     /// The round's pushes still to resolve, each with its ordinal in the
     /// round — also the index of its latency draw.
-    kept: Vec<(u32, PlannedPush)>,
+    kept: Vec<(u64, PlannedPush)>,
     /// Covered pushes settled at planning time: what the owning shard's
     /// `Event::GossipPush` arm would have counted for each — delivered
     /// (per variable) or dropped at a partition.
@@ -198,7 +198,7 @@ impl<'p> FullPush<'p> {
         // are kept.  Debug builds keep the counted ones too, to queue as
         // shadows.
         let quiet = self.quiet(t);
-        let mut planned: u32 = 0;
+        let mut planned: u64 = 0;
         let (kept, resolved) = (&mut self.kept, &mut self.resolved);
         kept.clear();
         let planner = diffusion::plan_pushes::<R, _>(shards, policy.fanout as usize, rng, |push| {
@@ -211,7 +211,7 @@ impl<'p> FullPush<'p> {
             }
             planned += 1;
         });
-        stages.planned_pushes += u64::from(planned);
+        stages.planned_pushes += planned;
         // The round's latencies follow its peers on the stream, one per push
         // in push order: push `k`'s draw starts `k · words` words past
         // `start`.  Each kept push seeks to its own, and the stream ends past
@@ -403,21 +403,7 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
         ProtocolKind::Dissemination => Behavior::ByzantineStale,
         _ => Behavior::ByzantineForge,
     };
-    let workload = WorkloadConfig {
-        duration: config.duration,
-        arrival_rate: config.arrival_rate,
-        read_fraction: config.read_fraction,
-        keyspace: config.keyspace,
-    };
-    let popularity = config.keyspace.popularity();
-
-    let mut worlds: Vec<World<'_, S>> = (0..num_shards)
-        .map(|shard| {
-            let keys = (shard..config.keyspace.keys).step_by(num_shards as usize);
-            let arrivals = Arrivals::new(&workload, &popularity, config.seed, keys);
-            World::new(sim, arrivals, plan, byz_behavior)
-        })
-        .collect();
+    let mut worlds = open_worlds(sim, plan, num_shards, byz_behavior);
     let threads = (config.threads as usize).min(worlds.len()).max(1);
     let mut gauge = InFlightGauge::default();
     let mut drain = |worlds: &mut [World<'_, S>], barrier: Option<SimTime>| {
@@ -634,6 +620,31 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
     (report, stages)
 }
 
+/// One world per shard, each opening the arrival streams of the keys it
+/// owns (`variable % num_shards`) and walking `plan`.
+fn open_worlds<'a, S: QuorumSystem + ?Sized>(
+    sim: &Simulation<'a, S>,
+    plan: &'a FailurePlan,
+    num_shards: u64,
+    byz_behavior: Behavior,
+) -> Vec<World<'a, S>> {
+    let config = sim.config;
+    let workload = WorkloadConfig {
+        duration: config.duration,
+        arrival_rate: config.arrival_rate,
+        read_fraction: config.read_fraction,
+        keyspace: config.keyspace,
+    };
+    let popularity = config.keyspace.popularity();
+    (0..num_shards)
+        .map(|shard| {
+            let keys = (shard..config.keyspace.keys).step_by(num_shards as usize);
+            let arrivals = Arrivals::new(&workload, &popularity, config.seed, keys);
+            World::new(sim, arrivals, plan, byz_behavior)
+        })
+        .collect()
+}
+
 /// Drains every shard up to `barrier` — inline on this thread, or on up to
 /// `threads` scoped worker threads.  Purely an execution choice: shards
 /// share nothing while draining, so the interleaving cannot matter.
@@ -720,20 +731,7 @@ mod tests {
             .with_seed(7)
             .build();
         let sim = Simulation::new(&sys, ProtocolKind::Safe, config);
-        let workload = WorkloadConfig {
-            duration: config.duration,
-            arrival_rate: config.arrival_rate,
-            read_fraction: config.read_fraction,
-            keyspace: config.keyspace,
-        };
-        let popularity = config.keyspace.popularity();
-        let mut worlds: Vec<_> = (0..3)
-            .map(|shard| {
-                let keys = (shard..keys).step_by(3);
-                let arrivals = Arrivals::new(&workload, &popularity, 7, keys);
-                World::new(&sim, arrivals, &plan, Behavior::ByzantineForge)
-            })
-            .collect();
+        let mut worlds = open_worlds(&sim, &plan, 3, Behavior::ByzantineForge);
 
         let n = sys.universe().size() as usize;
         for barrier in [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5] {
@@ -805,33 +803,6 @@ mod tests {
         assert!(quiet(FailurePlan::none(), 0.0));
     }
 
-    /// A world per shard over `keys` keys, drained to `barrier` under
-    /// `plan`.
-    fn worlds_at<'a>(
-        sim: &'a Simulation<'a, EpsilonIntersecting>,
-        plan: &'a FailurePlan,
-        shards: u64,
-        barrier: SimTime,
-    ) -> Vec<World<'a, EpsilonIntersecting>> {
-        let config = sim.config;
-        let workload = WorkloadConfig {
-            duration: config.duration,
-            arrival_rate: config.arrival_rate,
-            read_fraction: config.read_fraction,
-            keyspace: config.keyspace,
-        };
-        let popularity = config.keyspace.popularity();
-        let mut worlds: Vec<_> = (0..shards)
-            .map(|shard| {
-                let keys = (shard..config.keyspace.keys).step_by(shards as usize);
-                let arrivals = Arrivals::new(&workload, &popularity, config.seed, keys);
-                World::new(sim, arrivals, plan, Behavior::ByzantineForge)
-            })
-            .collect();
-        drain_all(&mut worlds, Some(barrier), 1);
-        worlds
-    }
-
     /// The spine's full-push round — pushes counted inside the planning
     /// loop, the gossip stream seeked past their latencies — diffed against
     /// the round as the spine planned it before: every push outlined first,
@@ -880,7 +851,8 @@ mod tests {
                 .with_seed(3)
                 .build();
             let sim = Simulation::new(&sys, ProtocolKind::Safe, config);
-            let worlds = worlds_at(&sim, &plan, 3, t);
+            let mut worlds = open_worlds(&sim, &plan, 3, Behavior::ByzantineForge);
+            drain_all(&mut worlds, Some(t), 1);
             let shards = Shards::<_, R>::new(&worlds, keys);
             let stream = || {
                 let mut rng = ChaCha8Rng::seed_from_u64(17);
@@ -944,10 +916,11 @@ mod tests {
             assert_eq!(rng.next_u64(), reference.next_u64(), "{name}: stream");
             // Each round exercises what it is named for.
             assert!(resolved.iter().sum::<u64>() > 20, "{name}: {resolved:?}");
+            assert_eq!(full_push.quiet(t), name.starts_with("quiet"), "{name}");
             match name {
                 "partitioned" => assert!(blocked > 0, "{name}: nothing blocked"),
                 "joining" => assert!(joined > 0, "{name}: no covered push to the joiner"),
-                _ => assert!(full_push.quiet(t), "{name}"),
+                _ => {}
             }
         }
     }
@@ -978,20 +951,7 @@ mod tests {
             .with_join(1.5, s(31))
             .with_transition(1.0, s(2), true);
         let sim = Simulation::new(&sys, ProtocolKind::Safe, config);
-        let workload = WorkloadConfig {
-            duration: config.duration,
-            arrival_rate: config.arrival_rate,
-            read_fraction: config.read_fraction,
-            keyspace: config.keyspace,
-        };
-        let popularity = config.keyspace.popularity();
-        let mut worlds: Vec<_> = (0..3)
-            .map(|shard| {
-                let keys = (shard..keys).step_by(3);
-                let arrivals = Arrivals::new(&workload, &popularity, 5, keys);
-                World::new(&sim, arrivals, &plan, Behavior::ByzantineForge)
-            })
-            .collect();
+        let mut worlds = open_worlds(&sim, &plan, 3, Behavior::ByzantineForge);
         drain_all(&mut worlds, Some(2.0), 1);
 
         let universe = sys.universe();
@@ -1021,15 +981,12 @@ mod tests {
         assert!(held > 3 * keys as usize, "only {held} records held");
 
         let rng = || ChaCha8Rng::seed_from_u64(9);
-        let round = |holdings: &dyn Fn(&mut Vec<_>) -> (Vec<_>, u32)| {
-            let mut pushes = Vec::new();
-            let planned = holdings(&mut pushes);
-            (pushes, planned)
-        };
+        let (mut pushes, mut expected) = (Vec::new(), Vec::new());
         assert_eq!(
-            round(&|pushes| plan_pushes::<R, _>(&shards, 2, &mut rng(), |p| pushes.push(p))),
-            round(&|pushes| plan_pushes::<R, _>(&merged, 2, &mut rng(), |p| pushes.push(p))),
+            plan_pushes::<R, _>(&shards, 2, &mut rng(), |p| pushes.push(p)),
+            plan_pushes::<R, _>(&merged, 2, &mut rng(), |p| expected.push(p)),
         );
+        assert_eq!(pushes, expected);
         let hot = KeySelector::Only(BTreeSet::from([0, 1, 5]));
         for keys in [KeySelector::All, hot] {
             let (mut a, mut b) = (DigestArena::default(), DigestArena::default());
