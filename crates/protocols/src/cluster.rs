@@ -321,4 +321,116 @@ mod tests {
             .all(|tv| *tv == TaggedValue::initial()));
         assert_eq!((c.total_accesses(), c.access_counts()[0]), (2, 3));
     }
+
+    /// The premise the simulator's plan-time settlement of covered pushes
+    /// rests on: store-if-fresher is a monotone join, so no mutator of a
+    /// cluster's stores ever lowers a stored timestamp except
+    /// [`Cluster::join_server`], which wipes its server.  Random sequences
+    /// of every public mutator, over servers of every behaviour, for both
+    /// record kinds.
+    #[test]
+    fn stored_timestamps_fall_only_at_a_join() {
+        use crate::diffusion::{self, GossipDelta, GossipPush};
+        use crate::register::session;
+        use crate::server::tests::Make;
+        use crate::server::AnyRecord;
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        fn some(rng: &mut ChaCha8Rng, n: u32) -> Vec<ServerId> {
+            (0..n)
+                .filter(|_| rng.gen_bool(0.4))
+                .map(ServerId::new)
+                .collect()
+        }
+        fn check<R: Make>(seed: u64) {
+            let (n, keys) = (6u32, 4 as VariableId);
+            let universe = Universe::new(n);
+            let mut c = Cluster::new(universe);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let behaviors = [
+                Behavior::Correct,
+                Behavior::Crashed,
+                Behavior::ByzantineForge,
+                Behavior::ByzantineStale,
+            ];
+            let stamps = |c: &Cluster| -> Vec<Timestamp> {
+                let held = universe
+                    .servers()
+                    .flat_map(|id| (0..keys).map(move |v| (id, v)));
+                held.map(|(id, v)| c.server(id).stored_timestamp::<R>(v))
+                    .collect()
+            };
+            let (mut rises, mut wipes) = (0, 0);
+            for step in 0..600 {
+                let id = ServerId::new(rng.gen_range(0..n));
+                let other = ServerId::new(rng.gen_range(0..n));
+                let var = rng.gen_range(0..keys);
+                // Counters creep up with the step, so records keep arriving
+                // both older and fresher than what their receivers hold.
+                let counter = |rng: &mut ChaCha8Rng| rng.gen_range(1..step / 8 + 3);
+                let record = R::make(step, counter(&mut rng));
+                let before = stamps(&c);
+                // Joins wipe whole servers, so they come rarely.
+                let op = if rng.gen_bool(0.03) {
+                    8
+                } else {
+                    rng.gen_range(0..8)
+                };
+                match op {
+                    0 => _ = c.server_mut(id).merge(var, &record),
+                    1 => _ = c.probe_write(id, var, &record),
+                    2 => _ = session::apply_write(&mut c, id, var, &record.into()),
+                    3 => {
+                        let (to, variable, record) = (id, var, record.into());
+                        let push = GossipPush {
+                            from: other,
+                            to,
+                            variable,
+                            record,
+                        };
+                        diffusion::deliver(&mut c, &push);
+                    }
+                    4 => {
+                        let mut records: Vec<(VariableId, AnyRecord)> = Vec::new();
+                        for v in 0..keys {
+                            if rng.gen_bool(0.5) {
+                                records.push((v, R::make(step, counter(&mut rng)).into()));
+                            }
+                        }
+                        let delta = GossipDelta {
+                            from: other,
+                            to: id,
+                            records,
+                        };
+                        diffusion::deliver_delta(&mut c, &delta);
+                    }
+                    5 => c.set_behavior(id, behaviors[rng.gen_range(0..4usize)]),
+                    6 => c.crash_all(some(&mut rng, n)),
+                    7 => {
+                        let byzantine = behaviors[rng.gen_range(2..4usize)];
+                        c.corrupt_all(some(&mut rng, n), byzantine);
+                    }
+                    _ => c.join_server(id),
+                }
+                let after = stamps(&c);
+                for (slot, (was, is)) in before.iter().zip(&after).enumerate() {
+                    let holder = ServerId::new(slot as u32 / keys as u32);
+                    let joined = op == 8 && holder == id;
+                    rises += u32::from(is > was);
+                    wipes += u32::from(is < was);
+                    assert!(
+                        is >= was || (joined && *is == Timestamp::ZERO),
+                        "step {step}: mutator {op} lowered {holder:?}'s key {} from {was:?} to {is:?}",
+                        slot as VariableId % keys
+                    );
+                }
+            }
+            assert!(rises > 50 && wipes > 10, "{rises} rises, {wipes} wipes");
+        }
+        for seed in 0..4 {
+            check::<TaggedValue>(seed);
+            check::<SignedValue>(seed);
+        }
+    }
 }

@@ -339,8 +339,10 @@ impl FailurePlan {
     ///
     /// Panics if a transition time is NaN or negative (the worlds walk
     /// these times without the queue's check), a partition window is one
-    /// [`with_partition`](Self::with_partition) refuses, or a Byzantine,
-    /// transition or sleeper server lies outside `universe`.
+    /// [`with_partition`](Self::with_partition) refuses, a Byzantine,
+    /// transition or sleeper server lies outside `universe`, or a
+    /// [`ByzantineStrategy::StaleSigned`] window is NaN or negative (no
+    /// probe would ever fire; `+∞` fires on every written key).
     pub(crate) fn check(&self, universe: Universe) {
         for t in &self.transitions {
             assert!(
@@ -350,6 +352,12 @@ impl FailurePlan {
             );
         }
         self.partitions.iter().for_each(PartitionWindow::check);
+        if let ByzantineStrategy::StaleSigned { window, .. } = self.strategy {
+            assert!(
+                window >= 0.0,
+                "StaleSigned window must be non-negative seconds, got {window}"
+            );
+        }
         let servers = self.transitions.iter().map(|t| &t.server);
         for server in self.byzantine.iter().chain(servers).chain(self.sleepers()) {
             assert!(

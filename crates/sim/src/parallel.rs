@@ -1,5 +1,5 @@
-//! The engine's spine: deterministic barriers, gossip planning and crash
-//! waves over per-shard worlds.
+//! The engine's spine: deterministic barriers and gossip planning over
+//! per-shard worlds, each of which walks the failure plan itself.
 //!
 //! [`run`] executes every [`Simulation`], whatever its
 //! [`SimConfig::num_shards`](crate::runner::SimConfig::num_shards) — one
@@ -38,7 +38,9 @@
 //!    of making it ([`ChaCha8Rng::set_word_pos`]).  The sink keeps every
 //!    other push with its ordinal in the round, which locates its draw
 //!    (see `docs/ARCHITECTURE.md`, "Plan-time resolution of covered
-//!    pushes").
+//!    pushes").  Debug and release builds take this one path.  Its slow
+//!    oracle is a test: a reference spine that draws every latency and
+//!    queues every push, whose whole-run report the engine's must match.
 //!
 //! After every drain window — a gossip barrier, or a fixed stretch of
 //! simulated time without gossip — the spine's [`InFlightGauge`] takes the
@@ -63,7 +65,7 @@ use crate::runner::{DiffusionPolicy, GossipMode, KeyGossipPolicy, ProtocolKind, 
 use crate::staleness::HealTracking;
 use crate::time::SimTime;
 use crate::workload::{Arrivals, WorkloadConfig};
-use crate::world::{DigestIds, QueuedPush, RoundBatch, World};
+use crate::world::{DigestIds, RoundBatch, World};
 use pqs_core::system::QuorumSystem;
 use pqs_core::universe::ServerId;
 use pqs_protocols::crypto::SignedValue;
@@ -86,6 +88,10 @@ const COVERAGE_TARGET: f64 = 0.9;
 /// gauge's buffers hold about a thousand transitions whatever the run's
 /// length.
 const WINDOW_ARRIVALS: f64 = 1024.0;
+
+/// Mixed into the run's seed to seed the gossip stream, so gossip draws
+/// never share a stream with the failure plan's.
+const GOSSIP_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// The records of a run where they live, as the round planners read them at
 /// a barrier: key `v`'s records and write state on world `v % worlds.len()`
@@ -195,18 +201,15 @@ impl<'p> FullPush<'p> {
     ) -> (Vec<VariableCoverage>, u32) {
         // The planning loop hands over each push as its peer is drawn.  A
         // covered push in a quiet round is counted on the spot; the others
-        // are kept.  Debug builds keep the counted ones too, to queue as
-        // shadows.
+        // are kept.
         let quiet = self.quiet(t);
         let mut planned: u64 = 0;
         let (kept, resolved) = (&mut self.kept, &mut self.resolved);
         kept.clear();
         let planner = diffusion::plan_pushes::<R, _>(shards, policy.fanout as usize, rng, |push| {
-            let settled = quiet && push.covered;
-            if settled {
+            if quiet && push.covered {
                 resolved[push.variable as usize] += 1;
-            }
-            if !settled || cfg!(debug_assertions) {
+            } else {
                 kept.push((planned, push));
             }
             planned += 1;
@@ -218,65 +221,34 @@ impl<'p> FullPush<'p> {
         // them all, as if every latency had been drawn.
         let start = rng.get_word_pos();
         let words = 2 * u128::from(policy.push_latency.draws());
-        // Debug builds draw every latency in order on a clone: the skipped
-        // ones time the shadows, the others must be what the seeks read.
-        let mut drawn_rng = cfg!(debug_assertions).then(|| rng.clone());
         let num_shards = batches.len() as VariableId;
+        let plan = self.plan;
         for &(ordinal, push) in &self.kept {
-            let drawn = (drawn_rng.as_mut()).map(|rng| t + policy.push_latency.sample(rng));
-            let settled = quiet && push.covered;
-            let at = match drawn {
-                Some(at) if settled => at,
-                _ => {
-                    rng.set_word_pos(start + u128::from(ordinal) * words);
-                    t + policy.push_latency.sample(rng)
+            rng.set_word_pos(start + u128::from(ordinal) * words);
+            let at = t + policy.push_latency.sample(rng);
+            // The planner read the receiver's record on its owning world at
+            // this barrier, and a stored timestamp only ever falls at a
+            // join, so a covered push stores nothing at `at` unless its
+            // receiver joins in between.  Both ends of the window count: the
+            // world replays a join *at* `t` only after the round, so the
+            // planner still saw the pre-join record, and a join *at* `at` is
+            // replayed before the push (the transition cursor wins its ties
+            // with the queue).
+            if push.covered && !plan.joins_within(push.to, t, at) {
+                if plan.blocks_link(at, push.from, push.to) {
+                    self.blocked += 1;
+                } else {
+                    self.resolved[push.variable as usize] += 1;
                 }
-            };
-            assert!(
-                drawn.is_none_or(|d| d == at),
-                "push {ordinal}: the seek missed its draw"
-            );
-            // `Some(blocked)`: resolved here.
-            let resolved = if settled {
-                Some(false)
-            } else {
-                // The planner read the receiver's record on its owning world
-                // at this barrier, and a stored timestamp only ever falls at
-                // a join, so a covered push stores nothing at `at` unless its
-                // receiver joins in between.  Both ends of the window count:
-                // the world replays a join *at* `t` only after the round, so
-                // the planner still saw the pre-join record, and a join *at*
-                // `at` is replayed before the push (the transition cursor
-                // wins its ties with the queue).
-                let plan = self.plan;
-                let resolved = (push.covered && !plan.joins_within(push.to, t, at))
-                    .then(|| plan.blocks_link(at, push.from, push.to));
-                match resolved {
-                    Some(true) => self.blocked += 1,
-                    Some(false) => self.resolved[push.variable as usize] += 1,
-                    None => stages.queued_pushes += 1,
-                }
-                resolved
-            };
-            // Debug builds send the resolved pushes too, as uncounted
-            // shadows (see `QueuedPush`).
-            if resolved.is_some() && !cfg!(debug_assertions) {
                 continue;
             }
+            stages.queued_pushes += 1;
             let dest = (push.variable % num_shards) as usize;
-            batches[dest].pushes.push((
-                at,
-                QueuedPush {
-                    push: push.materialise::<R>(shards),
-                    #[cfg(debug_assertions)]
-                    resolved,
-                },
-            ));
+            batches[dest]
+                .pushes
+                .push((at, push.materialise::<R>(shards)));
         }
         rng.set_word_pos(start + u128::from(planned) * words);
-        if let Some(drawn_rng) = drawn_rng {
-            assert_eq!(drawn_rng.get_word_pos(), rng.get_word_pos());
-        }
         planner
     }
 }
@@ -425,7 +397,7 @@ fn run_on<R: Record, S: QuorumSystem + ?Sized>(
     let mut heals = HealTracking::default();
 
     if let Some(policy) = config.diffusion {
-        let mut gossip_rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x9e37_79b9_7f4a_7c15);
+        let mut gossip_rng = ChaCha8Rng::seed_from_u64(config.seed ^ GOSSIP_SALT);
         let mut trackers: Vec<ConvergenceTracker> = vec![ConvergenceTracker::default(); nvars];
         let mut next_gossip_id: u64 = 0;
 
@@ -681,7 +653,7 @@ mod tests {
     use pqs_protocols::cluster::Cluster;
     use pqs_protocols::diffusion::{plan_digest_into, plan_pushes};
     use pqs_protocols::diffusion::{DigestArena, KeySelector};
-    use rand::RngCore;
+    use rand::{Rng, RngCore};
 
     /// `SimConfig`'s fields are public, so a zero shard count can bypass
     /// the builder's check; it must mean the smallest layout, not a
@@ -810,9 +782,9 @@ mod tests {
     /// its delivery time.  Four rounds: a quiet one under each of a drawn
     /// and a fixed latency, one inside a partition window that heals while
     /// its pushes are in flight, and one whose flight window holds a
-    /// receiver's join.  Compared: the queued pushes (shadows included in
-    /// debug builds) and their times, the per-key settled counts, the
-    /// blocked count, the push counters and the stream's final position.
+    /// receiver's join.  Compared: the queued pushes and their times, the
+    /// per-key settled counts, the blocked count, the push counters and the
+    /// stream's final position.
     #[test]
     fn a_settled_round_queues_and_counts_what_sampling_every_push_does() {
         type R = TaggedValue;
@@ -865,14 +837,7 @@ mod tests {
             let mut batches: Vec<RoundBatch> = (0..3).map(|_| RoundBatch::default()).collect();
             let mut stages = EngineStageTimings::default();
             let planned = full_push.round(&shards, &policy, t, &mut rng, &mut batches, &mut stages);
-            #[cfg(debug_assertions)]
-            let shadow = |q: &QueuedPush| q.resolved;
-            #[cfg(not(debug_assertions))]
-            let shadow = |_: &QueuedPush| None;
-            let sent: Vec<Vec<_>> = (batches.iter())
-                .map(|b| (b.pushes.iter()).map(|(at, q)| (*at, q.push.clone(), shadow(q))))
-                .map(Iterator::collect)
-                .collect();
+            let sent: Vec<Vec<_>> = batches.iter().map(|b| b.pushes.clone()).collect();
 
             let mut reference = stream();
             let mut outline = Vec::new();
@@ -884,17 +849,13 @@ mod tests {
                 let at = t + latency.sample(&mut reference);
                 let joins = plan.joins_within(push.to, t, at);
                 joined += u64::from(push.covered && joins);
-                let verdict =
-                    (push.covered && !joins).then(|| plan.blocks_link(at, push.from, push.to));
-                match verdict {
+                match (push.covered && !joins).then(|| plan.blocks_link(at, push.from, push.to)) {
                     Some(true) => blocked += 1,
                     Some(false) => resolved[push.variable as usize] += 1,
-                    None => {}
-                }
-                if verdict.is_none() || cfg!(debug_assertions) {
-                    let shadow = verdict.filter(|_| cfg!(debug_assertions));
-                    let message = push.materialise::<R>(&shards);
-                    queued[(push.variable % 3) as usize].push((at, message, shadow));
+                    None => {
+                        let message = push.materialise::<R>(&shards);
+                        queued[(push.variable % 3) as usize].push((at, message));
+                    }
                 }
             }
 
@@ -923,6 +884,178 @@ mod tests {
                 _ => {}
             }
         }
+    }
+
+    /// The full-push spine with nothing settled, built from the engine's
+    /// own parts: every latency drawn in order on the gossip stream and
+    /// every planned push queued as a real message to its owning world.
+    /// Returns the merged report, without the coverage and heal accounting
+    /// only the engine's round bookkeeping writes, and the pushes planned.
+    fn reference_full_push<S: QuorumSystem + ?Sized>(sim: &Simulation<'_, S>) -> (SimReport, u64) {
+        type R = TaggedValue;
+        let config = sim.config;
+        let policy = config.diffusion.expect("a full-push run");
+        let plan = sim.plan.as_ref().expect("a failure plan");
+        let num_shards = u64::from(config.num_shards);
+        let mut worlds = open_worlds(sim, plan, num_shards, Behavior::ByzantineForge);
+        let mut gauge = InFlightGauge::default();
+        let mut drain = |worlds: &mut [World<'_, S>], barrier| {
+            drain_all(worlds, barrier, 1);
+            gauge.window(worlds.iter_mut().map(|w| (&mut w.starts, &mut w.ends)));
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ GOSSIP_SALT);
+        let mut batches: Vec<RoundBatch> = (0..num_shards).map(|_| RoundBatch::default()).collect();
+        let (mut rounds, mut planned) = (0, 0);
+        let mut t = policy.period;
+        loop {
+            drain(&mut worlds, Some(t));
+            rounds += 1;
+            let shards = Shards::<_, R>::new(&worlds, config.keyspace.keys);
+            let mut pushes = Vec::new();
+            plan_pushes::<R, _>(&shards, policy.fanout as usize, &mut rng, |p| {
+                pushes.push(p)
+            });
+            planned += pushes.len() as u64;
+            for push in pushes {
+                let at = t + policy.push_latency.sample(&mut rng);
+                let dest = (push.variable % num_shards) as usize;
+                batches[dest]
+                    .pushes
+                    .push((at, push.materialise::<R>(&shards)));
+            }
+            for (world, batch) in worlds.iter_mut().zip(&mut batches) {
+                world.schedule_round_batch(batch);
+            }
+            if t + policy.period > config.duration {
+                break;
+            }
+            t += policy.period;
+        }
+        drain(&mut worlds, None);
+        let mut report =
+            merge_shard_reports(worlds.into_iter().map(World::into_accumulator).collect());
+        report.max_in_flight = gauge.max();
+        report.gossip_rounds = rounds;
+        let membership = plan.transitions.iter().filter(|t| t.kind.is_membership());
+        report.membership_events = membership.count() as u64;
+        report.events_processed += plan.transitions.len() as u64 + rounds;
+        (report, planned)
+    }
+
+    /// The engine's full-push path against its slow oracle,
+    /// [`reference_full_push`], on scenarios drawn from the space of
+    /// `tests/properties.rs`'s plan-time resolution property: times on an
+    /// eighth-second lattice, so joins, barriers and fixed-latency
+    /// deliveries coincide to the bit; an initially absent joiner,
+    /// leave/rejoin churn, a healing partition and a crash wave with a
+    /// recovery; fixed and exponential push latencies of up to several
+    /// periods; fanouts 1–3 and 1–6 shards.  A push the engine settled that
+    /// would have stored anything, or whose partition verdict would have
+    /// differed at its delivery, changes the stores, the counters or the
+    /// foreground, so the whole report must match.
+    #[test]
+    fn full_push_runs_match_a_reference_spine_that_queues_every_push() {
+        let sys = EpsilonIntersecting::new(49, 7).unwrap();
+        let s = ServerId::new;
+        let eighths = |k: u32| f64::from(k) * 0.125;
+        let mut draw = ChaCha8Rng::seed_from_u64(41);
+        let (mut settled, mut stores) = (0, 0);
+        for scenario in 0..16 {
+            let mut pick = |range: std::ops::Range<u32>| draw.gen_range(range);
+            let seed = pick(0..10_000);
+            let (num_shards, fanout, period) = (pick(1..7), pick(1..4), pick(1..4));
+            let (latency, fixed) = (pick(0..12), pick(0..2) == 1);
+            let (leave, away, heal, wave) = (pick(2..16), pick(0..8), pick(10..28), pick(4..28));
+            let name = format!(
+                "scenario {scenario}: seed {seed}, {num_shards} shards, fanout {fanout}, \
+                 period {period}/8 s, latency {latency}/8 s (fixed {fixed}), \
+                 leave {leave}/8 s, away {away}/8 s, heal {heal}/8 s, wave {wave}/8 s"
+            );
+            let plan = FailurePlan::none()
+                .with_join(eighths(3), s(45))
+                .with_leave(eighths(leave), s(40))
+                .with_join(eighths(leave + away), s(40))
+                .with_leave(eighths(leave + 2), s(41))
+                .with_join(eighths(leave + 2 + 2 * away), s(41))
+                .with_partition(eighths(heal) * 0.4, eighths(heal), 2 + seed % 2)
+                .with_crash_wave(eighths(wave), (10..16).map(s))
+                .with_transition(eighths(wave + 3), s(12), false);
+            let push_latency = if fixed {
+                LatencyModel::Fixed(eighths(latency))
+            } else {
+                LatencyModel::Exponential {
+                    mean: eighths(latency),
+                }
+            };
+            let policy =
+                DiffusionPolicy::full_push(eighths(period), fanout).with_push_latency(push_latency);
+            let config = SimConfig::builder()
+                .with_duration(4.0)
+                .with_arrival_rate(100.0)
+                .with_read_fraction(0.7)
+                .with_keyspace(KeySpace::zipf(24, 0.8))
+                .with_latency(LatencyModel::Exponential { mean: 2e-3 })
+                .with_probe_margin(1)
+                .with_op_timeout(0.05)
+                .with_max_retries(2)
+                .with_diffusion(policy)
+                .with_seed(u64::from(seed))
+                .with_num_shards(num_shards)
+                .with_threads(1 + scenario % 2)
+                .build();
+            let sim = Simulation::new(&sys, ProtocolKind::Safe, config).with_failure_plan(plan);
+            let (engine, stages) = sim.run_with_stats();
+            let (mut reference, planned) = reference_full_push(&sim);
+            reference.heals_observed = engine.heals_observed;
+            reference.post_heal_rounds_to_coverage = engine.post_heal_rounds_to_coverage;
+            reference.post_heal_coverage_completions = engine.post_heal_coverage_completions;
+            reference.post_heal_coverage = engine.post_heal_coverage.clone();
+            let keys = reference.per_variable.iter_mut().zip(&engine.per_variable);
+            for (v, (row, engine_row)) in keys.enumerate() {
+                row.coverage_rounds_sum = engine_row.coverage_rounds_sum;
+                row.coverage_events = engine_row.coverage_events;
+                assert_eq!(engine_row, row, "{name}: key {v}");
+            }
+            let outcomes = |r: &SimReport| {
+                let reads = (r.completed_reads, r.stale_reads, r.empty_reads);
+                (
+                    reads,
+                    r.concurrent_reads,
+                    r.unwritten_reads,
+                    r.unavailable_ops,
+                )
+            };
+            assert_eq!(outcomes(&engine), outcomes(&reference), "{name}: reads");
+            let latencies = |r: &SimReport| (r.read_latency.clone(), r.write_latency.clone());
+            assert_eq!(
+                latencies(&engine),
+                latencies(&reference),
+                "{name}: latencies"
+            );
+            let gossip = |r: &SimReport| (r.gossip_pushes, r.gossip_stores);
+            assert_eq!(gossip(&engine), gossip(&reference), "{name}: gossip");
+            assert_eq!(
+                engine.partition_blocked_gossip, reference.partition_blocked_gossip,
+                "{name}: blocked gossip"
+            );
+            assert_eq!(
+                engine.per_server_accesses, reference.per_server_accesses,
+                "{name}: server accesses"
+            );
+            assert_eq!(
+                engine.events_processed, reference.events_processed,
+                "{name}: logical events"
+            );
+            assert_eq!(engine, reference, "{name}");
+            assert_eq!(stages.planned_pushes, planned, "{name}: planned pushes");
+
+            settled += planned - stages.queued_pushes;
+            stores += engine.gossip_stores;
+        }
+        assert!(
+            settled > 0 && stores > 0,
+            "{settled} settled, {stores} stores"
+        );
     }
 
     /// Each key's records live only on its owning world, so the view the

@@ -291,8 +291,9 @@ pub struct SimConfig {
     /// RNG seed; the run is fully deterministic given the seed.
     pub seed: u64,
     /// Number of worlds the key space is cut into (≥ 1; 0 is read as 1):
-    /// per-variable events go to world `variable % num_shards`, and gossip,
-    /// crash waves and membership ride the sequenced spine.  Purely a
+    /// per-variable events go to world `variable % num_shards`, every world
+    /// walks the failure plan's one transition list, and the spine plans
+    /// gossip at barriers between the worlds' drains.  Purely a
     /// layout knob: every variable draws from its own RNG stream, so the
     /// report is bit-identical for a given seed across all shard counts
     /// and all thread counts.  `1` — the default — is the smallest layout,

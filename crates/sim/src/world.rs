@@ -198,22 +198,6 @@ impl DigestIds {
     }
 }
 
-/// A full-push message travelling through a shard queue.
-///
-/// In release builds that is only ever a push the spine could not settle
-/// at planning time.  Debug builds also queue every push the spine *did*
-/// settle, as a shadow that re-checks the spine's reasoning at the exact
-/// queue position the real delivery would have had — the slow oracle of
-/// the plan-time fast path.
-#[derive(Debug)]
-pub(crate) struct QueuedPush {
-    pub(crate) push: diffusion::GossipPush,
-    /// `Some(blocked)` marks a shadow: the spine already counted this push,
-    /// as partition-blocked or as delivered without a store.
-    #[cfg(debug_assertions)]
-    pub(crate) resolved: Option<bool>,
-}
-
 /// One gossip round's cross-shard traffic bound for a single shard,
 /// accumulated by the spine during planning and bulk-scheduled by
 /// [`World::schedule_round_batch`].  A sub-digest's entries are a range
@@ -223,7 +207,7 @@ pub(crate) struct QueuedPush {
 #[derive(Debug, Default)]
 pub(crate) struct RoundBatch {
     /// `(delivery time, push)` in plan order.
-    pub(crate) pushes: Vec<(SimTime, QueuedPush)>,
+    pub(crate) pushes: Vec<(SimTime, diffusion::GossipPush)>,
     /// `(delivery time, global digest id, sub-digest, delta latency)` in
     /// plan order; each sub-digest's range indexes `entries`.
     pub(crate) digests: Vec<(SimTime, u64, diffusion::PlannedDigest, SimTime)>,
@@ -264,7 +248,7 @@ pub(crate) struct World<'a, S: QuorumSystem + ?Sized> {
     /// One private RNG stream per variable.
     key_rngs: Vec<ChaCha8Rng>,
     acc: ShardAccumulator,
-    pending_pushes: PendingSlab<QueuedPush>,
+    pending_pushes: PendingSlab<diffusion::GossipPush>,
     pending_digests: PendingSlab<PendingDigest>,
     /// Answering deltas in flight, each carrying its global digest id so
     /// blocked deliveries can be attributed once per message.
@@ -678,29 +662,8 @@ impl<'a, S: QuorumSystem + ?Sized> World<'a, S> {
                 }
             }
             Event::GossipPush { push } => {
-                let queued = self.pending_pushes.take(push);
-                #[cfg(debug_assertions)]
-                if let Some(QueuedPush {
-                    push: p,
-                    resolved: Some(blocked),
-                }) = &queued
-                {
-                    // Uncounted: the spine tallied this delivery when it
-                    // planned it.  Neither check touches a counter or an
-                    // RNG, so debug and release reports stay equal.
-                    assert_eq!(
-                        self.plan.blocks_link(t, p.from, p.to),
-                        *blocked,
-                        "partition verdict of plan-resolved {p:?} changed by its delivery at {t}"
-                    );
-                    assert!(
-                        !diffusion::deliver(&mut self.cluster, p),
-                        "plan-resolved {p:?} stored at its delivery at {t}"
-                    );
-                    return;
-                }
                 self.acc.logical_events += 1;
-                if let Some(QueuedPush { push: p, .. }) = queued {
+                if let Some(p) = self.pending_pushes.take(push) {
                     // Partitions gate gossip at delivery time only, so
                     // spine planning (and the gossip RNG stream) is
                     // untouched.  A push is one message on one shard, so
@@ -1401,6 +1364,32 @@ mod tests {
     #[should_panic(expected = "server 20 is outside the universe of 20 servers")]
     fn a_transition_of_a_server_outside_the_universe_is_rejected() {
         run_under(FailurePlan::none().with_transition(0.5, ServerId::new(20), true));
+    }
+
+    /// A NaN or negative `StaleSigned` window would keep every sleeper
+    /// asleep, so an adaptive run would silently read like the static one;
+    /// `+∞` fires on every written key and stays valid.
+    #[test]
+    #[should_panic(expected = "StaleSigned window must be non-negative seconds, got NaN")]
+    fn a_nan_or_negative_stale_signed_window_is_rejected() {
+        let stale = |window| {
+            FailurePlan::none().with_strategy(ByzantineStrategy::StaleSigned {
+                sleepers: vec![ServerId::new(3)],
+                window,
+            })
+        };
+        run_under(stale(f64::INFINITY));
+        let negative = std::panic::catch_unwind(|| run_under(stale(-0.5)));
+        let message = negative.expect_err("a negative window ran");
+        let message = message
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            message.ends_with("non-negative seconds, got -0.5"),
+            "{message:?}"
+        );
+        run_under(stale(f64::NAN));
     }
 
     /// Byzantine and sleeper ids are checked like transition ids.

@@ -287,8 +287,8 @@ fn the_spine_queues_only_the_pushes_that_can_store() {
 /// planned against its pre-departure records: the rounds at 5.5 s (landing
 /// exactly at the join, which pops first), 5.75 s, and 6.0 s (planned
 /// exactly at the join, which the spine has not applied yet).  A spine that
-/// resolves those pushes as covered starves the joiner; debug builds catch
-/// it earlier, in the shard's shadow delivery.
+/// resolves those pushes as covered starves the joiner, in debug and
+/// release builds alike.
 #[test]
 fn a_rejoining_server_bootstraps_from_pushes_planned_before_it_left() {
     let sys = EpsilonIntersecting::new(49, 7).unwrap();

@@ -866,9 +866,8 @@ proptest! {
     }
 }
 
-// The layout cases below run two full simulations (with the debug-mode
-// spine asserts engaged) per input, so they get a smaller case budget than
-// the block above.
+// The layout cases below run two full simulations per input, so they get a
+// smaller case budget than the block above.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -877,9 +876,9 @@ proptest! {
     /// 4-shard/2-thread run produces a report bit-identical to the
     /// narrower single-thread run — so planning each round from the
     /// records on their owning shards reads the same state under every
-    /// layout.  In debug builds (which tests are) every push the spine
-    /// settles at planning time is also delivered as a shadow that asserts
-    /// it stores nothing.
+    /// layout.  Full pushes the spine settles at planning time are checked
+    /// against a reference spine that queues every push, in
+    /// `pqs-sim`'s `parallel::tests`.
     #[test]
     fn sharded_reports_are_shard_and_thread_invariant(
         seed in 0u64..10_000,
@@ -986,10 +985,11 @@ proptest! {
     /// latencies of up to several periods, over crash waves with recovery,
     /// leave/rejoin churn and a healing partition.  All times are whole
     /// eighths of a second — exact in binary, so joins, round barriers and
-    /// fixed-latency deliveries coincide to the bit again and again.  In
-    /// debug builds (which tests are) every resolved push is also
-    /// shadow-delivered on its shard, asserting that it stores nothing and
-    /// that its partition verdict stands.
+    /// fixed-latency deliveries coincide to the bit again and again.  The
+    /// settled pushes' outcomes are diffed against a reference spine that
+    /// queues every push, on scenarios drawn from this space, in
+    /// `pqs-sim`'s
+    /// `parallel::tests::full_push_runs_match_a_reference_spine_that_queues_every_push`.
     #[test]
     fn covered_pushes_resolve_at_planning_time_under_churn_and_partitions(
         seed in 0u64..10_000,
