@@ -382,12 +382,11 @@ mod tests {
                     1 => _ = c.probe_write(id, var, &record),
                     2 => _ = session::apply_write(&mut c, id, var, &record.into()),
                     3 => {
-                        let (to, variable, record) = (id, var, record.into());
                         let push = GossipPush {
                             from: other,
-                            to,
-                            variable,
-                            record,
+                            to: id,
+                            variable: var,
+                            record: record.into(),
                         };
                         diffusion::deliver(&mut c, &push);
                     }
