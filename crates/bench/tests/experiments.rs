@@ -113,12 +113,13 @@ fn validate_sharding_passes_quick() {
     passes_quick("validate_sharding");
 }
 
-/// `pqs table3` with stdout and stderr piped and CSVs under `dir`.
-fn spawn_table3(dir: &str) -> std::process::Child {
+/// `pqs table3` writing to `stdout`, with stderr piped and CSVs under
+/// `dir`.
+fn spawn_table3(dir: &str, stdout: Stdio) -> std::process::Child {
     Command::new(env!("CARGO_BIN_EXE_pqs"))
         .args(["table3", "--out-dir"])
         .arg(Path::new(env!("CARGO_TARGET_TMPDIR")).join(dir))
-        .stdout(Stdio::piped())
+        .stdout(stdout)
         .stderr(Stdio::piped())
         .spawn()
         .expect("pqs spawns")
@@ -138,7 +139,7 @@ fn stderr_of(mut child: std::process::Child) -> (std::process::ExitStatus, Strin
 #[test]
 fn a_closed_stdout_ends_the_run_without_a_panic() {
     // The reader leaves after the first line, as `pqs table3 | head -1` does.
-    let mut child = spawn_table3("pipe-head");
+    let mut child = spawn_table3("pipe-head", Stdio::piped());
     let mut first = String::new();
     let mut reader = BufReader::new(child.stdout.take().unwrap());
     reader.read_line(&mut first).unwrap();
@@ -148,10 +149,11 @@ fn a_closed_stdout_ends_the_run_without_a_panic() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!stderr.contains("Broken pipe"), "{stderr}");
 
-    // The reader is gone before the first byte: every write meets the
+    // The reader is gone before the child starts: every write meets the
     // closed pipe, whatever the scheduling.
-    let mut child = spawn_table3("pipe-closed");
-    drop(child.stdout.take());
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let child = spawn_table3("pipe-closed", writer.into());
     let (status, stderr) = stderr_of(child);
     assert_eq!(stderr, "");
     assert_eq!(status.code(), Some(pqs_bench::cli::EXIT_BROKEN_PIPE));

@@ -2,11 +2,12 @@
 //!
 //! [`Cluster`] owns the state of one replica server per element of a
 //! [`Universe`] — a [`Behavior`] per server and every server's records, in
-//! one var-major slab per record kind (see [`crate::server`]) — and hands
-//! out borrowed [`ReplicaServer`] / [`ReplicaServerMut`] views onto one
-//! server at a time.  On top it provides the per-server read/write probes
-//! the register protocols fan out over a quorum, failure injection (crashes
-//! and Byzantine corruption), and per-server access accounting used to
+//! one var-major slab per record kind whose slots hold handles to interned
+//! records (see [`crate::server`]) — and hands out borrowed
+//! [`ReplicaServer`] / [`ReplicaServerMut`] views onto one server at a
+//! time.  On top it provides the per-server read/write probes the register
+//! protocols fan out over a quorum, failure injection (crashes and
+//! Byzantine corruption), and per-server access accounting used to
 //! *measure* load (Definition 2.4) empirically.
 
 use crate::server::{
@@ -170,9 +171,15 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::crypto::{KeyRegistry, SignedValue};
+    use crate::diffusion::{self, GossipDelta, GossipPush};
+    use crate::register::session;
+    use crate::server::tests::{Make, ReferenceSlab, DENSE_LIMIT};
+    use crate::server::AnyRecord;
     use crate::timestamp::Timestamp;
     use crate::value::{TaggedValue, Value};
     use pqs_core::quorum::Quorum;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn tv(v: u64, c: u64) -> TaggedValue {
         TaggedValue::new(Value::from_u64(v), Timestamp::new(c, 1))
@@ -322,6 +329,148 @@ mod tests {
         assert_eq!((c.total_accesses(), c.access_counts()[0]), (2, 3));
     }
 
+    /// Keys of both slab tiers: four dense ids and two of the sparse tier.
+    const VARS: [VariableId; 6] = [0, 1, 2, 3, DENSE_LIMIT, u64::MAX / 3];
+
+    /// Each of `n` servers with probability 0.4.
+    fn some(rng: &mut ChaCha8Rng, n: u32) -> Vec<ServerId> {
+        (0..n)
+            .filter(|_| rng.gen_bool(0.4))
+            .map(ServerId::new)
+            .collect()
+    }
+
+    /// What one [`random_step`] did to a cluster's stores.
+    enum Mutation<R> {
+        /// Each `(server, key, record)` was offered: by a bare merge
+        /// (`bare`), which stores whatever the server's behaviour, or by a
+        /// probe or a gossip delivery, which stores only at a correct one.
+        Offers {
+            bare: bool,
+            offers: Vec<(ServerId, VariableId, R)>,
+        },
+        /// Behaviours changed and no record moved.
+        Behave,
+        /// The server joined: its records are wiped.
+        Join(ServerId),
+    }
+
+    /// One random call of a public mutator of `c`'s stores at keys of
+    /// `vars`, over servers of every behaviour.  Record counters creep up
+    /// with `step`, so records keep arriving both older and fresher than
+    /// what their receivers hold, and every step writes its own value, so
+    /// distinct values meet under one timestamp.
+    fn random_step<R: Make>(
+        c: &mut Cluster,
+        rng: &mut ChaCha8Rng,
+        step: u64,
+        vars: &[VariableId],
+    ) -> Mutation<R> {
+        const BEHAVIORS: [Behavior; 4] = [
+            Behavior::Correct,
+            Behavior::Crashed,
+            Behavior::ByzantineForge,
+            Behavior::ByzantineStale,
+        ];
+        let n = c.len() as u32;
+        let id = ServerId::new(rng.gen_range(0..n));
+        let other = ServerId::new(rng.gen_range(0..n));
+        let var = vars[rng.gen_range(0..vars.len())];
+        let counter = |rng: &mut ChaCha8Rng| rng.gen_range(1..step / 8 + 3);
+        let record = R::make(step, counter(rng));
+        let probed = |offers: Vec<_>| Mutation::Offers {
+            bare: false,
+            offers,
+        };
+        // Joins wipe whole servers, so they come rarely.
+        let op = if rng.gen_bool(0.03) {
+            10
+        } else {
+            rng.gen_range(0..10)
+        };
+        match op {
+            0 => {
+                c.server_mut(id).merge(var, &record);
+                Mutation::Offers {
+                    bare: true,
+                    offers: vec![(id, var, record)],
+                }
+            }
+            1 => {
+                c.probe_write(id, var, &record);
+                probed(vec![(id, var, record)])
+            }
+            2 => {
+                session::apply_write(c, id, var, &record.clone().into());
+                probed(vec![(id, var, record)])
+            }
+            3 => {
+                // A whole write: one record to a quorum.
+                let quorum = some(rng, n);
+                for &to in &quorum {
+                    c.probe_write(to, var, &record);
+                }
+                probed(
+                    quorum
+                        .into_iter()
+                        .map(|to| (to, var, record.clone()))
+                        .collect(),
+                )
+            }
+            4 => {
+                let push = GossipPush {
+                    from: other,
+                    to: id,
+                    variable: var,
+                    record: record.clone().into(),
+                };
+                diffusion::deliver(c, &push);
+                probed(vec![(id, var, record)])
+            }
+            5 => {
+                let mut offers = Vec::new();
+                for &v in vars {
+                    if rng.gen_bool(0.5) {
+                        offers.push((id, v, R::make(step, counter(rng))));
+                    }
+                }
+                let records: Vec<(VariableId, AnyRecord)> = (offers.iter())
+                    .map(|(_, v, r)| (*v, r.clone().into()))
+                    .collect();
+                let delta = GossipDelta {
+                    from: other,
+                    to: id,
+                    records,
+                };
+                diffusion::deliver_delta(c, &delta);
+                probed(offers)
+            }
+            6 => {
+                c.set_behavior(id, BEHAVIORS[rng.gen_range(0..4usize)]);
+                Mutation::Behave
+            }
+            7 => {
+                c.crash_all(some(rng, n));
+                Mutation::Behave
+            }
+            8 => {
+                let byzantine = BEHAVIORS[rng.gen_range(2..4usize)];
+                c.corrupt_all(some(rng, n), byzantine);
+                Mutation::Behave
+            }
+            9 => {
+                // Every server recovers, so writes keep reaching correct
+                // quorum members.
+                c.corrupt_all(c.universe().servers(), Behavior::Correct);
+                Mutation::Behave
+            }
+            _ => {
+                c.join_server(id);
+                Mutation::Join(id)
+            }
+        }
+    }
+
     /// The premise the simulator's plan-time settlement of covered pushes
     /// rests on: store-if-fresher is a monotone join, so no mutator of a
     /// cluster's stores ever lowers a stored timestamp except
@@ -330,98 +479,28 @@ mod tests {
     /// record kinds.
     #[test]
     fn stored_timestamps_fall_only_at_a_join() {
-        use crate::diffusion::{self, GossipDelta, GossipPush};
-        use crate::register::session;
-        use crate::server::tests::Make;
-        use crate::server::AnyRecord;
-        use rand::{Rng, SeedableRng};
-        use rand_chacha::ChaCha8Rng;
-
-        fn some(rng: &mut ChaCha8Rng, n: u32) -> Vec<ServerId> {
-            (0..n)
-                .filter(|_| rng.gen_bool(0.4))
-                .map(ServerId::new)
-                .collect()
-        }
         fn check<R: Make>(seed: u64) {
-            let (n, keys) = (6u32, 4 as VariableId);
-            let universe = Universe::new(n);
+            let universe = Universe::new(6);
             let mut c = Cluster::new(universe);
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let behaviors = [
-                Behavior::Correct,
-                Behavior::Crashed,
-                Behavior::ByzantineForge,
-                Behavior::ByzantineStale,
-            ];
-            let stamps = |c: &Cluster| -> Vec<Timestamp> {
-                let held = universe
-                    .servers()
-                    .flat_map(|id| (0..keys).map(move |v| (id, v)));
-                held.map(|(id, v)| c.server(id).stored_timestamp::<R>(v))
+            let slots = |c: &Cluster| -> Vec<(ServerId, VariableId, Timestamp)> {
+                let held = universe.servers().flat_map(|id| VARS.map(|v| (id, v)));
+                held.map(|(id, v)| (id, v, c.server(id).stored_timestamp::<R>(v)))
                     .collect()
             };
             let (mut rises, mut wipes) = (0, 0);
             for step in 0..600 {
-                let id = ServerId::new(rng.gen_range(0..n));
-                let other = ServerId::new(rng.gen_range(0..n));
-                let var = rng.gen_range(0..keys);
-                // Counters creep up with the step, so records keep arriving
-                // both older and fresher than what their receivers hold.
-                let counter = |rng: &mut ChaCha8Rng| rng.gen_range(1..step / 8 + 3);
-                let record = R::make(step, counter(&mut rng));
-                let before = stamps(&c);
-                // Joins wipe whole servers, so they come rarely.
-                let op = if rng.gen_bool(0.03) {
-                    8
-                } else {
-                    rng.gen_range(0..8)
+                let before = slots(&c);
+                let joined = match random_step::<R>(&mut c, &mut rng, step, &VARS) {
+                    Mutation::Join(id) => Some(id),
+                    _ => None,
                 };
-                match op {
-                    0 => _ = c.server_mut(id).merge(var, &record),
-                    1 => _ = c.probe_write(id, var, &record),
-                    2 => _ = session::apply_write(&mut c, id, var, &record.into()),
-                    3 => {
-                        let push = GossipPush {
-                            from: other,
-                            to: id,
-                            variable: var,
-                            record: record.into(),
-                        };
-                        diffusion::deliver(&mut c, &push);
-                    }
-                    4 => {
-                        let mut records: Vec<(VariableId, AnyRecord)> = Vec::new();
-                        for v in 0..keys {
-                            if rng.gen_bool(0.5) {
-                                records.push((v, R::make(step, counter(&mut rng)).into()));
-                            }
-                        }
-                        let delta = GossipDelta {
-                            from: other,
-                            to: id,
-                            records,
-                        };
-                        diffusion::deliver_delta(&mut c, &delta);
-                    }
-                    5 => c.set_behavior(id, behaviors[rng.gen_range(0..4usize)]),
-                    6 => c.crash_all(some(&mut rng, n)),
-                    7 => {
-                        let byzantine = behaviors[rng.gen_range(2..4usize)];
-                        c.corrupt_all(some(&mut rng, n), byzantine);
-                    }
-                    _ => c.join_server(id),
-                }
-                let after = stamps(&c);
-                for (slot, (was, is)) in before.iter().zip(&after).enumerate() {
-                    let holder = ServerId::new(slot as u32 / keys as u32);
-                    let joined = op == 8 && holder == id;
+                for ((holder, var, was), (_, _, is)) in before.into_iter().zip(slots(&c)) {
                     rises += u32::from(is > was);
                     wipes += u32::from(is < was);
                     assert!(
-                        is >= was || (joined && *is == Timestamp::ZERO),
-                        "step {step}: mutator {op} lowered {holder:?}'s key {} from {was:?} to {is:?}",
-                        slot as VariableId % keys
+                        is >= was || (joined == Some(holder) && is == Timestamp::ZERO),
+                        "step {step}: a mutator lowered {holder:?}'s key {var} from {was:?} to {is:?}",
                     );
                 }
             }
@@ -431,5 +510,99 @@ mod tests {
             check::<TaggedValue>(seed);
             check::<SignedValue>(seed);
         }
+    }
+
+    /// The interned slabs against the slab they replaced
+    /// ([`ReferenceSlab`], one `Option<R>` per slot): after every step of
+    /// random mutator sequences each server's records, the records of
+    /// each key and each server's held ids agree, on both tiers, and the
+    /// arena's books balance.  Once every server has joined, no arena
+    /// entry is live.
+    #[test]
+    fn interned_slabs_match_the_reference_slab() {
+        fn agrees<R: Make>(c: &Cluster, reference: &ReferenceSlab<R>, step: u64) {
+            for id in c.universe().servers() {
+                for v in VARS {
+                    let want = reference.get(id, v);
+                    assert_eq!(
+                        c.server(id).record::<R>(v),
+                        want,
+                        "step {step}: {id:?} key {v}"
+                    );
+                    assert_eq!(c.key_records::<R>(v).get(id), want, "step {step}: key {v}");
+                }
+                assert!(
+                    c.server(id).held::<R>().eq(reference.held(id)),
+                    "step {step}: {id:?}'s held ids"
+                );
+            }
+            c.records.audit::<R>();
+        }
+        fn check<R: Make>(seed: u64) {
+            let universe = Universe::new(6);
+            let mut c = Cluster::new(universe);
+            let mut reference = ReferenceSlab::<R>::new(c.len());
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut shared = 0;
+            for step in 0..600 {
+                match random_step::<R>(&mut c, &mut rng, step, &VARS) {
+                    Mutation::Offers { bare, offers } => {
+                        for (id, v, record) in &offers {
+                            if bare || c.server(*id).behavior() == Behavior::Correct {
+                                reference.merge(*id, *v, record);
+                            }
+                        }
+                    }
+                    Mutation::Behave => {}
+                    Mutation::Join(id) => reference.wipe(id),
+                }
+                agrees(&c, &reference, step);
+                let audit = c.records.audit::<R>();
+                shared += u32::from(audit.live < audit.occupied);
+            }
+            assert!(shared > 100, "slots shared an entry after {shared} steps");
+            for id in universe.servers() {
+                c.join_server(id);
+                reference.wipe(id);
+            }
+            agrees(&c, &reference, 600);
+            assert_eq!(
+                c.records.audit::<R>().live,
+                0,
+                "entries outlive every holder"
+            );
+        }
+        for seed in 0..4 {
+            check::<TaggedValue>(seed);
+            check::<SignedValue>(seed);
+        }
+    }
+
+    /// 10⁴ ever-fresher writes to random quorums over a few keys, with
+    /// the odd stale gossip delivery: the arena frees and reuses its
+    /// entries, so it stays no longer than the occupied slots + 1 and a
+    /// slab's memory is flat in run length.
+    #[test]
+    fn ever_fresher_writes_keep_the_arena_as_short_as_its_slots() {
+        fn check<R: Make>() {
+            let (n, keys) = (8, 3);
+            let mut c = Cluster::new(Universe::new(n));
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            for counter in 1..=10_000 {
+                let var = rng.gen_range(0..keys);
+                let record = R::make(counter, counter);
+                for id in some(&mut rng, n) {
+                    c.probe_write(id, var, &record);
+                }
+                let audit = c.records.audit::<R>();
+                assert!(
+                    audit.entries <= audit.occupied + 1,
+                    "write {counter}: {audit:?}"
+                );
+            }
+            assert!(c.records.audit::<R>().occupied > 0);
+        }
+        check::<TaggedValue>();
+        check::<SignedValue>();
     }
 }

@@ -26,7 +26,8 @@
 //!   trait — plain or signed ⟨v, t⟩ pairs — that every record operation
 //!   below is generic over.
 //! * [`cluster`] — a universe of servers: it owns their behaviours and
-//!   their records, in one var-major slab per record kind, with
+//!   their records, in one var-major slab per record kind whose slots
+//!   hold handles to interned records, with
 //!   per-server read/write probes, failure injection and per-server
 //!   access accounting.
 //! * [`register`] — the client protocol: one [`register::Register`] whose

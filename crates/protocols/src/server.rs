@@ -4,9 +4,12 @@
 //!
 //! A server owns no storage. Its cluster keeps the behaviours in one
 //! vector and the records in one **var-major** slab per record kind:
-//! slot `var · n + server` holds that server's record for `var`. An
-//! operation touches one key at a quorum of servers, so its probes land in
-//! one block of `n` slots rather than in `q` separate per-server arrays.
+//! slot `var · n + server` holds a four-byte handle to that server's
+//! record for `var`, and the slab interns each distinct record once, with
+//! a count of the slots that hold it. An operation touches one key at a
+//! quorum of servers, so its probes land in one block of `n` slots rather
+//! than in `q` separate per-server arrays, and the quorum's copies of one
+//! write are one record.
 //! [`ReplicaServer`] (read) and [`ReplicaServerMut`] (write) are views onto
 //! one server's column of those slabs, with the per-server operations
 //! (`record`, `handle_read`, `merge`, …); every record operation on them is
@@ -173,23 +176,150 @@ mod store {
     use crate::value::TaggedValue;
     use pqs_core::universe::ServerId;
     use std::collections::BTreeMap;
+    use std::num::NonZeroU32;
 
     /// Variable ids below this bound live in the dense tier of a [`Slab`];
     /// ids at or above it (the apps hash entity names into the full `u64`
     /// space) spill into the ordered sparse tier.  2^16 var blocks cover
     /// every simulator key space.
-    const DENSE_LIMIT: VariableId = 1 << 16;
+    pub(crate) const DENSE_LIMIT: VariableId = 1 << 16;
+
+    /// What a dense slot holds: a reference to entry `handle - 1` of its
+    /// slab's [`Arena`].  An `Option<Handle>` is four bytes, `None` for a
+    /// slot that holds nothing.
+    pub type Handle = NonZeroU32;
+
+    /// One entry of an [`Arena`]: a record and the number of slots that
+    /// hold its handle, or a link of the free list.
+    #[derive(Debug, Clone)]
+    enum Entry<T> {
+        Live { record: T, refs: u32 },
+        Free { next: Option<Handle> },
+    }
+
+    /// The interned records of a slab's dense tier.  A write stores the
+    /// same record at every server of its quorum, so the `n` slots of a
+    /// key point at a few entries, each counting its holders.  An entry
+    /// whose last holder lets go joins the free list, and the arena reuses
+    /// freed entries before it grows, so its length is bounded by the
+    /// occupied slots, not by the run's length.
+    #[derive(Debug, Clone)]
+    struct Arena<T> {
+        entries: Vec<Entry<T>>,
+        free: Option<Handle>,
+    }
+
+    fn index(handle: Handle) -> usize {
+        handle.get() as usize - 1
+    }
+
+    impl<T: Record> Arena<T> {
+        const fn new() -> Self {
+            Arena {
+                entries: Vec::new(),
+                free: None,
+            }
+        }
+
+        /// The record a slot holding `handle` holds.
+        #[inline]
+        fn get(&self, handle: Handle) -> &T {
+            match &self.entries[index(handle)] {
+                Entry::Live { record, .. } => record,
+                Entry::Free { .. } => unreachable!("a slot holds the freed entry {handle}"),
+            }
+        }
+
+        /// Whether `handle`'s entry is live and holds exactly `record`.
+        /// Timestamps are compared first, which settles nearly every
+        /// mismatch without looking at the values.
+        #[inline]
+        fn holds(&self, handle: Handle, record: &T) -> bool {
+            matches!(&self.entries[index(handle)], Entry::Live { record: held, .. }
+                if held.timestamp() == record.timestamp() && held == record)
+        }
+
+        /// One more slot holds `handle`, a live entry.
+        #[inline]
+        fn share(&mut self, handle: Handle) -> Handle {
+            let Entry::Live { refs, .. } = &mut self.entries[index(handle)] else {
+                unreachable!("a slot shares the freed entry {handle}")
+            };
+            *refs += 1;
+            handle
+        }
+
+        /// Overwrites the record of `handle`'s entry with `record` when
+        /// exactly one slot holds it, which is the caller's: whether it did.
+        #[inline]
+        fn overwrite_sole(&mut self, handle: Handle, record: &T) -> bool {
+            match &mut self.entries[index(handle)] {
+                Entry::Live {
+                    record: held,
+                    refs: 1,
+                } => {
+                    held.clone_from(record);
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        /// A new entry holding `record`, held by one slot: the head of the
+        /// free list, or a new entry at the end when none is free.
+        fn intern(&mut self, record: T) -> Handle {
+            let entry = Entry::Live { record, refs: 1 };
+            match self.free {
+                Some(handle) => {
+                    let slot = &mut self.entries[index(handle)];
+                    let Entry::Free { next } = *slot else {
+                        unreachable!("the free list reaches the live entry {handle}")
+                    };
+                    self.free = next;
+                    *slot = entry;
+                    handle
+                }
+                None => {
+                    self.entries.push(entry);
+                    u32::try_from(self.entries.len())
+                        .ok()
+                        .and_then(Handle::new)
+                        .expect("fewer than 2^32 distinct records")
+                }
+            }
+        }
+
+        /// One slot fewer holds `handle`; the entry is freed with its last.
+        #[inline]
+        fn release(&mut self, handle: Handle) {
+            let entry = &mut self.entries[index(handle)];
+            let Entry::Live { refs, .. } = entry else {
+                unreachable!("a slot released the freed entry {handle}")
+            };
+            *refs -= 1;
+            if *refs == 0 {
+                *entry = Entry::Free { next: self.free };
+                self.free = Some(handle);
+            }
+        }
+    }
 
     /// Every server's records of one kind.
     ///
     /// The dense tier is **var-major**: slot `var · servers + server`
-    /// holds `server`'s record for `var`, so the probes of one operation
-    /// share one block.  It is allocated on the kind's first store, at the
-    /// capacity [`Records::reserve`] planned, and grows in whole var
-    /// blocks up to the highest dense id stored.  One flag per block says
-    /// whether any server has stored into it, so a column scan skips the
-    /// blocks nobody holds without touching them: a shard's cluster holds
-    /// only its own keys.  The sparse tier is keyed server-major, so one
+    /// holds a handle to `server`'s record for `var`, so the probes of one
+    /// operation share one block of four-byte slots.  The records
+    /// themselves are interned in the slab's arena, one entry per distinct
+    /// record with a count of the slots that hold it: the hundred stores
+    /// of one masking write share one entry.  The slots are allocated on
+    /// the kind's first store, at the capacity [`Records::reserve`]
+    /// planned, and grow in whole var blocks up to the highest dense id
+    /// stored.  Per block the slab keeps the handle it interned or shared
+    /// there last, `None` while no server has stored into the block, so a
+    /// column scan skips the blocks nobody holds without touching them (a
+    /// shard's cluster holds only its own keys) and the next store of the
+    /// same record into the block finds its entry without a search.  The
+    /// sparse tier keeps records by value, keyed server-major, so one
     /// server's ids come out of a range scan ascending.
     ///
     /// A slot is occupied exactly when it holds a record fresher than
@@ -203,11 +333,12 @@ mod store {
         servers: usize,
         /// Var blocks to allocate on the first dense store.
         planned_blocks: usize,
-        dense: Vec<Option<T>>,
-        /// Per var block of `dense`: whether any server ever stored into
-        /// it.  A join's wipe leaves the flags set, which costs a scan a
-        /// look at the block and nothing else.
-        stored_blocks: Vec<bool>,
+        dense: Vec<Option<Handle>>,
+        /// Per var block of `dense`: the handle last stored into it, `None`
+        /// while no server ever has.  A join's wipe leaves it set, which
+        /// costs a scan a look at the block and nothing else.
+        last: Vec<Option<Handle>>,
+        arena: Arena<T>,
         sparse: BTreeMap<(ServerId, VariableId), T>,
     }
 
@@ -217,7 +348,8 @@ mod store {
                 servers,
                 planned_blocks: 0,
                 dense: Vec::new(),
-                stored_blocks: Vec::new(),
+                last: Vec::new(),
+                arena: Arena::new(),
                 sparse: BTreeMap::new(),
             }
         }
@@ -226,17 +358,23 @@ mod store {
         pub fn get(&self, server: ServerId, var: VariableId) -> Option<&T> {
             if var < DENSE_LIMIT {
                 let slot = var as usize * self.servers + server.as_usize();
-                self.dense.get(slot).and_then(Option::as_ref)
+                self.resolve(*self.dense.get(slot)?)
             } else {
                 self.sparse.get(&(server, var))
             }
+        }
+
+        /// The record a dense slot holding `slot` holds.
+        #[inline]
+        pub(super) fn resolve(&self, slot: Option<Handle>) -> Option<&T> {
+            slot.map(|handle| self.arena.get(handle))
         }
 
         /// `var`'s var-major block — one slot per server — or `None` for
         /// an id of the sparse tier.  A block not allocated yet reads as
         /// empty: no server holds the key.
         #[inline]
-        pub(super) fn block(&self, var: VariableId) -> Option<&[Option<T>]> {
+        pub(super) fn block(&self, var: VariableId) -> Option<&[Option<Handle>]> {
             (var < DENSE_LIMIT).then(|| {
                 let start = var as usize * self.servers;
                 self.dense.get(start..start + self.servers).unwrap_or(&[])
@@ -258,52 +396,127 @@ mod store {
         pub fn merge(&mut self, server: ServerId, var: VariableId, incoming: &T) -> bool {
             let fresher = incoming.timestamp() > self.timestamp(server, var);
             if fresher {
-                self.set(server, var, incoming.clone());
+                self.set(server, var, incoming);
             }
             fresher
         }
 
-        fn set(&mut self, server: ServerId, var: VariableId, value: T) {
+        /// Stores `incoming`, strictly fresher than what `server` holds for
+        /// `var`.  A dense store shares the entry its block stored last when
+        /// that holds the same record, overwrites the slot's entry in place
+        /// when the slot is its only holder, and otherwise interns a new
+        /// entry and lets go of the old one.
+        fn set(&mut self, server: ServerId, var: VariableId, incoming: &T) {
             if var >= DENSE_LIMIT {
-                self.sparse.insert((server, var), value);
+                self.sparse.insert((server, var), incoming.clone());
                 return;
             }
             let var = var as usize;
-            let blocks = self.stored_blocks.len();
+            let blocks = self.last.len();
             if var >= blocks {
-                if var >= self.stored_blocks.capacity() && var < self.planned_blocks {
+                if var >= self.last.capacity() && var < self.planned_blocks {
                     let more = self.planned_blocks - blocks;
                     self.dense.reserve_exact(more * self.servers);
-                    self.stored_blocks.reserve_exact(more);
+                    self.last.reserve_exact(more);
                 }
-                self.dense.resize_with((var + 1) * self.servers, || None);
-                self.stored_blocks.resize(var + 1, false);
+                self.dense.resize((var + 1) * self.servers, None);
+                self.last.resize(var + 1, None);
             }
-            self.stored_blocks[var] = true;
-            self.dense[var * self.servers + server.as_usize()] = Some(value);
+            let slot = var * self.servers + server.as_usize();
+            let old = self.dense[slot];
+            // `incoming` is strictly fresher than `old`'s record, so the
+            // entry shared here is never `old`'s.
+            let handle = match (self.last[var], old) {
+                (Some(last), _) if self.arena.holds(last, incoming) => self.arena.share(last),
+                (_, Some(old)) if self.arena.overwrite_sole(old, incoming) => old,
+                _ => self.arena.intern(incoming.clone()),
+            };
+            if let Some(old) = old.filter(|&old| old != handle) {
+                self.arena.release(old);
+            }
+            self.dense[slot] = Some(handle);
+            self.last[var] = Some(handle);
         }
 
         /// `server`'s held variable ids and their records' timestamps,
         /// ascending by id: a strided scan of its dense column over the
         /// stored blocks, then its range of the sparse tier.
         pub fn held(&self, server: ServerId) -> impl Iterator<Item = (VariableId, Timestamp)> + '_ {
-            let slot = move |var: usize| &self.dense[var * self.servers + server.as_usize()];
+            let slot = move |var: usize| self.dense[var * self.servers + server.as_usize()];
             let sparse = self.sparse.range((server, 0)..=(server, VariableId::MAX));
-            (self.stored_blocks.iter().enumerate())
-                .filter(|&(_, &stored)| stored)
+            (self.last.iter().enumerate())
+                .filter(|(_, last)| last.is_some())
                 .filter_map(move |(var, _)| {
-                    (slot(var).as_ref()).map(|r| (var as VariableId, r.timestamp()))
+                    (self.resolve(slot(var))).map(|r| (var as VariableId, r.timestamp()))
                 })
                 .chain(sparse.map(|(&(_, var), r)| (var, r.timestamp())))
         }
 
+        /// Drops every record `server` holds, releasing its whole column.
         fn wipe(&mut self, server: ServerId) {
-            self.dense
-                .iter_mut()
+            let column = (self.dense.iter_mut())
                 .skip(server.as_usize())
-                .step_by(self.servers)
-                .for_each(|slot| *slot = None);
+                .step_by(self.servers);
+            for handle in column.filter_map(Option::take) {
+                self.arena.release(handle);
+            }
             self.sparse.retain(|&(holder, _), _| holder != server);
+        }
+    }
+
+    /// What [`Slab::audit`] counted.
+    #[cfg(test)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Audit {
+        /// Arena entries some slot holds.
+        pub live: usize,
+        /// Arena entries, live or free.
+        pub entries: usize,
+        /// Dense slots that hold a handle.
+        pub occupied: usize,
+    }
+
+    #[cfg(test)]
+    impl<T: Record> Slab<T> {
+        /// Checks the arena's books and counts them: each live entry's
+        /// count equals the number of slots that hold its handle, no slot
+        /// holds a freed entry, and the free list chains every freed one.
+        fn audit(&self) -> Audit {
+            let mut holders = vec![0u32; self.arena.entries.len()];
+            for handle in self.dense.iter().flatten() {
+                holders[index(*handle)] += 1;
+            }
+            let mut free = 0;
+            let mut next = self.arena.free;
+            while let Some(handle) = next {
+                let Entry::Free { next: link } = self.arena.entries[index(handle)] else {
+                    panic!("the free list reaches the live entry {handle}");
+                };
+                free += 1;
+                next = link;
+            }
+            let mut live = 0;
+            for (i, (entry, &held)) in self.arena.entries.iter().zip(&holders).enumerate() {
+                match entry {
+                    Entry::Live { refs, .. } => {
+                        assert_eq!(*refs, held, "entry {} counts {refs} holders", i + 1);
+                        live += 1;
+                    }
+                    Entry::Free { .. } => {
+                        assert_eq!(held, 0, "slots hold the freed entry {}", i + 1)
+                    }
+                }
+            }
+            assert_eq!(
+                live + free,
+                self.arena.entries.len(),
+                "free entries off the free list"
+            );
+            Audit {
+                live,
+                entries: self.arena.entries.len(),
+                occupied: holders.iter().map(|&h| h as usize).sum(),
+            }
         }
     }
 
@@ -337,6 +550,12 @@ mod store {
         pub fn wipe(&mut self, server: ServerId) {
             self.plain.wipe(server);
             self.signed.wipe(server);
+        }
+
+        /// [`Slab::audit`] of the `R` slab.
+        #[cfg(test)]
+        pub(crate) fn audit<R: Record>(&self) -> Audit {
+            R::slab(self).audit()
         }
     }
 
@@ -460,14 +679,15 @@ impl Debug for ReplicaServer<'_> {
 
 /// Every server's record of kind `R` for one variable, from
 /// [`Cluster::key_records`](crate::cluster::Cluster::key_records).  For a
-/// dense id it is the slab's var-major block itself, so a reader of many
-/// servers' records of one key — a gossip planner comparing a round's
-/// receivers — finds the key once instead of once per server.
+/// dense id it is the slab's var-major block of handles itself, so a
+/// reader of many servers' records of one key — a gossip planner comparing
+/// a round's receivers — finds the key once instead of once per server and
+/// resolves one handle per server.
 pub struct KeyRecords<'a, R> {
     var: VariableId,
     slab: &'a store::Slab<R>,
     /// The key's block, `None` for an id of the sparse tier.
-    block: Option<&'a [Option<R>]>,
+    block: Option<&'a [Option<store::Handle>]>,
 }
 
 impl<'a, R: Record> KeyRecords<'a, R> {
@@ -484,7 +704,7 @@ impl<'a, R: Record> KeyRecords<'a, R> {
     #[inline]
     pub fn get(&self, id: ServerId) -> Option<&'a R> {
         match self.block {
-            Some(block) => block.get(id.as_usize())?.as_ref(),
+            Some(block) => self.slab.resolve(*block.get(id.as_usize())?),
             None => self.slab.get(id, self.var),
         }
     }
@@ -571,6 +791,9 @@ pub(crate) mod tests {
     use crate::cluster::Cluster;
     use crate::crypto::{KeyRegistry, SigningKey};
     use pqs_core::universe::Universe;
+    use std::collections::BTreeMap;
+
+    pub(crate) use super::store::DENSE_LIMIT;
 
     /// A record of either kind carrying value `v` under counter `c` of
     /// writer 1 — signed, where the kind is, by one fixed key.
@@ -593,6 +816,83 @@ pub(crate) mod tests {
 
     fn tv(v: u64, c: u64) -> TaggedValue {
         TaggedValue::make(v, c)
+    }
+
+    /// The slab the interned one replaced, one `Option<T>` per dense slot
+    /// and a stored flag per var block: the reference the cluster's slabs
+    /// are diffed against.
+    #[derive(Debug)]
+    pub(crate) struct ReferenceSlab<T> {
+        servers: usize,
+        dense: Vec<Option<T>>,
+        stored_blocks: Vec<bool>,
+        sparse: BTreeMap<(ServerId, VariableId), T>,
+    }
+
+    impl<T: Record> ReferenceSlab<T> {
+        pub(crate) fn new(servers: usize) -> Self {
+            ReferenceSlab {
+                servers,
+                dense: Vec::new(),
+                stored_blocks: Vec::new(),
+                sparse: BTreeMap::new(),
+            }
+        }
+
+        pub(crate) fn get(&self, server: ServerId, var: VariableId) -> Option<&T> {
+            if var < DENSE_LIMIT {
+                let slot = var as usize * self.servers + server.as_usize();
+                self.dense.get(slot).and_then(Option::as_ref)
+            } else {
+                self.sparse.get(&(server, var))
+            }
+        }
+
+        pub(crate) fn merge(&mut self, server: ServerId, var: VariableId, incoming: &T) -> bool {
+            let held = self.get(server, var).map_or(Timestamp::ZERO, T::timestamp);
+            let fresher = incoming.timestamp() > held;
+            if fresher {
+                self.set(server, var, incoming.clone());
+            }
+            fresher
+        }
+
+        fn set(&mut self, server: ServerId, var: VariableId, value: T) {
+            if var >= DENSE_LIMIT {
+                self.sparse.insert((server, var), value);
+                return;
+            }
+            let var = var as usize;
+            if var >= self.stored_blocks.len() {
+                self.dense.resize_with((var + 1) * self.servers, || None);
+                self.stored_blocks.resize(var + 1, false);
+            }
+            self.stored_blocks[var] = true;
+            self.dense[var * self.servers + server.as_usize()] = Some(value);
+        }
+
+        pub(crate) fn held(
+            &self,
+            server: ServerId,
+        ) -> impl Iterator<Item = (VariableId, Timestamp)> + '_ {
+            let slot = move |var: usize| &self.dense[var * self.servers + server.as_usize()];
+            let sparse = self.sparse.range((server, 0)..=(server, VariableId::MAX));
+            (self.stored_blocks.iter().enumerate())
+                .filter(|&(_, &stored)| stored)
+                .filter_map(move |(var, _)| {
+                    (slot(var).as_ref()).map(|r| (var as VariableId, r.timestamp()))
+                })
+                .chain(sparse.map(|(&(_, var), r)| (var, r.timestamp())))
+        }
+
+        pub(crate) fn wipe(&mut self, server: ServerId) {
+            self.dense
+                .iter_mut()
+                .skip(server.as_usize())
+                .step_by(self.servers)
+                .for_each(|slot| *slot = None);
+            self.sparse.retain(|&(holder, _), _| holder != server);
+        }
     }
 
     /// What a server that held `old` when it turned to a behaviour, and was

@@ -227,7 +227,9 @@ impl FailurePlan {
     ///
     /// # Panics
     ///
-    /// Panics on an empty or inverted window or fewer than two components.
+    /// Panics on an empty or inverted window, fewer than two components,
+    /// or a window that overlaps one the plan already has (windows that
+    /// only touch are disjoint, since each is half-open).
     pub fn with_partition(mut self, from: SimTime, heals_at: SimTime, components: u32) -> Self {
         let window = PartitionWindow {
             from,
@@ -236,6 +238,7 @@ impl FailurePlan {
         };
         window.check();
         self.partitions.push(window);
+        check_disjoint(&self.partitions);
         self.sort_partitions();
         self
     }
@@ -339,7 +342,8 @@ impl FailurePlan {
     ///
     /// Panics if a transition time is NaN or negative (the worlds walk
     /// these times without the queue's check), a partition window is one
-    /// [`with_partition`](Self::with_partition) refuses, a Byzantine,
+    /// [`with_partition`](Self::with_partition) refuses or two windows
+    /// overlap, a Byzantine,
     /// transition or sleeper server lies outside `universe`, or a
     /// [`ByzantineStrategy::StaleSigned`] window is NaN or negative (no
     /// probe would ever fire; `+∞` fires on every written key).
@@ -352,6 +356,7 @@ impl FailurePlan {
             );
         }
         self.partitions.iter().for_each(PartitionWindow::check);
+        check_disjoint(&self.partitions);
         if let ByzantineStrategy::StaleSigned { window, .. } = self.strategy {
             assert!(
                 window >= 0.0,
@@ -379,6 +384,27 @@ impl FailurePlan {
     pub(crate) fn sort_schedules(&mut self) {
         self.sort_transitions();
         self.sort_partitions();
+    }
+}
+
+/// Panics, naming both, if two of `windows` overlap: a run applies one
+/// partition at a time ([`FailurePlan::active_partition`] finds the first
+/// open window, and the heal tracking walks the windows in onset order),
+/// so the other window's cut would silently go unapplied.  Windows that
+/// only touch are disjoint, since each is half-open.
+fn check_disjoint(windows: &[PartitionWindow]) {
+    for (i, a) in windows.iter().enumerate() {
+        for b in &windows[i + 1..] {
+            let (a, b) = if a.from <= b.from { (a, b) } else { (b, a) };
+            assert!(
+                a.heals_at <= b.from,
+                "partition windows [{}, {}) and [{}, {}) overlap",
+                a.from,
+                a.heals_at,
+                b.from,
+                b.heals_at
+            );
+        }
     }
 }
 

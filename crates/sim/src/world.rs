@@ -1360,6 +1360,40 @@ mod tests {
         run_under(partitioned(0.2, 0.6, 0));
     }
 
+    /// A run applies one partition at a time, so a second window open at
+    /// the same instant would go silently unapplied: overlapping windows
+    /// are rejected by the builder and where a plan enters a run, and
+    /// windows that only touch (each is half-open) stay valid.
+    #[test]
+    fn overlapping_partition_windows_are_rejected() {
+        let message = |body: fn()| {
+            let panic = std::panic::catch_unwind(body).expect_err("an overlap was accepted");
+            panic.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let built = message(|| {
+            let plan = FailurePlan::none().with_partition(0.5, 0.9, 2);
+            _ = plan.with_partition(0.2, 0.6, 3);
+        });
+        assert_eq!(built, "partition windows [0.2, 0.6) and [0.5, 0.9) overlap");
+        let literal = message(|| {
+            let mut plan = partitioned(0.2, 0.6, 2);
+            plan.partitions.push(PartitionWindow {
+                from: 0.3,
+                heals_at: 0.4,
+                components: 3,
+            });
+            run_under(plan);
+        });
+        assert_eq!(
+            literal,
+            "partition windows [0.2, 0.6) and [0.3, 0.4) overlap"
+        );
+        let touching = FailurePlan::none()
+            .with_partition(0.6, 0.8, 3)
+            .with_partition(0.2, 0.6, 2);
+        run_under(touching);
+    }
+
     #[test]
     #[should_panic(expected = "server 20 is outside the universe of 20 servers")]
     fn a_transition_of_a_server_outside_the_universe_is_rejected() {

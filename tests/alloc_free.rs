@@ -447,10 +447,11 @@ fn planning_a_digest_round_into_warmed_buffers_allocates_only_the_coverage_snaps
 #[test]
 fn sizing_a_cluster_takes_a_constant_number_of_heap_requests() {
     // `write_heavy_masking`'s shape: 400 servers planned for 4096 keys,
-    // then one plain store.  Four requests whatever `n` is: the
-    // behaviour and access-count vectors, then the plain slab and its
-    // per-block flags at their planned size.  Planning allocates nothing,
-    // and no signed slab is allocated, since nothing signed is stored.
+    // then one plain store.  Five requests whatever `n` is: the
+    // behaviour and access-count vectors, then the plain slab's handle
+    // slots and its per-block handles at their planned size, and its
+    // arena's first entries.  Planning allocates nothing, and no signed
+    // slab is allocated, since nothing signed is stored.
     const KEYS: u64 = 4096;
     let sized = |n: u32| {
         heap_during(|| {
@@ -461,11 +462,13 @@ fn sizing_a_cluster_takes_a_constant_number_of_heap_requests() {
         })
     };
     let (requests, bytes) = sized(400);
-    assert_eq!(requests, 4);
+    assert_eq!(requests, 5);
     assert_eq!(sized(8).0, requests, "independent of n");
-    let plain_slab = KEYS * 400 * std::mem::size_of::<Option<TaggedValue>>() as u64;
+    // A four-byte handle per slot and per block; the records themselves
+    // are interned, one arena entry per distinct record.
+    let plain_slab = (KEYS * 400 + KEYS) * std::mem::size_of::<u32>() as u64;
     assert!(
-        (plain_slab..plain_slab + 16 * 1024).contains(&bytes),
+        (plain_slab..plain_slab + 8 * 1024).contains(&bytes),
         "{bytes} bytes for a {plain_slab}-byte plain slab"
     );
 }
