@@ -356,16 +356,11 @@ mod tests {
     }
 
     /// One random call of a public mutator of `c`'s stores at keys of
-    /// `vars`, over servers of every behaviour.  Record counters creep up
+    /// [`VARS`], over servers of every behaviour.  Record counters creep up
     /// with `step`, so records keep arriving both older and fresher than
     /// what their receivers hold, and every step writes its own value, so
     /// distinct values meet under one timestamp.
-    fn random_step<R: Make>(
-        c: &mut Cluster,
-        rng: &mut ChaCha8Rng,
-        step: u64,
-        vars: &[VariableId],
-    ) -> Mutation<R> {
+    fn random_step<R: Make>(c: &mut Cluster, rng: &mut ChaCha8Rng, step: u64) -> Mutation<R> {
         const BEHAVIORS: [Behavior; 4] = [
             Behavior::Correct,
             Behavior::Crashed,
@@ -375,7 +370,7 @@ mod tests {
         let n = c.len() as u32;
         let id = ServerId::new(rng.gen_range(0..n));
         let other = ServerId::new(rng.gen_range(0..n));
-        let var = vars[rng.gen_range(0..vars.len())];
+        let var = VARS[rng.gen_range(0..VARS.len())];
         let counter = |rng: &mut ChaCha8Rng| rng.gen_range(1..step / 8 + 3);
         let record = R::make(step, counter(rng));
         let probed = |offers: Vec<_>| Mutation::Offers {
@@ -429,7 +424,7 @@ mod tests {
             }
             5 => {
                 let mut offers = Vec::new();
-                for &v in vars {
+                for v in VARS {
                     if rng.gen_bool(0.5) {
                         offers.push((id, v, R::make(step, counter(rng))));
                     }
@@ -491,7 +486,7 @@ mod tests {
             let (mut rises, mut wipes) = (0, 0);
             for step in 0..600 {
                 let before = slots(&c);
-                let joined = match random_step::<R>(&mut c, &mut rng, step, &VARS) {
+                let joined = match random_step::<R>(&mut c, &mut rng, step) {
                     Mutation::Join(id) => Some(id),
                     _ => None,
                 };
@@ -545,7 +540,7 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut shared = 0;
             for step in 0..600 {
-                match random_step::<R>(&mut c, &mut rng, step, &VARS) {
+                match random_step::<R>(&mut c, &mut rng, step) {
                     Mutation::Offers { bare, offers } => {
                         for (id, v, record) in &offers {
                             if bare || c.server(*id).behavior() == Behavior::Correct {
