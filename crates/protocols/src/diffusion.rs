@@ -17,13 +17,14 @@
 //! the synchronous harness and the discrete-event engine run the *same*
 //! mechanism:
 //!
-//! * [`plan_round`] / [`plan_cluster_round`] — snapshot the senders and
-//!   draw the peers of one round, producing a batch of [`GossipPush`]
-//!   messages (no state is mutated while planning, so a round is a
-//!   synchronous exchange).  [`plan_pushes`] is the loop behind the
-//!   round: it hands each push, without its payload, to a caller-owned
-//!   sink, for a driver that can tell from timestamps which pushes are
-//!   worth sending.  It and [`plan_digest_into`] read the servers through
+//! * [`plan_pushes`] — the one planning loop: snapshot the senders and
+//!   draw the peers of one round, handing each push, without its payload,
+//!   to a caller-owned sink (no state is mutated while planning, so a
+//!   round is a synchronous exchange).  What a push becomes is the
+//!   driver's: [`PlannedPush::materialise`] turns it into a
+//!   [`GossipPush`] message carrying the sender's record, and a driver
+//!   that can tell from timestamps which pushes are worth sending keeps
+//!   only those.  It and [`plan_digest_into`] read the servers through
 //!   [`Holdings`], so a driver that keeps records outside one [`Cluster`]
 //!   plans from them where they are.
 //! * [`deliver`] — apply one push to its receiver, evaluated at delivery
@@ -31,7 +32,8 @@
 //!   receiver that crashed mid-flight simply drops the message).
 //!
 //! The run-to-completion helper [`diffuse`] composes the two steps back
-//! into the classic synchronous-rounds loop.
+//! into the classic synchronous-rounds loop, keeping one variable's
+//! pushes of each planned round.
 //!
 //! # Digest/delta gossip
 //!
@@ -117,8 +119,8 @@ impl Default for DiffusionConfig {
 }
 
 /// One server-to-server gossip message: `from` pushes its freshest record
-/// for `variable` to `to`.  Planned by [`plan_round`] /
-/// [`plan_cluster_round`], applied by [`deliver`].
+/// for `variable` to `to`.  Planned by [`plan_pushes`] and
+/// [`PlannedPush::materialise`], applied by [`deliver`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GossipPush {
     /// The (correct) sender.
@@ -129,48 +131,6 @@ pub struct GossipPush {
     pub variable: VariableId,
     /// The sender's record at planning (send) time.
     pub record: AnyRecord,
-}
-
-/// Plans one synchronous round of push gossip of `R` records for a single
-/// `variable`.
-///
-/// Every *correct* server draws `fanout` uniform peers (self-draws are
-/// consumed but skipped, preserving the classic RNG stream); a push is
-/// emitted for each draw whose sender actually holds a non-initial record.
-/// Nothing is mutated: the returned batch is a snapshot-consistent
-/// exchange, to be applied with [`deliver`].
-pub fn plan_round<R: Record>(
-    cluster: &Cluster,
-    variable: VariableId,
-    fanout: usize,
-    rng: &mut dyn RngCore,
-) -> Vec<GossipPush> {
-    let n = cluster.len();
-    let mut pushes = Vec::new();
-    for i in 0..n as u32 {
-        let sender = cluster.server(ServerId::new(i));
-        if sender.behavior() != Behavior::Correct {
-            continue;
-        }
-        // A held record is never the initial one: `merge` stores only
-        // records fresher than it.
-        let held = sender.record::<R>(variable);
-        for _ in 0..fanout {
-            let peer = rng.gen_range(0..n);
-            if peer == i as usize {
-                continue;
-            }
-            if let Some(record) = held {
-                pushes.push(GossipPush {
-                    from: ServerId::new(i),
-                    to: ServerId::new(peer as u32),
-                    variable,
-                    record: record.clone().into(),
-                });
-            }
-        }
-    }
-    pushes
 }
 
 /// The freshest timestamp held by correct servers for one variable, and how
@@ -883,7 +843,10 @@ pub fn diffuse_digest<R: Record>(
 /// returns the number of *correct* servers holding the globally freshest
 /// record after the final round.
 ///
-/// Crashed servers neither push nor receive; Byzantine servers receive
+/// Each round is planned by [`plan_pushes`] over every variable the
+/// servers hold, so other variables' peer draws advance `rng` too, and
+/// only `variable`'s pushes are delivered.  Crashed servers neither push
+/// nor receive; Byzantine servers receive
 /// pushes (harmlessly) but never push, modelling the fact that correct
 /// servers cannot rely on them to help dissemination — for signed records
 /// too: a Byzantine server cannot forge a verifying record, so the worst it
@@ -894,10 +857,16 @@ pub fn diffuse<R: Record>(
     config: DiffusionConfig,
     rng: &mut dyn RngCore,
 ) -> usize {
+    let mut pushes = Vec::new();
     for _ in 0..config.rounds {
-        let pushes = plan_round::<R>(cluster, variable, config.fanout, rng);
-        for push in &pushes {
-            deliver(cluster, push);
+        let planned: &Cluster = cluster;
+        plan_pushes::<R, _>(planned, config.fanout, rng, |push| {
+            if push.variable == variable {
+                pushes.push(push.materialise::<R>(planned));
+            }
+        });
+        for push in pushes.drain(..) {
+            deliver(cluster, &push);
         }
     }
     count_fresh_correct::<R>(cluster, variable)
@@ -1521,7 +1490,8 @@ mod tests {
 
     #[test]
     fn incremental_rounds_match_the_run_to_completion_loop() {
-        // Stepping plan_round + deliver by hand is exactly diffuse.
+        // Stepping plan_cluster_round + deliver by hand is exactly diffuse
+        // on a cluster that holds one variable.
         let universe = Universe::new(30);
         let seed_cluster = || {
             let mut c = Cluster::new(universe);
@@ -1542,8 +1512,8 @@ mod tests {
         let mut stepped = seed_cluster();
         let mut last = 0;
         for _ in 0..config.rounds {
-            let pushes = plan_round::<TaggedValue>(&stepped, 1, config.fanout, &mut rng_b);
-            for push in &pushes {
+            let plan = plan_cluster_round(&stepped, config.fanout, false, &mut rng_b);
+            for push in &plan.pushes {
                 deliver(&mut stepped, push);
             }
             let now = count_fresh_correct::<TaggedValue>(&stepped, 1);

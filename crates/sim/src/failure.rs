@@ -159,6 +159,10 @@ impl FailurePlan {
 
     /// Crashes each server independently with probability `p` at time
     /// `at` (the iid model of Definition 2.6).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is NaN or lies outside [0, 1].
     pub fn with_independent_crashes(
         self,
         universe: Universe,
@@ -167,7 +171,10 @@ impl FailurePlan {
         rng: &mut dyn RngCore,
     ) -> Self {
         use rand::Rng;
-        let p = p.clamp(0.0, 1.0);
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "with_independent_crashes: crash probability p must lie in [0, 1], got {p}"
+        );
         let crashed: Vec<ServerId> = universe.servers().filter(|_| rng.gen_bool(p)).collect();
         self.with_crash_wave(at, crashed)
     }
@@ -459,6 +466,34 @@ mod tests {
     fn byzantine_count_validated() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let _ = FailurePlan::none().with_random_byzantine(Universe::new(5), 6, &mut rng);
+    }
+
+    /// A crash probability outside [0, 1] is refused with a message that
+    /// names it: 1.7 used to clamp to "crash every server", and NaN passed
+    /// the clamp to panic inside the sampler.  Both ends of [0, 1] stay
+    /// valid.
+    #[test]
+    fn independent_crash_probability_validated() {
+        let u = Universe::new(10);
+        let crashes = |p: f64| {
+            let mut rng = ChaCha8Rng::seed_from_u64(4);
+            FailurePlan::none()
+                .with_independent_crashes(u, p, 0.0, &mut rng)
+                .transitions
+                .len()
+        };
+        assert_eq!(crashes(0.0), 0);
+        assert_eq!(crashes(1.0), 10);
+        for p in [1.7, -0.1, f64::NAN, f64::INFINITY] {
+            let panic = std::panic::catch_unwind(|| crashes(p)).expect_err(&format!("p = {p}"));
+            let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert_eq!(
+                message,
+                format!(
+                    "with_independent_crashes: crash probability p must lie in [0, 1], got {p}"
+                )
+            );
+        }
     }
 
     #[test]

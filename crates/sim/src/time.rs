@@ -25,19 +25,17 @@
 //! `(time, sequence)`: the lane stays sorted for *any* input.  The routing
 //! decides only how cheap an entry is, never when it pops.
 //!
-//! The heap survives behind [`QueueKind::Heap`] as a reference backend
-//! (it schedules a train's entries one by one): property tests replay
-//! random interleavings against it, and debug builds shadow every
-//! production queue with a heap of `(time, sequence)` keys — lane, train
-//! and single entries alike — asserting each pop agrees.
-//!
-//! Both backends honour the exact same contract: pops are ordered by
-//! `(time, insertion sequence)` — strictly by time, FIFO among equal
-//! times — which is what every pinned determinism fingerprint in
-//! `tests/determinism.rs` rests on.  A train's entries take consecutive
-//! sequence numbers in iteration order, exactly as that many `schedule`
-//! calls would, so a train pops in the same order its entries would have
-//! one by one.
+//! The contract is that pops are ordered by `(time, insertion sequence)`
+//! — strictly by time, FIFO among equal times — which is what every
+//! pinned determinism fingerprint in `tests/determinism.rs` rests on.  A
+//! train's entries take consecutive sequence numbers in iteration order,
+//! exactly as that many `schedule` calls would, so a train pops in the
+//! same order its entries would have one by one.  Test code alone checks
+//! the contract: `time::tests` and
+//! `tests/properties.rs::event_queue_matches_heap_reference` replay random
+//! interleavings against a reference that keeps the pending entries in
+//! insertion order and pops the minimum `(time, sequence)` by a linear
+//! scan.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
@@ -47,17 +45,15 @@ use std::mem;
 /// Simulation time in seconds since the start of the run.
 pub type SimTime = f64;
 
-/// Which backend an [`EventQueue`] runs on.
+/// The event queue's one implementation, a lane, trains and a heap of
+/// singles.  The type and [`EventQueue::with_kind`] stay only because the
+/// repo benchmark names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
-    /// The production queue: a lane, trains and a heap of singles (the
-    /// default).  The name is kept from the calendar queue it replaced,
-    /// until the benchmark package stops naming it.
+    /// The lane/trains/singles queue.  The name is kept from the calendar
+    /// queue it replaced.
     #[default]
     Calendar,
-    /// The binary heap: O(log n) sifts, kept as the reference backend
-    /// (escape hatch and equivalence oracle).
-    Heap,
 }
 
 /// An entry in the event queue: a payload scheduled at a given time.
@@ -113,13 +109,7 @@ impl<E> PartialOrd for Scheduled<E> {
     }
 }
 
-/// The debug-build equivalence oracle: a heap of `(time, sequence)` keys
-/// shadowing a production queue, payload-free so it imposes no extra
-/// bounds on `E`.
-#[cfg(debug_assertions)]
-type Shadow = BinaryHeap<Scheduled<()>>;
-
-/// The trains of a production queue: each one a batch of entries
+/// The trains of the queue: each one a batch of entries
 /// scheduled together, sorted once, with only its next entry keyed.
 #[derive(Debug, Clone)]
 struct Trains<E> {
@@ -197,7 +187,7 @@ impl<E> Trains<E> {
     }
 }
 
-/// Which source holds the earliest pending entry of a [`Sources`] queue.
+/// Which source holds the earliest pending entry of an [`EventQueue`].
 #[derive(Debug, Clone, Copy)]
 enum Source {
     Lane,
@@ -205,13 +195,26 @@ enum Source {
     Single,
 }
 
-/// The production backend: a FIFO lane, the trains and a heap of singles.
+/// A deterministic future-event list ordered by time (FIFO among equal
+/// times): a FIFO lane, the trains and a heap of singles.
 ///
 /// The invariant every method keeps: the lane is sorted by
 /// `(time, sequence)`.  An entry joins it only when its time is no earlier
 /// than the lane tail's, and sequence numbers rise on every stamp.
+///
+/// # Examples
+///
+/// ```
+/// use pqs_sim::time::EventQueue;
+/// let mut q = EventQueue::new();
+/// q.schedule(2.0, "late");
+/// q.schedule(1.0, "early");
+/// assert_eq!(q.pop(), Some((1.0, "early")));
+/// assert_eq!(q.pop(), Some((2.0, "late")));
+/// assert_eq!(q.pop(), None);
+/// ```
 #[derive(Debug, Clone)]
-struct Sources<E> {
+pub struct EventQueue<E> {
     /// Entries scheduled no earlier than the entry scheduled before them,
     /// served from the front.
     lane: VecDeque<Scheduled<E>>,
@@ -219,28 +222,96 @@ struct Sources<E> {
     trains: Trains<E>,
     /// Every other entry.
     singles: BinaryHeap<Scheduled<E>>,
+    sequence: u64,
+    now: SimTime,
 }
 
-impl<E> Sources<E> {
-    fn new() -> Self {
-        Sources {
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E> EventQueue<E> {
+    /// Creates an empty queue at time zero.
+    pub fn new() -> Self {
+        EventQueue {
             lane: VecDeque::new(),
             trains: Trains::new(),
             singles: BinaryHeap::new(),
+            sequence: 0,
+            now: 0.0,
         }
     }
 
-    fn len(&self) -> usize {
+    /// Creates an empty queue at time zero, as [`Self::new`] does: there
+    /// is one queue, so `kind` changes nothing.
+    pub fn with_kind(_kind: QueueKind) -> Self {
+        Self::new()
+    }
+
+    /// The time of the most recently popped event (0 before any pop).
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
         self.lane.len() + self.trains.len + self.singles.len()
     }
 
-    /// Adds a single entry: onto the lane if that keeps the lane sorted,
-    /// into the heap otherwise.
-    fn insert(&mut self, s: Scheduled<E>) {
+    /// Returns `true` if no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Schedules `event` at absolute time `time`: onto the lane if that
+    /// keeps the lane sorted, into the singles heap otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is NaN or negative.
+    pub fn schedule(&mut self, time: SimTime, event: E) {
+        let s = self.stamp(time, event);
         if self.lane.back().is_none_or(|tail| tail.key_cmp(&s).is_lt()) {
             self.lane.push_back(s);
         } else {
             self.singles.push(s);
+        }
+    }
+
+    /// Schedules every `(time, event)` of `train` — the messages one send
+    /// step puts in flight together, such as an attempt's probe replies —
+    /// in any time order.
+    ///
+    /// The entries take consecutive insertion sequence numbers in
+    /// iteration order, exactly as that many [`Self::schedule`] calls
+    /// would, so the pop order is the one-by-one order, equal times
+    /// included.  The train is sorted once into a recycled buffer and only
+    /// its earliest entry is keyed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any entry's time is NaN or negative.
+    pub fn schedule_train(&mut self, train: impl IntoIterator<Item = (SimTime, E)>) {
+        let (slot, mut buffer) = self.trains.open();
+        for (time, event) in train {
+            buffer.push(self.stamp(time, event));
+        }
+        self.trains.close(slot, buffer);
+    }
+
+    /// Checks `time` and gives `event` the next insertion sequence number.
+    fn stamp(&mut self, time: SimTime, event: E) -> Scheduled<E> {
+        assert!(
+            time.is_finite() && time >= 0.0,
+            "event time must be finite and non-negative, got {time}"
+        );
+        self.sequence += 1;
+        Scheduled {
+            time,
+            sequence: self.sequence,
+            event,
         }
     }
 
@@ -267,196 +338,15 @@ impl<E> Sources<E> {
         first.time.is_finite().then_some((first.event, first.time))
     }
 
-    /// Pops the earliest pending entry.
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        match self.first()?.0 {
+    /// Pops the earliest pending event, advancing the clock to its time.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let popped = match self.first()?.0 {
             Source::Lane => self.lane.pop_front(),
             Source::Train => self.trains.pop(),
             Source::Single => self.singles.pop(),
-        }
-    }
-}
-
-/// The two interchangeable backends (see [`QueueKind`]).
-#[derive(Debug, Clone)]
-enum Backend<E> {
-    Heap(BinaryHeap<Scheduled<E>>),
-    Sources(Sources<E>),
-}
-
-/// A deterministic future-event list ordered by time (FIFO among equal
-/// times).
-///
-/// # Examples
-///
-/// ```
-/// use pqs_sim::time::EventQueue;
-/// let mut q = EventQueue::new();
-/// q.schedule(2.0, "late");
-/// q.schedule(1.0, "early");
-/// assert_eq!(q.pop(), Some((1.0, "early")));
-/// assert_eq!(q.pop(), Some((2.0, "late")));
-/// assert_eq!(q.pop(), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventQueue<E> {
-    backend: Backend<E>,
-    sequence: u64,
-    now: SimTime,
-    /// Debug builds shadow the production backend with a key-only heap
-    /// and assert every pop agrees.  `None` on heap-backed queues.
-    #[cfg(debug_assertions)]
-    shadow: Option<Shadow>,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue on the production backend at time zero.
-    pub fn new() -> Self {
-        Self::with_kind(QueueKind::Calendar)
-    }
-
-    /// Creates an empty queue on the chosen backend at time zero.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        EventQueue {
-            backend: match kind {
-                QueueKind::Heap => Backend::Heap(BinaryHeap::new()),
-                QueueKind::Calendar => Backend::Sources(Sources::new()),
-            },
-            sequence: 0,
-            now: 0.0,
-            #[cfg(debug_assertions)]
-            shadow: match kind {
-                QueueKind::Heap => None,
-                QueueKind::Calendar => Some(Shadow::new()),
-            },
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match self.backend {
-            Backend::Heap(_) => QueueKind::Heap,
-            Backend::Sources(_) => QueueKind::Calendar,
-        }
-    }
-
-    /// The time of the most recently popped event (0 before any pop).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Sources(sources) => sources.len(),
-        }
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Schedules `event` at absolute time `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is NaN or negative.
-    pub fn schedule(&mut self, time: SimTime, event: E) {
-        let s = self.stamp(time, event);
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(s),
-            Backend::Sources(sources) => sources.insert(s),
-        }
-    }
-
-    /// Schedules every `(time, event)` of `train` — the messages one send
-    /// step puts in flight together, such as an attempt's probe replies —
-    /// in any time order.
-    ///
-    /// The entries take consecutive insertion sequence numbers in
-    /// iteration order, exactly as that many [`Self::schedule`] calls
-    /// would, so the pop order is the one-by-one order, equal times
-    /// included.  On the production backend the train is sorted once into a
-    /// recycled buffer and only its earliest entry is keyed; the heap
-    /// backend schedules the entries one by one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any entry's time is NaN or negative.
-    pub fn schedule_train(&mut self, train: impl IntoIterator<Item = (SimTime, E)>) {
-        let Backend::Sources(sources) = &mut self.backend else {
-            for (time, event) in train {
-                self.schedule(time, event);
-            }
-            return;
-        };
-        let (slot, mut buffer) = sources.trains.open();
-        for (time, event) in train {
-            let s = self.stamp(time, event);
-            buffer.push(s);
-        }
-        if let Backend::Sources(sources) = &mut self.backend {
-            sources.trains.close(slot, buffer);
-        }
-    }
-
-    /// Checks `time` and gives `event` the next insertion sequence
-    /// number, entering its key into the debug shadow.
-    fn stamp(&mut self, time: SimTime, event: E) -> Scheduled<E> {
-        assert!(
-            time.is_finite() && time >= 0.0,
-            "event time must be finite and non-negative, got {time}"
-        );
-        self.sequence += 1;
-        #[cfg(debug_assertions)]
-        if let Some(shadow) = &mut self.shadow {
-            shadow.push(Scheduled {
-                time,
-                sequence: self.sequence,
-                event: (),
-            });
-        }
-        Scheduled {
-            time,
-            sequence: self.sequence,
-            event,
-        }
-    }
-
-    /// Pops the earliest pending event, advancing the clock to its time.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let popped = match &mut self.backend {
-            Backend::Heap(heap) => heap.pop(),
-            Backend::Sources(sources) => sources.pop(),
-        };
-        #[cfg(debug_assertions)]
-        if let Some(shadow) = &mut self.shadow {
-            let expect = shadow.pop();
-            match (&popped, &expect) {
-                (None, None) => {}
-                (Some(got), Some(want)) => debug_assert!(
-                    got.time == want.time && got.sequence == want.sequence,
-                    "queue pop ({}, #{}) disagrees with the heap oracle ({}, #{})",
-                    got.time,
-                    got.sequence,
-                    want.time,
-                    want.sequence,
-                ),
-                _ => debug_assert!(false, "queue and heap oracle disagree on emptiness"),
-            }
-        }
-        popped.map(|s| {
-            self.now = self.now.max(s.time);
-            (s.time, s.event)
-        })
+        }?;
+        self.now = self.now.max(popped.time);
+        Some((popped.time, popped.event))
     }
 
     /// Time of the earliest pending event without popping it.
@@ -464,10 +354,7 @@ impl<E> EventQueue<E> {
     /// The engine drains each shard queue up to a window barrier;
     /// peeking lets the drain loop stop without disturbing the queue.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(heap) => heap.peek().map(|s| s.time),
-            Backend::Sources(sources) => sources.first().map(|(_, time)| time),
-        }
+        self.first().map(|(_, time)| time)
     }
 
     /// Drains `batch` into the queue as one train
@@ -489,6 +376,52 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The queue's contract written the slow way: the pending entries in
+    /// insertion order, where a pop takes the minimum `(time, sequence)`
+    /// by a linear scan — the first of the earliest entries.
+    struct Reference<E> {
+        pending: Vec<(SimTime, E)>,
+        now: SimTime,
+    }
+
+    impl<E> Reference<E> {
+        fn new() -> Self {
+            Reference {
+                pending: Vec::new(),
+                now: 0.0,
+            }
+        }
+
+        fn schedule(&mut self, time: SimTime, event: E) {
+            self.pending.push((time, event));
+        }
+
+        fn len(&self) -> usize {
+            self.pending.len()
+        }
+
+        /// The index of the earliest entry; insertion order breaks ties.
+        fn first(&self) -> Option<usize> {
+            (0..self.pending.len()).reduce(|best, i| {
+                if self.pending[i].0 < self.pending[best].0 {
+                    i
+                } else {
+                    best
+                }
+            })
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.first().map(|i| self.pending[i].0)
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, E)> {
+            let (time, event) = self.pending.remove(self.first()?);
+            self.now = self.now.max(time);
+            Some((time, event))
+        }
+    }
 
     #[test]
     fn orders_by_time_then_fifo() {
@@ -545,30 +478,32 @@ mod tests {
         let q: EventQueue<u8> = EventQueue::default();
         assert!(q.is_empty());
         assert_eq!(q.now(), 0.0);
-        assert_eq!(q.kind(), QueueKind::Calendar);
         assert_eq!(QueueKind::default(), QueueKind::Calendar);
+        assert!(EventQueue::<u8>::with_kind(QueueKind::Calendar).is_empty());
     }
 
     #[test]
     fn batch_scheduling_preserves_fifo_among_equal_times() {
-        // The same events scheduled one by one and as a sorted batch must
-        // pop in the same order — the sort is stable, so equal-time
-        // entries keep their relative (insertion) order.
+        // The same events scheduled one by one and as a batch must pop in
+        // the reference's order: equal-time entries keep their relative
+        // (insertion) order.
         let entries = [(2.0, "b1"), (1.0, "a1"), (2.0, "b2"), (1.0, "a2")];
-        for kind in [QueueKind::Calendar, QueueKind::Heap] {
-            let mut one_by_one = EventQueue::with_kind(kind);
-            for (t, e) in entries {
-                one_by_one.schedule(t, e);
-            }
-            let mut batched = EventQueue::with_kind(kind);
-            let mut batch: Vec<(SimTime, &str)> = entries.to_vec();
-            batched.schedule_batch(&mut batch);
-            assert!(batch.is_empty(), "the batch buffer is drained for reuse");
-            for _ in 0..entries.len() {
-                assert_eq!(one_by_one.pop(), batched.pop());
-            }
-            assert!(batched.pop().is_none());
+        let mut reference = Reference::new();
+        let mut one_by_one = EventQueue::new();
+        for (t, e) in entries {
+            reference.schedule(t, e);
+            one_by_one.schedule(t, e);
         }
+        let mut batched = EventQueue::new();
+        let mut batch: Vec<(SimTime, &str)> = entries.to_vec();
+        batched.schedule_batch(&mut batch);
+        assert!(batch.is_empty(), "the batch buffer is drained for reuse");
+        for _ in 0..entries.len() {
+            let want = reference.pop();
+            assert_eq!(one_by_one.pop(), want);
+            assert_eq!(batched.pop(), want);
+        }
+        assert!(batched.pop().is_none() && one_by_one.pop().is_none());
     }
 
     #[test]
@@ -583,14 +518,14 @@ mod tests {
         assert_eq!(q.peek_time(), Some(7.0));
     }
 
-    /// Both backends pop the same `(time, event)` stream under an
-    /// adversarial mix of clustered, equal and far-future times with
-    /// interleaved pops, so entries fall to the lane and to the singles
-    /// heap alike.
+    /// The queue and the reference pop the same `(time, event)` stream
+    /// under an adversarial mix of clustered, equal and far-future times
+    /// with interleaved pops, so entries fall to the lane and to the
+    /// singles heap alike.
     #[test]
     fn calendar_matches_heap_under_interleaved_load() {
-        let mut queue = EventQueue::with_kind(QueueKind::Calendar);
-        let mut heap = EventQueue::with_kind(QueueKind::Heap);
+        let mut queue = EventQueue::new();
+        let mut reference = Reference::new();
         let mut next = splitmix(0x1234_5678);
         let mut popped = 0u64;
         for i in 0..5000u64 {
@@ -606,21 +541,21 @@ mod tests {
                 _ => 1e6 + ((r >> 8) % 100) as f64 * 1e3,
             };
             queue.schedule(t, i);
-            heap.schedule(t, i);
+            reference.schedule(t, i);
             if r.is_multiple_of(3) {
-                assert_eq!(queue.peek_time(), heap.peek_time());
-                assert_eq!(queue.pop(), heap.pop());
+                assert_eq!(queue.peek_time(), reference.peek_time());
+                assert_eq!(queue.pop(), reference.pop());
                 popped += 1;
             }
         }
-        assert_eq!(queue.len(), heap.len());
+        assert_eq!(queue.len(), reference.len());
         while let Some(got) = queue.pop() {
-            assert_eq!(Some(got), heap.pop());
+            assert_eq!(Some(got), reference.pop());
             popped += 1;
         }
-        assert!(heap.pop().is_none());
+        assert!(reference.pop().is_none());
         assert_eq!(popped, 5000);
-        assert_eq!(queue.now(), heap.now());
+        assert_eq!(queue.now(), reference.now);
     }
 
     /// A splitmix64 stream: a cheap deterministic scramble for the
@@ -637,9 +572,8 @@ mod tests {
 
     /// Trains pop exactly as their entries would one by one: random
     /// interleavings of single schedules, trains (empty, of one entry, of
-    /// equal times, of random times), peeks and pops give the production
-    /// queue and the heap oracle (which schedules a train entry by entry)
-    /// the same `(time, event)` stream and the same `len()`.  Times come
+    /// equal times, of random times), peeks and pops give the queue and
+    /// the reference (which takes a train entry by entry) the same `(time, event)` stream and the same `len()`.  Times come
     /// from a small grid, so trains and singles tie often, and after a
     /// far-future single has joined the lane, entries are scheduled before
     /// it.
@@ -647,8 +581,8 @@ mod tests {
     fn trains_pop_in_the_heap_oracles_order() {
         for case in 0..200u64 {
             let mut next = splitmix(case);
-            let mut queue = EventQueue::with_kind(QueueKind::Calendar);
-            let mut heap = EventQueue::with_kind(QueueKind::Heap);
+            let mut queue = EventQueue::new();
+            let mut reference = Reference::new();
             let mut id = 0u64;
             let time = |now: SimTime, r: u64| match r % 3 {
                 // A grid of 0.25 s steps: ties within and across trains.
@@ -661,12 +595,12 @@ mod tests {
             };
             for _ in 0..300 {
                 let r = next();
-                let now = heap.now();
+                let now = reference.now;
                 match r % 8 {
                     0 | 1 => {
                         let t = time(now, next());
                         queue.schedule(t, id);
-                        heap.schedule(t, id);
+                        reference.schedule(t, id);
                         id += 1;
                     }
                     2 | 3 => {
@@ -685,21 +619,23 @@ mod tests {
                             .collect();
                         id += len as u64;
                         queue.schedule_train(train.iter().copied());
-                        heap.schedule_train(train);
+                        for (t, e) in train {
+                            reference.schedule(t, e);
+                        }
                     }
-                    4 => assert_eq!(queue.peek_time(), heap.peek_time(), "case {case}"),
+                    4 => assert_eq!(queue.peek_time(), reference.peek_time(), "case {case}"),
                     _ => {
-                        assert_eq!(queue.peek_time(), heap.peek_time(), "case {case}");
-                        assert_eq!(queue.pop(), heap.pop(), "case {case}");
+                        assert_eq!(queue.peek_time(), reference.peek_time(), "case {case}");
+                        assert_eq!(queue.pop(), reference.pop(), "case {case}");
                     }
                 }
-                assert_eq!(queue.len(), heap.len(), "case {case}");
+                assert_eq!(queue.len(), reference.len(), "case {case}");
             }
             while let Some(got) = queue.pop() {
-                assert_eq!(Some(got), heap.pop(), "case {case}");
+                assert_eq!(Some(got), reference.pop(), "case {case}");
             }
-            assert!(heap.pop().is_none() && queue.is_empty(), "case {case}");
-            assert_eq!(queue.now(), heap.now());
+            assert!(reference.pop().is_none() && queue.is_empty(), "case {case}");
+            assert_eq!(queue.now(), reference.now);
         }
     }
 
@@ -707,7 +643,7 @@ mod tests {
     /// (it goes to the singles heap, ahead of the lane's head).
     #[test]
     fn straggler_in_the_past_pops_first() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         for i in 0..100u32 {
             q.schedule(1000.0 + i as f64, i);
         }
@@ -722,7 +658,7 @@ mod tests {
     /// `(time, sequence)` order, even after a peek has read the lane's head.
     #[test]
     fn a_train_due_before_the_live_day_pops_first() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         for i in 0..100u32 {
             q.schedule(1000.0 + i as f64, i);
         }
@@ -747,11 +683,8 @@ mod tests {
                 assert_eq!(q.pop().map(|(_, e)| e), Some(i / 10));
             }
         }
-        let Backend::Sources(sources) = &q.backend else {
-            unreachable!("the default queue runs on the production backend")
-        };
-        assert_eq!(sources.lane.len(), 90);
-        assert!(sources.singles.is_empty());
+        assert_eq!(q.lane.len(), 90);
+        assert!(q.singles.is_empty());
         let popped: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(popped, (10..100).collect::<Vec<_>>());
     }
@@ -767,11 +700,8 @@ mod tests {
         q.schedule(2.0, "single 2");
         q.schedule(3.0, "lane 3 again");
         q.schedule(1.0, "single 1");
-        let Backend::Sources(sources) = &q.backend else {
-            unreachable!("the default queue runs on the production backend")
-        };
-        assert_eq!(sources.lane.len(), 3);
-        assert_eq!(sources.singles.len(), 2);
+        assert_eq!(q.lane.len(), 3);
+        assert_eq!(q.singles.len(), 2);
         let popped: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(
             popped,

@@ -493,7 +493,7 @@ fn a_probe_train_allocates_nothing_once_warm() {
     let train = |start: f64| (0..TRAIN).map(move |i| (start + ((i * 37) % TRAIN) as f64 * 1e-4, i));
     let mut queue: EventQueue<u64> = EventQueue::new();
     // One train scheduled and drained sizes the recycled train buffer and
-    // the heap of train heads (and, in debug builds, the shadow heap).
+    // the heap of train heads.
     queue.schedule_train(train(0.0));
     while queue.pop().is_some() {}
     let mut popped = 0;
@@ -530,7 +530,7 @@ fn a_round_of_trains_timeouts_and_deltas_allocates_nothing_once_warm() {
         popped
     };
     // Warm-up rounds size the train buffer, the heaps of train heads and
-    // singles, the lane (and, in debug builds, the shadow heap).
+    // singles and the lane.
     for _ in 0..4 {
         round(&mut queue);
     }

@@ -454,8 +454,8 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut last = count_fresh_correct::<TaggedValue>(&cluster, 0);
         for _ in 0..6 {
-            let pushes = diffusion::plan_round::<TaggedValue>(&cluster, 0, fanout, &mut rng);
-            for push in &pushes {
+            let plan = diffusion::plan_cluster_round(&cluster, fanout, false, &mut rng);
+            for push in &plan.pushes {
                 diffusion::deliver(&mut cluster, push);
             }
             let now = count_fresh_correct::<TaggedValue>(&cluster, 0);
@@ -732,10 +732,11 @@ proptest! {
         prop_assert!(on.gossip_rounds > 0);
     }
 
-    /// The production event queue is observationally identical to the
-    /// binary-heap reference: random interleavings of `schedule`,
+    /// The event queue is observationally identical to its
+    /// [`QueueReference`]: random interleavings of `schedule`,
     /// `schedule_batch`, `pop` and `peek_time` produce the same pop
-    /// stream, clock, and lengths, event for event.  The time modes are
+    /// stream, clock, and lengths, event for event, in debug and release
+    /// builds alike.  The time modes are
     /// clustered (tie-heavy), uniform, far-future outliers, the engine's
     /// own shape (latencies after the clock, with the drain loop's
     /// schedule below a peeked head), timeouts interleaved with trains and
@@ -747,14 +748,13 @@ proptest! {
         ops in 50usize..400,
         mode in 0u32..6,
     ) {
-        use probabilistic_quorums::sim::time::{EventQueue, QueueKind};
+        use probabilistic_quorums::sim::time::EventQueue;
         use rand::Rng;
         /// The constant offset of a timeout-shaped entry.
         const TIMEOUT: f64 = 0.05;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut queue = EventQueue::<u64>::new();
-        let mut heap = EventQueue::<u64>::with_kind(QueueKind::Heap);
-        prop_assert_eq!(queue.kind(), QueueKind::Calendar);
+        let mut reference = QueueReference::default();
         let mut next_id = 0u64;
         let draw_time = |rng: &mut ChaCha8Rng, now: f64| -> f64 {
             // A message sent now arrives one latency later, a fixed one for
@@ -805,7 +805,7 @@ proptest! {
                         draw_time(&mut rng, now)
                     };
                     queue.schedule(t, next_id);
-                    heap.schedule(t, next_id);
+                    reference.schedule(t, next_id);
                     next_id += 1;
                 }
                 4..=5 => {
@@ -815,32 +815,31 @@ proptest! {
                         .map(|i| (draw_time(&mut rng, now), next_id + i as u64))
                         .collect();
                     next_id += n as u64;
-                    let mut copy = batch.clone();
+                    reference.pending.extend(batch.iter().copied());
                     queue.schedule_batch(&mut batch);
-                    heap.schedule_batch(&mut copy);
                 }
                 6..=8 => {
-                    prop_assert_eq!(queue.pop(), heap.pop());
-                    prop_assert_eq!(queue.now(), heap.now());
+                    prop_assert_eq!(queue.pop(), reference.pop());
+                    prop_assert_eq!(queue.now(), reference.now);
                 }
                 _ => {
                     let head = queue.peek_time();
-                    prop_assert_eq!(head, heap.peek_time());
+                    prop_assert_eq!(head, reference.peek_time());
                     // `World::drain_until`'s pattern: an arrival earlier
                     // than the peeked head sends a message due before it.
                     if let (3.., Some(head)) = (mode, head) {
                         let now = queue.now();
                         let t = now + (head - now) * rng.gen_range(0.0..1.0);
                         queue.schedule(t, next_id);
-                        heap.schedule(t, next_id);
+                        reference.schedule(t, next_id);
                         next_id += 1;
                     }
                 }
             }
-            prop_assert_eq!(queue.len(), heap.len());
+            prop_assert_eq!(queue.len(), reference.len());
         }
         // Drain both: the remaining pop streams agree element for element.
-        while let Some(expect) = heap.pop() {
+        while let Some(expect) = reference.pop() {
             prop_assert_eq!(queue.pop(), Some(expect));
         }
         prop_assert!(queue.pop().is_none());
@@ -1247,6 +1246,47 @@ fn slab_agrees<R: Record>(cluster: &Cluster, model: &SlabModel<R>, n: u32) {
         for var in SLAB_VARS {
             assert_eq!(server.record::<R>(var), model.get(&(id, var)));
         }
+    }
+}
+
+/// The event queue's contract written the slow way: the pending
+/// `(time, event)` entries in insertion order, where a pop takes the
+/// minimum `(time, insertion sequence)` by a linear scan — the first of the
+/// earliest entries.
+#[derive(Default)]
+struct QueueReference {
+    pending: Vec<(f64, u64)>,
+    now: f64,
+}
+
+impl QueueReference {
+    fn schedule(&mut self, time: f64, event: u64) {
+        self.pending.push((time, event));
+    }
+
+    fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// The index of the earliest entry; insertion order breaks ties.
+    fn first(&self) -> Option<usize> {
+        (0..self.pending.len()).reduce(|best, i| {
+            if self.pending[i].0 < self.pending[best].0 {
+                i
+            } else {
+                best
+            }
+        })
+    }
+
+    fn peek_time(&self) -> Option<f64> {
+        self.first().map(|i| self.pending[i].0)
+    }
+
+    fn pop(&mut self) -> Option<(f64, u64)> {
+        let entry = self.pending.remove(self.first()?);
+        self.now = self.now.max(entry.0);
+        Some(entry)
     }
 }
 
