@@ -109,8 +109,8 @@ impl<E> PartialOrd for Scheduled<E> {
     }
 }
 
-/// The trains of the queue: each one a batch of entries
-/// scheduled together, sorted once, with only its next entry keyed.
+/// The trains of the queue: each one a batch of entries scheduled
+/// together, sorted once, with only its next entry keyed.
 #[derive(Debug, Clone)]
 struct Trains<E> {
     /// One buffer per slot, sorted by `(time, sequence)` **descending** so

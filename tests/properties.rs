@@ -736,12 +736,12 @@ proptest! {
     /// [`QueueReference`]: random interleavings of `schedule`,
     /// `schedule_batch`, `pop` and `peek_time` produce the same pop
     /// stream, clock, and lengths, event for event, in debug and release
-    /// builds alike.  The time modes are
-    /// clustered (tie-heavy), uniform, far-future outliers, the engine's
-    /// own shape (latencies after the clock, with the drain loop's
-    /// schedule below a peeked head), timeouts interleaved with trains and
-    /// latency singles, and rare far-future singles that push the lane
-    /// tail out of reach of the near-term entries after them.
+    /// builds alike.  The time modes are clustered (tie-heavy), uniform,
+    /// far-future outliers, the engine's own shape (latencies after the
+    /// clock, with the drain loop's schedule below a peeked head), timeouts
+    /// interleaved with trains and latency singles, and rare far-future
+    /// singles that push the lane tail out of reach of the near-term
+    /// entries after them.
     #[test]
     fn event_queue_matches_heap_reference(
         seed in 0u64..10_000,
